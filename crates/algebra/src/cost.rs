@@ -116,9 +116,7 @@ pub fn estimate_cost(plan: &Plan, catalog: &Catalog, _registry: &Registry) -> Re
             // per-thread startup charge. `threads = 0` ("all cores") is
             // costed as the machine's parallelism.
             let t = if *threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1) as f64
+                mdj_core::default_threads() as f64
             } else {
                 *threads as f64
             };

@@ -3,25 +3,18 @@
 use crate::error::{AlgebraError, Result};
 use crate::plan::{BaseShape, Plan};
 use mdj_core::basevalues;
-use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin};
+use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
+use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin, PagedScan};
+use mdj_expr::Expr;
 use mdj_storage::{Catalog, Relation, Row};
+use std::sync::Arc;
 
 /// Execute a logical plan against a catalog.
 ///
 /// MD-join nodes run Algorithm 3.1 with the context's probe strategy;
 /// generalized MD-join nodes evaluate all blocks in one scan.
 pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Relation> {
-    // Governor poll per plan node: a cancelled or timed-out query stops
-    // between operators even when an individual operator's own polls are far
-    // apart (e.g. a cheap Select feeding an expensive MD-join).
-    ctx.check_interrupt()?;
-    // Fault-injection site per plan node (constant false unless armed): a
-    // typed failure here exercises the same error path a planner bug would.
-    if ctx.fault_should_fail_planner() {
-        return Err(AlgebraError::Core(mdj_core::CoreError::Internal(
-            "injected fault: plan execution".into(),
-        )));
-    }
+    enter_node(ctx)?;
     match plan {
         Plan::Table(name) => Ok(catalog.get(name)?.as_ref().clone()),
         Plan::Inline(rel) => Ok(rel.as_ref().clone()),
@@ -49,7 +42,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
             Ok(rel.project(&names)?)
         }
         Plan::Base { input, shape } => {
-            let rel = execute(input, catalog, ctx)?;
+            let rel = shared(input, catalog, ctx)?;
             let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
             let out = match shape {
                 BaseShape::GroupBy(_) => basevalues::group_by(&rel, &dims)?,
@@ -83,37 +76,23 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
             detail,
             aggs,
             theta,
-        } => {
-            if let Some(out) = try_cached_cuboid(base, detail, aggs, theta, catalog, ctx)? {
-                return Ok(out);
-            }
-            if let Some(out) = try_paged_md_join(
-                base,
-                detail,
-                aggs,
-                theta,
-                ExecStrategy::Serial,
-                None,
-                catalog,
-                ctx,
-            )? {
-                return Ok(out);
-            }
-            let b = execute(base, catalog, ctx)?;
-            let r = execute(detail, catalog, ctx)?;
-            Ok(MdJoin::new(&b, &r)
-                .aggs(aggs)
-                .theta(theta.clone())
-                .strategy(ExecStrategy::Serial)
-                .run(ctx)?)
-        }
+        } => md_join(
+            base,
+            detail,
+            aggs,
+            theta,
+            ExecStrategy::Serial,
+            None,
+            catalog,
+            ctx,
+        ),
         Plan::GenMdJoin {
             base,
             detail,
             blocks,
         } => {
-            let b = execute(base, catalog, ctx)?;
-            let r = execute(detail, catalog, ctx)?;
+            let b = shared(base, catalog, ctx)?;
+            let r = shared(detail, catalog, ctx)?;
             let core_blocks: Vec<Block> = blocks
                 .iter()
                 .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
@@ -126,31 +105,16 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
                 detail,
                 aggs,
                 theta,
-            } => {
-                let threads = if *threads > 0 { Some(*threads) } else { None };
-                if let Some(out) = try_paged_md_join(
-                    base,
-                    detail,
-                    aggs,
-                    theta,
-                    ExecStrategy::Morsel,
-                    threads,
-                    catalog,
-                    ctx,
-                )? {
-                    return Ok(out);
-                }
-                let b = execute(base, catalog, ctx)?;
-                let r = execute(detail, catalog, ctx)?;
-                let mut join = MdJoin::new(&b, &r)
-                    .aggs(aggs)
-                    .theta(theta.clone())
-                    .strategy(ExecStrategy::Morsel);
-                if let Some(t) = threads {
-                    join = join.threads(t);
-                }
-                Ok(join.run(ctx)?)
-            }
+            } => md_join(
+                base,
+                detail,
+                aggs,
+                theta,
+                ExecStrategy::Morsel,
+                (*threads > 0).then_some(*threads),
+                catalog,
+                ctx,
+            ),
             other => Err(AlgebraError::InvalidPlan(format!(
                 "Parallel may only wrap an MD-join node, got {other:?}"
             ))),
@@ -186,127 +150,174 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
     }
 }
 
-/// The disk-resident fast path: when the MD-join's detail input is a
-/// catalog table backed by a page store (and the engine has a buffer pool
-/// attached), evaluate with [`mdj_core::paged_md_join`] instead of handing
-/// the executor the resident relation. Theorem 4.2's prefilter then becomes
-/// clustered-key page pruning — skipped pages are never read — and the
-/// query's `ScanStats` pick up `pages_read` / `bytes_read`.
+/// The per-plan-node prelude.
+fn enter_node(ctx: &ExecContext) -> Result<()> {
+    // Governor poll per plan node: a cancelled or timed-out query stops
+    // between operators even when an individual operator's own polls are far
+    // apart (e.g. a cheap Select feeding an expensive MD-join).
+    ctx.check_interrupt()?;
+    // Fault-injection site per plan node (constant false unless armed): a
+    // typed failure here exercises the same error path a planner bug would.
+    if ctx.fault_should_fail_planner() {
+        return Err(AlgebraError::Core(mdj_core::CoreError::Internal(
+            "injected fault: plan execution".into(),
+        )));
+    }
+    Ok(())
+}
+
+/// [`execute`] an operator's input without copying a relation the catalog
+/// (or the plan) already shares: table and inline nodes lend their `Arc`.
+fn shared(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<Relation>> {
+    match plan {
+        Plan::Table(name) => {
+            enter_node(ctx)?;
+            Ok(catalog.get(name)?)
+        }
+        Plan::Inline(rel) => {
+            enter_node(ctx)?;
+            Ok(rel.clone())
+        }
+        other => Ok(Arc::new(execute(other, catalog, ctx)?)),
+    }
+}
+
+/// The one place a single-block MD-join node is evaluated, serial or under
+/// `Plan::Parallel`:
 ///
-/// A detail-side σ directly under the MD-join participates too:
-/// `MD(B, σ_p(R), l, θ) = MD(B, R, l, θ ∧ p)` (the range over `b` is
-/// `{r | p(r) ∧ θ(b, r)}` either way), and folding `p` into θ is exactly
-/// what lets a key predicate prune pages instead of filtering rows after
-/// a full read.
+/// 1. the cuboid cache answers the canonical group-by shape
+///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
+///    coarser queries by rolling up a finer cached cuboid (Theorem 4.5); a
+///    miss executes below over the shared resident table and becomes
+///    resident;
+/// 2. otherwise the detail plan resolves to a source: the page store when
+///    the detail is a catalog table backed by one and the engine has a buffer
+///    pool attached — Theorem 4.2's prefilter then becomes clustered-key page
+///    pruning and the query's `ScanStats` pick up `pages_read` /
+///    `bytes_read` — else the resident relation. A detail-side σ directly
+///    under the MD-join participates in the paged case too:
+///    `MD(B, σ_p(R), l, θ) = MD(B, R, l, θ ∧ p)` (the range over `b` is
+///    `{r | p(r) ∧ θ(b, r)}` either way), and folding `p` into θ is exactly
+///    what lets a key predicate prune pages instead of filtering rows after
+///    a full read. Base-side predicates (Observation 4.1 base inputs) cannot
+///    be folded, so those evaluate the σ first.
 #[allow(clippy::too_many_arguments)]
-fn try_paged_md_join(
+fn md_join(
     base: &Plan,
     detail: &Plan,
     aggs: &[mdj_agg::AggSpec],
-    theta: &mdj_expr::Expr,
+    theta: &Expr,
     strategy: ExecStrategy,
     threads: Option<usize>,
     catalog: &Catalog,
     ctx: &ExecContext,
-) -> Result<Option<Relation>> {
-    let Some(pool) = ctx.buffer_pool() else {
-        return Ok(None);
+) -> Result<Relation> {
+    let miss = match cached_cuboid(base, detail, aggs, theta, catalog, ctx)? {
+        Cached::Hit(rel) => return Ok(rel.as_ref().clone()),
+        Cached::Miss(req, detail_rel) => Some((req, detail_rel)),
+        Cached::Bypass => None,
     };
-    // Unwrap an optional detail-side σ; base-side predicates (Observation
-    // 4.1 base inputs) cannot be folded into θ, so those fall through.
-    let (table_plan, folded_theta) = match detail {
+    let run = |join: MdJoin, theta: Expr| {
+        let join = join.aggs(aggs).theta(theta).strategy(strategy);
+        match threads {
+            Some(t) => join.threads(t),
+            None => join,
+        }
+        .run(ctx)
+    };
+    let b = shared(base, catalog, ctx)?;
+    let out = match paged_detail(detail, theta, catalog, ctx) {
+        Some((scan, folded)) if miss.is_none() => run(MdJoin::paged(&b, &scan), folded)?,
+        _ => {
+            let r = shared(detail, catalog, ctx)?;
+            run(MdJoin::new(&b, &r), theta.clone())?
+        }
+    };
+    if let (Some((req, detail_rel)), Some(cache)) = (miss, ctx.cuboid_cache()) {
+        cache.insert(&req, &detail_rel, Arc::new(out.clone()));
+    }
+    Ok(out)
+}
+
+/// The page store behind `detail` — a catalog table, optionally under a
+/// detail-side σ that folds into θ — when the engine has a buffer pool
+/// attached and the table has a page store.
+fn paged_detail(
+    detail: &Plan,
+    theta: &Expr,
+    catalog: &Catalog,
+    ctx: &ExecContext,
+) -> Option<(PagedScan, Expr)> {
+    let pool = ctx.buffer_pool()?;
+    let (table, theta) = match detail {
         Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => (
             input.as_ref(),
             mdj_expr::builder::and(theta.clone(), pred.clone()),
         ),
         other => (other, theta.clone()),
     };
-    let Plan::Table(name) = table_plan else {
-        return Ok(None);
+    let Plan::Table(name) = table else {
+        return None;
     };
-    let Some(paged) = catalog.paged(name) else {
-        return Ok(None);
-    };
-    let b = execute(base, catalog, ctx)?;
-    let scan = mdj_core::PagedScan::new(paged, pool);
-    Ok(Some(mdj_core::paged_md_join(
-        &b,
-        &scan,
-        aggs,
-        &folded_theta,
-        strategy,
-        threads,
-        ctx,
-    )?))
+    Some((PagedScan::new(catalog.paged(name)?, pool), theta))
 }
 
-/// The cuboid-cache fast path for the canonical group-by shape
-/// `MD(γ_dims(T), T, l, θ_dims)`: exact repeats are answered from the cached
-/// result, coarser queries roll up from a finer cached cuboid (Theorem 4.5),
-/// and misses execute once and become resident. Returns `None` (fall through
-/// to ordinary execution) when no cache is configured or the plan is not in
-/// canonical form.
-fn try_cached_cuboid(
+/// What the cuboid cache says about an MD-join node.
+enum Cached {
+    /// Resident, exactly or by a Theorem 4.5 roll-up.
+    Hit(Arc<Relation>),
+    /// Canonical but not resident: the request to make resident once the
+    /// join has run, and the shared detail relation its validity is keyed on.
+    Miss(CuboidRequest, Arc<Relation>),
+    /// No cache configured, or the plan is not in canonical form.
+    Bypass,
+}
+
+/// Consult the cuboid cache for the canonical group-by shape
+/// `MD(γ_dims(T), T, l, θ_dims)`.
+fn cached_cuboid(
     base: &Plan,
     detail: &Plan,
     aggs: &[mdj_agg::AggSpec],
-    theta: &mdj_expr::Expr,
+    theta: &Expr,
     catalog: &Catalog,
     ctx: &ExecContext,
-) -> Result<Option<Relation>> {
-    use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
+) -> Result<Cached> {
     let Some(cache) = ctx.cuboid_cache() else {
-        return Ok(None);
+        return Ok(Cached::Bypass);
     };
     let (
         Plan::Table(detail_name),
         Plan::Base {
             input,
-            shape: crate::plan::BaseShape::GroupBy(dims),
+            shape: BaseShape::GroupBy(dims),
         },
     ) = (detail, base)
     else {
-        return Ok(None);
+        return Ok(Cached::Bypass);
     };
     let Plan::Table(base_name) = input.as_ref() else {
-        return Ok(None);
+        return Ok(Cached::Bypass);
     };
     if base_name != detail_name || *theta != cuboid_theta(dims) {
-        return Ok(None);
+        return Ok(Cached::Bypass);
     }
     // Resolve the *shared* Arc so the cache's pointer-identity validity test
     // sees the same allocation on every repeat of the query.
     let detail_rel = catalog.get(detail_name)?;
     let req = CuboidRequest::new(detail_name.clone(), dims.clone(), aggs.to_vec());
-    match cache.lookup(&req, &detail_rel, ctx)? {
-        CacheAnswer::Exact(rel) => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_hit();
-            }
-            Ok(Some(rel.as_ref().clone()))
-        }
-        CacheAnswer::Rollup(rel) => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_rollup_hit();
-            }
-            Ok(Some(rel.as_ref().clone()))
-        }
-        CacheAnswer::Miss => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_miss();
-            }
-            let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
-            let b = basevalues::group_by(&detail_rel, &dim_refs)?;
-            let out = MdJoin::new(&b, &detail_rel)
-                .aggs(aggs)
-                .theta(theta.clone())
-                .strategy(ExecStrategy::Serial)
-                .run(ctx)?;
-            let shared = std::sync::Arc::new(out);
-            cache.insert(&req, &detail_rel, shared.clone());
-            Ok(Some(shared.as_ref().clone()))
+    let answer = cache.lookup(&req, &detail_rel, ctx)?;
+    if let Some(stats) = ctx.stats() {
+        match answer {
+            CacheAnswer::Exact(_) => stats.record_cache_hit(),
+            CacheAnswer::Rollup(_) => stats.record_cache_rollup_hit(),
+            CacheAnswer::Miss => stats.record_cache_miss(),
         }
     }
+    Ok(match answer {
+        CacheAnswer::Exact(rel) | CacheAnswer::Rollup(rel) => Cached::Hit(rel),
+        CacheAnswer::Miss => Cached::Miss(req, detail_rel),
+    })
 }
 
 #[cfg(test)]
@@ -537,6 +548,34 @@ mod tests {
             ),
             (h, rh, m)
         );
+    }
+
+    #[test]
+    fn cuboid_cache_is_consulted_under_parallel_too() {
+        use mdj_core::EngineConfig;
+        use mdj_storage::ScanStats;
+        let cat = catalog();
+        let engine = EngineConfig::new().with_cuboid_cache(1 << 20).build();
+        let stats = Arc::new(ScanStats::new());
+        let ctx = mdj_core::ExecContext::from_parts(
+            engine,
+            mdj_core::QueryCtx::new().with_stats(stats.clone()),
+        );
+        let md = Plan::table("Sales").group_by_base(&["cust"]).md_join(
+            Plan::table("Sales"),
+            vec![AggSpec::on_column("sum", "sale")],
+            eq(col_b("cust"), col_r("cust")),
+        );
+        let serial = execute(&md, &cat, &ExecContext::new()).unwrap();
+        let cold = execute(&md.clone().parallel(2), &cat, &ctx).unwrap();
+        assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 0));
+        // The miss ran the join the plan asked for: the parallel one.
+        assert_eq!(stats.workers().len(), 2);
+        let warm = execute(&md.parallel(2), &cat, &ctx).unwrap();
+        assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 1));
+        assert_eq!(stats.scans(), 1, "the hit never touched the detail table");
+        assert_eq!(serial.rows(), cold.rows());
+        assert_eq!(cold.rows(), warm.rows());
     }
 
     #[test]

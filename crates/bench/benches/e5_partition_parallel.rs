@@ -43,10 +43,21 @@ fn bench(c: &mut Criterion) {
         });
     }
     for threads in [2usize, 4, 8] {
-        for (name, strategy) in [
-            ("parallel_base", ExecStrategy::ChunkBase),
-            ("parallel_detail_merge", ExecStrategy::ChunkDetail),
-            ("morsel", ExecStrategy::Morsel),
+        // The static Section 4.1.2 plans are the parallel drivers with one
+        // morsel per thread: ⌈n/threads⌉ rows of the split side.
+        let per_thread = |n: usize| ExecContext::new().with_morsel_size(n.div_ceil(threads));
+        for (name, strategy, ctx) in [
+            (
+                "parallel_base",
+                ExecStrategy::MorselBase,
+                per_thread(b.len()),
+            ),
+            (
+                "parallel_detail",
+                ExecStrategy::MorselDetail,
+                per_thread(r.len()),
+            ),
+            ("morsel", ExecStrategy::Morsel, ctx.clone()),
         ] {
             group.bench_with_input(BenchmarkId::new(name, threads), &threads, |bch, &t| {
                 let j = join.clone().strategy(strategy).threads(t);
@@ -88,11 +99,12 @@ fn bench(c: &mut Criterion) {
     let threads = 8usize;
 
     group.bench_function("static_chunk_8t", |bch| {
+        let sctx = ExecContext::new().with_morsel_size(r.len().div_ceil(threads));
         let j = fanout
             .clone()
-            .strategy(ExecStrategy::ChunkDetail)
+            .strategy(ExecStrategy::MorselDetail)
             .threads(threads);
-        bch.iter(|| j.run(&ctx).unwrap())
+        bch.iter(|| j.run(&sctx).unwrap())
     });
     for morsel_rows in [1_024usize, 4_096] {
         let mctx = ExecContext::new().with_morsel_size(morsel_rows);

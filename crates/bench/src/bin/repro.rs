@@ -904,17 +904,19 @@ fn e5(scale: usize) {
         ])
         .theta(eq(col_b("cust"), col_r("cust")));
     let mut static_makespan = 0u64;
-    for (label, strategy) in [
-        ("static chunks", ExecStrategy::ChunkDetail),
-        ("morsels (1024 rows)", ExecStrategy::MorselDetail),
+    // Both arms are the detail-parallel driver: a static chunk is a morsel of
+    // ⌈|R|/threads⌉ rows, one per worker.
+    for (label, morsel) in [
+        ("static chunks", r.len().div_ceil(8)),
+        ("morsels (1024 rows)", 1024),
     ] {
         let stats = Arc::new(ScanStats::new());
         let ctx = ExecContext::new()
-            .with_morsel_size(1024)
+            .with_morsel_size(morsel)
             .with_stats(stats.clone());
         let out = join
             .clone()
-            .strategy(strategy)
+            .strategy(ExecStrategy::MorselDetail)
             .threads(8)
             .run(&ctx)
             .unwrap();
@@ -1741,7 +1743,7 @@ fn e13(scale: usize) {
 }
 
 fn e14(scale: usize) {
-    use mdj_core::{paged_md_join, PagedScan};
+    use mdj_core::PagedScan;
     use mdj_storage::{BufferPool, PagedStore};
     // E8's workload, made disk-resident: the detail relation is written
     // through the pager clustered on `month` and every run re-reads it page
@@ -1800,7 +1802,7 @@ fn e14(scale: usize) {
     let run = |label: &str,
                slug: Option<&str>,
                strategy: ExecStrategy,
-               threads: Option<usize>,
+               threads: usize,
                theta: &Expr,
                expect_rows: Option<&Relation>| {
         pool.clear();
@@ -1809,20 +1811,24 @@ fn e14(scale: usize) {
             .with_morsel_size(1024)
             .with_stats(stats.clone());
         let t0 = Instant::now();
-        let out = paged_md_join(&b, &scan, &l, theta, strategy, threads, &ctx).unwrap();
+        let out = MdJoin::paged(&b, &scan)
+            .aggs(&l)
+            .theta(theta.clone())
+            .strategy(strategy)
+            .threads(threads)
+            .run(&ctx)
+            .unwrap();
         let t = t0.elapsed();
         if let Some(expected) = expect_rows {
-            // Parallel strategies may re-associate float sums, so compare
-            // values with a relative epsilon (the fuzz suite proves strict
-            // bit-identity separately, over dyadic inputs).
+            // Every driver applies updates in scan order, so even the
+            // parallel run's float sums match the reference bit for bit.
             assert_eq!(expected.len(), out.len(), "E14 {label}: row count");
             for (want, got) in expected.rows().iter().zip(out.rows()) {
                 for (a, b) in want.values().iter().zip(got.values()) {
                     match (a, b) {
-                        (Value::Float(x), Value::Float(y)) => assert!(
-                            (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                            "E14 {label}: {x} vs {y}"
-                        ),
+                        (Value::Float(x), Value::Float(y)) => {
+                            assert_eq!(x.to_bits(), y.to_bits(), "E14 {label}: {x} vs {y}")
+                        }
                         _ => assert_eq!(a, b, "E14 {label}"),
                     }
                 }
@@ -1846,7 +1852,7 @@ fn e14(scale: usize) {
         "full scan, serial",
         Some("full/serial"),
         ExecStrategy::Serial,
-        Some(1),
+        1,
         &theta,
         Some(&reference),
     );
@@ -1864,7 +1870,7 @@ fn e14(scale: usize) {
         "full scan, vectorized",
         Some("full/vectorized"),
         ExecStrategy::Vectorized,
-        Some(1),
+        1,
         &theta,
         Some(&reference),
     );
@@ -1872,7 +1878,7 @@ fn e14(scale: usize) {
         "full scan, morsel ×4",
         None,
         ExecStrategy::Morsel,
-        Some(4),
+        4,
         &theta,
         Some(&reference),
     );
@@ -1888,7 +1894,7 @@ fn e14(scale: usize) {
         "month ∈ [4,6], serial (Thm 4.2 page pruning)",
         Some("pruned/serial"),
         ExecStrategy::Serial,
-        Some(1),
+        1,
         &theta_pruned,
         Some(&pruned_ref),
     );

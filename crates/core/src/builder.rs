@@ -1,9 +1,10 @@
 //! The `MdJoin` builder — the single entrypoint for every evaluation mode.
 //!
-//! All of the crate's evaluators (serial Algorithm 3.1, the Theorem 4.1
-//! partitioned and statically-chunked parallel plans, the morsel-driven
-//! work-stealing executor, and the generalized multi-θ MD-join of Section
-//! 4.3) are reachable from one fluent surface:
+//! Every strategy is a row of one table from name to (driver, evaluator)
+//! over the executor core (`executor.rs`): serial Algorithm 3.1, the Theorem
+//! 4.1 base-partitioned plans, the detail-parallel plan, each with the
+//! scalar or the batch evaluator, over a resident or a paged detail source,
+//! for `k ≥ 1` (θ, l) blocks (the generalized MD-join of Section 4.3):
 //!
 //! ```
 //! use mdj_core::prelude::*;
@@ -24,59 +25,76 @@
 //!     .unwrap();
 //! assert_eq!(out.rows()[0][1], Value::Float(20.0));
 //! ```
-//!
-//! The free functions (`md_join`, `md_join_parallel`, …) remain as deprecated
-//! shims over the same internals for one release.
 
 use crate::context::ExecContext;
 use crate::cost::{self, DegradeMode};
 use crate::error::{CoreError, Result};
-use crate::generalized::{multi, multi_vectorized, Block};
+use crate::executor::{self, default_threads, split, split_even, DetailSource, Driver, Grid};
+use crate::generalized::Block;
 use crate::governor::{self, CancelToken, MemoryTracker};
-use crate::mdjoin::md_join_serial;
-use crate::morsel::{md_join_morsel, md_join_morsel_opts, MorselSide};
-use crate::parallel::{chunk_base, chunk_detail};
-use crate::partitioned::partitioned;
+use crate::paged::PagedScan;
 use crate::spill_exec::{md_join_spilled, partition_key_width};
-use crate::vectorized::{batch_coverage, md_join_vectorized};
+use crate::vectorized::batch_coverage;
 use mdj_agg::AggSpec;
 use mdj_expr::Expr;
 use mdj_storage::{Relation, Schema};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which evaluation plan [`MdJoin::run`] uses.
+/// Which evaluation plan [`MdJoin::run`] uses: a (driver, evaluator) pair of
+/// the executor core. Every plan returns rows bit-identical to
+/// [`ExecStrategy::Serial`], at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
-    /// Pick a plan from the input sizes: serial for small inputs or a single
-    /// thread, otherwise the morsel executor with an auto-chosen side.
+    /// Pick from the input: the batch evaluator when it covers a majority of
+    /// the per-tuple work; the serial driver for small inputs, one thread, a
+    /// budget the parallel footprint would breach, or a multi-block join —
+    /// otherwise a parallel driver with the side chosen by [`choose_side`].
     #[default]
     Auto,
-    /// Single-threaded Algorithm 3.1.
+    /// Single-threaded Algorithm 3.1, scalar evaluator. Under a memory
+    /// budget a breach degrades into Theorem 4.1 partitioned evaluation.
     Serial,
     /// Theorem 4.1 memory-bounded plan: `B` in `partitions` sequential
-    /// chunks, one scan of `R` per chunk.
+    /// fragments, one scan of `R` per fragment.
     Partitioned { partitions: usize },
-    /// Static parallel plan: `B` pre-split into one chunk per thread, each
-    /// worker scanning all of `R` (the paper's Section 4.1.2 plan).
-    ChunkBase,
-    /// Static parallel plan over `R`: one chunk per thread, per-worker
-    /// full-`B` states merged at the end.
-    ChunkDetail,
-    /// Morsel-driven work-stealing executor, side chosen from cardinalities.
+    /// Parallel scalar plan, side chosen from the cardinalities.
     Morsel,
-    /// Morsel executor over `B` (memory-bounded; `R` re-scanned per morsel).
+    /// Base-partitioned parallel plan: `B` in morsel-size fragments spread
+    /// over the workers by work stealing (memory-bounded; `R` re-scanned per
+    /// fragment). With `with_morsel_size(⌈|B|/threads⌉)` this is the paper's
+    /// static Section 4.1.2 plan.
     MorselBase,
-    /// Morsel executor over `R` (one logical scan; partial-state merge).
+    /// Detail-parallel plan: workers compute per-morsel deltas over `R`,
+    /// applied to one state set in morsel order (one logical scan).
     MorselDetail,
-    /// Vectorized batch execution: `R` is processed in columnar chunks with
-    /// selection-vector prefilters, batched integer-key probing, and typed
-    /// aggregate kernels (see [`crate::vectorized`]). Runs serially on small
-    /// inputs or one thread, otherwise composes with the morsel executor
-    /// (each morsel evaluated as one batch). Shapes without a vectorized
-    /// form fall back per batch to the scalar interpreter; output is always
-    /// row-identical to [`ExecStrategy::Serial`].
+    /// The batch evaluator (see [`crate::vectorized`]): `R` is processed in
+    /// columnar chunks with selection-vector prefilters, batched key probing
+    /// and typed aggregate kernels. Serial on small inputs or one thread,
+    /// otherwise parallel with the side chosen from the cardinalities. Shapes
+    /// without a vectorized form fall back per batch to the scalar
+    /// interpreter.
     Vectorized,
+}
+
+/// Which relation a parallel plan splits into work units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MorselSide {
+    /// Fragments of `B`: memory-bounded, one scan of `R` per fragment.
+    Base,
+    /// Morsels of `R`: one logical scan, one state set.
+    Detail,
+}
+
+/// Pick the partitioning side from the input cardinalities: `Detail` unless
+/// `B` is much larger than `R` (≥ 4×), where re-scanning the small `R` per
+/// fragment is cheaper than holding state for all of a huge `B`.
+pub fn choose_side(b_rows: usize, r_rows: usize) -> MorselSide {
+    if b_rows >= 4 * r_rows.max(1) {
+        MorselSide::Base
+    } else {
+        MorselSide::Detail
+    }
 }
 
 /// Builder for `MD(B, R, l, θ)` over borrowed inputs. See the module docs
@@ -84,7 +102,7 @@ pub enum ExecStrategy {
 #[derive(Debug, Clone)]
 pub struct MdJoin<'a> {
     b: &'a Relation,
-    r: &'a Relation,
+    r: DetailSource<'a>,
     theta: Option<Expr>,
     aggs: Vec<AggSpec>,
     blocks: Vec<Block>,
@@ -96,8 +114,21 @@ pub struct MdJoin<'a> {
 }
 
 impl<'a> MdJoin<'a> {
-    /// Start a builder joining detail `r` onto base-values `b`.
+    /// Start a builder joining the resident detail relation `r` onto
+    /// base-values `b`.
     pub fn new(b: &'a Relation, r: &'a Relation) -> Self {
+        Self::over(b, DetailSource::Resident(r))
+    }
+
+    /// Start a builder whose detail relation streams from the paged store:
+    /// θ's detail-only conjuncts on the clustered key prune pages before any
+    /// I/O (Theorem 4.2) and one page is pinned at a time. Output is
+    /// bit-identical to [`MdJoin::new`] over [`PagedScan::materialize`].
+    pub fn paged(b: &'a Relation, scan: &'a PagedScan) -> Self {
+        Self::over(b, DetailSource::Paged(scan))
+    }
+
+    fn over(b: &'a Relation, r: DetailSource<'a>) -> Self {
         MdJoin {
             b,
             r,
@@ -221,23 +252,10 @@ impl<'a> MdJoin<'a> {
         Ok(blocks)
     }
 
-    fn resolve_threads(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
-
     /// The output schema [`run`](Self::run) will produce.
     pub fn output_schema(&self, ctx: &ExecContext) -> Result<Schema> {
         let blocks = self.effective_blocks()?;
-        crate::generalized::multi_output_schema(
-            self.b.schema(),
-            self.r.schema(),
-            &blocks,
-            ctx.registry(),
-        )
+        executor::output_schema(self.b.schema(), self.r.schema(), &blocks, ctx)
     }
 
     /// Evaluate the join.
@@ -260,148 +278,69 @@ impl<'a> MdJoin<'a> {
         self.run_with(&ctx)
     }
 
+    /// The strategy table: resolve the strategy name to a (driver,
+    /// evaluator) pair of the executor core and run it.
     fn run_with(&self, ctx: &ExecContext) -> Result<Relation> {
-        let mut blocks = self.effective_blocks()?;
-        if blocks.len() > 1 {
-            // Generalized multi-θ evaluation is single-scan by construction;
-            // the serial interpreter and the fused batch executor implement
-            // it (parallel strategies do not).
-            return match self.strategy {
-                ExecStrategy::Serial => multi(self.b, self.r, &blocks, ctx),
-                ExecStrategy::Vectorized => multi_vectorized(self.b, self.r, &blocks, ctx),
-                ExecStrategy::Auto => {
-                    // Combined coverage across all condition sets: the fused
-                    // executor shares one chunk transposition per batch, so
-                    // it is chosen on the same covered-majority rule as the
-                    // single-join path, summed over the sets.
-                    let mut cov = crate::vectorized::BatchCoverage {
-                        covered: 0,
-                        total: 0,
-                        hash: false,
-                    };
-                    for blk in &blocks {
-                        let c = batch_coverage(self.b, &blk.theta, &blk.aggs, ctx);
-                        cov.covered += c.covered;
-                        cov.total += c.total;
-                        cov.hash |= c.hash;
-                    }
-                    let fused = cov.choose_vectorized();
-                    ctx.record_auto_decision(cov.permille(), fused);
-                    if fused {
-                        multi_vectorized(self.b, self.r, &blocks, ctx)
-                    } else {
-                        multi(self.b, self.r, &blocks, ctx)
-                    }
-                }
-                _ => Err(CoreError::BadConfig(format!(
-                    "strategy {:?} does not support multi-block (generalized) MD-joins",
-                    self.strategy
-                ))),
-            };
-        }
-        let Block { theta, aggs } = blocks
-            .pop()
-            .ok_or_else(|| CoreError::Internal("effective_blocks yielded no block".into()))?;
-        match self.strategy {
-            ExecStrategy::Serial => run_degradable(self.b, self.r, &aggs, &theta, ctx, 1, false),
-            ExecStrategy::Partitioned { partitions } => {
-                if partitions == 0 {
-                    return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
-                }
-                run_degradable(self.b, self.r, &aggs, &theta, ctx, partitions, false)
+        let blocks = self.effective_blocks()?;
+        let grid = Grid::new(self.r, &blocks, ctx.morsel_size());
+        let threads = self.threads.unwrap_or_else(default_threads);
+        let (b_rows, r_rows) = (self.b.len(), grid.rows() as usize);
+        // A parallel run only pays off once the split side spans several
+        // morsels; below that, scheduling overhead dominates.
+        let small = threads <= 1 || b_rows.max(r_rows) <= ctx.morsel_size();
+        let parallel = |side: MorselSide| match side {
+            MorselSide::Base => Driver::Base {
+                fragments: split(b_rows, ctx.morsel_size()),
+                threads: Some(threads),
+            },
+            MorselSide::Detail => Driver::Detail { threads },
+        };
+        let sized = |serial: bool| (!serial).then(|| parallel(choose_side(b_rows, r_rows)));
+        // `None` = the serial driver with Theorem 4.1 budget degradation.
+        let (driver, m, batch) = match self.strategy {
+            ExecStrategy::Serial => (None, 1, false),
+            ExecStrategy::Partitioned { partitions: 0 } => {
+                return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
             }
-            ExecStrategy::Vectorized => {
-                let threads = self.resolve_threads();
-                let splittable = self.b.len().max(self.r.len());
-                if threads <= 1 || splittable <= ctx.morsel_size() {
-                    run_degradable(self.b, self.r, &aggs, &theta, ctx, 1, true)
-                } else {
-                    md_join_morsel_opts(
-                        self.b,
-                        self.r,
-                        &aggs,
-                        &theta,
-                        threads,
-                        MorselSide::Auto,
-                        ctx,
-                        true,
-                    )
-                }
-            }
-            ExecStrategy::ChunkBase => {
-                chunk_base(self.b, self.r, &aggs, &theta, self.resolve_threads(), ctx)
-            }
-            ExecStrategy::ChunkDetail => {
-                chunk_detail(self.b, self.r, &aggs, &theta, self.resolve_threads(), ctx)
-            }
-            ExecStrategy::Morsel => md_join_morsel(
-                self.b,
-                self.r,
-                &aggs,
-                &theta,
-                self.resolve_threads(),
-                MorselSide::Auto,
-                ctx,
-            ),
-            ExecStrategy::MorselBase => md_join_morsel(
-                self.b,
-                self.r,
-                &aggs,
-                &theta,
-                self.resolve_threads(),
-                MorselSide::Base,
-                ctx,
-            ),
-            ExecStrategy::MorselDetail => md_join_morsel(
-                self.b,
-                self.r,
-                &aggs,
-                &theta,
-                self.resolve_threads(),
-                MorselSide::Detail,
-                ctx,
-            ),
+            ExecStrategy::Partitioned { partitions } => (None, partitions, false),
+            ExecStrategy::Vectorized => (sized(small), 1, true),
+            ExecStrategy::Morsel => (sized(false), 1, false),
+            ExecStrategy::MorselBase => (Some(parallel(MorselSide::Base)), 1, false),
+            ExecStrategy::MorselDetail => (Some(parallel(MorselSide::Detail)), 1, false),
             ExecStrategy::Auto => {
-                let threads = self.resolve_threads();
                 // Coverage cost model: estimate what fraction of the per-
                 // tuple work (probe, prefilter, residual, aggregates) stays
-                // on the batched path, and vectorize when the covered
-                // majority outweighs the per-batch fallback overhead. The
-                // decision is recorded so explain output can show it.
-                let coverage = batch_coverage(self.b, &theta, &aggs, ctx);
-                let vectorized = coverage.choose_vectorized();
-                ctx.record_auto_decision(coverage.permille(), vectorized);
-                // Memory-first planning: the morsel executor's detail side
-                // keeps full-`B` state per worker, so when a budget is set
-                // and the parallel footprint would breach it, prefer the
-                // degradable serial/partitioned path (Theorem 4.1) over a
-                // parallel plan that can only fail.
-                if let Some(tracker) = ctx.memory() {
-                    let per_worker = governor::state_bytes(self.b.len(), aggs.len())
-                        .saturating_add(governor::index_bytes(self.b.len()));
-                    let parallel_cost = per_worker.saturating_mul(threads.max(1));
-                    if parallel_cost as u64 > tracker.budget() {
-                        return run_degradable(self.b, self.r, &aggs, &theta, ctx, 1, vectorized);
-                    }
+                // on the batched path, summed over the blocks (they share one
+                // chunk transposition per batch), and vectorize when the
+                // covered majority outweighs the per-batch fallback overhead.
+                // The decision is recorded so explain output can show it.
+                let mut cov = crate::vectorized::BatchCoverage {
+                    covered: 0,
+                    total: 0,
+                    hash: false,
+                };
+                for blk in &blocks {
+                    let c = batch_coverage(self.b, &blk.theta, &blk.aggs, ctx);
+                    cov.covered += c.covered;
+                    cov.total += c.total;
+                    cov.hash |= c.hash;
                 }
-                // A parallel run only pays off once the split side spans
-                // several morsels; below that, scheduling overhead dominates.
-                let splittable = self.b.len().max(self.r.len());
-                if threads <= 1 || splittable <= ctx.morsel_size() {
-                    run_degradable(self.b, self.r, &aggs, &theta, ctx, 1, vectorized)
-                } else {
-                    md_join_morsel_opts(
-                        self.b,
-                        self.r,
-                        &aggs,
-                        &theta,
-                        threads,
-                        MorselSide::Auto,
-                        ctx,
-                        vectorized,
-                    )
-                }
+                ctx.record_auto_decision(cov.permille(), cov.choose_vectorized());
+                // Memory-first planning: a parallel plan cannot degrade, so
+                // when a budget is set and the state plus probe index would
+                // breach it, take the degradable serial path (Theorem 4.1).
+                let n_aggs: usize = blocks.iter().map(|blk| blk.aggs.len()).sum();
+                let footprint = governor::state_bytes(b_rows, n_aggs)
+                    .saturating_add(governor::index_bytes(b_rows));
+                let tight = ctx.memory().is_some_and(|t| footprint as u64 > t.budget());
+                // A generalized join under Auto picks only its evaluator.
+                let serial = small || tight || blocks.len() > 1;
+                (sized(serial), 1, cov.choose_vectorized())
             }
+        };
+        match driver {
+            Some(driver) => executor::run(self.b, &grid, &blocks, &driver, batch, ctx),
+            None => run_degradable(self.b, self.r, &grid, &blocks, ctx, m, batch),
         }
     }
 }
@@ -420,37 +359,39 @@ impl<'a> MdJoin<'a> {
 ///
 /// How each degraded retry feeds `R` to its partitions is a costed choice
 /// ([`cost::choose_mode`], steered by [`ExecContext::spill`]): re-scan the
-/// in-memory `R` once per partition, or hash-partition `R` to disk run
-/// files once and read each partition's file ([`md_join_spilled`]). Spill
-/// I/O errors propagate as typed [`CoreError::Storage`] errors — they are
-/// never silently retried on the rescan path, so fault-injection tests see
-/// exactly the failure they armed.
+/// source once per partition, or — for a single-block join over a resident
+/// `R` — hash-partition `R` to disk run files once and read each partition's
+/// file ([`md_join_spilled`]). Spill I/O errors propagate as typed
+/// [`CoreError::Storage`] errors — they are never silently retried on the
+/// rescan path, so fault-injection tests see exactly the failure they armed.
 ///
-/// With `vectorized`, the single-partition attempt runs the batched
-/// evaluator; degraded (`m > 1`) retries always use the scalar partitioned
-/// plan — degradation means memory pressure, where batch scratch buffers are
-/// the wrong trade.
+/// With `batch`, the single-partition attempt runs the batch evaluator;
+/// degraded (`m > 1`) retries always use the scalar one — degradation means
+/// memory pressure, where batch scratch buffers are the wrong trade.
 fn run_degradable(
     b: &Relation,
-    r: &Relation,
-    aggs: &[AggSpec],
-    theta: &Expr,
+    source: DetailSource,
+    grid: &Grid,
+    blocks: &[Block],
     ctx: &ExecContext,
     mut m: usize,
-    vectorized: bool,
+    batch: bool,
 ) -> Result<Relation> {
+    let n_aggs: usize = blocks.iter().map(|blk| blk.aggs.len()).sum();
     let mut mode = DegradeMode::Rescan;
     loop {
-        let attempt = if m <= 1 {
-            if vectorized {
-                md_join_vectorized(b, r, aggs, theta, ctx)
-            } else {
-                md_join_serial(b, r, aggs, theta, ctx)
+        let attempt = match (source.resident(), blocks) {
+            _ if m <= 1 => executor::run(b, grid, blocks, &Driver::Serial, batch, ctx),
+            (Some(r), [blk]) if mode == DegradeMode::Spill => {
+                md_join_spilled(b, r, &blk.aggs, &blk.theta, m, ctx)
             }
-        } else if mode == DegradeMode::Spill {
-            md_join_spilled(b, r, aggs, theta, m, ctx)
-        } else {
-            partitioned(b, r, aggs, theta, m, ctx)
+            _ => {
+                let driver = Driver::Base {
+                    fragments: split_even(b.len(), m),
+                    threads: None,
+                };
+                executor::run(b, grid, blocks, &driver, false, ctx)
+            }
         };
         match attempt {
             Err(CoreError::BudgetExceeded { .. }) if m < b.len() => {
@@ -466,10 +407,15 @@ fn run_degradable(
                 // breach (never shrinking, always progressing, capped at one
                 // row per partition).
                 let scaled = (m as u64).saturating_mul(peak).div_ceil(budget) as usize;
-                let key_width = partition_key_width(b.schema(), theta);
-                let costed = cost::cost_partitions(b.len(), aggs.len(), key_width, budget);
+                let key_width = match blocks {
+                    [blk] => partition_key_width(b.schema(), &blk.theta),
+                    _ => None,
+                };
+                let costed = cost::cost_partitions(b.len(), n_aggs, key_width, budget);
                 m = scaled.max(costed).max(m + 1).min(b.len());
-                mode = cost::choose_mode(m, r.len(), key_width, ctx.spill_policy());
+                // Only a resident R can be routed into run files.
+                let spill_width = key_width.filter(|_| source.resident().is_some());
+                mode = cost::choose_mode(m, grid.rows() as usize, spill_width, ctx.spill_policy());
                 ctx.record_degradation();
                 tracker.reset_peak();
             }
@@ -523,35 +469,86 @@ mod tests {
     }
 
     #[test]
-    fn every_strategy_matches_serial() {
+    fn strategy_table_scans_and_workers() {
+        use mdj_storage::ScanStats;
+        // What each name resolves to, read off the work counters: scans of R
+        // (one per base fragment) and reporting workers (parallel drivers).
         let s = sales(500);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let l = [
-            AggSpec::on_column("sum", "sale"),
-            AggSpec::on_column("avg", "sale"),
-            AggSpec::count_star(),
-        ];
+        let b = s.distinct_on(&["cust"]).unwrap(); // 11 rows
         let theta = eq(col_b("cust"), col_r("cust"));
-        let mk = || MdJoin::new(&b, &s).theta(theta.clone()).aggs(&l).threads(4);
-        let serial = mk()
+        let serial = MdJoin::new(&b, &s)
+            .theta(theta.clone())
+            .agg("sum(sale)")
+            .unwrap()
             .strategy(ExecStrategy::Serial)
             .run(&ExecContext::new())
             .unwrap();
-        let strategies = [
-            ExecStrategy::Auto,
-            ExecStrategy::Partitioned { partitions: 3 },
-            ExecStrategy::ChunkBase,
-            ExecStrategy::ChunkDetail,
-            ExecStrategy::Morsel,
-            ExecStrategy::MorselBase,
-            ExecStrategy::MorselDetail,
-            ExecStrategy::Vectorized,
-        ];
-        let ctx = ExecContext::new().with_morsel_size(32);
-        for strategy in strategies {
-            let out = mk().strategy(strategy).run(&ctx).unwrap();
-            assert!(serial.same_multiset(&out), "strategy {strategy:?}");
+        for (strategy, morsel, scans, workers, batched) in [
+            (ExecStrategy::Serial, 32, 1, 0, false),
+            (ExecStrategy::Partitioned { partitions: 4 }, 32, 4, 0, false),
+            (ExecStrategy::MorselBase, 3, 4, 3, false), // ⌈11/3⌉ fragments
+            (ExecStrategy::MorselDetail, 32, 1, 3, false),
+            (ExecStrategy::Morsel, 32, 1, 3, false), // |B| < 4|R| → detail
+            (ExecStrategy::Vectorized, 32, 1, 3, true),
+            (ExecStrategy::Vectorized, 4096, 1, 0, true), // one morsel → serial
+            (ExecStrategy::Auto, 32, 1, 3, true),
+        ] {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new()
+                .with_morsel_size(morsel)
+                .with_stats(stats.clone());
+            let out = MdJoin::new(&b, &s)
+                .theta(theta.clone())
+                .agg("sum(sale)")
+                .unwrap()
+                .strategy(strategy)
+                .threads(3)
+                .run(&ctx)
+                .unwrap();
+            assert_eq!(serial.rows(), out.rows(), "{strategy:?}");
+            assert_eq!(stats.scans(), scans, "{strategy:?} scans");
+            assert_eq!(stats.workers().len(), workers, "{strategy:?} workers");
+            assert_eq!(stats.batches() > 0, batched, "{strategy:?} batches");
+            let merges: u64 = stats.workers().iter().map(|w| w.merges).sum();
+            assert_eq!(merges, 0, "{strategy:?}: one state set, never merged");
+            // Single-scan plans: every morsel ran exactly once, on some
+            // worker, as one batch when batched — and every matching tuple
+            // updated its one base row once, whoever computed the delta.
+            if scans == 1 && workers > 0 {
+                let sum = |f: fn(&mdj_storage::WorkerStats) -> u64| -> u64 {
+                    stats.workers().iter().map(f).sum()
+                };
+                assert_eq!(sum(|w| w.morsels), 500u64.div_ceil(32), "{strategy:?}");
+                assert_eq!(sum(|w| w.tuples), 500, "{strategy:?}");
+                assert_eq!(sum(|w| w.updates), 500, "{strategy:?}");
+                assert_eq!(stats.updates(), 500, "{strategy:?}");
+                assert_eq!(stats.probes(), 500, "{strategy:?}");
+                if batched {
+                    assert_eq!(stats.batches(), 500u64.div_ceil(32), "{strategy:?}");
+                    assert_eq!(stats.batch_fallbacks(), 0, "{strategy:?}");
+                }
+            }
         }
+        // More partitions than base rows is the finest Theorem 4.1 split.
+        let stats = Arc::new(ScanStats::new());
+        let out = MdJoin::new(&b, &s)
+            .theta(theta.clone())
+            .agg("sum(sale)")
+            .unwrap()
+            .strategy(ExecStrategy::Partitioned { partitions: 50 })
+            .run(&ExecContext::new().with_stats(stats.clone()))
+            .unwrap();
+        assert_eq!(serial.rows(), out.rows());
+        assert_eq!(stats.scans(), 11);
+    }
+
+    #[test]
+    fn auto_side_selection() {
+        assert_eq!(choose_side(100, 1000), MorselSide::Detail);
+        assert_eq!(choose_side(1000, 1000), MorselSide::Detail);
+        assert_eq!(choose_side(4000, 1000), MorselSide::Base);
+        assert_eq!(choose_side(10, 0), MorselSide::Base);
+        assert_eq!(choose_side(0, 0), MorselSide::Detail);
     }
 
     #[test]
@@ -621,18 +618,65 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_rejects_parallel_strategies() {
-        let s = sales(30);
+    fn multi_block_runs_on_every_driver() {
+        let s = sales(300);
         let b = s.distinct_on(&["cust"]).unwrap();
         let theta = eq(col_b("cust"), col_r("cust"));
-        let err = MdJoin::new(&b, &s)
-            .theta(theta.clone())
-            .agg("sum(sale)")
-            .unwrap()
-            .block(theta, vec![AggSpec::count_star()])
-            .strategy(ExecStrategy::Morsel)
-            .run(&ExecContext::new());
-        assert!(matches!(err, Err(CoreError::BadConfig(_))));
+        let mk = |strategy| {
+            MdJoin::new(&b, &s)
+                .theta(theta.clone())
+                .agg("sum(sale)")
+                .unwrap()
+                .block(theta.clone(), vec![AggSpec::count_star()])
+                .strategy(strategy)
+                .threads(2)
+                .run(&ExecContext::new().with_morsel_size(16))
+                .unwrap()
+        };
+        let serial = mk(ExecStrategy::Serial);
+        for strategy in [
+            ExecStrategy::Partitioned { partitions: 3 },
+            ExecStrategy::Morsel,
+            ExecStrategy::MorselBase,
+            ExecStrategy::MorselDetail,
+        ] {
+            assert_eq!(serial.rows(), mk(strategy).rows(), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn colliding_alias_is_duplicate_column_on_every_driver() {
+        let s = sales(100);
+        let b = s.distinct_on(&["cust"]).unwrap();
+        for strategy in [
+            ExecStrategy::Auto,
+            ExecStrategy::Serial,
+            ExecStrategy::Partitioned { partitions: 2 },
+            ExecStrategy::Morsel,
+            ExecStrategy::MorselBase,
+            ExecStrategy::MorselDetail,
+            ExecStrategy::Vectorized,
+        ] {
+            // An alias shadowing a column of B, single- and multi-block.
+            let single = MdJoin::new(&b, &s)
+                .theta(eq(col_b("cust"), col_r("cust")))
+                .agg("sum(sale) as cust")
+                .unwrap();
+            let multi = single.clone().block(
+                eq(col_b("cust"), col_r("cust")),
+                vec![AggSpec::count_star()],
+            );
+            for join in [single, multi] {
+                let err = join
+                    .strategy(strategy)
+                    .threads(2)
+                    .run(&ExecContext::new().with_morsel_size(16));
+                assert!(
+                    matches!(err, Err(CoreError::DuplicateColumn(_))),
+                    "{strategy:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -651,8 +695,8 @@ mod tests {
         // Zero threads / zero partitions.
         let theta = eq(col_b("cust"), col_r("cust"));
         for strategy in [
-            ExecStrategy::ChunkBase,
-            ExecStrategy::ChunkDetail,
+            ExecStrategy::MorselBase,
+            ExecStrategy::MorselDetail,
             ExecStrategy::Morsel,
         ] {
             let err = MdJoin::new(&b, &s)
@@ -749,6 +793,67 @@ mod tests {
             "holistic growth must trigger degradation"
         );
         assert!(stats.bytes_charged() > 672, "growth must be metered");
+    }
+
+    #[test]
+    fn budget_meters_holistic_growth_for_k_blocks_and_parallel_drivers() {
+        use mdj_storage::ScanStats;
+        // Same data as above; the governor lives in one place, so a second
+        // median block and the parallel drivers meter growth exactly like
+        // the single-block serial join.
+        let schema = Schema::from_pairs(&[("cust", DataType::Int), ("sale", DataType::Int)]);
+        let s = Relation::from_rows(
+            schema,
+            (0..200i64).map(|i| Row::from_values([i % 4, i])).collect(),
+        );
+        let b = s.distinct_on(&["cust"]).unwrap();
+        let theta = eq(col_b("cust"), col_r("cust"));
+        let two_blocks = || {
+            MdJoin::new(&b, &s)
+                .theta(theta.clone())
+                .aggs(&[AggSpec::on_column("median", "sale")])
+                .block(
+                    theta.clone(),
+                    vec![AggSpec::on_column("median", "sale").with_alias("m2")],
+                )
+        };
+        let unbudgeted = two_blocks().run(&ExecContext::new()).unwrap();
+        // Fixed footprint of two blocks at m = 1: 4×(32 + 2×64) state +
+        // 2×(4×48 index + 4×24 keys) = 1216 bytes — fits 2500; the ~4 KiB of
+        // reservoir growth does not, so the serial plans degrade.
+        for strategy in [ExecStrategy::Serial, ExecStrategy::Auto] {
+            let stats = Arc::new(ScanStats::new());
+            let out = two_blocks()
+                .strategy(strategy)
+                .budget_bytes(2500)
+                .run(&ExecContext::new().with_stats(stats.clone()))
+                .unwrap();
+            assert_eq!(unbudgeted.rows(), out.rows(), "{strategy:?}");
+            assert!(stats.degradations() >= 1, "{strategy:?} never degraded");
+            assert!(
+                stats.bytes_charged() > 1216,
+                "{strategy:?}: growth unmetered"
+            );
+        }
+        // The parallel drivers cannot degrade: the same growth surfaces as a
+        // typed breach, for one block or two.
+        let one_block = MdJoin::new(&b, &s)
+            .theta(theta.clone())
+            .aggs(&[AggSpec::on_column("median", "sale")]);
+        for join in [one_block, two_blocks()] {
+            for strategy in [ExecStrategy::MorselDetail, ExecStrategy::MorselBase] {
+                let err = join
+                    .clone()
+                    .strategy(strategy)
+                    .threads(2)
+                    .budget_bytes(1500)
+                    .run(&ExecContext::new().with_morsel_size(64));
+                assert!(
+                    matches!(err, Err(CoreError::BudgetExceeded { .. })),
+                    "{strategy:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

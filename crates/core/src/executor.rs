@@ -1,0 +1,906 @@
+//! The executor core: Algorithm 3.1's scan / probe / update loop, once.
+//!
+//! Every [`ExecStrategy`](crate::ExecStrategy) is a choice along three
+//! orthogonal axes, and this module is the only place any of them is
+//! implemented:
+//!
+//! * a **detail source** ([`DetailSource`] → [`Grid`]) hands out `R` as
+//!   ordered row slices on a chunk grid fixed by `(source, morsel size)` —
+//!   never by the thread count: `morsel`-row ranges of a resident relation,
+//!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
+//!   pages Theorem 4.2 rules out are never read);
+//! * an **evaluator** ([`Evaluator`]) bound once per query over `k ≥ 1`
+//!   (θ, l) blocks — the single-block join is the `k = 1` case of Theorem
+//!   4.3's generalized join — with one scalar loop and one batch loop, both
+//!   feeding a [`Sink`];
+//! * a **driver** ([`Driver`]): serial, base-partitioned per Theorem 4.1
+//!   (sequential or parallel), or detail-parallel.
+//!
+//! ## The ordered-apply protocol
+//!
+//! The detail-parallel driver keeps **one** state set. Workers claim chunk
+//! indexes in increasing order from a shared counter and compute each chunk's
+//! pure [`Delta`] — which base rows matched, and the aggregate inputs of each
+//! matching tuple — in parallel, inside the panic-isolation boundary. A
+//! worker then waits at a turnstile until every earlier chunk has been
+//! applied, applies its own delta to the state set, and passes the turn on.
+//! Every aggregate state therefore sees exactly the update sequence of the
+//! serial scan — `(a + b) + c` in tuple order, never `a + (b + c)` — so
+//! results are `f64::to_bits`-identical to [`Driver::Serial`] at any thread
+//! count without ever calling `merge`; a worker holds at most one delta, so
+//! at most `threads` are in flight; and the worker holding the lowest
+//! unapplied chunk never waits, so the line always moves.
+//!
+//! Governor polling, fault sites, memory charging, growth metering, the
+//! duplicate-column check and stats recording all live here.
+
+use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
+use crate::error::{CoreError, Result};
+use crate::generalized::Block;
+use crate::governor::{self, panic_message, GrowthMeter, MemCharge};
+use crate::mdjoin::{bind_aggs, joined_schema, BoundAgg};
+use crate::paged::PagedScan;
+use crate::probe::ProbePlan;
+use crate::vectorized::{apply_batch, BatchProbe, ColStates, Scoreboard, MAX_BATCH};
+use crossbeam::deque::{Steal, Stealer, Worker};
+use mdj_storage::{ColumnarChunk, Relation, Row, Schema, Value, WorkerStats};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// The machine's available parallelism — the one thread-count default every
+/// layer (builder, algebra cost model) resolves `threads = unset` to.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+// ------------------------------------------------------------ detail source
+
+/// Where the detail relation `R` lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DetailSource<'a> {
+    /// Rows resident in memory.
+    Resident(&'a Relation),
+    /// A paged table read through a buffer pool.
+    Paged(&'a PagedScan),
+}
+
+impl<'a> DetailSource<'a> {
+    pub(crate) fn schema(&self) -> &'a Schema {
+        match self {
+            DetailSource::Resident(r) => r.schema(),
+            DetailSource::Paged(scan) => scan.schema(),
+        }
+    }
+
+    pub(crate) fn resident(&self) -> Option<&'a Relation> {
+        match self {
+            DetailSource::Resident(r) => Some(r),
+            DetailSource::Paged(_) => None,
+        }
+    }
+}
+
+/// Cut `0..n` into ranges of at most `size` rows — always at least one range
+/// (`0..0` for an empty input), so every driver has a unit to evaluate.
+pub(crate) fn split(n: usize, size: usize) -> Vec<Range<usize>> {
+    let size = size.max(1);
+    let mut out: Vec<Range<usize>> = (0..n)
+        .step_by(size)
+        .map(|start| start..(start + size).min(n))
+        .collect();
+    if out.is_empty() {
+        out.push(0..0);
+    }
+    out
+}
+
+/// Cut `0..n` into `m` near-equal contiguous ranges (fewer when `n < m`).
+pub(crate) fn split_even(n: usize, m: usize) -> Vec<Range<usize>> {
+    let m = m.clamp(1, n.max(1));
+    let (base, extra) = (n / m, n % m);
+    let mut start = 0;
+    (0..m)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// One scan's chunk grid over a [`DetailSource`].
+pub(crate) struct Grid<'a> {
+    schema: &'a Schema,
+    rows: u64,
+    chunks: Chunks<'a>,
+}
+
+enum Chunks<'a> {
+    Resident {
+        rows: &'a [Row],
+        morsel: usize,
+    },
+    /// Runs of consecutive admitted pages totalling ≥ `morsel` rows each.
+    Paged {
+        scan: &'a PagedScan,
+        runs: Vec<Vec<usize>>,
+    },
+}
+
+impl<'a> Grid<'a> {
+    /// The grid for scanning `source` under the blocks' θs. For a paged
+    /// source a page is admitted when any block's clustered-key bounds
+    /// (Theorem 4.2) admit it — answered from the manifest, zero I/O.
+    pub(crate) fn new(source: DetailSource<'a>, blocks: &[Block], morsel: usize) -> Self {
+        let morsel = morsel.clamp(1, MAX_BATCH);
+        let (rows, chunks) = match source {
+            DetailSource::Resident(r) => (
+                r.len() as u64,
+                Chunks::Resident {
+                    rows: r.rows(),
+                    morsel,
+                },
+            ),
+            DetailSource::Paged(scan) => {
+                let mut pages: Vec<usize> = blocks
+                    .iter()
+                    .flat_map(|blk| scan.clone().prefiltered(&blk.theta).admitted_pages())
+                    .collect();
+                pages.sort_unstable();
+                pages.dedup();
+                let (mut runs, mut cur, mut in_run, mut total) = (Vec::new(), Vec::new(), 0, 0u64);
+                for pno in pages {
+                    let page_rows = scan.table().page_meta(pno).map_or(0, |m| m.rows as usize);
+                    cur.push(pno);
+                    in_run += page_rows;
+                    total += page_rows as u64;
+                    if in_run >= morsel {
+                        runs.push(std::mem::take(&mut cur));
+                        in_run = 0;
+                    }
+                }
+                if !cur.is_empty() {
+                    runs.push(cur);
+                }
+                (total, Chunks::Paged { scan, runs })
+            }
+        };
+        Grid {
+            schema: source.schema(),
+            rows,
+            chunks,
+        }
+    }
+
+    /// Rows one scan of the grid delivers.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    fn len(&self) -> usize {
+        match &self.chunks {
+            Chunks::Resident { rows, morsel } => rows.len().div_ceil(*morsel),
+            Chunks::Paged { runs, .. } => runs.len(),
+        }
+    }
+
+    /// Hand chunk `idx`'s row slices to `f`, in order: the one range of a
+    /// resident chunk, or each page of a run — pinned only while `f` reads it.
+    fn scan_chunk(
+        &self,
+        idx: usize,
+        ctx: &ExecContext,
+        f: &mut dyn FnMut(&[Row]) -> Result<()>,
+    ) -> Result<()> {
+        match &self.chunks {
+            Chunks::Resident { rows, morsel } => {
+                f(&rows[idx * morsel..((idx + 1) * morsel).min(rows.len())])
+            }
+            Chunks::Paged { scan, runs } => {
+                for &pno in &runs[idx] {
+                    f(&scan.fetch(pno, ctx)?)?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- evaluator
+
+struct BoundBlock {
+    plan: ProbePlan,
+    aggs: Vec<BoundAgg>,
+    /// The distinct detail columns the aggregates read, and per aggregate its
+    /// position among them (`None` = star input): a [`Delta`] carries each
+    /// matching tuple's inputs once, however many aggregates share a column.
+    inputs: Vec<usize>,
+    input_of: Vec<Option<usize>>,
+    _index_charge: MemCharge,
+}
+
+/// Bind every block against `B` and the detail schema, charging each probe
+/// index against the budget before it is built.
+fn bind_blocks(
+    b: &Relation,
+    r_schema: &Schema,
+    blocks: &[Block],
+    ctx: &ExecContext,
+) -> Result<Vec<BoundBlock>> {
+    blocks
+        .iter()
+        .map(|blk| {
+            let aggs = bind_aggs(&blk.aggs, r_schema, ctx.registry())?;
+            let (plan, _index_charge) = ProbePlan::build_charged(b, r_schema, &blk.theta, ctx)?;
+            let mut inputs: Vec<usize> = aggs.iter().filter_map(|ba| ba.input_col).collect();
+            inputs.sort_unstable();
+            inputs.dedup();
+            let input_of = aggs
+                .iter()
+                .map(|ba| ba.input_col.and_then(|c| inputs.binary_search(&c).ok()))
+                .collect();
+            Ok(BoundBlock {
+                plan,
+                aggs,
+                inputs,
+                input_of,
+                _index_charge,
+            })
+        })
+        .collect()
+}
+
+/// Aggregate input of `ba` for detail tuple `t` (star input: value unused).
+fn input<'t>(ba: &BoundAgg, t: &'t Row) -> &'t Value {
+    match ba.input_col {
+        Some(c) => &t[c],
+        None => &Value::Null,
+    }
+}
+
+/// Where the evaluator's matches go: straight into the state set, or into a
+/// chunk's [`Delta`].
+trait Sink {
+    /// Scalar loop: tuple `t` matched base rows `matches` under block `k`.
+    fn tuple(&mut self, k: usize, blk: &BoundBlock, t: &Row, matches: &[usize]) -> Result<()>;
+    /// Batch loop: block `k`'s `(slice-local tuple, base row)` pairs, in
+    /// tuple order, over `chunk` (the columnar form of `rows`).
+    fn batch(
+        &mut self,
+        k: usize,
+        blk: &BoundBlock,
+        chunk: &ColumnarChunk,
+        rows: &[Row],
+        pairs: &[(u32, usize)],
+    ) -> Result<()>;
+}
+
+/// The probe side of Algorithm 3.1 for `k` blocks: per detail slice, find
+/// `Rel(t)` for every tuple and block and hand it to a [`Sink`].
+struct Evaluator<'a> {
+    b: &'a Relation,
+    blocks: &'a [BoundBlock],
+    /// Batch mode: one [`BatchProbe`] per block plus the detail columns each
+    /// slice must transpose. `None` selects the scalar loop.
+    batch: Option<(Vec<BatchProbe<'a>>, Vec<bool>)>,
+    /// Per block: did any batch fall back to the scalar interpreter?
+    fell_back: Vec<AtomicBool>,
+}
+
+impl<'a> Evaluator<'a> {
+    /// `kernel_inputs` marks the aggregate input columns the sink's typed
+    /// kernels read from the chunk (none when the sink reads row storage).
+    fn new(b: &'a Relation, blocks: &'a [BoundBlock], batch: bool, kernel_inputs: &[bool]) -> Self {
+        let batch = batch.then(|| {
+            let probes: Vec<BatchProbe> = blocks
+                .iter()
+                .map(|blk| BatchProbe::new(&blk.plan, b))
+                .collect();
+            let mut needed = kernel_inputs.to_vec();
+            for probe in &probes {
+                probe.collect_needed(&mut needed);
+            }
+            (probes, needed)
+        });
+        Evaluator {
+            b,
+            blocks,
+            batch,
+            fell_back: blocks.iter().map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Evaluate one detail slice into `sink`; returns the aggregate updates
+    /// it implies (recorded by the driver, outside any retry boundary).
+    fn scan(&self, rows: &[Row], ctx: &ExecContext, sink: &mut impl Sink) -> Result<u64> {
+        let mut updates = 0usize;
+        let Some((probes, needed)) = &self.batch else {
+            let mut matches: Vec<usize> = Vec::new();
+            let mut key_scratch: Vec<Value> = Vec::new();
+            for (ti, t) in rows.iter().enumerate() {
+                if ti % CANCEL_CHECK_INTERVAL == 0 {
+                    ctx.check_interrupt()?;
+                }
+                for (k, blk) in self.blocks.iter().enumerate() {
+                    blk.plan
+                        .matches(self.b, t.values(), ctx, &mut matches, &mut key_scratch)?;
+                    if matches.is_empty() || blk.aggs.is_empty() {
+                        continue;
+                    }
+                    updates += matches.len() * blk.aggs.len();
+                    sink.tuple(k, blk, t, &matches)?;
+                }
+            }
+            return Ok(updates as u64);
+        };
+        ctx.check_interrupt()?;
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        // One transposition per slice, shared by all k blocks.
+        let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), needed);
+        let mut pairs: Vec<(u32, usize)> = Vec::new();
+        for (k, (blk, probe)) in self.blocks.iter().zip(probes).enumerate() {
+            pairs.clear();
+            let fell_back = probe.matches_batch(&chunk, rows, ctx, &mut pairs)?;
+            ctx.record_batch();
+            if fell_back {
+                ctx.record_batch_fallback();
+                self.fell_back[k].store(true, Ordering::Relaxed);
+            }
+            if pairs.is_empty() || blk.aggs.is_empty() {
+                continue;
+            }
+            updates += pairs.len() * blk.aggs.len();
+            sink.batch(k, blk, &chunk, rows, &pairs)?;
+        }
+        Ok(updates as u64)
+    }
+}
+
+// ------------------------------------------------------------------- states
+
+/// The one aggregate-state set of an evaluation: `cols[block][agg]` holds a
+/// state per base row, typed kernels where the aggregate has one.
+struct States<'a> {
+    cols: Vec<Vec<ColStates>>,
+    /// Holistic aggregates grow with the data (footnote 2): under a budget
+    /// their actual growth is metered per update.
+    metered: Vec<Vec<bool>>,
+    meter: GrowthMeter,
+    board: Scoreboard,
+    ctx: &'a ExecContext,
+    _charge: MemCharge,
+}
+
+impl<'a> States<'a> {
+    fn new(blocks: &[BoundBlock], b_len: usize, ctx: &'a ExecContext) -> Result<Self> {
+        let n_aggs: usize = blocks.iter().map(|blk| blk.aggs.len()).sum();
+        let _charge = MemCharge::try_new(ctx, governor::state_bytes(b_len, n_aggs))?;
+        let meter = GrowthMeter::new(ctx);
+        let holistic = |ba: &BoundAgg| ba.agg.class() == mdj_agg::AggClass::Holistic;
+        Ok(States {
+            cols: blocks
+                .iter()
+                .map(|blk| {
+                    blk.aggs
+                        .iter()
+                        .map(|ba| ColStates::init(ba, b_len))
+                        .collect()
+                })
+                .collect(),
+            // The meter is inert without a budget, and then so is the
+            // per-update `heap_bytes` bookkeeping.
+            metered: blocks
+                .iter()
+                .map(|blk| {
+                    blk.aggs
+                        .iter()
+                        .map(|ba| meter.active() && holistic(ba))
+                        .collect()
+                })
+                .collect(),
+            meter,
+            board: Scoreboard::new(b_len),
+            ctx,
+            _charge,
+        })
+    }
+
+    /// Detail columns the typed kernels read from a batch's chunk.
+    fn kernel_inputs(&self, blocks: &[BoundBlock], width: usize) -> Vec<bool> {
+        let mut needed = vec![false; width];
+        for (blk, cols) in blocks.iter().zip(&self.cols) {
+            for (ba, col) in blk.aggs.iter().zip(cols) {
+                if let (ColStates::Kernel(_), Some(c)) = (col, ba.input_col) {
+                    needed[c] = true;
+                }
+            }
+        }
+        needed
+    }
+
+    /// Apply one chunk's delta, replaying exactly the updates the serial
+    /// scan of that chunk performs.
+    fn apply(&mut self, blocks: &[BoundBlock], delta: &Delta) -> Result<()> {
+        let states = self.cols.iter_mut().zip(&self.metered);
+        for ((blk, delta), (cols, metered)) in blocks.iter().zip(&delta.0).zip(states) {
+            let width = blk.inputs.len();
+            for &(bi, slot) in &delta.pairs {
+                let values = &delta.values[slot * width..][..width];
+                for ((col, &metered), at) in cols.iter_mut().zip(metered).zip(&blk.input_of) {
+                    let v = at.map_or(&Value::Null, |i| &values[i]);
+                    update(col, metered, &mut self.meter, bi, v)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `B`'s columns, then each block's finalized aggregates in block order.
+    fn finalize(&self, b: &Relation, schema: Schema) -> Relation {
+        let mut out = Relation::empty(schema);
+        for (bi, row) in b.iter().enumerate() {
+            let mut vals = row.values().to_vec();
+            vals.extend(self.cols.iter().flatten().map(|col| col.finalize(bi)));
+            out.push_unchecked(Row::new(vals));
+        }
+        out
+    }
+}
+
+/// The scalar update protocol: fold one value into base row `bi`'s state.
+#[inline]
+fn update(
+    col: &mut ColStates,
+    metered: bool,
+    meter: &mut GrowthMeter,
+    bi: usize,
+    v: &Value,
+) -> Result<()> {
+    match col {
+        ColStates::Kernel(states) => states[bi].update_value(v)?,
+        ColStates::Boxed(states) if metered => {
+            let before = states[bi].heap_bytes();
+            states[bi].update(v)?;
+            meter.charge(states[bi].heap_bytes().saturating_sub(before))?;
+        }
+        ColStates::Boxed(states) => states[bi].update(v)?,
+    }
+    Ok(())
+}
+
+impl Sink for States<'_> {
+    fn tuple(&mut self, k: usize, blk: &BoundBlock, t: &Row, matches: &[usize]) -> Result<()> {
+        let (cols, metered) = (&mut self.cols[k], &self.metered[k]);
+        for &bi in matches {
+            for ((col, &metered), ba) in cols.iter_mut().zip(metered).zip(&blk.aggs) {
+                update(col, metered, &mut self.meter, bi, input(ba, t))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn batch(
+        &mut self,
+        k: usize,
+        blk: &BoundBlock,
+        chunk: &ColumnarChunk,
+        rows: &[Row],
+        pairs: &[(u32, usize)],
+    ) -> Result<()> {
+        let groups = self.board.group(pairs);
+        for (j, ba) in blk.aggs.iter().enumerate() {
+            apply_batch(
+                &mut self.cols[k][j],
+                ba,
+                groups,
+                chunk,
+                rows,
+                0,
+                self.metered[k][j],
+                &mut self.meter,
+                self.ctx,
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// One chunk's pure contribution, per block: each matching tuple deposits its
+/// aggregate inputs once (one value per distinct input column per slot) and
+/// `pairs` records which base rows consume which slot. Building it touches no
+/// shared state, so the isolation boundary can retry it without
+/// double-counting.
+struct Delta(Vec<BlockDelta>);
+
+#[derive(Default)]
+struct BlockDelta {
+    pairs: Vec<(usize, usize)>,
+    values: Vec<Value>,
+    slots: usize,
+}
+
+impl BlockDelta {
+    fn open_slot(&mut self, blk: &BoundBlock, t: &Row) -> usize {
+        self.values.extend(blk.inputs.iter().map(|&c| t[c].clone()));
+        self.slots += 1;
+        self.slots - 1
+    }
+}
+
+impl Sink for Delta {
+    fn tuple(&mut self, k: usize, blk: &BoundBlock, t: &Row, matches: &[usize]) -> Result<()> {
+        let delta = &mut self.0[k];
+        let slot = delta.open_slot(blk, t);
+        delta.pairs.extend(matches.iter().map(|&bi| (bi, slot)));
+        Ok(())
+    }
+
+    fn batch(
+        &mut self,
+        k: usize,
+        blk: &BoundBlock,
+        _chunk: &ColumnarChunk,
+        rows: &[Row],
+        pairs: &[(u32, usize)],
+    ) -> Result<()> {
+        // Pairs are tuple-major with each tuple's matches contiguous, so a
+        // slot opens exactly when the tuple index changes.
+        let delta = &mut self.0[k];
+        let (mut last, mut slot) = (None, 0);
+        for &(i, bi) in pairs {
+            if last != Some(i) {
+                last = Some(i);
+                slot = delta.open_slot(blk, &rows[i as usize]);
+            }
+            delta.pairs.push((bi, slot));
+        }
+        Ok(())
+    }
+}
+
+// ------------------------------------------------------------------ drivers
+
+/// How the scan / probe / update loop is driven.
+#[derive(Debug, Clone)]
+pub(crate) enum Driver {
+    /// One thread, one state set, chunks in order.
+    Serial,
+    /// Theorem 4.1: each `B` fragment is an independent serial evaluation
+    /// against the whole source (one scan of `R` per fragment); the output is
+    /// the ordered union. `threads = None` runs the fragments in sequence.
+    Base {
+        fragments: Vec<Range<usize>>,
+        threads: Option<usize>,
+    },
+    /// Workers compute chunk deltas in parallel; one state set receives them
+    /// in chunk order (see the module docs).
+    Detail { threads: usize },
+}
+
+/// `B`'s columns, then each block's aggregate columns in block order.
+pub(crate) fn output_schema(
+    b_schema: &Schema,
+    r_schema: &Schema,
+    blocks: &[Block],
+    ctx: &ExecContext,
+) -> Result<Schema> {
+    let lists = blocks.iter().map(|blk| blk.aggs.as_slice());
+    joined_schema(b_schema, r_schema, lists, ctx.registry())
+}
+
+/// Evaluate `MD(B, R, (l₁..l_k), (θ₁..θ_k))` over `grid` with `driver`,
+/// using the batch evaluator when `batch`. Output is row- and bit-identical
+/// across every (driver, evaluator, thread count) combination.
+pub(crate) fn run(
+    b: &Relation,
+    grid: &Grid,
+    blocks: &[Block],
+    driver: &Driver,
+    batch: bool,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    ctx.check_interrupt()?;
+    if blocks.is_empty() {
+        return Err(CoreError::BadConfig(
+            "MD-join needs at least one (θ, l) block".into(),
+        ));
+    }
+    if let Driver::Base { fragments, threads } = driver {
+        return base_partitioned(b, grid, blocks, fragments, *threads, batch, ctx);
+    }
+    let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
+    let bound = bind_blocks(b, grid.schema, blocks, ctx)?;
+    let mut states = States::new(&bound, b.len(), ctx)?;
+    ctx.record_scan(grid.rows());
+    // The serial sink's typed kernels read their inputs from each batch's
+    // chunk; deltas carry theirs in row form.
+    let kernel_inputs = match driver {
+        Driver::Detail { .. } => vec![false; grid.schema.len()],
+        _ => states.kernel_inputs(&bound, grid.schema.len()),
+    };
+    let eval = Evaluator::new(b, &bound, batch, &kernel_inputs);
+    if let Driver::Detail { threads } = driver {
+        states = detail_parallel(&eval, grid, states, *threads, ctx)?;
+    } else {
+        for idx in 0..grid.len() {
+            let mut updates = 0;
+            grid.scan_chunk(idx, ctx, &mut |rows| {
+                updates += eval.scan(rows, ctx, &mut states)?;
+                Ok(())
+            })?;
+            ctx.record_updates(updates);
+        }
+    }
+    if batch && blocks.len() > 1 {
+        for fell in &eval.fell_back {
+            ctx.record_gen_set(fell.load(Ordering::Relaxed));
+        }
+    }
+    Ok(states.finalize(b, schema))
+}
+
+/// Run one unit's *pure* computation inside a panic-isolation boundary,
+/// retrying up to `ctx.max_morsel_retries` times. The closure must be free of
+/// externally visible side effects, so a retried attempt cannot double-count
+/// work; callers apply its result afterwards, outside the boundary. After the
+/// retry budget is spent the panic surfaces as a structured
+/// [`CoreError::MorselPanicked`] — never a poisoned or hung run.
+fn run_isolated<T>(ctx: &ExecContext, morsel: usize, f: impl Fn() -> Result<T>) -> Result<T> {
+    let mut attempts: u32 = 0;
+    loop {
+        attempts += 1;
+        match catch_unwind(AssertUnwindSafe(&f)) {
+            Ok(result) => return result,
+            Err(payload) => {
+                if attempts > ctx.max_morsel_retries() {
+                    return Err(CoreError::MorselPanicked {
+                        morsel,
+                        attempts,
+                        message: panic_message(payload.as_ref()),
+                    });
+                }
+                ctx.record_morsel_retry();
+            }
+        }
+    }
+}
+
+/// Spawn one worker per seed and join them all; a worker that dies outside
+/// an isolation boundary surfaces as [`CoreError::WorkerPanicked`].
+fn run_workers<W: Send, T: Send>(
+    seeds: Vec<W>,
+    worker: impl Fn(usize, W) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let results: Vec<Result<T>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .into_iter()
+            .enumerate()
+            .map(|(me, seed)| {
+                let worker = &worker;
+                scope.spawn(move |_| worker(me, seed))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(worker, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    Err(CoreError::WorkerPanicked {
+                        worker,
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
+            })
+            .collect()
+    })
+    .map_err(|payload| {
+        CoreError::Internal(format!(
+            "crossbeam scope failed: {}",
+            panic_message(payload.as_ref())
+        ))
+    })?;
+    results.into_iter().collect()
+}
+
+fn check_threads(threads: usize) -> Result<()> {
+    if threads == 0 {
+        return Err(CoreError::BadConfig("thread count must be ≥ 1".into()));
+    }
+    Ok(())
+}
+
+/// The ordered-apply turnstile: the one state set, and whose turn it is.
+struct Turn<'a> {
+    /// Next chunk index to apply; everything below it is in `states`.
+    next: usize,
+    /// A worker failed: everyone waiting for a turn gives up.
+    failed: bool,
+    states: States<'a>,
+}
+
+/// Marks the run failed (and wakes waiting workers) unless disarmed, so an
+/// error or panic in one worker can never strand the others at the turnstile.
+struct FailGuard<'t, 'a>(&'t Mutex<Turn<'a>>, &'t Condvar, bool);
+
+impl Drop for FailGuard<'_, '_> {
+    fn drop(&mut self) {
+        if self.2 {
+            lock(self.0).failed = true;
+            self.1.notify_all();
+        }
+    }
+}
+
+fn detail_parallel<'a>(
+    eval: &Evaluator,
+    grid: &Grid,
+    states: States<'a>,
+    threads: usize,
+    ctx: &ExecContext,
+) -> Result<States<'a>> {
+    check_threads(threads)?;
+    let claimed = AtomicUsize::new(0);
+    let turn = Mutex::new(Turn {
+        next: 0,
+        failed: false,
+        states,
+    });
+    let turned = Condvar::new();
+
+    let worker = |me: usize, (): ()| -> Result<()> {
+        let mut ws = WorkerStats::new(me);
+        let mut guard = FailGuard(&turn, &turned, true);
+        loop {
+            let idx = claimed.fetch_add(1, Ordering::Relaxed);
+            if idx >= grid.len() {
+                break;
+            }
+            ws.morsels += 1;
+            let (delta, tuples, updates) = run_isolated(ctx, idx, || {
+                ctx.fault_on_morsel(idx);
+                let mut delta = Delta(eval.blocks.iter().map(|_| BlockDelta::default()).collect());
+                let (mut tuples, mut updates) = (0u64, 0u64);
+                grid.scan_chunk(idx, ctx, &mut |rows| {
+                    tuples += rows.len() as u64;
+                    updates += eval.scan(rows, ctx, &mut delta)?;
+                    Ok(())
+                })?;
+                Ok((delta, tuples, updates))
+            })?;
+            ctx.record_updates(updates);
+            ws.tuples += tuples;
+            ws.updates += updates;
+            // Wait for this chunk's turn, apply, pass the turn on. The worker
+            // holding chunk `next` never waits, so the line always moves.
+            let mut t = lock(&turn);
+            while t.next != idx && !t.failed {
+                t = turned.wait(t).unwrap_or_else(PoisonError::into_inner);
+            }
+            if t.failed {
+                break;
+            }
+            t.states.apply(eval.blocks, &delta)?;
+            t.next += 1;
+            drop(t);
+            turned.notify_all();
+        }
+        guard.2 = false;
+        ctx.record_worker(ws);
+        Ok(())
+    };
+    run_workers(vec![(); threads], worker)?;
+    Ok(turn
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .states)
+}
+
+/// Build one deque per worker and seed each with a contiguous run of tasks
+/// (contiguity keeps a worker's own morsels adjacent in memory; stealing only
+/// breaks locality when the load is actually imbalanced).
+fn seed_queues<T>(tasks: Vec<T>, threads: usize) -> (Vec<Worker<T>>, Vec<Stealer<T>>) {
+    let queues: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+    let stealers: Vec<Stealer<T>> = queues.iter().map(Worker::stealer).collect();
+    let n = tasks.len();
+    let base = n / threads;
+    let extra = n % threads;
+    let mut it = tasks.into_iter();
+    for (i, q) in queues.iter().enumerate() {
+        let take = base + usize::from(i < extra);
+        for task in it.by_ref().take(take) {
+            q.push(task);
+        }
+    }
+    (queues, stealers)
+}
+
+/// Pop the next task: own queue first, then steal round-robin from the other
+/// workers (recording the steal).
+fn next_task<T>(
+    own: &Worker<T>,
+    stealers: &[Stealer<T>],
+    me: usize,
+    stats: &mut WorkerStats,
+) -> Option<T> {
+    if let Some(task) = own.pop() {
+        return Some(task);
+    }
+    let n = stealers.len();
+    for k in 1..n {
+        let victim = &stealers[(me + k) % n];
+        loop {
+            match victim.steal() {
+                Steal::Success(task) => {
+                    stats.steals += 1;
+                    return Some(task);
+                }
+                Steal::Empty => break,
+                Steal::Retry => continue,
+            }
+        }
+    }
+    None
+}
+
+fn base_partitioned(
+    b: &Relation,
+    grid: &Grid,
+    blocks: &[Block],
+    fragments: &[Range<usize>],
+    threads: Option<usize>,
+    batch: bool,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
+    // A fragment is already pure — an independent MD-join deposited only on
+    // success — so the whole join sits inside the isolation boundary.
+    let fragment = |slot: usize, range: Range<usize>| -> Result<Vec<Row>> {
+        ctx.check_interrupt()?;
+        let frag = Relation::from_rows(b.schema().clone(), b.rows()[range].to_vec());
+        let piece = run_isolated(ctx, slot, || {
+            ctx.fault_on_morsel(slot);
+            run(&frag, grid, blocks, &Driver::Serial, batch, ctx)
+        })?;
+        Ok(piece.into_rows())
+    };
+    let tasks = fragments.iter().cloned().enumerate();
+    let mut pieces: Vec<(usize, Vec<Row>)> = match threads {
+        None => tasks
+            .map(|(slot, range)| Ok((slot, fragment(slot, range)?)))
+            .collect::<Result<_>>()?,
+        Some(threads) => {
+            check_threads(threads)?;
+            let (queues, stealers) = seed_queues(tasks.collect(), threads);
+            run_workers(queues, |me, own| {
+                let mut ws = WorkerStats::new(me);
+                let mut done = Vec::new();
+                while let Some((slot, range)) = next_task(&own, &stealers, me, &mut ws) {
+                    ws.morsels += 1;
+                    ws.tuples += range.len() as u64;
+                    done.push((slot, fragment(slot, range)?));
+                }
+                ctx.record_worker(ws);
+                Ok(done)
+            })?
+            .into_iter()
+            .flatten()
+            .collect()
+        }
+    };
+    pieces.sort_by_key(|(slot, _)| *slot);
+    let mut out = Relation::empty(schema);
+    for row in pieces.into_iter().flat_map(|(_, rows)| rows) {
+        out.push_unchecked(row);
+    }
+    Ok(out)
+}

@@ -6,23 +6,16 @@
 //! relation is the same can be coalesced into one operator that defines, for
 //! each base tuple, `k` subsets of `R` — and therefore evaluates in a single
 //! scan instead of `k` scans. The scheduling that decides *which* MD-joins
-//! coalesce lives in `mdj-algebra`; this module holds the single-scan
-//! evaluators: [`multi`], the per-tuple interpreter, and [`multi_vectorized`],
-//! the fused batch executor that shares each columnar chunk across all `k`
-//! condition sets (one transposition per batch, not per set) and applies each
-//! set's aggregates through the typed kernels. A set whose shapes don't batch
-//! delegates only itself to the scalar interpreter — per-set, per-batch —
-//! with per-set counters in `ScanStats` (`gen_sets` / `gen_set_fallbacks`).
+//! coalesce lives in `mdj-algebra`; the evaluation is the executor core's:
+//! every driver and both evaluators run over `k ≥ 1` blocks, and the
+//! single-block join is simply `k = 1`. Under the batch evaluator each
+//! columnar chunk is shared by all `k` condition sets (one transposition per
+//! batch, not per set); a set whose shapes don't batch delegates only itself
+//! to the scalar interpreter — per set, per batch — with per-set counters in
+//! `ScanStats` (`gen_sets` / `gen_set_fallbacks`, tallied for `k > 1`).
 
-use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
-use crate::error::{CoreError, Result};
-use crate::governor::{self, GrowthMeter, MemCharge};
-use crate::mdjoin::{bind_aggs, metered_flags, BoundAgg};
-use crate::probe::ProbePlan;
-use crate::vectorized::{apply_batch, BatchProbe, ColStates, Scoreboard, MAX_BATCH};
-use mdj_agg::{AggSpec, AggState};
+use mdj_agg::AggSpec;
 use mdj_expr::Expr;
-use mdj_storage::{ColumnarChunk, Relation, Row, Schema, Value};
 
 /// One (θ, l) block of a generalized MD-join.
 #[derive(Debug, Clone)]
@@ -37,269 +30,44 @@ impl Block {
     }
 }
 
-/// The output schema of the generalized MD-join: `B`'s columns, then block
-/// 1's aggregate columns, then block 2's, etc. Fails on colliding names.
-pub(crate) fn multi_output_schema(
-    b_schema: &Schema,
-    r_schema: &Schema,
-    blocks: &[Block],
-    registry: &mdj_agg::Registry,
-) -> Result<Schema> {
-    let mut fields = b_schema.fields().to_vec();
-    for blk in blocks {
-        let bound = bind_aggs(&blk.aggs, r_schema, registry)?;
-        for ba in bound {
-            if fields.iter().any(|f| f.name == ba.output.name) {
-                return Err(CoreError::DuplicateColumn(ba.output.name));
-            }
-            fields.push(ba.output);
-        }
-    }
-    Ok(Schema::new(fields))
-}
-
-/// Bind every block, build its probe plan, and reject colliding output
-/// names — the shared prelude of both single-scan evaluators.
-fn bind_blocks(
-    b: &Relation,
-    r: &Relation,
-    blocks: &[Block],
-    ctx: &ExecContext,
-) -> Result<Vec<(ProbePlan, Vec<BoundAgg>)>> {
-    if blocks.is_empty() {
-        return Err(CoreError::BadConfig(
-            "generalized MD-join needs at least one block".into(),
-        ));
-    }
-    let mut bound_blocks: Vec<(ProbePlan, Vec<BoundAgg>)> = Vec::with_capacity(blocks.len());
-    for blk in blocks {
-        let bound = bind_aggs(&blk.aggs, r.schema(), ctx.registry())?;
-        let plan =
-            ProbePlan::build_opts(b, r.schema(), &blk.theta, ctx.strategy(), ctx.prefilter())?;
-        bound_blocks.push((plan, bound));
-    }
-    let mut names: Vec<String> = b.schema().fields().iter().map(|f| f.name.clone()).collect();
-    for (_, bound) in &bound_blocks {
-        for ba in bound {
-            if names.iter().any(|n| n == &ba.output.name) {
-                return Err(CoreError::DuplicateColumn(ba.output.name.clone()));
-            }
-            names.push(ba.output.name.clone());
-        }
-    }
-    Ok(bound_blocks)
-}
-
-/// Governor accounting shared by both evaluators: the state cube holds one
-/// state per (block agg × base row), plus one probe index per hash-planned
-/// block.
-fn charge_blocks(
-    b: &Relation,
-    bound_blocks: &[(ProbePlan, Vec<BoundAgg>)],
-    ctx: &ExecContext,
-) -> Result<(MemCharge, MemCharge)> {
-    let total_aggs: usize = bound_blocks.iter().map(|(_, bound)| bound.len()).sum();
-    let state_charge = MemCharge::try_new(ctx, governor::state_bytes(b.len(), total_aggs))?;
-    let hash_blocks = bound_blocks.iter().filter(|(p, _)| p.is_hash()).count();
-    let index_charge = MemCharge::try_new(
-        ctx,
-        governor::index_bytes(b.len()).saturating_mul(hash_blocks),
-    )?;
-    Ok((state_charge, index_charge))
-}
-
-/// Assemble the output relation: `B`'s columns, then each block's finalized
-/// aggregate columns in block order.
-fn assemble_output(
-    b: &Relation,
-    bound_blocks: &[(ProbePlan, Vec<BoundAgg>)],
-    finalize: impl Fn(usize, &mut Vec<Value>),
-) -> Relation {
-    let mut fields = b.schema().fields().to_vec();
-    for (_, bound) in bound_blocks {
-        fields.extend(bound.iter().map(|ba| ba.output.clone()));
-    }
-    let mut out = Relation::empty(Schema::new(fields));
-    for (i, row) in b.iter().enumerate() {
-        let mut vals = row.values().to_vec();
-        finalize(i, &mut vals);
-        out.push_unchecked(Row::new(vals));
-    }
-    out
-}
-
-/// Evaluate a generalized MD-join in one scan of `R`.
-///
-/// Output schema: `B`'s columns, then block 1's aggregate columns, then
-/// block 2's, etc. Blocks may not produce colliding column names.
-pub(crate) fn multi(
-    b: &Relation,
-    r: &Relation,
-    blocks: &[Block],
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    ctx.check_interrupt()?;
-    let bound_blocks = bind_blocks(b, r, blocks, ctx)?;
-    let (_state_charge, _index_charge) = charge_blocks(b, &bound_blocks, ctx)?;
-
-    // states[block][base_row][agg]
-    let mut states: Vec<Vec<Vec<Box<dyn AggState>>>> = bound_blocks
-        .iter()
-        .map(|(_, bound)| {
-            b.iter()
-                .map(|_| bound.iter().map(|ba| ba.agg.init()).collect())
-                .collect()
-        })
-        .collect();
-
-    ctx.record_scan(r.len() as u64);
-    let mut matches: Vec<usize> = Vec::new();
-    let mut key_scratch: Vec<mdj_storage::Value> = Vec::new();
-    for (ti, t) in r.iter().enumerate() {
-        if ti % CANCEL_CHECK_INTERVAL == 0 {
-            ctx.check_interrupt()?;
-        }
-        for (bi, (plan, bound)) in bound_blocks.iter().enumerate() {
-            plan.matches(b, t.values(), ctx, &mut matches, &mut key_scratch)?;
-            if matches.is_empty() {
-                continue;
-            }
-            ctx.record_updates((matches.len() * bound.len()) as u64);
-            let block_states = &mut states[bi];
-            for &row_id in &matches {
-                for (j, ba) in bound.iter().enumerate() {
-                    let v = match ba.input_col {
-                        Some(c) => &t[c],
-                        None => &Value::Null,
-                    };
-                    block_states[row_id][j].update(v)?;
-                }
-            }
-        }
-    }
-
-    Ok(assemble_output(b, &bound_blocks, |i, vals| {
-        for block_states in &states {
-            vals.extend(block_states[i].iter().map(|s| s.finalize()));
-        }
-    }))
-}
-
-/// Evaluate a generalized MD-join in one *batched* scan of `R`: the fused
-/// k-θ executor.
-///
-/// Each batch of `ctx.morsel_size` tuples is transposed into one
-/// [`ColumnarChunk`] covering the union of every block's needed columns plus
-/// all kernel-aggregate inputs, then every block's [`BatchProbe`] runs over
-/// that shared chunk — the transposition cost is paid once per batch instead
-/// of once per (batch, set), which is where the fused executor beats a
-/// sequence of `k` single vectorized MD-joins. Blocks that cannot batch a
-/// step fall back per set, per batch, exactly like the single-join executor
-/// (same `ScanStats` fallback reasons); a block that never fell back across
-/// the whole query keeps `gen_set_fallbacks` at zero.
-///
-/// Output, f64 accumulation order, and scan/probe/update accounting are
-/// identical to [`multi`] by construction.
-pub(crate) fn multi_vectorized(
-    b: &Relation,
-    r: &Relation,
-    blocks: &[Block],
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    ctx.check_interrupt()?;
-    let bound_blocks = bind_blocks(b, r, blocks, ctx)?;
-    let (_state_charge, _index_charge) = charge_blocks(b, &bound_blocks, ctx)?;
-
-    let probes: Vec<BatchProbe> = bound_blocks
-        .iter()
-        .map(|(plan, _)| BatchProbe::new(plan, b))
-        .collect();
-    // cols[block][agg] — typed kernel columns where available.
-    let mut cols: Vec<Vec<ColStates>> = bound_blocks
-        .iter()
-        .map(|(_, bound)| {
-            bound
-                .iter()
-                .map(|ba| ColStates::init(ba, b.len()))
-                .collect()
-        })
-        .collect();
-    let mut meter = GrowthMeter::new(ctx);
-    let metered: Vec<Vec<bool>> = bound_blocks
-        .iter()
-        .map(|(_, bound)| metered_flags(bound, &meter))
-        .collect();
-
-    // One needed-column union across every block's probe and all
-    // kernel-aggregate inputs: the chunk is transposed once per batch and
-    // shared by all k sets.
-    let mut needed = vec![false; r.schema().fields().len()];
-    for (bi, probe) in probes.iter().enumerate() {
-        probe.collect_needed(&mut needed);
-        for (j, ba) in bound_blocks[bi].1.iter().enumerate() {
-            if let (ColStates::Kernel(_), Some(c)) = (&cols[bi][j], ba.input_col) {
-                needed[c] = true;
-            }
-        }
-    }
-
-    ctx.record_scan(r.len() as u64);
-    let rows = r.rows();
-    let batch_rows = ctx.morsel_size().clamp(1, MAX_BATCH);
-    let mut pairs: Vec<(u32, usize)> = Vec::new();
-    let mut board = Scoreboard::new(b.len());
-    let mut set_fell_back = vec![false; bound_blocks.len()];
-    let mut start = 0usize;
-    while start < rows.len() {
-        ctx.check_interrupt()?;
-        let len = batch_rows.min(rows.len() - start);
-        let chunk = ColumnarChunk::from_rows(rows, start, len, &needed);
-        for (bi, (_, bound)) in bound_blocks.iter().enumerate() {
-            pairs.clear();
-            let fell_back = probes[bi].matches_batch(&chunk, rows, ctx, &mut pairs)?;
-            ctx.record_batch();
-            if fell_back {
-                ctx.record_batch_fallback();
-                set_fell_back[bi] = true;
-            }
-            if pairs.is_empty() {
-                continue;
-            }
-            ctx.record_updates((pairs.len() * bound.len()) as u64);
-            let groups = board.group(&pairs);
-            for (j, ba) in bound.iter().enumerate() {
-                apply_batch(
-                    &mut cols[bi][j],
-                    ba,
-                    groups,
-                    &chunk,
-                    rows,
-                    start,
-                    metered[bi][j],
-                    &mut meter,
-                    ctx,
-                )?;
-            }
-        }
-        start += len;
-    }
-    for &fell in &set_fell_back {
-        ctx.record_gen_set(fell);
-    }
-
-    Ok(assemble_output(b, &bound_blocks, |i, vals| {
-        for block_cols in &cols {
-            vals.extend(block_cols.iter().map(|col| col.finalize(i)));
-        }
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{ExecStrategy, MdJoin};
+    use crate::context::ExecContext;
+    use crate::error::{CoreError, Result};
     use crate::mdjoin::md_join_serial;
     use mdj_expr::builder::*;
-    use mdj_storage::DataType;
+    use mdj_storage::{DataType, Relation, Row, Schema, Value};
+
+    fn run(
+        b: &Relation,
+        r: &Relation,
+        blocks: &[Block],
+        strategy: ExecStrategy,
+        ctx: &ExecContext,
+    ) -> Result<Relation> {
+        MdJoin::new(b, r)
+            .blocks(blocks.iter().cloned())
+            .strategy(strategy)
+            .threads(1)
+            .run(ctx)
+    }
+
+    /// The scalar single-scan evaluation of `k` blocks.
+    fn multi(b: &Relation, r: &Relation, blocks: &[Block], ctx: &ExecContext) -> Result<Relation> {
+        run(b, r, blocks, ExecStrategy::Serial, ctx)
+    }
+
+    /// The fused batch evaluation of `k` blocks.
+    fn multi_vectorized(
+        b: &Relation,
+        r: &Relation,
+        blocks: &[Block],
+        ctx: &ExecContext,
+    ) -> Result<Relation> {
+        run(b, r, blocks, ExecStrategy::Vectorized, ctx)
+    }
 
     fn sales() -> Relation {
         let schema = Schema::from_pairs(&[

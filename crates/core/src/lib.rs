@@ -32,14 +32,16 @@
 //! assert_eq!(out.rows()[0][1], Value::Float(20.0));
 //! ```
 //!
-//! [`ExecStrategy`] selects the plan: [`ExecStrategy::Serial`] is Algorithm
-//! 3.1; [`ExecStrategy::Partitioned`] is the Theorem 4.1 memory-bounded
-//! multi-scan plan; [`ExecStrategy::ChunkBase`] / [`ExecStrategy::ChunkDetail`]
-//! are the static one-chunk-per-thread parallel plans; and
-//! [`ExecStrategy::Morsel`] (plus its `MorselBase` / `MorselDetail` forcings)
-//! is the work-stealing morsel executor in [`morsel`]. Multi-θ generalized
+//! [`ExecStrategy`] names a (driver, evaluator) pair of the executor core:
+//! [`ExecStrategy::Serial`] is Algorithm 3.1; [`ExecStrategy::Partitioned`]
+//! the Theorem 4.1 memory-bounded multi-scan plan;
+//! [`ExecStrategy::MorselBase`] / [`ExecStrategy::MorselDetail`] the two
+//! parallel plans ([`ExecStrategy::Morsel`] picks the side);
+//! [`ExecStrategy::Vectorized`] the batch evaluator. Multi-θ generalized
 //! MD-joins (Section 4.3) are expressed by adding
-//! [`block`](builder::MdJoin::block)s.
+//! [`block`](builder::MdJoin::block)s, and a disk-resident detail table is
+//! read through [`MdJoin::paged`](builder::MdJoin::paged); both compose with
+//! every strategy.
 //!
 //! The deprecated free functions from the first release (`md_join`,
 //! `md_join_partitioned`, …) have been removed; see the migration table in
@@ -47,22 +49,22 @@
 //!
 //! ## Modules
 //!
-//! * [`mdjoin`] — Algorithm 3.1: scan `R` once, probe `B` per tuple, update
-//!   aggregate state; output cardinality equals `|B|` (outer-join semantics).
-//! * [`morsel`] — the morsel-driven work-stealing parallel executor.
-//! * [`generalized`] — the *generalized* MD-join of Section 4.3,
-//!   `MD(B, R, (l₁..l_k), (θ₁..θ_k))`, evaluating a coalesced series of
-//!   MD-joins in a single scan.
+//! * `executor` (private) — the one scan/probe/update loop: detail source ×
+//!   driver × evaluator, with the ordered-apply protocol that makes the
+//!   parallel plans bit-identical to the serial one.
+//! * [`builder`] — the [`MdJoin`] entrypoint and the strategy table.
+//! * [`mdjoin`] — aggregate binding and the Definition 3.1 output schema
+//!   (output cardinality equals `|B|`: outer-join semantics).
+//! * [`generalized`] — the (θ, l) [`Block`] of Section 4.3's
+//!   `MD(B, R, (l₁..l_k), (θ₁..θ_k))`.
 //! * [`probe`] — Section 4.5 index selection: θ is analyzed for
 //!   `B.col = f(R-row)` bindings and a hash index on `B` replaces the inner
 //!   nested loop with a `Rel(t)` lookup.
-//! * [`vectorized`] — batched columnar execution
-//!   ([`ExecStrategy::Vectorized`]): `R` is processed in columnar chunks with
-//!   selection-vector prefilters, batched integer-key probing, and typed
-//!   aggregate kernels, row-identical to the serial evaluator.
-//! * [`partitioned`] / [`parallel`] — Theorem 4.1 evaluation plans:
-//!   memory-bounded multi-scan evaluation and static intra-operator
-//!   parallelism.
+//! * [`vectorized`] — the batch evaluator's machinery: columnar chunks with
+//!   selection-vector prefilters, batched key probing, and typed aggregate
+//!   kernels, row-identical to the scalar evaluator.
+//! * [`paged`] — the disk-resident detail source ([`PagedScan`]) and
+//!   Theorem 4.2 page pruning.
 //! * [`basevalues`] — builders for every base-table shape in Section 2:
 //!   group-by distinct, cube-by with `ALL`, roll-up, grouping sets, unpivot
 //!   marginals, and externally supplied tables (Example 2.4).
@@ -73,33 +75,31 @@ pub mod cache;
 pub mod context;
 pub mod cost;
 pub mod error;
+mod executor;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod generalized;
 pub mod governor;
 pub mod mdjoin;
-pub mod morsel;
 pub mod paged;
-pub mod parallel;
-pub mod partitioned;
 pub mod probe;
 mod spill_exec;
 pub mod vectorized;
 
-pub use builder::{ExecStrategy, MdJoin};
+pub use builder::{choose_side, ExecStrategy, MdJoin, MorselSide};
 pub use cache::{CacheAnswer, CacheIngestReport, CacheMetricsSnapshot, CuboidCache, CuboidRequest};
 pub use context::{
     EngineConfig, ExecContext, IngestReport, ProbeStrategy, QueryCtx, SpillPolicy,
     DEFAULT_MORSEL_RETRIES, DEFAULT_MORSEL_SIZE,
 };
 pub use error::{CoreError, Result};
+pub use executor::default_threads;
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultInjector;
 pub use generalized::Block;
 pub use governor::{CancelToken, MemoryPool, MemoryTracker, PoolGrant};
 pub use mdjoin::output_schema;
-pub use morsel::{choose_side, MorselSide};
-pub use paged::{key_bounds_from_theta, paged_md_join, PagedScan, PoolChargeAdapter};
+pub use paged::{key_bounds_from_theta, PagedScan, PoolChargeAdapter};
 pub use spill_exec::recover_spill_dir;
 
 /// Curated re-exports: everything a typical MD-join program needs.
@@ -109,7 +109,7 @@ pub use spill_exec::recover_spill_dir;
 /// ```
 pub mod prelude {
     pub use crate::basevalues;
-    pub use crate::builder::{ExecStrategy, MdJoin};
+    pub use crate::builder::{ExecStrategy, MdJoin, MorselSide};
     pub use crate::context::{EngineConfig, ExecContext, ProbeStrategy, QueryCtx, SpillPolicy};
     pub use crate::error::{CoreError, Result};
     #[cfg(feature = "fault-injection")]
@@ -117,8 +117,7 @@ pub mod prelude {
     pub use crate::generalized::Block;
     pub use crate::governor::{CancelToken, MemoryPool, MemoryTracker, PoolGrant};
     pub use crate::mdjoin::output_schema;
-    pub use crate::morsel::MorselSide;
-    pub use crate::paged::{paged_md_join, PagedScan, PoolChargeAdapter};
+    pub use crate::paged::{PagedScan, PoolChargeAdapter};
     pub use mdj_agg::{AggInput, AggSpec};
     pub use mdj_expr::builder::{and, col_b, col_r, eq, ge, gt, le, lit, lt, ne, not, or};
     pub use mdj_expr::Expr;

@@ -1,12 +1,13 @@
-//! Algorithm 3.1 — the MD-join evaluator.
+//! Algorithm 3.1 — aggregate binding, the output schema, and the serial
+//! entry point the degradation paths re-enter.
 
-use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
+use crate::context::ExecContext;
 use crate::error::{CoreError, Result};
-use crate::governor::{self, GrowthMeter, MemCharge};
-use crate::probe::ProbePlan;
-use mdj_agg::{AggClass, AggInput, AggSpec, AggState, Registry};
+use crate::executor::{self, DetailSource, Driver, Grid};
+use crate::generalized::Block;
+use mdj_agg::{AggInput, AggSpec, Registry};
 use mdj_expr::Expr;
-use mdj_storage::{DataType, Field, Relation, Row, Schema, Value};
+use mdj_storage::{DataType, Field, Relation, Schema};
 
 /// One aggregate of `l`, bound to its implementation and input column.
 pub(crate) struct BoundAgg {
@@ -41,29 +42,26 @@ pub(crate) fn bind_aggs(
         .collect()
 }
 
-/// Which aggregates of `l` need growth metering: holistic ones, and only
-/// when a memory budget is actually in force (the meter is inert otherwise,
-/// so the per-update `heap_bytes` bookkeeping is skipped entirely).
-pub(crate) fn metered_flags(bound: &[BoundAgg], meter: &GrowthMeter) -> Vec<bool> {
-    if meter.active() {
-        bound
-            .iter()
-            .map(|ba| ba.agg.class() == AggClass::Holistic)
-            .collect()
-    } else {
-        vec![false; bound.len()]
-    }
-}
-
-pub(crate) fn check_no_duplicates(b_schema: &Schema, bound: &[BoundAgg]) -> Result<()> {
-    let mut names: Vec<&str> = b_schema.fields().iter().map(|f| f.name.as_str()).collect();
-    for ba in bound {
-        if names.contains(&ba.output.name.as_str()) {
-            return Err(CoreError::DuplicateColumn(ba.output.name.clone()));
+/// `B`'s columns followed by one column per aggregate of each list in
+/// order. Fails on colliding names: two aggregates resolving to the same
+/// output column — or one shadowing a column of `B` — would silently lose a
+/// value.
+pub(crate) fn joined_schema<'l>(
+    b_schema: &Schema,
+    r_schema: &Schema,
+    lists: impl IntoIterator<Item = &'l [AggSpec]>,
+    registry: &Registry,
+) -> Result<Schema> {
+    let mut fields = b_schema.fields().to_vec();
+    for l in lists {
+        for ba in bind_aggs(l, r_schema, registry)? {
+            if fields.iter().any(|f| f.name == ba.output.name) {
+                return Err(CoreError::DuplicateColumn(ba.output.name));
+            }
+            fields.push(ba.output);
         }
-        names.push(&ba.output.name);
     }
-    Ok(())
+    Ok(Schema::new(fields))
 }
 
 /// The output schema of `MD(B, R, l, θ)`: `B`'s columns followed by one
@@ -74,14 +72,12 @@ pub fn output_schema(
     l: &[AggSpec],
     registry: &Registry,
 ) -> Result<Schema> {
-    let bound = bind_aggs(l, r_schema, registry)?;
-    check_no_duplicates(b_schema, &bound)?;
-    let mut fields = b_schema.fields().to_vec();
-    fields.extend(bound.into_iter().map(|ba| ba.output));
-    Ok(Schema::new(fields))
+    joined_schema(b_schema, r_schema, [l], registry)
 }
 
-/// Evaluate `MD(B, R, l, θ)` with Algorithm 3.1 (single-threaded).
+/// Evaluate `MD(B, R, l, θ)` with Algorithm 3.1 (single-threaded): the
+/// executor core's serial driver over a resident `R` with the scalar
+/// evaluator and `k = 1`.
 ///
 /// Scans `R` once; for each detail tuple the probe plan yields the candidate
 /// base rows (`Rel(t)`), whose aggregate states are updated. Every base row
@@ -96,67 +92,9 @@ pub(crate) fn md_join_serial(
     theta: &Expr,
     ctx: &ExecContext,
 ) -> Result<Relation> {
-    ctx.check_interrupt()?;
-    let bound = bind_aggs(l, r.schema(), ctx.registry())?;
-    check_no_duplicates(b.schema(), &bound)?;
-    // Governor accounting for the two big allocations of Algorithm 3.1: the
-    // per-base-row state vectors and (if the plan builds one) the hash probe
-    // index, the latter charged inside `build_charged` before the index is
-    // built. Charged up front; released by the guards on any exit.
-    let _state_charge = MemCharge::try_new(ctx, governor::state_bytes(b.len(), bound.len()))?;
-    let (plan, _index_charge) = ProbePlan::build_charged(b, r.schema(), theta, ctx)?;
-
-    // states[i][j]: aggregate j of base row i.
-    let mut states: Vec<Vec<Box<dyn AggState>>> = b
-        .iter()
-        .map(|_| bound.iter().map(|ba| ba.agg.init()).collect())
-        .collect();
-
-    // Holistic states grow with the data (footnote 2): under a budget their
-    // actual growth is metered per update, not estimated up front.
-    let mut meter = GrowthMeter::new(ctx);
-    let metered = metered_flags(&bound, &meter);
-
-    ctx.record_scan(r.len() as u64);
-    let mut matches: Vec<usize> = Vec::new();
-    let mut key_scratch: Vec<mdj_storage::Value> = Vec::new();
-    for (ti, t) in r.iter().enumerate() {
-        if ti % CANCEL_CHECK_INTERVAL == 0 {
-            ctx.check_interrupt()?;
-        }
-        plan.matches(b, t.values(), ctx, &mut matches, &mut key_scratch)?;
-        if matches.is_empty() {
-            continue;
-        }
-        ctx.record_updates((matches.len() * bound.len()) as u64);
-        for &bi in &matches {
-            let row_states = &mut states[bi];
-            for (j, ba) in bound.iter().enumerate() {
-                let v = match ba.input_col {
-                    Some(c) => &t[c],
-                    None => &Value::Null, // star input: value unused
-                };
-                if metered[j] {
-                    let before = row_states[j].heap_bytes();
-                    row_states[j].update(v)?;
-                    meter.charge(row_states[j].heap_bytes().saturating_sub(before))?;
-                } else {
-                    row_states[j].update(v)?;
-                }
-            }
-        }
-    }
-
-    let mut fields = b.schema().fields().to_vec();
-    fields.extend(bound.iter().map(|ba| ba.output.clone()));
-    let schema = Schema::new(fields);
-    let mut out = Relation::empty(schema);
-    for (row, row_states) in b.iter().zip(states) {
-        let mut vals = row.values().to_vec();
-        vals.extend(row_states.iter().map(|s| s.finalize()));
-        out.push_unchecked(Row::new(vals));
-    }
-    Ok(out)
+    let blocks = [Block::new(theta.clone(), l.to_vec())];
+    let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
+    executor::run(b, &grid, &blocks, &Driver::Serial, false, ctx)
 }
 
 #[cfg(test)]
@@ -164,6 +102,7 @@ mod tests {
     use super::*;
     use crate::context::ProbeStrategy;
     use mdj_expr::builder::*;
+    use mdj_storage::{Row, Value};
 
     /// Small Sales table used across the tests:
     /// (cust, month, state, sale)

@@ -29,8 +29,8 @@
 
 use crate::context::ExecContext;
 use crate::error::Result;
-use crate::governor::{self, GrowthMeter, MemCharge};
-use crate::mdjoin::{bind_aggs, check_no_duplicates, metered_flags, BoundAgg};
+use crate::governor::GrowthMeter;
+use crate::mdjoin::BoundAgg;
 use crate::probe::{canon_key, ProbePlan};
 use mdj_agg::{AggSpec, AggState, KernelState};
 use mdj_expr::eval::BoundExpr;
@@ -39,7 +39,7 @@ use mdj_expr::vectorized::{
 };
 use mdj_expr::{Expr, Side};
 use mdj_storage::{
-    Column, ColumnarChunk, FallbackReason, HashIndex, KeyBuildHasher, Relation, Row, Schema, Value,
+    Column, ColumnarChunk, FallbackReason, HashIndex, KeyBuildHasher, Relation, Row, Value,
 };
 use std::collections::HashMap;
 
@@ -588,91 +588,6 @@ impl ColStates {
     }
 }
 
-/// Evaluate `MD(B, R, l, θ)` with batched, vectorized execution. Output is
-/// row-identical to [`crate::mdjoin::md_join_serial`], with identical
-/// scan/probe/update accounting.
-pub(crate) fn md_join_vectorized(
-    b: &Relation,
-    r: &Relation,
-    l: &[AggSpec],
-    theta: &Expr,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    ctx.check_interrupt()?;
-    let bound = bind_aggs(l, r.schema(), ctx.registry())?;
-    check_no_duplicates(b.schema(), &bound)?;
-    let _state_charge = MemCharge::try_new(ctx, governor::state_bytes(b.len(), bound.len()))?;
-    let (plan, _index_charge) = ProbePlan::build_charged(b, r.schema(), theta, ctx)?;
-    let probe = BatchProbe::new(&plan, b);
-
-    let mut cols: Vec<ColStates> = bound
-        .iter()
-        .map(|ba| ColStates::init(ba, b.len()))
-        .collect();
-    let mut meter = GrowthMeter::new(ctx);
-    let metered = metered_flags(&bound, &meter);
-
-    // Materialize only the columns the probe and the aggregates read. Boxed
-    // (kernel-less) aggregates replay the scalar per-value protocol straight
-    // from row storage, so their input columns don't need transposition.
-    let mut needed = vec![false; r.schema().fields().len()];
-    probe.collect_needed(&mut needed);
-    for (j, ba) in bound.iter().enumerate() {
-        if let (ColStates::Kernel(_), Some(c)) = (&cols[j], ba.input_col) {
-            needed[c] = true;
-        }
-    }
-
-    ctx.record_scan(r.len() as u64);
-    let rows = r.rows();
-    let batch_rows = ctx.morsel_size().clamp(1, MAX_BATCH);
-    let mut pairs: Vec<(u32, usize)> = Vec::new();
-    let mut board = Scoreboard::new(b.len());
-    let mut start = 0usize;
-    while start < rows.len() {
-        ctx.check_interrupt()?;
-        let len = batch_rows.min(rows.len() - start);
-        let chunk = ColumnarChunk::from_rows(rows, start, len, &needed);
-        pairs.clear();
-        let fell_back = probe.matches_batch(&chunk, rows, ctx, &mut pairs)?;
-        ctx.record_batch();
-        if fell_back {
-            ctx.record_batch_fallback();
-        }
-        if pairs.is_empty() {
-            start += len;
-            continue;
-        }
-        ctx.record_updates((pairs.len() * bound.len()) as u64);
-
-        let groups = board.group(&pairs);
-        for (j, ba) in bound.iter().enumerate() {
-            apply_batch(
-                &mut cols[j],
-                ba,
-                groups,
-                &chunk,
-                rows,
-                start,
-                metered[j],
-                &mut meter,
-                ctx,
-            )?;
-        }
-        start += len;
-    }
-
-    let mut fields = b.schema().fields().to_vec();
-    fields.extend(bound.iter().map(|ba| ba.output.clone()));
-    let mut out = Relation::empty(Schema::new(fields));
-    for (bi, row) in b.iter().enumerate() {
-        let mut vals = row.values().to_vec();
-        vals.extend(cols.iter().map(|col| col.finalize(bi)));
-        out.push_unchecked(Row::new(vals));
-    }
-    Ok(out)
-}
-
 /// Batch-local grouping of matched `(tuple, base row)` pairs per base row, in
 /// tuple order (so f64 accumulation order matches the serial evaluator
 /// exactly). The scoreboard is direct-mapped over `B` — no hashing per pair —
@@ -886,10 +801,25 @@ pub(crate) fn batch_coverage(
 mod tests {
     use super::*;
     use crate::context::ProbeStrategy;
+    use crate::executor::{self, DetailSource, Driver, Grid};
+    use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
     use mdj_expr::builder::*;
-    use mdj_storage::{DataType, ScanStats};
+    use mdj_storage::{DataType, ScanStats, Schema};
     use std::sync::Arc;
+
+    /// The serial driver with the batch evaluator, `k = 1`.
+    fn md_join_vectorized(
+        b: &Relation,
+        r: &Relation,
+        l: &[AggSpec],
+        theta: &Expr,
+        ctx: &ExecContext,
+    ) -> Result<Relation> {
+        let blocks = [Block::new(theta.clone(), l.to_vec())];
+        let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
+        executor::run(b, &grid, &blocks, &Driver::Serial, true, ctx)
+    }
 
     fn sales(n: i64) -> Relation {
         let schema = Schema::from_pairs(&[

@@ -1,8 +1,55 @@
-//! Single-relation operators: selection, projection over expressions.
+//! Single-relation operators: selection, projection over expressions — and
+//! the Definition 3.1 reference every MD-join executor is tested against.
 
 use crate::error::Result;
+use mdj_agg::{AggInput, AggSpec, AggState, Registry};
 use mdj_expr::{Expr, Side};
-use mdj_storage::{DataType, Field, Relation, Row, Schema};
+use mdj_storage::{DataType, Field, Relation, Row, Schema, Value};
+
+/// Definition 3.1, executed verbatim and as slowly as it reads: for each
+/// base row in order, scan all of `R`, keep the tuples with `θ(b, t)`, and
+/// fold them into fresh aggregate states in scan order. One output row per
+/// base row; an empty range reports each aggregate's empty-input value.
+/// This is the reference association for every float aggregate: executors
+/// must match it to the bit.
+pub fn md_join_reference(
+    b: &Relation,
+    r: &Relation,
+    l: &[AggSpec],
+    theta: &Expr,
+    registry: &Registry,
+) -> Result<Relation> {
+    let theta = theta.bind(Some(b.schema()), Some(r.schema()))?;
+    let mut fields = b.schema().fields().to_vec();
+    let mut bound = Vec::with_capacity(l.len());
+    for spec in l {
+        let agg = registry.get(&spec.function)?;
+        let (col, input_type) = match &spec.input {
+            AggInput::Star => (None, DataType::Int),
+            AggInput::Column(c) => {
+                let i = r.schema().index_of(c)?;
+                (Some(i), r.schema().field(i).dtype)
+            }
+        };
+        fields.push(Field::new(spec.output_name(), agg.output_type(input_type)));
+        bound.push((agg, col));
+    }
+    let mut out = Relation::empty(Schema::new(fields));
+    for base_row in b.iter() {
+        let mut states: Vec<Box<dyn AggState>> = bound.iter().map(|(agg, _)| agg.init()).collect();
+        for t in r.iter() {
+            if theta.eval_bool(base_row.values(), t.values())? {
+                for (state, (_, col)) in states.iter_mut().zip(&bound) {
+                    state.update(col.map_or(&Value::Null, |c| &t[c]))?;
+                }
+            }
+        }
+        let mut vals = base_row.values().to_vec();
+        vals.extend(states.iter().map(|s| s.finalize()));
+        out.push_unchecked(Row::new(vals));
+    }
+    Ok(out)
+}
 
 /// σ — filter rows by a detail-side predicate. Column references must use
 /// [`Side::Detail`] (there is no base side in a one-relation context).

@@ -35,10 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(&ctx)?;
     println!("1) Operator API — per-customer averages:\n{out}");
 
-    // The same builder drives every execution strategy; here the morsel
-    // executor (work-stealing, 4 workers), with per-worker counters.
+    // The same builder drives every execution strategy; here a parallel plan
+    // (4 workers computing 128-row morsels, applied in morsel order), with
+    // per-worker counters.
     let stats = Arc::new(ScanStats::new());
-    let pctx = ExecContext::new().with_stats(stats.clone());
+    let pctx = ExecContext::new()
+        .with_morsel_size(128)
+        .with_stats(stats.clone());
     let par = MdJoin::new(&b, &sales_rel)
         .theta(eq(col_b("cust"), col_r("cust")))
         .agg("avg(sale) as avg_sale")?
@@ -46,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .strategy(ExecStrategy::Morsel)
         .threads(4)
         .run(&pctx)?;
-    assert_eq!(out, par); // morsel output is row-identical to serial
-    println!("   Same answer on the morsel executor; per-worker counters:");
+    assert_eq!(out, par); // row- and bit-identical to serial at any thread count
+    println!("   Same answer on the parallel plan; per-worker counters:");
     for w in stats.workers() {
         println!("     {w}");
     }

@@ -12,18 +12,16 @@
 //! runner is deterministic (seeded from the test name), so CI runs are
 //! exactly reproducible.
 
-use mdj_agg::{AggInput, AggState, Registry};
+use mdj_agg::Registry;
 use mdj_core::prelude::*;
 use mdj_expr::builder::add;
-use mdj_storage::{BufferPool, Field, PagedStore};
+use mdj_storage::{BufferPool, PagedStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Definition 3.1, executed as literally as possible: for every `b ∈ B`,
-/// scan all of `R`, keep the tuples with `θ(b, t)`, and aggregate them.
-/// One output row per base row, in `B`'s order; empty `Rel(t)` rows get the
-/// aggregate's empty-input value (count 0, sum NULL, …).
+/// The reference evaluator: Definition 3.1 executed verbatim
+/// ([`mdj_naive::ops::md_join_reference`]).
 fn reference_md_join(
     b: &Relation,
     r: &Relation,
@@ -31,48 +29,7 @@ fn reference_md_join(
     theta: &Expr,
     registry: &Registry,
 ) -> Relation {
-    let bound_theta = theta.bind(Some(b.schema()), Some(r.schema())).unwrap();
-    let mut bound: Vec<(mdj_agg::traits::AggRef, Option<usize>, Field)> = Vec::new();
-    for spec in specs {
-        let agg = registry.get(&spec.function).unwrap();
-        let (col, input_type) = match &spec.input {
-            AggInput::Star => (None, DataType::Int),
-            AggInput::Column(c) => {
-                let i = r.schema().index_of(c).unwrap();
-                (Some(i), r.schema().field(i).dtype)
-            }
-        };
-        bound.push((
-            agg.clone(),
-            col,
-            Field::new(spec.output_name(), agg.output_type(input_type)),
-        ));
-    }
-    let mut fields: Vec<Field> = b.schema().fields().to_vec();
-    fields.extend(bound.iter().map(|(_, _, f)| f.clone()));
-    let mut out = Relation::empty(Schema::new(fields));
-    for base_row in b.iter() {
-        let mut states: Vec<Box<dyn AggState>> =
-            bound.iter().map(|(agg, _, _)| agg.init()).collect();
-        for t in r.iter() {
-            if bound_theta
-                .eval_bool(base_row.values(), t.values())
-                .unwrap()
-            {
-                for (j, (_, col, _)) in bound.iter().enumerate() {
-                    let v = match col {
-                        Some(c) => &t[*c],
-                        None => &Value::Null,
-                    };
-                    states[j].update(v).unwrap();
-                }
-            }
-        }
-        let mut vals = base_row.values().to_vec();
-        vals.extend(states.iter().map(|s| s.finalize()));
-        out.push_unchecked(Row::new(vals));
-    }
-    out
+    mdj_naive::ops::md_join_reference(b, r, specs, theta, registry).unwrap()
 }
 
 /// Map a uniform draw in `0..1000` onto a Zipf-ish key in `0..10`: the head
@@ -337,20 +294,36 @@ impl CaseDir {
     }
 }
 
+/// `strategy` over the paged source with two workers (the sweeps' pools
+/// hold four frames: one pinned page per worker plus LRU slack).
+fn paged_md_join(
+    b: &Relation,
+    scan: &PagedScan,
+    specs: &[AggSpec],
+    theta: &Expr,
+    strategy: ExecStrategy,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    MdJoin::paged(b, scan)
+        .aggs(specs)
+        .theta(theta.clone())
+        .strategy(strategy)
+        .threads(2)
+        .run(ctx)
+}
+
 impl Drop for CaseDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
-/// Every execution strategy the paged executor accepts, including the
-/// materialize-and-delegate fallbacks.
-const PAGED_STRATEGIES: [ExecStrategy; 9] = [
+/// Every execution strategy: each one runs over the paged source unchanged
+/// (the source only decides how the chunk grid is cut).
+const PAGED_STRATEGIES: [ExecStrategy; 7] = [
     ExecStrategy::Auto,
     ExecStrategy::Serial,
     ExecStrategy::Partitioned { partitions: 3 },
-    ExecStrategy::ChunkBase,
-    ExecStrategy::ChunkDetail,
     ExecStrategy::Morsel,
     ExecStrategy::MorselBase,
     ExecStrategy::MorselDetail,
@@ -396,7 +369,7 @@ proptest! {
             let ctx = ExecContext::new()
                 .with_morsel_size(16)
                 .with_stats(stats.clone());
-            let out = match paged_md_join(&b, &scan, &specs, &theta, strategy, Some(2), &ctx) {
+            let out = match paged_md_join(&b, &scan, &specs, &theta, strategy, &ctx) {
                 Ok(out) => out,
                 Err(e) => {
                     return Err(proptest::test_runner::TestCaseError::Fail(format!(
@@ -471,7 +444,7 @@ fn paged_pool_thrash_evicts_and_still_matches() {
         let ctx = ExecContext::new()
             .with_morsel_size(64)
             .with_stats(stats.clone());
-        let out = paged_md_join(&b, &scan, &specs, &theta, strategy, Some(2), &ctx).unwrap();
+        let out = paged_md_join(&b, &scan, &specs, &theta, strategy, &ctx).unwrap();
         assert_eq!(expected.rows(), out.rows(), "{strategy:?}");
         assert!(
             stats.pages_read() as usize >= table.page_count(),

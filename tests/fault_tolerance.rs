@@ -258,6 +258,55 @@ fn single_threaded_faulted_runs_are_reproducible() {
     assert_eq!(run(999), run(999));
 }
 
+/// The isolation boundary and fault site cover the paged source like any
+/// other: an injected morsel panic over a page run is retried — the retry
+/// absorbs a bounded fault exactly — and past the retry budget it surfaces as
+/// `MorselPanicked`, never a propagated panic. Either way the unwinding
+/// worker's page is unpinned: the pool's pin count is back to zero.
+#[test]
+fn paged_morsel_panic_is_retried_then_reported_and_unpins() {
+    use mdj_storage::{BufferPool, PagedStore};
+    quiet_injected_panics();
+    let dir = std::env::temp_dir().join(format!("mdj-pager-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, _) = PagedStore::open(&dir).unwrap();
+    let table = store.create_table("t", &sales(600), "month", 256).unwrap();
+    let scan = PagedScan::new(table, BufferPool::new(16 * 256));
+    let clustered = scan.materialize(&ExecContext::new()).unwrap();
+    let b = basevalues::group_by(&clustered, &["cust"]).unwrap();
+    let expected = serial_answer(&b, &clustered);
+    let run = |panics: u64, threads: usize, stats: Arc<ScanStats>| {
+        let fault = Arc::new(FaultInjector::new(7).period(1).panics(panics));
+        let ctx = ExecContext::new()
+            .with_morsel_size(32)
+            .with_morsel_retries(1)
+            .with_stats(stats)
+            .with_fault_injector(fault);
+        let out = MdJoin::paged(&b, &scan)
+            .aggs(&specs())
+            .theta(eq(col_b("cust"), col_r("cust")))
+            .strategy(ExecStrategy::MorselDetail)
+            .threads(threads)
+            .run(&ctx);
+        assert_eq!(scan.pool().pinned_total(), 0, "a page stayed pinned");
+        out
+    };
+    // One panic, one retry: absorbed, exact answer, one recorded retry.
+    let stats = Arc::new(ScanStats::new());
+    let out = run(1, 2, stats.clone()).unwrap();
+    assert_eq!(expected.rows(), out.rows());
+    assert_eq!(stats.morsel_retries(), 1);
+    // The first morsel's attempt and its one retry both panic: reported.
+    let stats = Arc::new(ScanStats::new());
+    match run(2, 1, stats.clone()) {
+        Err(e @ CoreError::MorselPanicked { attempts: 2, .. }) => assert!(e.is_governor()),
+        other => panic!("want MorselPanicked after the retry, got {other:?}"),
+    }
+    assert_eq!(stats.morsel_retries(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Crash-recovery drills for the paged table store, driven through the
 /// engine's [`FaultInjector`] pager sites (`PagerFaults` is implemented for
 /// the injector, so the store consumes the same seeded budgets as every

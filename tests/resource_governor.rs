@@ -1,8 +1,8 @@
 //! Integration tests for the query governor: cooperative cancellation,
 //! wall-clock deadlines, and memory budgets with Theorem 4.1 degradation —
 //! exercised through the public [`MdJoin`] builder across *every*
-//! [`ExecStrategy`], because each strategy has its own poll sites and its own
-//! allocations to charge.
+//! [`ExecStrategy`]: the poll sites and charges live once in the executor
+//! core, and every (driver, evaluator) pair must reach them.
 
 use mdj_core::governor::{index_bytes, state_bytes};
 use mdj_core::prelude::*;
@@ -43,17 +43,18 @@ fn theta() -> Expr {
     eq(col_b("cust"), col_r("cust"))
 }
 
-/// Every strategy the builder can plan, including both morsel sides.
+/// Every strategy the builder can plan: all three drivers (serial,
+/// base-partitioned sequential and parallel, detail-parallel) under both
+/// evaluators.
 fn all_strategies() -> Vec<ExecStrategy> {
     vec![
         ExecStrategy::Auto,
         ExecStrategy::Serial,
         ExecStrategy::Partitioned { partitions: 3 },
-        ExecStrategy::ChunkBase,
-        ExecStrategy::ChunkDetail,
         ExecStrategy::Morsel,
         ExecStrategy::MorselBase,
         ExecStrategy::MorselDetail,
+        ExecStrategy::Vectorized,
     ]
 }
 

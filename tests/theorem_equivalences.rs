@@ -7,7 +7,7 @@
 //! plus the optimized variants. Agreement between the two directions on
 //! random inputs is the core soundness property.
 
-use mdj_agg::{AggInput, Registry};
+use mdj_agg::Registry;
 use mdj_core::prelude::*;
 use mdj_cube::rollup_chain::rollup_one;
 use mdj_cube::CubeSpec;
@@ -53,12 +53,16 @@ fn md_join_parallel(
     threads: usize,
     ctx: &ExecContext,
 ) -> Result<Relation> {
+    // The static Section 4.1.2 plan: one B fragment per thread.
+    let ctx = ctx
+        .clone()
+        .with_morsel_size(b.len().div_ceil(threads).max(1));
     MdJoin::new(b, r)
         .aggs(l)
         .theta(theta.clone())
-        .strategy(ExecStrategy::ChunkBase)
+        .strategy(ExecStrategy::MorselBase)
         .threads(threads)
-        .run(ctx)
+        .run(&ctx)
 }
 
 fn md_join_parallel_detail(
@@ -69,12 +73,16 @@ fn md_join_parallel_detail(
     threads: usize,
     ctx: &ExecContext,
 ) -> Result<Relation> {
+    // The static dual plan: one R chunk per thread.
+    let ctx = ctx
+        .clone()
+        .with_morsel_size(r.len().div_ceil(threads).max(1));
     MdJoin::new(b, r)
         .aggs(l)
         .theta(theta.clone())
-        .strategy(ExecStrategy::ChunkDetail)
+        .strategy(ExecStrategy::MorselDetail)
         .threads(threads)
-        .run(ctx)
+        .run(&ctx)
 }
 
 /// Definition 3.1, executed verbatim.
@@ -85,40 +93,7 @@ fn oracle_md_join(
     theta: &Expr,
     registry: &Registry,
 ) -> Relation {
-    let bound = theta
-        .bind(Some(b.schema()), Some(r.schema()))
-        .expect("bind oracle theta");
-    let mut fields = b.schema().fields().to_vec();
-    for spec in specs {
-        let agg = registry.get(&spec.function).unwrap();
-        fields.push(mdj_storage::Field::new(
-            spec.output_name(),
-            agg.output_type(DataType::Any),
-        ));
-    }
-    let mut out = Relation::empty(Schema::new(fields));
-    for brow in b.iter() {
-        // RNG(b, R, θ)
-        let rng: Vec<&Row> = r
-            .iter()
-            .filter(|t| bound.eval_bool(brow.values(), t.values()).unwrap_or(false))
-            .collect();
-        let mut vals = brow.values().to_vec();
-        for spec in specs {
-            let agg = registry.get(&spec.function).unwrap();
-            let mut state = agg.init();
-            for t in &rng {
-                let v = match &spec.input {
-                    AggInput::Star => Value::Null,
-                    AggInput::Column(c) => t[r.schema().index_of(c).unwrap()].clone(),
-                };
-                state.update(&v).unwrap();
-            }
-            vals.push(state.finalize());
-        }
-        out.push_unchecked(Row::new(vals));
-    }
-    out
+    mdj_naive::ops::md_join_reference(b, r, specs, theta, registry).unwrap()
 }
 
 fn detail_strategy() -> impl Strategy<Value = Relation> {
