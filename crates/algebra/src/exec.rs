@@ -6,7 +6,7 @@ use mdj_core::basevalues;
 use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
 use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin, PagedScan};
 use mdj_expr::Expr;
-use mdj_storage::{Catalog, Relation, Row};
+use mdj_storage::{Catalog, Counter, Relation, Row};
 use std::sync::Arc;
 
 /// Execute a logical plan against a catalog.
@@ -307,13 +307,12 @@ fn cached_cuboid(
     let detail_rel = catalog.get(detail_name)?;
     let req = CuboidRequest::new(detail_name.clone(), dims.clone(), aggs.to_vec());
     let answer = cache.lookup(&req, &detail_rel, ctx)?;
-    if let Some(stats) = ctx.stats() {
-        match answer {
-            CacheAnswer::Exact(_) => stats.record_cache_hit(),
-            CacheAnswer::Rollup(_) => stats.record_cache_rollup_hit(),
-            CacheAnswer::Miss => stats.record_cache_miss(),
-        }
-    }
+    let outcome = match answer {
+        CacheAnswer::Exact(_) => Counter::cache_hits,
+        CacheAnswer::Rollup(_) => Counter::cache_rollup_hits,
+        CacheAnswer::Miss => Counter::cache_misses,
+    };
+    ctx.count(outcome, 1);
     Ok(match answer {
         CacheAnswer::Exact(rel) | CacheAnswer::Rollup(rel) => Cached::Hit(rel),
         CacheAnswer::Miss => Cached::Miss(req, detail_rel),

@@ -12,86 +12,11 @@ pub fn explain(plan: &Plan) -> String {
 }
 
 /// Render a plan together with the operation counters collected while
-/// executing it (`EXPLAIN ANALYZE`-style). Parallel runs append one line per
-/// worker with its morsel/steal/merge counts.
+/// executing it (`EXPLAIN ANALYZE`-style): the counter table's group lines,
+/// then one line per parallel worker.
 pub fn explain_with_stats(plan: &Plan, stats: &StatsSnapshot) -> String {
     let mut out = explain(plan);
-    let _ = writeln!(
-        out,
-        "-- stats: scans={} tuples={} probes={} updates={}",
-        stats.scans, stats.tuples_scanned, stats.probes, stats.updates
-    );
-    if stats.batches > 0 {
-        let _ = writeln!(
-            out,
-            "-- vectorized: batches={} fallbacks={}",
-            stats.batches, stats.batch_fallbacks
-        );
-        if stats.fallback_reasons_active() {
-            let _ = writeln!(
-                out,
-                "-- fallback reasons: theta={} prefilter={} key={} agg={}",
-                stats.fallback_theta,
-                stats.fallback_prefilter,
-                stats.fallback_key,
-                stats.fallback_agg
-            );
-        }
-    }
-    if stats.gen_sets > 0 {
-        let _ = writeln!(
-            out,
-            "-- generalized: sets={} scalar_sets={}",
-            stats.gen_sets, stats.gen_set_fallbacks
-        );
-    }
-    if stats.auto_decisions > 0 {
-        let _ = writeln!(
-            out,
-            "-- auto: batch coverage={}‰ plan={}",
-            stats.auto_coverage_permille,
-            if stats.auto_batched {
-                "vectorized"
-            } else {
-                "scalar"
-            }
-        );
-    }
-    if stats.governor_active() {
-        let _ = writeln!(
-            out,
-            "-- governor: cancel_polls={} retries={} bytes_charged={} degradations={}",
-            stats.cancel_polls, stats.morsel_retries, stats.bytes_charged, stats.degradations
-        );
-    }
-    if stats.spill_active() {
-        let _ = writeln!(
-            out,
-            "-- spill: partitions={} bytes_spilled={} read_bytes={}",
-            stats.spill_partitions, stats.bytes_spilled, stats.spill_read_bytes
-        );
-    }
-    if stats.cache_active() {
-        let _ = writeln!(
-            out,
-            "-- cache: hits={} rollup_hits={} misses={} invalidations={} ingest_batches={}",
-            stats.cache_hits,
-            stats.cache_rollup_hits,
-            stats.cache_misses,
-            stats.cache_invalidations,
-            stats.ingest_batches
-        );
-    }
-    if stats.paged_active() {
-        let _ = writeln!(
-            out,
-            "-- paged: pages_read={} bytes_read={} pool_evictions={}",
-            stats.pages_read, stats.bytes_read, stats.pool_evictions
-        );
-    }
-    for w in &stats.workers {
-        let _ = writeln!(out, "--   {w}");
-    }
+    let _ = stats.render("-- ", &mut out);
     out
 }
 
@@ -236,32 +161,6 @@ mod tests {
             tuples_scanned: 500,
             probes: 500,
             updates: 42,
-            cancel_polls: 0,
-            morsel_retries: 0,
-            bytes_charged: 0,
-            degradations: 0,
-            batches: 0,
-            batch_fallbacks: 0,
-            fallback_theta: 0,
-            fallback_prefilter: 0,
-            fallback_key: 0,
-            fallback_agg: 0,
-            gen_sets: 0,
-            gen_set_fallbacks: 0,
-            bytes_spilled: 0,
-            spill_partitions: 0,
-            spill_read_bytes: 0,
-            auto_decisions: 0,
-            auto_coverage_permille: 0,
-            auto_batched: false,
-            cache_hits: 0,
-            cache_rollup_hits: 0,
-            cache_misses: 0,
-            cache_invalidations: 0,
-            ingest_batches: 0,
-            bytes_read: 0,
-            pages_read: 0,
-            pool_evictions: 0,
             workers: vec![
                 WorkerStats {
                     worker: 0,
@@ -269,7 +168,6 @@ mod tests {
                     tuples: 300,
                     updates: 30,
                     steals: 1,
-                    merges: 1,
                 },
                 WorkerStats {
                     worker: 1,
@@ -277,13 +175,13 @@ mod tests {
                     tuples: 200,
                     updates: 12,
                     steals: 0,
-                    merges: 0,
                 },
             ],
+            ..Default::default()
         };
         let s = explain_with_stats(&plan, &snap);
-        assert!(s.contains("scans=1 tuples=500"));
-        assert!(s.contains("worker 0: morsels=3 tuples=300 updates=30 steals=1 merges=1"));
+        assert!(s.contains("-- stats: scans=1 tuples=500 probes=500 updates=42\n"));
+        assert!(s.contains("--   worker 0: morsels=3 tuples=300 updates=30 steals=1\n"));
         assert!(s.contains("worker 1:"));
         // Governor counters are omitted when the governor never engaged...
         assert!(!s.contains("governor:"));
@@ -317,7 +215,7 @@ mod tests {
         let auto = StatsSnapshot {
             auto_decisions: 1,
             auto_coverage_permille: 666,
-            auto_batched: true,
+            auto_batched: 1,
             ..snap.clone()
         };
         let s3 = explain_with_stats(&plan, &auto);
@@ -325,7 +223,7 @@ mod tests {
         let auto_scalar = StatsSnapshot {
             auto_decisions: 1,
             auto_coverage_permille: 500,
-            auto_batched: false,
+            auto_batched: 0,
             ..snap.clone()
         };
         assert!(explain_with_stats(&plan, &auto_scalar).contains("plan=scalar"));

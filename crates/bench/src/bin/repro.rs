@@ -16,19 +16,15 @@
 //!
 //! With `--json <path>` the run also emits a machine-readable baseline: one
 //! entry per experiment with its wall time, plus per-variant entries carrying
-//! the machine-independent work counters (scans / tuples / probes / updates /
-//! batches, the spill counters, and the cuboid-cache/ingest counters) for
-//! the vectorized-vs-scalar ablation (E11), the degradation ablation (E12),
-//! and the cache replay (E13). Baselines are sparse in one direction only:
-//! a baseline committed before a counter existed (`BENCH_0.json`,
-//! `BENCH_1.json`) gates just the counters it carries, while `BENCH_2.json`
-//! adds the spill counters, `BENCH_4.json` the cache counters, and
-//! `BENCH_5.json` the paged-I/O counters (E14) — but every
-//! counter and entry a baseline *does* carry must still be present in the
-//! new run, and a disappearing one fails with an explicit missing-counter
-//! diff (a vanished gate is itself a regression). CI's perf-smoke job
-//! uploads a fresh baseline per run so counter regressions show up as a
-//! diff, not a flaky threshold.
+//! every row of the `mdj_storage::COUNTERS` table under its table name (E8,
+//! E11, E12, E13, E14). `--check` gates the rows the table flags `check`:
+//! a baseline gates exactly the counters and entries it carries, every one
+//! of them must still be present in the new run, and a disappearing one
+//! fails with an explicit missing-counter diff (a vanished gate is itself a
+//! regression). `BENCH.json` at the repository root is the committed
+//! baseline; CI's perf-smoke job checks a fresh run against it and uploads
+//! the fresh file. Both directions go through `mdj_server::json`, so the
+//! layout of a baseline (one line, one entry per line, `jq .`) is immaterial.
 
 use mdj_agg::{AggSpec, Registry};
 use mdj_algebra::rules::{coalesce::detail_scan_count, coalesce_chains};
@@ -43,7 +39,11 @@ use mdj_cube::rollup_chain::cube_rollup_chain;
 use mdj_cube::CubeSpec;
 use mdj_expr::builder::*;
 use mdj_expr::Expr;
-use mdj_storage::{Catalog, DataType, Relation, Row, ScanStats, Schema, SortedIndex, Value};
+use mdj_server::json::{parse, Json};
+use mdj_server::wire::counter_fields;
+use mdj_storage::{
+    Catalog, Counter, DataType, Relation, Row, ScanStats, Schema, SortedIndex, Value, COUNTERS,
+};
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,276 +90,80 @@ fn md_join_multi(
     MdJoin::new(b, r).blocks(blocks.iter().cloned()).run(ctx)
 }
 
-/// One `--json` baseline entry. Wall-clock is always present; the work
-/// counters are attached only where an experiment measures a single variant
-/// under a dedicated [`ScanStats`] (they are exact and machine-independent,
-/// unlike milliseconds).
-struct JsonEntry {
-    name: String,
-    wall_ms: f64,
-    counters: Option<JsonCounters>,
-}
-
-struct JsonCounters {
-    scans: u64,
-    tuples: u64,
-    probes: u64,
-    updates: u64,
-    batches: u64,
-    batch_fallbacks: u64,
-    bytes_spilled: u64,
-    spill_partitions: u64,
-    spill_read_bytes: u64,
-    fallback_theta: u64,
-    fallback_prefilter: u64,
-    fallback_key: u64,
-    fallback_agg: u64,
-    gen_sets: u64,
-    gen_set_fallbacks: u64,
-    cache_hits: u64,
-    cache_rollup_hits: u64,
-    cache_misses: u64,
-    cache_invalidations: u64,
-    ingest_batches: u64,
-    bytes_read: u64,
-    pages_read: u64,
-    pool_evictions: u64,
-}
-
-static JSON_ENTRIES: std::sync::Mutex<Vec<JsonEntry>> = std::sync::Mutex::new(Vec::new());
-
-fn record_wall(name: impl Into<String>, wall: Duration) {
-    JSON_ENTRIES.lock().unwrap().push(JsonEntry {
-        name: name.into(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        counters: None,
-    });
-}
-
-fn record_counters(name: impl Into<String>, wall: Duration, stats: &ScanStats) {
-    JSON_ENTRIES.lock().unwrap().push(JsonEntry {
-        name: name.into(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        counters: Some(JsonCounters {
-            scans: stats.scans(),
-            tuples: stats.tuples_scanned(),
-            probes: stats.probes(),
-            updates: stats.updates(),
-            batches: stats.batches(),
-            batch_fallbacks: stats.batch_fallbacks(),
-            bytes_spilled: stats.bytes_spilled(),
-            spill_partitions: stats.spill_partitions(),
-            spill_read_bytes: stats.spill_read_bytes(),
-            fallback_theta: stats.fallback_theta(),
-            fallback_prefilter: stats.fallback_prefilter(),
-            fallback_key: stats.fallback_key(),
-            fallback_agg: stats.fallback_agg(),
-            gen_sets: stats.gen_sets(),
-            gen_set_fallbacks: stats.gen_set_fallbacks(),
-            cache_hits: stats.cache_hits(),
-            cache_rollup_hits: stats.cache_rollup_hits(),
-            cache_misses: stats.cache_misses(),
-            cache_invalidations: stats.cache_invalidations(),
-            ingest_batches: stats.ingest_batches(),
-            bytes_read: stats.bytes_read(),
-            pages_read: stats.pages_read(),
-            pool_evictions: stats.pool_evictions(),
-        }),
-    });
-}
-
-/// Escape a string for embedding in a JSON string literal. The hand-rolled
-/// writer below used to splice labels in verbatim, so a quote, backslash, or
-/// control character in an experiment name produced an unparseable baseline.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// One `--json` baseline entry: `{"name", "wall_ms"}` plus, where an
+/// experiment measures a single variant under a dedicated [`ScanStats`],
+/// every counter-table row by name (exact and machine-independent, unlike
+/// milliseconds).
+fn entry_json(name: &str, wall: Duration, stats: Option<&ScanStats>) -> Json {
+    let wall_ms = (wall.as_secs_f64() * 1e6).round() / 1e3;
+    let mut fields = vec![
+        ("name", Json::Str(name.into())),
+        ("wall_ms", Json::Float(wall_ms)),
+    ];
+    if let Some(s) = stats {
+        fields.extend(counter_fields(&s.snapshot(), |_| true));
     }
-    out
+    Json::obj(fields)
 }
 
-/// Hand-rolled writer: the workspace's vendored `serde` is a no-op stub, so
-/// the baseline is emitted as literal JSON text.
-fn write_json(path: &str, quick: bool) -> std::io::Result<()> {
-    let entries = JSON_ENTRIES.lock().unwrap();
-    let mut s = String::from("{\n  \"tool\": \"repro\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n  \"experiments\": [\n"));
-    for (i, e) in entries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}",
-            json_escape(&e.name),
-            e.wall_ms
-        ));
-        if let Some(c) = &e.counters {
-            s.push_str(&format!(
-                ", \"scans\": {}, \"tuples\": {}, \"probes\": {}, \"updates\": {}, \
-                 \"batches\": {}, \"batch_fallbacks\": {}, \"bytes_spilled\": {}, \
-                 \"spill_partitions\": {}, \"spill_read_bytes\": {}, \
-                 \"fallback_theta\": {}, \"fallback_prefilter\": {}, \
-                 \"fallback_key\": {}, \"fallback_agg\": {}, \
-                 \"gen_sets\": {}, \"gen_set_fallbacks\": {}, \
-                 \"cache_hits\": {}, \"cache_rollup_hits\": {}, \
-                 \"cache_misses\": {}, \"cache_invalidations\": {}, \
-                 \"ingest_batches\": {}, \"bytes_read\": {}, \
-                 \"pages_read\": {}, \"pool_evictions\": {}",
-                c.scans,
-                c.tuples,
-                c.probes,
-                c.updates,
-                c.batches,
-                c.batch_fallbacks,
-                c.bytes_spilled,
-                c.spill_partitions,
-                c.spill_read_bytes,
-                c.fallback_theta,
-                c.fallback_prefilter,
-                c.fallback_key,
-                c.fallback_agg,
-                c.gen_sets,
-                c.gen_set_fallbacks,
-                c.cache_hits,
-                c.cache_rollup_hits,
-                c.cache_misses,
-                c.cache_invalidations,
-                c.ingest_batches,
-                c.bytes_read,
-                c.pages_read,
-                c.pool_evictions
-            ));
-        }
-        s.push_str(if i + 1 == entries.len() {
-            "}\n"
-        } else {
-            "},\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+static JSON_ENTRIES: std::sync::Mutex<Vec<Json>> = std::sync::Mutex::new(Vec::new());
+
+fn record_entry(name: &str, wall: Duration, stats: Option<&ScanStats>) {
+    let entry = entry_json(name, wall, stats);
+    JSON_ENTRIES.lock().unwrap().push(entry);
 }
 
-/// The machine-independent work counters a baseline entry *may* carry, in
-/// the order they appear in the JSON. Wall time is deliberately not here: it
-/// is machine-dependent and never gates CI. Entries are sparse — a baseline
-/// written before a counter existed simply omits it and gates only the
-/// counters it has, so growing this list never invalidates committed
-/// baselines. The reverse is NOT tolerated: every counter (and every entry)
-/// a baseline carries must still be present in the new run — a counter that
-/// disappears is a lost gate, not a clean pass (see [`compare_entries`]).
-const CHECK_COUNTERS: [&str; 23] = [
-    "scans",
-    "tuples",
-    "probes",
-    "updates",
-    "batches",
-    "batch_fallbacks",
-    "bytes_spilled",
-    "spill_partitions",
-    "spill_read_bytes",
-    "fallback_theta",
-    "fallback_prefilter",
-    "fallback_key",
-    "fallback_agg",
-    "gen_sets",
-    "gen_set_fallbacks",
-    "cache_hits",
-    "cache_rollup_hits",
-    "cache_misses",
-    "cache_invalidations",
-    "ingest_batches",
-    "bytes_read",
-    "pages_read",
-    "pool_evictions",
-];
+/// The baseline document: entries are encoded by [`Json`], laid out one per
+/// line so a regenerated `BENCH.json` diffs entry by entry.
+fn baseline_text(entries: &[Json], quick: bool) -> String {
+    let lines: Vec<String> = entries
+        .iter()
+        .map(|e| format!("    {}", e.encode()))
+        .collect();
+    format!(
+        "{{\n  \"tool\": \"repro\",\n  \"quick\": {quick},\n  \"experiments\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n")
+    )
+}
 
-/// One parsed baseline entry (`--check` mode): the counters it carries, as
-/// `(index into CHECK_COUNTERS, value)` pairs. Wall-time-only entries (no
-/// counters at all) are skipped by the parser and never gate.
+/// One parsed baseline entry (`--check` mode): the gated counters it
+/// carries. Wall time is deliberately not gated: it is machine-dependent.
 struct CheckEntry {
     name: String,
-    counters: Vec<(usize, u64)>,
+    counters: Vec<(Counter, u64)>,
 }
 
-#[cfg(test)]
-impl CheckEntry {
-    /// Test helper: an entry carrying the pre-fallback-attribution counter
-    /// set (`BENCH_2`-era baselines stop at the spill counters).
-    fn dense(name: &str, values: [u64; 9]) -> Self {
-        CheckEntry {
-            name: name.into(),
-            counters: values.into_iter().enumerate().collect(),
-        }
-    }
-}
-
-/// Decode the string literal starting right after an opening `"`, honoring
-/// the escapes [`json_escape`] emits. Returns the decoded text.
-fn parse_json_string(rest: &str) -> String {
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => break,
-            '\\' => match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                        out.push(c);
-                    }
-                }
-                Some(other) => out.push(other),
-                None => break,
-            },
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extract `"key": <int>` from a JSON entry line.
-fn parse_json_int(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Line-based parse of the writer's own `--json` output: one entry per line,
-/// carrying whichever of [`CHECK_COUNTERS`] the line has. Entries with no
-/// counters at all (wall-time-only) are skipped.
-fn parse_baseline(text: &str) -> Vec<CheckEntry> {
+/// Parse a `--json` document, however it is laid out. Entries are sparse —
+/// each carries whichever gated counters its object has — and entries with
+/// none at all (wall-time-only) are skipped.
+fn parse_entries(text: &str) -> Result<Vec<CheckEntry>, String> {
+    let doc = parse(text)?;
+    let experiments = doc
+        .get("experiments")
+        .and_then(Json::as_arr)
+        .ok_or("no `experiments` array")?;
     let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let name = parse_json_string(&line[at + "\"name\": \"".len()..]);
-        let counters: Vec<(usize, u64)> = CHECK_COUNTERS
+    for e in experiments {
+        let name = e
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("experiment without a string `name`")?;
+        let counters: Vec<(Counter, u64)> = COUNTERS
             .iter()
-            .enumerate()
-            .filter_map(|(i, key)| parse_json_int(line, key).map(|v| (i, v)))
+            .filter(|def| def.gated)
+            .filter_map(|def| {
+                let v = e.get(def.name)?.as_int()?;
+                Some((def.counter, u64::try_from(v).ok()?))
+            })
             .collect();
         if !counters.is_empty() {
-            out.push(CheckEntry { name, counters });
+            out.push(CheckEntry {
+                name: name.to_string(),
+                counters,
+            });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Diff two parsed baselines. A baseline may carry *fewer* counters than the
@@ -383,15 +187,16 @@ fn compare_entries(new: &[CheckEntry], baseline: &[CheckEntry]) -> Vec<String> {
             ));
             continue;
         };
-        for &(i, base_v) in &base.counters {
-            match cur.counters.iter().find(|(j, _)| *j == i) {
+        for &(c, base_v) in &base.counters {
+            let key = c.def().name;
+            match cur.counters.iter().find(|(j, _)| *j == c) {
                 None => regressions.push(format!(
-                    "{}: {} missing from the new run (baseline gates it at {})",
-                    base.name, CHECK_COUNTERS[i], base_v
+                    "{}: {key} missing from the new run (baseline gates it at {base_v})",
+                    base.name
                 )),
                 Some(&(_, cur_v)) if cur_v > base_v => regressions.push(format!(
-                    "{}: {} regressed {} -> {}",
-                    base.name, CHECK_COUNTERS[i], base_v, cur_v
+                    "{}: {key} regressed {base_v} -> {cur_v}",
+                    base.name
                 )),
                 Some(_) => {}
             }
@@ -403,18 +208,18 @@ fn compare_entries(new: &[CheckEntry], baseline: &[CheckEntry]) -> Vec<String> {
 /// `--check <new.json> <baseline.json>`: exit 0 when no counter regressed,
 /// 1 on regression, 2 on usage/IO/parse trouble.
 fn run_check(new_path: &str, baseline_path: &str) -> i32 {
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
-        Err(e) => {
+    let read = |path: &str| {
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_entries(&text));
+        if let Err(e) = &parsed {
             eprintln!("repro --check: cannot read {path}: {e}");
-            None
         }
+        parsed.ok()
     };
-    let (Some(new_text), Some(base_text)) = (read(new_path), read(baseline_path)) else {
+    let (Some(new), Some(baseline)) = (read(new_path), read(baseline_path)) else {
         return 2;
     };
-    let new = parse_baseline(&new_text);
-    let baseline = parse_baseline(&base_text);
     let common = baseline
         .iter()
         .filter(|b| new.iter().any(|n| n.name == b.name))
@@ -515,11 +320,12 @@ fn main() {
         }
         let t0 = Instant::now();
         f(scale);
-        record_wall(name, t0.elapsed());
+        record_entry(name, t0.elapsed(), None);
     }
     println!("\nAll experiments completed; every equivalence assertion held.");
     if let Some(path) = json_path {
-        write_json(&path, quick).expect("write --json baseline");
+        let text = baseline_text(&JSON_ENTRIES.lock().unwrap(), quick);
+        std::fs::write(&path, text).expect("write --json baseline");
         println!("wrote work-counter baseline to {path}");
     }
 }
@@ -1159,10 +965,14 @@ fn e8(scale: usize) {
             nl_s.probes(),
             hp_s.probes()
         );
-        record_counters(format!("e8/b{b_rows}/nl/serial"), t_nl_s, &nl_s);
-        record_counters(format!("e8/b{b_rows}/nl/vectorized"), t_nl_v, &nl_v);
-        record_counters(format!("e8/b{b_rows}/hash/serial"), t_hp_s, &hp_s);
-        record_counters(format!("e8/b{b_rows}/hash/vectorized"), t_hp_v, &hp_v);
+        record_entry(&format!("e8/b{b_rows}/nl/serial"), t_nl_s, Some(&nl_s));
+        record_entry(&format!("e8/b{b_rows}/nl/vectorized"), t_nl_v, Some(&nl_v));
+        record_entry(&format!("e8/b{b_rows}/hash/serial"), t_hp_s, Some(&hp_s));
+        record_entry(
+            &format!("e8/b{b_rows}/hash/vectorized"),
+            t_hp_v,
+            Some(&hp_v),
+        );
     }
 }
 
@@ -1383,8 +1193,8 @@ fn e11(scale: usize) {
             v_stats.batch_fallbacks()
         );
         let slug = label.split(' ').next().unwrap_or(label);
-        record_counters(format!("e11/{slug}/serial"), t_s, &s_stats);
-        record_counters(format!("e11/{slug}/vectorized"), t_v, &v_stats);
+        record_entry(&format!("e11/{slug}/serial"), t_s, Some(&s_stats));
+        record_entry(&format!("e11/{slug}/vectorized"), t_v, Some(&v_stats));
     }
 
     // Fused generalized (Theorem 4.3) batch execution: k E8-style pivot
@@ -1472,8 +1282,12 @@ fn e11(scale: usize) {
             f_stats.gen_set_fallbacks(),
             f_stats.gen_sets()
         );
-        record_counters(format!("e11/fused-k{k}/serial"), t_serial, &s_stats);
-        record_counters(format!("e11/fused-k{k}/vectorized"), t_fused, &f_stats);
+        record_entry(&format!("e11/fused-k{k}/serial"), t_serial, Some(&s_stats));
+        record_entry(
+            &format!("e11/fused-k{k}/vectorized"),
+            t_fused,
+            Some(&f_stats),
+        );
     }
 }
 
@@ -1554,7 +1368,7 @@ fn e12(scale: usize) {
             stats.bytes_spilled() / 3,
             stats.spill_read_bytes() / 3
         );
-        record_counters(format!("e12/{slug}"), t, &stats);
+        record_entry(&format!("e12/{slug}"), t, Some(&stats));
     }
     if let Ok(entries) = std::fs::read_dir(&spill_dir) {
         assert_eq!(entries.count(), 0, "E12 leaked spill run files");
@@ -1640,7 +1454,7 @@ fn e13(scale: usize) {
             stats.cache_misses(),
             stats.ingest_batches()
         );
-        record_counters(format!("e13/{slug}"), t, stats);
+        record_entry(&format!("e13/{slug}"), t, Some(stats));
     };
 
     // Cold: computes the (cust, month) cuboid and caches it.
@@ -1844,7 +1658,7 @@ fn e14(scale: usize) {
             out.len()
         );
         if let Some(slug) = slug {
-            record_counters(format!("e14/{slug}"), t, &stats);
+            record_entry(&format!("e14/{slug}"), t, Some(&stats));
         }
         stats
     };
@@ -1935,103 +1749,157 @@ fn e10_chain(k: usize, dependent: bool) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Counter::*;
 
-    #[test]
-    fn json_escape_neutralizes_hostile_labels() {
-        let hostile = "e11/\"quote\\back\nslash\ttab\u{1}ctl";
-        let escaped = json_escape(hostile);
-        // No raw quote/backslash/control char survives unescaped.
-        assert_eq!(escaped, "e11/\\\"quote\\\\back\\nslash\\ttab\\u0001ctl");
-        // Round-trip: the --check parser decodes exactly the original label.
-        assert_eq!(parse_json_string(&format!("{escaped}\", rest")), hostile);
-        // Plain labels pass through untouched.
-        assert_eq!(json_escape("e11/equality/serial"), "e11/equality/serial");
+    /// The nine counters a spill-era baseline carried, in its order.
+    const DENSE: [Counter; 9] = [
+        scans,
+        tuples_scanned,
+        probes,
+        updates,
+        batches,
+        batch_fallbacks,
+        bytes_spilled,
+        spill_partitions,
+        spill_read_bytes,
+    ];
+
+    fn entry(name: &str, counters: &[(Counter, u64)]) -> CheckEntry {
+        CheckEntry {
+            name: name.into(),
+            counters: counters.to_vec(),
+        }
+    }
+
+    fn dense(name: &str, values: [u64; 9]) -> CheckEntry {
+        let counters: Vec<_> = DENSE.into_iter().zip(values).collect();
+        entry(name, &counters)
+    }
+
+    /// What the writer emits for one run whose every counter is `c as u64 + 1`.
+    fn written(name: &str) -> String {
+        let stats = ScanStats::new();
+        for def in &COUNTERS {
+            stats.count(def.counter, def.counter as u64 + 1);
+        }
+        let entries = [
+            entry_json("e1", Duration::from_millis(10), None),
+            entry_json(name, Duration::from_micros(1500), Some(&stats)),
+        ];
+        baseline_text(&entries, true)
     }
 
     #[test]
     fn hostile_label_emits_parseable_baseline_line() {
-        let line = format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": 1.500, \"scans\": 1, \"tuples\": 2, \
-             \"probes\": 3, \"updates\": 4, \"batches\": 5, \"batch_fallbacks\": 0}},",
-            json_escape("evil \"label\" with \\ and \n")
-        );
-        let entries = parse_baseline(&line);
+        let hostile = "evil \"label\" with \\ and \n\ttab\u{1}ctl";
+        let text = written(hostile);
+        // One entry per line: no raw newline from the label survives.
+        assert_eq!(text.lines().count(), 8, "{text}");
+        let entries = parse_entries(&text).unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].name, "evil \"label\" with \\ and \n");
-        assert_eq!(
-            entries[0].counters,
-            vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
-        );
+        assert_eq!(entries[0].name, hostile);
     }
 
     #[test]
     fn check_parses_writer_output_and_skips_wall_only_entries() {
-        // A pre-spill 6-counter entry and a current 9-counter entry parse
-        // side by side, each carrying exactly the counters it has.
-        let text = "{\n  \"tool\": \"repro\",\n  \"quick\": true,\n  \"experiments\": [\n    \
-                    {\"name\": \"e1\", \"wall_ms\": 10.000},\n    \
-                    {\"name\": \"e11/equality/serial\", \"wall_ms\": 1.000, \"scans\": 1, \
-                    \"tuples\": 40000, \"probes\": 40000, \"updates\": 200000, \
-                    \"batches\": 0, \"batch_fallbacks\": 0},\n    \
-                    {\"name\": \"e12/spill\", \"wall_ms\": 2.000, \"scans\": 2, \
-                    \"tuples\": 80000, \"probes\": 40000, \"updates\": 200000, \
-                    \"batches\": 0, \"batch_fallbacks\": 0, \"bytes_spilled\": 65536, \
-                    \"spill_partitions\": 4, \"spill_read_bytes\": 65536}\n  ]\n}\n";
-        let entries = parse_baseline(text);
-        assert_eq!(entries.len(), 2);
+        // The writer's own output: the wall-only entry is skipped, the
+        // counter entry carries exactly the gated rows of the table.
+        let text = written("e11/equality/serial");
+        let doc = parse(&text).unwrap();
+        let raw = &doc.get("experiments").and_then(Json::as_arr).unwrap()[1];
+        for def in &COUNTERS {
+            let want = Json::Int(def.counter as i64 + 1);
+            assert_eq!(raw.get(def.name), Some(&want), "{}", def.name);
+        }
+        let entries = parse_entries(&text).unwrap();
+        assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].name, "e11/equality/serial");
+        let gated: Vec<(Counter, u64)> = COUNTERS
+            .iter()
+            .filter(|def| def.gated)
+            .map(|def| (def.counter, def.counter as u64 + 1))
+            .collect();
+        assert_eq!(gated.len(), 23);
+        assert_eq!(entries[0].counters, gated);
+        // A sparse hand-written entry carries exactly the counters it has.
+        let text = r#"{"tool": "repro", "quick": true, "experiments": [
+            {"name": "e1", "wall_ms": 10.000},
+            {"name": "e12/spill", "wall_ms": 2.000, "scans": 2, "tuples_scanned": 80000,
+             "bytes_spilled": 65536, "spill_partitions": 4, "cancel_polls": 7}]}"#;
+        let entries = parse_entries(text).unwrap();
+        assert_eq!(entries.len(), 1);
         assert_eq!(
             entries[0].counters,
-            vec![(0, 1), (1, 40000), (2, 40000), (3, 200000), (4, 0), (5, 0)]
+            vec![
+                (scans, 2),
+                (tuples_scanned, 80000),
+                (spill_partitions, 4),
+                (bytes_spilled, 65536)
+            ],
+            "ungated cancel_polls must not gate"
         );
-        assert_eq!(entries[1].name, "e12/spill");
-        assert_eq!(entries[1].counters.len(), 9);
-        assert!(entries[1].counters.contains(&(6, 65536)));
-        assert!(entries[1].counters.contains(&(7, 4)));
-        assert!(entries[1].counters.contains(&(8, 65536)));
+    }
+
+    #[test]
+    fn check_is_layout_independent_and_rejects_malformed_json() {
+        // A `jq .`-style reflow of the same baseline gates identically: the
+        // old line-based reader parsed it to zero counters and passed.
+        let single = written("e11/equality/serial");
+        let pretty = single
+            .replace(",\"", ",\n        \"")
+            .replace('{', "{\n        ")
+            .replace('}', "\n    }");
+        assert!(pretty.lines().count() > 40, "{pretty}");
+        let grown = single.replace("\"probes\":3", "\"probes\":4");
+        assert_ne!(grown, single);
+        let new = parse_entries(&grown).unwrap();
+        let from_single = compare_entries(&new, &parse_entries(&single).unwrap());
+        let from_pretty = compare_entries(&new, &parse_entries(&pretty).unwrap());
+        assert_eq!(from_single.len(), 1, "{from_single:?}");
+        assert!(from_single[0].contains("probes regressed 3 -> 4"));
+        assert_eq!(from_single, from_pretty);
+        // Malformed JSON is a usage error (exit 2), never a clean pass.
+        let dir = std::env::temp_dir();
+        let good = dir.join(format!("repro-check-good-{}.json", std::process::id()));
+        let bad = dir.join(format!("repro-check-bad-{}.json", std::process::id()));
+        std::fs::write(&good, &single).unwrap();
+        std::fs::write(
+            &bad,
+            single.replace("\"experiments\": [", "\"experiments\": "),
+        )
+        .unwrap();
+        let (good_s, bad_s) = (good.to_str().unwrap(), bad.to_str().unwrap());
+        assert_eq!(run_check(good_s, good_s), 0);
+        assert_eq!(run_check(good_s, bad_s), 2);
+        assert_eq!(run_check(bad_s, good_s), 2);
+        let _ = std::fs::remove_file(good);
+        let _ = std::fs::remove_file(bad);
     }
 
     #[test]
     fn check_flags_grown_counters_only() {
-        let base = vec![CheckEntry::dense(
-            "e11/equality/vectorized",
-            [1, 40000, 40000, 200000, 10, 0, 0, 0, 0],
-        )];
+        let name = "e11/equality/vectorized";
+        let base = vec![dense(name, [1, 40000, 40000, 200000, 10, 0, 0, 0, 0])];
         // Identical counters: clean.
-        let same = vec![CheckEntry::dense(
-            "e11/equality/vectorized",
-            [1, 40000, 40000, 200000, 10, 0, 0, 0, 0],
-        )];
+        let same = vec![dense(name, [1, 40000, 40000, 200000, 10, 0, 0, 0, 0])];
         assert!(compare_entries(&same, &base).is_empty());
         // A shrunk counter (less work) is not a regression.
-        let better = vec![CheckEntry::dense(
-            "e11/equality/vectorized",
-            [1, 40000, 39000, 200000, 10, 0, 0, 0, 0],
-        )];
+        let better = vec![dense(name, [1, 40000, 39000, 200000, 10, 0, 0, 0, 0])];
         assert!(compare_entries(&better, &base).is_empty());
         // A grown counter is.
-        let worse = vec![CheckEntry::dense(
-            "e11/equality/vectorized",
-            [1, 40000, 40000, 200000, 10, 3, 0, 0, 0],
-        )];
+        let worse = vec![dense(name, [1, 40000, 40000, 200000, 10, 3, 0, 0, 0])];
         let regressions = compare_entries(&worse, &base);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("batch_fallbacks regressed 0 -> 3"));
         // Entries present only in the new run are new coverage and pass...
         let extra = vec![
-            CheckEntry::dense(
-                "e11/equality/vectorized",
-                [1, 40000, 40000, 200000, 10, 0, 0, 0, 0],
-            ),
-            CheckEntry::dense("e11/new-shape/vectorized", [9, 9, 9, 9, 9, 9, 9, 9, 9]),
+            dense(name, [1, 40000, 40000, 200000, 10, 0, 0, 0, 0]),
+            dense("e11/new-shape/vectorized", [9; 9]),
         ];
         assert!(compare_entries(&extra, &base).is_empty());
         // ...but a baseline entry that disappeared from the new run is a
         // lost gate and fails loudly, not a silent skip.
-        let disjoint = vec![CheckEntry::dense(
-            "e11/new-shape/vectorized",
-            [9, 9, 9, 9, 9, 9, 9, 9, 9],
-        )];
+        let disjoint = vec![dense("e11/new-shape/vectorized", [9; 9])];
         let missing = compare_entries(&disjoint, &base);
         assert_eq!(missing.len(), 1);
         assert!(
@@ -2043,21 +1911,16 @@ mod tests {
     #[test]
     fn check_flags_disappearing_counters_with_an_explicit_diff() {
         // The baseline gates nine counters; the new run dropped two of them
-        // (e.g. a refactor stopped emitting the spill counters). The old
-        // intersection gate would have passed this silently — it must fail,
-        // naming each vanished counter and the value it used to gate.
-        let base = vec![CheckEntry::dense(
+        // (e.g. a refactor stopped emitting the spill counters). An
+        // intersection gate would pass this silently — it must fail, naming
+        // each vanished counter and the value it used to gate.
+        let base = vec![dense(
             "e12/spill",
             [2, 100, 100, 100, 0, 0, 65536, 4, 65536],
         )];
-        let shrunk = vec![CheckEntry {
-            name: "e12/spill".into(),
-            counters: [2u64, 100, 100, 100, 0, 0, 65536]
-                .into_iter()
-                .enumerate()
-                .collect(),
-        }];
-        let regressions = compare_entries(&shrunk, &base);
+        let mut shrunk = dense("e12/spill", [2, 100, 100, 100, 0, 0, 65536, 4, 65536]);
+        shrunk.counters.truncate(7);
+        let regressions = compare_entries(&[shrunk], &base);
         assert_eq!(regressions.len(), 2, "{regressions:?}");
         assert!(regressions[0]
             .contains("spill_partitions missing from the new run (baseline gates it at 4)"));
@@ -2065,47 +1928,22 @@ mod tests {
             .contains("spill_read_bytes missing from the new run (baseline gates it at 65536)"));
         // A new run carrying a superset of the baseline's counters stays
         // clean: sparseness is tolerated in the old-baseline direction only.
-        let superset = vec![CheckEntry {
-            name: "e12/spill".into(),
-            counters: vec![
-                (0, 2),
-                (1, 100),
-                (2, 100),
-                (3, 100),
-                (4, 0),
-                (5, 0),
-                (6, 65536),
-                (7, 4),
-                (8, 65536),
-                (15, 3),
-                (19, 1),
-            ],
-        }];
-        assert!(compare_entries(&superset, &base).is_empty());
+        let mut superset = dense("e12/spill", [2, 100, 100, 100, 0, 0, 65536, 4, 65536]);
+        superset
+            .counters
+            .extend([(cache_hits, 3), (ingest_batches, 1)]);
+        assert!(compare_entries(&[superset], &base).is_empty());
     }
 
     #[test]
     fn check_parses_and_gates_the_cache_counters() {
-        // An E13-era entry carries the cuboid-cache and ingest counters...
-        let line = "    {\"name\": \"e13/warm\", \"wall_ms\": 0.050, \
-                    \"scans\": 0, \"tuples\": 0, \"probes\": 0, \"updates\": 0, \
-                    \"batches\": 0, \"batch_fallbacks\": 0, \"bytes_spilled\": 0, \
-                    \"spill_partitions\": 0, \"spill_read_bytes\": 0, \"fallback_theta\": 0, \
-                    \"fallback_prefilter\": 0, \"fallback_key\": 0, \"fallback_agg\": 0, \
-                    \"gen_sets\": 0, \"gen_set_fallbacks\": 0, \"cache_hits\": 3, \
-                    \"cache_rollup_hits\": 0, \"cache_misses\": 0, \
-                    \"cache_invalidations\": 0, \"ingest_batches\": 0},";
-        let entries = parse_baseline(line);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].counters.len(), 20);
-        assert!(entries[0].counters.contains(&(15, 3)));
-        // ...and a warm query newly falling out of the cache (hits stay, but
+        // A warm query newly falling out of the cache (hits stay, but
         // misses grow) fails the gate.
         let with = |misses: u64| {
-            vec![CheckEntry {
-                name: "e13/warm".into(),
-                counters: vec![(15, 3), (17, misses)],
-            }]
+            vec![entry(
+                "e13/warm",
+                &[(cache_hits, 3), (cache_misses, misses)],
+            )]
         };
         assert!(compare_entries(&with(0), &with(0)).is_empty());
         let regressions = compare_entries(&with(1), &with(0));
@@ -2115,30 +1953,18 @@ mod tests {
 
     #[test]
     fn check_parses_and_gates_the_paged_counters() {
-        // An E14-era entry carries the paged-I/O counters at the tail...
-        let line = "    {\"name\": \"e14/pruned/serial\", \"wall_ms\": 0.050, \
-                    \"scans\": 1, \"tuples\": 0, \"probes\": 0, \"updates\": 0, \
-                    \"batches\": 0, \"batch_fallbacks\": 0, \"bytes_spilled\": 0, \
-                    \"spill_partitions\": 0, \"spill_read_bytes\": 0, \"fallback_theta\": 0, \
-                    \"fallback_prefilter\": 0, \"fallback_key\": 0, \"fallback_agg\": 0, \
-                    \"gen_sets\": 0, \"gen_set_fallbacks\": 0, \"cache_hits\": 0, \
-                    \"cache_rollup_hits\": 0, \"cache_misses\": 0, \
-                    \"cache_invalidations\": 0, \"ingest_batches\": 0, \
-                    \"bytes_read\": 40960, \"pages_read\": 10, \"pool_evictions\": 6},";
-        let entries = parse_baseline(line);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].counters.len(), 23);
-        assert!(entries[0].counters.contains(&(20, 40960)));
-        assert!(entries[0].counters.contains(&(21, 10)));
-        assert!(entries[0].counters.contains(&(22, 6)));
-        // ...and a pruned scan newly touching extra pages fails the gate:
-        // losing the Theorem 4.2 pushdown is an I/O regression even when the
+        // A pruned scan newly touching extra pages fails the gate: losing
+        // the Theorem 4.2 pushdown is an I/O regression even when the
         // answer (and every in-memory counter) stays the same.
         let with = |pages: u64| {
-            vec![CheckEntry {
-                name: "e14/pruned/serial".into(),
-                counters: vec![(20, pages * 4096), (21, pages), (22, 6)],
-            }]
+            vec![entry(
+                "e14/pruned/serial",
+                &[
+                    (bytes_read, pages * 4096),
+                    (pages_read, pages),
+                    (pool_evictions, 6),
+                ],
+            )]
         };
         assert!(compare_entries(&with(10), &with(10)).is_empty());
         let regressions = compare_entries(&with(12), &with(10));
@@ -2153,31 +1979,25 @@ mod tests {
 
     #[test]
     fn check_compares_sparse_entries_over_the_key_intersection() {
-        // A baseline written before the spill counters existed gates only
-        // the six counters it carries against a current 9-counter run...
-        let old_base = vec![CheckEntry {
-            name: "e11/equality/serial".into(),
-            counters: (0..6).map(|i| (i, 100)).collect(),
-        }];
-        let current = vec![CheckEntry::dense(
-            "e11/equality/serial",
-            [100, 100, 100, 100, 100, 100, 77777, 5, 77777],
-        )];
+        // A baseline carrying six counters gates only those against a
+        // nine-counter run...
+        let mut old_base = dense("e11/equality/serial", [100; 9]);
+        old_base.counters.truncate(6);
+        let old_base = vec![old_base];
+        let name = "e11/equality/serial";
+        let current = vec![dense(name, [100, 100, 100, 100, 100, 100, 77777, 5, 77777])];
         assert!(compare_entries(&current, &old_base).is_empty());
         // ...a regression in a shared counter still fires...
-        let grown = vec![CheckEntry::dense(
-            "e11/equality/serial",
-            [100, 100, 101, 100, 100, 100, 77777, 5, 77777],
-        )];
+        let grown = vec![dense(name, [100, 100, 101, 100, 100, 100, 77777, 5, 77777])];
         let regressions = compare_entries(&grown, &old_base);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("probes regressed 100 -> 101"));
-        // ...and a 9-counter baseline gates the spill counters too.
-        let new_base = vec![CheckEntry::dense(
+        // ...and a nine-counter baseline gates the spill counters too.
+        let new_base = vec![dense(
             "e12/spill",
             [2, 100, 100, 100, 0, 0, 65536, 4, 65536],
         )];
-        let spill_grew = vec![CheckEntry::dense(
+        let spill_grew = vec![dense(
             "e12/spill",
             [2, 100, 100, 100, 0, 0, 70000, 4, 70000],
         )];
@@ -2189,27 +2009,18 @@ mod tests {
 
     #[test]
     fn check_gates_fallback_attribution_and_generalized_counters() {
-        // A BENCH_3-era entry parses the attribution and generalized
-        // counters the writer now emits...
-        let line = "    {\"name\": \"e11/fused-k4/vectorized\", \"wall_ms\": 3.000, \
-                    \"scans\": 1, \"tuples\": 40000, \"probes\": 160000, \"updates\": 80000, \
-                    \"batches\": 40, \"batch_fallbacks\": 0, \"bytes_spilled\": 0, \
-                    \"spill_partitions\": 0, \"spill_read_bytes\": 0, \"fallback_theta\": 0, \
-                    \"fallback_prefilter\": 0, \"fallback_key\": 0, \"fallback_agg\": 0, \
-                    \"gen_sets\": 4, \"gen_set_fallbacks\": 0},";
-        let entries = parse_baseline(line);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].counters.len(), 15);
-        assert!(entries[0].counters.contains(&(13, 4)));
-        assert!(entries[0].counters.contains(&(14, 0)));
-        // ...and a condition set newly delegating to scalar — or a batch
-        // newly falling back for an attributed reason — fails the gate,
-        // while the overall set count holding steady stays clean.
+        // A condition set newly delegating to scalar — or a batch newly
+        // falling back for an attributed reason — fails the gate, while the
+        // overall set count holding steady stays clean.
         let with = |theta: u64, gen_fall: u64| {
-            vec![CheckEntry {
-                name: "e11/fused-k4/vectorized".into(),
-                counters: vec![(9, theta), (13, 4), (14, gen_fall)],
-            }]
+            vec![entry(
+                "e11/fused-k4/vectorized",
+                &[
+                    (fallback_theta, theta),
+                    (gen_sets, 4),
+                    (gen_set_fallbacks, gen_fall),
+                ],
+            )]
         };
         assert!(compare_entries(&with(0, 0), &with(0, 0)).is_empty());
         let regressions = compare_entries(&with(5, 1), &with(0, 0));

@@ -18,7 +18,7 @@ use crate::cache::CuboidCache;
 use crate::error::{CoreError, Result};
 use crate::governor::{CancelToken, MemoryTracker};
 use mdj_agg::Registry;
-use mdj_storage::{Catalog, Row, ScanStats};
+use mdj_storage::{Catalog, Counter, Row, ScanStats};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -540,10 +540,8 @@ impl ExecContext {
     /// [`ScanStats`] so they surface in EXPLAIN ANALYZE and stats snapshots.
     pub fn ingest(&self, table: &str, rows: Vec<Row>) -> Result<IngestReport> {
         let report = self.engine.ingest(table, rows)?;
-        if let Some(stats) = self.stats() {
-            stats.record_ingest_batch();
-            stats.record_cache_invalidations(report.cache_invalidated);
-        }
+        self.count(Counter::ingest_batches, 1);
+        self.count(Counter::cache_invalidations, report.cache_invalidated);
         Ok(report)
     }
 
@@ -564,13 +562,6 @@ impl ExecContext {
     }
 
     pub fn spill_policy(&self) -> SpillPolicy {
-        self.engine.spill
-    }
-
-    /// One-release compatibility alias for [`spill_policy`](Self::spill_policy)
-    /// (the former `spill` field).
-    #[doc(hidden)]
-    pub fn spill(&self) -> SpillPolicy {
         self.engine.spill
     }
 
@@ -613,9 +604,7 @@ impl ExecContext {
         if self.query.cancel.is_none() && self.query.deadline.is_none() {
             return Ok(());
         }
-        if let Some(s) = &self.query.stats {
-            s.record_cancel_poll();
-        }
+        self.count(Counter::cancel_polls, 1);
         if let Some(token) = &self.query.cancel {
             if token.is_cancelled() {
                 return Err(CoreError::Cancelled);
@@ -654,82 +643,12 @@ impl ExecContext {
         false
     }
 
-    pub(crate) fn record_scan(&self, tuples: u64) {
+    /// Record `n` against counter `c` of this query's [`ScanStats`]; a no-op
+    /// when the query collects none.
+    #[inline]
+    pub fn count(&self, c: Counter, n: u64) {
         if let Some(s) = &self.query.stats {
-            s.record_scan();
-            s.record_tuples(tuples);
-        }
-    }
-
-    pub(crate) fn record_probes(&self, n: u64) {
-        if let Some(s) = &self.query.stats {
-            s.record_probes(n);
-        }
-    }
-
-    pub(crate) fn record_updates(&self, n: u64) {
-        if let Some(s) = &self.query.stats {
-            s.record_updates(n);
-        }
-    }
-
-    pub(crate) fn record_worker(&self, worker: mdj_storage::WorkerStats) {
-        if let Some(s) = &self.query.stats {
-            s.record_worker(worker);
-        }
-    }
-
-    pub(crate) fn record_batch(&self) {
-        if let Some(s) = &self.query.stats {
-            s.record_batch();
-        }
-    }
-
-    pub(crate) fn record_batch_fallback(&self) {
-        if let Some(s) = &self.query.stats {
-            s.record_batch_fallback();
-        }
-    }
-
-    pub(crate) fn record_fallback_reason(&self, reason: mdj_storage::FallbackReason) {
-        if let Some(s) = &self.query.stats {
-            s.record_fallback_reason(reason);
-        }
-    }
-
-    pub(crate) fn record_gen_set(&self, scalar: bool) {
-        if let Some(s) = &self.query.stats {
-            s.record_gen_set(scalar);
-        }
-    }
-
-    pub(crate) fn record_auto_decision(&self, coverage_permille: u64, batched: bool) {
-        if let Some(s) = &self.query.stats {
-            s.record_auto_decision(coverage_permille, batched);
-        }
-    }
-
-    pub(crate) fn record_morsel_retry(&self) {
-        if let Some(s) = &self.query.stats {
-            s.record_morsel_retry();
-        }
-    }
-
-    pub(crate) fn record_degradation(&self) {
-        if let Some(s) = &self.query.stats {
-            s.record_degradation();
-        }
-    }
-
-    pub(crate) fn record_spill_partition(&self, bytes: u64) {
-        if let Some(s) = &self.query.stats {
-            s.record_spill_partition(bytes);
-        }
-    }
-
-    pub(crate) fn record_spill_read_bytes(&self, bytes: u64) {
-        if let Some(s) = &self.query.stats {
-            s.record_spill_read_bytes(bytes);
+            s.count(c, n);
         }
     }
 
@@ -775,9 +694,10 @@ mod tests {
         let ctx = ExecContext::new()
             .with_strategy(ProbeStrategy::NestedLoop)
             .with_stats(stats.clone());
-        ctx.record_scan(10);
-        ctx.record_probes(5);
-        ctx.record_updates(2);
+        ctx.count(Counter::scans, 1);
+        ctx.count(Counter::tuples_scanned, 10);
+        ctx.count(Counter::probes, 5);
+        ctx.count(Counter::updates, 2);
         assert_eq!(stats.scans(), 1);
         assert_eq!(stats.tuples_scanned(), 10);
         assert_eq!(stats.probes(), 5);
@@ -787,7 +707,7 @@ mod tests {
     #[test]
     fn recording_without_stats_is_a_noop() {
         let ctx = ExecContext::new();
-        ctx.record_scan(10); // must not panic
+        ctx.count(Counter::scans, 1); // must not panic
         assert!(ctx.stats().is_none());
     }
 

@@ -43,7 +43,7 @@ use crate::paged::PagedScan;
 use crate::probe::ProbePlan;
 use crate::vectorized::{apply_batch, BatchProbe, ColStates, Scoreboard, MAX_BATCH};
 use crossbeam::deque::{Steal, Stealer, Worker};
-use mdj_storage::{ColumnarChunk, Relation, Row, Schema, Value, WorkerStats};
+use mdj_storage::{ColumnarChunk, Counter, Relation, Row, Schema, Value, WorkerStats};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -351,9 +351,9 @@ impl<'a> Evaluator<'a> {
         for (k, (blk, probe)) in self.blocks.iter().zip(probes).enumerate() {
             pairs.clear();
             let fell_back = probe.matches_batch(&chunk, rows, ctx, &mut pairs)?;
-            ctx.record_batch();
+            ctx.count(Counter::batches, 1);
             if fell_back {
-                ctx.record_batch_fallback();
+                ctx.count(Counter::batch_fallbacks, 1);
                 self.fell_back[k].store(true, Ordering::Relaxed);
             }
             if pairs.is_empty() || blk.aggs.is_empty() {
@@ -621,7 +621,8 @@ pub(crate) fn run(
     let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
     let bound = bind_blocks(b, grid.schema, blocks, ctx)?;
     let mut states = States::new(&bound, b.len(), ctx)?;
-    ctx.record_scan(grid.rows());
+    ctx.count(Counter::scans, 1);
+    ctx.count(Counter::tuples_scanned, grid.rows());
     // The serial sink's typed kernels read their inputs from each batch's
     // chunk; deltas carry theirs in row form.
     let kernel_inputs = match driver {
@@ -638,13 +639,13 @@ pub(crate) fn run(
                 updates += eval.scan(rows, ctx, &mut states)?;
                 Ok(())
             })?;
-            ctx.record_updates(updates);
+            ctx.count(Counter::updates, updates);
         }
     }
     if batch && blocks.len() > 1 {
-        for fell in &eval.fell_back {
-            ctx.record_gen_set(fell.load(Ordering::Relaxed));
-        }
+        let fell = eval.fell_back.iter().filter(|f| f.load(Ordering::Relaxed));
+        ctx.count(Counter::gen_sets, blocks.len() as u64);
+        ctx.count(Counter::gen_set_fallbacks, fell.count() as u64);
     }
     Ok(states.finalize(b, schema))
 }
@@ -669,7 +670,7 @@ fn run_isolated<T>(ctx: &ExecContext, morsel: usize, f: impl Fn() -> Result<T>) 
                         message: panic_message(payload.as_ref()),
                     });
                 }
-                ctx.record_morsel_retry();
+                ctx.count(Counter::morsel_retries, 1);
             }
         }
     }
@@ -777,7 +778,7 @@ fn detail_parallel<'a>(
                 })?;
                 Ok((delta, tuples, updates))
             })?;
-            ctx.record_updates(updates);
+            ctx.count(Counter::updates, updates);
             ws.tuples += tuples;
             ws.updates += updates;
             // Wait for this chunk's turn, apply, pass the turn on. The worker
@@ -795,7 +796,9 @@ fn detail_parallel<'a>(
             turned.notify_all();
         }
         guard.2 = false;
-        ctx.record_worker(ws);
+        if let Some(stats) = ctx.stats() {
+            stats.record_worker(ws);
+        }
         Ok(())
     };
     run_workers(vec![(); threads], worker)?;
@@ -889,7 +892,9 @@ fn base_partitioned(
                     ws.tuples += range.len() as u64;
                     done.push((slot, fragment(slot, range)?));
                 }
-                ctx.record_worker(ws);
+                if let Some(stats) = ctx.stats() {
+                    stats.record_worker(ws);
+                }
                 Ok(done)
             })?
             .into_iter()

@@ -24,6 +24,7 @@
 //! partition halves its charge and the degradation loop terminates.
 
 use crate::error::{CoreError, Result};
+use mdj_storage::Counter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -396,9 +397,7 @@ impl MemCharge {
                     }
                 }
                 tracker.try_charge(bytes as u64)?;
-                if let Some(s) = ctx.stats() {
-                    s.record_bytes_charged(bytes as u64);
-                }
+                ctx.count(Counter::bytes_charged, bytes as u64);
                 Ok(MemCharge {
                     tracker: Some(tracker.clone()),
                     bytes: bytes as u64,
@@ -456,7 +455,7 @@ impl GrowthMeter {
             tracker.try_charge(delta as u64)?;
             self.charged += delta as u64;
             if let Some(s) = &self.stats {
-                s.record_bytes_charged(delta as u64);
+                s.count(Counter::bytes_charged, delta as u64);
             }
         }
         Ok(())

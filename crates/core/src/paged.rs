@@ -27,8 +27,8 @@ use crate::governor::MemoryPool;
 use mdj_expr::analysis::{conjuncts, extract_range};
 use mdj_expr::{Expr, Side};
 use mdj_storage::{
-    BufferPool, KeyBounds, PagedTable, PinnedPage, PoolChargeFailed, PoolChargeHook, Relation,
-    Schema,
+    BufferPool, Counter, KeyBounds, PagedTable, PinnedPage, PoolChargeFailed, PoolChargeHook,
+    Relation, Schema,
 };
 use std::any::Any;
 use std::ops::Bound;
@@ -187,7 +187,8 @@ impl PagedScan {
                 rel.push_unchecked(row.clone());
             }
         }
-        ctx.record_scan(rows);
+        ctx.count(Counter::scans, 1);
+        ctx.count(Counter::tuples_scanned, rows);
         Ok(rel)
     }
 }

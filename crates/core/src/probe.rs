@@ -29,7 +29,7 @@ use crate::governor::{self, MemCharge};
 use mdj_expr::analysis::probe_bindings;
 use mdj_expr::builder::and_all;
 use mdj_expr::{BoundExpr, Expr, Side};
-use mdj_storage::{HashIndex, Relation, Schema, Value};
+use mdj_storage::{Counter, HashIndex, Relation, Schema, Value};
 
 /// Normalize a key value for structural hashing: integral floats become
 /// ints so `B.month = R.month + 1` matches even when one side computed a
@@ -248,7 +248,7 @@ impl ProbePlan {
                         return Ok(());
                     }
                 }
-                ctx.record_probes(b.len() as u64);
+                ctx.count(Counter::probes, b.len() as u64);
                 for (i, row) in b.iter().enumerate() {
                     if theta.eval_bool(row.values(), t)? {
                         out.push(i);
@@ -276,7 +276,7 @@ impl ProbePlan {
                     key_scratch.push(v);
                 }
                 let bucket = index.get(key_scratch);
-                ctx.record_probes(bucket.len() as u64);
+                ctx.count(Counter::probes, bucket.len() as u64);
                 match residual {
                     None => out.extend_from_slice(bucket),
                     Some(res) => {

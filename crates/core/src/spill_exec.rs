@@ -33,7 +33,9 @@ use crate::probe::canon_key;
 use mdj_agg::AggSpec;
 use mdj_expr::analysis::probe_bindings;
 use mdj_expr::{BoundExpr, Expr};
-use mdj_storage::{read_run, Relation, Row, RunFile, RunWriter, Schema, StorageError, Value};
+use mdj_storage::{
+    read_run, Counter, Relation, Row, RunFile, RunWriter, Schema, StorageError, Value,
+};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 
@@ -153,7 +155,8 @@ pub(crate) fn md_join_spilled(
     // byte written is read back exactly once.
     let dir = ctx.spill_dir();
     let mut writers: Vec<Option<RunWriter>> = (0..m).map(|_| None).collect();
-    ctx.record_scan(r.len() as u64);
+    ctx.count(Counter::scans, 1);
+    ctx.count(Counter::tuples_scanned, r.len() as u64);
     for (n, t) in r.iter().enumerate() {
         if n % CANCEL_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
@@ -205,7 +208,8 @@ pub(crate) fn md_join_spilled(
             }));
         }
         let run = w.finish()?;
-        ctx.record_spill_partition(run.bytes_written());
+        ctx.count(Counter::spill_partitions, 1);
+        ctx.count(Counter::bytes_spilled, run.bytes_written());
         runs.push(Some(run));
     }
 
@@ -229,7 +233,7 @@ pub(crate) fn md_join_spilled(
                     corrupt_run_file(run.path())?;
                 }
                 let (rel, bytes_read) = read_run(run.path())?;
-                ctx.record_spill_read_bytes(bytes_read);
+                ctx.count(Counter::spill_read_bytes, bytes_read);
                 rel
                 // `run` drops here: the file is unlinked as soon as its
                 // partition is in memory, not at the end of the query.

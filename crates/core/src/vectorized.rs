@@ -39,7 +39,7 @@ use mdj_expr::vectorized::{
 };
 use mdj_expr::{Expr, Side};
 use mdj_storage::{
-    Column, ColumnarChunk, FallbackReason, HashIndex, KeyBuildHasher, Relation, Row, Value,
+    Column, ColumnarChunk, Counter, HashIndex, KeyBuildHasher, Relation, Row, Value,
 };
 use std::collections::HashMap;
 
@@ -195,7 +195,7 @@ impl<'a> BatchProbe<'a> {
             Some(p) => match eval_batch(p, chunk) {
                 Some(bv) => Some(bv.to_selection(n)),
                 None => {
-                    ctx.record_fallback_reason(FallbackReason::Prefilter);
+                    ctx.count(Counter::fallback_prefilter, 1);
                     fell_back = true;
                     None
                 }
@@ -237,7 +237,7 @@ impl<'a> BatchProbe<'a> {
                     let Some(bucket) = prober.bucket(i, &mut scratch) else {
                         continue;
                     };
-                    ctx.record_probes(bucket.len() as u64);
+                    ctx.count(Counter::probes, bucket.len() as u64);
                     cands.extend(bucket.iter().map(|&bi| (i as u32, bi)));
                 }
                 match residual {
@@ -246,7 +246,7 @@ impl<'a> BatchProbe<'a> {
                 }
                 return Ok(fell_back);
             }
-            ctx.record_fallback_reason(FallbackReason::Key);
+            ctx.count(Counter::fallback_key, 1);
             fell_back = true;
         } else if let Some(bound) = &self.nl_bound {
             // Vectorized nested loop: θ was bound to each base row up front,
@@ -297,7 +297,7 @@ impl<'a> BatchProbe<'a> {
                 // Every surviving tuple examines all of B — exactly the
                 // scalar nested loop's accounting; prefiltered-out tuples
                 // record zero probes.
-                ctx.record_probes(n_survive * self.b.len() as u64);
+                ctx.count(Counter::probes, n_survive * self.b.len() as u64);
                 for i in 0..n {
                     if !survive[i] {
                         continue;
@@ -313,11 +313,11 @@ impl<'a> BatchProbe<'a> {
                 }
                 return Ok(fell_back);
             }
-            ctx.record_fallback_reason(FallbackReason::Theta);
+            ctx.count(Counter::fallback_theta, 1);
             fell_back = true;
         } else {
             // Nested loop whose θ shape has no batch form: inherently scalar.
-            ctx.record_fallback_reason(FallbackReason::Theta);
+            ctx.count(Counter::fallback_theta, 1);
             fell_back = true;
         }
 
@@ -672,7 +672,7 @@ pub(crate) fn apply_batch(
                 // Strings, mixed-typed, or unmaterialized columns: replay
                 // the exact scalar update protocol value by value.
                 _ => {
-                    ctx.record_fallback_reason(FallbackReason::Agg);
+                    ctx.count(Counter::fallback_agg, 1);
                     for (bi, idxs) in groups {
                         for &i in idxs {
                             states[*bi].update_value(&rows[start + i as usize][c])?;
@@ -683,7 +683,7 @@ pub(crate) fn apply_batch(
         },
         ColStates::Boxed(states) => {
             // Kernel-less (e.g. holistic) aggregates never batch.
-            ctx.record_fallback_reason(FallbackReason::Agg);
+            ctx.count(Counter::fallback_agg, 1);
             for (bi, idxs) in groups {
                 for &i in idxs {
                     let v = match ba.input_col {

@@ -22,7 +22,7 @@ use crate::shutdown::{DrainReport, ShutdownController};
 use mdj_core::governor::{CancelToken, MemoryPool};
 use mdj_core::{CoreError, EngineConfig, ExecContext, IngestReport, QueryCtx};
 use mdj_sql::{PreparedStatement, SqlEngine};
-use mdj_storage::{Row, ScanStats, StatsSnapshot, SweepReport, Value};
+use mdj_storage::{Counter, Row, ScanStats, StatsSnapshot, SweepReport, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,15 +98,13 @@ pub struct QueryService {
     shutdown: ShutdownController,
     /// What the startup crash-recovery sweep of the spill dir found.
     recovery: SweepReport,
-    /// Lifetime ingest totals for the `stats` surface (per-batch figures
-    /// travel in each `ingest` response).
-    ingest_batches: AtomicU64,
+    /// Lifetime counter totals: every query's snapshot is absorbed here
+    /// however the query ended, and ingest batches are counted directly
+    /// (per-query figures travel in each response's `stats` object).
+    totals: ScanStats,
+    /// Lifetime rows ingested (per-batch figures travel in each `ingest`
+    /// response).
     ingest_rows: AtomicU64,
-    /// Lifetime paged-I/O totals across every query (per-query figures
-    /// travel in each response's `stats` object).
-    paged_bytes_read: AtomicU64,
-    paged_pages_read: AtomicU64,
-    paged_pool_evictions: AtomicU64,
     /// Durable page store backing the catalog, when the daemon was started
     /// with `--data`. Ingest batches are appended here *after* the
     /// in-memory commit so restarts serve the same tables.
@@ -146,11 +144,8 @@ impl QueryService {
             next_query: AtomicU64::new(1),
             shutdown: ShutdownController::new(),
             recovery,
-            ingest_batches: AtomicU64::new(0),
+            totals: ScanStats::new(),
             ingest_rows: AtomicU64::new(0),
-            paged_bytes_read: AtomicU64::new(0),
-            paged_pages_read: AtomicU64::new(0),
-            paged_pool_evictions: AtomicU64::new(0),
             paged_store: Mutex::new(None),
             #[cfg(feature = "fault-injection")]
             fault: Mutex::new(None),
@@ -421,7 +416,9 @@ impl QueryService {
                 let _ = self.engine.catalog().attach_paged(table, t);
             }
         }
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
+        self.totals.count(Counter::ingest_batches, 1);
+        self.totals
+            .count(Counter::cache_invalidations, report.cache_invalidated);
         self.ingest_rows
             .fetch_add(report.rows as u64, Ordering::Relaxed);
         Ok(report)
@@ -445,22 +442,17 @@ impl QueryService {
             .clone()
     }
 
-    /// Lifetime `(batches, rows)` ingested through this service.
-    pub fn ingest_totals(&self) -> (u64, u64) {
-        (
-            self.ingest_batches.load(Ordering::Relaxed),
-            self.ingest_rows.load(Ordering::Relaxed),
-        )
+    /// Lifetime rows ingested through this service (batches are the
+    /// `ingest_batches` row of [`totals`](Self::totals)).
+    pub fn ingest_rows(&self) -> u64 {
+        self.ingest_rows.load(Ordering::Relaxed)
     }
 
-    /// Lifetime paged-store I/O: `(bytes_read, pages_read, pool_evictions)`
-    /// summed over every query executed by this service.
-    pub fn paged_totals(&self) -> (u64, u64, u64) {
-        (
-            self.paged_bytes_read.load(Ordering::Relaxed),
-            self.paged_pages_read.load(Ordering::Relaxed),
-            self.paged_pool_evictions.load(Ordering::Relaxed),
-        )
+    /// Lifetime counter totals over every query this service ran —
+    /// failed, cancelled and shed-mid-flight ones included — plus its
+    /// ingest batches.
+    pub fn totals(&self) -> StatsSnapshot {
+        self.totals.snapshot()
     }
 
     /// Cancel the running query tagged `tag` in `session`. Returns whether
@@ -547,14 +539,10 @@ impl QueryService {
             }
         }
 
-        let out = result.map_err(ServerError::from)?;
+        // 6. A query that failed still did its I/O: count it before `?`.
         let snapshot = stats.snapshot();
-        self.paged_bytes_read
-            .fetch_add(snapshot.bytes_read, Ordering::Relaxed);
-        self.paged_pages_read
-            .fetch_add(snapshot.pages_read, Ordering::Relaxed);
-        self.paged_pool_evictions
-            .fetch_add(snapshot.pool_evictions, Ordering::Relaxed);
+        self.totals.absorb(&snapshot);
+        let out = result.map_err(ServerError::from)?;
         Ok(QueryOutcome {
             columns: out.schema().names().iter().map(|s| s.to_string()).collect(),
             rows: out.rows().iter().map(|r| r.values().to_vec()).collect(),
@@ -694,6 +682,74 @@ mod tests {
         // Identical queries see identical — not accumulating — counters.
         assert_eq!(a.stats.tuples_scanned, b.stats.tuples_scanned);
         assert_eq!(a.stats.updates, b.stats.updates);
+    }
+
+    #[test]
+    fn failed_queries_still_reach_the_lifetime_totals() {
+        use mdj_storage::{BufferPool, PagedStore};
+        let dir = std::env::temp_dir().join(format!("mdj-service-totals-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // `big` overflows an i64 sum at the third row of a group, so a
+        // `sum(big)` query fails mid-scan, after reading pages.
+        let schema = Schema::from_pairs(&[("cust", DataType::Int), ("big", DataType::Int)]);
+        let rel = Relation::from_rows(
+            schema,
+            (0..64)
+                .map(|i: i64| Row::from_values(vec![Value::Int(i % 2), Value::Int(i64::MAX / 2)]))
+                .collect(),
+        );
+        let (store, _) = PagedStore::open(&dir).unwrap();
+        let table = store.create_table("T", &rel, "cust", 256).unwrap();
+        let engine = EngineConfig::new()
+            .register_table("T", table.read_all(None).unwrap())
+            .build();
+        engine.catalog().attach_paged("T", table).unwrap();
+        engine.attach_buffer_pool(BufferPool::new(64 * 1024));
+        let svc = QueryService::new(engine, ServiceConfig::default());
+        let sid = svc.open_session();
+
+        // Cold pool: the failing query is the one that reads the pages.
+        let err = svc
+            .query(
+                sid,
+                "select cust, sum(big) from T group by cust",
+                ExecOptions::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.code(), "execution_error", "{err}");
+        let failed = svc.totals();
+        assert!(failed.pages_read > 0, "{failed}");
+        assert!(
+            failed.bytes_read > 0 && failed.tuples_scanned > 0,
+            "{failed}"
+        );
+
+        // A deadline that has already passed is detected by the first
+        // governor poll; that poll (and whatever I/O preceded it) is counted.
+        let err = svc
+            .query(
+                sid,
+                "select count(*) from T",
+                ExecOptions {
+                    deadline: Some(Duration::from_nanos(1)),
+                    ..ExecOptions::default()
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err.code(), "deadline_exceeded");
+        let timed_out = svc.totals();
+        assert!(timed_out.cancel_polls > failed.cancel_polls);
+
+        // A successful query adds exactly its own snapshot.
+        let ok = svc
+            .query(sid, "select count(*) from T", ExecOptions::default())
+            .unwrap();
+        assert_eq!(
+            svc.totals().tuples_scanned,
+            timed_out.tuples_scanned + ok.stats.tuples_scanned
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

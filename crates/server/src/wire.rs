@@ -29,7 +29,7 @@
 use crate::error::ServerError;
 use crate::json::{parse, Json};
 use crate::service::{ExecOptions, QueryOutcome, QueryService};
-use mdj_storage::Value;
+use mdj_storage::{CounterDef, StatsSnapshot, Value};
 use std::time::Duration;
 
 /// Decode one request line, dispatch it to the service, encode the response
@@ -64,8 +64,7 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
         "stats" => {
             let pool = service.pool();
             let recovery = service.recovery_report();
-            let (ingest_batches, ingest_rows) = service.ingest_totals();
-            let (paged_bytes, paged_pages, paged_evictions) = service.paged_totals();
+            let totals = service.totals();
             let mut fields = vec![
                 ("ok", Json::Bool(true)),
                 ("sessions", Json::Int(service.session_count() as i64)),
@@ -82,11 +81,9 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
                     "recovered_spill_bytes",
                     Json::Int(recovery.bytes_removed as i64),
                 ),
-                ("ingest_batches", Json::Int(ingest_batches as i64)),
-                ("ingest_rows", Json::Int(ingest_rows as i64)),
-                ("paged_bytes_read", Json::Int(paged_bytes as i64)),
-                ("paged_pages_read", Json::Int(paged_pages as i64)),
-                ("paged_pool_evictions", Json::Int(paged_evictions as i64)),
+                ("ingest_batches", Json::Int(totals.ingest_batches as i64)),
+                ("ingest_rows", Json::Int(service.ingest_rows() as i64)),
+                ("totals", Json::obj(counter_fields(&totals, |_| true))),
             ];
             if let Some(cache) = service.engine().cuboid_cache() {
                 let m = cache.metrics();
@@ -283,21 +280,28 @@ fn outcome_json(out: QueryOutcome) -> Json {
             .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
             .collect(),
     );
-    let stats = Json::obj(vec![
-        ("tuples_scanned", Json::Int(out.stats.tuples_scanned as i64)),
-        ("updates", Json::Int(out.stats.updates as i64)),
-        ("bytes_charged", Json::Int(out.stats.bytes_charged as i64)),
-        ("degradations", Json::Int(out.stats.degradations as i64)),
-        ("bytes_read", Json::Int(out.stats.bytes_read as i64)),
-        ("pages_read", Json::Int(out.stats.pages_read as i64)),
-        ("pool_evictions", Json::Int(out.stats.pool_evictions as i64)),
-    ]);
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("columns", columns),
         ("rows", rows),
-        ("stats", stats),
+        (
+            "stats",
+            Json::obj(counter_fields(&out.stats, |def| def.wire)),
+        ),
     ])
+}
+
+/// The counter-table rows `keep` admits, as object fields keyed by table
+/// name.
+pub fn counter_fields(
+    stats: &StatsSnapshot,
+    keep: impl Fn(&CounterDef) -> bool,
+) -> Vec<(&'static str, Json)> {
+    stats
+        .iter()
+        .filter(|(def, _)| keep(def))
+        .map(|(def, v)| (def.name, Json::Int(v as i64)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -389,11 +393,11 @@ mod tests {
         assert_eq!(ok_field(&resp, "running_queries"), Json::Int(0));
         assert_eq!(ok_field(&resp, "draining"), Json::Bool(false));
         assert_eq!(ok_field(&resp, "recovered_spill_files"), Json::Int(0));
-        // Paged-store counters are always present; an in-memory-only
-        // service reports zero I/O.
-        assert_eq!(ok_field(&resp, "paged_bytes_read"), Json::Int(0));
-        assert_eq!(ok_field(&resp, "paged_pages_read"), Json::Int(0));
-        assert_eq!(ok_field(&resp, "paged_pool_evictions"), Json::Int(0));
+        // Lifetime totals are always present; a service that ran nothing
+        // reports zero work.
+        let totals = ok_field(&resp, "totals");
+        assert_eq!(totals.get("bytes_read"), Some(&Json::Int(0)));
+        assert_eq!(totals.get("tuples_scanned"), Some(&Json::Int(0)));
     }
 
     #[test]

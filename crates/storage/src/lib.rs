@@ -40,7 +40,8 @@ pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use spill::{read_run, sweep_orphans, write_run, RunFile, RunWriter, SweepReport};
 pub use stats::{
-    ColumnStats, FallbackReason, NdvSketch, ScanStats, StatsSnapshot, TableStats, WorkerStats,
+    Agg, ColumnStats, Counter, CounterDef, Group, NdvSketch, ScanStats, StatsSnapshot, TableStats,
+    WorkerStats, COUNTERS,
 };
 pub use value::cmp_int_float;
 pub use value::Value;

@@ -64,7 +64,7 @@ use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::stats::ScanStats;
+use crate::stats::{Counter, ScanStats};
 use crate::value::{cmp_int_float, Value};
 use std::any::Any;
 use std::cmp::Ordering;
@@ -755,7 +755,8 @@ impl PagedTable {
         for page_no in 0..self.page_count() {
             let (rows, bytes) = self.read_page(page_no)?;
             if let Some(s) = stats {
-                s.record_page_read(bytes);
+                s.count(Counter::pages_read, 1);
+                s.count(Counter::bytes_read, bytes);
             }
             for row in rows {
                 rel.push(row).map_err(|e| {
@@ -1267,7 +1268,7 @@ impl BufferPool {
             inner.resident -= frame.bytes;
             self.evictions.fetch_add(1, AtomicOrder::Relaxed);
             if let Some(s) = stats {
-                s.record_pool_eviction();
+                s.count(Counter::pool_evictions, 1);
             }
             // Dropping `frame` here releases its charge grant.
         }
@@ -1295,7 +1296,8 @@ impl BufferPool {
         debug_assert_eq!(bytes, need);
         self.misses.fetch_add(1, AtomicOrder::Relaxed);
         if let Some(s) = stats {
-            s.record_page_read(bytes);
+            s.count(Counter::pages_read, 1);
+            s.count(Counter::bytes_read, bytes);
         }
         let rows = Arc::new(rows);
         inner.frames.insert(

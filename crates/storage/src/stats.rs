@@ -10,11 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Per-worker accounting for the morsel-driven parallel executor: how many
-/// morsels a worker processed, how many tuples those covered, how many of its
-/// tasks were stolen from other workers' queues, and how many partial-state
-/// merges it performed. Imbalances between workers make scheduling skew
-/// visible; a non-zero steal count is the signature of work stealing
-/// rebalancing a skewed load.
+/// morsels a worker processed, how many tuples those covered, and how many of
+/// its tasks were stolen from other workers' queues. Imbalances between
+/// workers make scheduling skew visible; a non-zero steal count is the
+/// signature of work stealing rebalancing a skewed load.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerStats {
     /// Worker index within its pool.
@@ -30,8 +29,6 @@ pub struct WorkerStats {
     pub updates: u64,
     /// Morsels obtained by stealing from another worker's queue.
     pub steals: u64,
-    /// Partial aggregate-state merges performed during the merge phase.
-    pub merges: u64,
 }
 
 impl WorkerStats {
@@ -47,89 +44,249 @@ impl std::fmt::Display for WorkerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "worker {}: morsels={} tuples={} updates={} steals={} merges={}",
-            self.worker, self.morsels, self.tuples, self.updates, self.steals, self.merges
+            "worker {}: morsels={} tuples={} updates={} steals={}",
+            self.worker, self.morsels, self.tuples, self.updates, self.steals
         )
     }
 }
 
-/// Thread-safe operation counters. Cheap relaxed atomics; shareable across the
-/// parallel evaluators.
-#[derive(Debug, Default)]
+/// How repeated [`ScanStats::count`] calls on one counter combine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agg {
+    /// Each call adds to the running total.
+    Sum,
+    /// Each call overwrites: the counter describes the most recent event.
+    Latest,
+}
+
+/// One row of the counter table.
+#[derive(Debug)]
+pub struct CounterDef {
+    pub counter: Counter,
+    /// Field name: the counter's key in every JSON surface (the per-query
+    /// wire `stats` object, the `stats` op's `totals`, `repro --json`).
+    pub name: &'static str,
+    /// The `EXPLAIN ANALYZE` line the counter is printed on...
+    pub group: Group,
+    /// ...and its short label there.
+    pub label: &'static str,
+    pub agg: Agg,
+    /// Gated by `repro --check`: exact and machine-independent, and growth
+    /// means the engine did more work on a shape it used to cover.
+    pub gated: bool,
+    /// Carried in every query response's `stats` object.
+    pub wire: bool,
+}
+
+/// Expands the counter table into [`Counter`], [`Group`], [`COUNTERS`],
+/// [`StatsSnapshot`] and the named [`ScanStats`] getters. Row syntax:
+/// `name "label" Agg check|- wire|-;` inside `Group "line label" { .. }`.
+/// Rows print in table order, so a group's rows read as its `EXPLAIN` line.
+macro_rules! counter_table {
+    (@flag -) => {
+        false
+    };
+    (@flag $on:ident) => {
+        true
+    };
+    ($(
+        $group:ident $glabel:literal {
+            $( $(#[$doc:meta])* $name:ident $label:literal $agg:ident $gate:tt $wire:tt; )+
+        }
+    )+) => {
+        /// A work counter: one row of the table, and the index of its cell
+        /// in [`ScanStats`]. Variants are spelled as the field name so one
+        /// `grep` finds the row, every `count` site and every reader.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($( $(#[$doc])* $name, )+)+
+        }
+
+        /// An `EXPLAIN ANALYZE` line. Every group but `Stats` is printed
+        /// only when one of its counters is non-zero.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Group {
+            $($group,)+
+        }
+
+        impl Group {
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(Group::$group => $glabel,)+
+                }
+            }
+        }
+
+        /// The counter table, in declaration order (`COUNTERS[c as usize]`
+        /// is `c`'s row).
+        pub static COUNTERS: [CounterDef; [$($(stringify!($name),)+)+].len()] = [
+            $($(CounterDef {
+                counter: Counter::$name,
+                name: stringify!($name),
+                group: Group::$group,
+                label: $label,
+                agg: Agg::$agg,
+                gated: counter_table!(@flag $gate),
+                wire: counter_table!(@flag $wire),
+            },)+)+
+        ];
+
+        /// A point-in-time copy of [`ScanStats`].
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($( $(#[$doc])* pub $name: u64, )+)+
+            /// Per-worker morsel/steal counters from parallel runs (empty
+            /// for serial evaluation).
+            pub workers: Vec<WorkerStats>,
+        }
+
+        impl StatsSnapshot {
+            pub fn get(&self, c: Counter) -> u64 {
+                match c {
+                    $($(Counter::$name => self.$name,)+)+
+                }
+            }
+        }
+
+        impl ScanStats {
+            $($(
+                pub fn $name(&self) -> u64 {
+                    self.get(Counter::$name)
+                }
+            )+)+
+
+            /// Snapshot as a plain struct for reporting.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($($name: self.$name(),)+)+
+                    workers: self.workers(),
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    Stats "stats" {
+        /// Full or partial passes over a detail relation.
+        scans "scans" Sum check -;
+        /// Detail tuples read.
+        tuples_scanned "tuples" Sum check wire;
+        /// Base-table rows examined by θ (inner-loop work of Algorithm 3.1).
+        probes "probes" Sum check -;
+        /// Aggregate-state updates applied.
+        updates "updates" Sum check wire;
+    }
+    Vectorized "vectorized" {
+        /// Columnar batches processed by the vectorized evaluator.
+        batches "batches" Sum check -;
+        /// Batches (or batch sub-steps) that fell back to the scalar
+        /// interpreter: expression shape or column data had no typed kernel.
+        batch_fallbacks "fallbacks" Sum check -;
+    }
+    FallbackReasons "fallback reasons" {
+        /// Fallbacks because θ (or its bound-per-base-row form) has no
+        /// batch evaluation. One batch can hit several causes, each counted
+        /// once, independently of `batch_fallbacks`.
+        fallback_theta "theta" Sum check -;
+        /// Fallbacks because the Theorem 4.2 prefilter has no batch form.
+        fallback_prefilter "prefilter" Sum check -;
+        /// Fallbacks because a probe-key expression could not evaluate over
+        /// the chunk's columns (untyped column, non-batchable shape).
+        fallback_key "key" Sum check -;
+        /// Fallbacks because an aggregate input column had no typed kernel
+        /// representation (mixed types, booleans, `ALL`).
+        fallback_agg "agg" Sum check -;
+    }
+    Generalized "generalized" {
+        /// Condition/aggregate sets executed by the fused generalized
+        /// (Theorem 4.3) batch executor.
+        gen_sets "sets" Sum check -;
+        /// Of those, sets delegated wholly to the scalar tuple-at-a-time
+        /// path (the other sets in the same scan stay batched).
+        gen_set_fallbacks "scalar_sets" Sum check -;
+    }
+    Auto "auto" {
+        /// Modeled batch coverage behind the most recent `Auto` decision,
+        /// in per-mille of per-tuple work units.
+        auto_coverage_permille "batch coverage" Latest - -;
+        /// Whether the most recent `Auto` decision chose the vectorized
+        /// plan (0 or 1).
+        auto_batched "plan" Latest - -;
+        /// `Auto` batch-coverage decisions made (one per Auto-planned run).
+        auto_decisions "decisions" Sum - -;
+    }
+    Governor "governor" {
+        /// Cooperative cancellation/deadline polls performed.
+        cancel_polls "cancel_polls" Sum - -;
+        /// Morsels re-executed after a caught worker panic.
+        morsel_retries "retries" Sum - -;
+        /// Bytes charged against the memory budget (cumulative, never
+        /// released).
+        bytes_charged "bytes_charged" Sum - wire;
+        /// Budget breaches answered by re-planning into Theorem 4.1
+        /// partitioned evaluation instead of aborting.
+        degradations "degradations" Sum - wire;
+    }
+    Spill "spill" {
+        /// Spill partitions (run files) written.
+        spill_partitions "partitions" Sum check -;
+        /// Bytes written to spill run files by spill-degradation.
+        bytes_spilled "bytes_spilled" Sum check -;
+        /// Bytes read back from spill run files.
+        spill_read_bytes "read_bytes" Sum check -;
+    }
+    Cache "cache" {
+        /// Queries answered verbatim from a materialized cuboid-cache entry.
+        cache_hits "hits" Sum check -;
+        /// Queries answered by Theorem 4.5 roll-up from a *finer* cached
+        /// cuboid.
+        cache_rollup_hits "rollup_hits" Sum check -;
+        /// Cacheable queries that found no usable entry and executed from
+        /// scratch.
+        cache_misses "misses" Sum check -;
+        /// Cache entries dropped because an ingest batch could not maintain
+        /// them incrementally (non-distributive aggregates, stale source).
+        cache_invalidations "invalidations" Sum check -;
+        /// Ingest batches folded into a table (and into live cache entries).
+        ingest_batches "ingest_batches" Sum check -;
+    }
+    Paged "paged" {
+        /// Pages read from paged-table data files (one per buffer-pool
+        /// miss; hits are free).
+        pages_read "pages_read" Sum check wire;
+        /// Bytes read from paged-table data files: the disk-resident
+        /// complement of `bytes_spilled`.
+        bytes_read "bytes_read" Sum check wire;
+        /// Frames evicted from the buffer pool to admit new pages.
+        pool_evictions "pool_evictions" Sum check wire;
+    }
+}
+
+impl Counter {
+    pub fn def(self) -> &'static CounterDef {
+        &COUNTERS[self as usize]
+    }
+}
+
+/// Thread-safe operation counters, one relaxed atomic per table row;
+/// shareable across the parallel evaluators.
+#[derive(Debug)]
 pub struct ScanStats {
-    /// Number of full or partial passes over a detail relation.
-    scans: AtomicU64,
-    /// Total detail tuples read.
-    tuples_scanned: AtomicU64,
-    /// Total base-table rows examined by θ (inner-loop work of Algorithm 3.1).
-    probes: AtomicU64,
-    /// Aggregate-state updates applied.
-    updates: AtomicU64,
-    /// Cooperative cancellation/deadline polls performed by the governor.
-    cancel_polls: AtomicU64,
-    /// Morsels re-executed after a caught worker panic.
-    morsel_retries: AtomicU64,
-    /// Bytes charged against the memory budget (cumulative, never released).
-    bytes_charged: AtomicU64,
-    /// Times a budget breach was answered by re-planning into Theorem 4.1
-    /// partitioned evaluation instead of aborting.
-    degradations: AtomicU64,
-    /// Columnar batches processed by the vectorized executor.
-    batches: AtomicU64,
-    /// Batches (or batch sub-steps) that fell back to the scalar interpreter
-    /// because the expression shape or column data had no typed kernel.
-    batch_fallbacks: AtomicU64,
-    /// Per-reason breakdown of batch fallbacks: θ shape with no batch form.
-    fallback_theta: AtomicU64,
-    /// Per-reason breakdown: prefilter expression with no batch form.
-    fallback_prefilter: AtomicU64,
-    /// Per-reason breakdown: probe-key expression unevaluable on this chunk's
-    /// columns (untyped column, non-batchable shape).
-    fallback_key: AtomicU64,
-    /// Per-reason breakdown: aggregate input column with no typed kernel
-    /// representation (mixed types, booleans, `ALL`).
-    fallback_agg: AtomicU64,
-    /// Condition/aggregate sets executed by the fused generalized (Theorem
-    /// 4.3) batch executor.
-    gen_sets: AtomicU64,
-    /// Of those, sets delegated wholly to the scalar tuple-at-a-time path
-    /// (per-set fallback; the other sets in the same scan stay batched).
-    gen_set_fallbacks: AtomicU64,
-    /// Bytes written to spill run files by spill-degradation.
-    bytes_spilled: AtomicU64,
-    /// Spill partitions (run files) written.
-    spill_partitions: AtomicU64,
-    /// Bytes read back from spill run files.
-    spill_read_bytes: AtomicU64,
-    /// `Auto` batch-coverage decisions made (one per Auto-planned run).
-    auto_decisions: AtomicU64,
-    /// Modeled batch coverage of the most recent `Auto` decision, in per-mille
-    /// of per-tuple work units (latest value, not a sum).
-    auto_coverage_permille: AtomicU64,
-    /// Whether the most recent `Auto` decision chose the vectorized plan.
-    auto_batched: AtomicU64,
-    /// Queries answered verbatim from a materialized cuboid-cache entry.
-    cache_hits: AtomicU64,
-    /// Queries answered by Theorem 4.5 roll-up from a *finer* cached cuboid.
-    cache_rollup_hits: AtomicU64,
-    /// Cacheable queries that found no usable entry and executed from scratch.
-    cache_misses: AtomicU64,
-    /// Cache entries dropped because an ingest batch could not maintain them
-    /// incrementally (non-distributive aggregates, or a stale source).
-    cache_invalidations: AtomicU64,
-    /// Ingest batches folded into a table (and into live cache entries).
-    ingest_batches: AtomicU64,
-    /// Bytes read from paged-table data files (buffer-pool misses and
-    /// direct page reads). The disk-resident complement of `bytes_spilled`.
-    bytes_read: AtomicU64,
-    /// Pages read from paged-table data files (buffer-pool misses count
-    /// once per miss; hits are free).
-    pages_read: AtomicU64,
-    /// Frames evicted from the buffer pool to admit new pages.
-    pool_evictions: AtomicU64,
+    cells: [AtomicU64; COUNTERS.len()],
     /// Per-worker morsel accounting, appended once per worker per parallel
     /// run (guarded by a mutex: workers report once at exit, not per tuple).
     workers: Mutex<Vec<WorkerStats>>,
+}
+
+impl Default for ScanStats {
+    fn default() -> Self {
+        ScanStats {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            workers: Mutex::default(),
+        }
+    }
 }
 
 impl ScanStats {
@@ -137,533 +294,107 @@ impl ScanStats {
         Self::default()
     }
 
-    pub fn record_scan(&self) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_tuples(&self, n: u64) {
-        self.tuples_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_probes(&self, n: u64) {
-        self.probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_updates(&self, n: u64) {
-        self.updates.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_cancel_poll(&self) {
-        self.cancel_polls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_morsel_retry(&self) {
-        self.morsel_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_bytes_charged(&self, n: u64) {
-        self.bytes_charged.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_degradation(&self) {
-        self.degradations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_batch_fallback(&self) {
-        self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attribute one batch fallback to a diagnosable cause. Independent of
-    /// [`Self::record_batch_fallback`] (which stays one-per-batch): a single
-    /// batch can hit several causes, each recorded once.
-    pub fn record_fallback_reason(&self, reason: FallbackReason) {
-        let counter = match reason {
-            FallbackReason::Theta => &self.fallback_theta,
-            FallbackReason::Prefilter => &self.fallback_prefilter,
-            FallbackReason::Key => &self.fallback_key,
-            FallbackReason::Agg => &self.fallback_agg,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one condition/aggregate set handled by the fused generalized
-    /// executor; `scalar` marks a per-set fallback to the tuple-at-a-time
-    /// path.
-    pub fn record_gen_set(&self, scalar: bool) {
-        self.gen_sets.fetch_add(1, Ordering::Relaxed);
-        if scalar {
-            self.gen_set_fallbacks.fetch_add(1, Ordering::Relaxed);
+    /// Record `n` against `c`: added for a `Sum` counter, stored for a
+    /// `Latest` one.
+    #[inline]
+    pub fn count(&self, c: Counter, n: u64) {
+        let cell = &self.cells[c as usize];
+        match c.def().agg {
+            Agg::Sum => {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+            Agg::Latest => cell.store(n, Ordering::Relaxed),
         }
     }
 
-    /// Record one spill partition written: `n` bytes landed in a run file.
-    pub fn record_spill_partition(&self, n: u64) {
-        self.spill_partitions.fetch_add(1, Ordering::Relaxed);
-        self.bytes_spilled.fetch_add(n, Ordering::Relaxed);
+    pub fn get(&self, c: Counter) -> u64 {
+        self.cells[c as usize].load(Ordering::Relaxed)
     }
 
-    pub fn record_spill_read_bytes(&self, n: u64) {
-        self.spill_read_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one `Auto` plan decision: the modeled batch coverage (‰ of
-    /// per-tuple work units with a typed kernel) and whether the vectorized
-    /// evaluator was chosen. Coverage and choice keep the latest value so
-    /// explain output reflects the decision that produced the run.
-    pub fn record_auto_decision(&self, coverage_permille: u64, batched: bool) {
-        self.auto_decisions.fetch_add(1, Ordering::Relaxed);
-        self.auto_coverage_permille
-            .store(coverage_permille, Ordering::Relaxed);
-        self.auto_batched.store(batched as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_cache_rollup_hit(&self) {
-        self.cache_rollup_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_cache_invalidations(&self, n: u64) {
-        self.cache_invalidations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_ingest_batch(&self) {
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one page read from a paged table's data file (`n` bytes).
-    pub fn record_page_read(&self, n: u64) {
-        self.pages_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_pool_eviction(&self) {
-        self.pool_evictions.fetch_add(1, Ordering::Relaxed);
+    /// Fold a finished run's counters in, each by its table aggregation.
+    /// Worker lists are per run and are not carried over.
+    pub fn absorb(&self, snap: &StatsSnapshot) {
+        for (def, v) in snap.iter() {
+            self.count(def.counter, v);
+        }
     }
 
     /// Append one worker's morsel accounting (called once per worker at the
     /// end of a parallel run). A poisoned mutex is recovered: stats recording
     /// must never add a second failure to an already-failing run.
     pub fn record_worker(&self, worker: WorkerStats) {
-        self.workers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(worker);
-    }
-
-    pub fn scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-
-    pub fn tuples_scanned(&self) -> u64 {
-        self.tuples_scanned.load(Ordering::Relaxed)
-    }
-
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
-    }
-
-    pub fn cancel_polls(&self) -> u64 {
-        self.cancel_polls.load(Ordering::Relaxed)
-    }
-
-    pub fn morsel_retries(&self) -> u64 {
-        self.morsel_retries.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_charged(&self) -> u64 {
-        self.bytes_charged.load(Ordering::Relaxed)
-    }
-
-    pub fn degradations(&self) -> u64 {
-        self.degradations.load(Ordering::Relaxed)
-    }
-
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    pub fn batch_fallbacks(&self) -> u64 {
-        self.batch_fallbacks.load(Ordering::Relaxed)
-    }
-
-    pub fn fallback_theta(&self) -> u64 {
-        self.fallback_theta.load(Ordering::Relaxed)
-    }
-
-    pub fn fallback_prefilter(&self) -> u64 {
-        self.fallback_prefilter.load(Ordering::Relaxed)
-    }
-
-    pub fn fallback_key(&self) -> u64 {
-        self.fallback_key.load(Ordering::Relaxed)
-    }
-
-    pub fn fallback_agg(&self) -> u64 {
-        self.fallback_agg.load(Ordering::Relaxed)
-    }
-
-    pub fn gen_sets(&self) -> u64 {
-        self.gen_sets.load(Ordering::Relaxed)
-    }
-
-    pub fn gen_set_fallbacks(&self) -> u64 {
-        self.gen_set_fallbacks.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_spilled(&self) -> u64 {
-        self.bytes_spilled.load(Ordering::Relaxed)
-    }
-
-    pub fn spill_partitions(&self) -> u64 {
-        self.spill_partitions.load(Ordering::Relaxed)
-    }
-
-    pub fn spill_read_bytes(&self) -> u64 {
-        self.spill_read_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn auto_decisions(&self) -> u64 {
-        self.auto_decisions.load(Ordering::Relaxed)
-    }
-
-    pub fn auto_coverage_permille(&self) -> u64 {
-        self.auto_coverage_permille.load(Ordering::Relaxed)
-    }
-
-    pub fn auto_batched(&self) -> bool {
-        self.auto_batched.load(Ordering::Relaxed) != 0
-    }
-
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    pub fn cache_rollup_hits(&self) -> u64 {
-        self.cache_rollup_hits.load(Ordering::Relaxed)
-    }
-
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    pub fn cache_invalidations(&self) -> u64 {
-        self.cache_invalidations.load(Ordering::Relaxed)
-    }
-
-    pub fn ingest_batches(&self) -> u64 {
-        self.ingest_batches.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    pub fn pages_read(&self) -> u64 {
-        self.pages_read.load(Ordering::Relaxed)
-    }
-
-    pub fn pool_evictions(&self) -> u64 {
-        self.pool_evictions.load(Ordering::Relaxed)
+        self.lock_workers().push(worker);
     }
 
     /// Per-worker morsel accounting recorded so far.
     pub fn workers(&self) -> Vec<WorkerStats> {
-        self.workers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.lock_workers().clone()
     }
 
     /// Zero all counters.
     pub fn reset(&self) {
-        self.scans.store(0, Ordering::Relaxed);
-        self.tuples_scanned.store(0, Ordering::Relaxed);
-        self.probes.store(0, Ordering::Relaxed);
-        self.updates.store(0, Ordering::Relaxed);
-        self.cancel_polls.store(0, Ordering::Relaxed);
-        self.morsel_retries.store(0, Ordering::Relaxed);
-        self.bytes_charged.store(0, Ordering::Relaxed);
-        self.degradations.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batch_fallbacks.store(0, Ordering::Relaxed);
-        self.fallback_theta.store(0, Ordering::Relaxed);
-        self.fallback_prefilter.store(0, Ordering::Relaxed);
-        self.fallback_key.store(0, Ordering::Relaxed);
-        self.fallback_agg.store(0, Ordering::Relaxed);
-        self.gen_sets.store(0, Ordering::Relaxed);
-        self.gen_set_fallbacks.store(0, Ordering::Relaxed);
-        self.bytes_spilled.store(0, Ordering::Relaxed);
-        self.spill_partitions.store(0, Ordering::Relaxed);
-        self.spill_read_bytes.store(0, Ordering::Relaxed);
-        self.auto_decisions.store(0, Ordering::Relaxed);
-        self.auto_coverage_permille.store(0, Ordering::Relaxed);
-        self.auto_batched.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_rollup_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
-        self.ingest_batches.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.pages_read.store(0, Ordering::Relaxed);
-        self.pool_evictions.store(0, Ordering::Relaxed);
+        for cell in &self.cells {
+            cell.store(0, Ordering::Relaxed);
+        }
+        self.lock_workers().clear();
+    }
+
+    fn lock_workers(&self) -> std::sync::MutexGuard<'_, Vec<WorkerStats>> {
         self.workers
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
     }
-
-    /// Snapshot as a plain struct for reporting.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            scans: self.scans(),
-            tuples_scanned: self.tuples_scanned(),
-            probes: self.probes(),
-            updates: self.updates(),
-            cancel_polls: self.cancel_polls(),
-            morsel_retries: self.morsel_retries(),
-            bytes_charged: self.bytes_charged(),
-            degradations: self.degradations(),
-            batches: self.batches(),
-            batch_fallbacks: self.batch_fallbacks(),
-            fallback_theta: self.fallback_theta(),
-            fallback_prefilter: self.fallback_prefilter(),
-            fallback_key: self.fallback_key(),
-            fallback_agg: self.fallback_agg(),
-            gen_sets: self.gen_sets(),
-            gen_set_fallbacks: self.gen_set_fallbacks(),
-            bytes_spilled: self.bytes_spilled(),
-            spill_partitions: self.spill_partitions(),
-            spill_read_bytes: self.spill_read_bytes(),
-            auto_decisions: self.auto_decisions(),
-            auto_coverage_permille: self.auto_coverage_permille(),
-            auto_batched: self.auto_batched(),
-            cache_hits: self.cache_hits(),
-            cache_rollup_hits: self.cache_rollup_hits(),
-            cache_misses: self.cache_misses(),
-            cache_invalidations: self.cache_invalidations(),
-            ingest_batches: self.ingest_batches(),
-            bytes_read: self.bytes_read(),
-            pages_read: self.pages_read(),
-            pool_evictions: self.pool_evictions(),
-            workers: self.workers(),
-        }
-    }
-}
-
-/// Why a vectorized batch (or one of its sub-steps) had to delegate to the
-/// scalar interpreter. Recorded per batch per cause so coverage gaps are
-/// diagnosable from `EXPLAIN ANALYZE` instead of showing up as an opaque
-/// fallback count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FallbackReason {
-    /// θ (or its bound-per-base-row form) has no batch evaluation.
-    Theta,
-    /// The Theorem 4.2 prefilter has no batch evaluation.
-    Prefilter,
-    /// A hash-probe key expression could not evaluate over this chunk's
-    /// columns (untyped column, non-batchable shape).
-    Key,
-    /// An aggregate input column had no typed kernel representation.
-    Agg,
-}
-
-/// A point-in-time copy of [`ScanStats`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub scans: u64,
-    pub tuples_scanned: u64,
-    pub probes: u64,
-    pub updates: u64,
-    /// Cancellation/deadline polls performed by the query governor.
-    pub cancel_polls: u64,
-    /// Morsels re-executed after a caught worker panic.
-    pub morsel_retries: u64,
-    /// Bytes charged against the memory budget (cumulative).
-    pub bytes_charged: u64,
-    /// Budget breaches answered by Theorem 4.1 re-partitioning.
-    pub degradations: u64,
-    /// Columnar batches processed by the vectorized executor (0 for scalar
-    /// evaluation).
-    pub batches: u64,
-    /// Batches that fell back to the scalar interpreter for some sub-step.
-    pub batch_fallbacks: u64,
-    /// Fallbacks caused by an un-batchable θ shape.
-    pub fallback_theta: u64,
-    /// Fallbacks caused by an un-batchable prefilter.
-    pub fallback_prefilter: u64,
-    /// Fallbacks caused by an unevaluable probe-key expression.
-    pub fallback_key: u64,
-    /// Fallbacks caused by an untyped aggregate input column.
-    pub fallback_agg: u64,
-    /// Condition/aggregate sets executed by the fused generalized executor.
-    pub gen_sets: u64,
-    /// Of those, sets delegated wholly to the scalar path.
-    pub gen_set_fallbacks: u64,
-    /// Bytes written to spill run files (0 when nothing spilled).
-    pub bytes_spilled: u64,
-    /// Spill partitions (run files) written.
-    pub spill_partitions: u64,
-    /// Bytes read back from spill run files.
-    pub spill_read_bytes: u64,
-    /// `Auto` batch-coverage decisions made (one per Auto-planned run).
-    pub auto_decisions: u64,
-    /// Modeled batch coverage (‰ of per-tuple work units) behind the most
-    /// recent `Auto` decision.
-    pub auto_coverage_permille: u64,
-    /// Whether the most recent `Auto` decision chose the vectorized plan.
-    pub auto_batched: bool,
-    /// Queries answered verbatim from a materialized cuboid-cache entry.
-    pub cache_hits: u64,
-    /// Queries answered by Theorem 4.5 roll-up from a finer cached cuboid.
-    pub cache_rollup_hits: u64,
-    /// Cacheable queries that executed from scratch (no usable entry).
-    pub cache_misses: u64,
-    /// Cache entries dropped by ingest instead of maintained incrementally.
-    pub cache_invalidations: u64,
-    /// Ingest batches folded into a table.
-    pub ingest_batches: u64,
-    /// Bytes read from paged-table data files.
-    pub bytes_read: u64,
-    /// Pages read from paged-table data files (buffer-pool misses).
-    pub pages_read: u64,
-    /// Buffer-pool frames evicted to admit new pages.
-    pub pool_evictions: u64,
-    /// Per-worker morsel/steal/merge counters from parallel runs (empty for
-    /// serial evaluation).
-    pub workers: Vec<WorkerStats>,
 }
 
 impl StatsSnapshot {
-    /// True if any governor counter is non-zero (the governor was active).
-    pub fn governor_active(&self) -> bool {
-        self.cancel_polls > 0
-            || self.morsel_retries > 0
-            || self.bytes_charged > 0
-            || self.degradations > 0
+    /// Every table row with this snapshot's value, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static CounterDef, u64)> + '_ {
+        COUNTERS.iter().map(|def| (def, self.get(def.counter)))
     }
 
-    /// True if the run spilled partitions to disk (or read them back).
-    pub fn spill_active(&self) -> bool {
-        self.bytes_spilled > 0 || self.spill_partitions > 0 || self.spill_read_bytes > 0
+    /// True if any counter of `group` is non-zero.
+    pub fn active(&self, group: Group) -> bool {
+        self.iter().any(|(def, v)| def.group == group && v > 0)
     }
 
-    /// True if any batch fallback has an attributed cause.
-    pub fn fallback_reasons_active(&self) -> bool {
-        self.fallback_theta > 0
-            || self.fallback_prefilter > 0
-            || self.fallback_key > 0
-            || self.fallback_agg > 0
-    }
-
-    /// True if the cuboid cache or the ingest path touched this query.
-    pub fn cache_active(&self) -> bool {
-        self.cache_hits > 0
-            || self.cache_rollup_hits > 0
-            || self.cache_misses > 0
-            || self.cache_invalidations > 0
-            || self.ingest_batches > 0
-    }
-
-    /// True if the run touched the paged table store (disk-resident scans).
-    pub fn paged_active(&self) -> bool {
-        self.bytes_read > 0 || self.pages_read > 0 || self.pool_evictions > 0
+    /// The one renderer behind `Display` and `EXPLAIN ANALYZE`: one
+    /// `{prefix}{group}: label=value ..` line per active group, then one
+    /// line per worker.
+    pub fn render(&self, prefix: &str, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        let mut open = None;
+        for (def, v) in self.iter() {
+            if def.group != Group::Stats && !self.active(def.group) {
+                continue;
+            }
+            if open != Some(def.group) {
+                if open.is_some() {
+                    out.write_char('\n')?;
+                }
+                write!(out, "{prefix}{}:", def.group.label())?;
+                open = Some(def.group);
+            }
+            match def.counter {
+                Counter::auto_coverage_permille => write!(out, " {}={v}‰", def.label)?,
+                Counter::auto_batched => {
+                    let plan = if v != 0 { "vectorized" } else { "scalar" };
+                    write!(out, " {}={plan}", def.label)?
+                }
+                _ => write!(out, " {}={v}", def.label)?,
+            }
+        }
+        out.write_char('\n')?;
+        for w in &self.workers {
+            writeln!(out, "{prefix}  {w}")?;
+        }
+        Ok(())
     }
 }
 
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scans={} tuples={} probes={} updates={}",
-            self.scans, self.tuples_scanned, self.probes, self.updates
-        )?;
-        if self.batches > 0 {
-            write!(
-                f,
-                "\n  vectorized: batches={} fallbacks={}",
-                self.batches, self.batch_fallbacks
-            )?;
-            if self.fallback_reasons_active() {
-                write!(
-                    f,
-                    "\n  fallback reasons: theta={} prefilter={} key={} agg={}",
-                    self.fallback_theta,
-                    self.fallback_prefilter,
-                    self.fallback_key,
-                    self.fallback_agg
-                )?;
-            }
-        }
-        if self.gen_sets > 0 {
-            write!(
-                f,
-                "\n  generalized: sets={} scalar_sets={}",
-                self.gen_sets, self.gen_set_fallbacks
-            )?;
-        }
-        if self.auto_decisions > 0 {
-            write!(
-                f,
-                "\n  auto: coverage={}‰ plan={}",
-                self.auto_coverage_permille,
-                if self.auto_batched {
-                    "vectorized"
-                } else {
-                    "scalar"
-                }
-            )?;
-        }
-        if self.governor_active() {
-            write!(
-                f,
-                "\n  governor: cancel_polls={} retries={} bytes_charged={} degradations={}",
-                self.cancel_polls, self.morsel_retries, self.bytes_charged, self.degradations
-            )?;
-        }
-        if self.spill_active() {
-            write!(
-                f,
-                "\n  spill: partitions={} bytes_spilled={} read_bytes={}",
-                self.spill_partitions, self.bytes_spilled, self.spill_read_bytes
-            )?;
-        }
-        if self.cache_active() {
-            write!(
-                f,
-                "\n  cache: hits={} rollup_hits={} misses={} invalidations={} ingest_batches={}",
-                self.cache_hits,
-                self.cache_rollup_hits,
-                self.cache_misses,
-                self.cache_invalidations,
-                self.ingest_batches
-            )?;
-        }
-        if self.paged_active() {
-            write!(
-                f,
-                "\n  paged: pages_read={} bytes_read={} pool_evictions={}",
-                self.pages_read, self.bytes_read, self.pool_evictions
-            )?;
-        }
-        for w in &self.workers {
-            write!(f, "\n  {w}")?;
-        }
-        Ok(())
+        let mut text = String::new();
+        self.render("", &mut text)?;
+        f.write_str(text.trim_end())
     }
 }
 
@@ -902,18 +633,28 @@ impl TableStats {
 mod tests {
     use super::*;
 
+    fn counted(events: &[(Counter, u64)]) -> ScanStats {
+        let s = ScanStats::new();
+        for &(c, n) in events {
+            s.count(c, n);
+        }
+        s
+    }
+
     #[test]
     fn counters_accumulate_and_reset() {
-        let s = ScanStats::new();
-        s.record_scan();
-        s.record_scan();
-        s.record_tuples(100);
-        s.record_probes(300);
-        s.record_updates(50);
+        let s = counted(&[
+            (Counter::scans, 1),
+            (Counter::scans, 1),
+            (Counter::tuples_scanned, 100),
+            (Counter::probes, 300),
+            (Counter::updates, 50),
+        ]);
         assert_eq!(s.scans(), 2);
         assert_eq!(s.tuples_scanned(), 100);
         assert_eq!(s.probes(), 300);
         assert_eq!(s.updates(), 50);
+        s.record_worker(WorkerStats::new(0));
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
@@ -925,7 +666,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
-                        s.record_probes(1);
+                        s.count(Counter::probes, 1);
                     }
                 });
             }
@@ -935,158 +676,136 @@ mod tests {
 
     #[test]
     fn snapshot_displays() {
-        let s = ScanStats::new();
-        s.record_tuples(7);
-        assert!(s.snapshot().to_string().contains("tuples=7"));
+        let s = counted(&[(Counter::tuples_scanned, 7)]);
+        s.record_worker(WorkerStats::new(3));
+        // The always-present line, then workers; no trailing newline.
+        assert_eq!(
+            s.snapshot().to_string(),
+            "stats: scans=0 tuples=7 probes=0 updates=0\n  \
+             worker 3: morsels=0 tuples=0 updates=0 steals=0"
+        );
     }
 
     #[test]
     fn batch_counters_accumulate_and_display() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().to_string().contains("vectorized:"));
-        s.record_batch();
-        s.record_batch();
-        s.record_batch_fallback();
-        let snap = s.snapshot();
+        assert!(!ScanStats::new()
+            .snapshot()
+            .to_string()
+            .contains("vectorized:"));
+        let snap = counted(&[
+            (Counter::batches, 1),
+            (Counter::batches, 1),
+            (Counter::batch_fallbacks, 1),
+        ])
+        .snapshot();
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.batch_fallbacks, 1);
         // Batch activity alone is not governor activity.
-        assert!(!snap.governor_active());
+        assert!(!snap.active(Group::Governor));
         assert!(snap
             .to_string()
             .contains("vectorized: batches=2 fallbacks=1"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        // No attributed cause: the breakdown line stays hidden.
+        assert!(!snap.to_string().contains("fallback reasons:"));
     }
 
     #[test]
     fn fallback_reasons_accumulate_and_display() {
-        let s = ScanStats::new();
-        s.record_batch();
-        s.record_batch_fallback();
-        // No attributed cause yet: the breakdown line stays hidden.
-        assert!(!s.snapshot().to_string().contains("fallback reasons:"));
-        s.record_fallback_reason(FallbackReason::Theta);
-        s.record_fallback_reason(FallbackReason::Theta);
-        s.record_fallback_reason(FallbackReason::Prefilter);
-        s.record_fallback_reason(FallbackReason::Key);
-        s.record_fallback_reason(FallbackReason::Agg);
-        let snap = s.snapshot();
-        assert_eq!(snap.fallback_theta, 2);
-        assert_eq!(snap.fallback_prefilter, 1);
-        assert_eq!(snap.fallback_key, 1);
-        assert_eq!(snap.fallback_agg, 1);
-        assert!(snap.fallback_reasons_active());
+        let snap = counted(&[
+            (Counter::fallback_theta, 1),
+            (Counter::fallback_theta, 1),
+            (Counter::fallback_prefilter, 1),
+            (Counter::fallback_key, 1),
+            (Counter::fallback_agg, 1),
+        ])
+        .snapshot();
+        assert!(snap.active(Group::FallbackReasons));
         assert!(snap
             .to_string()
             .contains("fallback reasons: theta=2 prefilter=1 key=1 agg=1"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn generalized_set_counters_accumulate_and_display() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().to_string().contains("generalized:"));
-        s.record_gen_set(false);
-        s.record_gen_set(false);
-        s.record_gen_set(true);
-        let snap = s.snapshot();
-        assert_eq!(snap.gen_sets, 3);
-        assert_eq!(snap.gen_set_fallbacks, 1);
+        assert!(!ScanStats::new()
+            .snapshot()
+            .to_string()
+            .contains("generalized:"));
+        let snap = counted(&[(Counter::gen_sets, 3), (Counter::gen_set_fallbacks, 1)]).snapshot();
         assert!(snap
             .to_string()
             .contains("generalized: sets=3 scalar_sets=1"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn auto_decision_keeps_latest_and_displays() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().to_string().contains("auto:"));
-        s.record_auto_decision(500, false);
-        s.record_auto_decision(857, true);
-        let snap = s.snapshot();
+        assert!(!ScanStats::new().snapshot().to_string().contains("auto:"));
+        let snap = counted(&[
+            (Counter::auto_decisions, 1),
+            (Counter::auto_coverage_permille, 500),
+            (Counter::auto_batched, 0),
+            (Counter::auto_decisions, 1),
+            (Counter::auto_coverage_permille, 857),
+            (Counter::auto_batched, 1),
+        ])
+        .snapshot();
         assert_eq!(snap.auto_decisions, 2);
         assert_eq!(snap.auto_coverage_permille, 857);
-        assert!(snap.auto_batched);
         assert!(snap
             .to_string()
-            .contains("auto: coverage=857‰ plan=vectorized"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+            .contains("auto: batch coverage=857‰ plan=vectorized decisions=2"));
     }
 
     #[test]
     fn spill_counters_accumulate_and_display() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().spill_active());
-        assert!(!s.snapshot().to_string().contains("spill:"));
-        s.record_spill_partition(700);
-        s.record_spill_partition(324);
-        s.record_spill_read_bytes(1024);
-        let snap = s.snapshot();
-        assert!(snap.spill_active());
+        assert!(!ScanStats::new().snapshot().active(Group::Spill));
+        let snap = counted(&[
+            (Counter::spill_partitions, 2),
+            (Counter::bytes_spilled, 700),
+            (Counter::bytes_spilled, 324),
+            (Counter::spill_read_bytes, 1024),
+        ])
+        .snapshot();
+        assert!(snap.active(Group::Spill));
         // Spilling alone is not governor activity (and vice versa).
-        assert!(!snap.governor_active());
-        assert_eq!(snap.spill_partitions, 2);
-        assert_eq!(snap.bytes_spilled, 1024);
-        assert_eq!(snap.spill_read_bytes, 1024);
+        assert!(!snap.active(Group::Governor));
         assert!(snap
             .to_string()
             .contains("spill: partitions=2 bytes_spilled=1024 read_bytes=1024"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn cache_counters_accumulate_and_display() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().cache_active());
-        assert!(!s.snapshot().to_string().contains("cache:"));
-        s.record_cache_hit();
-        s.record_cache_hit();
-        s.record_cache_rollup_hit();
-        s.record_cache_miss();
-        s.record_cache_invalidations(3);
-        s.record_ingest_batch();
-        let snap = s.snapshot();
-        assert!(snap.cache_active());
+        let snap = counted(&[
+            (Counter::cache_hits, 2),
+            (Counter::cache_rollup_hits, 1),
+            (Counter::cache_misses, 1),
+            (Counter::cache_invalidations, 3),
+            (Counter::ingest_batches, 1),
+        ])
+        .snapshot();
         // Cache activity alone is neither governor nor spill activity.
-        assert!(!snap.governor_active());
-        assert!(!snap.spill_active());
-        assert_eq!(snap.cache_hits, 2);
-        assert_eq!(snap.cache_rollup_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.cache_invalidations, 3);
-        assert_eq!(snap.ingest_batches, 1);
+        assert!(snap.active(Group::Cache));
+        assert!(!snap.active(Group::Governor));
+        assert!(!snap.active(Group::Spill));
         assert!(snap
             .to_string()
             .contains("cache: hits=2 rollup_hits=1 misses=1 invalidations=3 ingest_batches=1"));
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn governor_counters_accumulate_and_display() {
-        let s = ScanStats::new();
-        assert!(!s.snapshot().governor_active());
-        assert!(!s.snapshot().to_string().contains("governor:"));
-        s.record_cancel_poll();
-        s.record_morsel_retry();
-        s.record_bytes_charged(1024);
-        s.record_degradation();
-        let snap = s.snapshot();
-        assert!(snap.governor_active());
-        assert_eq!(snap.cancel_polls, 1);
-        assert_eq!(snap.morsel_retries, 1);
-        assert_eq!(snap.bytes_charged, 1024);
-        assert_eq!(snap.degradations, 1);
+        assert!(!ScanStats::new().snapshot().active(Group::Governor));
+        let snap = counted(&[
+            (Counter::cancel_polls, 1),
+            (Counter::morsel_retries, 1),
+            (Counter::bytes_charged, 1024),
+            (Counter::degradations, 1),
+        ])
+        .snapshot();
+        assert!(snap.active(Group::Governor));
         assert!(snap
             .to_string()
             .contains("governor: cancel_polls=1 retries=1 bytes_charged=1024 degradations=1"));
-        s.reset();
-        assert!(!s.snapshot().governor_active());
     }
 }

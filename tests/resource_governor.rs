@@ -6,6 +6,7 @@
 
 use mdj_core::governor::{index_bytes, state_bytes};
 use mdj_core::prelude::*;
+use mdj_storage::Group;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,7 +170,7 @@ fn governor_polls_are_counted_in_stats_and_explain_surface() {
     join(&b, &r, ExecStrategy::Serial).run(&ctx).unwrap();
     assert!(stats.cancel_polls() > 0, "serial scan never polled");
     let snap = stats.snapshot();
-    assert!(snap.governor_active());
+    assert!(snap.active(Group::Governor));
     assert!(snap.to_string().contains("governor:"));
 }
 
@@ -329,7 +330,7 @@ fn spill_degradation_conserves_accounting_and_surfaces_counters() {
     assert!(stats.bytes_charged() > 0);
     // Counters reach the EXPLAIN ANALYZE surface.
     let snap = stats.snapshot();
-    assert!(snap.spill_active());
+    assert!(snap.active(Group::Spill));
     let rendered = snap.to_string();
     assert!(
         rendered.contains("spill:"),
@@ -404,7 +405,7 @@ fn never_policy_degrades_by_rescan_only() {
     assert_eq!(stats.spill_partitions(), 0);
     assert_eq!(stats.bytes_spilled(), 0);
     assert_eq!(stats.spill_read_bytes(), 0);
-    assert!(!stats.snapshot().spill_active());
+    assert!(!stats.snapshot().active(Group::Spill));
 }
 
 // --------------------------------------------------------- builder overrides
