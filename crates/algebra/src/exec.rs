@@ -13,11 +13,16 @@ use std::sync::Arc;
 ///
 /// MD-join nodes run Algorithm 3.1 with the context's probe strategy;
 /// generalized MD-join nodes evaluate all blocks in one scan.
-pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Relation> {
+///
+/// Relations travel as `Arc<Relation>` (DESIGN §3.3): table and inline nodes
+/// lend the `Arc` the catalog or the plan already holds, a cache hit lends
+/// the resident one, and an operator that computes a new relation wraps it
+/// once. No node mutates a relation it did not build.
+pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<Relation>> {
     enter_node(ctx)?;
-    match plan {
-        Plan::Table(name) => Ok(catalog.get(name)?.as_ref().clone()),
-        Plan::Inline(rel) => Ok(rel.as_ref().clone()),
+    Ok(Arc::new(match plan {
+        Plan::Table(name) => return Ok(catalog.get(name)?),
+        Plan::Inline(rel) => return Ok(rel.clone()),
         Plan::Select { input, pred } => {
             let rel = execute(input, catalog, ctx)?;
             // σ predicates are usually written over the detail side, but
@@ -31,20 +36,20 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
                         out.push_unchecked(row.clone());
                     }
                 }
-                Ok(out)
+                out
             } else {
-                Ok(mdj_naive::ops::select(&rel, pred)?)
+                mdj_naive::ops::select(&rel, pred)?
             }
         }
         Plan::Project { input, cols } => {
             let rel = execute(input, catalog, ctx)?;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            Ok(rel.project(&names)?)
+            rel.project(&names)?
         }
         Plan::Base { input, shape } => {
-            let rel = shared(input, catalog, ctx)?;
+            let rel = execute(input, catalog, ctx)?;
             let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
-            let out = match shape {
+            match shape {
                 BaseShape::GroupBy(_) => basevalues::group_by(&rel, &dims)?,
                 BaseShape::Cube(_) => basevalues::cube(&rel, &dims)?,
                 BaseShape::Rollup(_) => basevalues::rollup(&rel, &dims)?,
@@ -56,69 +61,40 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
                     basevalues::grouping_sets(&rel, &dims, &sets)?
                 }
                 BaseShape::Unpivot(_) => basevalues::unpivot(&rel, &dims)?,
-            };
-            Ok(out)
+            }
         }
         Plan::Union(parts) => {
             let mut iter = parts.iter();
             let first = iter
                 .next()
                 .ok_or_else(|| AlgebraError::InvalidPlan("union of zero plans".into()))?;
-            let mut acc = execute(first, catalog, ctx)?;
+            // The first part may be a lent relation: copy it once, then
+            // append the rest in place.
+            let mut acc = Arc::unwrap_or_clone(execute(first, catalog, ctx)?);
             for p in iter {
                 let next = execute(p, catalog, ctx)?;
-                acc = acc.union(&next)?;
+                acc.append(&next)?;
             }
-            Ok(acc)
+            acc
         }
-        Plan::MdJoin {
-            base,
-            detail,
-            aggs,
-            theta,
-        } => md_join(
-            base,
-            detail,
-            aggs,
-            theta,
-            ExecStrategy::Serial,
-            None,
-            catalog,
-            ctx,
-        ),
+        Plan::MdJoin { .. } => return md_join(plan, ExecStrategy::Serial, None, catalog, ctx),
         Plan::GenMdJoin {
             base,
             detail,
             blocks,
         } => {
-            let b = shared(base, catalog, ctx)?;
-            let r = shared(detail, catalog, ctx)?;
+            let b = execute(base, catalog, ctx)?;
+            let r = execute(detail, catalog, ctx)?;
             let core_blocks: Vec<Block> = blocks
                 .iter()
                 .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
                 .collect();
-            Ok(MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?)
+            MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?
         }
-        Plan::Parallel { input, threads } => match input.as_ref() {
-            Plan::MdJoin {
-                base,
-                detail,
-                aggs,
-                theta,
-            } => md_join(
-                base,
-                detail,
-                aggs,
-                theta,
-                ExecStrategy::Morsel,
-                (*threads > 0).then_some(*threads),
-                catalog,
-                ctx,
-            ),
-            other => Err(AlgebraError::InvalidPlan(format!(
-                "Parallel may only wrap an MD-join node, got {other:?}"
-            ))),
-        },
+        Plan::Parallel { input, threads } => {
+            let threads = (*threads > 0).then_some(*threads);
+            return md_join(input, ExecStrategy::Morsel, threads, catalog, ctx);
+        }
         Plan::Join {
             left,
             right,
@@ -145,9 +121,9 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Rela
                 .iter()
                 .map(|row| Row::new(row.key(&keep_idx)))
                 .collect();
-            Ok(Relation::from_rows(schema, rows))
+            Relation::from_rows(schema, rows)
         }
-    }
+    }))
 }
 
 /// The per-plan-node prelude.
@@ -166,30 +142,14 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
     Ok(())
 }
 
-/// [`execute`] an operator's input without copying a relation the catalog
-/// (or the plan) already shares: table and inline nodes lend their `Arc`.
-fn shared(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<Relation>> {
-    match plan {
-        Plan::Table(name) => {
-            enter_node(ctx)?;
-            Ok(catalog.get(name)?)
-        }
-        Plan::Inline(rel) => {
-            enter_node(ctx)?;
-            Ok(rel.clone())
-        }
-        other => Ok(Arc::new(execute(other, catalog, ctx)?)),
-    }
-}
-
 /// The one place a single-block MD-join node is evaluated, serial or under
 /// `Plan::Parallel`:
 ///
 /// 1. the cuboid cache answers the canonical group-by shape
 ///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
 ///    coarser queries by rolling up a finer cached cuboid (Theorem 4.5); a
-///    miss executes below over the shared resident table and becomes
-///    resident;
+///    miss executes below over the shared resident table and the `Arc` it
+///    returns is the one that becomes resident;
 /// 2. otherwise the detail plan resolves to a source: the page store when
 ///    the detail is a catalog table backed by one and the engine has a buffer
 ///    pool attached — Theorem 4.2's prefilter then becomes clustered-key page
@@ -201,19 +161,26 @@ fn shared(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<Relat
 ///    what lets a key predicate prune pages instead of filtering rows after
 ///    a full read. Base-side predicates (Observation 4.1 base inputs) cannot
 ///    be folded, so those evaluate the σ first.
-#[allow(clippy::too_many_arguments)]
 fn md_join(
-    base: &Plan,
-    detail: &Plan,
-    aggs: &[mdj_agg::AggSpec],
-    theta: &Expr,
+    node: &Plan,
     strategy: ExecStrategy,
     threads: Option<usize>,
     catalog: &Catalog,
     ctx: &ExecContext,
-) -> Result<Relation> {
+) -> Result<Arc<Relation>> {
+    let Plan::MdJoin {
+        base,
+        detail,
+        aggs,
+        theta,
+    } = node
+    else {
+        return Err(AlgebraError::InvalidPlan(format!(
+            "Parallel may only wrap an MD-join node, got {node:?}"
+        )));
+    };
     let miss = match cached_cuboid(base, detail, aggs, theta, catalog, ctx)? {
-        Cached::Hit(rel) => return Ok(rel.as_ref().clone()),
+        Cached::Hit(rel) => return Ok(rel),
         Cached::Miss(req, detail_rel) => Some((req, detail_rel)),
         Cached::Bypass => None,
     };
@@ -225,16 +192,16 @@ fn md_join(
         }
         .run(ctx)
     };
-    let b = shared(base, catalog, ctx)?;
-    let out = match paged_detail(detail, theta, catalog, ctx) {
+    let b = execute(base, catalog, ctx)?;
+    let out = Arc::new(match paged_detail(detail, theta, catalog, ctx) {
         Some((scan, folded)) if miss.is_none() => run(MdJoin::paged(&b, &scan), folded)?,
         _ => {
-            let r = shared(detail, catalog, ctx)?;
+            let r = execute(detail, catalog, ctx)?;
             run(MdJoin::new(&b, &r), theta.clone())?
         }
-    };
+    });
     if let (Some((req, detail_rel)), Some(cache)) = (miss, ctx.cuboid_cache()) {
-        cache.insert(&req, &detail_rel, Arc::new(out.clone()));
+        cache.insert(&req, &detail_rel, out.clone());
     }
     Ok(out)
 }
@@ -366,6 +333,17 @@ mod tests {
         assert_eq!(out.len(), 2);
         let c1 = out.rows().iter().find(|r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(c1[1], Value::Float(30.0));
+    }
+
+    #[test]
+    fn table_and_inline_nodes_lend_their_arc() {
+        let cat = catalog();
+        let ctx = ExecContext::new();
+        let table = execute(&Plan::table("Sales"), &cat, &ctx).unwrap();
+        assert!(Arc::ptr_eq(&table, &cat.get("Sales").unwrap()));
+        let held = Arc::new(Relation::empty(table.schema().clone()));
+        let inline = execute(&Plan::Inline(held.clone()), &cat, &ctx).unwrap();
+        assert!(Arc::ptr_eq(&inline, &held));
     }
 
     #[test]
@@ -513,7 +491,9 @@ mod tests {
         assert_eq!(stats.cache_misses(), 1);
         let warm = execute(&fine, &cat, &ctx).unwrap();
         assert_eq!(stats.cache_hits(), 1);
-        assert_eq!(cold.rows(), warm.rows());
+        // The miss made resident the very `Arc` it returned, and the hit
+        // lent it out again: one relation, never copied.
+        assert!(Arc::ptr_eq(&cold, &warm));
         // A coarser query rolls up from the cached finer cuboid.
         let coarse = Plan::table("Sales").group_by_base(&["cust"]).md_join(
             Plan::table("Sales"),
@@ -524,6 +504,8 @@ mod tests {
         assert_eq!(stats.cache_rollup_hits(), 1);
         let direct = execute(&coarse, &cat, &mdj_core::ExecContext::new()).unwrap();
         assert!(direct.same_multiset(&rolled));
+        // ...and the rolled-up cuboid is resident too: its repeat is lent.
+        assert!(Arc::ptr_eq(&rolled, &execute(&coarse, &cat, &ctx).unwrap()));
         // Non-canonical θ (extra predicate) bypasses the cache entirely.
         let filtered = Plan::table("Sales").group_by_base(&["cust"]).md_join(
             Plan::table("Sales"),
@@ -574,7 +556,7 @@ mod tests {
         assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 1));
         assert_eq!(stats.scans(), 1, "the hit never touched the detail table");
         assert_eq!(serial.rows(), cold.rows());
-        assert_eq!(cold.rows(), warm.rows());
+        assert!(Arc::ptr_eq(&cold, &warm));
     }
 
     #[test]

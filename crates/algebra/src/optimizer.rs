@@ -24,10 +24,6 @@ use mdj_storage::Catalog;
 pub struct Optimizer {
     /// Skip the coalescing phase (ablation knob for benches).
     pub disable_coalesce: bool,
-    /// Skip the pushdown phases (ablation knob for benches).
-    pub disable_pushdown: bool,
-    /// Skip the parallelization phase (ablation knob for benches).
-    pub disable_parallel: bool,
     /// Worker threads used when costing/wrapping `Plan::Parallel` nodes.
     /// `None` → all available cores.
     pub parallel_threads: Option<usize>,
@@ -51,21 +47,17 @@ impl Optimizer {
             }
             Ok(())
         };
-        if !self.disable_pushdown {
-            let pushed = pushdown_detail_selection(best.clone());
-            consider(pushed, &mut best, &mut best_cost)?;
-            let ranged = push_base_ranges_to_detail(best.clone());
-            consider(ranged, &mut best, &mut best_cost)?;
-        }
+        let pushed = pushdown_detail_selection(best.clone());
+        consider(pushed, &mut best, &mut best_cost)?;
+        let ranged = push_base_ranges_to_detail(best.clone());
+        consider(ranged, &mut best, &mut best_cost)?;
         if !self.disable_coalesce {
             let coalesced = coalesce_chains(best.clone());
             consider(coalesced, &mut best, &mut best_cost)?;
         }
-        if !self.disable_parallel {
-            let threads = self.parallel_threads.unwrap_or(0); // 0 → all cores
-            let parallelized = parallelize(best.clone(), threads);
-            consider(parallelized, &mut best, &mut best_cost)?;
-        }
+        let threads = self.parallel_threads.unwrap_or(0); // 0 → all cores
+        let parallelized = parallelize(best.clone(), threads);
+        consider(parallelized, &mut best, &mut best_cost)?;
         Ok(best)
     }
 }

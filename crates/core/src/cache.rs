@@ -313,13 +313,26 @@ impl CuboidCache {
     }
 
     /// Make `result` resident for `req` (replacing any same-fingerprint
-    /// entry). Oversized results and pool-reservation failures degrade to a
-    /// silent no-op — caching is an optimization, never an error source.
+    /// entry). The cache shares the caller's `Arc`; nothing is copied.
+    /// Oversized results and pool-reservation failures degrade to a silent
+    /// no-op that leaves every resident entry in place — caching is an
+    /// optimization, never an error source.
     pub fn insert(&self, req: &CuboidRequest, detail: &Arc<Relation>, result: Arc<Relation>) {
         let bytes = approx_relation_bytes(&result);
         if bytes > self.budget {
             return;
         }
+        // Reserve before touching any entry: an insert that cannot be
+        // charged must not have replaced or evicted anything.
+        let grant = match self.pool.get() {
+            Some(pool) => match pool.try_reserve(bytes) {
+                Ok(g) => Some(g),
+                // The pool is tighter than our own budget right now; skip
+                // caching rather than compete with query admission.
+                Err(_) => return,
+            },
+            None => None,
+        };
         let fingerprint = req.fingerprint();
         let mut inner = self.lock();
         inner.tick += 1;
@@ -333,15 +346,6 @@ impl CuboidCache {
             inner.bytes -= old.bytes;
         }
         self.evict_to_fit(&mut inner, bytes);
-        let grant = match self.pool.get() {
-            Some(pool) => match pool.try_reserve(bytes) {
-                Ok(g) => Some(g),
-                // The pool is tighter than our own budget right now; skip
-                // caching rather than compete with query admission.
-                Err(_) => return,
-            },
-            None => None,
-        };
         inner.bytes += bytes;
         inner.entries.push(CacheEntry {
             fingerprint,
@@ -913,6 +917,37 @@ mod tests {
         assert_eq!(pool.reserved(), cache.bytes());
         cache.clear();
         assert_eq!(pool.reserved(), 0);
+    }
+
+    #[test]
+    fn an_insert_the_pool_refuses_leaves_the_cache_as_it_was() {
+        let detail = Arc::new(sales(200));
+        let aggs = vec![AggSpec::count_star()];
+        let small = Arc::new(cuboid(&detail, &["cust"], &aggs));
+        let big = Arc::new(cuboid(&detail, &["cust", "month"], &aggs));
+        let (small_bytes, big_bytes) = (approx_relation_bytes(&small), approx_relation_bytes(&big));
+        // The cache's own budget fits only one of the two, so a successful
+        // insert of `big` would evict `small`; the pool fits only `small`.
+        let cache = CuboidCache::new(big_bytes as usize);
+        let pool = Arc::new(MemoryPool::new((small_bytes + big_bytes - 1) as usize));
+        cache.attach_pool(pool.clone());
+        cache.insert(&req(&["cust"], &aggs), &detail, small.clone());
+        assert_eq!((cache.len(), cache.bytes()), (1, small_bytes));
+
+        // Neither a new fingerprint nor a same-fingerprint replacement may
+        // remove or evict anything when the reservation fails.
+        cache.insert(&req(&["cust", "month"], &aggs), &detail, big.clone());
+        cache.insert(&req(&["cust"], &aggs), &detail, big);
+        assert_eq!((cache.len(), cache.bytes()), (1, small_bytes));
+        assert_eq!(pool.reserved(), small_bytes);
+        assert_eq!(cache.metrics().evictions, 0);
+        match cache
+            .lookup(&req(&["cust"], &aggs), &detail, &ExecContext::new())
+            .unwrap()
+        {
+            CacheAnswer::Exact(got) => assert!(Arc::ptr_eq(&got, &small)),
+            other => panic!("expected the old entry, got {other:?}"),
+        }
     }
 
     #[test]

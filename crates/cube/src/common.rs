@@ -81,13 +81,14 @@ impl CubeSpec {
     }
 }
 
-/// Reshape a cuboid relation `(kept dims…, aggs…)` to the full
-/// `(dims…, aggs…)` schema, inserting `ALL` for rolled-up dimensions.
-pub fn pad_cuboid(cuboid: &Relation, spec: &CubeSpec, mask: Mask, schema: &Schema) -> Relation {
+/// Append a cuboid relation `(kept dims…, aggs…)` to `out`, reshaped to
+/// `out`'s full `(dims…, aggs…)` schema with `ALL` inserted for rolled-up
+/// dimensions. The cube drivers accumulate their answer through this, so no
+/// cuboid is copied more than once.
+pub fn pad_cuboid(cuboid: &Relation, spec: &CubeSpec, mask: Mask, out: &mut Relation) {
     let kept = spec.kept(mask);
-    let mut out = Relation::empty(schema.clone());
     for row in cuboid.iter() {
-        let mut vals = Vec::with_capacity(schema.len());
+        let mut vals = Vec::with_capacity(out.schema().len());
         for d in &spec.dims {
             match kept.iter().position(|k| k == d) {
                 Some(i) => vals.push(row[i].clone()),
@@ -97,7 +98,6 @@ pub fn pad_cuboid(cuboid: &Relation, spec: &CubeSpec, mask: Mask, schema: &Schem
         vals.extend(row.values()[kept.len()..].iter().cloned());
         out.push_unchecked(Row::new(vals));
     }
-    out
 }
 
 /// Single-pass aggregation over a relation **sorted by `key_cols`**: emit one
@@ -226,7 +226,8 @@ mod tests {
                 Value::Int(2),
             ])],
         );
-        let padded = pad_cuboid(&cuboid, &sp, 0b10, &schema);
+        let mut padded = Relation::empty(schema);
+        pad_cuboid(&cuboid, &sp, 0b10, &mut padded);
         assert_eq!(padded.rows()[0][0], Value::All);
         assert_eq!(padded.rows()[0][1], Value::str("NY"));
         assert_eq!(padded.rows()[0][2], Value::Float(3.0));

@@ -34,12 +34,12 @@ pub fn has_holistic(spec: &CubeSpec, registry: &Registry) -> bool {
 pub fn cube_holistic(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result<Relation> {
     let lattice = spec.lattice();
     let schema = spec.output_schema(r, ctx.registry())?;
-    let mut out = Relation::empty(schema.clone());
+    let mut out = Relation::empty(schema);
     for mask in lattice.masks_fine_to_coarse() {
         let kept = spec.kept(mask);
         let b = group_by(r, &kept)?;
         let cuboid = serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?;
-        out = out.union(&pad_cuboid(&cuboid, spec, mask, &schema))?;
+        pad_cuboid(&cuboid, spec, mask, &mut out);
     }
     Ok(out)
 }

@@ -32,13 +32,12 @@ pub fn cube_via_wildcard_theta(
 pub fn cube_per_cuboid(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result<Relation> {
     let lattice = spec.lattice();
     let schema = spec.output_schema(r, ctx.registry())?;
-    let mut out = Relation::empty(schema.clone());
+    let mut out = Relation::empty(schema);
     for mask in lattice.masks_fine_to_coarse() {
         let kept = spec.kept(mask);
         let b = group_by(r, &kept)?;
         let cuboid = serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?;
-        let padded = pad_cuboid(&cuboid, spec, mask, &schema);
-        out = out.union(&padded)?;
+        pad_cuboid(&cuboid, spec, mask, &mut out);
     }
     Ok(out)
 }

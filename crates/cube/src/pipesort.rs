@@ -91,7 +91,7 @@ pub fn cube_pipesort(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result
     let base_b = group_by(r, &full_kept)?;
     let base = serial_md_join(&base_b, r, &spec.aggs, &cuboid_theta(&full_kept), ctx)?;
 
-    let mut out = Relation::empty(schema.clone());
+    let mut out = Relation::empty(schema);
     for pipeline in &pipelines {
         // One (re)sort per pipeline.
         let mut sorted = base.clone();
@@ -121,7 +121,7 @@ pub fn cube_pipesort(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result
                 let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 in_pipeline_order.project(&name_refs)?
             };
-            out = out.union(&pad_cuboid(&cuboid, spec, mask, &schema))?;
+            pad_cuboid(&cuboid, spec, mask, &mut out);
         }
     }
     Ok(out)

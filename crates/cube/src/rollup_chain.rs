@@ -28,7 +28,7 @@ pub fn cube_rollup_chain(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Re
 
     // Unpadded cuboid relations, keyed by mask.
     let mut computed: HashMap<Mask, Relation> = HashMap::new();
-    let mut out = Relation::empty(schema.clone());
+    let mut out = Relation::empty(schema);
 
     for mask in lattice.masks_fine_to_coarse() {
         let kept = spec.kept(mask);
@@ -48,7 +48,7 @@ pub fn cube_rollup_chain(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Re
             let b = group_by(parent, &kept)?;
             serial_md_join(&b, parent, &rolled, &cuboid_theta(&kept), ctx)?
         };
-        out = out.union(&pad_cuboid(&cuboid, spec, mask, &schema))?;
+        pad_cuboid(&cuboid, spec, mask, &mut out);
         computed.insert(mask, cuboid);
     }
     Ok(out)

@@ -55,7 +55,7 @@ pub fn sets_agg(
     let n = spec.dims.len();
     let bound = (1u64 << n) as Mask;
     let schema = spec.output_schema(r, ctx.registry())?;
-    let mut out = Relation::empty(schema.clone());
+    let mut out = Relation::empty(schema);
     let mut done: Vec<Mask> = Vec::new();
     for &mask in masks {
         if mask >= bound {
@@ -70,7 +70,7 @@ pub fn sets_agg(
         let kept = spec.kept(mask);
         let b = group_by(r, &kept)?;
         let cuboid = serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?;
-        out = out.union(&pad_cuboid(&cuboid, spec, mask, &schema))?;
+        pad_cuboid(&cuboid, spec, mask, &mut out);
     }
     Ok(out)
 }

@@ -62,33 +62,14 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    // JSON has no NaN/Infinity; encode as null like most
-                    // implementations.
-                    out.push_str("null");
-                }
-            }
+            Json::Bool(b) => write_bool(*b, out),
+            Json::Int(v) => write_int(*v, out),
+            Json::Float(v) => write_float(*v, out),
             Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_array(items, out, Json::write),
             Json::Obj(map) => {
                 out.push('{');
                 for (i, (k, v)) in map.iter().enumerate() {
@@ -105,7 +86,45 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+// The leaf writers: the only place an array, bool, number or string is
+// formatted. `Json::write` and the wire's row writer (which encodes a
+// relation's cells without building a `Json` per cell) both end here.
+
+/// `[a,b,…]` with each item written by `item`.
+pub(crate) fn write_array<T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+    mut item: impl FnMut(T, &mut String),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(x, out);
+    }
+    out.push(']');
+}
+
+pub(crate) fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+pub(crate) fn write_int(v: i64, out: &mut String) {
+    let _ = write!(out, "{v}");
+}
+
+pub(crate) fn write_float(v: f64, out: &mut String) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        // JSON has no NaN/Infinity; encode as null like most
+        // implementations.
+        out.push_str("null");
+    }
+}
+
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

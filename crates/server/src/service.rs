@@ -6,7 +6,8 @@
 //! object. One service holds:
 //!
 //! * one immutable `Arc<EngineConfig>` (registry, strategy, spill policy,
-//!   catalog of copy-on-write relations) shared by every query thread;
+//!   catalog of `Arc`-shared, never-mutated relations) shared by every query
+//!   thread;
 //! * an [`AdmissionController`] deciding which queries may start;
 //! * a session table mapping session ids to their prepared statements and
 //!   the cancel tokens of in-flight queries.
@@ -22,7 +23,7 @@ use crate::shutdown::{DrainReport, ShutdownController};
 use mdj_core::governor::{CancelToken, MemoryPool};
 use mdj_core::{CoreError, EngineConfig, ExecContext, IngestReport, QueryCtx};
 use mdj_sql::{PreparedStatement, SqlEngine};
-use mdj_storage::{Counter, Row, ScanStats, StatsSnapshot, SweepReport, Value};
+use mdj_storage::{Counter, Relation, Row, ScanStats, StatsSnapshot, SweepReport, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,10 +68,14 @@ pub struct ExecOptions {
 }
 
 /// A successful query result plus its isolated per-query statistics.
+///
+/// `relation` is the `Arc` the engine answered with — for an identity
+/// select list over a catalog table or a cached cuboid, the resident one —
+/// so it is read, serialised once by [`wire`](crate::wire), and never
+/// modified.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    pub columns: Vec<String>,
-    pub rows: Vec<Vec<Value>>,
+    pub relation: Arc<Relation>,
     pub stats: StatsSnapshot,
 }
 
@@ -399,7 +404,7 @@ impl QueryService {
                 .map_err(CoreError::from)?
                 .schema()
                 .clone();
-            let mut staged = mdj_storage::Relation::empty(schema);
+            let mut staged = Relation::empty(schema);
             for row in rows {
                 staged.push(row).map_err(CoreError::from)?;
             }
@@ -478,7 +483,7 @@ impl QueryService {
         &self,
         session: u64,
         opts: ExecOptions,
-        body: impl FnOnce(&SqlEngine) -> mdj_sql::Result<mdj_storage::Relation>,
+        body: impl FnOnce(&SqlEngine) -> mdj_sql::Result<Arc<Relation>>,
     ) -> Result<QueryOutcome, ServerError> {
         // 0. A draining server admits nothing: shed before touching the
         //    pool so the drain's pool-at-zero invariant cannot regress.
@@ -526,8 +531,9 @@ impl QueryService {
             s.running.insert(t.clone(), token.clone());
         }
 
-        // 4. Execute over the shared engine config. The catalog clone is a
-        //    BTreeMap of Arc'd relations — cheap, no data copied.
+        // 4. Execute over the shared engine config. The catalog clone copies
+        //    a map of `Arc`s, and the plan layer lends those same `Arc`s to
+        //    its operators (DESIGN §3.3): no table row is copied per query.
         let ctx = ExecContext::from_parts(self.engine.clone(), qctx);
         let engine = SqlEngine::with_context(self.engine.catalog().clone(), ctx);
         let result = body(&engine);
@@ -542,10 +548,8 @@ impl QueryService {
         // 6. A query that failed still did its I/O: count it before `?`.
         let snapshot = stats.snapshot();
         self.totals.absorb(&snapshot);
-        let out = result.map_err(ServerError::from)?;
         Ok(QueryOutcome {
-            columns: out.schema().names().iter().map(|s| s.to_string()).collect(),
-            rows: out.rows().iter().map(|r| r.values().to_vec()).collect(),
+            relation: result?,
             stats: snapshot,
         })
     }
@@ -579,7 +583,7 @@ impl Drop for RunningGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdj_storage::{DataType, Relation, Row, Schema};
+    use mdj_storage::{DataType, Schema};
 
     fn sales() -> Relation {
         let schema = Schema::from_pairs(&[
@@ -620,8 +624,8 @@ mod tests {
         let out = svc
             .execute(sid, stmt, &[Value::Int(2)], ExecOptions::default())
             .unwrap();
-        assert_eq!(out.columns, vec!["cust", "sum_sale"]);
-        assert_eq!(out.rows.len(), 2);
+        assert_eq!(out.relation.schema().names(), vec!["cust", "sum_sale"]);
+        assert_eq!(out.relation.len(), 2);
         assert!(out.stats.tuples_scanned > 0);
         svc.deallocate(sid, stmt).unwrap();
         assert!(matches!(
@@ -633,6 +637,35 @@ mod tests {
             svc.prepare(sid, "select count(*) from Sales"),
             Err(ServerError::UnknownSession(_))
         ));
+    }
+
+    #[test]
+    fn a_cached_cuboid_is_answered_with_the_resident_relation_itself() {
+        let engine = EngineConfig::new()
+            .register_table("Sales", sales())
+            .with_cuboid_cache(1 << 20)
+            .build();
+        let svc = QueryService::new(engine, ServiceConfig::default());
+        let sid = svc.open_session();
+        // A `dash-hot` statement: the select list is the cuboid's own
+        // columns in order, so nothing stands between cache and wire.
+        let sql = "select cust, month, sum(sale), count(*) from Sales group by cust, month";
+        let run = |sql: &str| svc.query(sid, sql, ExecOptions::default()).unwrap();
+        let (cold, warm) = (run(sql), run(sql));
+        assert_eq!((cold.stats.cache_misses, warm.stats.cache_hits), (1, 1));
+        assert!(Arc::ptr_eq(&cold.relation, &warm.relation));
+        let before = cold.relation.rows().to_vec();
+
+        // Reordering and truncating work on the projection's fresh copy:
+        // the resident cuboid keeps its order and length.
+        let top = run(&format!("{sql} order by sum_sale desc limit 1"));
+        assert_eq!(top.stats.cache_hits, 1);
+        assert_eq!(top.relation.len(), 1);
+        assert_eq!(top.relation.rows()[0][2], Value::Float(50.0));
+        assert!(!Arc::ptr_eq(&top.relation, &cold.relation));
+        let again = run(sql);
+        assert!(Arc::ptr_eq(&again.relation, &cold.relation));
+        assert_eq!(again.relation.rows(), &before[..]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! `{"all":true}` (it never appears in requests).
 
 use crate::error::ServerError;
-use crate::json::{parse, Json};
+use crate::json::{self, parse, Json};
 use crate::service::{ExecOptions, QueryOutcome, QueryService};
 use mdj_storage::{CounterDef, StatsSnapshot, Value};
 use std::time::Duration;
@@ -35,10 +35,7 @@ use std::time::Duration;
 /// Decode one request line, dispatch it to the service, encode the response
 /// line (without trailing newline).
 pub fn handle_line(service: &QueryService, line: &str) -> String {
-    match dispatch(service, line) {
-        Ok(json) => json.encode(),
-        Err(e) => error_line(&e),
-    }
+    dispatch(service, line).unwrap_or_else(|e| error_line(&e))
 }
 
 /// Encode one failure response line (without trailing newline). Also used
@@ -53,14 +50,14 @@ pub fn error_line(e: &ServerError) -> String {
     .encode()
 }
 
-fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
+fn dispatch(service: &QueryService, line: &str) -> Result<String, ServerError> {
     let req = parse(line).map_err(ServerError::BadRequest)?;
     let op = req
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| ServerError::BadRequest("missing `op`".into()))?;
-    match op {
-        "ping" => Ok(Json::obj(vec![("ok", Json::Bool(true))])),
+    let reply = match op {
+        "ping" => Json::obj(vec![("ok", Json::Bool(true))]),
         "stats" => {
             let pool = service.pool();
             let recovery = service.recovery_report();
@@ -95,7 +92,7 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
                 fields.push(("cache_bytes", Json::Int(m.bytes as i64)));
                 fields.push(("cache_budget_bytes", Json::Int(m.budget_bytes as i64)));
             }
-            Ok(Json::obj(fields))
+            Json::obj(fields)
         }
         "ingest" => {
             let table = str_field(&req, "table")?;
@@ -114,7 +111,7 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
                 rows.push(mdj_storage::Row::new(vals));
             }
             let report = service.ingest(session_of(&req)?, table, rows)?;
-            Ok(Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("rows", Json::Int(report.rows as i64)),
                 ("version", Json::Int(report.version as i64)),
@@ -126,7 +123,7 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
                     "cache_invalidated",
                     Json::Int(report.cache_invalidated as i64),
                 ),
-            ]))
+            ])
         }
         "shutdown" => {
             // Flip the drain flag and acknowledge; the owner of the
@@ -135,57 +132,58 @@ fn dispatch(service: &QueryService, line: &str) -> Result<Json, ServerError> {
             // the drain itself: this connection's thread is part of what is
             // being drained.
             service.shutdown().request();
-            Ok(Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("draining", Json::Bool(true)),
-            ]))
+            ])
         }
         "open" => {
             let id = service.open_session();
-            Ok(Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("session", Json::Int(id as i64)),
-            ]))
+            ])
         }
         "close" => {
             service.close_session(session_of(&req)?)?;
-            Ok(Json::obj(vec![("ok", Json::Bool(true))]))
+            Json::obj(vec![("ok", Json::Bool(true))])
         }
         "prepare" => {
             let sql = str_field(&req, "sql")?;
             let (stmt, params) = service.prepare(session_of(&req)?, sql)?;
-            Ok(Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("stmt", Json::Int(stmt as i64)),
                 ("params", Json::Int(params as i64)),
-            ]))
+            ])
         }
         "deallocate" => {
             let stmt = int_field(&req, "stmt")? as u64;
             service.deallocate(session_of(&req)?, stmt)?;
-            Ok(Json::obj(vec![("ok", Json::Bool(true))]))
+            Json::obj(vec![("ok", Json::Bool(true))])
         }
         "execute" => {
             let stmt = int_field(&req, "stmt")? as u64;
             let args = args_of(&req)?;
             let out = service.execute(session_of(&req)?, stmt, &args, opts_of(&req)?)?;
-            Ok(outcome_json(out))
+            return Ok(outcome_json(&out));
         }
         "query" => {
             let sql = str_field(&req, "sql")?;
             let out = service.query(session_of(&req)?, sql, opts_of(&req)?)?;
-            Ok(outcome_json(out))
+            return Ok(outcome_json(&out));
         }
         "cancel" => {
             let tag = str_field(&req, "tag")?;
             let found = service.cancel(session_of(&req)?, tag)?;
-            Ok(Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("cancelled", Json::Bool(found)),
-            ]))
+            ])
         }
-        other => Err(ServerError::BadRequest(format!("unknown op `{other}`"))),
-    }
+        other => return Err(ServerError::BadRequest(format!("unknown op `{other}`"))),
+    };
+    Ok(reply.encode())
 }
 
 fn session_of(req: &Json) -> Result<u64, ServerError> {
@@ -261,34 +259,35 @@ fn json_to_value(j: &Json) -> Result<Value, ServerError> {
     })
 }
 
-fn value_to_json(v: &Value) -> Json {
+/// One cell, through the leaf writers `Json::write` itself uses.
+fn write_value(v: &Value, out: &mut String) {
     match v {
-        Value::Null => Json::Null,
-        Value::All => Json::obj(vec![("all", Json::Bool(true))]),
-        Value::Int(i) => Json::Int(*i),
-        Value::Float(f) => Json::Float(*f),
-        Value::Str(s) => Json::Str(s.to_string()),
-        Value::Bool(b) => Json::Bool(*b),
+        Value::Null => out.push_str("null"),
+        Value::All => out.push_str(r#"{"all":true}"#),
+        Value::Int(i) => json::write_int(*i, out),
+        Value::Float(f) => json::write_float(*f, out),
+        Value::Str(s) => json::write_escaped(s, out),
+        Value::Bool(b) => json::write_bool(*b, out),
     }
 }
 
-fn outcome_json(out: QueryOutcome) -> Json {
-    let columns = Json::Arr(out.columns.iter().map(|c| Json::Str(c.clone())).collect());
-    let rows = Json::Arr(
-        out.rows
-            .iter()
-            .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
-            .collect(),
-    );
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("columns", columns),
-        ("rows", rows),
-        (
-            "stats",
-            Json::obj(counter_fields(&out.stats, |def| def.wire)),
-        ),
-    ])
+/// The success line of `query`/`execute`: the relation's cells go straight
+/// into the line — the one serialisation of a result — in the key order a
+/// `Json::Obj` would give them (`columns`, `ok`, `rows`, `stats`).
+fn outcome_json(out: &QueryOutcome) -> String {
+    let rel = &out.relation;
+    let mut line = String::from(r#"{"columns":"#);
+    json::write_array(rel.schema().fields(), &mut line, |f, line| {
+        json::write_escaped(&f.name, line)
+    });
+    line.push_str(r#","ok":true,"rows":"#);
+    json::write_array(rel.iter(), &mut line, |row, line| {
+        json::write_array(row.values(), line, write_value)
+    });
+    line.push_str(r#","stats":"#);
+    Json::obj(counter_fields(&out.stats, |def| def.wire)).write(&mut line);
+    line.push('}');
+    line
 }
 
 /// The counter-table rows `keep` admits, as object fields keyed by table
@@ -321,6 +320,84 @@ mod tests {
         );
         let engine = EngineConfig::new().register_table("Sales", rel).build();
         QueryService::new(engine, crate::ServiceConfig::default())
+    }
+
+    /// The per-cell `Json` tree the row writer replaced, kept as its
+    /// reference.
+    fn value_to_json(v: &Value) -> Json {
+        match v {
+            Value::Null => Json::Null,
+            Value::All => Json::obj(vec![("all", Json::Bool(true))]),
+            Value::Int(i) => Json::Int(*i),
+            Value::Float(f) => Json::Float(*f),
+            Value::Str(s) => Json::Str(s.to_string()),
+            Value::Bool(b) => Json::Bool(*b),
+        }
+    }
+
+    #[test]
+    fn row_writer_is_byte_identical_to_the_json_tree() {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Any),
+            ("quote\"and\\slash", DataType::Any),
+            ("naïve✓", DataType::Any),
+        ]);
+        let cells = vec![
+            Value::Null,
+            Value::All,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.1 + 0.2),
+            Value::Float(1e300),
+            Value::Float(5e-324),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::str(""),
+            Value::str("he said \"hi\" \\ back/slash"),
+            Value::str("line\nfeed\rreturn\ttab\u{0}\u{1}\u{1f}\u{7f}"),
+            Value::str("žluťoučký 東京 🦀"),
+        ];
+        let rows: Vec<Row> = cells.chunks(3).map(|c| Row::new(c.to_vec())).collect();
+        let stats = mdj_storage::ScanStats::new().snapshot();
+        for relation in [
+            Relation::from_rows(schema.clone(), rows),
+            Relation::empty(schema),
+        ] {
+            let tree = Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                (
+                    "columns",
+                    Json::Arr(
+                        relation
+                            .schema()
+                            .names()
+                            .into_iter()
+                            .map(|c| Json::Str(c.into()))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "rows",
+                    Json::Arr(
+                        relation
+                            .iter()
+                            .map(|r| Json::Arr(r.values().iter().map(value_to_json).collect()))
+                            .collect(),
+                    ),
+                ),
+                ("stats", Json::obj(counter_fields(&stats, |def| def.wire))),
+            ]);
+            let out = QueryOutcome {
+                relation: std::sync::Arc::new(relation),
+                stats: stats.clone(),
+            };
+            assert_eq!(outcome_json(&out), tree.encode());
+        }
     }
 
     fn ok_field(resp: &str, key: &str) -> Json {

@@ -8,6 +8,7 @@ use crate::prepare::PreparedStatement;
 use mdj_algebra::{execute, explain::explain, optimize, Plan};
 use mdj_core::ExecContext;
 use mdj_storage::{Catalog, Relation, Value};
+use std::sync::Arc;
 
 /// A SQL engine bound to a catalog and an execution context.
 #[derive(Debug, Default)]
@@ -70,7 +71,11 @@ impl SqlEngine {
     }
 
     /// Bind `params` to a prepared statement and run it end to end.
-    pub fn execute_prepared(&self, stmt: &PreparedStatement, params: &[Value]) -> Result<Relation> {
+    pub fn execute_prepared(
+        &self,
+        stmt: &PreparedStatement,
+        params: &[Value],
+    ) -> Result<Arc<Relation>> {
         self.fault_parse()?;
         let q = stmt.bind(params)?;
         self.run_query(&q)
@@ -86,8 +91,9 @@ impl SqlEngine {
     /// Run a query end to end. `ANALYZE BY` cuboid-family queries take the
     /// fast physical path (per-cuboid hash probes, or Theorem 4.5 roll-up
     /// chains when every aggregate is distributive) instead of the generic
-    /// wildcard-θ plan.
-    pub fn query(&self, sql: &str) -> Result<Relation> {
+    /// wildcard-θ plan. The answer is the `Arc` the plan produced whenever
+    /// the select list is the plan's own column list (see [`Self::present`]).
+    pub fn query(&self, sql: &str) -> Result<Arc<Relation>> {
         self.fault_parse()?;
         let q = parse(sql)?;
         self.run_query(&q)
@@ -95,7 +101,7 @@ impl SqlEngine {
 
     /// Shared execution path: compile an AST, pick the fast cuboid path or
     /// the generic optimized plan, and present the result.
-    fn run_query(&self, q: &Query) -> Result<Relation> {
+    fn run_query(&self, q: &Query) -> Result<Arc<Relation>> {
         let compiled = self.compile_ast(q)?;
         if let Some(fast) = &compiled.fast_cube {
             let source = execute(&fast.source, &self.catalog, &self.ctx)?;
@@ -111,7 +117,7 @@ impl SqlEngine {
                 mdj_cube::sets::sets_agg(&source, &spec, &masks, &self.ctx)
                     .map_err(mdj_algebra::AlgebraError::from)?
             };
-            return self.present(out, &compiled);
+            return self.present(Arc::new(out), &compiled);
         }
         if self.ctx.fault_should_fail_planner() {
             return Err(
@@ -129,32 +135,37 @@ impl SqlEngine {
     pub fn query_unoptimized(&self, sql: &str) -> Result<Relation> {
         let compiled = self.compile(sql)?;
         let plan = compiled.plan.clone();
-        self.finish(plan, &compiled)
+        self.finish(plan, &compiled).map(Arc::unwrap_or_clone)
     }
 
-    fn finish(&self, plan: Plan, compiled: &CompiledQuery) -> Result<Relation> {
+    fn finish(&self, plan: Plan, compiled: &CompiledQuery) -> Result<Arc<Relation>> {
         let out = execute(&plan, &self.catalog, &self.ctx)?;
         self.present(out, compiled)
     }
 
     /// Apply HAVING, the select-list projection, ORDER BY, and LIMIT.
-    fn present(&self, mut out: Relation, compiled: &CompiledQuery) -> Result<Relation> {
-        if let Some(having) = &compiled.having {
-            let bound = having
-                .bind(None, Some(out.schema()))
-                .map_err(mdj_algebra::AlgebraError::from)?;
-            let mut kept = Relation::empty(out.schema().clone());
-            for row in out.iter() {
-                if bound
-                    .eval_bool(&[], row.values())
-                    .map_err(mdj_algebra::AlgebraError::from)?
-                {
-                    kept.push_unchecked(row.clone());
-                }
+    ///
+    /// `out` may be lent by the catalog or resident in the cuboid cache, so
+    /// it is only ever read: HAVING is a σ over it, a select list that is
+    /// its own columns in order with nothing to reorder or truncate *is* it,
+    /// and otherwise the sort and the truncation work on the fresh relation
+    /// the projection builds.
+    fn present(&self, out: Arc<Relation>, compiled: &CompiledQuery) -> Result<Arc<Relation>> {
+        let out = match &compiled.having {
+            Some(having) => {
+                let kept = Plan::Inline(out).select(having.clone());
+                execute(&kept, &self.catalog, &self.ctx)?
             }
-            out = kept;
-        }
+            None => out,
+        };
         let names: Vec<&str> = compiled.output_cols.iter().map(String::as_str).collect();
+        let identity = out
+            .schema()
+            .indices_of(&names)
+            .is_ok_and(|idx| idx.into_iter().eq(0..out.schema().len()));
+        if identity && compiled.order_by.is_empty() && compiled.limit.is_none() {
+            return Ok(out);
+        }
         let mut out = out
             .project(&names)
             .map_err(mdj_algebra::AlgebraError::from)?;
@@ -183,7 +194,7 @@ impl SqlEngine {
         if let Some(n) = compiled.limit {
             out.rows_mut().truncate(n);
         }
-        Ok(out)
+        Ok(Arc::new(out))
     }
 }
 

@@ -157,18 +157,22 @@ impl Relation {
 
     /// Multiset union with an identically-shaped relation (Theorem 4.1 glue).
     pub fn union(&self, other: &Relation) -> Result<Relation> {
+        let mut out = self.clone();
+        out.append(other)?;
+        Ok(out)
+    }
+
+    /// [`union`](Self::union) in place: append `other`'s rows to this
+    /// relation.
+    pub fn append(&mut self, other: &Relation) -> Result<()> {
         if self.schema.len() != other.schema.len() {
             return Err(StorageError::ArityMismatch {
                 expected: self.schema.len(),
                 got: other.schema.len(),
             });
         }
-        let mut rows = self.rows.clone();
-        rows.extend(other.rows.iter().cloned());
-        Ok(Relation {
-            schema: self.schema.clone(),
-            rows,
-        })
+        self.rows.extend(other.rows.iter().cloned());
+        Ok(())
     }
 
     /// In-place stable sort by the named columns (ascending, total order).

@@ -18,7 +18,7 @@
 
 use mdj_core::EngineConfig;
 use mdj_server::{ExecOptions, QueryService, ServiceConfig};
-use mdj_storage::Value;
+use mdj_storage::{Row, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -67,11 +67,12 @@ fn shared_engine(spill_dir: &Path) -> Arc<EngineConfig> {
 /// Canonical, bitwise-faithful key for a result set: rows rendered with
 /// `f64::to_bits` for floats, then sorted (executors do not promise a row
 /// order, only a multiset).
-fn canonical(rows: &[Vec<Value>]) -> Vec<String> {
+fn canonical(rows: &[Row]) -> Vec<String> {
     let mut keys: Vec<String> = rows
         .iter()
         .map(|row| {
-            row.iter()
+            row.values()
+                .iter()
                 .map(|v| match v {
                     Value::Null => "N".to_string(),
                     Value::All => "A".to_string(),
@@ -123,7 +124,7 @@ fn serial_baseline(engine: &Arc<EngineConfig>) -> Baseline {
             results.insert(
                 (si, pi),
                 (
-                    canonical(&out.rows),
+                    canonical(out.relation.rows()),
                     out.stats.tuples_scanned,
                     out.stats.updates,
                 ),
@@ -210,7 +211,7 @@ fn eight_sessions_mixed_workload_with_random_cancels() {
                             Ok(out) => {
                                 let (want_rows, _, _) = &baseline.results[&(si, pi)];
                                 assert_eq!(
-                                    &canonical(&out.rows),
+                                    &canonical(out.relation.rows()),
                                     want_rows,
                                     "session {t} stmt {si} param {pi}: result diverged from serial"
                                 );
@@ -360,7 +361,7 @@ fn mid_flight_cancel_yields_typed_outcome_and_drains_pool() {
     let out = svc
         .query(sid, "select count(*) from Sales", ExecOptions::default())
         .unwrap();
-    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.relation.len(), 1);
 
     // An immediate deadline is the other typed latency outcome.
     let err = svc

@@ -16,7 +16,7 @@
 
 use mdj_core::{EngineConfig, FaultInjector};
 use mdj_server::{ExecOptions, QueryService, ServiceConfig};
-use mdj_storage::Value;
+use mdj_storage::{Row, Value};
 use std::sync::Arc;
 
 const QUERIES: [&str; 3] = [
@@ -44,11 +44,12 @@ fn service(engine: &Arc<EngineConfig>) -> QueryService {
 }
 
 /// Canonical multiset key for a result set, floats by bit pattern.
-fn canonical(rows: &[Vec<Value>]) -> Vec<String> {
+fn canonical(rows: &[Row]) -> Vec<String> {
     let mut keys: Vec<String> = rows
         .iter()
         .map(|row| {
-            row.iter()
+            row.values()
+                .iter()
                 .map(|v| match v {
                     Value::Null => "N".to_string(),
                     Value::All => "A".to_string(),
@@ -73,7 +74,7 @@ fn run_mix(svc: &QueryService, iters: usize) -> Vec<(usize, Result<Vec<String>, 
     for i in 0..iters {
         let qi = i % QUERIES.len();
         let result = match svc.query(sid, QUERIES[qi], ExecOptions::default()) {
-            Ok(r) => Ok(canonical(&r.rows)),
+            Ok(r) => Ok(canonical(r.relation.rows())),
             Err(e) => Err(e.code()),
         };
         out.push((qi, result));
