@@ -372,14 +372,16 @@ mod self_test {
     impl Client {
         fn connect(addr: SocketAddr) -> Client {
             let writer = TcpStream::connect(addr).expect("connect");
+            writer.set_nodelay(true).expect("nodelay");
             let reader = BufReader::new(writer.try_clone().expect("clone"));
             Client { writer, reader }
         }
 
+        /// One request frame, one write, one response line.
         fn send(&mut self, line: &str) -> String {
-            self.writer.write_all(line.as_bytes()).expect("write");
-            self.writer.write_all(b"\n").expect("write");
-            self.writer.flush().expect("flush");
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("write");
             let mut resp = String::new();
             self.reader.read_line(&mut resp).expect("read");
             resp

@@ -21,6 +21,10 @@
 //! finalized value, then its batch rows in arrival order) is exactly the
 //! serial scan's order — while entries with any other aggregate (e.g. `avg`,
 //! whose finalized value is not a sufficient retained state) are dropped.
+//! A fold costs the batch's groups, not the cuboid: the entry keeps a
+//! group-key → row index, and the touched cells are written through
+//! `Arc::make_mut`, which copies the cuboid only while a reader still holds
+//! the lent result (that reader keeps its pre-ingest rows).
 //!
 //! Capacity is a byte budget with LRU eviction. When a shared [`MemoryPool`]
 //! is attached (the multi-tenant server does this), every resident entry
@@ -33,7 +37,9 @@ use crate::governor::{MemoryPool, PoolGrant};
 use mdj_agg::{AggInput, AggSpec, AggState, Registry};
 use mdj_expr::Expr;
 use mdj_storage::{IngestOutcome, Relation, Row, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
@@ -142,6 +148,10 @@ struct CacheEntry {
     /// forward to). Pointer identity is the validity test.
     detail: Weak<Relation>,
     result: Arc<Relation>,
+    /// Group key (the result's dim prefix) → row index in `result`. Built by
+    /// the first ingest fold and kept current by every later one; its bytes
+    /// are part of `bytes` and of the grant.
+    groups: Option<GroupIndex>,
     bytes: u64,
     last_used: u64,
     /// Reservation against the attached [`MemoryPool`], if any.
@@ -207,7 +217,8 @@ impl CuboidCache {
         self.lock().entries.is_empty()
     }
 
-    /// Bytes of finalized results currently resident.
+    /// Bytes of finalized results (and the group indexes of maintained
+    /// ones) currently resident.
     pub fn bytes(&self) -> u64 {
         self.lock().bytes
     }
@@ -352,6 +363,7 @@ impl CuboidCache {
             request: req.clone(),
             detail: Arc::downgrade(detail),
             result,
+            groups: None,
             bytes,
             last_used: tick,
             grant,
@@ -387,55 +399,27 @@ impl CuboidCache {
         let mut inner = self.lock();
         let mut i = 0;
         while i < inner.entries.len() {
-            if inner.entries[i].request.table != outcome.table {
+            let entry = &mut inner.entries[i];
+            if entry.request.table != outcome.table {
                 i += 1;
                 continue;
             }
-            let entry = &inner.entries[i];
-            let maintained = if weak_matches(&entry.detail, &outcome.old) {
-                maintain_entry(entry, outcome, registry)
+            let before = entry.bytes;
+            // An entry pointed at neither the pre- nor post-ingest relation
+            // is a leftover from an older replace: never servable again.
+            let maintained = Weak::ptr_eq(&entry.detail, &outcome.old)
+                && maintain_entry(entry, outcome, registry, self.budget).is_some();
+            if maintained {
+                let after = entry.bytes;
+                inner.bytes = inner.bytes - before + after;
+                report.maintained += 1;
+                self.maintained.fetch_add(1, Ordering::Relaxed);
+                i += 1;
             } else {
-                // Pointed at neither the pre- nor post-ingest relation: a
-                // leftover from an older replace. Never servable again.
-                None
-            };
-            match maintained {
-                Some(new_result) => {
-                    let entry = &mut inner.entries[i];
-                    let new_bytes = approx_relation_bytes(&new_result);
-                    let regrant = match (self.pool.get(), entry.grant.is_some()) {
-                        (Some(pool), true) => match pool.try_reserve(new_bytes) {
-                            Ok(g) => Some(Some(g)),
-                            Err(_) => None, // pool too tight → drop below
-                        },
-                        _ => Some(entry.grant.take()),
-                    };
-                    match regrant {
-                        Some(grant) if new_bytes <= self.budget => {
-                            let old_bytes = entry.bytes;
-                            entry.bytes = new_bytes;
-                            entry.result = new_result;
-                            entry.detail = Arc::downgrade(&outcome.new);
-                            entry.grant = grant;
-                            inner.bytes = inner.bytes - old_bytes + new_bytes;
-                            report.maintained += 1;
-                            self.maintained.fetch_add(1, Ordering::Relaxed);
-                            i += 1;
-                        }
-                        _ => {
-                            let dropped = inner.entries.swap_remove(i);
-                            inner.bytes -= dropped.bytes;
-                            report.invalidated += 1;
-                            self.invalidations.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                None => {
-                    let dropped = inner.entries.swap_remove(i);
-                    inner.bytes -= dropped.bytes;
-                    report.invalidated += 1;
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
+                inner.entries.swap_remove(i);
+                inner.bytes -= before;
+                report.invalidated += 1;
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
         report
@@ -448,16 +432,69 @@ fn weak_matches(weak: &Weak<Relation>, arc: &Arc<Relation>) -> bool {
 
 /// Estimated resident bytes of a finalized result relation.
 fn approx_relation_bytes(rel: &Relation) -> u64 {
-    let mut bytes = (rel.len() * std::mem::size_of::<Row>()) as u64;
-    for row in rel.iter() {
-        bytes += std::mem::size_of_val(row.values()) as u64;
-        for v in row.values() {
-            if let Value::Str(s) = v {
-                bytes += s.len() as u64;
-            }
+    rel.iter().map(|row| row_bytes(row.values())).sum()
+}
+
+/// One result row's share of [`approx_relation_bytes`].
+fn row_bytes(values: &[Value]) -> u64 {
+    let strs: u64 = values.iter().map(str_bytes).sum();
+    (std::mem::size_of::<Row>() + std::mem::size_of_val(values)) as u64 + strs
+}
+
+fn str_bytes(v: &Value) -> u64 {
+    match v {
+        Value::Str(s) => s.len() as u64,
+        _ => 0,
+    }
+}
+
+/// The row index a maintained cuboid keeps: hash of a group's dim prefix →
+/// its row in the result. Keys are not stored a second time — a hit is
+/// checked against the row it names, and two groups that share a hash make
+/// the cuboid unindexable (the fold is refused and the entry dropped), so
+/// a collision can cost a recompute but never a wrong cell.
+#[derive(Debug)]
+struct GroupIndex {
+    hasher: RandomState,
+    rows: HashMap<u64, usize>,
+}
+
+/// Estimated bytes one group costs a [`GroupIndex`]: its bucket at the
+/// table's average load.
+const GROUP_INDEX_BYTES: u64 = 2 * std::mem::size_of::<(u64, usize)>() as u64;
+
+impl GroupIndex {
+    /// Index `result`'s rows by their first `ndims` columns; `None` if two
+    /// rows collide.
+    fn build(result: &Relation, ndims: usize) -> Option<Self> {
+        let mut index = GroupIndex {
+            hasher: RandomState::new(),
+            rows: HashMap::with_capacity(result.len()),
+        };
+        for (i, row) in result.iter().enumerate() {
+            index.insert(&row.values()[..ndims], i)?;
+        }
+        Some(index)
+    }
+
+    fn hash(&self, key: &[Value]) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    /// The row holding group `key`: `Some(None)` for a group new to the
+    /// cuboid, `None` if the hash names a row of another group.
+    fn find(&self, key: &[Value], result: &Relation) -> Option<Option<usize>> {
+        match self.rows.get(&self.hash(key)) {
+            None => Some(None),
+            Some(&i) => (result.rows()[i].values()[..key.len()] == *key).then_some(Some(i)),
         }
     }
-    bytes
+
+    /// Record that group `key` lives in row `i`; `None` if its hash already
+    /// named a row (it names `i` from now on).
+    fn insert(&mut self, key: &[Value], i: usize) -> Option<()> {
+        self.rows.insert(self.hash(key), i).is_none().then_some(())
+    }
 }
 
 /// Can `req` be answered by rolling up the cached `entry` cuboid?
@@ -535,13 +572,25 @@ enum SlotKind {
     Seeded { input: usize },
 }
 
-/// Fold `outcome.appended` into `entry.result` per Algorithm 3.1. Returns
-/// the grown result, or `None` if the entry cannot be maintained safely.
+/// One batch group's pending change to a maintained cuboid.
+struct GroupFold {
+    /// Row of the resident cuboid this group extends; `None` for a group new
+    /// to the base.
+    target: Option<usize>,
+    key: Vec<Value>,
+    slots: Vec<Slot>,
+}
+
+/// Fold `outcome.appended` into `entry` in place per Algorithm 3.1 and
+/// re-point it at the grown relation. `None` means the entry cannot be
+/// maintained safely (or no longer fits) and must be dropped; nothing of
+/// the batch has been written to its result in that case.
 fn maintain_entry(
-    entry: &CacheEntry,
+    entry: &mut CacheEntry,
     outcome: &IngestOutcome,
     registry: &Registry,
-) -> Option<Arc<Relation>> {
+    budget: u64,
+) -> Option<()> {
     let req = &entry.request;
     let schema = outcome.new.schema();
     let dim_names: Vec<&str> = req.dims.iter().map(String::as_str).collect();
@@ -570,51 +619,54 @@ fn maintain_entry(
         }
     }
     let ndims = req.dims.len();
+    let mut bytes = entry.bytes;
     // Existing groups by their dim prefix (the result's first `ndims`
-    // columns, in request order).
-    let mut groups: HashMap<Vec<Value>, usize> = HashMap::with_capacity(entry.result.len());
-    for (i, row) in entry.result.iter().enumerate() {
-        groups.insert(row.values()[..ndims].to_vec(), i);
+    // columns, in request order): indexed once, on the first fold.
+    let result = &entry.result;
+    if entry.groups.is_none() {
+        entry.groups = Some(GroupIndex::build(result, ndims)?);
+        bytes += result.len() as u64 * GROUP_INDEX_BYTES;
     }
-    // Fold the batch in arrival order. `touched` maps group key → slot set;
-    // `order` keeps first-touch order for groups new to the base (a serial
-    // recompute appends them in exactly this order).
-    let mut touched: HashMap<Vec<Value>, (Option<usize>, Vec<Slot>)> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let groups = entry.groups.as_mut()?;
+    // Fold the batch in arrival order. `folds` keeps first-touch order: a
+    // serial recompute appends the groups new to the base in exactly that
+    // order.
+    let mut folds: Vec<GroupFold> = Vec::new();
+    let mut touched: HashMap<Vec<Value>, usize> = HashMap::new();
     for row in &outcome.appended {
         let key: Vec<Value> = dim_idx.iter().map(|&i| row[i].clone()).collect();
-        if !touched.contains_key(&key) {
-            let target = groups.get(&key).copied();
-            let mut slots = Vec::with_capacity(kinds.len());
-            for (j, kind) in kinds.iter().enumerate() {
-                let slot = match kind {
-                    SlotKind::Count { input } => Slot::Count {
-                        input: *input,
-                        delta: 0,
-                    },
-                    SlotKind::Seeded { input } => {
-                        let mut state = registry.get(&req.aggs[j].function).ok()?.init();
-                        if let Some(i) = target {
-                            // Seed with the retained finalized value; NULL
-                            // (empty group so far) seeds nothing, matching
-                            // a fresh state.
-                            state.update(&entry.result.rows()[i][ndims + j]).ok()?;
-                        }
-                        Slot::Seeded {
+        let at = match touched.get(&key) {
+            Some(&at) => at,
+            None => {
+                let target = groups.find(&key, result)?;
+                let mut slots = Vec::with_capacity(kinds.len());
+                for (j, kind) in kinds.iter().enumerate() {
+                    slots.push(match kind {
+                        SlotKind::Count { input } => Slot::Count {
                             input: *input,
-                            state,
+                            delta: 0,
+                        },
+                        SlotKind::Seeded { input } => {
+                            let mut state = registry.get(&req.aggs[j].function).ok()?.init();
+                            if let Some(i) = target {
+                                // Seed with the retained finalized value; NULL
+                                // (empty group so far) seeds nothing, matching
+                                // a fresh state.
+                                state.update(&result.rows()[i][ndims + j]).ok()?;
+                            }
+                            Slot::Seeded {
+                                input: *input,
+                                state,
+                            }
                         }
-                    }
-                };
-                slots.push(slot);
+                    });
+                }
+                touched.insert(key.clone(), folds.len());
+                folds.push(GroupFold { target, key, slots });
+                folds.len() - 1
             }
-            if target.is_none() {
-                order.push(key.clone());
-            }
-            touched.insert(key.clone(), (target, slots));
-        }
-        let (_, slots) = touched.get_mut(&key).expect("inserted above");
-        for slot in slots.iter_mut() {
+        };
+        for slot in folds[at].slots.iter_mut() {
             match slot {
                 Slot::Count { input, delta } => {
                     let counts = match input {
@@ -629,34 +681,60 @@ fn maintain_entry(
             }
         }
     }
-    // Materialize: retained rows in place (touched ones get their aggregate
-    // columns overwritten), then the new groups in first-touch order.
-    let mut rows: Vec<Row> = entry.result.rows().to_vec();
-    for (key, (target, slots)) in &touched {
+    // Finalize every touched cell before any is written, so an overflow or a
+    // type surprise refuses the whole batch with the result untouched.
+    let mut patches: Vec<(Option<usize>, Vec<Value>)> = Vec::with_capacity(folds.len());
+    for GroupFold { target, key, slots } in folds {
         match target {
             Some(i) => {
-                let vals = rows[*i].values_mut();
-                for (j, slot) in slots.iter().enumerate() {
-                    vals[ndims + j] = finalize_slot(slot, Some(&vals[ndims + j]))?;
+                let retained = &result.rows()[i].values()[ndims..];
+                let mut cells = Vec::with_capacity(slots.len());
+                for (slot, old) in slots.iter().zip(retained) {
+                    let cell = finalize_slot(slot, Some(old))?;
+                    bytes = bytes + str_bytes(&cell) - str_bytes(old);
+                    cells.push(cell);
+                }
+                patches.push((Some(i), cells));
+            }
+            None => {
+                let mut vals = key;
+                for slot in &slots {
+                    vals.push(finalize_slot(slot, None)?);
+                }
+                bytes += row_bytes(&vals) + GROUP_INDEX_BYTES;
+                patches.push((None, vals));
+            }
+        }
+    }
+    // Charge the growth (the index included) before committing to it.
+    if bytes > budget {
+        return None;
+    }
+    if let Some(grant) = entry.grant.as_mut() {
+        grant.resize(bytes).ok()?;
+    }
+    // Apply: retained rows get their aggregate columns overwritten, new
+    // groups are appended in first-touch order. A reader still holding the
+    // lent cuboid makes this a copy, and keeps the rows it was lent.
+    let rows = Arc::make_mut(&mut entry.result).rows_mut();
+    for (target, vals) in patches {
+        match target {
+            Some(i) => {
+                for (cell, v) in rows[i].values_mut()[ndims..].iter_mut().zip(vals) {
+                    *cell = v;
                 }
             }
             None => {
-                let _ = key; // appended below, in order
+                // Two new groups sharing a hash: the second owns the slot
+                // and the first is refused by `find` on its next batch.
+                let _ = groups.insert(&vals[..ndims], rows.len());
+                rows.push(Row::new(vals));
             }
         }
     }
-    for key in &order {
-        let (_, slots) = touched.get(key).expect("ordered keys are touched");
-        let mut vals = key.clone();
-        for slot in slots {
-            vals.push(finalize_slot(slot, None)?);
-        }
-        rows.push(Row::new(vals));
-    }
-    Some(Arc::new(Relation::from_rows(
-        entry.result.schema().clone(),
-        rows,
-    )))
+    entry.bytes = bytes;
+    entry.detail = Arc::downgrade(&outcome.new);
+    Some(())
 }
 
 /// Final value of one maintained aggregate column. `retained` is the
@@ -857,9 +935,198 @@ mod tests {
         assert_eq!(recomputed.rows(), got.rows());
         // And the pre-ingest pointer no longer matches.
         assert!(matches!(
-            cache.lookup(&r, &outcome.old, &ctx).unwrap(),
+            cache.lookup(&r, &detail, &ctx).unwrap(),
             CacheAnswer::Miss
         ));
+    }
+
+    /// `Sales` with a float measure whose sums depend on fold order.
+    fn float_sales(range: std::ops::Range<i64>) -> Vec<Row> {
+        range
+            .map(|i| {
+                Row::from_values(vec![
+                    Value::Int(i % 5),
+                    Value::str(if i % 3 == 0 { "NY" } else { "NJ" }),
+                    Value::Float(0.1 * (i as f64) + 1e-3 / (1.0 + i as f64)),
+                ])
+            })
+            .collect()
+    }
+
+    fn float_catalog(n: i64) -> Catalog {
+        let schema = Schema::from_pairs(&[
+            ("cust", DataType::Int),
+            ("state", DataType::Str),
+            ("sale", DataType::Float),
+        ]);
+        let mut catalog = Catalog::new();
+        catalog.register("Sales", Relation::from_rows(schema, float_sales(0..n)));
+        catalog
+    }
+
+    fn bits(rel: &Relation) -> Vec<Vec<Option<u64>>> {
+        let cell = |v: &Value| v.as_float().map(f64::to_bits);
+        rel.iter()
+            .map(|row| row.values().iter().map(cell).collect())
+            .collect()
+    }
+
+    #[test]
+    fn folds_happen_in_place_and_stay_bit_identical_to_a_recompute() {
+        let catalog = float_catalog(40);
+        let aggs = vec![
+            AggSpec::on_column("sum", "sale"),
+            AggSpec::on_column("min", "state"),
+            AggSpec::count_star(),
+        ];
+        let r = req(&["cust", "state"], &aggs);
+        let cache = CuboidCache::new(1 << 20);
+        let pool = Arc::new(MemoryPool::new(1 << 20));
+        cache.attach_pool(pool.clone());
+        let ctx = ExecContext::new();
+        let first_row = {
+            let detail = catalog.get("Sales").unwrap();
+            let result = Arc::new(cuboid(&detail, &["cust", "state"], &aggs));
+            let at = result.rows()[0].values().as_ptr();
+            cache.insert(&r, &detail, result);
+            at
+        };
+        let unindexed = cache.bytes();
+        // Nobody holds the table or the cuboid across these batches; the
+        // last one also opens groups the base never had (cust 5, 6).
+        for (lo, hi) in [(40, 47), (47, 48), (48, 90)] {
+            let mut batch = float_sales(lo..hi);
+            if hi == 90 {
+                batch.push(Row::from_values(vec![
+                    Value::Int(6),
+                    Value::str("CT"),
+                    Value::Null,
+                ]));
+                batch.push(Row::from_values(vec![
+                    Value::Int(5),
+                    Value::str("CT"),
+                    Value::Float(-0.5),
+                ]));
+            }
+            let outcome = catalog.ingest("Sales", batch).unwrap();
+            let report = cache.on_ingest(&outcome, &Registry::standard());
+            assert_eq!((report.maintained, report.invalidated), (1, 0));
+            let got = match cache.lookup(&r, &outcome.new, &ctx).unwrap() {
+                CacheAnswer::Exact(rel) => rel,
+                other => panic!("expected exact hit after maintenance, got {other:?}"),
+            };
+            let recomputed = cuboid(&outcome.new, &["cust", "state"], &aggs);
+            assert_eq!(recomputed.rows(), got.rows());
+            assert_eq!(bits(&recomputed), bits(&got));
+            // Row 0's value buffer never moved: the cuboid was not copied.
+            assert_eq!(got.rows()[0].values().as_ptr(), first_row);
+            // The retained index is charged, to the cache and to the pool.
+            let index = got.len() as u64 * GROUP_INDEX_BYTES;
+            assert_eq!(cache.bytes(), approx_relation_bytes(&got) + index);
+            assert_eq!(pool.reserved(), cache.bytes());
+        }
+        assert!(cache.bytes() > unindexed);
+        cache.clear();
+        assert_eq!((cache.bytes(), pool.reserved()), (0, 0));
+    }
+
+    #[test]
+    fn a_reader_holding_a_lent_cuboid_keeps_its_pre_ingest_rows() {
+        let catalog = float_catalog(30);
+        let aggs = vec![AggSpec::on_column("sum", "sale"), AggSpec::count_star()];
+        let r = req(&["cust"], &aggs);
+        let cache = CuboidCache::new(1 << 20);
+        let ctx = ExecContext::new();
+        let lent = {
+            let detail = catalog.get("Sales").unwrap();
+            cache.insert(&r, &detail, Arc::new(cuboid(&detail, &["cust"], &aggs)));
+            match cache.lookup(&r, &detail, &ctx).unwrap() {
+                CacheAnswer::Exact(rel) => rel,
+                other => panic!("expected exact hit, got {other:?}"),
+            }
+        };
+        let before = (*lent).clone();
+        let outcome = catalog.ingest("Sales", float_sales(30..45)).unwrap();
+        let report = cache.on_ingest(&outcome, &Registry::standard());
+        assert_eq!((report.maintained, report.invalidated), (1, 0));
+        // The reader's answer is the one it was lent...
+        assert_eq!(lent.rows(), before.rows());
+        assert_eq!(bits(&lent), bits(&before));
+        // ...and the cache serves the folded copy.
+        let got = match cache.lookup(&r, &outcome.new, &ctx).unwrap() {
+            CacheAnswer::Exact(rel) => rel,
+            other => panic!("expected exact hit after maintenance, got {other:?}"),
+        };
+        assert!(!Arc::ptr_eq(&got, &lent));
+        assert_eq!(bits(&cuboid(&outcome.new, &["cust"], &aggs)), bits(&got));
+    }
+
+    #[test]
+    fn a_refused_fold_drops_the_entry_and_writes_no_cell() {
+        let mut catalog = Catalog::new();
+        catalog.register("Sales", sales(12));
+        let aggs = vec![
+            AggSpec::on_column("sum", "sale"),
+            AggSpec::count_star().with_alias("n"),
+        ];
+        let r = req(&["cust"], &aggs);
+        let ctx = ExecContext::new();
+        let pool = Arc::new(MemoryPool::new(1 << 20));
+        // A batch touching cust 0 and then cust 1.
+        let batch = || sales_rows(2);
+
+        // Overflow: cust 1's retained count cannot absorb one more row.
+        let cache = CuboidCache::new(1 << 20);
+        cache.attach_pool(pool.clone());
+        let detail = catalog.get("Sales").unwrap();
+        let mut full = cuboid(&detail, &["cust"], &aggs);
+        full.rows_mut()[1].values_mut()[2] = Value::Int(i64::MAX);
+        cache.insert(&r, &detail, Arc::new(full.clone()));
+        let lent = match cache.lookup(&r, &detail, &ctx).unwrap() {
+            CacheAnswer::Exact(rel) => rel,
+            other => panic!("expected exact hit, got {other:?}"),
+        };
+        drop(detail);
+        let outcome = catalog.ingest("Sales", batch()).unwrap();
+        let report = cache.on_ingest(&outcome, &Registry::standard());
+        assert_eq!((report.maintained, report.invalidated), (0, 1));
+        assert!(cache.is_empty());
+        assert_eq!((cache.bytes(), pool.reserved()), (0, 0));
+        // cust 0 folded cleanly before cust 1 overflowed; neither was
+        // written, and no copy was made to write them into.
+        assert_eq!(lent.rows(), full.rows());
+        assert_eq!(Arc::strong_count(&lent), 1);
+
+        // Type surprise: a retained count cell that is not an `Int`.
+        let detail = catalog.get("Sales").unwrap();
+        let mut odd = cuboid(&detail, &["cust"], &aggs);
+        odd.rows_mut()[1].values_mut()[2] = Value::str("many");
+        cache.insert(&r, &detail, Arc::new(odd));
+        drop(detail);
+        let outcome = catalog.ingest("Sales", batch()).unwrap();
+        let report = cache.on_ingest(&outcome, &Registry::standard());
+        assert_eq!((report.maintained, report.invalidated), (0, 1));
+        assert_eq!((cache.len(), cache.bytes(), pool.reserved()), (0, 0, 0));
+
+        // Hash collision: the index names another group's row for cust 0.
+        let detail = catalog.get("Sales").unwrap();
+        cache.insert(&r, &detail, Arc::new(cuboid(&detail, &["cust"], &aggs)));
+        drop(detail);
+        let outcome = catalog.ingest("Sales", batch()).unwrap();
+        let report = cache.on_ingest(&outcome, &Registry::standard());
+        assert_eq!((report.maintained, report.invalidated), (1, 0));
+        {
+            let mut inner = cache.lock();
+            let index = inner.entries[0].groups.as_mut().unwrap();
+            let (zero, one) = ([Value::Int(0)], [Value::Int(1)]);
+            let row_of_one = index.rows[&index.hash(&one)];
+            let slot = index.hash(&zero);
+            index.rows.insert(slot, row_of_one);
+        }
+        let outcome = catalog.ingest("Sales", batch()).unwrap();
+        let report = cache.on_ingest(&outcome, &Registry::standard());
+        assert_eq!((report.maintained, report.invalidated), (0, 1));
+        assert_eq!((cache.len(), cache.bytes(), pool.reserved()), (0, 0, 0));
     }
 
     #[test]

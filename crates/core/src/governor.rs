@@ -268,6 +268,20 @@ impl PoolGrant {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+
+    /// Grow or shrink this reservation to `bytes` in place. Growth reserves
+    /// only the difference, so the pool never sees the old and new sizes at
+    /// once; a refusal leaves the grant as it was.
+    pub fn resize(&mut self, bytes: u64) -> Result<()> {
+        if bytes > self.bytes {
+            // The extra reservation is folded into this grant, not dropped.
+            std::mem::forget(self.pool.try_reserve(bytes - self.bytes)?);
+        } else if bytes < self.bytes {
+            self.pool.release(self.bytes - bytes);
+        }
+        self.bytes = bytes;
+        Ok(())
+    }
 }
 
 impl Drop for PoolGrant {

@@ -24,6 +24,10 @@
 //!   oversized frame costs one `frame_too_large` line instead of an OOM,
 //!   and a stalled peer is shed with `idle_timeout` when `read_timeout` is
 //!   set.
+//! * **Replies**: one `write_all` per reply — the line and its `'\n'` are
+//!   one frame, assembled in the connection's one reusable buffer, on a
+//!   socket with `TCP_NODELAY` set. A reply never waits behind a second
+//!   small segment for the client's delayed ACK.
 //! * **Close**: sessions opened on a connection are closed (and their
 //!   running queries cancelled) when the connection drops, so a dying
 //!   client cannot leak sessions or leave queries running.
@@ -37,7 +41,7 @@ use crate::error::ServerError;
 use crate::limits::{BoundedLineReader, ConnLimits, Frame};
 use crate::service::QueryService;
 use crate::shutdown::DrainReport;
-use crate::wire::{error_line, handle_line};
+use crate::wire::{respond, write_error, SessionChange};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,6 +51,10 @@ use std::time::Duration;
 
 /// How often the nonblocking acceptor polls for shutdown between accepts.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// Capacity a connection's reply buffer keeps between replies: one large
+/// result does not pin its size while the connection idles.
+const REPLY_RETAIN_BYTES: usize = 64 << 10;
 
 /// A running TCP server handle. [`shutdown`](Server::shutdown) drains it;
 /// merely dropping the handle leaves the acceptor running (the process
@@ -160,8 +168,9 @@ fn accept_loop(
         };
         // Some platforms hand the listener's nonblocking mode down to the
         // accepted socket; connection threads want blocking reads governed
-        // by the read timeout instead.
-        if stream.set_nonblocking(false).is_err() {
+        // by the read timeout instead. Replies are whole frames, so Nagle
+        // has nothing to coalesce and is turned off.
+        if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
             continue;
         }
         // Injected accept fault: the connection vanishes between accept
@@ -218,13 +227,26 @@ impl Drop for ConnGuard {
 
 /// Best-effort single error line to a connection being turned away.
 fn shed(mut stream: TcpStream, err: &ServerError) {
-    let _ = write_line(&mut stream, &error_line(err));
+    let _ = send_error(&mut stream, &mut String::new(), err);
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// Terminate the reply line in `frame`, send it — the one write of a
+/// reply — and hand the buffer back empty for the next one.
+fn send(stream: &mut TcpStream, frame: &mut String) -> std::io::Result<()> {
+    frame.push('\n');
+    let sent = stream.write_all(frame.as_bytes());
+    frame.clear();
+    frame.shrink_to(REPLY_RETAIN_BYTES);
+    sent
+}
+
+fn send_error(
+    stream: &mut TcpStream,
+    frame: &mut String,
+    err: &ServerError,
+) -> std::io::Result<()> {
+    write_error(err, frame);
+    send(stream, frame)
 }
 
 fn handle_connection(stream: TcpStream, service: &QueryService, limits: &ConnLimits) {
@@ -253,6 +275,7 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
     };
     let mut writer = stream;
     let mut reader = BoundedLineReader::new(read_half, limits.max_frame_bytes);
+    let mut reply = String::new();
     loop {
         // Injected read fault: the peer "vanishes" mid-protocol; close and
         // clean up exactly as a real half-open socket would force us to.
@@ -262,23 +285,19 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
         let line = match reader.next_frame() {
             Frame::Line(line) => line,
             Frame::TooLarge => {
-                let _ = write_line(
-                    &mut writer,
-                    &error_line(&ServerError::FrameTooLarge {
-                        limit: limits.max_frame_bytes,
-                    }),
-                );
+                let err = ServerError::FrameTooLarge {
+                    limit: limits.max_frame_bytes,
+                };
+                let _ = send_error(&mut writer, &mut reply, &err);
                 break;
             }
             Frame::NotUtf8 => {
-                let _ = write_line(
-                    &mut writer,
-                    &error_line(&ServerError::BadRequest("request line is not UTF-8".into())),
-                );
+                let err = ServerError::BadRequest("request line is not UTF-8".into());
+                let _ = send_error(&mut writer, &mut reply, &err);
                 break;
             }
             Frame::TimedOut => {
-                let _ = write_line(&mut writer, &error_line(&ServerError::IdleTimeout));
+                let _ = send_error(&mut writer, &mut reply, &ServerError::IdleTimeout);
                 break;
             }
             Frame::Eof | Frame::Io(_) => break,
@@ -286,26 +305,10 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(service, &line);
-        // Cheap protocol introspection to keep the per-connection session
-        // list accurate without re-parsing: wire handlers are pure, so we
-        // inspect request/response pairs here.
-        if let Ok(req) = crate::json::parse(&line) {
-            match req.get("op").and_then(crate::json::Json::as_str) {
-                Some("open") => {
-                    if let Ok(resp) = crate::json::parse(&response) {
-                        if let Some(sid) = resp.get("session").and_then(crate::json::Json::as_int) {
-                            opened.push(sid as u64);
-                        }
-                    }
-                }
-                Some("close") => {
-                    if let Some(sid) = req.get("session").and_then(crate::json::Json::as_int) {
-                        opened.retain(|s| *s != sid as u64);
-                    }
-                }
-                _ => {}
-            }
+        match respond(service, &line, &mut reply) {
+            SessionChange::Opened(sid) => opened.push(sid),
+            SessionChange::Closed(sid) => opened.retain(|s| *s != sid),
+            SessionChange::None => {}
         }
         // Injected write fault: the response is lost as if the peer closed
         // mid-write; the connection tears down through the same path a
@@ -313,7 +316,7 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
         if service.fault_server_write() {
             break;
         }
-        if write_line(&mut writer, &response).is_err() {
+        if send(&mut writer, &mut reply).is_err() {
             break;
         }
     }
@@ -347,9 +350,15 @@ mod tests {
         boot_with(ConnLimits::default())
     }
 
+    fn connect(server: &Server) -> TcpStream {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+    }
+
+    /// One frame per write, as the server itself sends.
     fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
@@ -359,7 +368,7 @@ mod tests {
     #[test]
     fn tcp_round_trip_and_session_cleanup_on_disconnect() {
         let (server, service) = boot();
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        let mut conn = connect(&server);
         let resp = roundtrip(&mut conn, r#"{"op":"open"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         let resp = roundtrip(
@@ -385,11 +394,11 @@ mod tests {
             max_frame_bytes: 1024,
             ..ConnLimits::default()
         });
-        let mut evil = TcpStream::connect(server.local_addr()).unwrap();
+        let mut evil = connect(&server);
         let resp = roundtrip(&mut evil, &"x".repeat(8 << 10));
         assert!(resp.contains("\"code\":\"frame_too_large\""), "{resp}");
         // A concurrent well-behaved connection is unaffected.
-        let mut good = TcpStream::connect(server.local_addr()).unwrap();
+        let mut good = connect(&server);
         let resp = roundtrip(&mut good, r#"{"op":"ping"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         assert_eq!(service.pool().reserved(), 0);
@@ -401,11 +410,11 @@ mod tests {
             max_conns: 1,
             ..ConnLimits::default()
         });
-        let mut first = TcpStream::connect(server.local_addr()).unwrap();
+        let mut first = connect(&server);
         let resp = roundtrip(&mut first, r#"{"op":"ping"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         // The second concurrent connection is shed before any request.
-        let second = TcpStream::connect(server.local_addr()).unwrap();
+        let second = connect(&server);
         let mut reader = BufReader::new(second.try_clone().unwrap());
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
@@ -418,7 +427,7 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        let mut third = TcpStream::connect(server.local_addr()).unwrap();
+        let mut third = connect(&server);
         let resp = roundtrip(&mut third, r#"{"op":"ping"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
     }
@@ -429,7 +438,7 @@ mod tests {
             read_timeout: Some(Duration::from_millis(50)),
             ..ConnLimits::default()
         });
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        let mut conn = connect(&server);
         let resp = roundtrip(&mut conn, r#"{"op":"open"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         assert_eq!(service.session_count(), 1);
@@ -450,7 +459,7 @@ mod tests {
     #[test]
     fn shutdown_drains_and_turns_new_connections_away() {
         let (server, service) = boot();
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        let mut conn = connect(&server);
         let resp = roundtrip(&mut conn, r#"{"op":"ping"}"#);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         let report = server.shutdown(Duration::from_millis(200));

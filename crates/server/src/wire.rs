@@ -35,22 +35,49 @@ use std::time::Duration;
 /// Decode one request line, dispatch it to the service, encode the response
 /// line (without trailing newline).
 pub fn handle_line(service: &QueryService, line: &str) -> String {
-    dispatch(service, line).unwrap_or_else(|e| error_line(&e))
+    let mut out = String::new();
+    respond(service, line, &mut out);
+    out
 }
 
-/// Encode one failure response line (without trailing newline). Also used
+/// What a request did to the service's session table — how a connection
+/// keeps the list of sessions it must close when it drops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SessionChange {
+    None,
+    Opened(u64),
+    Closed(u64),
+}
+
+/// [`handle_line`] into a caller-owned buffer: the response line (success or
+/// failure, without trailing newline) is appended to `out`.
+pub(crate) fn respond(service: &QueryService, line: &str, out: &mut String) -> SessionChange {
+    let start = out.len();
+    dispatch(service, line, out).unwrap_or_else(|e| {
+        out.truncate(start);
+        write_error(&e, out);
+        SessionChange::None
+    })
+}
+
+/// Append one failure response line (without trailing newline). Also used
 /// by the connection governor for errors raised outside `dispatch` —
 /// shedding, frame, and timeout failures.
-pub fn error_line(e: &ServerError) -> String {
+pub(crate) fn write_error(e: &ServerError, out: &mut String) {
     Json::obj(vec![
         ("ok", Json::Bool(false)),
         ("code", Json::Str(e.code().into())),
         ("error", Json::Str(e.to_string())),
     ])
-    .encode()
+    .write(out);
 }
 
-fn dispatch(service: &QueryService, line: &str) -> Result<String, ServerError> {
+fn dispatch(
+    service: &QueryService,
+    line: &str,
+    out: &mut String,
+) -> Result<SessionChange, ServerError> {
+    let mut sessions = SessionChange::None;
     let req = parse(line).map_err(ServerError::BadRequest)?;
     let op = req
         .get("op")
@@ -139,13 +166,16 @@ fn dispatch(service: &QueryService, line: &str) -> Result<String, ServerError> {
         }
         "open" => {
             let id = service.open_session();
+            sessions = SessionChange::Opened(id);
             Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("session", Json::Int(id as i64)),
             ])
         }
         "close" => {
-            service.close_session(session_of(&req)?)?;
+            let id = session_of(&req)?;
+            service.close_session(id)?;
+            sessions = SessionChange::Closed(id);
             Json::obj(vec![("ok", Json::Bool(true))])
         }
         "prepare" => {
@@ -165,13 +195,15 @@ fn dispatch(service: &QueryService, line: &str) -> Result<String, ServerError> {
         "execute" => {
             let stmt = int_field(&req, "stmt")? as u64;
             let args = args_of(&req)?;
-            let out = service.execute(session_of(&req)?, stmt, &args, opts_of(&req)?)?;
-            return Ok(outcome_json(&out));
+            let outcome = service.execute(session_of(&req)?, stmt, &args, opts_of(&req)?)?;
+            outcome_json(&outcome, out);
+            return Ok(sessions);
         }
         "query" => {
             let sql = str_field(&req, "sql")?;
-            let out = service.query(session_of(&req)?, sql, opts_of(&req)?)?;
-            return Ok(outcome_json(&out));
+            let outcome = service.query(session_of(&req)?, sql, opts_of(&req)?)?;
+            outcome_json(&outcome, out);
+            return Ok(sessions);
         }
         "cancel" => {
             let tag = str_field(&req, "tag")?;
@@ -183,7 +215,8 @@ fn dispatch(service: &QueryService, line: &str) -> Result<String, ServerError> {
         }
         other => return Err(ServerError::BadRequest(format!("unknown op `{other}`"))),
     };
-    Ok(reply.encode())
+    reply.write(out);
+    Ok(sessions)
 }
 
 fn session_of(req: &Json) -> Result<u64, ServerError> {
@@ -271,23 +304,23 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
-/// The success line of `query`/`execute`: the relation's cells go straight
-/// into the line — the one serialisation of a result — in the key order a
-/// `Json::Obj` would give them (`columns`, `ok`, `rows`, `stats`).
-fn outcome_json(out: &QueryOutcome) -> String {
+/// The success line of `query`/`execute`, appended to `line`: the
+/// relation's cells go straight into the connection's reply buffer — the one
+/// serialisation of a result — in the key order a `Json::Obj` would give
+/// them (`columns`, `ok`, `rows`, `stats`).
+fn outcome_json(out: &QueryOutcome, line: &mut String) {
     let rel = &out.relation;
-    let mut line = String::from(r#"{"columns":"#);
-    json::write_array(rel.schema().fields(), &mut line, |f, line| {
+    line.push_str(r#"{"columns":"#);
+    json::write_array(rel.schema().fields(), line, |f, line| {
         json::write_escaped(&f.name, line)
     });
     line.push_str(r#","ok":true,"rows":"#);
-    json::write_array(rel.iter(), &mut line, |row, line| {
+    json::write_array(rel.iter(), line, |row, line| {
         json::write_array(row.values(), line, write_value)
     });
     line.push_str(r#","stats":"#);
-    Json::obj(counter_fields(&out.stats, |def| def.wire)).write(&mut line);
+    Json::obj(counter_fields(&out.stats, |def| def.wire)).write(line);
     line.push('}');
-    line
 }
 
 /// The counter-table rows `keep` admits, as object fields keyed by table
@@ -396,7 +429,9 @@ mod tests {
                 relation: std::sync::Arc::new(relation),
                 stats: stats.clone(),
             };
-            assert_eq!(outcome_json(&out), tree.encode());
+            let mut line = String::new();
+            outcome_json(&out, &mut line);
+            assert_eq!(line, tree.encode());
         }
     }
 
@@ -429,6 +464,29 @@ mod tests {
         );
         let resp = handle_line(&svc, &format!(r#"{{"op":"close","session":{sid}}}"#));
         assert!(parse(&resp).unwrap().get("ok") == Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn respond_appends_the_line_and_reports_session_changes() {
+        let svc = service();
+        let mut out = String::from("kept:");
+        let SessionChange::Opened(sid) = respond(&svc, r#"{"op":"open"}"#, &mut out) else {
+            panic!("open must report the session it opened: {out}");
+        };
+        assert_eq!(out, format!(r#"kept:{{"ok":true,"session":{sid}}}"#));
+        // Neither a failed close nor any other op touches the list.
+        for req in [r#"{"op":"close","session":999}"#, r#"{"op":"ping"}"#] {
+            assert_eq!(respond(&svc, req, &mut out), SessionChange::None);
+        }
+        let close = format!(r#"{{"op":"close","session":{sid}}}"#);
+        out.clear();
+        assert_eq!(respond(&svc, &close, &mut out), SessionChange::Closed(sid));
+        assert_eq!(out, r#"{"ok":true}"#);
+        // The buffered and the by-value entry points are one dispatcher.
+        out.clear();
+        respond(&svc, &close, &mut out);
+        assert_eq!(out, handle_line(&svc, &close));
+        assert!(out.contains(r#""code":"unknown_session""#), "{out}");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! [`TableStats`] (min/max/NDV, refreshed incrementally), and the catalog is
 //! internally synchronized so [`ingest`](Catalog::ingest) can fold new detail
 //! batches in through a shared `&Catalog` — e.g. through the engine's shared
-//! `Arc<EngineConfig>` — without disturbing in-flight readers: an append
-//! produces a *new* `Arc<Relation>` (copy-on-write at whole-relation
-//! granularity), so queries that already resolved a table keep scanning the
-//! snapshot they started with.
+//! `Arc<EngineConfig>` — without disturbing in-flight readers: an append is
+//! copy-on-write (`Arc::make_mut`). While the catalog is the only strong
+//! owner the rows are appended in place — O(batch) — and only the `Arc`
+//! allocation is renewed; while a query's catalog snapshot or a lent answer
+//! still holds the old `Arc` the relation is copied once, so queries that
+//! already resolved a table keep scanning the snapshot they started with.
 
 use crate::error::{Result, StorageError};
 use crate::pager::PagedTable;
@@ -17,7 +19,7 @@ use crate::relation::Relation;
 use crate::row::Row;
 use crate::stats::TableStats;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, Weak};
 
 #[derive(Debug, Clone)]
 struct TableEntry {
@@ -30,16 +32,19 @@ struct TableEntry {
     paged: Option<Arc<PagedTable>>,
 }
 
-/// The result of one [`Catalog::ingest`] batch: the relation snapshots before
-/// and after the append (pointer-distinct, so caches keyed by relation
-/// identity can invalidate precisely), the new version, and the refreshed
-/// statistics.
+/// The result of one [`Catalog::ingest`] batch: the identity of the relation
+/// before the append and the snapshot after it (pointer-distinct, so caches
+/// keyed by relation identity can invalidate precisely), the new version, and
+/// the refreshed statistics.
 #[derive(Debug, Clone)]
 pub struct IngestOutcome {
     /// Table name the batch was folded into.
     pub table: String,
-    /// The snapshot readers saw before the append.
-    pub old: Arc<Relation>,
+    /// Identity of the snapshot readers saw before the append — compare with
+    /// `Weak::ptr_eq`. It upgrades only while some reader still holds that
+    /// snapshot; holding the `Weak` keeps the allocation's address from
+    /// being reused, so a match can never be a different relation.
+    pub old: Weak<Relation>,
     /// The snapshot readers see after the append (old rows + batch rows).
     pub new: Arc<Relation>,
     /// The rows appended, post string-interning (exactly the tail of `new`).
@@ -127,10 +132,12 @@ impl Catalog {
     ///
     /// Rows are validated against the table schema, string values are
     /// interned against the table dictionary (growing it for unseen strings),
-    /// statistics are folded forward, and a new relation snapshot replaces
-    /// the entry under a bumped version. Readers holding the old `Arc` are
-    /// untouched. Takes `&self`: ingest is a runtime operation on a shared
-    /// catalog, not a setup-time one.
+    /// statistics are folded forward, and the grown relation replaces the
+    /// entry under a bumped version and a new `Arc`. The append is
+    /// copy-on-write: in place when the catalog is the only strong owner,
+    /// onto a copy while a reader still holds the old `Arc` — readers are
+    /// untouched either way. Takes `&self`: ingest is a runtime operation
+    /// on a shared catalog, not a setup-time one.
     pub fn ingest(&self, name: &str, rows: Vec<Row>) -> Result<IngestOutcome> {
         let mut tables = self.write();
         let entry = tables
@@ -143,15 +150,15 @@ impl Catalog {
             staged.push(row)?;
         }
         let mut batch = staged.into_rows();
-        let mut stats = (*entry.stats).clone();
-        stats.fold_rows(&mut batch);
-        let mut grown = (*entry.rel).clone();
-        for row in &batch {
-            grown.push_unchecked(row.clone());
-        }
-        let old = std::mem::replace(&mut entry.rel, Arc::new(grown));
+        Arc::make_mut(&mut entry.stats).fold_rows(&mut batch);
+        // Taken before `make_mut`, the `Weak` makes even the sole-owner case
+        // move the relation to a fresh allocation (a move of two `Vec`
+        // headers, not of rows), so `new` never aliases `old`.
+        let old = Arc::downgrade(&entry.rel);
+        Arc::make_mut(&mut entry.rel)
+            .rows_mut()
+            .extend(batch.iter().cloned());
         entry.version += 1;
-        entry.stats = Arc::new(stats);
         Ok(IngestOutcome {
             table: name.to_string(),
             old,
@@ -278,46 +285,77 @@ mod tests {
         .unwrap()
     }
 
+    fn ny_row(cust: i64) -> Row {
+        Row::from_values(vec![Value::Int(cust), Value::str("NY"), Value::Float(30.0)])
+    }
+
     #[test]
     fn ingest_appends_under_a_new_version() {
         let mut c = Catalog::new();
         c.register("Sales", sales());
+        // A held snapshot: the append must go onto a copy.
         let before = c.get("Sales").unwrap();
-        let out = c
-            .ingest(
-                "Sales",
-                vec![Row::from_values(vec![
-                    Value::Int(3),
-                    Value::str("NY"),
-                    Value::Float(30.0),
-                ])],
-            )
-            .unwrap();
+        let out = c.ingest("Sales", vec![ny_row(3)]).unwrap();
         assert_eq!(out.version, 2);
         assert_eq!(out.new.len(), 3);
-        assert!(Arc::ptr_eq(&out.old, &before));
-        assert!(!Arc::ptr_eq(&out.old, &out.new));
-        // The reader's snapshot is untouched; the catalog now serves the new one.
-        assert_eq!(before.len(), 2);
+        // `old` names the reader's snapshot, which is still alive...
+        assert!(Weak::ptr_eq(&out.old, &Arc::downgrade(&before)));
+        assert!(Arc::ptr_eq(&out.old.upgrade().unwrap(), &before));
+        // ...untouched, and shares no row storage with the grown relation.
+        assert!(!Arc::ptr_eq(&before, &out.new));
+        assert_eq!(before.rows(), sales().rows());
+        assert_ne!(
+            before.rows()[0].values().as_ptr(),
+            out.new.rows()[0].values().as_ptr()
+        );
         assert!(Arc::ptr_eq(&c.get("Sales").unwrap(), &out.new));
         assert_eq!(c.version("Sales").unwrap(), 2);
+    }
+
+    #[test]
+    fn ingest_with_no_reader_appends_in_place() {
+        let mut c = Catalog::new();
+        c.register("Sales", sales());
+        let (pre, first_row) = {
+            let rel = c.get("Sales").unwrap();
+            (Arc::downgrade(&rel), rel.rows()[0].values().as_ptr())
+        };
+        for (i, cust) in (3..40).enumerate() {
+            let out = c.ingest("Sales", vec![ny_row(cust)]).unwrap();
+            // The resident rows were moved, not copied: same value buffers.
+            assert_eq!(out.new.rows()[0].values().as_ptr(), first_row);
+            assert_eq!(out.new.len(), 3 + i);
+            // The pre-ingest `Arc` is gone, and `new` is a fresh identity.
+            assert!(out.old.upgrade().is_none());
+            assert!(!Weak::ptr_eq(&out.old, &Arc::downgrade(&out.new)));
+            if i == 0 {
+                assert!(Weak::ptr_eq(&out.old, &pre));
+            }
+        }
+        assert!(pre.upgrade().is_none());
+        assert_eq!(
+            *c.table_stats("Sales").unwrap(),
+            TableStats::compute(&c.get("Sales").unwrap())
+        );
     }
 
     #[test]
     fn ingest_rejects_bad_rows_atomically() {
         let mut c = Catalog::new();
         c.register("Sales", sales());
+        let (before, stats) = (c.get("Sales").unwrap(), c.table_stats("Sales").unwrap());
         let err = c.ingest(
             "Sales",
-            vec![
-                Row::from_values(vec![Value::Int(3), Value::str("NY"), Value::Float(30.0)]),
-                Row::from_values(vec![Value::str("oops")]),
-            ],
+            vec![ny_row(3), Row::from_values(vec![Value::str("oops")])],
         );
         assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
-        // Nothing was appended, nothing was versioned.
-        assert_eq!(c.get("Sales").unwrap().len(), 2);
+        // Nothing was appended, versioned, folded into the statistics or
+        // moved.
+        assert!(Arc::ptr_eq(&c.get("Sales").unwrap(), &before));
+        assert_eq!(before.rows(), sales().rows());
         assert_eq!(c.version("Sales").unwrap(), 1);
+        assert!(Arc::ptr_eq(&c.table_stats("Sales").unwrap(), &stats));
+        assert_eq!(*stats, TableStats::compute(&before));
         assert!(matches!(
             c.ingest("Nope", vec![]),
             Err(StorageError::UnknownRelation(_))
@@ -342,8 +380,7 @@ mod tests {
             )
             .unwrap();
         // "NY" was interned against the resident dictionary entry...
-        let resident = out.old.rows()[0][1].clone();
-        let (Value::Str(a), Value::Str(b)) = (&resident, &out.appended[0][1]) else {
+        let (Value::Str(a), Value::Str(b)) = (&out.new.rows()[0][1], &out.appended[0][1]) else {
             panic!("state column must hold strings");
         };
         assert!(Arc::ptr_eq(a, b));
@@ -371,15 +408,7 @@ mod tests {
             &c.get("Sales").unwrap()
         ));
         // ...but ingest into the original does not leak into the snapshot.
-        c.ingest(
-            "Sales",
-            vec![Row::from_values(vec![
-                Value::Int(3),
-                Value::str("NY"),
-                Value::Float(30.0),
-            ])],
-        )
-        .unwrap();
+        c.ingest("Sales", vec![ny_row(3)]).unwrap();
         assert_eq!(snap.get("Sales").unwrap().len(), 2);
         assert_eq!(c.get("Sales").unwrap().len(), 3);
     }

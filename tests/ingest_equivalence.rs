@@ -16,7 +16,11 @@
 //!   ingest must *drop* it (a stale serve is the failure mode), and the
 //!   recomputed answer still matches from-scratch;
 //! * a coarser query served by a Theorem 4.5 roll-up hit over integer
-//!   measures is bit-identical to computing it directly.
+//!   measures is bit-identical to computing it directly;
+//! * readers that pin a catalog snapshot while batches land concurrently —
+//!   the append and the cuboid fold are copy-on-write, in place whenever
+//!   nobody is looking — get the oracle's answer at the version they
+//!   pinned, and neither the snapshot nor a lent answer changes under them.
 //!
 //! The vendored proptest runner is deterministic (seeded from the test
 //! name), so CI runs are exactly reproducible.
@@ -318,5 +322,150 @@ proptest! {
         prop_assert_eq!(stats.cache_rollup_hits(), 1); // no second roll-up
         prop_assert_eq!(stats.cache_hits(), 1);        // served exactly
         prop_assert!(bit_identical(&warm, &warm_again));
+    }
+}
+
+/// Deterministic detail rows for the concurrent arm: the same small key
+/// domain, NULLs and repeating binary fractions as [`rows_strategy`].
+fn seeded_rows(n: usize) -> Vec<Row> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |m: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % m) as i64
+    };
+    (0..n)
+        .map(|_| {
+            let (q, f) = (next(35) - 20, next(26) - 16);
+            Row::new(vec![
+                Value::Int(next(6)),
+                Value::Int(1 + next(3)),
+                Value::str(["NY", "NJ", "CA"][next(3) as usize]),
+                if q < -15 { Value::Null } else { Value::Int(q) },
+                if f < -12 {
+                    Value::Null
+                } else {
+                    Value::Float(f as f64 * 0.3)
+                },
+            ])
+        })
+        .collect()
+}
+
+/// Snapshot reads under concurrent ingest, with the interleaving forced by a
+/// barrier: in round `r` every reader first takes what it will hold, then the
+/// writer lands batch `r`, then every reader checks what it sees.
+///
+/// * Even rounds: each reader pins a catalog snapshot the way
+///   `QueryService::run` does, so the append must go onto a copy; afterwards
+///   the pinned table still has exactly its rows, the cache refuses to serve
+///   the moved-on cuboid to it, and a query over it is the oracle's answer at
+///   the version it pinned.
+/// * Every round: a fresh query is an *exact hit* on the maintained cuboid
+///   and equals the oracle at the new version; the answer lent a round ago
+///   is still the oracle's at its own version (the fold in between went onto
+///   a copy because the reader held it).
+/// * Rounds 3, 7, …: nobody holds anything while the batch lands, so the
+///   append and the fold must both have happened in place — the table's and
+///   the cuboid's first value buffers are where they were a round earlier.
+#[test]
+fn readers_pinning_snapshots_across_batches_see_the_version_they_read() {
+    use mdj_core::{CacheAnswer, CuboidRequest};
+    const INITIAL: usize = 120;
+    const BATCH: usize = 16;
+    const ROUNDS: usize = 24;
+    let rows = seeded_rows(INITIAL + BATCH * ROUNDS);
+    let fine = ["cust", "month"];
+    let fine_plan = cuboid_plan(&fine, distributive_aggs());
+    let fine_req = CuboidRequest::new(
+        "Sales",
+        fine.iter().map(|d| d.to_string()).collect(),
+        distributive_aggs(),
+    );
+    let coarse_plan = cuboid_plan(&["cust"], distributive_aggs());
+    // The oracle at every version: a cold, cache-less run over the prefix.
+    let oracle = |plan: &Plan, len: usize| {
+        let mut catalog = mdj_storage::Catalog::new();
+        catalog.register(
+            "Sales",
+            Relation::from_rows(sales_schema(), rows[..len].to_vec()),
+        );
+        execute(plan, &catalog, &ExecContext::new()).unwrap()
+    };
+    let first_buffer = |rel: &Relation| rel.rows()[0].values().as_ptr() as usize;
+    for threads in [1usize, 2] {
+        let engine = EngineConfig::new()
+            .register_table(
+                "Sales",
+                Relation::from_rows(sales_schema(), rows[..INITIAL].to_vec()),
+            )
+            .with_cuboid_cache(1 << 20)
+            .build();
+        let cache = engine.cuboid_cache().unwrap();
+        // Warm the cache so the folds have an entry to maintain.
+        let warm = ctx_for(&engine, &Arc::new(ScanStats::new()));
+        execute(&fine_plan, engine.catalog(), &warm).unwrap();
+        let barrier = std::sync::Barrier::new(threads + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let fresh_stats = Arc::new(ScanStats::new());
+                    let fresh_ctx = ctx_for(&engine, &fresh_stats);
+                    let stale_ctx = ctx_for(&engine, &Arc::new(ScanStats::new()));
+                    // The cuboid lent last round, the version it answers
+                    // for, and where the table and it kept their first row.
+                    let mut lent: Option<(Arc<Relation>, usize)> = None;
+                    let (mut table_at, mut cuboid_at) = (0usize, 0usize);
+                    for r in 0..ROUNDS {
+                        let before = INITIAL + BATCH * r;
+                        let pinned = (r % 2 == 0).then(|| engine.catalog().clone());
+                        if r % 4 == 3 {
+                            lent = None;
+                        }
+                        barrier.wait();
+                        // The writer lands batch `r` here.
+                        barrier.wait();
+                        let after = before + BATCH;
+                        if let Some(snapshot) = &pinned {
+                            let table = snapshot.get("Sales").unwrap();
+                            assert_eq!(table.rows(), &rows[..before]);
+                            assert!(matches!(
+                                cache.lookup(&fine_req, &table, &stale_ctx).unwrap(),
+                                CacheAnswer::Miss
+                            ));
+                            let stale = execute(&coarse_plan, snapshot, &stale_ctx).unwrap();
+                            assert!(bit_identical(&stale, &oracle(&coarse_plan, before)));
+                        }
+                        let table = engine.catalog().get("Sales").unwrap();
+                        assert_eq!(table.rows(), &rows[..after]);
+                        let answer = execute(&fine_plan, engine.catalog(), &fresh_ctx).unwrap();
+                        assert!(bit_identical(&answer, &oracle(&fine_plan, after)));
+                        // Served from the entry every batch was folded into.
+                        assert_eq!(fresh_stats.cache_hits(), r as u64 + 1);
+                        assert_eq!(fresh_stats.cache_misses(), 0);
+                        if let Some((cuboid, len)) = &lent {
+                            assert!(bit_identical(cuboid, &oracle(&fine_plan, *len)));
+                        }
+                        if r > 0 {
+                            // Copied exactly when somebody was holding it.
+                            let table_held = pinned.is_some();
+                            assert_eq!(first_buffer(&table) != table_at, table_held);
+                            assert_eq!(first_buffer(&answer) != cuboid_at, lent.is_some());
+                        }
+                        (table_at, cuboid_at) = (first_buffer(&table), first_buffer(&answer));
+                        lent = Some((answer, after));
+                    }
+                });
+            }
+            let ctx = ctx_for(&engine, &Arc::new(ScanStats::new()));
+            for batch in rows[INITIAL..].chunks(BATCH) {
+                barrier.wait();
+                let report = ctx.ingest("Sales", batch.to_vec()).unwrap();
+                assert_eq!(report.rows, BATCH);
+                assert!(report.cache_maintained >= 1, "{report:?}");
+                barrier.wait();
+            }
+        });
     }
 }

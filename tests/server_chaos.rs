@@ -111,11 +111,21 @@ enum Observed {
     PeerLoss,
 }
 
-/// One line-delimited JSON exchange; `None` when the peer closed first.
+/// A client connection that sends each frame as it is written, with a
+/// read timeout as a safety net so a server bug cannot hang the suite.
+fn connect(addr: std::net::SocketAddr) -> Option<TcpStream> {
+    let stream = TcpStream::connect(addr).ok()?;
+    stream.set_nodelay(true).ok()?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .ok()?;
+    Some(stream)
+}
+
+/// One line-delimited JSON exchange — the request is one frame, one write;
+/// `None` when the peer closed first.
 fn exchange(stream: &mut TcpStream, line: &str) -> Option<String> {
-    stream.write_all(line.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    stream.flush().ok()?;
+    stream.write_all(format!("{line}\n").as_bytes()).ok()?;
     read_response(stream)
 }
 
@@ -190,7 +200,7 @@ fn query_line(sid: i64, qi: usize) -> String {
 fn wire_baseline(engine: &Arc<EngineConfig>) -> Vec<Vec<String>> {
     let svc = service(engine);
     let server = Server::bind_with("127.0.0.1:0", svc, ConnLimits::default()).unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut stream = connect(server.local_addr()).expect("connect");
     let resp = exchange(&mut stream, r#"{"op":"open"}"#).expect("open");
     let sid = parse(&resp)
         .unwrap()
@@ -216,14 +226,10 @@ fn hostile_client(addr: SocketAddr, seed: u64, baseline: &[Vec<String>]) -> (usi
     let mut rng = SplitMix64(seed);
     let (mut ok, mut shed, mut lost) = (0usize, 0usize, 0usize);
     for _ in 0..ACTIONS_PER_CLIENT {
-        let Ok(mut stream) = TcpStream::connect(addr) else {
+        let Some(mut stream) = connect(addr) else {
             lost += 1;
             continue;
         };
-        // Client-side safety net so a server bug cannot hang the suite.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
         match rng.below(6) {
             // Well-behaved session: open, query, verify, close.
             0..=2 => {
@@ -287,12 +293,12 @@ fn hostile_client(addr: SocketAddr, seed: u64, baseline: &[Vec<String>]) -> (usi
             // Mid-query disconnect: fire a query and vanish without
             // reading; the server must reap the session and its query.
             _ => {
-                let line = format!(
+                let mut frame = format!(
                     r#"{{"op":"query","session":1,"sql":"{}"}}"#,
                     QUERIES[rng.below(QUERIES.len())]
                 );
-                let _ = stream.write_all(line.as_bytes());
-                let _ = stream.write_all(b"\n");
+                frame.push('\n');
+                let _ = stream.write_all(frame.as_bytes());
                 drop(stream);
                 lost += 1;
             }
@@ -357,12 +363,9 @@ fn hostile_clients_cannot_corrupt_results_or_leak_resources() {
     // shed individual attempts, so allow retries — typed outcomes only).
     let mut served = false;
     for _ in 0..20 {
-        let Ok(mut check) = TcpStream::connect(addr) else {
+        let Some(mut check) = connect(addr) else {
             continue;
         };
-        check
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
         if let Some(resp) = exchange(&mut check, r#"{"op":"ping"}"#) {
             if resp.contains("\"ok\":true") {
                 served = true;
@@ -394,12 +397,9 @@ fn shutdown_under_load_drains_cleanly() {
             std::thread::spawn(move || {
                 let mut outcomes = Vec::new();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let Ok(mut stream) = TcpStream::connect(addr) else {
+                    let Some(mut stream) = connect(addr) else {
                         break;
                     };
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(30)))
-                        .unwrap();
                     let Some(resp) = exchange(&mut stream, r#"{"op":"open"}"#) else {
                         break;
                     };

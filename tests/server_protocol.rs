@@ -11,7 +11,7 @@ use mdj_server::{QueryService, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot(rows: usize) -> (Server, Arc<QueryService>) {
     let sales = mdj_datagen::sales(&mdj_datagen::SalesConfig::default().with_rows(rows));
@@ -35,14 +35,16 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let writer = TcpStream::connect(addr).unwrap();
+        writer.set_nodelay(true).unwrap();
         let reader = BufReader::new(writer.try_clone().unwrap());
         Client { writer, reader }
     }
 
+    /// One request frame, one write, one response line.
     fn send(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         let mut resp = String::new();
         self.reader.read_line(&mut resp).unwrap();
         resp
@@ -225,4 +227,107 @@ fn disconnect_closes_sessions_and_drains_the_pool() {
     }
     assert_eq!(svc.session_count(), 0, "disconnect leaked the session");
     assert_eq!(svc.pool().reserved(), 0, "disconnect leaked pool bytes");
+}
+
+/// The regression test for the 40 ms floor: a reply sent as two segments on
+/// a Nagle-enabled socket waits out the client's delayed ACK (44 ms per
+/// `ping` before the fix); one frame per write on a `TCP_NODELAY` socket
+/// does not.
+#[test]
+fn a_ping_round_trip_is_not_a_kernel_timer() {
+    let (server, _svc) = boot(10);
+    let mut c = Client::connect(server.local_addr());
+    let mut trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(c.send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median ping round trip {median:?}; all: {trips:?}"
+    );
+}
+
+const WIDE: &str = "select cust, prod, day, month, year, state, sum(sale), count(*) from Sales \
+                    group by cust, prod, day, month, year, state";
+
+#[test]
+fn a_large_result_arrives_as_one_intact_line() {
+    let (server, svc) = boot(40_000);
+    let mut c = Client::connect(server.local_addr());
+    let sid = int_field(&c.send(r#"{"op":"open"}"#), "session");
+    let req = format!(r#"{{"op":"query","session":{sid},"sql":"{WIDE}"}}"#);
+    let over_the_socket = c.send(&req);
+    assert!(
+        over_the_socket.len() >= 1 << 20,
+        "{}",
+        over_the_socket.len()
+    );
+    assert!(over_the_socket.ends_with("}\n"));
+    let in_process = mdj_server::wire::handle_line(&svc, &req);
+    assert_eq!(
+        over_the_socket.strip_suffix('\n'),
+        Some(in_process.as_str())
+    );
+    // The connection is still in frame: the next reply is its own line.
+    assert_eq!(c.send(r#"{"op":"ping"}"#), "{\"ok\":true}\n");
+}
+
+#[test]
+fn pipelined_requests_get_their_replies_in_order_and_nothing_else() {
+    let (server, svc) = boot(2_000);
+    let mut c = Client::connect(server.local_addr());
+    let sid = int_field(&c.send(r#"{"op":"open"}"#), "session");
+    // A long reply, then a short error line, then a ping — one segment. The
+    // connection's reply buffer is reused: each line must be exactly what
+    // the dispatcher produces for its request, not a byte more.
+    let big = format!(r#"{{"op":"query","session":{sid},"sql":"{WIDE}"}}"#);
+    let bad = r#"{"op":"warp"}"#;
+    let ping = r#"{"op":"ping"}"#;
+    c.writer
+        .write_all(format!("{big}\n{bad}\n{ping}\n").as_bytes())
+        .unwrap();
+    for req in [big.as_str(), bad, ping] {
+        let mut resp = String::new();
+        c.reader.read_line(&mut resp).unwrap();
+        let expected = mdj_server::wire::handle_line(&svc, req);
+        assert_eq!(resp.strip_suffix('\n'), Some(expected.as_str()));
+    }
+    assert!(mdj_server::wire::handle_line(&svc, &big).len() > 50_000);
+}
+
+/// A reply that cannot be written tears the connection down through the
+/// same path a broken pipe takes, and the sessions it opened are closed.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn a_failed_reply_write_closes_the_connection_and_its_sessions() {
+    let (server, svc) = boot(100);
+    let mut c = Client::connect(server.local_addr());
+    let sid = int_field(&c.send(r#"{"op":"open"}"#), "session");
+    assert_eq!(svc.session_count(), 1);
+    svc.set_fault_injector(Some(Arc::new(
+        mdj_core::FaultInjector::new(7)
+            .period(1)
+            .server_write_failures(1),
+    )));
+    // The query runs, its reply is lost, the peer sees EOF and no bytes.
+    let req = format!(r#"{{"op":"query","session":{sid},"sql":"select count(*) from Sales"}}"#);
+    c.writer.write_all(format!("{req}\n").as_bytes()).unwrap();
+    let mut resp = String::new();
+    assert_eq!(c.reader.read_line(&mut resp).unwrap_or(0), 0, "{resp}");
+    for _ in 0..1_000 {
+        if svc.session_count() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(svc.session_count(), 0, "lost reply leaked the session");
+    assert_eq!(svc.pool().reserved(), 0, "lost reply leaked pool bytes");
+    // The server itself is fine: the fault budget is spent.
+    let mut d = Client::connect(server.local_addr());
+    assert!(d.send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
 }
