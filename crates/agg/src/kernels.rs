@@ -118,6 +118,7 @@ fn f64_from_total_key(key: u64) -> f64 {
 /// only on the *result*, which is order-independent for these operations.
 pub mod reduce {
     /// Wrapping sum of `i64` lanes (order-free by modular arithmetic).
+    #[allow(unsafe_code)]
     pub fn sum_i64(v: &[i64]) -> i64 {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -128,6 +129,7 @@ pub mod reduce {
     }
 
     /// Maximum `i64` lane, folding from the identity `i64::MIN`.
+    #[allow(unsafe_code)]
     pub fn max_i64(v: &[i64]) -> i64 {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -138,6 +140,7 @@ pub mod reduce {
     }
 
     /// Minimum `i64` lane, folding from the identity `i64::MAX`.
+    #[allow(unsafe_code)]
     pub fn min_i64(v: &[i64]) -> i64 {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -148,6 +151,7 @@ pub mod reduce {
     }
 
     /// Maximum `u64` lane, folding from the identity `0`.
+    #[allow(unsafe_code)]
     pub fn max_u64(v: &[u64]) -> u64 {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -158,6 +162,7 @@ pub mod reduce {
     }
 
     /// Minimum `u64` lane, folding from the identity `u64::MAX`.
+    #[allow(unsafe_code)]
     pub fn min_u64(v: &[u64]) -> u64 {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -176,6 +181,7 @@ pub mod reduce {
         use core::arch::x86_64::*;
 
         #[inline]
+        #[allow(unsafe_code)]
         fn lanes(acc: __m256i) -> [i64; 4] {
             let mut out = [0i64; 4];
             // SAFETY: `out` is 32 writable bytes; storeu is unaligned-safe.
@@ -184,6 +190,7 @@ pub mod reduce {
         }
 
         #[inline]
+        #[allow(unsafe_code)]
         fn load(c: &[i64]) -> __m256i {
             debug_assert_eq!(c.len(), 4);
             // SAFETY: `c` spans 4 readable i64s; loadu is unaligned-safe.
@@ -260,6 +267,7 @@ pub mod reduce {
         }
 
         #[inline]
+        #[allow(unsafe_code)]
         fn bytemuck(v: &[u64]) -> &[i64] {
             // SAFETY: u64 and i64 have identical size/alignment; the biased
             // compare in `fold_minmax` reinterprets the bits anyway.

@@ -20,6 +20,8 @@
 //!   made algebraic by approximation \[MRL98\] — see
 //!   [`holistic::ApproxMedian`].
 
+#![deny(unsafe_code)]
+
 pub mod builtins;
 pub mod error;
 pub mod holistic;

@@ -20,6 +20,8 @@
 //! (Theorem 4.5's roll-up lives in `mdj-cube`, where the cuboid lattice it
 //! needs is available.)
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod error;
 pub mod exec;

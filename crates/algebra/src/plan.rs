@@ -4,7 +4,7 @@ use crate::error::{AlgebraError, Result};
 use mdj_agg::{AggSpec, Registry};
 use mdj_core::output_schema;
 use mdj_expr::Expr;
-use mdj_storage::{Catalog, DataType, Field, Relation, Schema};
+use mdj_storage::{Catalog, Relation, Schema};
 use std::sync::Arc;
 
 /// How a base-values table is derived from its input (Section 2's shapes).
@@ -329,19 +329,11 @@ impl Plan {
     }
 }
 
-/// Build an untyped field list for ad-hoc schemas (used by tests).
-pub fn any_fields(names: &[&str]) -> Vec<Field> {
-    names
-        .iter()
-        .map(|n| Field::new(*n, DataType::Any))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdj_expr::builder::*;
-    use mdj_storage::{Row, Value};
+    use mdj_storage::{DataType, Row, Value};
 
     fn catalog() -> Catalog {
         let schema = Schema::from_pairs(&[

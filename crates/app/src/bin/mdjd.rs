@@ -56,6 +56,8 @@
 //! load shedding (`deadline_exceeded`, `pool_exhausted`), hostile frames,
 //! and graceful shutdown — and asserts the pool drains back to zero bytes.
 
+#![deny(unsafe_code)]
+
 use mdj_core::EngineConfig;
 use mdj_server::{ConnLimits, QueryService, Server, ServiceConfig};
 use std::sync::Arc;
@@ -285,6 +287,7 @@ mod signals {
         }
     }
 
+    #[allow(unsafe_code)]
     pub fn install(controller: ShutdownController) -> bool {
         const SIG_ERR: usize = usize::MAX;
         if CONTROLLER.set(controller).is_err() {

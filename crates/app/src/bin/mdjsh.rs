@@ -22,6 +22,8 @@
 //! shell; `\timeout <secs>` gives every subsequent query a wall-clock
 //! deadline.
 
+#![deny(unsafe_code)]
+
 use mdj_core::prelude::*;
 use mdj_core::CancelToken;
 use mdj_sql::SqlEngine;
@@ -51,6 +53,7 @@ mod sigint {
         }
     }
 
+    #[allow(unsafe_code)]
     pub fn install(token: CancelToken) -> bool {
         const SIG_ERR: usize = usize::MAX;
         if TOKEN.set(token).is_err() {

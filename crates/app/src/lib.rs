@@ -16,6 +16,8 @@
 //! * [`sql`] — the `ANALYZE BY` / grouping-variable SQL frontend.
 //! * [`datagen`] — seeded Sales/Payments generators.
 
+#![forbid(unsafe_code)]
+
 pub use mdj_agg as agg;
 pub use mdj_algebra as algebra;
 pub use mdj_core as core;

@@ -25,8 +25,15 @@
 //! baseline; CI's perf-smoke job checks a fresh run against it and uploads
 //! the fresh file. Both directions go through `mdj_server::json`, so the
 //! layout of a baseline (one line, one entry per line, `jq .`) is immaterial.
+//!
+//! Parallel plans (E5's Theorem 4.1 drivers and Observation 4.1 sites, E7's
+//! two Theorem 4.4 sites) run on real threads and report measured wall time
+//! at `threads = 1` and `2`; E11c times the typed aggregate kernels alone, so
+//! a `--features simd` build can be compared kernel by kernel.
 
-use mdj_agg::{AggSpec, Registry};
+#![forbid(unsafe_code)]
+
+use mdj_agg::{AggSpec, KernelKind, Registry};
 use mdj_algebra::rules::{coalesce::detail_scan_count, coalesce_chains};
 use mdj_algebra::{execute, Plan};
 use mdj_bench::{bench_payments, bench_sales, bench_sales_zipf, tristate_blocks};
@@ -265,6 +272,19 @@ fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// `before / after` as a speedup cell.
+fn speedup(before: Duration, after: Duration) -> String {
+    format!(
+        "{:.2}×",
+        before.as_secs_f64() / after.as_secs_f64().max(1e-12)
+    )
+}
+
+/// The first `n` rows of `rel`.
+fn head(rel: &Relation, n: usize) -> Relation {
+    Relation::from_rows(rel.schema().clone(), rel.rows()[..n].to_vec())
+}
+
 fn header(title: &str, cols: &[&str]) {
     println!("\n### {title}\n");
     println!("| {} |", cols.join(" | "));
@@ -296,7 +316,11 @@ fn main() {
         .cloned();
     let scale = if quick { 1 } else { 4 };
     println!("# MD-join reproduction — experiment tables");
-    println!("\n(quick = {quick}; sizes scale with the flag — shapes are invariant)");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "\n(quick = {quick}; sizes scale with the flag — shapes are invariant; \
+         available_parallelism = {cores})"
+    );
     type Experiment = (&'static str, fn(usize));
     let experiments: [Experiment; 14] = [
         ("e1", e1),
@@ -437,7 +461,12 @@ fn e3(scale: usize) {
             "cells",
         ],
     );
-    for rows in [500 * scale, 2_000 * scale] {
+    // Under `--quick` (scale 1) the second step is 1 000 rows: the
+    // unoptimized arm is a nested loop over |cube(R)|·|R| pairs, quadratic
+    // in |R|. Every arm shares the row's |R| so the equivalence assertions
+    // compare plans over one relation.
+    let big = if scale == 1 { 1_000 } else { 2_000 * scale };
+    for rows in [500 * scale, big] {
         let r = bench_sales(rows, 100);
         // Unoptimized: literal Example 3.2 against the merged cube base.
         let (t_raw, raw) = time(|| {
@@ -608,88 +637,112 @@ fn e5(scale: usize) {
     );
     header(
         "E5 — Thm 4.1: partitioned evaluation and intra-operator parallelism \
-         (single-core host: parallel time is *simulated* as the slowest \
-         fragment, per the substitution note in DESIGN.md)",
-        &["plan", "time (ms)", "scans of R", "tuples scanned"],
+         (parallel plans run on real threads; speedup is the same plan at \
+         threads = 1 → 2)",
+        &[
+            "plan",
+            "threads",
+            "time (ms)",
+            "speedup",
+            "scans of R",
+            "tuples scanned",
+        ],
     );
+    // `time` runs each plan three times: counters are reported per run.
     let stats = Arc::new(ScanStats::new());
     let sctx = ExecContext::new().with_stats(stats.clone());
-    let (t, base_out) = time(|| md_join(&b, &r, &l, &theta, &sctx).unwrap());
-    println!(
-        "| direct (1 scan) | {} | {} | {} |",
-        ms(t),
-        stats.scans() / 3,
-        stats.tuples_scanned() / 3
-    );
-    // Sequential multi-scan evaluation (the in-memory plan of §4.1.1).
-    for m in [2usize, 4, 8] {
-        stats.reset();
-        let (t, out) = time(|| md_join_partitioned(&b, &r, &l, &theta, m, &sctx).unwrap());
-        assert!(base_out.approx_same_multiset(&out, 1e-9));
+    let row = |label: &str, threads: usize, t: Duration, speedup: &str| {
         println!(
-            "| partitioned m={m} (sequential) | {} | {} | {} |",
+            "| {label} | {threads} | {} | {speedup} | {} | {} |",
             ms(t),
             stats.scans() / 3,
             stats.tuples_scanned() / 3
         );
-    }
-    // §4.1.2 parallelism, simulated: time each B-fragment independently and
-    // report the critical path (the max), since this host has one core.
+        stats.reset();
+    };
+    let (t, base_out) = time(|| md_join(&b, &r, &l, &theta, &sctx).unwrap());
+    row("direct (1 scan)", 1, t, "—");
+    // Sequential multi-scan evaluation (the in-memory plan of §4.1.1).
     for m in [2usize, 4, 8] {
-        let parts = mdj_storage::partition::chunk(&b, m);
-        let mut worst = Duration::ZERO;
-        let mut pieces: Vec<Relation> = Vec::new();
-        for part in &parts {
-            let (t, piece) = time(|| md_join(part, &r, &l, &theta, &ExecContext::new()).unwrap());
-            worst = worst.max(t);
-            pieces.push(piece);
-        }
-        let merged = pieces
-            .into_iter()
-            .reduce(|a, c| a.union(&c).unwrap())
-            .unwrap();
-        assert!(base_out.approx_same_multiset(&merged, 1e-9));
-        println!(
-            "| parallel B-partition, {m} sites (simulated max) | {} | {m}×full | {} |",
-            ms(worst),
-            r.len() * m
-        );
+        let (t, out) = time(|| md_join_partitioned(&b, &r, &l, &theta, m, &sctx).unwrap());
+        assert!(base_out.approx_same_multiset(&out, 1e-9));
+        row(&format!("partitioned m={m} (sequential)"), 1, t, "—");
     }
-    // Obs 4.1: range-partition on month and push each range to R — every
-    // site scans only its slice, so even the *total* work drops.
-    for m in [2usize, 4] {
-        let ranges = mdj_algebra::rules::partition::int_ranges(1, 12, m);
-        let b_parts = mdj_storage::partition::by_ranges(&b, "month", &ranges).unwrap();
-        let mut worst = Duration::ZERO;
-        let mut total_tuples = 0usize;
-        let mut pieces: Vec<Relation> = Vec::new();
-        for (part, range) in b_parts.iter().zip(&ranges) {
-            let slice = r.filter(|t| range.contains(&t[3]));
-            total_tuples += slice.len();
-            let (t, piece) =
-                time(|| md_join(part, &slice, &l, &theta, &ExecContext::new()).unwrap());
-            worst = worst.max(t);
-            pieces.push(piece);
+    // §4.1.2 parallelism: the static plans are the parallel drivers with one
+    // morsel of ⌈n/threads⌉ rows of the split side per thread, so
+    // `threads = 1` is the same plan on one core. Both drivers apply updates
+    // in scan order, so their rows equal the direct plan's bit for bit.
+    for (label, strategy, split_rows) in [
+        ("parallel B-partition", ExecStrategy::MorselBase, b.len()),
+        ("parallel R-partition", ExecStrategy::MorselDetail, r.len()),
+    ] {
+        let mut t1 = Duration::ZERO;
+        for threads in [1usize, 2] {
+            let ctx = sctx.clone().with_morsel_size(split_rows.div_ceil(threads));
+            let join = MdJoin::new(&b, &r)
+                .aggs(&l)
+                .theta(theta.clone())
+                .strategy(strategy)
+                .threads(threads);
+            let (t, out) = time(|| join.run(&ctx).unwrap());
+            assert_eq!(base_out.rows(), out.rows(), "E5 {label} ×{threads}");
+            if threads == 1 {
+                t1 = t;
+            }
+            row(label, threads, t, &speedup(t1, t));
         }
-        let merged = pieces
-            .into_iter()
-            .reduce(|a, c| a.union(&c).unwrap())
-            .unwrap();
-        assert!(base_out.approx_same_multiset(&merged, 1e-9));
-        println!(
-            "| parallel range-partition + Obs 4.1, {m} sites (simulated max) | {} | {m}×slice | {total_tuples} |",
-            ms(worst)
+    }
+    // Obs 4.1: range-partition B on month into one site per thread and push
+    // each range to R — every site scans only its slice, so even the *total*
+    // work stays at |R|. Each site is one scoped thread; the slices are the
+    // sites' local data, cut before the clock starts.
+    let mut t1 = Duration::ZERO;
+    for sites in [1usize, 2] {
+        let ranges = mdj_algebra::rules::partition::int_ranges(1, 12, sites);
+        let b_parts = mdj_storage::partition::by_ranges(&b, "month", &ranges).unwrap();
+        let slices: Vec<Relation> = ranges
+            .iter()
+            .map(|range| r.filter(|t| range.contains(&t[3])))
+            .collect();
+        let (t, merged) = time(|| {
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = b_parts
+                    .iter()
+                    .zip(&slices)
+                    .map(|(part, slice)| {
+                        let sctx = &sctx;
+                        let (l, theta) = (&l, &theta);
+                        scope.spawn(move |_| md_join(part, slice, l, theta, sctx).unwrap())
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .reduce(|a, c| a.union(&c).unwrap())
+                    .unwrap()
+            })
+            .unwrap()
+        });
+        assert!(base_out.same_multiset(&merged), "E5 Obs 4.1 ×{sites}");
+        if sites == 1 {
+            t1 = t;
+        }
+        row(
+            "range-partition + Obs 4.1, one site per thread",
+            sites,
+            t,
+            &speedup(t1, t),
         );
     }
 
     // Static-chunk vs morsel scheduling ablation on Zipf-skewed, clustered
-    // data. Wall clock cannot separate the schedulers on a single-core host,
-    // so the table reports each schedule's *makespan* in machine-independent
-    // units: the largest per-worker aggregate-update count (the slowest
-    // worker gates the join on a real multi-core machine). The base is every
-    // (cust, prod) pair and θ joins on cust alone, so a hot customer's sale
-    // tuples each fan out into hundreds of updates — and clustering puts them
-    // all in the same static chunk.
+    // data. At 8 workers on a 2-core host wall clock would mostly measure
+    // oversubscription, so the table reports each schedule's *makespan* in
+    // machine-independent units: the largest per-worker aggregate-update
+    // count (the slowest worker gates the join once every worker has a
+    // core). The base is every (cust, prod) pair and θ joins on cust alone,
+    // so a hot customer's sale tuples each fan out into hundreds of updates —
+    // and clustering puts them all in the same static chunk.
     header(
         "E5b — static chunks vs work-stealing morsels under Zipf(1.1) skew \
          (8 workers; makespan = max per-worker updates)",
@@ -852,35 +905,54 @@ fn e7(scale: usize) {
     };
     header(
         "E7 — Thm 4.4 / Ex. 3.3: split into equijoin of MD-joins (multi-fact)",
-        &["plan", "time (ms)"],
+        &["plan", "threads", "time (ms)"],
     );
     let (t_seq, seq) = time(|| {
         let s1 = md_join(&b, &sales, &l_sales, &theta, &ctx).unwrap();
         md_join(&s1, &payments, &l_pay, &theta, &ctx).unwrap()
     });
-    println!("| sequential chain | {} |", ms(t_seq));
+    println!("| sequential chain | 1 | {} |", ms(t_seq));
     let (t_split, split) = time(|| {
         let left = md_join(&b, &sales, &l_sales, &theta, &ctx).unwrap();
         let right = md_join(&b, &payments, &l_pay, &theta, &ctx).unwrap();
         join_on_b(&left, &right)
     });
     assert!(seq.approx_same_multiset(&split, 1e-9));
-    println!("| split + equijoin (serial) | {} |", ms(t_split));
-    // Two sites, simulated on this single-core host: each site's MD-join is
-    // timed independently; the distributed wall-clock is the slower site
-    // plus the equijoin of the two small results.
-    let (t_left, left) = time(|| md_join(&b, &sales, &l_sales, &theta, &ctx).unwrap());
-    let (t_right, right) = time(|| md_join(&b, &payments, &l_pay, &theta, &ctx).unwrap());
-    let (t_join, par) = time(|| join_on_b(&left, &right));
+    println!("| split + equijoin (serial) | 1 | {} |", ms(t_split));
+    // Two sites: each local MD-join runs on its own scoped thread, then the
+    // two small results are equijoined on B's key.
+    let (t_par, par) = time(|| {
+        let (left, right) = crossbeam::thread::scope(|scope| {
+            let left = scope.spawn(|_| md_join(&b, &sales, &l_sales, &theta, &ctx).unwrap());
+            let right = scope.spawn(|_| md_join(&b, &payments, &l_pay, &theta, &ctx).unwrap());
+            (left.join().unwrap(), right.join().unwrap())
+        })
+        .unwrap();
+        join_on_b(&left, &right)
+    });
     assert!(seq.approx_same_multiset(&par, 1e-9));
     println!(
-        "| split, two sites in parallel (simulated max + join) | {} |",
-        ms(t_left.max(t_right) + t_join)
+        "| split, one site per thread + equijoin | 2 | {} |",
+        ms(t_par)
     );
 }
 
 fn e8(scale: usize) {
-    let r = bench_sales(10_000 * scale, 5_000);
+    // Under `--quick` (scale 1) R is every 8th row of the table B is cut
+    // from, which divides the O(|B|·|R|) scalar nested loop by 8. B keeps
+    // every step, and a sampled tuple matches B as often as a full-table
+    // one, so each NL/hash probe ratio stays ≈ the table's number of
+    // distinct (cust, month) pairs.
+    let full = bench_sales(10_000 * scale, 5_000);
+    let b_full = full.distinct_on(&["cust", "month"]).unwrap();
+    let r = if scale == 1 {
+        Relation::from_rows(
+            full.schema().clone(),
+            full.rows().iter().step_by(8).cloned().collect(),
+        )
+    } else {
+        full
+    };
     let l = [AggSpec::on_column("sum", "sale")];
     let theta = and(
         eq(col_b("cust"), col_r("cust")),
@@ -899,12 +971,8 @@ fn e8(scale: usize) {
             "probes NL/hash",
         ],
     );
-    let b_full = r.distinct_on(&["cust", "month"]).unwrap();
     for b_rows in [16usize, 128, 1024, 8192] {
-        let b = Relation::from_rows(
-            b_full.schema().clone(),
-            b_full.rows().iter().take(b_rows).cloned().collect(),
-        );
+        let b = head(&b_full, b_rows);
         let run = |probe: ProbeStrategy, strat: ExecStrategy, stats: &Arc<ScanStats>| {
             let ctx = ExecContext::new()
                 .with_strategy(probe)
@@ -1079,10 +1147,7 @@ fn e11(scale: usize) {
     ];
     // The nested-loop shape probes |B| rows per tuple; a small B keeps its
     // runtime comparable to the hash-probed shapes.
-    let b_small = Relation::from_rows(
-        b.schema().clone(),
-        b.rows().iter().take(64).cloned().collect(),
-    );
+    let b_small = head(&b, 64);
     header(
         "E11 — vectorized batch execution vs scalar serial (identical rows and \
          work counters; Mt/s = detail tuples per second)",
@@ -1183,12 +1248,12 @@ fn e11(scale: usize) {
         let (t_v, _) = time(|| run(ExecStrategy::Vectorized, None));
         let mts = |d: Duration| r.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6;
         println!(
-            "| {label} | {} | {} | {:.1} | {:.1} | {:.2}× | {} ({}) |",
+            "| {label} | {} | {} | {:.1} | {:.1} | {} | {} ({}) |",
             ms(t_s),
             ms(t_v),
             mts(t_s),
             mts(t_v),
-            t_s.as_secs_f64() / t_v.as_secs_f64().max(1e-12),
+            speedup(t_s, t_v),
             v_stats.batches(),
             v_stats.batch_fallbacks()
         );
@@ -1274,11 +1339,11 @@ fn e11(scale: usize) {
         let (t_seq, _) = time(run_sequential);
         let (t_fused, _) = time(|| run_multi(ExecStrategy::Vectorized, None));
         println!(
-            "| {k} | {} | {} | {} | {:.2}× | {}/{} |",
+            "| {k} | {} | {} | {} | {} | {}/{} |",
             ms(t_serial),
             ms(t_seq),
             ms(t_fused),
-            t_serial.as_secs_f64() / t_fused.as_secs_f64().max(1e-12),
+            speedup(t_serial, t_fused),
             f_stats.gen_set_fallbacks(),
             f_stats.gen_sets()
         );
@@ -1288,6 +1353,91 @@ fn e11(scale: usize) {
             t_fused,
             Some(&f_stats),
         );
+    }
+
+    // The typed kernels alone: one `update_ints`/`update_floats` call, the
+    // loop the vectorized executor runs per (base row, column) run. With
+    // `--features simd` the int sum and every min/max reduce through AVX2;
+    // either way each result must equal a plain scalar fold bit for bit.
+    header(
+        "E11c — typed aggregate kernels: one update over a 64 Ki-row column \
+         (⅔ selected, 1 in 11 NULL), ns per selected value",
+        &["kernel", "ints (ns/value)", "floats (ns/value)"],
+    );
+    const N: usize = 1 << 16;
+    const REPS: usize = 16;
+    let ints: Vec<i64> = (0..N as i64).map(|i| i.wrapping_mul(0x9E37)).collect();
+    let floats: Vec<f64> = (0..N).map(|i| (i as f64) * 0.25 - 1000.0).collect();
+    let nulls: Vec<bool> = (0..N).map(|i| i % 11 == 0).collect();
+    let sel: Vec<u32> = (0..N as u32).filter(|i| i % 3 != 0).collect();
+    let kept: Vec<usize> = sel
+        .iter()
+        .map(|&i| i as usize)
+        .filter(|&i| !nulls[i])
+        .collect();
+    let ints_kept: Vec<i64> = kept.iter().map(|&i| ints[i]).collect();
+    let floats_kept: Vec<f64> = kept.iter().map(|&i| floats[i]).collect();
+    let count = Value::Int(kept.len() as i64);
+    let kernels = [
+        (
+            "sum",
+            KernelKind::Sum,
+            Value::Int(ints_kept.iter().sum()),
+            Value::Float(floats_kept.iter().fold(0.0, |acc, &x| acc + x)),
+        ),
+        (
+            "min",
+            KernelKind::Min,
+            Value::Int(*ints_kept.iter().min().unwrap()),
+            Value::Float(floats_kept.iter().copied().min_by(f64::total_cmp).unwrap()),
+        ),
+        (
+            "max",
+            KernelKind::Max,
+            Value::Int(*ints_kept.iter().max().unwrap()),
+            Value::Float(floats_kept.iter().copied().max_by(f64::total_cmp).unwrap()),
+        ),
+        (
+            "count",
+            KernelKind::Count { star: false },
+            count.clone(),
+            count,
+        ),
+    ];
+    for (label, kind, want_ints, want_floats) in kernels {
+        let fold = |on_floats: bool| {
+            let mut state = kind.init();
+            let sel = std::hint::black_box(&sel[..]);
+            if on_floats {
+                state.update_floats(&floats, &nulls, sel).unwrap();
+            } else {
+                state.update_ints(&ints, &nulls, sel).unwrap();
+            }
+            state.finalize()
+        };
+        let mut cells = Vec::new();
+        for (on_floats, want) in [(false, want_ints), (true, want_floats)] {
+            let got = fold(on_floats);
+            assert!(
+                same_bits(&got, &want),
+                "E11c {label} (floats: {on_floats}): kernel {got:?} vs scalar fold {want:?}"
+            );
+            let (t, _) = time(|| {
+                for _ in 0..REPS {
+                    std::hint::black_box(fold(on_floats));
+                }
+            });
+            cells.push(t.as_secs_f64() * 1e9 / (REPS * sel.len()) as f64);
+        }
+        println!("| {label} | {:.2} | {:.2} |", cells[0], cells[1]);
+    }
+}
+
+/// Equal values, floats compared by `f64::to_bits`.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
     }
 }
 
@@ -1565,10 +1715,7 @@ fn e14(scale: usize) {
     // so the I/O counters — not just wall time — are part of the table.
     let r = bench_sales(10_000 * scale, 5_000);
     let b_full = r.distinct_on(&["cust", "month"]).unwrap();
-    let b = Relation::from_rows(
-        b_full.schema().clone(),
-        b_full.rows().iter().take(1024).cloned().collect(),
-    );
+    let b = head(&b_full, 1024);
     let l = [AggSpec::on_column("sum", "sale")];
     let theta = and(
         eq(col_b("cust"), col_r("cust")),
@@ -1639,12 +1786,7 @@ fn e14(scale: usize) {
             assert_eq!(expected.len(), out.len(), "E14 {label}: row count");
             for (want, got) in expected.rows().iter().zip(out.rows()) {
                 for (a, b) in want.values().iter().zip(got.values()) {
-                    match (a, b) {
-                        (Value::Float(x), Value::Float(y)) => {
-                            assert_eq!(x.to_bits(), y.to_bits(), "E14 {label}: {x} vs {y}")
-                        }
-                        _ => assert_eq!(a, b, "E14 {label}"),
-                    }
+                    assert!(same_bits(a, b), "E14 {label}: {a:?} vs {b:?}");
                 }
             }
         }

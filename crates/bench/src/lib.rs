@@ -1,13 +1,13 @@
-//! Shared fixtures for the benchmark suite and the `repro` harness.
+//! Seeded fixtures for the `repro` harness.
 //!
-//! Every experiment Eₙ from DESIGN.md gets one Criterion bench file plus one
-//! row-printing function in the `repro` binary; both use these builders so
-//! the data is identical across runs.
+//! Every experiment Eₙ from DESIGN.md is one table-printing function in the
+//! `repro` binary; they all build their data through these functions, so the
+//! data is identical across runs.
+
+#![forbid(unsafe_code)]
 
 use mdj_agg::AggSpec;
-use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin, Result};
 use mdj_datagen::{payments, sales, PaymentsConfig, SalesConfig};
-use mdj_expr::Expr;
 use mdj_storage::Relation;
 
 /// Standard Sales table for benches: seeded, mild product skew.
@@ -85,37 +85,6 @@ pub fn bench_sales_zipf(rows: usize, customers: usize, products: usize, skew: f6
     let mut rel = Relation::from_rows(schema, rows);
     rel.sort_by(&["cust"]).expect("cust column exists");
     rel
-}
-
-/// Serial MD-join through the [`MdJoin`] builder with the classic
-/// free-function signature the bench files were written against.
-pub fn serial_md_join(
-    b: &Relation,
-    r: &Relation,
-    l: &[AggSpec],
-    theta: &Expr,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    MdJoin::new(b, r)
-        .aggs(l)
-        .theta(theta.clone())
-        .strategy(ExecStrategy::Serial)
-        .run(ctx)
-}
-
-/// Generalized (multi-θ) MD-join through the builder.
-pub fn multi_md_join(
-    b: &Relation,
-    r: &Relation,
-    blocks: &[Block],
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    MdJoin::new(b, r).blocks(blocks.iter().cloned()).run(ctx)
-}
-
-/// Default context (auto probing, no stats).
-pub fn ctx() -> ExecContext {
-    ExecContext::new()
 }
 
 #[cfg(test)]

@@ -171,12 +171,6 @@ impl EngineConfig {
         self
     }
 
-    /// Use `catalog` as this engine's table catalog.
-    pub fn with_catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
     /// Register (or replace) a relation in the catalog.
     pub fn register_table(mut self, name: impl Into<String>, rel: mdj_storage::Relation) -> Self {
         self.catalog.register(name, rel);
@@ -315,12 +309,6 @@ impl QueryCtx {
     /// Give the query `budget` of wall-clock time from now.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(Instant::now() + budget);
-        self
-    }
-
-    /// Set an absolute deadline instant.
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -502,11 +490,6 @@ impl ExecContext {
     /// Install or clear the absolute deadline in place.
     pub fn set_deadline_at(&mut self, deadline: Option<Instant>) {
         self.query.deadline = deadline;
-    }
-
-    /// Install or clear the stats sink in place.
-    pub fn set_stats(&mut self, stats: Option<Arc<ScanStats>>) {
-        self.query.stats = stats;
     }
 
     /// Install or clear the memory tracker in place.

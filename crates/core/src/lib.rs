@@ -69,6 +69,8 @@
 //!   group-by distinct, cube-by with `ALL`, roll-up, grouping sets, unpivot
 //!   marginals, and externally supplied tables (Example 2.4).
 
+#![forbid(unsafe_code)]
+
 pub mod basevalues;
 pub mod builder;
 pub mod cache;

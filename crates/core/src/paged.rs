@@ -125,12 +125,6 @@ impl PagedScan {
         }
     }
 
-    /// Restrict the scan to an explicit clustered-key range.
-    pub fn with_bounds(mut self, bounds: KeyBounds) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
     /// Tighten the scan with the key range θ implies (Theorem 4.2 pushdown).
     pub fn prefiltered(mut self, theta: &Expr) -> Self {
         let extra = key_bounds_from_theta(theta, self.table.key_name());

@@ -23,6 +23,8 @@
 //! benches); they differ in scans, sorts, and memory — which is the paper's
 //! point: the *algebra* exposes these alternatives to a cost-based optimizer.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod holistic_cube;
 pub mod lattice;

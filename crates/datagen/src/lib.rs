@@ -9,6 +9,8 @@
 //! the benchmark harness can sweep the parameters that each optimization's
 //! shape depends on (|R|, |B|, selectivity, dimension cardinalities).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod payments;
 pub mod sales;

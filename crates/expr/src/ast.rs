@@ -86,14 +86,6 @@ impl BinOp {
         )
     }
 
-    /// True for `+ - * / %`.
-    pub fn is_arithmetic(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        )
-    }
-
     /// The comparison with swapped operands (`a < b` ⇔ `b > a`).
     pub fn flip(self) -> Self {
         match self {

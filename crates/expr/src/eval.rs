@@ -53,17 +53,6 @@ impl Expr {
             Expr::Not(e) => Ok(BoundExpr::Not(Box::new(e.bind(b, r)?))),
         }
     }
-
-    /// Bind an expression that references only the detail side (σ predicates
-    /// on `R`, Theorem 4.2).
-    pub fn bind_detail_only(&self, r: &Schema) -> Result<BoundExpr> {
-        self.bind(None, Some(r))
-    }
-
-    /// Bind an expression that references only the base side.
-    pub fn bind_base_only(&self, b: &Schema) -> Result<BoundExpr> {
-        self.bind(Some(b), None)
-    }
 }
 
 pub(crate) fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -200,11 +189,6 @@ impl BoundExpr {
     /// Evaluate with only a detail row (base side unused).
     pub fn eval_detail(&self, r: &[Value]) -> Result<Value> {
         self.eval(&[], r)
-    }
-
-    /// Evaluate with only a base row (detail side unused).
-    pub fn eval_base(&self, b: &[Value]) -> Result<Value> {
-        self.eval(b, &[])
     }
 }
 

@@ -14,6 +14,8 @@
 //! * range-predicate extraction (clustered-index scans of Example 4.1);
 //! * base→detail attribute substitution (Observation 4.1's `σ'ᵢ`).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod ast;
 pub mod builder;

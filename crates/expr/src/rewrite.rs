@@ -41,19 +41,6 @@ pub fn rename_detail_cols(expr: &Expr, mapping: &HashMap<String, String>) -> Exp
     })
 }
 
-/// Rename base-side column references (used when `B` columns are renamed
-/// between stages of a series of MD-joins).
-pub fn rename_base_cols(expr: &Expr, mapping: &HashMap<String, String>) -> Expr {
-    expr.map_cols(&mut |c: &ColRef| {
-        if c.side == Side::Base {
-            if let Some(new) = mapping.get(&c.name) {
-                return Expr::Col(ColRef::base(new.clone()));
-            }
-        }
-        Expr::Col(c.clone())
-    })
-}
-
 /// Drop conjuncts that mention any of the given base columns. Used by the
 /// cube roll-up rule (Theorem 4.5): the θ for a coarser cuboid omits the
 /// equality tests on rolled-up dimensions.

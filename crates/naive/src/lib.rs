@@ -17,6 +17,8 @@
 //! cross-checked against outer-join + group-by compositions in the
 //! integration and property tests.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod groupby;
 pub mod join;

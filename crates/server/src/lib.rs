@@ -28,6 +28,8 @@
 //! tests drive `QueryService` directly, in-process, and exercise exactly the
 //! code the TCP path runs.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod error;
 pub mod json;

@@ -12,7 +12,7 @@ use crate::error::{Result, SqlError};
 use mdj_agg::{AggInput, AggSpec, Registry};
 use mdj_algebra::{BaseShape, Plan};
 use mdj_core::basevalues::{cube_match_theta, cuboid_theta};
-use mdj_expr::builder::{and_all, col_b, col_r};
+use mdj_expr::builder::{col_b, col_r};
 use mdj_expr::{BinOp, Expr};
 use mdj_storage::{Catalog, Relation, Row, Schema};
 
@@ -582,11 +582,6 @@ fn compile_analyze_by(
         limit: q.limit,
         fast_cube,
     })
-}
-
-/// Tiny helper re-exported for tests: conjunction of exprs.
-pub fn conjoin(exprs: Vec<Expr>) -> Expr {
-    and_all(exprs)
 }
 
 #[cfg(test)]

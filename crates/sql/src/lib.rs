@@ -35,6 +35,8 @@
 //! assert_eq!(out.rows()[0][1], Value::Float(15.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compile;
 pub mod engine;

@@ -47,16 +47,6 @@ pub enum Column {
     Fallback,
 }
 
-impl Column {
-    /// True if expressions over this column can run vectorized.
-    pub fn is_typed(&self) -> bool {
-        matches!(
-            self,
-            Column::Int { .. } | Column::Float { .. } | Column::Str { .. }
-        )
-    }
-}
-
 /// A contiguous range of detail tuples in columnar form.
 #[derive(Debug, Clone)]
 pub struct ColumnarChunk {
@@ -105,10 +95,6 @@ impl ColumnarChunk {
 
     pub fn column(&self, c: usize) -> &Column {
         &self.columns[c]
-    }
-
-    pub fn n_cols(&self) -> usize {
-        self.columns.len()
     }
 }
 

@@ -10,6 +10,8 @@
 //! optimizations are about *plan shape* (number of scans, tuples touched, probes
 //! per tuple), which this substrate measures directly via [`stats::ScanStats`].
 
+#![deny(unsafe_code)]
+
 pub mod catalog;
 mod codec;
 pub mod columnar;

@@ -36,11 +36,6 @@ impl DataType {
                 | (DataType::Bool, Value::Bool(_))
         )
     }
-
-    /// True if this is a numeric type usable by sum/avg aggregates.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, DataType::Int | DataType::Float | DataType::Any)
-    }
 }
 
 impl fmt::Display for DataType {
@@ -159,13 +154,6 @@ impl Schema {
     pub fn concat(&self, other: &Schema) -> Schema {
         let mut fields = self.fields.as_ref().clone();
         fields.extend(other.fields.iter().cloned());
-        Schema::new(fields)
-    }
-
-    /// Append one field, returning a new schema.
-    pub fn with_field(&self, field: Field) -> Schema {
-        let mut fields = self.fields.as_ref().clone();
-        fields.push(field);
         Schema::new(fields)
     }
 

@@ -250,6 +250,7 @@ fn run_file_pid(name: &str) -> Option<u32> {
 /// foreign orphan is never worth deleting a live process's spill by
 /// mistake).
 #[cfg(unix)]
+#[allow(unsafe_code)]
 fn pid_is_live(pid: u32) -> bool {
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;

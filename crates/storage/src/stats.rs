@@ -554,15 +554,6 @@ impl ColumnStats {
         }
     }
 
-    /// Estimated number of distinct non-NULL values (exact for `Str` columns,
-    /// linear-counting estimate otherwise).
-    pub fn ndv(&self) -> u64 {
-        match &self.dict {
-            Some(d) => d.len() as u64,
-            None => self.sketch.estimate(),
-        }
-    }
-
     /// Number of distinct strings resident in the dictionary (`Str` columns).
     pub fn dict_len(&self) -> Option<usize> {
         self.dict.as_ref().map(|d| d.len())

@@ -120,14 +120,6 @@ impl Value {
         }
     }
 
-    /// Extract a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Numeric comparison usable by predicates: `Int` and `Float` compare by
     /// numeric value; other types compare only within their own type. Returns
     /// `None` for NULL operands or incomparable types (predicate → false),
