@@ -45,7 +45,7 @@
 //!                   against the real socket, and exit nonzero on failure
 //! ```
 //!
-//! On startup the engine sweeps its spill directory for orphaned run files
+//! On startup the engine sweeps its spill directory for orphaned spill files
 //! left by a crashed predecessor (crash-only recovery). On SIGTERM/SIGINT —
 //! or a client `shutdown` op — the server stops accepting, drains in-flight
 //! queries up to `--drain`, cancels stragglers, verifies the memory pool is
@@ -518,10 +518,10 @@ mod self_test {
 
     pub fn run(args: &Args) {
         durable_restart_smoke(args);
-        // Crash recovery: plant an orphaned spill run file under a dead pid
+        // Crash recovery: plant an orphaned spill file under a dead pid
         // *before* the engine boots; startup must sweep it away.
         let orphan = std::env::temp_dir().join("mdj-spill-999999999-0-selftest.run");
-        std::fs::write(&orphan, b"MDJS orphaned by a crash").expect("plant orphan");
+        std::fs::write(&orphan, b"MDJP orphaned by a crash").expect("plant orphan");
         let service = build_service(args);
         let recovery = service.recovery_report();
         if orphan.exists() || recovery.removed < 1 {

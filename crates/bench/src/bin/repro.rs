@@ -1521,7 +1521,7 @@ fn e12(scale: usize) {
         record_entry(&format!("e12/{slug}"), t, Some(&stats));
     }
     if let Ok(entries) = std::fs::read_dir(&spill_dir) {
-        assert_eq!(entries.count(), 0, "E12 leaked spill run files");
+        assert_eq!(entries.count(), 0, "E12 leaked spill files");
     }
     let _ = std::fs::remove_dir(&spill_dir);
 }

@@ -362,8 +362,8 @@ impl<'a> MdJoin<'a> {
 /// How each degraded retry feeds `R` to its partitions is a costed choice
 /// ([`cost::choose_mode`], steered by [`ExecContext::spill`]): re-scan the
 /// source once per partition, or — for a single-block join over a resident
-/// `R` — hash-partition `R` to disk run files once and read each partition's
-/// file ([`md_join_spilled`]). Spill I/O errors propagate as typed
+/// `R` — hash-partition `R` to temporary page tables once and read each
+/// partition's table back ([`md_join_spilled`]). Spill I/O errors propagate as typed
 /// [`CoreError::Storage`] errors — they are never silently retried on the
 /// rescan path, so fault-injection tests see exactly the failure they armed.
 ///
@@ -415,7 +415,7 @@ fn run_degradable(
                 };
                 let costed = cost::cost_partitions(b.len(), n_aggs, key_width, budget);
                 m = scaled.max(costed).max(m + 1).min(b.len());
-                // Only a resident R can be routed into run files.
+                // Only a resident R can be routed into spill partitions.
                 let spill_width = key_width.filter(|_| source.resident().is_some());
                 mode = cost::choose_mode(m, grid.rows() as usize, spill_width, ctx.spill_policy());
                 ctx.count(Counter::degradations, 1);

@@ -18,7 +18,7 @@ use crate::cache::CuboidCache;
 use crate::error::{CoreError, Result};
 use crate::governor::{CancelToken, MemoryTracker};
 use mdj_agg::Registry;
-use mdj_storage::{Catalog, Counter, Row, ScanStats};
+use mdj_storage::{Catalog, Counter, NoFaults, PagerFaults, Row, ScanStats};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,13 +39,13 @@ pub enum ProbeStrategy {
 }
 
 /// Whether a budget breach may degrade into *spilling* partitioned
-/// evaluation (hash-partition `R` to disk run files once, evaluate each
-/// `(Bᵢ, Rᵢ)` pair from its file) instead of re-scanning the in-memory `R`
-/// m times.
+/// evaluation (hash-partition `R` once into temporary page tables on disk,
+/// evaluate each `(Bᵢ, Rᵢ)` pair over its table) instead of re-scanning the
+/// in-memory `R` m times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillPolicy {
     /// Cost the two degradation modes (`core::cost`) and pick the cheaper:
-    /// re-scan work `m·|R|` vs one partitioning pass plus priced run-file
+    /// re-scan work `m·|R|` vs one partitioning pass plus priced spill
     /// I/O. Requires θ to carry hash-partitionable equality bindings.
     #[default]
     Auto,
@@ -159,13 +159,13 @@ impl EngineConfig {
     }
 
     /// Choose whether budget-breach degradation may spill `R` partitions to
-    /// disk run files (default: cost-based [`SpillPolicy::Auto`]).
+    /// disk (default: cost-based [`SpillPolicy::Auto`]).
     pub fn with_spill_policy(mut self, policy: SpillPolicy) -> Self {
         self.spill = policy;
         self
     }
 
-    /// Directory for spill run files (default: the system temp directory).
+    /// Directory for spill files (default: the system temp directory).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -432,13 +432,13 @@ impl ExecContext {
     }
 
     /// Choose whether budget-breach degradation may spill `R` partitions to
-    /// disk run files (default: cost-based [`SpillPolicy::Auto`]).
+    /// disk (default: cost-based [`SpillPolicy::Auto`]).
     pub fn with_spill_policy(mut self, policy: SpillPolicy) -> Self {
         self.engine_mut().spill = policy;
         self
     }
 
-    /// Directory for spill run files (default: the system temp directory).
+    /// Directory for spill files (default: the system temp directory).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.engine_mut().spill_dir = Some(dir.into());
         self
@@ -635,26 +635,14 @@ impl ExecContext {
         }
     }
 
-    /// Fault-injection hook at a spill run-file write site: true = the spill
-    /// layer must fail this write ENOSPC-style. No-op without the feature.
-    #[inline]
-    pub(crate) fn fault_should_fail_spill_write(&self) -> bool {
+    /// The fault hooks of page writes made on this query's behalf (its
+    /// spill partitions): the armed injector's pager sites, or none.
+    pub(crate) fn pager_faults(&self) -> Arc<dyn PagerFaults> {
         #[cfg(feature = "fault-injection")]
         if let Some(f) = &self.query.fault {
-            return f.should_fail_spill_write();
+            return f.clone();
         }
-        false
-    }
-
-    /// Fault-injection hook before a spill run-file read site: true = the
-    /// file must be corrupted first. No-op without the feature.
-    #[inline]
-    pub(crate) fn fault_should_corrupt_spill_read(&self) -> bool {
-        #[cfg(feature = "fault-injection")]
-        if let Some(f) = &self.query.fault {
-            return f.should_corrupt_spill_read();
-        }
-        false
+        Arc::new(NoFaults)
     }
 }
 

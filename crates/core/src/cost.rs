@@ -8,10 +8,10 @@
 //! * **Rescan** — scan the in-memory `R` once per partition: `m·|R|` tuples
 //!   touched (the paper's "well-defined increase in the number of scans of
 //!   R").
-//! * **Spill** — hash-partition `R` to disk run files once on θ's equality
-//!   bindings, then evaluate each `(Bᵢ, Rᵢ)` pair from its file: every tuple
-//!   is touched once to route it, once more when its partition is read back,
-//!   plus priced run-file I/O.
+//! * **Spill** — hash-partition `R` to temporary page tables once on θ's
+//!   equality bindings, then evaluate each `(Bᵢ, Rᵢ)` pair over its table:
+//!   every tuple is touched once to route it, once more when its partition
+//!   is read back, plus priced spill I/O.
 //!
 //! Costs are in the crate's machine-independent currency — tuples touched —
 //! with disk traffic converted at fixed multipliers, mirroring the E5 model
@@ -37,7 +37,7 @@ pub const SPILL_WRITE_COST: u64 = 4;
 /// Cost of reading one spilled tuple back, in touched-tuple units.
 pub const SPILL_READ_COST: u64 = 2;
 
-/// Fixed per-run-file overhead (create/seal/checksum/unlink), in
+/// Fixed per-partition-file overhead (create/seal/checksum/unlink), in
 /// touched-tuple units. Keeps tiny inputs from spilling into `m` files that
 /// cost more to open than to fill.
 pub const SPILL_FILE_OVERHEAD: u64 = 512;
@@ -69,7 +69,7 @@ pub fn paged_scan_cost(pages: usize, rows: usize, resident: usize) -> u64 {
 /// Touched-tuple cost of feeding a degraded `m`-partition plan from the
 /// paged store: `m` clustered range scans of the admitted pages (the paged
 /// analogue of [`rescan_cost`]). Compare against [`spill_cost`] to decide
-/// whether re-reading sealed pages beats writing run files.
+/// whether re-reading sealed pages beats spilling partitions.
 pub fn paged_rescan_cost(m: usize, pages: usize, rows: usize, resident: usize) -> u64 {
     (m as u64).saturating_mul(paged_scan_cost(pages, rows, resident))
 }
@@ -324,7 +324,7 @@ mod tests {
         // m scans cost m× one scan.
         assert_eq!(paged_rescan_cost(3, 8, 1000, 0), 3 * 1128);
         // Coherence with the spill model: re-reading a small sealed table
-        // a few times stays cheaper than writing run files for it...
+        // a few times stays cheaper than spilling it...
         assert!(paged_rescan_cost(2, 8, 1000, 0) < spill_cost(2, 1000));
         // ...while a cold many-partition rescan of a big table loses to one
         // spill pass, same as the in-memory rescan crossover.

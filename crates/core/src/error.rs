@@ -122,20 +122,6 @@ impl CoreError {
                 | CoreError::WorkerPanicked { .. }
         )
     }
-
-    /// True for errors raised by the spill I/O layer: run-file write
-    /// failures (ENOSPC, short write) and corruption detected on read. The
-    /// spill fault-injection tests assert that every injected spill fault
-    /// surfaces as one of these — never as a wrong answer or a panic.
-    pub fn is_spill(&self) -> bool {
-        matches!(
-            self,
-            CoreError::Storage(
-                mdj_storage::StorageError::SpillIo { .. }
-                    | mdj_storage::StorageError::SpillCorrupt { .. }
-            )
-        )
-    }
 }
 
 impl std::error::Error for CoreError {
@@ -228,9 +214,6 @@ mod tests {
         }
         assert!(!CoreError::BadConfig("x".into()).is_governor());
         assert!(!CoreError::Internal("x".into()).is_governor());
-        for e in &cases {
-            assert!(!e.is_spill(), "{e}");
-        }
         let budget = &cases[2];
         assert!(budget.to_string().contains("2048"));
         assert!(budget.to_string().contains("1024"));
@@ -238,21 +221,15 @@ mod tests {
 
     #[test]
     fn spill_errors_classify() {
-        let io: CoreError = mdj_storage::StorageError::SpillIo {
-            path: "/tmp/run".into(),
-            detail: "disk full".into(),
-        }
-        .into();
-        let corrupt: CoreError = mdj_storage::StorageError::SpillCorrupt {
-            path: "/tmp/run".into(),
-            detail: "checksum mismatch".into(),
-        }
-        .into();
-        assert!(io.is_spill());
-        assert!(corrupt.is_spill());
-        assert!(!io.is_governor());
-        let other: CoreError = mdj_storage::StorageError::UnknownRelation("T".into()).into();
-        assert!(!other.is_spill());
+        // Spill partitions are temporary page tables: their I/O faults are
+        // the pager's, storage errors and never governor sheds.
+        let e = mdj_storage::StorageError::PagerIo {
+            path: "mdj-spill-1-0-part0of4.run".into(),
+            detail: "injected page write failure (torn write)".into(),
+        };
+        let core: CoreError = e.clone().into();
+        assert_eq!(core, CoreError::Storage(e));
+        assert!(!core.is_governor());
     }
 
     #[test]
@@ -272,6 +249,5 @@ mod tests {
             }
         );
         assert!(e.is_governor());
-        assert!(!e.is_spill());
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the execution layer.
 //!
 //! Compiled only with the `fault-injection` feature. A [`FaultInjector`] on
-//! [`ExecContext`](crate::ExecContext) arms three fault kinds, each with a
+//! [`ExecContext`](crate::ExecContext) arms these fault kinds, each with a
 //! bounded count:
 //!
 //! * **panics** — a morsel execution site panics (caught by the morsel
@@ -11,12 +11,10 @@
 //!   degradation without needing a real footprint);
 //! * **slow morsels** — a morsel sleeps before running (exercising deadline
 //!   enforcement under stragglers);
-//! * **spill write failures** — a spill run-file write fails ENOSPC-style
-//!   after truncating the file to a short write (exercising the spill
-//!   layer's typed-error and RAII-cleanup contract);
-//! * **spill read corruptions** — a run file is corrupted (byte flip or
-//!   truncation, alternating) just before it is read back, so the reader's
-//!   checksum validation must catch it;
+//! * **pager write / fsync failures** — a page or manifest write tears
+//!   mid-way, or a durability barrier fails. Spill partitions are
+//!   temporary page tables, so their page writes are these same sites
+//!   (exercising the spill path's typed-error and RAII-cleanup contract);
 //! * **planner failures** — a parse/compile/optimize site fails with a
 //!   typed SQL error before any execution starts (exercising the server's
 //!   error path for queries that never reach the engine);
@@ -54,8 +52,6 @@ pub struct FaultInjector {
     remaining_charge_failures: AtomicU64,
     remaining_slow: AtomicU64,
     slow_for: Duration,
-    remaining_spill_write_failures: AtomicU64,
-    remaining_spill_corruptions: AtomicU64,
     remaining_pager_write_failures: AtomicU64,
     remaining_pager_fsync_failures: AtomicU64,
     remaining_planner_failures: AtomicU64,
@@ -64,8 +60,6 @@ pub struct FaultInjector {
     remaining_server_write_failures: AtomicU64,
     morsel_hits: AtomicU64,
     charge_hits: AtomicU64,
-    spill_write_hits: AtomicU64,
-    spill_read_hits: AtomicU64,
     pager_write_hits: AtomicU64,
     pager_fsync_hits: AtomicU64,
     planner_hits: AtomicU64,
@@ -73,8 +67,6 @@ pub struct FaultInjector {
     server_read_hits: AtomicU64,
     server_write_hits: AtomicU64,
     injected_panics: AtomicU64,
-    injected_spill_write_failures: AtomicU64,
-    injected_spill_corruptions: AtomicU64,
     injected_planner_failures: AtomicU64,
     injected_server_faults: AtomicU64,
     injected_pager_faults: AtomicU64,
@@ -90,8 +82,6 @@ impl FaultInjector {
             remaining_charge_failures: AtomicU64::new(0),
             remaining_slow: AtomicU64::new(0),
             slow_for: Duration::from_millis(5),
-            remaining_spill_write_failures: AtomicU64::new(0),
-            remaining_spill_corruptions: AtomicU64::new(0),
             remaining_pager_write_failures: AtomicU64::new(0),
             remaining_pager_fsync_failures: AtomicU64::new(0),
             remaining_planner_failures: AtomicU64::new(0),
@@ -100,8 +90,6 @@ impl FaultInjector {
             remaining_server_write_failures: AtomicU64::new(0),
             morsel_hits: AtomicU64::new(0),
             charge_hits: AtomicU64::new(0),
-            spill_write_hits: AtomicU64::new(0),
-            spill_read_hits: AtomicU64::new(0),
             pager_write_hits: AtomicU64::new(0),
             pager_fsync_hits: AtomicU64::new(0),
             planner_hits: AtomicU64::new(0),
@@ -109,8 +97,6 @@ impl FaultInjector {
             server_read_hits: AtomicU64::new(0),
             server_write_hits: AtomicU64::new(0),
             injected_panics: AtomicU64::new(0),
-            injected_spill_write_failures: AtomicU64::new(0),
-            injected_spill_corruptions: AtomicU64::new(0),
             injected_planner_failures: AtomicU64::new(0),
             injected_server_faults: AtomicU64::new(0),
             injected_pager_faults: AtomicU64::new(0),
@@ -141,19 +127,6 @@ impl FaultInjector {
     pub fn slow_morsels(mut self, n: u64, for_: Duration) -> Self {
         self.remaining_slow.store(n, Ordering::Relaxed);
         self.slow_for = for_;
-        self
-    }
-
-    /// Arm `n` injected spill-write failures (ENOSPC-style short writes).
-    pub fn spill_write_failures(self, n: u64) -> Self {
-        self.remaining_spill_write_failures
-            .store(n, Ordering::Relaxed);
-        self
-    }
-
-    /// Arm `n` injected spill run-file corruptions on read.
-    pub fn spill_read_corruptions(self, n: u64) -> Self {
-        self.remaining_spill_corruptions.store(n, Ordering::Relaxed);
         self
     }
 
@@ -209,16 +182,6 @@ impl FaultInjector {
         self.injected_panics.load(Ordering::Relaxed)
     }
 
-    /// Number of spill-write failures actually injected so far.
-    pub fn spill_write_failures_injected(&self) -> u64 {
-        self.injected_spill_write_failures.load(Ordering::Relaxed)
-    }
-
-    /// Number of spill read corruptions actually injected so far.
-    pub fn spill_corruptions_injected(&self) -> u64 {
-        self.injected_spill_corruptions.load(Ordering::Relaxed)
-    }
-
     /// Number of planner failures actually injected so far.
     pub fn planner_failures_injected(&self) -> u64 {
         self.injected_planner_failures.load(Ordering::Relaxed)
@@ -263,19 +226,6 @@ impl FaultInjector {
         let hit = self.charge_hits.fetch_add(1, Ordering::Relaxed);
         mix(self.seed.rotate_left(17), hit).is_multiple_of(self.period)
             && Self::take(&self.remaining_charge_failures)
-    }
-
-    /// Called at a spill run-file write site; true = fail this write as an
-    /// ENOSPC-style short write. Distinct mix stream from the charge site.
-    pub(crate) fn should_fail_spill_write(&self) -> bool {
-        let hit = self.spill_write_hits.fetch_add(1, Ordering::Relaxed);
-        let inject = mix(self.seed.rotate_left(29), hit).is_multiple_of(self.period)
-            && Self::take(&self.remaining_spill_write_failures);
-        if inject {
-            self.injected_spill_write_failures
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        inject
     }
 
     /// Called at a planner site (parse, compile, or optimize); true = fail
@@ -329,9 +279,9 @@ impl FaultInjector {
         inject
     }
 
-    /// Called at a pager page-write site; true = tear the write (only a
-    /// prefix of the bytes reaches the data file). Distinct mix stream from
-    /// every other site.
+    /// Called at a pager page-write site — a durable table's or a spill
+    /// partition's; true = tear the write (only a prefix of the bytes
+    /// reaches the data file). Distinct mix stream from every other site.
     pub fn should_fail_pager_write(&self) -> bool {
         let hit = self.pager_write_hits.fetch_add(1, Ordering::Relaxed);
         let inject = mix(self.seed.rotate_left(37), hit).is_multiple_of(self.period)
@@ -350,19 +300,6 @@ impl FaultInjector {
             && Self::take(&self.remaining_pager_fsync_failures);
         if inject {
             self.injected_pager_faults.fetch_add(1, Ordering::Relaxed);
-        }
-        inject
-    }
-
-    /// Called before a spill run-file read site; true = corrupt the file
-    /// first so the reader's checksum validation must reject it.
-    pub(crate) fn should_corrupt_spill_read(&self) -> bool {
-        let hit = self.spill_read_hits.fetch_add(1, Ordering::Relaxed);
-        let inject = mix(self.seed.rotate_left(41), hit).is_multiple_of(self.period)
-            && Self::take(&self.remaining_spill_corruptions);
-        if inject {
-            self.injected_spill_corruptions
-                .fetch_add(1, Ordering::Relaxed);
         }
         inject
     }
@@ -431,8 +368,6 @@ mod tests {
             f.on_morsel(m); // must not panic
         }
         assert!(!(0..100).any(|_| f.should_fail_charge()));
-        assert!(!(0..100).any(|_| f.should_fail_spill_write()));
-        assert!(!(0..100).any(|_| f.should_corrupt_spill_read()));
         assert!(!(0..100).any(|_| f.should_fail_planner()));
         assert!(!(0..100).any(|_| f.should_fail_server_accept()));
         assert!(!(0..100).any(|_| f.should_fail_server_read()));
@@ -451,16 +386,16 @@ mod tests {
         assert_eq!((0..10).filter(|_| f.should_fail_pager_fsync()).count(), 3);
         assert_eq!(f.pager_faults_injected(), 5);
         // Same seed, different rotate constants: the two pager sites and the
-        // spill-write site must not be copies of each other.
+        // charge site must not be copies of each other.
         let g = FaultInjector::new(555)
             .period(2)
-            .spill_write_failures(u64::MAX)
+            .charge_failures(u64::MAX)
             .pager_write_failures(u64::MAX)
             .pager_fsync_failures(u64::MAX);
-        let spills: Vec<bool> = (0..64).map(|_| g.should_fail_spill_write()).collect();
+        let charges: Vec<bool> = (0..64).map(|_| g.should_fail_charge()).collect();
         let writes: Vec<bool> = (0..64).map(|_| g.should_fail_pager_write()).collect();
         let syncs: Vec<bool> = (0..64).map(|_| g.should_fail_pager_fsync()).collect();
-        assert_ne!(spills, writes);
+        assert_ne!(charges, writes);
         assert_ne!(writes, syncs);
         // Deterministic per seed.
         let h = FaultInjector::new(555)
@@ -505,39 +440,5 @@ mod tests {
         let g = FaultInjector::new(777).period(2).planner_failures(u64::MAX);
         let planner2: Vec<bool> = (0..64).map(|_| g.should_fail_planner()).collect();
         assert_eq!(planner, planner2);
-    }
-
-    #[test]
-    fn spill_budgets_are_bounded_and_counted() {
-        let f = FaultInjector::new(9)
-            .period(1)
-            .spill_write_failures(2)
-            .spill_read_corruptions(3);
-        let writes = (0..10).filter(|_| f.should_fail_spill_write()).count();
-        let reads = (0..10).filter(|_| f.should_corrupt_spill_read()).count();
-        assert_eq!(writes, 2);
-        assert_eq!(reads, 3);
-        assert_eq!(f.spill_write_failures_injected(), 2);
-        assert_eq!(f.spill_corruptions_injected(), 3);
-    }
-
-    #[test]
-    fn spill_sites_use_distinct_streams() {
-        // With period 2, the write and read streams must not be copies of the
-        // morsel/charge streams: same seed, different rotate constants.
-        let f = FaultInjector::new(1234)
-            .period(2)
-            .charge_failures(u64::MAX)
-            .spill_write_failures(u64::MAX)
-            .spill_read_corruptions(u64::MAX);
-        let charges: Vec<bool> = (0..64).map(|_| f.should_fail_charge()).collect();
-        let g = FaultInjector::new(1234)
-            .period(2)
-            .spill_write_failures(u64::MAX)
-            .spill_read_corruptions(u64::MAX);
-        let writes: Vec<bool> = (0..64).map(|_| g.should_fail_spill_write()).collect();
-        let reads: Vec<bool> = (0..64).map(|_| g.should_corrupt_spill_read()).collect();
-        assert_ne!(charges, writes);
-        assert_ne!(writes, reads);
     }
 }

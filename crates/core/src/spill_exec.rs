@@ -1,46 +1,53 @@
 //! Spill-degradation executor: Theorem 4.1 partitioning with `R` fed from
-//! disk run files instead of `m` re-scans.
+//! temporary page tables instead of `m` re-scans.
 //!
 //! The rescan plan (`core::partitioned`) answers a budget breach by
 //! splitting `B` into `m` chunks and scanning the in-memory `R` once per
 //! chunk — `m·|R|` tuples touched. When θ carries equality bindings
 //! `B.col = f(R-row)` (the same ones the §4.5 hash probe uses), there is a
 //! cheaper shape for large `R`: hash-partition *both* sides on the binding
-//! key, spill each `Rᵢ` to a run file in one routing pass, and evaluate each
-//! `(Bᵢ, Rᵢ)` pair from its file. Correctness is by construction: any
-//! `(b-row, t)` pair that satisfies θ satisfies the equality bindings, so
-//! both rows hash to the same partition — no cross-partition match can
-//! exist. Tuples whose key appears in no `B` partition (or is NULL) can
-//! match nothing and are dropped during routing, which also keeps the
-//! written-vs-read byte accounting exactly conserved.
+//! key, write each `Rᵢ` to a temporary paged table in one routing pass, and
+//! evaluate each `(Bᵢ, Rᵢ)` pair over its table. Correctness is by
+//! construction: any `(b-row, t)` pair that satisfies θ satisfies the
+//! equality bindings, so both rows hash to the same partition — no
+//! cross-partition match can exist. Tuples whose key appears in no `B`
+//! partition (or is NULL), or that θ's detail-only bounds on the tables'
+//! clustered key rule out (Theorem 4.2), can match nothing and are dropped
+//! during routing. Page pruning then never skips a written page, so every
+//! byte written is read back exactly once.
 //!
-//! The output is **row-identical** to the serial plan: each partition's
-//! result rows are scattered back to their base rows' original positions.
+//! Each pass is the serial driver over its table, read through a buffer
+//! pool one page large: the loop the in-memory serial plan runs, over the
+//! same rows in the same order, so the output is row- and bit-identical —
+//! each partition's rows are scattered back to their base rows' original
+//! positions — while a pass holds one page of `Rᵢ` at a time.
 //!
-//! Failure model: every run file is RAII-owned ([`RunWriter`] until sealed,
-//! [`RunFile`] after), so any error path — I/O failure, checksum mismatch,
-//! budget breach inside a partition, cancellation — unwinds without leaking
-//! a single temp file and without producing partial results. Injected spill
-//! faults (`fault-injection` feature) surface as typed
-//! [`StorageError::SpillIo`] / [`StorageError::SpillCorrupt`] wrapped in
+//! Failure model: every partition file is RAII-owned ([`TempTableWriter`]
+//! until sealed, [`TempTable`] after), so any error path — a torn page
+//! write, a checksum mismatch, a budget breach inside a partition,
+//! cancellation — unwinds without leaking a file and without producing
+//! partial results. Page writes consult the query's fault injector as the
+//! pager's write site, so an injected spill fault surfaces as a typed
+//! [`StorageError::PagerIo`](mdj_storage::StorageError::PagerIo) wrapped in
 //! [`CoreError::Storage`]; there is deliberately no silent fallback to the
 //! rescan plan.
 
 use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
 use crate::error::{CoreError, Result};
+use crate::executor::{self, DetailSource, Driver, Grid};
+use crate::generalized::Block;
 use crate::mdjoin::md_join_serial;
+use crate::paged::{key_bounds_from_theta, PagedScan};
 use crate::probe::canon_key;
 use mdj_agg::AggSpec;
 use mdj_expr::analysis::probe_bindings;
 use mdj_expr::{BoundExpr, Expr};
-use mdj_storage::{
-    read_run, Counter, Relation, Row, RunFile, RunWriter, Schema, StorageError, Value,
-};
+use mdj_storage::{BufferPool, Counter, Relation, Row, Schema, TempTable, TempTableWriter, Value};
 use std::hash::{Hash, Hasher};
-use std::path::Path;
+use std::sync::Arc;
 
 /// Startup crash-recovery sweep over an engine's spill directory: remove
-/// `MDJS` run files orphaned by a crashed process (see
+/// spill files orphaned by a crashed process (see
 /// [`mdj_storage::sweep_orphans`]). Resolves the directory the same way the
 /// spill executor does — the configured `spill_dir`, falling back to the
 /// system temp directory — so a restart cleans up exactly where a crashed
@@ -75,37 +82,9 @@ fn bucket_of(key: &[Value], m: usize) -> usize {
     (h.finish() % m as u64) as usize
 }
 
-/// Flip one byte in the middle of `path` so the reader's checksum validation
-/// must reject the file (fault-injection corruption site).
-fn corrupt_run_file(path: &Path) -> Result<()> {
-    use std::io::{Read, Seek, SeekFrom, Write};
-    let io = |e: std::io::Error| {
-        CoreError::Storage(StorageError::SpillIo {
-            path: path.display().to_string(),
-            detail: format!("corrupting run file for fault injection: {e}"),
-        })
-    };
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)
-        .map_err(io)?;
-    let len = f.metadata().map_err(io)?.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let off = len / 2;
-    let mut byte = [0u8; 1];
-    f.seek(SeekFrom::Start(off)).map_err(io)?;
-    f.read_exact(&mut byte).map_err(io)?;
-    f.seek(SeekFrom::Start(off)).map_err(io)?;
-    f.write_all(&[byte[0] ^ 0xFF]).map_err(io)?;
-    Ok(())
-}
-
 /// Evaluate `MD(B, R, l, θ)` with both sides hash-partitioned into `m`
-/// buckets on θ's equality bindings and each `Rᵢ` spilled to a run file.
-/// Row-identical to [`md_join_serial`]. See the module docs.
+/// buckets on θ's equality bindings and each `Rᵢ` spilled to a temporary
+/// page table. Row-identical to [`md_join_serial`]. See the module docs.
 pub(crate) fn md_join_spilled(
     b: &Relation,
     r: &Relation,
@@ -117,7 +96,8 @@ pub(crate) fn md_join_spilled(
     if m == 0 {
         return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
     }
-    if m <= 1 || b.is_empty() {
+    // A table needs a column to cluster on.
+    if m <= 1 || b.is_empty() || r.schema().is_empty() {
         return md_join_serial(b, r, l, theta, ctx);
     }
     let (bindings, _) = probe_bindings(theta);
@@ -149,17 +129,22 @@ pub(crate) fn md_join_spilled(
         b_parts[bucket_of(&key_scratch, m)].push(i);
     }
 
-    // One routing pass over R: stream each tuple into its partition's run
-    // file. Tuples routed to a bucket with no base rows (key absent from B,
-    // or NULL key hashing there) can match nothing and are dropped, so every
-    // byte written is read back exactly once.
+    // One routing pass over R: stream each tuple into its partition's
+    // table, whose clustered key is column 0. Tuples that cannot match (see
+    // the module docs) are dropped, so every byte written is read back
+    // exactly once.
     let dir = ctx.spill_dir();
-    let mut writers: Vec<Option<RunWriter>> = (0..m).map(|_| None).collect();
+    let faults = ctx.pager_faults();
+    let bounds = key_bounds_from_theta(theta, &r.schema().field(0).name);
+    let mut writers: Vec<Option<TempTableWriter>> = (0..m).map(|_| None).collect();
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, r.len() as u64);
     for (n, t) in r.iter().enumerate() {
         if n % CANCEL_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
+        }
+        if !bounds.admits_key(&t[0]) {
+            continue;
         }
         key_scratch.clear();
         let mut null_key = false;
@@ -177,44 +162,31 @@ pub(crate) fn md_join_spilled(
         }
         let w = match &mut writers[p] {
             Some(w) => w,
-            None => {
-                writers[p] = Some(RunWriter::create(
-                    &dir,
-                    &format!("part{p}of{m}"),
-                    r.schema(),
-                )?);
-                writers[p].as_mut().expect("just inserted")
-            }
+            None => writers[p].insert(TempTableWriter::create(
+                &dir,
+                &format!("part{p}of{m}"),
+                r.schema().clone(),
+                Arc::clone(&faults),
+            )?),
         };
-        w.push(t)?;
+        w.push(t.clone())?;
     }
 
-    // Seal the files. The fault hook models ENOSPC at the write site: the
-    // error path drops every writer and every sealed RunFile, removing all
-    // temp files before the typed error reaches the caller.
-    let mut runs: Vec<Option<RunFile>> = Vec::with_capacity(m);
+    // Seal the tables. On any error every writer and sealed table drops,
+    // unlinking its file before the typed error reaches the caller.
+    let mut tables: Vec<Option<TempTable>> = Vec::with_capacity(m);
     for w in writers {
-        let Some(w) = w else {
-            runs.push(None);
-            continue;
-        };
-        if ctx.fault_should_fail_spill_write() {
-            return Err(CoreError::Storage(StorageError::SpillIo {
-                path: w.path().display().to_string(),
-                detail: format!(
-                    "injected ENOSPC: short write sealing a {}-row run",
-                    w.rows()
-                ),
-            }));
+        let table = w.map(TempTableWriter::finish).transpose()?;
+        if let Some(t) = &table {
+            ctx.count(Counter::spill_partitions, 1);
+            ctx.count(Counter::bytes_spilled, t.table().data_len());
         }
-        let run = w.finish()?;
-        ctx.count(Counter::spill_partitions, 1);
-        ctx.count(Counter::bytes_spilled, run.bytes_written());
-        runs.push(Some(run));
+        tables.push(table);
     }
 
     // Evaluate each (Bᵢ, Rᵢ) and scatter its rows back to the base rows'
     // original positions, making the result row-identical to serial.
+    let blocks = [Block::new(theta.clone(), l.to_vec())];
     let mut out_rows: Vec<Option<Row>> = vec![None; b.len()];
     let mut out_schema: Option<Schema> = None;
     for (p, part) in b_parts.iter().enumerate() {
@@ -226,20 +198,12 @@ pub(crate) fn md_join_spilled(
             b.schema().clone(),
             part.iter().map(|&i| b.rows()[i].clone()).collect(),
         );
-        let ri = match runs[p].take() {
-            None => Relation::empty(r.schema().clone()),
-            Some(run) => {
-                if ctx.fault_should_corrupt_spill_read() {
-                    corrupt_run_file(run.path())?;
-                }
-                let (rel, bytes_read) = read_run(run.path())?;
-                ctx.count(Counter::spill_read_bytes, bytes_read);
-                rel
-                // `run` drops here: the file is unlinked as soon as its
-                // partition is in memory, not at the end of the query.
-            }
+        // A table drops at the end of its pass: its file is unlinked as
+        // soon as it has been read, not at the end of the query.
+        let piece = match tables[p].take() {
+            None => md_join_serial(&bi, &Relation::empty(r.schema().clone()), l, theta, ctx)?,
+            Some(table) => spilled_pass(&bi, &table, &blocks, ctx)?,
         };
-        let piece = md_join_serial(&bi, &ri, l, theta, ctx)?;
         if out_schema.is_none() {
             out_schema = Some(piece.schema().clone());
         }
@@ -256,22 +220,40 @@ pub(crate) fn md_join_spilled(
     Ok(Relation::from_rows(schema, rows))
 }
 
+/// One `(Bᵢ, Rᵢ)` pass: the serial driver over the partition's table,
+/// through a pool whose budget is the table's largest page — a pass that
+/// pinned more would fail with `PoolExhausted`. The pages read back count
+/// as `spill_read_bytes` (and, like any fetch, as `pages_read`/`bytes_read`).
+fn spilled_pass(
+    bi: &Relation,
+    temp: &TempTable,
+    blocks: &[Block],
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    let table = temp.table();
+    let page = table.page_metas().iter().map(|m| u64::from(m.len)).max();
+    let scan = PagedScan::new(Arc::clone(table), BufferPool::new(page.unwrap_or(0)));
+    let grid = Grid::new(DetailSource::Paged(&scan), blocks, ctx.morsel_size());
+    let out = executor::run(bi, &grid, blocks, &Driver::Serial, false, ctx);
+    ctx.count(Counter::spill_read_bytes, scan.pool().bytes_read());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdj_expr::builder::*;
     use mdj_storage::{DataType, ScanStats};
-    use std::sync::Arc;
 
     fn spill_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mdj-spill-exec-{}-{tag}", std::process::id()))
     }
 
     /// Assert `dir` holds no files, then remove it.
-    fn assert_clean(dir: &Path) {
+    fn assert_clean(dir: &std::path::Path) {
         if let Ok(entries) = std::fs::read_dir(dir) {
             let leaked: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-            assert!(leaked.is_empty(), "leaked run files: {leaked:?}");
+            assert!(leaked.is_empty(), "leaked spill files: {leaked:?}");
         }
         let _ = std::fs::remove_dir(dir);
     }

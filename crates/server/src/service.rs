@@ -111,9 +111,12 @@ pub struct QueryService {
     /// response).
     ingest_rows: AtomicU64,
     /// Durable page store backing the catalog, when the daemon was started
-    /// with `--data`. Ingest batches are appended here *after* the
+    /// with `--data`. Ingest batches are appended here *before* the
     /// in-memory commit so restarts serve the same tables.
     paged_store: Mutex<Option<Arc<mdj_storage::PagedStore>>>,
+    /// Held across a store-backed ingest's durable append, in-memory commit
+    /// and re-attach, so disk and memory apply batches in one order.
+    durable_ingest: Mutex<()>,
     #[cfg(feature = "fault-injection")]
     fault: Mutex<Option<Arc<mdj_core::FaultInjector>>>,
 }
@@ -133,7 +136,7 @@ impl QueryService {
             config.max_waiters,
         );
         // Crash recovery: a SIGKILLed predecessor skipped its RAII spill
-        // cleanup; sweep its orphaned run files before serving anyone. A
+        // cleanup; sweep its orphaned spill files before serving anyone. A
         // sweep failure (e.g. an unreadable dir) must not block boot.
         let recovery = mdj_core::recover_spill_dir(&engine).unwrap_or_else(|e| {
             eprintln!("mdjd: spill recovery sweep failed: {e}");
@@ -152,6 +155,7 @@ impl QueryService {
             totals: ScanStats::new(),
             ingest_rows: AtomicU64::new(0),
             paged_store: Mutex::new(None),
+            durable_ingest: Mutex::new(()),
             #[cfg(feature = "fault-injection")]
             fault: Mutex::new(None),
         }
@@ -393,6 +397,14 @@ impl QueryService {
         // serve *fewer* rows than clients were acknowledged.
         let store = self.paged_store();
         let durable = store.as_ref().filter(|s| s.table(table).is_some());
+        // Two sessions could otherwise commit A,B to disk and B,A to memory,
+        // and a paged plan, a resident plan and a restart would then sum
+        // floats in different orders. In-memory tables take no lock.
+        let _ordered = durable.map(|_| {
+            self.durable_ingest
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        });
         let rows = if let Some(s) = &durable {
             // Validate the whole batch against the live schema *before* the
             // durable append: disk and memory must reject the same batches,
@@ -782,6 +794,65 @@ mod tests {
             svc.totals().tuples_scanned,
             timed_out.tuples_scanned + ok.stats.tuples_scanned
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_durable_ingests_apply_in_one_order_on_disk_and_in_memory() {
+        use mdj_storage::PagedStore;
+        use std::sync::atomic::AtomicBool;
+        let dir = std::env::temp_dir().join(format!("mdj-service-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = PagedStore::open(&dir).unwrap();
+        // Large enough that an in-memory append under a reader's snapshot
+        // is a copy other ingests queue behind.
+        let mk = |c: i64, m: i64, s: f64| {
+            Row::from_values(vec![Value::Int(c), Value::Int(m), Value::Float(s)])
+        };
+        let rows = (0..20_000).map(|i| mk(i % 7, i % 12, 1.0)).collect();
+        let base = Relation::from_rows(sales().schema().clone(), rows);
+        let table = store.create_table("Sales", &base, "cust", 1 << 16).unwrap();
+        let engine = EngineConfig::new()
+            .register_table("Sales", table.read_all(None).unwrap())
+            .build();
+        engine.catalog().attach_paged("Sales", table).unwrap();
+        let svc = QueryService::new(engine, ServiceConfig::default());
+        svc.attach_paged_store(Arc::clone(&store));
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            // Readers hold snapshots, as running queries do.
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        std::hint::black_box(svc.engine().catalog().get("Sales").unwrap());
+                    }
+                });
+            }
+            let writers: Vec<_> = (0..4i64)
+                .map(|w| {
+                    let (svc, start) = (&svc, &start);
+                    s.spawn(move || {
+                        let sid = svc.open_session();
+                        start.wait();
+                        for i in 0..25 {
+                            // Inexact sums: only one order gives these bits.
+                            let row = mk(w, i, 0.1 * (w * 25 + i) as f64);
+                            svc.ingest(sid, "Sales", vec![row]).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in writers {
+                h.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let on_disk = store.table("Sales").unwrap().read_all(None).unwrap();
+        let in_memory = svc.engine().catalog().get("Sales").unwrap();
+        assert_eq!(on_disk.len(), 20_000 + 4 * 25);
+        // `Value` equality on floats is `to_bits` equality.
+        assert_eq!(on_disk.rows(), in_memory.rows());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

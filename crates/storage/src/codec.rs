@@ -1,12 +1,10 @@
-//! Shared binary codec for the disk-resident formats (`spill` run files and
-//! `pager` pages/manifests).
+//! Binary codec of the one disk-resident format: `pager` pages and
+//! manifests (spill partitions are temporary page tables, so they share it).
 //!
-//! Both formats encode values as `tag u8 + payload` (floats as raw bit
-//! patterns so round trips are bit-identical), schemas as
+//! Values are encoded as `tag u8 + payload` (floats as raw bit patterns so
+//! round trips are bit-identical), schemas as
 //! `field_count u32; per field: name_len u32, UTF-8 name, dtype tag u8`, and
-//! integrity as a trailing FNV-1a64 checksum over every prior byte. Keeping
-//! the codec in one place guarantees the spill and pager layers can never
-//! drift apart on the encoding of a `Value`.
+//! integrity as a trailing FNV-1a64 checksum over every prior byte.
 
 use crate::error::{Result, StorageError};
 use crate::schema::{DataType, Field, Schema};
@@ -72,6 +70,16 @@ pub(crate) fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Bytes [`encode_value`] appends for `v`.
+pub(crate) fn encoded_len(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::All => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Bool(_) => 2,
+    }
+}
+
 /// Append a schema: field count then `(name_len, name, dtype tag)` triples.
 pub(crate) fn encode_schema(buf: &mut Vec<u8>, schema: &Schema) {
     buf.extend_from_slice(&(schema.len() as u32).to_le_bytes());
@@ -82,38 +90,30 @@ pub(crate) fn encode_schema(buf: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
-/// Which corruption error a [`Cursor`] raises on a malformed read.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CorruptKind {
-    Spill,
-    Page,
-}
-
-/// Byte cursor over a fully read buffer; every short read is corruption.
+/// Byte cursor over a fully read buffer; every short read is corruption
+/// ([`StorageError::PageCorrupt`]).
 pub(crate) struct Cursor<'a> {
     pub(crate) data: &'a [u8],
     pub(crate) pos: usize,
     path: &'a Path,
-    kind: CorruptKind,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8], path: &'a Path, kind: CorruptKind) -> Self {
-        Cursor {
-            data,
-            pos: 0,
-            path,
-            kind,
-        }
+    pub(crate) fn new(data: &'a [u8], path: &'a Path) -> Self {
+        Cursor { data, pos: 0, path }
     }
 
     pub(crate) fn corrupt(&self, detail: impl Into<String>) -> StorageError {
-        let path = self.path.display().to_string();
-        let detail = detail.into();
-        match self.kind {
-            CorruptKind::Spill => StorageError::SpillCorrupt { path, detail },
-            CorruptKind::Page => StorageError::PageCorrupt { path, detail },
+        StorageError::PageCorrupt {
+            path: self.path.display().to_string(),
+            detail: detail.into(),
         }
+    }
+
+    /// Bytes not yet consumed: the most any count read from the buffer can
+    /// be backed by, and so the cap on what it may pre-allocate.
+    pub(crate) fn remaining(&self) -> usize {
+        self.data.len() - self.pos
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -203,8 +203,13 @@ mod tests {
             encode_value(&mut buf, v);
         }
         let path = Path::new("codec-test");
-        let mut c = Cursor::new(&buf, path, CorruptKind::Page);
+        let mut c = Cursor::new(&buf, path);
         for v in &vals {
+            assert_eq!(encoded_len(v), {
+                let mut one = Vec::new();
+                encode_value(&mut one, v);
+                one.len()
+            });
             let back = c.value().unwrap();
             match (v, &back) {
                 (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
@@ -226,22 +231,17 @@ mod tests {
         let mut buf = Vec::new();
         encode_schema(&mut buf, &schema);
         let path = Path::new("codec-test");
-        let mut c = Cursor::new(&buf, path, CorruptKind::Spill);
+        let mut c = Cursor::new(&buf, path);
         assert_eq!(c.schema().unwrap(), schema);
     }
 
     #[test]
     fn short_reads_surface_the_right_corruption_kind() {
         let path = Path::new("codec-test");
-        let mut page = Cursor::new(&[2u8, 0, 0], path, CorruptKind::Page);
+        let mut page = Cursor::new(&[2u8, 0, 0], path);
         assert!(matches!(
             page.value(),
             Err(StorageError::PageCorrupt { .. })
-        ));
-        let mut spill = Cursor::new(&[2u8, 0, 0], path, CorruptKind::Spill);
-        assert!(matches!(
-            spill.value(),
-            Err(StorageError::SpillCorrupt { .. })
         ));
     }
 }

@@ -26,15 +26,10 @@ pub enum StorageError {
     Csv { line: usize, message: String },
     /// Generic I/O failure (message-only so the error stays `Clone + Eq`).
     Io(String),
-    /// A spill run file could not be written or read (disk full, short
+    /// A paged table file (page data, manifest, or a spill partition's
+    /// temporary table) could not be written or read (disk full, short
     /// write, permission failure). Path and detail are strings so the error
     /// stays `Clone + Eq`.
-    SpillIo { path: String, detail: String },
-    /// A spill run file failed validation on read: bad magic, unsupported
-    /// version, checksum mismatch, or a truncated/garbled payload.
-    SpillCorrupt { path: String, detail: String },
-    /// A paged table store file (page data or manifest) could not be written
-    /// or read.
     PagerIo { path: String, detail: String },
     /// A page or manifest failed validation on read: bad magic, unsupported
     /// version, checksum mismatch, or a truncated/garbled payload. Torn
@@ -74,12 +69,6 @@ impl fmt::Display for StorageError {
             StorageError::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
             StorageError::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
             StorageError::Io(m) => write!(f, "I/O error: {m}"),
-            StorageError::SpillIo { path, detail } => {
-                write!(f, "spill I/O error on `{path}`: {detail}")
-            }
-            StorageError::SpillCorrupt { path, detail } => {
-                write!(f, "corrupt spill run file `{path}`: {detail}")
-            }
             StorageError::PagerIo { path, detail } => {
                 write!(f, "pager I/O error on `{path}`: {detail}")
             }

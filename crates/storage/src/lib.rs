@@ -34,13 +34,13 @@ pub use error::{Result, StorageError};
 pub use hash::{KeyBuildHasher, KeyHasher};
 pub use index::{HashIndex, SortedIndex};
 pub use pager::{
-    BufferPool, KeyBounds, PageMeta, PagedStore, PagedTable, PagerBootReport, PagerFaults,
-    PinnedPage, PoolChargeFailed, PoolChargeHook,
+    BufferPool, KeyBounds, NoFaults, PageMeta, PagedStore, PagedTable, PagerBootReport,
+    PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable, TempTableWriter,
 };
 pub use relation::Relation;
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};
-pub use spill::{read_run, sweep_orphans, write_run, RunFile, RunWriter, SweepReport};
+pub use spill::{sweep_orphans, SweepReport};
 pub use stats::{
     Agg, ColumnStats, Counter, CounterDef, Group, NdvSketch, ScanStats, StatsSnapshot, TableStats,
     WorkerStats, COUNTERS,

@@ -15,7 +15,7 @@
 //! version  u32 LE (= 1)
 //! page_no  u64 LE
 //! rows     u32 LE
-//! payload  per row, per value: tag u8 + payload (same codec as spill runs)
+//! payload  per row, per value: tag u8 + payload (`codec::encode_value`)
 //! trailer  checksum u64 LE (FNV-1a64 over all prior bytes)
 //! ```
 //!
@@ -46,7 +46,16 @@
 //! Everything discarded is tallied in [`PagerBootReport`], mirroring the
 //! spill layer's `sweep_orphans` contract. Checksums are verified on every
 //! page fetch, so bit rot inside the sealed region still surfaces as
-//! [`StorageError::PageCorrupt`] rather than wrong rows.
+//! [`StorageError::PageCorrupt`] rather than wrong rows. One commit lock
+//! serializes `create_table` and `append`, each with its checkpoint, so
+//! concurrent writers never share a data-file offset or `MANIFEST.tmp`.
+//!
+//! ## Temporary tables
+//!
+//! A spill partition is a [`TempTableWriter`]'s table: the same pages in
+//! arrival order, no manifest and no fsync (nothing in it must survive a
+//! crash), its file unlinked when the [`TempTable`] handle drops. It is read
+//! through a [`BufferPool`] like any other table.
 //!
 //! ## Buffer pool invariants
 //!
@@ -59,11 +68,12 @@
 //!   [`StorageError::PoolExhausted`] — never a panic, never silent
 //!   truncation.
 
-use crate::codec::{self, CorruptKind, Cursor};
+use crate::codec::{self, Cursor};
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::spill::spill_path;
 use crate::stats::{Counter, ScanStats};
 use crate::value::{cmp_int_float, Value};
 use std::any::Any;
@@ -74,7 +84,7 @@ use std::fs;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Page magic: "MD-Join Page".
 const PAGE_MAGIC: [u8; 4] = *b"MDJP";
@@ -91,13 +101,21 @@ const MANIFEST_PREV: &str = "MANIFEST.prev";
 /// Fixed page framing: magic + version + page_no + row count.
 const PAGE_HEADER_BYTES: usize = 4 + 4 + 8 + 4;
 const PAGE_TRAILER_BYTES: usize = 8;
+const PAGE_FRAME_BYTES: usize = PAGE_HEADER_BYTES + PAGE_TRAILER_BYTES;
+/// Smallest encoded page entry in a manifest: offset, len, rows, and two
+/// one-byte keys.
+const MANIFEST_PAGE_MIN_BYTES: usize = 8 + 4 + 4 + 1 + 1;
 
 /// Smallest accepted page-size target. Below this the framing overhead
 /// dominates and page counts explode; the differential fuzz sweep uses
 /// 256 B as its smallest size.
 pub const MIN_PAGE_BYTES: u64 = 64;
 
-fn io_err(path: &Path, detail: impl fmt::Display) -> StorageError {
+/// Page-size target of a temporary (spill) table. Its framing costs 28
+/// bytes a page, and a pass over the table holds one page resident.
+pub const TEMP_PAGE_BYTES: u64 = 64 * 1024;
+
+pub(crate) fn io_err(path: &Path, detail: impl fmt::Display) -> StorageError {
     StorageError::PagerIo {
         path: path.display().to_string(),
         detail: detail.to_string(),
@@ -249,33 +267,44 @@ impl KeyBounds {
         }
     }
 
+    /// `v` is not past the upper bound. Incomparable (None) passes.
+    fn under_hi(&self, v: &Value) -> bool {
+        self.hi.as_ref().is_none_or(|(b, incl)| match v.sql_cmp(b) {
+            Some(Ordering::Greater) => false,
+            Some(Ordering::Equal) => *incl,
+            _ => true,
+        })
+    }
+
+    /// `v` is not short of the lower bound. Incomparable (None) passes.
+    fn over_lo(&self, v: &Value) -> bool {
+        self.lo.as_ref().is_none_or(|(b, incl)| match v.sql_cmp(b) {
+            Some(Ordering::Less) => false,
+            Some(Ordering::Equal) => *incl,
+            _ => true,
+        })
+    }
+
+    /// Whether a row with clustered key `v` may match. A page holding only
+    /// admitted keys is always admitted by [`admits_page`](Self::admits_page),
+    /// because its min and max keys are two of them.
+    pub fn admits_key(&self, v: &Value) -> bool {
+        self.is_unbounded() || (*v != Value::Null && self.under_hi(v) && self.over_lo(v))
+    }
+
     /// Whether a page with this metadata may contain a matching row.
     pub fn admits_page(&self, meta: &PageMeta) -> bool {
         if self.is_unbounded() {
             return true;
         }
         // No non-NULL keys: a comparison predicate is never true on NULL,
-        // so any bound rules the whole page out.
-        if meta.min_key == Value::Null || meta.rows == 0 {
-            return false;
-        }
-        if let Some((b, incl)) = &self.hi {
-            // All keys ≥ min_key; if even min_key is past the upper bound
-            // no row qualifies. Incomparable (None) keeps the page.
-            match meta.min_key.sql_cmp(b) {
-                Some(Ordering::Greater) => return false,
-                Some(Ordering::Equal) if !incl => return false,
-                _ => {}
-            }
-        }
-        if let Some((b, incl)) = &self.lo {
-            match meta.max_key.sql_cmp(b) {
-                Some(Ordering::Less) => return false,
-                Some(Ordering::Equal) if !incl => return false,
-                _ => {}
-            }
-        }
-        true
+        // so any bound rules the whole page out. Otherwise all keys lie in
+        // [min_key, max_key]: if even min_key is past the upper bound, or
+        // max_key short of the lower one, no row qualifies.
+        meta.min_key != Value::Null
+            && meta.rows != 0
+            && self.under_hi(&meta.min_key)
+            && self.over_lo(&meta.max_key)
     }
 }
 
@@ -349,7 +378,7 @@ fn decode_page(
             ),
         ));
     }
-    let mut c = Cursor::new(payload, path, CorruptKind::Page);
+    let mut c = Cursor::new(payload, path);
     if c.take(4)? != PAGE_MAGIC {
         return Err(corrupt(path, format!("page {page_no}: bad magic")));
     }
@@ -374,7 +403,9 @@ fn decode_page(
             format!("page {page_no}: {n_rows} rows, manifest says {}", meta.rows),
         ));
     }
-    let mut rows = Vec::with_capacity(n_rows as usize);
+    // Every row encodes at least one byte a value, so the payload bounds
+    // what the row count may reserve.
+    let mut rows = Vec::with_capacity((n_rows as usize).min(c.remaining()));
     for _ in 0..n_rows {
         let mut vals = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -391,6 +422,11 @@ fn decode_page(
     Ok(rows)
 }
 
+/// Encoded bytes of `row`'s values (its share of a page payload).
+fn row_len(row: &Row) -> usize {
+    row.values().iter().map(codec::encoded_len).sum()
+}
+
 /// Pack rows into sealed pages. Pages close on row boundaries when adding
 /// the next row would exceed `page_bytes`; a single oversized row still
 /// becomes one (oversized) page.
@@ -403,24 +439,10 @@ fn build_pages(
 ) -> (Vec<PageMeta>, Vec<u8>) {
     let mut metas = Vec::new();
     let mut bytes = Vec::new();
-    let mut offset = base_offset;
-    let mut page_no = first_page_no;
-    let mut current: Vec<Row> = Vec::new();
-    let mut current_payload = 0usize;
-    let frame = PAGE_HEADER_BYTES + PAGE_TRAILER_BYTES;
-
-    let seal = |current: &mut Vec<Row>,
-                page_no: &mut u64,
-                offset: &mut u64,
-                bytes: &mut Vec<u8>,
-                metas: &mut Vec<PageMeta>| {
-        if current.is_empty() {
-            return;
-        }
+    let mut seal = |page: &[Row], metas: &mut Vec<PageMeta>| {
         let mut min_key = Value::Null;
         let mut max_key = Value::Null;
-        for r in current.iter() {
-            let k = &r.values()[key_col];
+        for k in page.iter().map(|r| &r.values()[key_col]) {
             if matches!(k, Value::Null) {
                 continue;
             }
@@ -431,47 +453,28 @@ fn build_pages(
                 max_key = k.clone();
             }
         }
-        let page = encode_page(*page_no, current);
+        let encoded = encode_page(first_page_no + metas.len() as u64, page);
         metas.push(PageMeta {
-            offset: *offset,
-            len: page.len() as u32,
-            rows: current.len() as u32,
+            offset: base_offset + bytes.len() as u64,
+            len: encoded.len() as u32,
+            rows: page.len() as u32,
             min_key,
             max_key,
         });
-        *offset += page.len() as u64;
-        *page_no += 1;
-        bytes.extend_from_slice(&page);
-        current.clear();
+        bytes.extend_from_slice(&encoded);
     };
-
-    let mut row_buf = Vec::new();
-    for row in rows {
-        row_buf.clear();
-        for v in row.values() {
-            codec::encode_value(&mut row_buf, v);
+    let (mut start, mut size) = (0, PAGE_FRAME_BYTES);
+    for (i, row) in rows.iter().enumerate() {
+        let len = row_len(row);
+        if i > start && (size + len) as u64 > page_bytes {
+            seal(&rows[start..i], &mut metas);
+            (start, size) = (i, PAGE_FRAME_BYTES);
         }
-        let next = frame + current_payload + row_buf.len();
-        if !current.is_empty() && next as u64 > page_bytes {
-            seal(
-                &mut current,
-                &mut page_no,
-                &mut offset,
-                &mut bytes,
-                &mut metas,
-            );
-            current_payload = 0;
-        }
-        current_payload += row_buf.len();
-        current.push(row.clone());
+        size += len;
     }
-    seal(
-        &mut current,
-        &mut page_no,
-        &mut offset,
-        &mut bytes,
-        &mut metas,
-    );
+    if start < rows.len() {
+        seal(&rows[start..], &mut metas);
+    }
     (metas, bytes)
 }
 
@@ -530,7 +533,7 @@ fn decode_manifest(data: &[u8], path: &Path) -> Result<(u64, Vec<TableMeta>)> {
             format!("manifest checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"),
         ));
     }
-    let mut c = Cursor::new(payload, path, CorruptKind::Page);
+    let mut c = Cursor::new(payload, path);
     if c.take(4)? != MANIFEST_MAGIC {
         return Err(corrupt(path, "bad manifest magic"));
     }
@@ -560,7 +563,7 @@ fn decode_manifest(data: &[u8], path: &Path) -> Result<(u64, Vec<TableMeta>)> {
         let page_bytes = c.u64()?;
         let data_len = c.u64()?;
         let n_pages = c.u64()? as usize;
-        let mut pages = Vec::with_capacity(n_pages.min(1 << 20));
+        let mut pages = Vec::with_capacity(n_pages.min(c.remaining() / MANIFEST_PAGE_MIN_BYTES));
         let mut expect_offset = 0u64;
         for _ in 0..n_pages {
             let offset = c.u64()?;
@@ -572,6 +575,15 @@ fn decode_manifest(data: &[u8], path: &Path) -> Result<(u64, Vec<TableMeta>)> {
                 return Err(corrupt(
                     path,
                     format!("table `{name}`: page offsets are not contiguous"),
+                ));
+            }
+            // Every row encodes at least one byte, so a page cannot hold
+            // more rows than bytes; a larger count would size the reader's
+            // allocation from the manifest instead of from the data.
+            if rows > len {
+                return Err(corrupt(
+                    path,
+                    format!("table `{name}`: page claims {rows} rows in {len} bytes"),
                 ));
             }
             expect_offset = offset + len as u64;
@@ -631,11 +643,11 @@ pub struct PagedTable {
 }
 
 impl PagedTable {
-    fn new(dir: &Path, meta: TableMeta) -> PagedTable {
+    fn new(path: PathBuf, meta: TableMeta) -> PagedTable {
         let row_count = meta.pages.iter().map(|p| p.rows as u64).sum();
         PagedTable {
             table_id: TABLE_ID.fetch_add(1, AtomicOrder::Relaxed),
-            path: dir.join(format!("{}.pages", meta.name)),
+            path,
             name: meta.name,
             schema: meta.schema,
             key_col: meta.key_col,
@@ -783,6 +795,10 @@ pub struct PagedStore {
     dir: PathBuf,
     faults: Arc<dyn PagerFaults>,
     state: Mutex<StoreState>,
+    /// Held across a whole `create_table` or `append`, checkpoint included:
+    /// an append reads the sealed length it writes at, and every checkpoint
+    /// writes the one `MANIFEST.tmp`.
+    commit: Mutex<()>,
 }
 
 fn valid_table_name(name: &str) -> bool {
@@ -919,8 +935,7 @@ impl PagedStore {
                 }
                 Ordering::Equal => {}
             }
-            let name = meta.name.clone();
-            tables.insert(name, Arc::new(PagedTable::new(dir, meta)));
+            tables.insert(meta.name.clone(), Arc::new(PagedTable::new(path, meta)));
         }
         report.tables = tables.len() as u64;
 
@@ -928,6 +943,7 @@ impl PagedStore {
             dir: dir.to_path_buf(),
             faults,
             state: Mutex::new(StoreState { generation, tables }),
+            commit: Mutex::new(()),
         });
         // Seal the repaired state (also writes the initial manifest for a
         // fresh directory) so a second crash-free open is a no-op.
@@ -998,10 +1014,11 @@ impl PagedStore {
                 format!("page size {page_bytes} below minimum {MIN_PAGE_BYTES}"),
             ));
         }
+        let key = rel.schema().index_of(key_col)?;
+        let _commit = self.commit.lock().unwrap_or_else(PoisonError::into_inner);
         if self.table(name).is_some() {
             return Err(io_err(&self.dir, format!("table `{name}` already exists")));
         }
-        let key = rel.schema().index_of(key_col)?;
         let mut rows: Vec<Row> = rel.rows().to_vec();
         rows.sort_by(|a, b| key_cmp(&a.values()[key], &b.values()[key]));
         let (pages, bytes) = build_pages(&rows, key, page_bytes, 0, 0);
@@ -1014,7 +1031,7 @@ impl PagedStore {
         }
         let data_len = bytes.len() as u64;
         let table = Arc::new(PagedTable::new(
-            &self.dir,
+            path,
             TableMeta {
                 name: name.to_string(),
                 schema: rel.schema().clone(),
@@ -1058,6 +1075,7 @@ impl PagedStore {
                 });
             }
         }
+        let _commit = self.commit.lock().unwrap_or_else(PoisonError::into_inner);
         let (data_len, first_page_no) = {
             let st = table.state.read().unwrap();
             (st.data_len, st.pages.len() as u64)
@@ -1103,6 +1121,123 @@ impl PagedStore {
     }
 }
 
+/// Streams rows into a temporary paged table: the on-disk form of one spill
+/// partition. Rows keep arrival order — no clustering sort, so float sums
+/// over the table keep their bits — and a page seals each time the buffered
+/// rows reach [`TEMP_PAGE_BYTES`]. There is no manifest and no fsync:
+/// nothing here must survive a crash. The file is unlinked when its
+/// [`TempTable`] drops, whether [`finish`](Self::finish) handed it out or
+/// the writer was abandoned; a crashed process's files are left to
+/// [`sweep_orphans`](crate::spill::sweep_orphans).
+#[derive(Debug)]
+pub struct TempTableWriter {
+    table: TempTable,
+    file: fs::File,
+    faults: Arc<dyn PagerFaults>,
+    buffered: Vec<Row>,
+    /// Encoded size of `buffered` as one page, framing included.
+    buffered_bytes: usize,
+}
+
+impl TempTableWriter {
+    /// Create a spill file (`mdj-spill-{pid}-{seq}-{hint}.run`) under `dir`,
+    /// creating `dir` if missing. Its clustered key is column 0, which no
+    /// page is sorted on. Page writes consult `faults`.
+    pub fn create(
+        dir: &Path,
+        hint: &str,
+        schema: Schema,
+        faults: Arc<dyn PagerFaults>,
+    ) -> Result<TempTableWriter> {
+        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let path = spill_path(dir, hint);
+        let file = fs::File::create(&path).map_err(|e| io_err(&path, e))?;
+        let meta = TableMeta {
+            name: hint.to_string(),
+            schema,
+            key_col: 0,
+            page_bytes: TEMP_PAGE_BYTES,
+            data_len: 0,
+            pages: Vec::new(),
+        };
+        Ok(TempTableWriter {
+            table: TempTable(Arc::new(PagedTable::new(path, meta))),
+            file,
+            faults,
+            buffered: Vec::new(),
+            buffered_bytes: PAGE_FRAME_BYTES,
+        })
+    }
+
+    /// Append one row (arity-checked), first sealing the buffered page if
+    /// the row would overflow it.
+    pub fn push(&mut self, row: Row) -> Result<()> {
+        let arity = self.table.0.schema.len();
+        if row.values().len() != arity {
+            return Err(StorageError::ArityMismatch {
+                expected: arity,
+                got: row.values().len(),
+            });
+        }
+        let len = row_len(&row);
+        if !self.buffered.is_empty() && (self.buffered_bytes + len) as u64 > TEMP_PAGE_BYTES {
+            self.seal()?;
+        }
+        self.buffered_bytes += len;
+        self.buffered.push(row);
+        Ok(())
+    }
+
+    /// Write the buffered rows as one sealed page.
+    fn seal(&mut self) -> Result<()> {
+        let table = &self.table.0;
+        let mut st = table
+            .state
+            .write()
+            .expect("only this writer updates a temp table");
+        let first_page_no = st.pages.len() as u64;
+        let (metas, bytes) = build_pages(
+            &self.buffered,
+            0,
+            TEMP_PAGE_BYTES,
+            first_page_no,
+            st.data_len,
+        );
+        faulty_write(&mut self.file, &table.path, &bytes, &*self.faults)?;
+        st.row_count += self.buffered.len() as u64;
+        st.data_len += bytes.len() as u64;
+        st.pages.extend(metas);
+        self.buffered.clear();
+        self.buffered_bytes = PAGE_FRAME_BYTES;
+        Ok(())
+    }
+
+    /// Seal the last page and hand the table over.
+    pub fn finish(mut self) -> Result<TempTable> {
+        if !self.buffered.is_empty() {
+            self.seal()?;
+        }
+        Ok(self.table)
+    }
+}
+
+/// A sealed temporary table (see [`TempTableWriter`]): its data file is
+/// unlinked when this handle drops.
+#[derive(Debug)]
+pub struct TempTable(Arc<PagedTable>);
+
+impl TempTable {
+    pub fn table(&self) -> &Arc<PagedTable> {
+        &self.0
+    }
+}
+
+impl Drop for TempTable {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.0.path);
+    }
+}
+
 type FrameKey = (u64, usize);
 
 #[derive(Debug)]
@@ -1134,6 +1269,7 @@ pub struct BufferPool {
     inner: Mutex<PoolInner>,
     hits: AtomicU64,
     misses: AtomicU64,
+    bytes_read: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -1158,6 +1294,7 @@ impl BufferPool {
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         })
     }
@@ -1205,6 +1342,11 @@ impl BufferPool {
 
     pub fn misses(&self) -> u64 {
         self.misses.load(AtomicOrder::Relaxed)
+    }
+
+    /// Bytes read from disk on misses.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.load(AtomicOrder::Relaxed)
     }
 
     pub fn evictions(&self) -> u64 {
@@ -1295,6 +1437,7 @@ impl BufferPool {
         let (rows, bytes) = table.read_page(page_no)?;
         debug_assert_eq!(bytes, need);
         self.misses.fetch_add(1, AtomicOrder::Relaxed);
+        self.bytes_read.fetch_add(bytes, AtomicOrder::Relaxed);
         if let Some(s) = stats {
             s.count(Counter::pages_read, 1);
             s.count(Counter::bytes_read, bytes);
@@ -1780,5 +1923,128 @@ mod tests {
         assert!(t.pruned_pages(&bounds).is_empty());
         assert_eq!(t.pruned_pages(&KeyBounds::default()).len(), t.page_count());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_and_a_create_all_commit() {
+        let dir = tmp_dir("concurrent");
+        let (store, _) = open(&dir);
+        store.create_table("t", &sales(10), "k", 256).unwrap();
+        let row = |w: i64, i: i64| {
+            Row::new(vec![
+                Value::Int(w),
+                Value::str("new"),
+                Value::Float(i as f64),
+            ])
+        };
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for w in 0..4 {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        store.append("t", &[row(w, i)]).unwrap();
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                store.create_table("u", &sales(30), "k", 256).unwrap()
+            });
+        });
+        assert!(!dir.join(MANIFEST_TMP).exists());
+        drop(store);
+
+        let (store, report) = open(&dir);
+        assert!(!report.recovered_anything(), "{report:?}");
+        let t = store.table("t").unwrap();
+        assert_eq!(t.row_count(), 10 + 4 * 50);
+        let mut acked = sales(10);
+        for w in 0..4 {
+            for i in 0..50 {
+                acked.push(row(w, i)).unwrap();
+            }
+        }
+        assert!(t.read_all(None).unwrap().same_multiset(&acked));
+        assert_eq!(store.table("u").unwrap().row_count(), 30);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `bytes` with its trailing checksum recomputed over the rest, so a
+    /// mutation reaches the parser instead of stopping at the checksum.
+    fn resealed(bytes: &[u8]) -> Vec<u8> {
+        let payload = &bytes[..bytes.len().saturating_sub(PAGE_TRAILER_BYTES)];
+        let mut out = payload.to_vec();
+        out.extend_from_slice(&codec::fnv1a(codec::FNV_OFFSET, payload).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn decoders_survive_every_flipped_byte_and_truncation() {
+        let dir = tmp_dir("decoders");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(12), "k", 1 << 20).unwrap();
+        let meta = t.page_meta(0).unwrap();
+        let page = fs::read(dir.join("t.pages")).unwrap();
+        let manifest = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        let path = Path::new("sweep");
+        let decode = |is_page: bool, bytes: &[u8]| {
+            let r = if is_page {
+                decode_page(bytes, path, &meta, 0, t.schema().len()).map(drop)
+            } else {
+                decode_manifest(bytes, path).map(drop)
+            };
+            assert!(
+                matches!(r, Ok(()) | Err(StorageError::PageCorrupt { .. })),
+                "{r:?}"
+            );
+        };
+        for (is_page, good) in [(true, &page), (false, &manifest)] {
+            for i in 0..good.len() {
+                for mask in [0x01, 0xFF] {
+                    let mut bad = good.clone();
+                    bad[i] ^= mask;
+                    decode(is_page, &bad);
+                    decode(is_page, &resealed(&bad));
+                }
+            }
+            for len in 0..good.len() {
+                decode(is_page, &good[..len]);
+                decode(is_page, &resealed(&good[..len]));
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_page_claiming_u32_max_rows_is_corrupt() {
+        // Both checksums are valid; only the row counts lie.
+        let mut page = encode_page(0, &[]);
+        page[PAGE_HEADER_BYTES - 4..PAGE_HEADER_BYTES].copy_from_slice(&u32::MAX.to_le_bytes());
+        let page = resealed(&page);
+        let meta = PageMeta {
+            offset: 0,
+            len: page.len() as u32,
+            rows: u32::MAX,
+            min_key: Value::Null,
+            max_key: Value::Null,
+        };
+        let manifest = encode_manifest(
+            1,
+            &[TableMeta {
+                name: "t".into(),
+                schema: Schema::from_pairs(&[("k", DataType::Int)]),
+                key_col: 0,
+                page_bytes: 4096,
+                data_len: page.len() as u64,
+                pages: vec![meta.clone()],
+            }],
+        );
+        let path = Path::new("crafted");
+        let err = decode_manifest(&manifest, path).unwrap_err();
+        assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
+        let err = decode_page(&page, path, &meta, 0, 1).unwrap_err();
+        assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
     }
 }

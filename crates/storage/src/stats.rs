@@ -230,11 +230,11 @@ counter_table! {
         degradations "degradations" Sum - wire;
     }
     Spill "spill" {
-        /// Spill partitions (run files) written.
+        /// Spill partitions (temporary page tables) written.
         spill_partitions "partitions" Sum check -;
-        /// Bytes written to spill run files by spill-degradation.
+        /// Bytes written to spill partitions' pages by spill-degradation.
         bytes_spilled "bytes_spilled" Sum check -;
-        /// Bytes read back from spill run files.
+        /// Bytes of spill pages read back (also counted in `bytes_read`).
         spill_read_bytes "read_bytes" Sum check -;
     }
     Cache "cache" {

@@ -1,18 +1,17 @@
-//! Spill-layer fault injection (compiled only with `--features
+//! Spill-path fault injection (compiled only with `--features
 //! fault-injection`).
 //!
-//! The spill subsystem has two I/O sites wired into [`FaultInjector`]:
-//!
-//! * **write** — sealing a run file fails as an injected ENOSPC / short
-//!   write, exactly where a full disk would surface;
-//! * **read** — a run file is corrupted on disk (one flipped byte) before
-//!   it is read back, exercising the checksum-before-parse contract.
+//! Spill partitions are temporary page tables, so their one I/O fault site
+//! is the pager's page write, armed through [`FaultInjector`]'s
+//! `pager_write_failures`: a page write tears mid-way, exactly where a full
+//! disk would surface. (Corruption on read is the page checksum's job,
+//! pinned by the pager's own tests.)
 //!
 //! The properties pin the failure model from DESIGN §8: a faulted spilling
 //! run either completes with the *exact* serial answer (the injector never
-//! fired) or fails with a typed, classifiable spill error — never a partial
-//! result, never a panic — and every failure path removes all of its temp
-//! run files via RAII before the error reaches the caller.
+//! fired) or fails with a typed `PagerIo` error — never a partial result,
+//! never a panic — and every failure path removes all of its spill files
+//! via RAII before the error reaches the caller.
 #![cfg(feature = "fault-injection")]
 
 use mdj_core::prelude::*;
@@ -62,12 +61,12 @@ fn spill_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mdj-spill-faults-{}-{tag}", std::process::id()))
 }
 
-/// No run file may survive a query, successful or not.
+/// No spill file may survive a query, successful or not.
 fn assert_no_leaked_runs(dir: &Path) -> std::result::Result<(), String> {
     if let Ok(entries) = std::fs::read_dir(dir) {
         let leaked: Vec<_> = entries.flatten().map(|e| e.path()).collect();
         if !leaked.is_empty() {
-            return Err(format!("leaked run files: {leaked:?}"));
+            return Err(format!("leaked spill files: {leaked:?}"));
         }
     }
     Ok(())
@@ -94,7 +93,7 @@ fn faulted_run(b: &Relation, r: &Relation, ctx: &ExecContext) -> Result<Relation
 
 /// Control: with the injector armed but zero fault budget, the same
 /// configuration really does spill and really does succeed — so the
-/// properties below genuinely exercise the spill I/O sites.
+/// properties below genuinely exercise the spill page writes.
 #[test]
 fn control_run_spills_and_succeeds() {
     let r = sales(600);
@@ -113,10 +112,10 @@ fn control_run_spills_and_succeeds() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Injected ENOSPC / short writes while sealing run files: the run
-    /// either never hits the fault and answers exactly, or fails with a
-    /// typed `SpillIo` error; both ways the spill directory is left empty
-    /// and no bytes remain charged.
+    /// Injected torn page writes while spilling: the run either never hits
+    /// the fault and answers exactly, or fails with the pager's typed
+    /// `PagerIo` error; both ways the spill directory is left empty and no
+    /// bytes remain charged.
     #[test]
     fn injected_write_failures_are_typed_and_leak_free(
         seed in 0u64..1_000,
@@ -127,69 +126,27 @@ proptest! {
         let expected = serial_answer(&b, &r);
         let dir = spill_dir(&format!("w{seed}-{period}"));
         let fault = Arc::new(
-            FaultInjector::new(seed).period(period).spill_write_failures(1),
+            FaultInjector::new(seed).period(period).pager_write_failures(1),
         );
         let stats = Arc::new(ScanStats::new());
         let ctx = spilling_ctx(&dir, fault.clone(), stats.clone());
         match faulted_run(&b, &r, &ctx) {
             Ok(out) => {
                 prop_assert_eq!(expected.rows(), out.rows());
-                prop_assert_eq!(fault.spill_write_failures_injected(), 0,
+                prop_assert_eq!(fault.pager_faults_injected(), 0,
                     "an injected write failure must fail the query, not pass silently");
             }
             Err(e) => {
-                prop_assert!(e.is_spill(), "untyped spill failure: {e:?}");
                 prop_assert!(matches!(
                     &e,
-                    CoreError::Storage(StorageError::SpillIo { .. })
-                ), "write faults must surface as SpillIo: {e:?}");
-                prop_assert!(fault.spill_write_failures_injected() > 0,
-                    "SpillIo error without an injected fault");
+                    CoreError::Storage(StorageError::PagerIo { .. })
+                ), "write faults must surface as PagerIo: {e:?}");
+                prop_assert!(fault.pager_faults_injected() > 0,
+                    "PagerIo error without an injected fault");
             }
         }
-        // Failure or success: RAII removed every run file and released
+        // Failure or success: RAII removed every spill file and released
         // every charged byte.
-        if let Err(msg) = assert_no_leaked_runs(&dir) {
-            prop_assert!(false, "{}", msg);
-        }
-        prop_assert_eq!(ctx.memory().unwrap().charged(), 0);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    /// Run files corrupted on disk before read-back: the FNV-1a trailer
-    /// checksum must catch the flip *before* any row is parsed, surfacing
-    /// as a typed `SpillCorrupt` — and the failure path still removes every
-    /// temp file.
-    #[test]
-    fn injected_read_corruption_is_detected_by_checksum(
-        seed in 0u64..1_000,
-        period in 1u64..4,
-    ) {
-        let r = sales(600);
-        let b = basevalues::group_by(&r, &["cust"]).unwrap();
-        let expected = serial_answer(&b, &r);
-        let dir = spill_dir(&format!("r{seed}-{period}"));
-        let fault = Arc::new(
-            FaultInjector::new(seed).period(period).spill_read_corruptions(1),
-        );
-        let stats = Arc::new(ScanStats::new());
-        let ctx = spilling_ctx(&dir, fault.clone(), stats.clone());
-        match faulted_run(&b, &r, &ctx) {
-            Ok(out) => {
-                prop_assert_eq!(expected.rows(), out.rows());
-                prop_assert_eq!(fault.spill_corruptions_injected(), 0,
-                    "a corrupted run file must fail the query, not pass silently");
-            }
-            Err(e) => {
-                prop_assert!(e.is_spill(), "untyped spill failure: {e:?}");
-                prop_assert!(matches!(
-                    &e,
-                    CoreError::Storage(StorageError::SpillCorrupt { .. })
-                ), "corruption must surface as SpillCorrupt: {e:?}");
-                prop_assert!(fault.spill_corruptions_injected() > 0,
-                    "SpillCorrupt error without an injected corruption");
-            }
-        }
         if let Err(msg) = assert_no_leaked_runs(&dir) {
             prop_assert!(false, "{}", msg);
         }
@@ -207,16 +164,11 @@ fn faulted_spill_runs_are_reproducible() {
     let b = basevalues::group_by(&r, &["cust"]).unwrap();
     let run = |seed: u64, tag: &str| {
         let dir = spill_dir(tag);
-        let fault = Arc::new(
-            FaultInjector::new(seed)
-                .period(2)
-                .spill_write_failures(1)
-                .spill_read_corruptions(1),
-        );
+        let fault = Arc::new(FaultInjector::new(seed).period(2).pager_write_failures(1));
         let ctx = spilling_ctx(&dir, fault, Arc::new(ScanStats::new()));
         let out = faulted_run(&b, &r, &ctx)
             .map(|rel| rel.rows().to_vec())
-            // Canonicalize: the message embeds the (unique) run-file path;
+            // Canonicalize: the message embeds the (unique) spill-file path;
             // everything after it — error kind and injected detail — must
             // reproduce exactly.
             .map_err(|e| {
