@@ -18,11 +18,6 @@ use mdj_storage::Catalog;
 pub const SELECT_SELECTIVITY: f64 = 0.3;
 /// Distinctness exponent: |distinct(dims)| ≈ |input|^DISTINCT_EXP.
 pub const DISTINCT_EXP: f64 = 0.75;
-/// Fixed cost charged per worker thread of a [`Plan::Parallel`] node
-/// (spawn + morsel queue setup + final state merge). Keeps the optimizer
-/// from parallelizing plans whose total work is smaller than the fan-out
-/// overhead.
-pub const PARALLEL_STARTUP_COST: f64 = 2000.0;
 
 /// Estimated output rows of a plan.
 pub fn estimate_rows(plan: &Plan, catalog: &Catalog) -> f64 {
@@ -111,17 +106,9 @@ pub fn estimate_cost(plan: &Plan, catalog: &Catalog, _registry: &Registry) -> Re
                 + estimate_rows(left, catalog)
                 + estimate_rows(right, catalog)
         }
-        Plan::Parallel { input, threads } => {
-            // Ideal speedup on the wrapped operator's work, paid for with a
-            // per-thread startup charge. `threads = 0` ("all cores") is
-            // costed as the machine's parallelism.
-            let t = if *threads == 0 {
-                mdj_core::default_threads() as f64
-            } else {
-                *threads as f64
-            };
-            estimate_cost(input, catalog, _registry)? / t + PARALLEL_STARTUP_COST * t
-        }
+        // Whether the node runs parallel is decided at run time (`Auto`), so
+        // it costs what its input costs.
+        Plan::Parallel { input, .. } => estimate_cost(input, catalog, _registry)?,
     })
 }
 

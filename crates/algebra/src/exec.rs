@@ -11,8 +11,11 @@ use std::sync::Arc;
 
 /// Execute a logical plan against a catalog.
 ///
-/// MD-join nodes run Algorithm 3.1 with the context's probe strategy;
-/// generalized MD-join nodes evaluate all blocks in one scan.
+/// MD-join nodes run Algorithm 3.1 serially with the context's probe
+/// strategy — the scalar reference `query_unoptimized` answers with — and a
+/// [`Plan::Parallel`] node runs its MD-join under [`ExecStrategy::Auto`] with
+/// the node's thread cap; generalized MD-join nodes evaluate all blocks in
+/// one scan.
 ///
 /// Relations travel as `Arc<Relation>` (DESIGN §3.3): table and inline nodes
 /// lend the `Arc` the catalog or the plan already holds, a cache hit lends
@@ -93,7 +96,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
         }
         Plan::Parallel { input, threads } => {
             let threads = (*threads > 0).then_some(*threads);
-            return md_join(input, ExecStrategy::Morsel, threads, catalog, ctx);
+            return md_join(input, ExecStrategy::Auto, threads, catalog, ctx);
         }
         Plan::Join {
             left,
@@ -143,7 +146,7 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
 }
 
 /// The one place a single-block MD-join node is evaluated, serial or under
-/// `Plan::Parallel`:
+/// `Plan::Parallel` (`Auto`, at most `threads` workers):
 ///
 /// 1. the cuboid cache answers the canonical group-by shape
 ///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
@@ -450,18 +453,41 @@ mod tests {
     #[test]
     fn parallel_node_runs_morsel_executor() {
         use mdj_storage::ScanStats;
-        use std::sync::Arc;
-        let md = Plan::table("Sales").group_by_base(&["cust"]).md_join(
-            Plan::table("Sales"),
-            vec![AggSpec::on_column("sum", "sale")],
-            eq(col_b("cust"), col_r("cust")),
-        );
-        let serial = execute(&md, &catalog(), &ExecContext::new()).unwrap();
-        let stats = Arc::new(ScanStats::new());
-        let ctx = ExecContext::new().with_stats(stats.clone());
-        let par = execute(&md.parallel(2), &catalog(), &ctx).unwrap();
-        assert!(serial.same_multiset(&par));
-        // The morsel executor reported per-worker counters.
+        let md = |agg: AggSpec| {
+            Plan::table("Sales").group_by_base(&["cust"]).md_join(
+                Plan::table("Sales"),
+                vec![agg],
+                eq(col_b("cust"), col_r("cust")),
+            )
+        };
+        // One-row morsels: every input here spans several.
+        let run = |plan: &Plan| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new()
+                .with_morsel_size(1)
+                .with_stats(stats.clone());
+            (execute(plan, &catalog(), &ctx).unwrap(), stats)
+        };
+        // A bare MD-join node is the scalar serial reference: no decision,
+        // no batches, no workers.
+        let covered = md(AggSpec::on_column("sum", "sale"));
+        let (serial, stats) = run(&covered);
+        assert_eq!((stats.auto_decisions(), stats.batches()), (0, 0));
+        assert!(stats.workers().is_empty());
+        // Under `Parallel`, `Auto` decides: a batch-covered join runs once,
+        // on the batch evaluator, with no workers...
+        let (par, stats) = run(&covered.parallel(2));
+        assert_eq!(serial.rows(), par.rows());
+        assert_eq!(stats.auto_decisions(), 1);
+        assert!(stats.batches() > 0);
+        assert!(stats.workers().is_empty());
+        // ...while a scalar-majority join spanning more than one morsel
+        // still runs the morsel executor on the node's thread cap.
+        let holistic = md(AggSpec::on_column("median", "sale"));
+        let (serial, _) = run(&holistic);
+        let (par, stats) = run(&holistic.parallel(2));
+        assert_eq!(serial.rows(), par.rows());
+        assert_eq!(stats.batches(), 0);
         assert_eq!(stats.workers().len(), 2);
     }
 
@@ -550,8 +576,10 @@ mod tests {
         let serial = execute(&md, &cat, &ExecContext::new()).unwrap();
         let cold = execute(&md.clone().parallel(2), &cat, &ctx).unwrap();
         assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 0));
-        // The miss ran the join the plan asked for: the parallel one.
-        assert_eq!(stats.workers().len(), 2);
+        // The miss ran the join the plan asked for: `Auto`, which takes the
+        // batch evaluator for this covered shape, on no workers.
+        assert!(stats.batches() > 0);
+        assert!(stats.workers().is_empty());
         let warm = execute(&md.parallel(2), &cat, &ctx).unwrap();
         assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 1));
         assert_eq!(stats.scans(), 1, "the hit never touched the detail table");

@@ -89,9 +89,9 @@ fn walk(plan: &Plan, depth: usize, out: &mut String) {
         }
         Plan::Parallel { input, threads } => {
             if *threads == 0 {
-                let _ = writeln!(out, "Parallel [morsel-driven, all cores]");
+                let _ = writeln!(out, "Parallel [auto, cap: all cores]");
             } else {
-                let _ = writeln!(out, "Parallel [morsel-driven, {threads} threads]");
+                let _ = writeln!(out, "Parallel [auto, cap: {threads} threads]");
             }
             walk(input, depth + 1, out);
         }
@@ -146,10 +146,13 @@ mod tests {
                 eq(col_b("cust"), col_r("cust")),
             )
             .parallel(4);
+        // The node names what runs — `Auto` under a thread cap — not a
+        // driver the run time may not pick.
         let s = explain(&plan);
-        assert!(s.contains("Parallel [morsel-driven, 4 threads]"));
+        assert!(s.contains("Parallel [auto, cap: 4 threads]"));
+        assert!(!s.contains("morsel"));
         let all = explain(&Plan::table("Sales").parallel(0));
-        assert!(all.contains("all cores"));
+        assert!(all.contains("Parallel [auto, cap: all cores]"));
     }
 
     #[test]

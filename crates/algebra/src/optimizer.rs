@@ -10,23 +10,21 @@ use mdj_storage::Catalog;
 
 /// Cost-based optimizer over the paper's rule set.
 ///
-/// Pipeline (each step keeps its output only if the cost model does not
-/// regress, so a pathological estimate cannot produce a worse plan than the
-/// input):
+/// Pipeline (each of steps 1–3 keeps its output only if the cost model does
+/// not regress, so a pathological estimate cannot produce a worse plan than
+/// the input):
 ///
 /// 1. Theorem 4.2 pushdown (detail-only conjuncts → σ on `R`).
 /// 2. Observation 4.1 (base range predicates copied to `R`).
 /// 3. Theorem 4.3 coalescing (chains → generalized MD-joins).
-/// 4. Theorem 4.1 parallelization (MD-joins → morsel-parallel [`Plan::Parallel`]
-///    nodes, kept only when the modeled work exceeds the per-thread startup
-///    charge — small plans stay serial).
+/// 4. Every single-block MD-join is wrapped in a [`Plan::Parallel`] node: it
+///    runs under `ExecStrategy::Auto` with all cores as its thread cap, and
+///    `Auto` picks the evaluator and the driver from the input at run time.
+///    The plan — and its `EXPLAIN` — is therefore the same on every host.
 #[derive(Debug, Default)]
 pub struct Optimizer {
     /// Skip the coalescing phase (ablation knob for benches).
     pub disable_coalesce: bool,
-    /// Worker threads used when costing/wrapping `Plan::Parallel` nodes.
-    /// `None` → all available cores.
-    pub parallel_threads: Option<usize>,
 }
 
 impl Optimizer {
@@ -55,20 +53,16 @@ impl Optimizer {
             let coalesced = coalesce_chains(best.clone());
             consider(coalesced, &mut best, &mut best_cost)?;
         }
-        let threads = self.parallel_threads.unwrap_or(0); // 0 → all cores
-        let parallelized = parallelize(best.clone(), threads);
-        consider(parallelized, &mut best, &mut best_cost)?;
-        Ok(best)
+        Ok(parallelize(best))
     }
 }
 
-/// Wrap every MD-join node in a [`Plan::Parallel`] node so it runs on the
-/// morsel-driven executor. Generalized MD-joins stay serial (their single-scan
-/// evaluation is already the coalescing win). The caller cost-gates the
-/// result, so this is safe to apply unconditionally.
-fn parallelize(plan: Plan, threads: usize) -> Plan {
+/// Wrap every MD-join node in a [`Plan::Parallel`] node with all cores as
+/// its cap, so it runs under `Auto`. Generalized MD-joins stay serial (their
+/// single-scan evaluation is already the coalescing win).
+fn parallelize(plan: Plan) -> Plan {
     plan.transform_up(&|p| match p {
-        Plan::MdJoin { .. } => p.parallel(threads),
+        Plan::MdJoin { .. } => p.parallel(0),
         other => other,
     })
 }
@@ -171,7 +165,6 @@ mod tests {
         let plan = tri_state_chain();
         let no_coalesce = Optimizer {
             disable_coalesce: true,
-            ..Default::default()
         }
         .optimize(plan.clone(), &cat, &reg)
         .unwrap();
@@ -190,23 +183,30 @@ mod tests {
 
     #[test]
     fn small_md_joins_stay_serial() {
-        // 4-row catalog: the per-thread startup charge dwarfs the work, so
-        // the cost gate must reject the Parallel wrapping.
+        // Even a 4-row join is wrapped: the plan no longer prices
+        // parallelism. It stays serial at run time, where `Auto` sees the
+        // input is smaller than one morsel.
+        use mdj_storage::ScanStats;
+        use std::sync::Arc;
         let cat = catalog();
         let reg = Registry::standard();
         let plan = Plan::table("Sales").group_by_base(&["cust"]).md_join(
             Plan::table("Sales"),
-            vec![AggSpec::on_column("avg", "sale")],
+            vec![AggSpec::on_column("median", "sale")],
             eq(col_b("cust"), col_r("cust")),
         );
-        let optimized = optimize(plan, &cat, &reg).unwrap();
-        let mut parallel_nodes = 0;
-        optimized.visit(&mut |p| {
-            if matches!(p, Plan::Parallel { .. }) {
-                parallel_nodes += 1;
-            }
-        });
-        assert_eq!(parallel_nodes, 0);
+        let optimized = optimize(plan.clone(), &cat, &reg).unwrap();
+        assert!(
+            matches!(optimized, Plan::Parallel { threads: 0, .. }),
+            "expected Parallel wrapping, got {optimized:?}"
+        );
+        let stats = Arc::new(ScanStats::new());
+        let ctx = ExecContext::new().with_stats(stats.clone());
+        let a = execute(&plan, &cat, &ExecContext::new()).unwrap();
+        let b = execute(&optimized, &cat, &ctx).unwrap();
+        assert_eq!(a.rows(), b.rows());
+        assert_eq!(stats.auto_decisions(), 1);
+        assert!(stats.workers().is_empty());
     }
 
     #[test]
@@ -221,24 +221,31 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register("Big", rel);
         let reg = Registry::standard();
+        // Every single-block MD-join is wrapped, nested ones too, with all
+        // cores as the cap — the same plan on any host.
         let plan = Plan::table("Big").group_by_base(&["cust"]).md_join(
             Plan::table("Big"),
             vec![AggSpec::on_column("sum", "sale")],
             eq(col_b("cust"), col_r("cust")),
         );
-        let opt = Optimizer {
-            parallel_threads: Some(8),
-            ..Default::default()
-        };
-        let optimized = opt.optimize(plan.clone(), &cat, &reg).unwrap();
+        let optimized = optimize(plan.clone(), &cat, &reg).unwrap();
         assert!(
-            matches!(optimized, Plan::Parallel { threads: 8, .. }),
+            matches!(optimized, Plan::Parallel { threads: 0, .. }),
             "expected Parallel wrapping, got {optimized:?}"
         );
-        // And the parallel plan computes the same answer.
+        let mut wrapped = 0;
+        let union = Plan::Union(vec![plan.clone(), plan.clone()]);
+        optimize(union, &cat, &reg).unwrap().visit(&mut |p| {
+            if let Plan::Parallel { input, threads } = p {
+                assert!(matches!(**input, Plan::MdJoin { .. }) && *threads == 0);
+                wrapped += 1;
+            }
+        });
+        assert_eq!(wrapped, 2);
+        // And the wrapped plan computes the same answer, bit for bit.
         let ctx = ExecContext::new();
         let a = execute(&plan, &cat, &ctx).unwrap();
         let b = execute(&optimized, &cat, &ctx).unwrap();
-        assert!(a.same_multiset(&b));
+        assert_eq!(a.rows(), b.rows());
     }
 }

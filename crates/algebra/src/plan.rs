@@ -92,10 +92,11 @@ pub enum Plan {
         /// Right columns to append (by name); defaults to all non-key columns.
         keep_right: Vec<String>,
     },
-    /// Execute the wrapped MD-join with the morsel-driven parallel executor
-    /// (Theorem 4.1 intra-operator parallelism). `threads = 0` means "use all
-    /// available cores". Only meaningful around `MdJoin`; the optimizer
-    /// introduces it when the cost model expects a win.
+    /// Execute the wrapped MD-join under `ExecStrategy::Auto` with at most
+    /// `threads` workers (`0` = all available cores): `Auto` chooses the
+    /// evaluator, and whether a parallel (Theorem 4.1) driver pays, from the
+    /// input at run time. Only meaningful around `MdJoin`; the optimizer
+    /// wraps every single-block MD-join in one.
     Parallel { input: Box<Plan>, threads: usize },
 }
 
@@ -151,7 +152,8 @@ impl Plan {
         }
     }
 
-    /// Wrap in a [`Plan::Parallel`] node (`threads = 0` → all cores).
+    /// Wrap in a [`Plan::Parallel`] node: `Auto` with a cap of `threads`
+    /// workers (`0` → all cores).
     pub fn parallel(self, threads: usize) -> Plan {
         Plan::Parallel {
             input: Box::new(self),

@@ -1431,6 +1431,85 @@ fn e11(scale: usize) {
         }
         println!("| {label} | {:.2} | {:.2} |", cells[0], cells[1]);
     }
+    e11d(scale);
+}
+
+/// E11d — the executor decision behind `Auto`: the batch evaluator on one
+/// thread against the scalar plan on two, in wall time and in process CPU
+/// time (the resource two connections on two cores share). Print-only: no
+/// `--check` entry, so the gated baseline keeps its names.
+fn e11d(scale: usize) {
+    header(
+        "E11d — scalar serial vs batch (1 thread) vs scalar morsel (2 threads): \
+         ms per query, wall / process CPU (sum, avg, count(*) per group)",
+        &[
+            "rows of R",
+            "key",
+            "serial wall",
+            "serial CPU",
+            "vectorized wall",
+            "vectorized CPU",
+            "morsel t2 wall",
+            "morsel t2 CPU",
+        ],
+    );
+    let l = [
+        AggSpec::on_column("sum", "sale"),
+        AggSpec::on_column("avg", "sale"),
+        AggSpec::count_star(),
+    ];
+    // Each cell repeats its query for at least this long, well above the
+    // 10 ms resolution of the CPU clock.
+    let window = Duration::from_millis(100 * scale as u64);
+    for rows in [50_000, 400_000, 800_000].map(|n| n * scale / 4) {
+        let r = bench_sales(rows, 1_000);
+        for (label, dims) in [("Int", &["cust"][..]), ("(Int, Str)", &["prod", "state"])] {
+            let b = r.distinct_on(dims).unwrap();
+            let run = |strategy: ExecStrategy, threads: usize| {
+                MdJoin::new(&b, &r)
+                    .aggs(&l)
+                    .theta(cuboid_theta(dims))
+                    .strategy(strategy)
+                    .threads(threads)
+                    .run(&ExecContext::new())
+                    .unwrap()
+            };
+            let serial = run(ExecStrategy::Serial, 1);
+            let mut cells = Vec::new();
+            for (strategy, threads) in [
+                (ExecStrategy::Serial, 1),
+                (ExecStrategy::Vectorized, 1),
+                (ExecStrategy::Morsel, 2),
+            ] {
+                assert_eq!(serial.rows(), run(strategy, threads).rows(), "E11d");
+                let (cpu0, t0, mut reps) = (process_cpu_ms(), Instant::now(), 0u32);
+                while reps < 3 || t0.elapsed() < window {
+                    std::hint::black_box(run(strategy, threads));
+                    reps += 1;
+                }
+                let wall = t0.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
+                cells.push(format!("{wall:.2}"));
+                cells.push(match (cpu0, process_cpu_ms()) {
+                    (Some(a), Some(z)) => format!("{:.2}", (z - a) / f64::from(reps)),
+                    _ => "n/a".into(),
+                });
+            }
+            println!("| {rows} | {label} | {} |", cells.join(" | "));
+        }
+    }
+}
+
+/// User + system CPU of this process in ms, every thread included (exited
+/// workers too), read from `/proc/self/stat`; `None` off Linux. The kernel
+/// reports it in `USER_HZ` = 100 ticks per second.
+fn process_cpu_ms() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesized command name start at field 3, so
+    // utime (field 14) and stime (field 15) are the 12th and 13th.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) as f64 * 10.0)
 }
 
 /// Equal values, floats compared by `f64::to_bits`.

@@ -11,8 +11,7 @@
 use crate::error::Result;
 use mdj_expr::builder::{and_all, col_b, col_r, eq, lit, or};
 use mdj_expr::Expr;
-use mdj_storage::{Relation, Row, Value};
-use std::collections::HashSet;
+use mdj_storage::{DistinctKeys, Relation, Value};
 
 /// Group-by base table: `select distinct attrs from r` (Example 3.1's `B`).
 pub fn group_by(r: &Relation, attrs: &[&str]) -> Result<Relation> {
@@ -28,28 +27,22 @@ fn masks(n: usize) -> impl Iterator<Item = u32> {
 /// the distinct values of kept dimensions, with `ALL` in the rolled-up ones.
 fn materialize_sets(r: &Relation, dims: &[&str], keep_masks: &[u32]) -> Result<Relation> {
     let idx = r.schema().indices_of(dims)?;
-    let schema = r.schema().project(&idx);
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
-    let mut out = Relation::empty(schema);
+    let mut distinct = DistinctKeys::default();
     for &mask in keep_masks {
         for row in r.iter() {
-            let key: Vec<Value> = idx
-                .iter()
-                .enumerate()
-                .map(|(d, &col)| {
-                    if mask & (1 << d) != 0 {
-                        row[col].clone()
-                    } else {
-                        Value::All
-                    }
-                })
-                .collect();
-            if seen.insert(key.clone()) {
-                out.push_unchecked(Row::new(key));
-            }
+            distinct.offer(idx.iter().enumerate().map(|(d, &col)| {
+                if mask & (1 << d) != 0 {
+                    &row[col]
+                } else {
+                    &Value::All
+                }
+            }));
         }
     }
-    Ok(out)
+    Ok(Relation::from_rows(
+        r.schema().project(&idx),
+        distinct.into_rows(),
+    ))
 }
 
 /// The data-cube base table of Example 2.1: all `2^n` group-bys of `dims`
@@ -129,7 +122,8 @@ pub fn cuboid_theta(kept: &[&str]) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdj_storage::{DataType, Schema};
+    use mdj_storage::{DataType, Row, Schema};
+    use std::collections::HashSet;
 
     fn rel() -> Relation {
         let schema = Schema::from_pairs(&[

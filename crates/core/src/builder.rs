@@ -1,10 +1,11 @@
 //! The `MdJoin` builder — the single entrypoint for every evaluation mode.
 //!
 //! Every strategy is a row of one table from name to (driver, evaluator)
-//! over the executor core (`executor.rs`): serial Algorithm 3.1, the Theorem
-//! 4.1 base-partitioned plans, the detail-parallel plan, each with the
-//! scalar or the batch evaluator, over a resident or a paged detail source,
-//! for `k ≥ 1` (θ, l) blocks (the generalized MD-join of Section 4.3):
+//! over the executor core (`executor.rs`): serial Algorithm 3.1 with the
+//! scalar or the batch evaluator, and the Theorem 4.1 base-partitioned plans
+//! and the detail-parallel plan with the scalar one, over a resident or a
+//! paged detail source, for `k ≥ 1` (θ, l) blocks (the generalized MD-join of
+//! Section 4.3):
 //!
 //! ```
 //! use mdj_core::prelude::*;
@@ -46,10 +47,12 @@ use std::time::Duration;
 /// [`ExecStrategy::Serial`], at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
-    /// Pick from the input: the batch evaluator when it covers a majority of
-    /// the per-tuple work; the serial driver for small inputs, one thread, a
-    /// budget the parallel footprint would breach, or a multi-block join —
-    /// otherwise a parallel driver with the side chosen by [`choose_side`].
+    /// Pick from the input: the batch evaluator on the serial driver when it
+    /// covers a majority of the per-tuple work. Otherwise the scalar
+    /// evaluator, serial for small inputs, one thread, a budget the parallel
+    /// footprint would breach, or a multi-block join — else on a parallel
+    /// driver with the side chosen by [`choose_side`]. `threads` caps the
+    /// workers; it never makes a batch-covered join parallel.
     #[default]
     Auto,
     /// Single-threaded Algorithm 3.1, scalar evaluator. Under a memory
@@ -68,12 +71,13 @@ pub enum ExecStrategy {
     /// Detail-parallel plan: workers compute per-morsel deltas over `R`,
     /// applied to one state set in morsel order (one logical scan).
     MorselDetail,
-    /// The batch evaluator (see [`crate::vectorized`]): `R` is processed in
-    /// columnar chunks with selection-vector prefilters, batched key probing
-    /// and typed aggregate kernels. Serial on small inputs or one thread,
-    /// otherwise parallel with the side chosen from the cardinalities. Shapes
-    /// without a vectorized form fall back per batch to the scalar
-    /// interpreter.
+    /// The batch evaluator (see [`crate::vectorized`]) on the serial driver:
+    /// `R` is processed in columnar chunks with selection-vector prefilters,
+    /// batched key probing and typed aggregate kernels. Shapes without a
+    /// vectorized form fall back per batch to the scalar interpreter. It
+    /// never runs on a parallel driver, whose per-chunk deltas would carry
+    /// row-form values through scalar updates; `threads` is ignored. Under a
+    /// budget it degrades like [`ExecStrategy::Serial`].
     Vectorized,
 }
 
@@ -187,8 +191,9 @@ impl<'a> MdJoin<'a> {
         self
     }
 
-    /// Worker count for the parallel strategies. Defaults to the machine's
-    /// available parallelism; ignored by `Serial` / `Partitioned`.
+    /// Worker count for the parallel strategies, and `Auto`'s cap. Defaults
+    /// to the machine's available parallelism; ignored by `Serial`,
+    /// `Partitioned` and `Vectorized`.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -296,14 +301,15 @@ impl<'a> MdJoin<'a> {
             MorselSide::Detail => Driver::Detail { threads },
         };
         let sized = |serial: bool| (!serial).then(|| parallel(choose_side(b_rows, r_rows)));
-        // `None` = the serial driver with Theorem 4.1 budget degradation.
+        // `None` = the serial driver with Theorem 4.1 budget degradation, the
+        // only driver the batch evaluator runs on.
         let (driver, m, batch) = match self.strategy {
             ExecStrategy::Serial => (None, 1, false),
             ExecStrategy::Partitioned { partitions: 0 } => {
                 return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
             }
             ExecStrategy::Partitioned { partitions } => (None, partitions, false),
-            ExecStrategy::Vectorized => (sized(small), 1, true),
+            ExecStrategy::Vectorized => (None, 1, true),
             ExecStrategy::Morsel => (sized(false), 1, false),
             ExecStrategy::MorselBase => (Some(parallel(MorselSide::Base)), 1, false),
             ExecStrategy::MorselDetail => (Some(parallel(MorselSide::Detail)), 1, false),
@@ -325,9 +331,10 @@ impl<'a> MdJoin<'a> {
                     cov.total += c.total;
                     cov.hash |= c.hash;
                 }
+                let batch = cov.choose_vectorized();
                 ctx.count(Counter::auto_decisions, 1);
                 ctx.count(Counter::auto_coverage_permille, cov.permille());
-                ctx.count(Counter::auto_batched, cov.choose_vectorized() as u64);
+                ctx.count(Counter::auto_batched, batch as u64);
                 // Memory-first planning: a parallel plan cannot degrade, so
                 // when a budget is set and the state plus probe index would
                 // breach it, take the degradable serial path (Theorem 4.1).
@@ -335,13 +342,15 @@ impl<'a> MdJoin<'a> {
                 let footprint = governor::state_bytes(b_rows, n_aggs)
                     .saturating_add(governor::index_bytes(b_rows));
                 let tight = ctx.memory().is_some_and(|t| footprint as u64 > t.budget());
-                // A generalized join under Auto picks only its evaluator.
-                let serial = small || tight || blocks.len() > 1;
-                (sized(serial), 1, cov.choose_vectorized())
+                // The batch evaluator runs once, serially: on a shared host
+                // its one thread beats the scalar plan's two (E11d). A
+                // generalized join under Auto picks only its evaluator.
+                let serial = batch || small || tight || blocks.len() > 1;
+                (sized(serial), 1, batch)
             }
         };
         match driver {
-            Some(driver) => executor::run(self.b, &grid, &blocks, &driver, batch, ctx),
+            Some(driver) => executor::run(self.b, &grid, &blocks, &driver, ctx),
             None => run_degradable(self.b, self.r, &grid, &blocks, ctx, m, batch),
         }
     }
@@ -383,7 +392,7 @@ fn run_degradable(
     let mut mode = DegradeMode::Rescan;
     loop {
         let attempt = match (source.resident(), blocks) {
-            _ if m <= 1 => executor::run(b, grid, blocks, &Driver::Serial, batch, ctx),
+            _ if m <= 1 => executor::run(b, grid, blocks, &Driver::Serial { batch }, ctx),
             (Some(r), [blk]) if mode == DegradeMode::Spill => {
                 md_join_spilled(b, r, &blk.aggs, &blk.theta, m, ctx)
             }
@@ -392,7 +401,7 @@ fn run_degradable(
                     fragments: split_even(b.len(), m),
                     threads: None,
                 };
-                executor::run(b, grid, blocks, &driver, false, ctx)
+                executor::run(b, grid, blocks, &driver, ctx)
             }
         };
         match attempt {
@@ -491,9 +500,11 @@ mod tests {
             (ExecStrategy::MorselBase, 3, 4, 3, false), // ⌈11/3⌉ fragments
             (ExecStrategy::MorselDetail, 32, 1, 3, false),
             (ExecStrategy::Morsel, 32, 1, 3, false), // |B| < 4|R| → detail
-            (ExecStrategy::Vectorized, 32, 1, 3, true),
-            (ExecStrategy::Vectorized, 4096, 1, 0, true), // one morsel → serial
-            (ExecStrategy::Auto, 32, 1, 3, true),
+            // The batch evaluator runs on the serial driver only, whatever
+            // the thread count and however many morsels the input spans.
+            (ExecStrategy::Vectorized, 32, 1, 0, true),
+            (ExecStrategy::Vectorized, 4096, 1, 0, true),
+            (ExecStrategy::Auto, 32, 1, 0, true), // batch-covered → serial
         ] {
             let stats = Arc::new(ScanStats::new());
             let ctx = ExecContext::new()
@@ -511,9 +522,13 @@ mod tests {
             assert_eq!(stats.scans(), scans, "{strategy:?} scans");
             assert_eq!(stats.workers().len(), workers, "{strategy:?} workers");
             assert_eq!(stats.batches() > 0, batched, "{strategy:?} batches");
-            // Single-scan plans: every morsel ran exactly once, on some
-            // worker, as one batch when batched — and every matching tuple
-            // updated its one base row once, whoever computed the delta.
+            // Single-scan plans: every matching tuple updated its one base
+            // row once, whoever computed the delta; every morsel ran exactly
+            // once, on some worker, or as one batch when batched.
+            if scans == 1 {
+                assert_eq!(stats.updates(), 500, "{strategy:?}");
+                assert_eq!(stats.probes(), 500, "{strategy:?}");
+            }
             if scans == 1 && workers > 0 {
                 let sum = |f: fn(&mdj_storage::WorkerStats) -> u64| -> u64 {
                     stats.workers().iter().map(f).sum()
@@ -521,12 +536,14 @@ mod tests {
                 assert_eq!(sum(|w| w.morsels), 500u64.div_ceil(32), "{strategy:?}");
                 assert_eq!(sum(|w| w.tuples), 500, "{strategy:?}");
                 assert_eq!(sum(|w| w.updates), 500, "{strategy:?}");
-                assert_eq!(stats.updates(), 500, "{strategy:?}");
-                assert_eq!(stats.probes(), 500, "{strategy:?}");
-                if batched {
-                    assert_eq!(stats.batches(), 500u64.div_ceil(32), "{strategy:?}");
-                    assert_eq!(stats.batch_fallbacks(), 0, "{strategy:?}");
-                }
+            }
+            if batched {
+                assert_eq!(
+                    stats.batches(),
+                    500u64.div_ceil(morsel as u64),
+                    "{strategy:?}"
+                );
+                assert_eq!(stats.batch_fallbacks(), 0, "{strategy:?}");
             }
         }
         // More partitions than base rows is the finest Theorem 4.1 split.
@@ -945,33 +962,36 @@ mod tests {
         use mdj_storage::ScanStats;
         use std::sync::Arc;
         let theta = eq(col_b("cust"), col_r("cust"));
-        // Tiny: no worker stats recorded (serial path).
-        let s = sales(20);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let stats = Arc::new(ScanStats::new());
-        MdJoin::new(&b, &s)
-            .theta(theta.clone())
-            .agg("count(*)")
-            .unwrap()
-            .threads(4)
-            .run(&ExecContext::new().with_stats(stats.clone()))
-            .unwrap();
+        let run = |rows: i64, agg: &str| {
+            let s = sales(rows);
+            let b = s.distinct_on(&["cust"]).unwrap();
+            let stats = Arc::new(ScanStats::new());
+            MdJoin::new(&b, &s)
+                .theta(theta.clone())
+                .agg(agg)
+                .unwrap()
+                .threads(4)
+                .run(
+                    &ExecContext::new()
+                        .with_morsel_size(128)
+                        .with_stats(stats.clone()),
+                )
+                .unwrap();
+            stats
+        };
+        // Tiny, scalar-majority: no worker stats recorded (serial path).
+        let stats = run(20, "median(sale)");
         assert!(stats.workers().is_empty());
-        // Large: the morsel executor reports its workers.
-        let s = sales(2000);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let stats = Arc::new(ScanStats::new());
-        MdJoin::new(&b, &s)
-            .theta(theta)
-            .agg("count(*)")
-            .unwrap()
-            .threads(4)
-            .run(
-                &ExecContext::new()
-                    .with_morsel_size(128)
-                    .with_stats(stats.clone()),
-            )
-            .unwrap();
+        assert_eq!((stats.batches(), stats.auto_batched()), (0, 0));
+        // Large, scalar-majority: the morsel executor reports its workers.
+        let stats = run(2000, "median(sale)");
         assert_eq!(stats.workers().len(), 4);
+        assert_eq!(stats.batches(), 0);
+        // Large but batch-covered: the batch evaluator runs once, serially,
+        // however many threads the cap allows.
+        let stats = run(2000, "count(*)");
+        assert!(stats.workers().is_empty());
+        assert_eq!(stats.batches(), 2000u64.div_ceil(128));
+        assert_eq!(stats.auto_batched(), 1);
     }
 }

@@ -9,12 +9,13 @@
 //!   never by the thread count: `morsel`-row ranges of a resident relation,
 //!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
 //!   pages Theorem 4.2 rules out are never read);
-//! * an **evaluator** ([`Evaluator`]) bound once per query over `k ≥ 1`
-//!   (θ, l) blocks — the single-block join is the `k = 1` case of Theorem
-//!   4.3's generalized join — with one scalar loop and one batch loop, both
-//!   feeding a [`Sink`];
+//! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
+//!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
+//!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
+//!   feeding the state set's typed kernels;
 //! * a **driver** ([`Driver`]): serial, base-partitioned per Theorem 4.1
-//!   (sequential or parallel), or detail-parallel.
+//!   (sequential or parallel), or detail-parallel. The batch evaluator pairs
+//!   with the serial driver only.
 //!
 //! ## The ordered-apply protocol
 //!
@@ -46,12 +47,12 @@ use crossbeam::deque::{Steal, Stealer, Worker};
 use mdj_storage::{ColumnarChunk, Counter, Relation, Row, Schema, Value, WorkerStats};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// The machine's available parallelism — the one thread-count default every
-/// layer (builder, algebra cost model) resolves `threads = unset` to.
-pub fn default_threads() -> usize {
+/// The machine's available parallelism: the builder's thread count (and
+/// `Auto`'s cap) when none is set.
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -266,101 +267,104 @@ fn input<'t>(ba: &BoundAgg, t: &'t Row) -> &'t Value {
     }
 }
 
-/// Where the evaluator's matches go: straight into the state set, or into a
-/// chunk's [`Delta`].
+/// Where the scalar evaluator's matches go: straight into the state set, or
+/// into a chunk's [`Delta`].
 trait Sink {
-    /// Scalar loop: tuple `t` matched base rows `matches` under block `k`.
+    /// Tuple `t` matched base rows `matches` under block `k`.
     fn tuple(&mut self, k: usize, blk: &BoundBlock, t: &Row, matches: &[usize]) -> Result<()>;
-    /// Batch loop: block `k`'s `(slice-local tuple, base row)` pairs, in
-    /// tuple order, over `chunk` (the columnar form of `rows`).
-    fn batch(
-        &mut self,
-        k: usize,
-        blk: &BoundBlock,
-        chunk: &ColumnarChunk,
-        rows: &[Row],
-        pairs: &[(u32, usize)],
-    ) -> Result<()>;
 }
 
-/// The probe side of Algorithm 3.1 for `k` blocks: per detail slice, find
-/// `Rel(t)` for every tuple and block and hand it to a [`Sink`].
+/// The probe side of Algorithm 3.1 for `k` blocks, one tuple at a time: per
+/// detail slice, find `Rel(t)` for every tuple and block and hand it to a
+/// [`Sink`].
 struct Evaluator<'a> {
     b: &'a Relation,
     blocks: &'a [BoundBlock],
-    /// Batch mode: one [`BatchProbe`] per block plus the detail columns each
-    /// slice must transpose. `None` selects the scalar loop.
-    batch: Option<(Vec<BatchProbe<'a>>, Vec<bool>)>,
-    /// Per block: did any batch fall back to the scalar interpreter?
-    fell_back: Vec<AtomicBool>,
 }
 
-impl<'a> Evaluator<'a> {
-    /// `kernel_inputs` marks the aggregate input columns the sink's typed
-    /// kernels read from the chunk (none when the sink reads row storage).
-    fn new(b: &'a Relation, blocks: &'a [BoundBlock], batch: bool, kernel_inputs: &[bool]) -> Self {
-        let batch = batch.then(|| {
-            let probes: Vec<BatchProbe> = blocks
-                .iter()
-                .map(|blk| BatchProbe::new(&blk.plan, b))
-                .collect();
-            let mut needed = kernel_inputs.to_vec();
-            for probe in &probes {
-                probe.collect_needed(&mut needed);
-            }
-            (probes, needed)
-        });
-        Evaluator {
-            b,
-            blocks,
-            batch,
-            fell_back: blocks.iter().map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
+impl Evaluator<'_> {
     /// Evaluate one detail slice into `sink`; returns the aggregate updates
     /// it implies (recorded by the driver, outside any retry boundary).
     fn scan(&self, rows: &[Row], ctx: &ExecContext, sink: &mut impl Sink) -> Result<u64> {
         let mut updates = 0usize;
-        let Some((probes, needed)) = &self.batch else {
-            let mut matches: Vec<usize> = Vec::new();
-            let mut key_scratch: Vec<Value> = Vec::new();
-            for (ti, t) in rows.iter().enumerate() {
-                if ti % CANCEL_CHECK_INTERVAL == 0 {
-                    ctx.check_interrupt()?;
-                }
-                for (k, blk) in self.blocks.iter().enumerate() {
-                    blk.plan
-                        .matches(self.b, t.values(), ctx, &mut matches, &mut key_scratch)?;
-                    if matches.is_empty() || blk.aggs.is_empty() {
-                        continue;
-                    }
-                    updates += matches.len() * blk.aggs.len();
-                    sink.tuple(k, blk, t, &matches)?;
-                }
+        let mut matches: Vec<usize> = Vec::new();
+        let mut key_scratch: Vec<Value> = Vec::new();
+        for (ti, t) in rows.iter().enumerate() {
+            if ti % CANCEL_CHECK_INTERVAL == 0 {
+                ctx.check_interrupt()?;
             }
-            return Ok(updates as u64);
-        };
+            for (k, blk) in self.blocks.iter().enumerate() {
+                blk.plan
+                    .matches(self.b, t.values(), ctx, &mut matches, &mut key_scratch)?;
+                if matches.is_empty() || blk.aggs.is_empty() {
+                    continue;
+                }
+                updates += matches.len() * blk.aggs.len();
+                sink.tuple(k, blk, t, &matches)?;
+            }
+        }
+        Ok(updates as u64)
+    }
+}
+
+/// The same probe side over columnar chunks: one [`BatchProbe`] per block,
+/// feeding the state set's typed kernels straight from the chunk. It runs on
+/// the serial driver only — a parallel driver's [`Delta`] would carry row-form
+/// values back through one scalar update each, discarding the kernels
+/// (DESIGN §3.1, E11d).
+struct BatchEvaluator<'a> {
+    blocks: &'a [BoundBlock],
+    probes: Vec<BatchProbe<'a>>,
+    /// The detail columns each slice transposes: the probes' and the kernels'.
+    needed: Vec<bool>,
+    /// Per block: did any batch fall back to the scalar interpreter?
+    fell_back: Vec<bool>,
+}
+
+impl<'a> BatchEvaluator<'a> {
+    /// `kernel_inputs` marks the aggregate input columns the typed kernels
+    /// read from each chunk.
+    fn new(b: &'a Relation, blocks: &'a [BoundBlock], kernel_inputs: Vec<bool>) -> Self {
+        let probes: Vec<BatchProbe> = blocks
+            .iter()
+            .map(|blk| BatchProbe::new(&blk.plan, b))
+            .collect();
+        let mut needed = kernel_inputs;
+        for probe in &probes {
+            probe.collect_needed(&mut needed);
+        }
+        BatchEvaluator {
+            blocks,
+            probes,
+            needed,
+            fell_back: vec![false; blocks.len()],
+        }
+    }
+
+    /// Evaluate one detail slice into `states`; returns the aggregate updates
+    /// it implies.
+    fn scan(&mut self, rows: &[Row], ctx: &ExecContext, states: &mut States) -> Result<u64> {
         ctx.check_interrupt()?;
         if rows.is_empty() {
             return Ok(0);
         }
         // One transposition per slice, shared by all k blocks.
-        let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), needed);
+        let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &self.needed);
         let mut pairs: Vec<(u32, usize)> = Vec::new();
-        for (k, (blk, probe)) in self.blocks.iter().zip(probes).enumerate() {
+        let mut updates = 0usize;
+        for (k, (blk, probe)) in self.blocks.iter().zip(&self.probes).enumerate() {
             pairs.clear();
             let fell_back = probe.matches_batch(&chunk, rows, ctx, &mut pairs)?;
             ctx.count(Counter::batches, 1);
             if fell_back {
                 ctx.count(Counter::batch_fallbacks, 1);
-                self.fell_back[k].store(true, Ordering::Relaxed);
+                self.fell_back[k] = true;
             }
             if pairs.is_empty() || blk.aggs.is_empty() {
                 continue;
             }
             updates += pairs.len() * blk.aggs.len();
-            sink.batch(k, blk, &chunk, rows, &pairs)?;
+            states.batch(k, blk, &chunk, rows, &pairs)?;
         }
         Ok(updates as u64)
     }
@@ -445,6 +449,33 @@ impl<'a> States<'a> {
         Ok(())
     }
 
+    /// The batch loop's sink: block `k`'s `(slice-local tuple, base row)`
+    /// pairs, in tuple order, over `chunk` (the columnar form of `rows`).
+    fn batch(
+        &mut self,
+        k: usize,
+        blk: &BoundBlock,
+        chunk: &ColumnarChunk,
+        rows: &[Row],
+        pairs: &[(u32, usize)],
+    ) -> Result<()> {
+        let groups = self.board.group(pairs);
+        for (j, ba) in blk.aggs.iter().enumerate() {
+            apply_batch(
+                &mut self.cols[k][j],
+                ba,
+                groups,
+                chunk,
+                rows,
+                0,
+                self.metered[k][j],
+                &mut self.meter,
+                self.ctx,
+            )?;
+        }
+        Ok(())
+    }
+
     /// `B`'s columns, then each block's finalized aggregates in block order.
     fn finalize(&self, b: &Relation, schema: Schema) -> Relation {
         let mut out = Relation::empty(schema);
@@ -488,31 +519,6 @@ impl Sink for States<'_> {
         }
         Ok(())
     }
-
-    fn batch(
-        &mut self,
-        k: usize,
-        blk: &BoundBlock,
-        chunk: &ColumnarChunk,
-        rows: &[Row],
-        pairs: &[(u32, usize)],
-    ) -> Result<()> {
-        let groups = self.board.group(pairs);
-        for (j, ba) in blk.aggs.iter().enumerate() {
-            apply_batch(
-                &mut self.cols[k][j],
-                ba,
-                groups,
-                chunk,
-                rows,
-                0,
-                self.metered[k][j],
-                &mut self.meter,
-                self.ctx,
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// One chunk's pure contribution, per block: each matching tuple deposits its
@@ -529,41 +535,15 @@ struct BlockDelta {
     slots: usize,
 }
 
-impl BlockDelta {
-    fn open_slot(&mut self, blk: &BoundBlock, t: &Row) -> usize {
-        self.values.extend(blk.inputs.iter().map(|&c| t[c].clone()));
-        self.slots += 1;
-        self.slots - 1
-    }
-}
-
 impl Sink for Delta {
     fn tuple(&mut self, k: usize, blk: &BoundBlock, t: &Row, matches: &[usize]) -> Result<()> {
         let delta = &mut self.0[k];
-        let slot = delta.open_slot(blk, t);
+        delta
+            .values
+            .extend(blk.inputs.iter().map(|&c| t[c].clone()));
+        let slot = delta.slots;
+        delta.slots += 1;
         delta.pairs.extend(matches.iter().map(|&bi| (bi, slot)));
-        Ok(())
-    }
-
-    fn batch(
-        &mut self,
-        k: usize,
-        blk: &BoundBlock,
-        _chunk: &ColumnarChunk,
-        rows: &[Row],
-        pairs: &[(u32, usize)],
-    ) -> Result<()> {
-        // Pairs are tuple-major with each tuple's matches contiguous, so a
-        // slot opens exactly when the tuple index changes.
-        let delta = &mut self.0[k];
-        let (mut last, mut slot) = (None, 0);
-        for &(i, bi) in pairs {
-            if last != Some(i) {
-                last = Some(i);
-                slot = delta.open_slot(blk, &rows[i as usize]);
-            }
-            delta.pairs.push((bi, slot));
-        }
         Ok(())
     }
 }
@@ -573,8 +553,9 @@ impl Sink for Delta {
 /// How the scan / probe / update loop is driven.
 #[derive(Debug, Clone)]
 pub(crate) enum Driver {
-    /// One thread, one state set, chunks in order.
-    Serial,
+    /// One thread, one state set, chunks in order; the only driver the batch
+    /// evaluator ([`BatchEvaluator`]) runs on, selected by `batch`.
+    Serial { batch: bool },
     /// Theorem 4.1: each `B` fragment is an independent serial evaluation
     /// against the whole source (one scan of `R` per fragment); the output is
     /// the ordered union. `threads = None` runs the fragments in sequence.
@@ -598,15 +579,14 @@ pub(crate) fn output_schema(
     joined_schema(b_schema, r_schema, lists, ctx.registry())
 }
 
-/// Evaluate `MD(B, R, (l₁..l_k), (θ₁..θ_k))` over `grid` with `driver`,
-/// using the batch evaluator when `batch`. Output is row- and bit-identical
-/// across every (driver, evaluator, thread count) combination.
+/// Evaluate `MD(B, R, (l₁..l_k), (θ₁..θ_k))` over `grid` with `driver`.
+/// Output is row- and bit-identical across every (driver, evaluator, thread
+/// count) combination.
 pub(crate) fn run(
     b: &Relation,
     grid: &Grid,
     blocks: &[Block],
     driver: &Driver,
-    batch: bool,
     ctx: &ExecContext,
 ) -> Result<Relation> {
     ctx.check_interrupt()?;
@@ -616,38 +596,50 @@ pub(crate) fn run(
         ));
     }
     if let Driver::Base { fragments, threads } = driver {
-        return base_partitioned(b, grid, blocks, fragments, *threads, batch, ctx);
+        return base_partitioned(b, grid, blocks, fragments, *threads, ctx);
     }
     let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
     let bound = bind_blocks(b, grid.schema, blocks, ctx)?;
     let mut states = States::new(&bound, b.len(), ctx)?;
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, grid.rows());
-    // The serial sink's typed kernels read their inputs from each batch's
-    // chunk; deltas carry theirs in row form.
-    let kernel_inputs = match driver {
-        Driver::Detail { .. } => vec![false; grid.schema.len()],
-        _ => states.kernel_inputs(&bound, grid.schema.len()),
-    };
-    let eval = Evaluator::new(b, &bound, batch, &kernel_inputs);
-    if let Driver::Detail { threads } = driver {
-        states = detail_parallel(&eval, grid, states, *threads, ctx)?;
-    } else {
-        for idx in 0..grid.len() {
-            let mut updates = 0;
-            grid.scan_chunk(idx, ctx, &mut |rows| {
-                updates += eval.scan(rows, ctx, &mut states)?;
-                Ok(())
-            })?;
-            ctx.count(Counter::updates, updates);
+    let eval = Evaluator { b, blocks: &bound };
+    match driver {
+        Driver::Detail { threads } => {
+            states = detail_parallel(&eval, grid, states, *threads, ctx)?;
         }
-    }
-    if batch && blocks.len() > 1 {
-        let fell = eval.fell_back.iter().filter(|f| f.load(Ordering::Relaxed));
-        ctx.count(Counter::gen_sets, blocks.len() as u64);
-        ctx.count(Counter::gen_set_fallbacks, fell.count() as u64);
+        Driver::Serial { batch: true } => {
+            let kernel_inputs = states.kernel_inputs(&bound, grid.schema.len());
+            let mut batch = BatchEvaluator::new(b, &bound, kernel_inputs);
+            scan_in_order(grid, ctx, |rows| batch.scan(rows, ctx, &mut states))?;
+            if blocks.len() > 1 {
+                let fell = batch.fell_back.iter().filter(|&&f| f).count();
+                ctx.count(Counter::gen_sets, blocks.len() as u64);
+                ctx.count(Counter::gen_set_fallbacks, fell as u64);
+            }
+        }
+        // `Serial { batch: false }`; `Base` returned above.
+        _ => scan_in_order(grid, ctx, |rows| eval.scan(rows, ctx, &mut states))?,
     }
     Ok(states.finalize(b, schema))
+}
+
+/// The serial driver's loop: every chunk in order through `scan`, counting
+/// the updates each implies.
+fn scan_in_order(
+    grid: &Grid,
+    ctx: &ExecContext,
+    mut scan: impl FnMut(&[Row]) -> Result<u64>,
+) -> Result<()> {
+    for idx in 0..grid.len() {
+        let mut updates = 0;
+        grid.scan_chunk(idx, ctx, &mut |rows| {
+            updates += scan(rows)?;
+            Ok(())
+        })?;
+        ctx.count(Counter::updates, updates);
+    }
+    Ok(())
 }
 
 /// Run one unit's *pure* computation inside a panic-isolation boundary,
@@ -861,7 +853,6 @@ fn base_partitioned(
     blocks: &[Block],
     fragments: &[Range<usize>],
     threads: Option<usize>,
-    batch: bool,
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
@@ -872,7 +863,7 @@ fn base_partitioned(
         let frag = Relation::from_rows(b.schema().clone(), b.rows()[range].to_vec());
         let piece = run_isolated(ctx, slot, || {
             ctx.fault_on_morsel(slot);
-            run(&frag, grid, blocks, &Driver::Serial, batch, ctx)
+            run(&frag, grid, blocks, &Driver::Serial { batch: false }, ctx)
         })?;
         Ok(piece.into_rows())
     };

@@ -95,7 +95,6 @@ pub use context::{
     DEFAULT_MORSEL_RETRIES, DEFAULT_MORSEL_SIZE,
 };
 pub use error::{CoreError, Result};
-pub use executor::default_threads;
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultInjector;
 pub use generalized::Block;

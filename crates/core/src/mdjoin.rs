@@ -94,7 +94,7 @@ pub(crate) fn md_join_serial(
 ) -> Result<Relation> {
     let blocks = [Block::new(theta.clone(), l.to_vec())];
     let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
-    executor::run(b, &grid, &blocks, &Driver::Serial, false, ctx)
+    executor::run(b, &grid, &blocks, &Driver::Serial { batch: false }, ctx)
 }
 
 #[cfg(test)]

@@ -234,7 +234,7 @@ fn spilled_pass(
     let page = table.page_metas().iter().map(|m| u64::from(m.len)).max();
     let scan = PagedScan::new(Arc::clone(table), BufferPool::new(page.unwrap_or(0)));
     let grid = Grid::new(DetailSource::Paged(&scan), blocks, ctx.morsel_size());
-    let out = executor::run(bi, &grid, blocks, &Driver::Serial, false, ctx);
+    let out = executor::run(bi, &grid, blocks, &Driver::Serial { batch: false }, ctx);
     ctx.count(Counter::spill_read_bytes, scan.pool().bytes_read());
     out
 }

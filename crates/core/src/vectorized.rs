@@ -11,11 +11,10 @@
 //!    selection vector ([`mdj_expr::vectorized::eval_batch`]);
 //! 3. hash-probe keys are computed for the whole batch in one typed loop per
 //!    key column and looked up without row materialization ([`BatchProbe`]):
-//!    single `i64` keys through a specialized map, dictionary-coded string
-//!    keys by translating each distinct code to its index bucket once per
-//!    chunk, and multi-column keys by assembling canonical key tuples from
-//!    the typed columns; mixed hash residuals are bound per candidate base
-//!    row and evaluated batch-at-a-time when dense enough;
+//!    single `i64` keys through a specialized map, every other key by coding
+//!    each key column of the chunk and resolving each distinct key tuple
+//!    against the index once per chunk; mixed hash residuals are bound per
+//!    candidate base row and evaluated batch-at-a-time when dense enough;
 //! 4. matched tuples are grouped per base row and aggregate updates applied
 //!    through typed [`KernelState`] kernels — one dispatch per (base row,
 //!    batch) run over native slices, not one per value.
@@ -53,18 +52,19 @@ pub(crate) const MAX_BATCH: usize = u32::MAX as usize;
 /// drift apart (and SipHash's per-lookup cost is avoided on the hot path).
 type IntMap<V> = HashMap<i64, V, KeyBuildHasher>;
 
-/// Batched `Rel(t)` computation over a [`ProbePlan`], shared by the serial
-/// vectorized evaluator and the batched morsel executor.
+/// Batched `Rel(t)` computation over a [`ProbePlan`]: the probe side of the
+/// executor's batch evaluator.
 ///
 /// Vectorizes three layers when possible:
 ///
 /// * the Theorem 4.2 prefilter (batch → selection vector);
 /// * hash-probe keys, computed per key column over the whole batch: single
-///   `i64` keys go through a specialized map, dictionary-coded string keys
-///   translate each distinct code to its index bucket once per chunk (no
-///   string materialization, one probe's worth of accounting per row), and
-///   multi-column keys assemble canonical `Vec<Value>` keys from the typed
-///   columns without touching row storage;
+///   `i64` keys go through a specialized map; any other key — strings,
+///   floats, constants, composite tuples — is coded per column ([`KeyCodes`]:
+///   ints by value, strings by dictionary code, floats by their
+///   [`canon_key`] form), so each distinct key tuple meets the index once
+///   per chunk and each row probes by table lookup (one probe's worth of
+///   accounting per row, no row-form key ever built);
 /// * mixed hash residuals, bound per candidate base row ([`bind_base`]) and
 ///   evaluated batch-at-a-time over the chunk when that base row has enough
 ///   candidates to amortize the whole-chunk pass.
@@ -218,9 +218,8 @@ impl<'a> BatchProbe<'a> {
             let batches: Option<Vec<BatchVals>> =
                 key_exprs.iter().map(|e| eval_batch(e, chunk)).collect();
             if let Some(batches) = batches {
-                let prober = self.build_prober(index, batches);
+                let mut prober = self.build_prober(index, batches, n);
                 let mut cands: Vec<(u32, usize)> = Vec::new();
-                let mut scratch: Vec<Value> = Vec::new();
                 for i in 0..n {
                     if !selected(i) {
                         continue;
@@ -234,7 +233,7 @@ impl<'a> BatchProbe<'a> {
                     }
                     // NULL key component: SQL equality never matches — the
                     // tuple records zero probes, exactly like the scalar path.
-                    let Some(bucket) = prober.bucket(i, &mut scratch) else {
+                    let Some(bucket) = prober.bucket(i) else {
                         continue;
                     };
                     ctx.count(Counter::probes, bucket.len() as u64);
@@ -253,10 +252,9 @@ impl<'a> BatchProbe<'a> {
             // so one whole-chunk evaluation per base row replaces
             // |chunk| × |B| interpreted tree walks. Verdicts land in a
             // per-tuple bitset over B so pairs still come out tuple-major
-            // with each tuple's matches contiguous (the batched morsel
-            // executor's slot logic relies on that) and in base-row order
-            // per tuple — row-identical to the scalar nested loop, including
-            // f64 accumulation order.
+            // (each base row's group accumulates in tuple order) and in
+            // base-row order per tuple — row-identical to the scalar nested
+            // loop, including f64 accumulation order.
             let mut survive = vec![false; n];
             let mut n_survive = 0u64;
             for (i, slot) in survive.iter_mut().enumerate() {
@@ -343,50 +341,28 @@ impl<'a> BatchProbe<'a> {
         Ok(fell_back)
     }
 
-    /// Choose the per-row probe strategy for one batch of vectorized key
-    /// columns. Single `i64` keys use the specialized map; single
-    /// dictionary-coded string keys translate each distinct code to its index
-    /// bucket once for the whole chunk; constant keys resolve to one bucket
-    /// up front; everything else assembles canonical multi-column keys
-    /// per row from the typed columns.
-    fn build_prober<'s>(&'s self, index: &'s HashIndex, batches: Vec<BatchVals>) -> Prober<'s> {
-        if batches.len() == 1 {
-            let kb = batches.into_iter().next().expect("one key batch");
-            match (kb, &self.fast_int) {
-                (BatchVals::Ints { vals, nulls }, Some(map)) => {
-                    return Prober::Int { vals, nulls, map }
-                }
-                (BatchVals::Strs { codes, dict, nulls }, _) => {
-                    // Per-chunk code → bucket translation: one index probe
-                    // per distinct dictionary entry, then O(1) per row.
-                    let buckets = dict
-                        .iter()
-                        .map(|s| index.get(&[Value::Str(s.clone())]))
-                        .collect();
-                    return Prober::Str {
-                        codes,
-                        nulls,
-                        buckets,
-                    };
-                }
-                (BatchVals::Const(v), _) => {
-                    return match canon_key(v) {
-                        // Every key NULL: equality never matches, zero probes.
-                        Value::Null => Prober::Null,
-                        v => Prober::Const(index.get(std::slice::from_ref(&v))),
-                    };
-                }
-                (kb, _) => {
-                    return Prober::General {
-                        cols: vec![KeyCol::from_batch(kb)],
-                        index,
-                    }
-                }
-            }
+    /// Choose the per-row probe strategy for one batch of `n` vectorized key
+    /// columns: a single `i64` key uses the specialized map; every other key
+    /// is coded per chunk ([`KeyCodes`]) so that each distinct key tuple is
+    /// looked up in the index once.
+    fn build_prober<'s>(
+        &'s self,
+        index: &'s HashIndex,
+        mut batches: Vec<BatchVals>,
+        n: usize,
+    ) -> Prober<'s> {
+        if let (Some(map), [BatchVals::Ints { vals, nulls }]) = (&self.fast_int, &mut batches[..]) {
+            let (vals, nulls) = (std::mem::take(vals), std::mem::take(nulls));
+            return Prober::Int { vals, nulls, map };
         }
-        Prober::General {
-            cols: batches.into_iter().map(KeyCol::from_batch).collect(),
+        let cols: Vec<KeyCodes> = batches.into_iter().map(|bv| KeyCodes::new(bv, n)).collect();
+        let (ids, card) = tuple_ids(&cols, n);
+        Prober::Coded {
+            cols,
+            ids,
+            slots: vec![None; card],
             index,
+            key: Vec::new(),
         }
     }
 
@@ -452,29 +428,24 @@ enum Prober<'p> {
         nulls: Vec<bool>,
         map: &'p IntMap<Vec<usize>>,
     },
-    /// Single dictionary-coded string key: buckets pre-resolved per distinct
-    /// code, probed per row by table lookup.
-    Str {
-        codes: Vec<u32>,
-        nulls: Vec<bool>,
-        buckets: Vec<&'p [usize]>,
-    },
-    /// Constant non-null key: the same bucket for every row.
-    Const(&'p [usize]),
-    /// Constant NULL key: no row matches.
-    Null,
-    /// General path: assemble the canonical multi-column key per row.
-    General {
-        cols: Vec<KeyCol>,
+    /// Any other key: row `i` carries the chunk-local id `ids[i]` of its key
+    /// tuple, and `slots[id]` caches that tuple's bucket once it is first
+    /// probed — one index lookup per distinct tuple per chunk, a table lookup
+    /// per row.
+    Coded {
+        cols: Vec<KeyCodes>,
+        ids: Vec<u32>,
+        slots: Vec<Option<&'p [usize]>>,
         index: &'p HashIndex,
+        /// Reused canonical key of the tuple being resolved.
+        key: Vec<Value>,
     },
 }
 
 impl<'p> Prober<'p> {
     /// The index bucket for row `i`, or `None` when any key component is
-    /// NULL. `scratch` is the reusable key-assembly buffer for the general
-    /// path.
-    fn bucket(&self, i: usize, scratch: &mut Vec<Value>) -> Option<&'p [usize]> {
+    /// NULL.
+    fn bucket(&mut self, i: usize) -> Option<&'p [usize]> {
         match self {
             Prober::Int { vals, nulls, map } => {
                 if nulls[i] {
@@ -482,85 +453,188 @@ impl<'p> Prober<'p> {
                 }
                 Some(map.get(&vals[i]).map(Vec::as_slice).unwrap_or(&[]))
             }
-            Prober::Str {
-                codes,
-                nulls,
-                buckets,
+            Prober::Coded {
+                cols,
+                ids,
+                slots,
+                index,
+                key,
             } => {
-                if nulls[i] {
+                let (id, index) = (ids[i], *index);
+                if id == NULL_CODE {
                     return None;
                 }
-                Some(buckets[codes[i] as usize])
-            }
-            Prober::Const(bucket) => Some(bucket),
-            Prober::Null => None,
-            Prober::General { cols, index } => {
-                scratch.clear();
-                for c in cols {
-                    scratch.push(c.value_at(i)?);
-                }
-                Some(index.get(scratch))
+                Some(*slots[id as usize].get_or_insert_with(|| {
+                    key.clear();
+                    key.extend(cols.iter().map(|col| col.value(col.codes[i])));
+                    index.get(key)
+                }))
             }
         }
     }
 }
 
-/// One key column in canonical form for the general multi-column prober.
-/// Values are produced only for selected rows, already canonicalized
-/// ([`canon_key`]) to match what the index was built from; string columns
-/// translate each distinct dictionary entry to a `Value` once per chunk (an
-/// `Arc` clone, not a string copy).
-enum KeyCol {
-    Ints {
-        vals: Vec<i64>,
-        nulls: Vec<bool>,
-    },
-    Floats {
-        vals: Vec<f64>,
-        nulls: Vec<bool>,
-    },
-    Strs {
-        codes: Vec<u32>,
-        dict_vals: Vec<Value>,
-        nulls: Vec<bool>,
-    },
-    /// Comparison keys are total over non-null inputs: no null slots needed.
-    Bools(Vec<bool>),
-    /// Canonicalized constant; `Null` poisons every row's key.
-    Const(Value),
+/// A NULL key component in [`KeyCodes::codes`] and in tuple ids.
+const NULL_CODE: u32 = u32::MAX;
+
+/// Largest code space a chunk of `n` rows indexes directly: ints whose
+/// values span at most this many are coded by value, and two columns whose
+/// code spaces multiply to at most this many combine arithmetically.
+/// Anything wider is renumbered densely through a hash map instead.
+fn direct_limit(n: usize) -> usize {
+    n.saturating_mul(4)
+        .saturating_add(64)
+        .min(NULL_CODE as usize)
 }
 
-impl KeyCol {
-    fn from_batch(bv: BatchVals) -> KeyCol {
+/// One key column of a chunk coded for per-chunk key resolution: equal
+/// canonical ([`canon_key`]) components get equal codes in `0..card`, and
+/// `value(code)` rebuilds the component the index was built from.
+struct KeyCodes {
+    codes: Vec<u32>,
+    card: usize,
+    decode: Decode,
+}
+
+/// How a [`KeyCodes`] code turns back into its key component.
+enum Decode {
+    /// Ints coded by value: code `c` is `Int(base + c)`.
+    Offset(i64),
+    /// Code `c` is `values[c]`.
+    Table(Vec<Value>),
+}
+
+impl KeyCodes {
+    fn new(bv: BatchVals, n: usize) -> KeyCodes {
         match bv {
-            BatchVals::Ints { vals, nulls } => KeyCol::Ints { vals, nulls },
-            BatchVals::Floats { vals, nulls } => KeyCol::Floats { vals, nulls },
-            BatchVals::Strs { codes, dict, nulls } => KeyCol::Strs {
-                codes,
-                dict_vals: dict.iter().map(|s| Value::Str(s.clone())).collect(),
-                nulls,
+            BatchVals::Ints { vals, nulls } => {
+                let live = || vals.iter().zip(&nulls).filter(|(_, &null)| !null);
+                let lo = live().map(|(&v, _)| v).min().unwrap_or(0);
+                let hi = live().map(|(&v, _)| v).max().unwrap_or(0);
+                // The true span, without overflow for any `lo ≤ hi`.
+                let span = hi.wrapping_sub(lo) as u64;
+                if span < direct_limit(n) as u64 {
+                    let codes = vals
+                        .iter()
+                        .zip(&nulls)
+                        .map(|(&v, &null)| match null {
+                            true => NULL_CODE,
+                            false => v.wrapping_sub(lo) as u32,
+                        })
+                        .collect();
+                    KeyCodes {
+                        codes,
+                        card: span as usize + 1,
+                        decode: Decode::Offset(lo),
+                    }
+                } else {
+                    Self::dense(
+                        vals.iter()
+                            .zip(&nulls)
+                            .map(|(&v, &null)| (!null).then_some(Value::Int(v))),
+                    )
+                }
+            }
+            BatchVals::Strs { codes, dict, nulls } => KeyCodes {
+                codes: codes
+                    .iter()
+                    .zip(&nulls)
+                    .map(|(&c, &null)| if null { NULL_CODE } else { c })
+                    .collect(),
+                card: dict.len(),
+                decode: Decode::Table(dict.into_iter().map(Value::Str).collect()),
             },
-            BatchVals::Bools(b) => KeyCol::Bools(b),
-            BatchVals::Const(v) => KeyCol::Const(canon_key(v)),
+            BatchVals::Floats { vals, nulls } => Self::dense(
+                vals.iter()
+                    .zip(&nulls)
+                    .map(|(&f, &null)| (!null).then(|| canon_key(Value::Float(f)))),
+            ),
+            BatchVals::Bools(b) => KeyCodes {
+                codes: b.iter().map(|&b| u32::from(b)).collect(),
+                card: 2,
+                decode: Decode::Table(vec![Value::Bool(false), Value::Bool(true)]),
+            },
+            BatchVals::Const(v) => match canon_key(v) {
+                Value::Null => KeyCodes {
+                    codes: vec![NULL_CODE; n],
+                    card: 0,
+                    decode: Decode::Table(Vec::new()),
+                },
+                v => KeyCodes {
+                    codes: vec![0; n],
+                    card: 1,
+                    decode: Decode::Table(vec![v]),
+                },
+            },
         }
     }
 
-    /// The canonical key component for row `i`; `None` for NULL (the scalar
-    /// path skips such tuples before probing, and so do we).
-    fn value_at(&self, i: usize) -> Option<Value> {
-        match self {
-            KeyCol::Ints { vals, nulls } => (!nulls[i]).then(|| Value::Int(vals[i])),
-            KeyCol::Floats { vals, nulls } => (!nulls[i]).then(|| canon_key(Value::Float(vals[i]))),
-            KeyCol::Strs {
-                codes,
-                dict_vals,
-                nulls,
-            } => (!nulls[i]).then(|| dict_vals[codes[i] as usize].clone()),
-            KeyCol::Bools(b) => Some(Value::Bool(b[i])),
-            KeyCol::Const(Value::Null) => None,
-            KeyCol::Const(v) => Some(v.clone()),
+    /// Number the distinct canonical values of a column in first-seen order.
+    fn dense(vals: impl Iterator<Item = Option<Value>>) -> KeyCodes {
+        let mut seen: HashMap<Value, u32, KeyBuildHasher> = HashMap::default();
+        let mut table = Vec::new();
+        let codes = vals
+            .map(|v| match v {
+                None => NULL_CODE,
+                Some(v) => *seen.entry(v).or_insert_with_key(|v| {
+                    table.push(v.clone());
+                    table.len() as u32 - 1
+                }),
+            })
+            .collect();
+        KeyCodes {
+            codes,
+            card: table.len(),
+            decode: Decode::Table(table),
         }
     }
+
+    /// The canonical key component a (non-NULL) code stands for.
+    fn value(&self, code: u32) -> Value {
+        match &self.decode {
+            Decode::Offset(base) => Value::Int(base.wrapping_add(i64::from(code))),
+            Decode::Table(values) => values[code as usize].clone(),
+        }
+    }
+}
+
+/// Combine the coded key columns of a chunk of `n` rows into one tuple id per
+/// row (`NULL_CODE` when any component is NULL) and the size of the id
+/// space. Equal key tuples get equal ids.
+fn tuple_ids(cols: &[KeyCodes], n: usize) -> (Vec<u32>, usize) {
+    let limit = direct_limit(n);
+    let mut ids = vec![0u32; n];
+    let mut card = 1usize;
+    for col in cols {
+        let pairs = ids.iter_mut().zip(&col.codes);
+        if card.saturating_mul(col.card) <= limit {
+            // Mixed radix: the pair (id, c) is `id · card(col) + c`.
+            let width = col.card as u32;
+            for (id, &c) in pairs {
+                *id = match (*id, c) {
+                    (NULL_CODE, _) | (_, NULL_CODE) => NULL_CODE,
+                    (id, c) => id * width + c,
+                };
+            }
+            card *= col.card;
+        } else {
+            // Too wide to index directly: renumber the pairs that occur.
+            let mut dense: HashMap<u64, u32, KeyBuildHasher> = HashMap::default();
+            for (id, &c) in pairs {
+                *id = match (*id, c) {
+                    (NULL_CODE, _) | (_, NULL_CODE) => NULL_CODE,
+                    (id, c) => {
+                        let fresh = dense.len() as u32;
+                        *dense
+                            .entry(u64::from(id) << 32 | u64::from(c))
+                            .or_insert(fresh)
+                    }
+                };
+            }
+            card = dense.len();
+        }
+    }
+    (ids, card)
 }
 
 /// Per-aggregate state column: a typed kernel column when the aggregate has
@@ -818,7 +892,7 @@ mod tests {
     ) -> Result<Relation> {
         let blocks = [Block::new(theta.clone(), l.to_vec())];
         let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
-        executor::run(b, &grid, &blocks, &Driver::Serial, true, ctx)
+        executor::run(b, &grid, &blocks, &Driver::Serial { batch: true }, ctx)
     }
 
     fn sales(n: i64) -> Relation {
@@ -1241,6 +1315,123 @@ mod tests {
             gt(col_r("sale"), col_b("cust")),
         );
         assert_vectorized_covered(&b, &s, &specs(), &theta);
+    }
+
+    /// The coded prober against [`ProbePlan::matches`], tuple by tuple, at
+    /// morsel sizes 1, 7 and 4096: (`Int`, `Str`) keys whose strings are
+    /// dictionary-coded differently in every chunk, a NULL in either
+    /// component (zero probes), a float component whose integral values must
+    /// meet `Int` base keys, constant components (NULL too), ints too wide to
+    /// code by value, and three components whose code spaces multiply past
+    /// the direct limit. Pairs and probe counts must be identical.
+    #[test]
+    fn coded_prober_matches_scalar_probe_plan() {
+        const WIDE: i64 = 1_000_000_007;
+        const STATES: [&str; 4] = ["NY", "NJ", "CA", "TX"]; // TX is not in B
+        let b_schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("m", DataType::Int),
+            ("w", DataType::Int),
+        ]);
+        let mut b_rows = Vec::new();
+        for k in 0..5i64 {
+            for s in &STATES[..3] {
+                for m in 0..4i64 {
+                    let row = vec![
+                        Value::Int(k),
+                        Value::str(*s),
+                        Value::Int(m),
+                        Value::Int(k * WIDE),
+                    ];
+                    // Duplicate keys make buckets longer than one row.
+                    if m == 2 {
+                        b_rows.push(Row::from_values(row.clone()));
+                    }
+                    b_rows.push(Row::from_values(row));
+                }
+            }
+        }
+        let b = Relation::from_rows(b_schema, b_rows);
+        let r_schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("w", DataType::Int),
+        ]);
+        let r = Relation::from_rows(
+            r_schema.clone(),
+            (0..300i64)
+                .map(|i| {
+                    // Neighbouring tuples share (k, s) but not f. k = 5 is
+                    // not in B.
+                    let k = (i / 2) % 6;
+                    Row::from_values(vec![
+                        if i % 13 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(k)
+                        },
+                        // A phase that drifts by chunk, so each chunk's
+                        // dictionary meets the strings in another order.
+                        if i % 17 == 0 {
+                            Value::Null
+                        } else {
+                            Value::str(STATES[((i / 4 + i / 7) % 4) as usize])
+                        },
+                        match (i % 5, i % 2) {
+                            (0, _) => Value::Null,
+                            (_, 0) => Value::Float((i % 11) as f64),
+                            _ => Value::Float((i % 11) as f64 + 0.5),
+                        },
+                        Value::Int(k * WIDE),
+                    ])
+                })
+                .collect(),
+        );
+        let key = |col: &str| eq(col_b(col), col_r(col));
+        let thetas = [
+            and(key("k"), key("s")),
+            and(key("s"), eq(col_b("m"), col_r("f"))),
+            and(key("k"), eq(col_b("m"), lit(2i64))),
+            and(key("k"), eq(col_b("m"), lit(Value::Null))),
+            and(key("w"), key("s")),
+            and_all([key("k"), key("s"), eq(col_b("m"), col_r("f"))]),
+        ];
+        for morsel in [1usize, 7, 4096] {
+            for theta in &thetas {
+                let plan =
+                    ProbePlan::build(&b, &r_schema, theta, ProbeStrategy::HashProbe).unwrap();
+                let probe = BatchProbe::new(&plan, &b);
+                let mut needed = vec![false; r_schema.len()];
+                probe.collect_needed(&mut needed);
+                let (batch_stats, scalar_stats) =
+                    (Arc::new(ScanStats::new()), Arc::new(ScanStats::new()));
+                let bctx = ExecContext::new().with_stats(batch_stats.clone());
+                let sctx = ExecContext::new().with_stats(scalar_stats.clone());
+                let (mut out, mut scratch) = (Vec::new(), Vec::new());
+                for rows in r.rows().chunks(morsel) {
+                    let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &needed);
+                    let mut pairs = Vec::new();
+                    let fell_back = probe
+                        .matches_batch(&chunk, rows, &bctx, &mut pairs)
+                        .unwrap();
+                    assert!(!fell_back, "θ = {theta}, morsel {morsel}");
+                    let mut want = Vec::new();
+                    for (i, t) in rows.iter().enumerate() {
+                        plan.matches(&b, t.values(), &sctx, &mut out, &mut scratch)
+                            .unwrap();
+                        want.extend(out.iter().map(|&bi| (i as u32, bi)));
+                    }
+                    assert_eq!(pairs, want, "θ = {theta}, morsel {morsel}");
+                }
+                assert_eq!(
+                    batch_stats.probes(),
+                    scalar_stats.probes(),
+                    "θ = {theta}, morsel {morsel}"
+                );
+            }
+        }
     }
 
     fn assert_vectorized_covered(

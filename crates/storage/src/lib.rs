@@ -37,7 +37,7 @@ pub use pager::{
     BufferPool, KeyBounds, NoFaults, PageMeta, PagedStore, PagedTable, PagerBootReport,
     PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable, TempTableWriter,
 };
-pub use relation::Relation;
+pub use relation::{DistinctKeys, Relation};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use spill::{sweep_orphans, SweepReport};

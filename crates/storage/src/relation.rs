@@ -1,12 +1,15 @@
 //! In-memory relations (multisets of rows with a schema).
 
 use crate::error::{Result, StorageError};
+use crate::hash::KeyBuildHasher;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An in-memory relation: a schema plus a multiset of rows.
 ///
@@ -118,18 +121,17 @@ impl Relation {
 
     /// `SELECT DISTINCT` over the named columns — the paper's canonical way of
     /// building a group-by base-values table (`select distinct cust from Sales`).
+    /// Rows come out in first-seen order.
     pub fn distinct_on(&self, names: &[&str]) -> Result<Relation> {
         let idx = self.schema.indices_of(names)?;
-        let schema = self.schema.project(&idx);
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        let mut rows = Vec::new();
+        let mut distinct = DistinctKeys::default();
         for r in &self.rows {
-            let key = r.key(&idx);
-            if seen.insert(key.clone()) {
-                rows.push(Row::new(key));
-            }
+            distinct.offer(idx.iter().map(|&c| &r[c]));
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation {
+            schema: self.schema.project(&idx),
+            rows: distinct.into_rows(),
+        })
     }
 
     /// Remove duplicate rows (full-row distinct).
@@ -244,6 +246,105 @@ impl Relation {
         })
     }
 }
+
+/// First-seen distinct key tuples: the one dedupe behind every base-values
+/// build ([`Relation::distinct_on`] and the grouping-set builders of
+/// `mdj_core::basevalues`).
+///
+/// [`offer`](Self::offer) looks a key up through a reused scratch of borrowed
+/// values, so a pass over `n` rows with `g` distinct keys clones values and
+/// allocates only for the `g` new groups — no per-row allocation, and no
+/// reference-count traffic on the strings of a table that concurrent
+/// queries share. Keys hash with [`KeyBuildHasher`], the hasher
+/// [`HashIndex`](crate::HashIndex) probes the same keys with.
+#[derive(Default)]
+pub struct DistinctKeys<'v> {
+    seen: HashSet<OwnedKey, KeyBuildHasher>,
+    scratch: Vec<&'v Value>,
+    rows: Vec<Row>,
+}
+
+impl<'v> DistinctKeys<'v> {
+    /// Keep `key` as a new output row unless an equal key was offered before.
+    pub fn offer(&mut self, key: impl IntoIterator<Item = &'v Value>) {
+        self.scratch.clear();
+        self.scratch.extend(key);
+        if !self.seen.contains(&self.scratch as &dyn KeyView) {
+            let owned: Vec<Value> = self.scratch.iter().map(|&v| v.clone()).collect();
+            self.rows.push(Row::new(owned.clone()));
+            self.seen.insert(OwnedKey(owned));
+        }
+    }
+
+    /// The distinct keys, one row each, in first-seen order.
+    pub fn into_rows(self) -> Vec<Row> {
+        self.rows
+    }
+}
+
+/// A key tuple read column by column, whether owned or borrowed, so the
+/// dedupe set can be probed without building an owned key.
+trait KeyView {
+    fn width(&self) -> usize;
+    fn at(&self, i: usize) -> &Value;
+}
+
+impl KeyView for Vec<&Value> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, i: usize) -> &Value {
+        self[i]
+    }
+}
+
+impl KeyView for Vec<Value> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for i in 0..self.width() {
+            self.at(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.width() == other.width() && (0..self.width()).all(|i| self.at(i) == other.at(i))
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// A stored key; hashes and compares exactly as its [`KeyView`].
+struct OwnedKey(Vec<Value>);
+
+impl<'a> Borrow<dyn KeyView + 'a> for OwnedKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        &self.0
+    }
+}
+
+impl Hash for OwnedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.0 as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for OwnedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for OwnedKey {}
 
 impl fmt::Display for Relation {
     /// Render as an aligned ASCII table (used by the examples and the harness).

@@ -74,6 +74,34 @@ fn keyed_relation_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Two-column keys over small domains, so tuples repeat: an `Int` (or
+/// `NULL`/`ALL`) beside a `Str` (or `NULL`/`ALL`), plus a payload column.
+fn pair_relation_strategy() -> impl Strategy<Value = Relation> {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Str),
+        ("v", DataType::Int),
+    ]);
+    let small = |n: u8| match n {
+        0 => Value::Null,
+        1 => Value::All,
+        n => Value::Int(i64::from(n)),
+    };
+    let word = |n: u8| match n {
+        0 => Value::Null,
+        1 => Value::All,
+        n => Value::str(["NY", "NJ", "CT"][usize::from(n - 2)]),
+    };
+    proptest::collection::vec((0u8..5, 0u8..5, any::<i64>()), 0..60).prop_map(move |rows| {
+        Relation::from_rows(
+            schema.clone(),
+            rows.into_iter()
+                .map(|(a, b, v)| Row::new(vec![small(a), word(b), Value::Int(v)]))
+                .collect(),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -172,9 +200,11 @@ proptest! {
         }
     }
 
-    /// distinct_on yields unique keys that all exist in the input.
+    /// distinct_on yields unique keys that all exist in the input — one- and
+    /// two-column keys, `NULL` and `ALL` included — and exactly the rows, in
+    /// exactly the first-seen order, of a quadratic `Vec` dedupe.
     #[test]
-    fn distinct_on_is_sound(rel in keyed_relation_strategy()) {
+    fn distinct_on_is_sound(rel in keyed_relation_strategy(), pairs in pair_relation_strategy()) {
         let d = rel.distinct_on(&["k"]).unwrap();
         let mut seen = std::collections::HashSet::new();
         for row in d.iter() {
@@ -184,6 +214,18 @@ proptest! {
         // Cardinality equals the number of distinct keys in the input.
         let expect: std::collections::HashSet<_> = rel.iter().map(|r| r[0].clone()).collect();
         prop_assert_eq!(d.len(), expect.len());
+        for (src, names) in [(&rel, vec!["k"]), (&pairs, vec!["a", "b"]), (&pairs, vec!["b", "a"])] {
+            let idx = src.schema().indices_of(&names).unwrap();
+            let mut reference: Vec<Row> = Vec::new();
+            for r in src.iter() {
+                let key = Row::new(r.key(&idx));
+                if !reference.contains(&key) {
+                    reference.push(key);
+                }
+            }
+            let got = src.distinct_on(&names).unwrap();
+            prop_assert_eq!(got.rows(), &reference[..]);
+        }
     }
 
     /// sort_by is a permutation and orders keys.

@@ -191,6 +191,58 @@ fn optimizer_preserves_every_query_shape() {
     }
 }
 
+/// The server's path through the engine: `SqlEngine::query` optimizes, the
+/// optimizer wraps each one-block MD-join in `Plan::Parallel`, and that runs
+/// `Auto` — which, for these batch-covered statements, takes the batch
+/// evaluator once, on no workers. `query_unoptimized` stays the literal
+/// scalar Algorithm 3.1 (no `Auto` decision, no batches), so it remains an
+/// independent oracle, and the two answers agree to the bit.
+#[test]
+fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
+    use mdj_core::ExecContext;
+    use mdj_sql::SqlEngine;
+    use mdj_storage::{Relation, ScanStats};
+    use std::sync::Arc;
+    let catalog = demo_engine(20_000, 17).catalog;
+    let engine = |stats: &Arc<ScanStats>| {
+        SqlEngine::with_context(
+            catalog.clone(),
+            ExecContext::new().with_stats(stats.clone()),
+        )
+    };
+    // Every float as its bit pattern, every other value as itself.
+    let bits = |rel: &Relation| -> Vec<Vec<Result<u64, Value>>> {
+        rel.iter()
+            .map(|row| {
+                row.values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float(f) => Ok(f.to_bits()),
+                        other => Err(other.clone()),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    for sql in [
+        // gb1, gb2 and gv1 of the benchmark's `olap-mem` workload.
+        "select cust, sum(sale), count(*) from Sales where month = 3 group by cust",
+        "select prod, state, sum(sale), avg(sale) from Sales group by prod, state",
+        "select cust, count(Z.*) from Sales group by cust ; Z such that Z.cust = cust and Z.sale > 500",
+    ] {
+        let served = Arc::new(ScanStats::new());
+        let answer = engine(&served).query(sql).unwrap();
+        assert!(served.auto_decisions() >= 1, "{sql}");
+        assert!(served.batches() > 0, "{sql}");
+        assert!(served.workers().is_empty(), "{sql}");
+        let oracle_stats = Arc::new(ScanStats::new());
+        let oracle = engine(&oracle_stats).query_unoptimized(sql).unwrap();
+        assert_eq!(oracle_stats.batches(), 0, "{sql}");
+        assert_eq!(oracle_stats.auto_decisions(), 0, "{sql}");
+        assert_eq!(bits(&answer), bits(&oracle), "{sql}");
+    }
+}
+
 #[test]
 fn errors_are_reported_not_panicked() {
     let e = demo_engine(100, 16);
