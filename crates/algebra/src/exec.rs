@@ -2,7 +2,7 @@
 
 use crate::error::{AlgebraError, Result};
 use crate::plan::{BaseShape, Plan};
-use mdj_core::basevalues;
+use mdj_core::basevalues::{self, Sets};
 use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
 use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin, PagedScan};
 use mdj_expr::Expr;
@@ -12,10 +12,12 @@ use std::sync::Arc;
 /// Execute a logical plan against a catalog.
 ///
 /// MD-join nodes run Algorithm 3.1 serially with the context's probe
-/// strategy — the scalar reference `query_unoptimized` answers with — and a
-/// [`Plan::Parallel`] node runs its MD-join under [`ExecStrategy::Auto`] with
-/// the node's thread cap; generalized MD-join nodes evaluate all blocks in
-/// one scan.
+/// strategy over their base and detail plans as written — the scalar
+/// reference `query_unoptimized` answers with — and a [`Plan::Parallel`]
+/// node runs its MD-join under [`ExecStrategy::Auto`] with the node's thread
+/// cap, folding a σ over a catalog table into the join instead of copying
+/// the selection (see [`md_join`]); generalized MD-join nodes evaluate all
+/// blocks in one scan.
 ///
 /// Relations travel as `Arc<Relation>` (DESIGN §3.3): table and inline nodes
 /// lend the `Arc` the catalog or the plan already holds, a cache hit lends
@@ -50,21 +52,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
             rel.project(&names)?
         }
         Plan::Base { input, shape } => {
-            let rel = execute(input, catalog, ctx)?;
-            let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
-            match shape {
-                BaseShape::GroupBy(_) => basevalues::group_by(&rel, &dims)?,
-                BaseShape::Cube(_) => basevalues::cube(&rel, &dims)?,
-                BaseShape::Rollup(_) => basevalues::rollup(&rel, &dims)?,
-                BaseShape::GroupingSets(_, sets) => {
-                    let sets: Vec<Vec<&str>> = sets
-                        .iter()
-                        .map(|s| s.iter().map(String::as_str).collect())
-                        .collect();
-                    basevalues::grouping_sets(&rel, &dims, &sets)?
-                }
-                BaseShape::Unpivot(_) => basevalues::unpivot(&rel, &dims)?,
-            }
+            base_values(&*execute(input, catalog, ctx)?, None, shape, ctx)?
         }
         Plan::Union(parts) => {
             let mut iter = parts.iter();
@@ -80,7 +68,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
             }
             acc
         }
-        Plan::MdJoin { .. } => return md_join(plan, ExecStrategy::Serial, None, catalog, ctx),
+        Plan::MdJoin { .. } => return md_join(plan, None, catalog, ctx),
         Plan::GenMdJoin {
             base,
             detail,
@@ -94,10 +82,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
                 .collect();
             MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?
         }
-        Plan::Parallel { input, threads } => {
-            let threads = (*threads > 0).then_some(*threads);
-            return md_join(input, ExecStrategy::Auto, threads, catalog, ctx);
-        }
+        Plan::Parallel { input, threads } => return md_join(input, Some(*threads), catalog, ctx),
         Plan::Join {
             left,
             right,
@@ -145,29 +130,31 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
     Ok(())
 }
 
-/// The one place a single-block MD-join node is evaluated, serial or under
-/// `Plan::Parallel` (`Auto`, at most `threads` workers):
+/// The one place a single-block MD-join node is evaluated: a bare node
+/// (`parallel` is `None`) serially, a `Plan::Parallel` node under `Auto`
+/// with its thread cap (`Some(0)` = all cores).
 ///
-/// 1. the cuboid cache answers the canonical group-by shape
+/// 1. The cuboid cache answers the canonical group-by shape
 ///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
 ///    coarser queries by rolling up a finer cached cuboid (Theorem 4.5); a
 ///    miss executes below over the shared resident table and the `Arc` it
-///    returns is the one that becomes resident;
-/// 2. otherwise the detail plan resolves to a source: the page store when
-///    the detail is a catalog table backed by one and the engine has a buffer
-///    pool attached — Theorem 4.2's prefilter then becomes clustered-key page
-///    pruning and the query's `ScanStats` pick up `pages_read` /
-///    `bytes_read` — else the resident relation. A detail-side σ directly
-///    under the MD-join participates in the paged case too:
-///    `MD(B, σ_p(R), l, θ) = MD(B, R, l, θ ∧ p)` (the range over `b` is
-///    `{r | p(r) ∧ θ(b, r)}` either way), and folding `p` into θ is exactly
-///    what lets a key predicate prune pages instead of filtering rows after
-///    a full read. Base-side predicates (Observation 4.1 base inputs) cannot
-///    be folded, so those evaluate the σ first.
+///    returns is the one that becomes resident.
+/// 2. Otherwise the detail plan resolves to one source ([`detail_source`]):
+///    detail-side σs over a catalog table fold into θ,
+///    `MD(B, σ_p(T), l, θ) = MD(B, T, l, p ∧ θ)` (the range over `b` is
+///    `{t | p(t) ∧ θ(b, t)}` either way), so `p` runs as the operator's
+///    Theorem 4.2 prefilter — a selection vector per chunk on the batch
+///    evaluator — and, when the table streams from its page store, as
+///    clustered-key page pruning.
+/// 3. Under `Parallel`, a base `γ(σ_p(T))` is built in one filtered pass over
+///    `T` ([`basevalues::build_filtered`]).
+///
+/// A bare node folds only to stream from a page store; over a resident table
+/// it executes its base and detail plans as written, so the reference
+/// `query_unoptimized` runs shares neither the fold nor the filtered build.
 fn md_join(
     node: &Plan,
-    strategy: ExecStrategy,
-    threads: Option<usize>,
+    parallel: Option<usize>,
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Arc<Relation>> {
@@ -187,49 +174,121 @@ fn md_join(
         Cached::Miss(req, detail_rel) => Some((req, detail_rel)),
         Cached::Bypass => None,
     };
-    let run = |join: MdJoin, theta: Expr| {
-        let join = join.aggs(aggs).theta(theta).strategy(strategy);
-        match threads {
-            Some(t) => join.threads(t),
-            None => join,
-        }
-        .run(ctx)
+    let fold = parallel.is_some();
+    let b = match base.as_ref() {
+        Plan::Base { input, shape } if fold => match selected_table(input) {
+            Some((name, Some(pred))) => {
+                enter_node(ctx)?;
+                Arc::new(base_values(&*catalog.get(name)?, Some(&pred), shape, ctx)?)
+            }
+            _ => execute(base, catalog, ctx)?,
+        },
+        _ => execute(base, catalog, ctx)?,
     };
-    let b = execute(base, catalog, ctx)?;
-    let out = Arc::new(match paged_detail(detail, theta, catalog, ctx) {
-        Some((scan, folded)) if miss.is_none() => run(MdJoin::paged(&b, &scan), folded)?,
-        _ => {
-            let r = execute(detail, catalog, ctx)?;
-            run(MdJoin::new(&b, &r), theta.clone())?
-        }
-    });
+    let (source, theta) = match &miss {
+        Some((_, detail_rel)) => (Detail::Resident(detail_rel.clone()), theta.clone()),
+        None => detail_source(detail, theta, fold, catalog, ctx)?,
+    };
+    let join = match &source {
+        Detail::Resident(r) => MdJoin::new(&b, r),
+        Detail::Paged(scan) => MdJoin::paged(&b, scan),
+    }
+    .aggs(aggs)
+    .theta(theta);
+    let join = match parallel {
+        None => join.strategy(ExecStrategy::Serial),
+        Some(0) => join.strategy(ExecStrategy::Auto),
+        Some(cap) => join.strategy(ExecStrategy::Auto).threads(cap),
+    };
+    let out = Arc::new(join.run(ctx)?);
     if let (Some((req, detail_rel)), Some(cache)) = (miss, ctx.cuboid_cache()) {
         cache.insert(&req, &detail_rel, out.clone());
     }
     Ok(out)
 }
 
-/// The page store behind `detail` — a catalog table, optionally under a
-/// detail-side σ that folds into θ — when the engine has a buffer pool
-/// attached and the table has a page store.
-fn paged_detail(
+/// Where an MD-join node reads `R` from.
+enum Detail {
+    Resident(Arc<Relation>),
+    Paged(PagedScan),
+}
+
+/// Resolve an MD-join node's detail plan to its source and the θ to evaluate
+/// over it. When `detail` is a catalog table under detail-side σs, their
+/// predicate `p` folds into `p ∧ θ`: over the table's page store whenever the
+/// engine has a buffer pool attached, and over the shared resident table
+/// when `fold` is set. Any other detail plan executes as written.
+fn detail_source(
     detail: &Plan,
     theta: &Expr,
+    fold: bool,
     catalog: &Catalog,
     ctx: &ExecContext,
-) -> Option<(PagedScan, Expr)> {
-    let pool = ctx.buffer_pool()?;
-    let (table, theta) = match detail {
-        Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => (
-            input.as_ref(),
-            mdj_expr::builder::and(theta.clone(), pred.clone()),
-        ),
-        other => (other, theta.clone()),
+) -> Result<(Detail, Expr)> {
+    if let Some((name, pred)) = selected_table(detail) {
+        let folded = match pred {
+            Some(p) => mdj_expr::builder::and(p, theta.clone()),
+            None => theta.clone(),
+        };
+        if let Some((paged, pool)) = catalog.paged(name).zip(ctx.buffer_pool()) {
+            return Ok((Detail::Paged(PagedScan::new(paged, pool)), folded));
+        }
+        if fold {
+            return Ok((Detail::Resident(catalog.get(name)?), folded));
+        }
+    }
+    Ok((
+        Detail::Resident(execute(detail, catalog, ctx)?),
+        theta.clone(),
+    ))
+}
+
+/// `(T, p)` when `plan` is catalog table `T` under zero or more detail-side
+/// σs, `p` the conjunction of their predicates, innermost first (`None`
+/// without a σ). Base-side predicates (Observation 4.1 base inputs) do not
+/// fold.
+fn selected_table(plan: &Plan) -> Option<(&str, Option<Expr>)> {
+    match plan {
+        Plan::Table(name) => Some((name, None)),
+        Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => {
+            let (name, inner) = selected_table(input)?;
+            let pred = match inner {
+                Some(inner) => mdj_expr::builder::and(inner, pred.clone()),
+                None => pred.clone(),
+            };
+            Some((name, Some(pred)))
+        }
+        _ => None,
+    }
+}
+
+/// The base-values table of `shape` over `rel`, or over `σ_pred(rel)` in one
+/// filtered pass when a detail-side `pred` is given.
+fn base_values(
+    rel: &Relation,
+    pred: Option<&Expr>,
+    shape: &BaseShape,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
+    let listed: Vec<Vec<&str>>;
+    let sets = match shape {
+        BaseShape::GroupBy(_) => Sets::GroupBy,
+        BaseShape::Cube(_) => Sets::Cube,
+        BaseShape::Rollup(_) => Sets::Rollup,
+        BaseShape::GroupingSets(_, sets) => {
+            listed = sets
+                .iter()
+                .map(|s| s.iter().map(String::as_str).collect())
+                .collect();
+            Sets::GroupingSets(&listed)
+        }
+        BaseShape::Unpivot(_) => Sets::Unpivot,
     };
-    let Plan::Table(name) = table else {
-        return None;
-    };
-    Some((PagedScan::new(catalog.paged(name)?, pool), theta))
+    Ok(match pred {
+        Some(pred) => basevalues::build_filtered(rel, pred, &dims, sets, ctx)?,
+        None => basevalues::build(rel, &dims, sets)?,
+    })
 }
 
 /// What the cuboid cache says about an MD-join node.

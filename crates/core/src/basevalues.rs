@@ -8,35 +8,143 @@
 //! builders produce such tables; the aggregation that follows is always the
 //! same operator.
 
+use crate::context::ExecContext;
 use crate::error::Result;
+use crate::executor::split;
 use mdj_expr::builder::{and_all, col_b, col_r, eq, lit, or};
+use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols, eval_batch};
 use mdj_expr::Expr;
-use mdj_storage::{DistinctKeys, Relation, Value};
+use mdj_storage::{ColumnarChunk, DistinctKeys, Relation, Row, Value};
 
-/// Group-by base table: `select distinct attrs from r` (Example 3.1's `B`).
-pub fn group_by(r: &Relation, attrs: &[&str]) -> Result<Relation> {
-    Ok(r.distinct_on(attrs)?)
+/// The grouping sets a base-values table holds over its dimension list.
+#[derive(Debug, Clone, Copy)]
+pub enum Sets<'a> {
+    /// `select distinct dims`: the one set that keeps every dimension.
+    GroupBy,
+    /// All `2^n` subsets (Example 2.1's data cube).
+    Cube,
+    /// The `n + 1` prefixes `(d₁..d_n), (d₁..d_{n-1}), …, ()`.
+    Rollup,
+    /// The listed sets; each names the dimensions it keeps.
+    GroupingSets(&'a [Vec<&'a str>]),
+    /// The one-dimensional marginals `((d₁), (d₂), …, (d_n))`.
+    Unpivot,
 }
 
-/// All subsets of `0..n` as bitmasks, from full set down to empty.
-fn masks(n: usize) -> impl Iterator<Item = u32> {
-    (0..(1u32 << n)).rev()
+impl Sets<'_> {
+    /// One mask per set (bit `d` set = dimension `d` kept, clear = `ALL`),
+    /// or `None` for a group-by, which keeps every dimension.
+    fn keep_masks(&self, dims: &[&str]) -> Result<Option<Vec<u32>>> {
+        let n = dims.len();
+        Ok(Some(match self {
+            Sets::GroupBy => return Ok(None),
+            Sets::Cube => (0..(1u32 << n)).rev().collect(),
+            Sets::Rollup => (0..=n).rev().map(|k| ((1u64 << k) - 1) as u32).collect(),
+            Sets::GroupingSets(sets) => set_masks(dims, sets.iter().map(Vec::as_slice))?,
+            Sets::Unpivot => set_masks(dims, dims.chunks(1))?,
+        }))
+    }
 }
 
-/// Generic grouping-set materialization: for each listed subset of `dims`,
-/// the distinct values of kept dimensions, with `ALL` in the rolled-up ones.
-fn materialize_sets(r: &Relation, dims: &[&str], keep_masks: &[u32]) -> Result<Relation> {
+/// The keep-mask of each listed set; every member must be one of `dims`.
+fn set_masks<'s>(dims: &[&str], sets: impl Iterator<Item = &'s [&'s str]>) -> Result<Vec<u32>> {
+    let masks = sets.map(|set| {
+        set.iter().try_fold(0u32, |mask, name| {
+            let d = dims.iter().position(|x| x == name).ok_or_else(|| {
+                mdj_storage::StorageError::UnknownColumn {
+                    name: (*name).to_string(),
+                    schema: format!("grouping dims {dims:?}"),
+                }
+            })?;
+            Ok(mask | (1 << d))
+        })
+    });
+    Ok(masks.collect::<std::result::Result<_, mdj_storage::StorageError>>()?)
+}
+
+/// The base table of `sets` over every row of `r`.
+pub fn build(r: &Relation, dims: &[&str], sets: Sets) -> Result<Relation> {
+    distinct_sets(r, || r.iter(), dims, sets)
+}
+
+/// The base table of `sets` over `σ_pred(r)`, for a detail-side `pred`,
+/// built in one filtered pass over `r` instead of over a copy of the
+/// selection: `pred` is evaluated once per row and only the rows it passes
+/// offer their dimensions. Equal, row for row and in first-seen order, to
+/// [`build`] over `mdj_naive::ops::select(r, pred)`.
+pub fn build_filtered(
+    r: &Relation,
+    pred: &Expr,
+    dims: &[&str],
+    sets: Sets,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    let kept = select_rows(r, pred, ctx)?;
+    distinct_sets(r, || kept.iter().map(|&i| &r.rows()[i]), dims, sets)
+}
+
+/// The ids of the rows of `r` that pass the detail-side `pred`, in order. Per
+/// chunk of `ctx.morsel_size()` rows, `pred` evaluates into a selection
+/// vector where it has a batch form, and row by row through the scalar
+/// interpreter where it does not (`Div`/`Mod`, or a chunk whose column has
+/// no typed form).
+fn select_rows(r: &Relation, pred: &Expr, ctx: &ExecContext) -> Result<Vec<usize>> {
+    let bound = pred.bind(None, Some(r.schema()))?;
+    let batchable = batchable_bound_shape(&bound);
+    let mut needed = vec![false; r.schema().len()];
+    if batchable {
+        collect_detail_cols(&bound, &mut needed);
+    }
+    let mut kept = Vec::new();
+    for chunk in split(r.len(), ctx.morsel_size()) {
+        ctx.check_interrupt()?;
+        let sel = batchable
+            .then(|| ColumnarChunk::from_rows(r.rows(), chunk.start, chunk.len(), &needed))
+            .and_then(|columns| eval_batch(&bound, &columns))
+            .map(|verdicts| verdicts.to_selection(chunk.len()));
+        match sel {
+            Some(sel) => kept.extend(chunk.zip(sel).filter_map(|(i, pass)| pass.then_some(i))),
+            None => {
+                for i in chunk {
+                    if bound.eval_bool(&[], r.rows()[i].values())? {
+                        kept.push(i);
+                    }
+                }
+            }
+        }
+    }
+    Ok(kept)
+}
+
+/// For each set in turn, the distinct values of its kept dimensions over
+/// `rows()`, with `ALL` in the rolled-up ones, in first-seen order.
+fn distinct_sets<'r, I: Iterator<Item = &'r Row>>(
+    r: &Relation,
+    rows: impl Fn() -> I,
+    dims: &[&str],
+    sets: Sets,
+) -> Result<Relation> {
+    let masks = sets.keep_masks(dims)?;
     let idx = r.schema().indices_of(dims)?;
     let mut distinct = DistinctKeys::default();
-    for &mask in keep_masks {
-        for row in r.iter() {
-            distinct.offer(idx.iter().enumerate().map(|(d, &col)| {
-                if mask & (1 << d) != 0 {
-                    &row[col]
-                } else {
-                    &Value::All
+    match masks {
+        None => {
+            for row in rows() {
+                distinct.offer(idx.iter().map(|&col| &row[col]));
+            }
+        }
+        Some(masks) => {
+            for mask in masks {
+                for row in rows() {
+                    distinct.offer(idx.iter().enumerate().map(|(d, &col)| {
+                        if mask & (1 << d) != 0 {
+                            &row[col]
+                        } else {
+                            &Value::All
+                        }
+                    }));
                 }
-            }));
+            }
         }
     }
     Ok(Relation::from_rows(
@@ -45,60 +153,35 @@ fn materialize_sets(r: &Relation, dims: &[&str], keep_masks: &[u32]) -> Result<R
     ))
 }
 
+/// Group-by base table: `select distinct attrs from r` (Example 3.1's `B`).
+pub fn group_by(r: &Relation, attrs: &[&str]) -> Result<Relation> {
+    build(r, attrs, Sets::GroupBy)
+}
+
 /// The data-cube base table of Example 2.1: all `2^n` group-bys of `dims`
 /// merged into one relation using `ALL` (Gray et al.). Ordered coarse-to-fine
 /// free; rows are unique.
 pub fn cube(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    let keep: Vec<u32> = masks(dims.len()).collect();
-    materialize_sets(r, dims, &keep)
+    build(r, dims, Sets::Cube)
 }
 
 /// SQL99 `ROLLUP(dims)`: the n+1 prefix group-bys
 /// `(d₁..d_n), (d₁..d_{n-1}), …, ()`.
 pub fn rollup(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    let n = dims.len();
-    let keep: Vec<u32> = (0..=n).rev().map(|k| ((1u64 << k) - 1) as u32).collect();
-    materialize_sets(r, dims, &keep)
+    build(r, dims, Sets::Rollup)
 }
 
 /// SQL99 `GROUPING SETS`: a user-controlled collection of group-bys. Each set
 /// lists the dimensions *kept*; the rest become `ALL`. The paper's marginals
 /// example: `Grouping Sets ((prod), (month), (state))`.
 pub fn grouping_sets(r: &Relation, dims: &[&str], sets: &[Vec<&str>]) -> Result<Relation> {
-    let keep: Vec<u32> = sets
-        .iter()
-        .map(|set| {
-            let mut mask = 0u32;
-            for name in set {
-                // Raises UnknownColumn via indices_of below if bogus; position
-                // within dims is what matters here.
-                if let Some(d) = dims.iter().position(|x| x == name) {
-                    mask |= 1 << d;
-                }
-            }
-            mask
-        })
-        .collect();
-    // Validate set members really are dims.
-    for set in sets {
-        for name in set {
-            if !dims.contains(name) {
-                return Err(mdj_storage::StorageError::UnknownColumn {
-                    name: (*name).to_string(),
-                    schema: format!("grouping dims {dims:?}"),
-                }
-                .into());
-            }
-        }
-    }
-    materialize_sets(r, dims, &keep)
+    build(r, dims, Sets::GroupingSets(sets))
 }
 
 /// The unpivot base table of \[GFC98\] as discussed in Example 2.1: the
 /// one-dimensional marginals, i.e. `GROUPING SETS ((d₁), (d₂), …, (d_n))`.
 pub fn unpivot(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    let sets: Vec<Vec<&str>> = dims.iter().map(|d| vec![*d]).collect();
-    grouping_sets(r, dims, &sets)
+    build(r, dims, Sets::Unpivot)
 }
 
 /// θ matching a cube/rollup/grouping-sets base table against detail tuples:

@@ -44,7 +44,7 @@ pub(crate) fn canon_key(v: Value) -> Value {
 }
 
 /// Split an expression list into (detail-only prefilter, remainder).
-fn split_prefilter(conjs: Vec<Expr>) -> (Option<Expr>, Vec<Expr>) {
+pub(crate) fn split_prefilter(conjs: Vec<Expr>) -> (Option<Expr>, Vec<Expr>) {
     let (detail_only, rest): (Vec<Expr>, Vec<Expr>) = conjs
         .into_iter()
         .partition(|c| !c.uses_side(Side::Base) && c.uses_side(Side::Detail));

@@ -11,10 +11,11 @@
 //! construction: any `(b-row, t)` pair that satisfies θ satisfies the
 //! equality bindings, so both rows hash to the same partition — no
 //! cross-partition match can exist. Tuples whose key appears in no `B`
-//! partition (or is NULL), or that θ's detail-only bounds on the tables'
-//! clustered key rule out (Theorem 4.2), can match nothing and are dropped
-//! during routing. Page pruning then never skips a written page, so every
-//! byte written is read back exactly once.
+//! partition (or is NULL), or that fail θ's detail-only conjuncts — the
+//! Theorem 4.2 prefilter, which holds any σ folded into θ — can match
+//! nothing and are dropped during routing. Every written tuple then lies
+//! within θ's bounds on the tables' clustered key, so page pruning never
+//! skips a written page and every byte written is read back exactly once.
 //!
 //! Each pass is the serial driver over its table, read through a buffer
 //! pool one page large: the loop the in-memory serial plan runs, over the
@@ -37,10 +38,10 @@ use crate::error::{CoreError, Result};
 use crate::executor::{self, DetailSource, Driver, Grid};
 use crate::generalized::Block;
 use crate::mdjoin::md_join_serial;
-use crate::paged::{key_bounds_from_theta, PagedScan};
-use crate::probe::canon_key;
+use crate::paged::PagedScan;
+use crate::probe::{canon_key, split_prefilter};
 use mdj_agg::AggSpec;
-use mdj_expr::analysis::probe_bindings;
+use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::{BoundExpr, Expr};
 use mdj_storage::{BufferPool, Counter, Relation, Row, Schema, TempTable, TempTableWriter, Value};
 use std::hash::{Hash, Hasher};
@@ -135,7 +136,10 @@ pub(crate) fn md_join_spilled(
     // exactly once.
     let dir = ctx.spill_dir();
     let faults = ctx.pager_faults();
-    let bounds = key_bounds_from_theta(theta, &r.schema().field(0).name);
+    let prefilter = split_prefilter(conjuncts(theta))
+        .0
+        .map(|p| p.bind(None, Some(r.schema())))
+        .transpose()?;
     let mut writers: Vec<Option<TempTableWriter>> = (0..m).map(|_| None).collect();
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, r.len() as u64);
@@ -143,8 +147,10 @@ pub(crate) fn md_join_spilled(
         if n % CANCEL_CHECK_INTERVAL == 0 {
             ctx.check_interrupt()?;
         }
-        if !bounds.admits_key(&t[0]) {
-            continue;
+        if let Some(p) = &prefilter {
+            if !p.eval_bool(&[], t.values())? {
+                continue;
+            }
         }
         key_scratch.clear();
         let mut null_key = false;

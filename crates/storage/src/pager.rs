@@ -285,13 +285,6 @@ impl KeyBounds {
         })
     }
 
-    /// Whether a row with clustered key `v` may match. A page holding only
-    /// admitted keys is always admitted by [`admits_page`](Self::admits_page),
-    /// because its min and max keys are two of them.
-    pub fn admits_key(&self, v: &Value) -> bool {
-        self.is_unbounded() || (*v != Value::Null && self.under_hi(v) && self.over_lo(v))
-    }
-
     /// Whether a page with this metadata may contain a matching row.
     pub fn admits_page(&self, meta: &PageMeta) -> bool {
         if self.is_unbounded() {

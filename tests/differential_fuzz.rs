@@ -14,7 +14,7 @@
 
 use mdj_agg::Registry;
 use mdj_core::prelude::*;
-use mdj_expr::builder::add;
+use mdj_expr::builder::{add, div, modulo};
 use mdj_storage::{BufferPool, PagedStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -501,4 +501,170 @@ fn spill_path_engages_and_matches_serial() {
         assert_eq!(entries.count(), 0, "leaked run files");
     }
     let _ = std::fs::remove_dir(&dir);
+}
+
+/// An optimized query folds its WHERE into θ, `MD(B, T, l, p ∧ θ)`, instead of
+/// copying `σ_p(T)`. When that join spills, the partitioner must drop every
+/// tuple the detail-only prefilter rejects — a predicate on a non-key column
+/// included — so it spills exactly what the join over the copied σ does, and
+/// answers the same bits.
+#[test]
+fn spilled_folded_where_writes_only_the_selection() {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("state", DataType::Str),
+        ("v", DataType::Float),
+    ]);
+    let r = Relation::from_rows(
+        schema,
+        (0..3000i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i % 40),
+                    Value::str(["NY", "NJ", "CT"][(i % 3) as usize]),
+                    Value::Float(i as f64 * 0.1),
+                ])
+            })
+            .collect(),
+    );
+    let b = r.distinct_on(&["k"]).unwrap();
+    let theta = eq(col_b("k"), col_r("k"));
+    let where_ny = eq(col_r("state"), lit("NY"));
+    let specs = [AggSpec::on_column("sum", "v"), AggSpec::count_star()];
+    let dir = std::env::temp_dir().join(format!("mdj-diff-fold-{}", std::process::id()));
+    let spilled = |r: &Relation, theta: Expr| {
+        let stats = Arc::new(ScanStats::new());
+        let ctx = ExecContext::new()
+            .with_budget_bytes(2048)
+            .with_spill_policy(SpillPolicy::Always)
+            .with_spill_dir(&dir)
+            .with_stats(stats.clone());
+        let out = MdJoin::new(&b, r)
+            .aggs(&specs)
+            .theta(theta)
+            .strategy(ExecStrategy::Serial)
+            .run(&ctx)
+            .unwrap();
+        (out, stats.bytes_spilled())
+    };
+    let (folded, folded_bytes) = spilled(&r, and(where_ny.clone(), theta.clone()));
+    let selected = mdj_naive::ops::select(&r, &where_ny).unwrap();
+    let (copied, copied_bytes) = spilled(&selected, theta);
+    assert!(copied_bytes > 0, "spill must engage");
+    assert_eq!(folded_bytes, copied_bytes);
+    let bits = |rel: &Relation| -> Vec<Vec<Result<u64, Value>>> {
+        rel.iter()
+            .map(|row| {
+                row.values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float(f) => Ok(f.to_bits()),
+                        other => Err(other.clone()),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(bits(&folded), bits(&copied));
+    if let Ok(entries) = std::fs::read_dir(&dir) {
+        assert_eq!(entries.count(), 0, "leaked run files");
+    }
+    let _ = std::fs::remove_dir(&dir);
+}
+
+/// One pseudo-random draw per (seed, row, column): the filtered-base sweep
+/// builds tables of up to 4097 rows without a 4097-element strategy.
+fn mix(seed: u64, row: u64, col: u64) -> u64 {
+    let mut z =
+        seed ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ col.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `n` rows of `(i Int, s Str, f Float, m Any)`, each column about a third
+/// NULL. `m` mixes `Int`, `ALL` and `Bool` cells, so its chunks have no typed
+/// column and every predicate over it takes the scalar interpreter.
+fn null_heavy(n: usize, seed: u64) -> Relation {
+    let schema = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("s", DataType::Str),
+        ("f", DataType::Float),
+        ("m", DataType::Any),
+    ]);
+    let cell = |row: u64, col: u64| mix(seed, row, col) % 12;
+    let rows = (0..n as u64)
+        .map(|t| {
+            Row::new(vec![
+                match cell(t, 0) {
+                    0..=3 => Value::Null,
+                    x => Value::Int(x as i64 - 4),
+                },
+                match cell(t, 1) {
+                    0..=3 => Value::Null,
+                    x => Value::str(["NY", "NJ", "CT", "CA"][(x % 4) as usize]),
+                },
+                match cell(t, 2) {
+                    0..=3 => Value::Null,
+                    x => Value::Float(x as f64 * 0.25),
+                },
+                match cell(t, 3) {
+                    0..=3 => Value::Null,
+                    4..=5 => Value::All,
+                    6..=7 => Value::Bool(cell(t, 4) % 2 == 0),
+                    x => Value::Int(x as i64 % 3),
+                },
+            ])
+        })
+        .collect();
+    Relation::from_rows(schema, rows)
+}
+
+/// WHERE predicates: batchable comparisons over typed columns, predicates
+/// over the untyped column, and `Div`/`Mod`, which have no batch form.
+fn where_strategy() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        Just(eq(col_r("i"), lit(3i64))),
+        Just(gt(col_r("f"), lit(1.5))),
+        Just(eq(col_r("s"), lit("NY"))),
+        Just(not(eq(col_r("s"), lit("NJ")))),
+        Just(and(ge(col_r("i"), lit(2i64)), ne(col_r("s"), lit("CT")))),
+        Just(or(eq(col_r("m"), lit(1i64)), lt(col_r("f"), lit(1.0)))),
+        Just(eq(col_r("m"), lit(true))),
+        Just(eq(modulo(col_r("i"), lit(3i64)), lit(1i64))),
+        Just(gt(div(col_r("f"), lit(2i64)), lit(0.5))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one-pass filtered base build equals the σ copy it replaces: for
+    /// every base shape, `basevalues::build_filtered` returns the rows of
+    /// `basevalues::build` over `mdj_naive::ops::select`, in the same
+    /// first-seen order — on NULL-heavy tables of every column type, for
+    /// batchable and scalar-only predicates, at the sizes around the
+    /// 4096-row chunk edge.
+    #[test]
+    fn filtered_base_build_equals_select_then_build(
+        size_pick in 0usize..5,
+        seed in any::<u64>(),
+        pred in where_strategy(),
+        shape_pick in 0usize..5,
+    ) {
+        let r = null_heavy([0, 1, 4095, 4096, 4097][size_pick], seed);
+        let listed = [vec!["i"], vec!["s", "m"], vec![]];
+        let (dims, sets): (&[&str], basevalues::Sets) = match shape_pick {
+            0 => (&["i", "s"], basevalues::Sets::GroupBy),
+            1 => (&["i", "s"], basevalues::Sets::Cube),
+            2 => (&["s", "m"], basevalues::Sets::Rollup),
+            3 => (&["i", "s", "m"], basevalues::Sets::GroupingSets(&listed)),
+            _ => (&["i", "m"], basevalues::Sets::Unpivot),
+        };
+        let selected = mdj_naive::ops::select(&r, &pred).unwrap();
+        let expected = basevalues::build(&selected, dims, sets).unwrap();
+        let got = basevalues::build_filtered(&r, &pred, dims, sets, &ExecContext::new()).unwrap();
+        prop_assert_eq!(expected.schema(), got.schema());
+        prop_assert_eq!(expected.rows(), got.rows(), "{} over {} rows", pred, r.len());
+    }
 }

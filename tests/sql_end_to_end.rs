@@ -194,16 +194,23 @@ fn optimizer_preserves_every_query_shape() {
 /// The server's path through the engine: `SqlEngine::query` optimizes, the
 /// optimizer wraps each one-block MD-join in `Plan::Parallel`, and that runs
 /// `Auto` — which, for these batch-covered statements, takes the batch
-/// evaluator once, on no workers. `query_unoptimized` stays the literal
-/// scalar Algorithm 3.1 (no `Auto` decision, no batches), so it remains an
-/// independent oracle, and the two answers agree to the bit.
+/// evaluator once, on no workers. A WHERE (or a pushed-down `Z.sale > ?`) is
+/// never copied on that path: the σ folds into θ, so every detail scan reads
+/// all of `R` and the batch prefilter drops what σ would have. The base is
+/// built in one filtered pass. `query_unoptimized` stays the literal scalar
+/// Algorithm 3.1 (no `Auto` decision, no batches, each σ materialized and
+/// scanned), so it remains an independent oracle, and the two answers agree
+/// to the bit, rows in the same order.
 #[test]
 fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
     use mdj_core::ExecContext;
     use mdj_sql::SqlEngine;
-    use mdj_storage::{Relation, ScanStats};
+    use mdj_storage::{Relation, Row, ScanStats};
     use std::sync::Arc;
     let catalog = demo_engine(20_000, 17).catalog;
+    let sales = catalog.get("Sales").unwrap();
+    // Sales is (cust, prod, day, month, year, state, sale).
+    let month = |t: &Row| t[3].as_int().unwrap();
     let engine = |stats: &Arc<ScanStats>| {
         SqlEngine::with_context(
             catalog.clone(),
@@ -224,21 +231,70 @@ fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
             })
             .collect()
     };
-    for sql in [
-        // gb1, gb2 and gv1 of the benchmark's `olap-mem` workload.
-        "select cust, sum(sale), count(*) from Sales where month = 3 group by cust",
-        "select prod, state, sum(sale), avg(sale) from Sales group by prod, state",
-        "select cust, count(Z.*) from Sales group by cust ; Z such that Z.cust = cust and Z.sale > 500",
-    ] {
+    // Every shape of the benchmark's WHERE clauses, with the rows its WHERE
+    // keeps (every row where the statement has none).
+    type Kept<'a> = &'a dyn Fn(&Row) -> bool;
+    let statements: [(&str, Kept); 7] = [
+        // `olap-mem`'s gb1, and `paged-*`'s point, range and nonkey.
+        (
+            "select cust, sum(sale), count(*) from Sales where month = 3 group by cust",
+            &|t| month(t) == 3,
+        ),
+        (
+            "select cust, sum(sale), count(*) from Sales where month between 3 and 5 group by cust",
+            &|t| (3..=5).contains(&month(t)),
+        ),
+        (
+            "select cust, sum(sale), count(*) from Sales where state = 'NY' group by cust",
+            &|t| t[5] == Value::str("NY"),
+        ),
+        // gb2; gv1, whose `Z.sale > ?` the optimizer pushes into a σ.
+        (
+            "select prod, state, sum(sale), avg(sale) from Sales group by prod, state",
+            &|_| true,
+        ),
+        (
+            "select cust, count(Z.*) from Sales group by cust ; Z such that Z.cust = cust and Z.sale > 500",
+            &|_| true,
+        ),
+        // ex25: `year = 1997` under the base and three detail scans.
+        (
+            "select prod, month, count(Z.*) as cnt from Sales where year = 1997 \
+             group by prod, month ; X, Y, Z \
+             such that X.prod = prod and X.month = month - 1, \
+                       Y.prod = prod and Y.month = month + 1, \
+                       Z.prod = prod and Z.month = month \
+                         and Z.sale > avg(X.sale) and Z.sale < avg(Y.sale)",
+            &|t| t[4] == Value::Int(1997),
+        ),
+        // A WHERE under a pushed-down condition: two nested σs fold.
+        (
+            "select cust, count(Z.*) from Sales where month = 3 group by cust ; \
+             Z such that Z.cust = cust and Z.sale > 500",
+            &|t| month(t) == 3,
+        ),
+    ];
+    for (sql, kept) in statements {
         let served = Arc::new(ScanStats::new());
         let answer = engine(&served).query(sql).unwrap();
         assert!(served.auto_decisions() >= 1, "{sql}");
         assert!(served.batches() > 0, "{sql}");
         assert!(served.workers().is_empty(), "{sql}");
+        // σ ran as the batch prefilter over the whole table, every batch.
+        let r = sales.len() as u64;
+        assert_eq!(served.tuples_scanned(), served.scans() * r, "{sql}");
+        assert_eq!(served.fallback_prefilter(), 0, "{sql}");
         let oracle_stats = Arc::new(ScanStats::new());
         let oracle = engine(&oracle_stats).query_unoptimized(sql).unwrap();
         assert_eq!(oracle_stats.batches(), 0, "{sql}");
         assert_eq!(oracle_stats.auto_decisions(), 0, "{sql}");
+        // The reference scans the σ it materialized.
+        let selected = sales.iter().filter(|t| kept(t)).count() as u64;
+        assert_eq!(
+            oracle_stats.tuples_scanned(),
+            oracle_stats.scans() * selected,
+            "{sql}"
+        );
         assert_eq!(bits(&answer), bits(&oracle), "{sql}");
     }
 }
