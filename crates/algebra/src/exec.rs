@@ -11,13 +11,11 @@ use std::sync::Arc;
 
 /// Execute a logical plan against a catalog.
 ///
-/// MD-join nodes run Algorithm 3.1 serially with the context's probe
-/// strategy over their base and detail plans as written — the scalar
-/// reference `query_unoptimized` answers with — and a [`Plan::Parallel`]
-/// node runs its MD-join under [`ExecStrategy::Auto`] with the node's thread
-/// cap, folding a σ over a catalog table into the join instead of copying
-/// the selection (see [`md_join`]); generalized MD-join nodes evaluate all
-/// blocks in one scan.
+/// MD-join nodes, single or generalized (all blocks in one scan), run
+/// Algorithm 3.1 serially with the context's probe strategy over their base
+/// and detail plans as written — the scalar reference `query_unoptimized`
+/// answers with — and a [`Plan::Parallel`] node runs its MD-join under
+/// [`ExecStrategy::Auto`] with the node's thread cap (see [`md_join`]).
 ///
 /// Relations travel as `Arc<Relation>` (DESIGN §3.3): table and inline nodes
 /// lend the `Arc` the catalog or the plan already holds, a cache hit lends
@@ -68,20 +66,7 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
             }
             acc
         }
-        Plan::MdJoin { .. } => return md_join(plan, None, catalog, ctx),
-        Plan::GenMdJoin {
-            base,
-            detail,
-            blocks,
-        } => {
-            let b = execute(base, catalog, ctx)?;
-            let r = execute(detail, catalog, ctx)?;
-            let core_blocks: Vec<Block> = blocks
-                .iter()
-                .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
-                .collect();
-            MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?
-        }
+        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => return md_join(plan, None, catalog, ctx),
         Plan::Parallel { input, threads } => return md_join(input, Some(*threads), catalog, ctx),
         Plan::Join {
             left,
@@ -130,53 +115,66 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
     Ok(())
 }
 
-/// The one place a single-block MD-join node is evaluated: a bare node
-/// (`parallel` is `None`) serially, a `Plan::Parallel` node under `Auto`
-/// with its thread cap (`Some(0)` = all cores).
+/// The one place an MD-join node — single or generalized, k ≥ 1 (θ, l)
+/// blocks — is evaluated: a bare node (`parallel` is `None`) runs the scalar
+/// `Serial` reference, a `Plan::Parallel` node runs `Auto` with its thread
+/// cap (`Some(0)` = all cores).
 ///
-/// 1. The cuboid cache answers the canonical group-by shape
+/// 1. With one block, the cuboid cache answers the canonical group-by shape
 ///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
 ///    coarser queries by rolling up a finer cached cuboid (Theorem 4.5); a
 ///    miss executes below over the shared resident table and the `Arc` it
 ///    returns is the one that becomes resident.
-/// 2. Otherwise the detail plan resolves to one source ([`detail_source`]):
-///    detail-side σs over a catalog table fold into θ,
-///    `MD(B, σ_p(T), l, θ) = MD(B, T, l, p ∧ θ)` (the range over `b` is
-///    `{t | p(t) ∧ θ(b, t)}` either way), so `p` runs as the operator's
-///    Theorem 4.2 prefilter — a selection vector per chunk on the batch
-///    evaluator — and, when the table streams from its page store, as
-///    clustered-key page pruning.
-/// 3. Under `Parallel`, a base `γ(σ_p(T))` is built in one filtered pass over
+/// 2. Under `Parallel`, a base `γ(σ_p(T))` is built in one filtered pass over
 ///    `T` ([`basevalues::build_filtered`]).
+/// 3. The detail resolves to one source ([`detail_source`]). θ's detail-only
+///    conjuncts — where the optimizer folds a `WHERE` (Theorem 4.2) — run as
+///    the operator's prefilter, a selection vector per chunk on the batch
+///    evaluator, and over a page store as clustered-key page pruning.
 ///
-/// A bare node folds only to stream from a page store; over a resident table
-/// it executes its base and detail plans as written, so the reference
-/// `query_unoptimized` runs shares neither the fold nor the filtered build.
+/// A bare node's σs execute as written, so the reference `query_unoptimized`
+/// runs shares neither the fold nor the filtered build.
 fn md_join(
     node: &Plan,
     parallel: Option<usize>,
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Arc<Relation>> {
-    let Plan::MdJoin {
-        base,
-        detail,
-        aggs,
-        theta,
-    } = node
-    else {
-        return Err(AlgebraError::InvalidPlan(format!(
-            "Parallel may only wrap an MD-join node, got {node:?}"
-        )));
+    let (base, detail, blocks) = match node {
+        Plan::MdJoin {
+            base,
+            detail,
+            aggs,
+            theta,
+        } => (base, detail, vec![Block::new(theta.clone(), aggs.clone())]),
+        Plan::GenMdJoin {
+            base,
+            detail,
+            blocks,
+        } => (
+            base,
+            detail,
+            blocks
+                .iter()
+                .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
+                .collect(),
+        ),
+        _ => {
+            return Err(AlgebraError::InvalidPlan(format!(
+                "Parallel may only wrap an MD-join node, got {node:?}"
+            )))
+        }
     };
-    let miss = match cached_cuboid(base, detail, aggs, theta, catalog, ctx)? {
-        Cached::Hit(rel) => return Ok(rel),
-        Cached::Miss(req, detail_rel) => Some((req, detail_rel)),
-        Cached::Bypass => None,
+    let miss = match blocks.as_slice() {
+        [blk] => match cached_cuboid(base, detail, &blk.aggs, &blk.theta, catalog, ctx)? {
+            Cached::Hit(rel) => return Ok(rel),
+            Cached::Miss(req, detail_rel) => Some((req, detail_rel)),
+            Cached::Bypass => None,
+        },
+        _ => None,
     };
-    let fold = parallel.is_some();
     let b = match base.as_ref() {
-        Plan::Base { input, shape } if fold => match selected_table(input) {
+        Plan::Base { input, shape } if parallel.is_some() => match selected_table(input) {
             Some((name, Some(pred))) => {
                 enter_node(ctx)?;
                 Arc::new(base_values(&*catalog.get(name)?, Some(&pred), shape, ctx)?)
@@ -185,16 +183,15 @@ fn md_join(
         },
         _ => execute(base, catalog, ctx)?,
     };
-    let (source, theta) = match &miss {
-        Some((_, detail_rel)) => (Detail::Resident(detail_rel.clone()), theta.clone()),
-        None => detail_source(detail, theta, fold, catalog, ctx)?,
+    let source = match &miss {
+        Some((_, detail_rel)) => Detail::Resident(detail_rel.clone()),
+        None => detail_source(detail, catalog, ctx)?,
     };
     let join = match &source {
         Detail::Resident(r) => MdJoin::new(&b, r),
         Detail::Paged(scan) => MdJoin::paged(&b, scan),
     }
-    .aggs(aggs)
-    .theta(theta);
+    .blocks(blocks);
     let join = match parallel {
         None => join.strategy(ExecStrategy::Serial),
         Some(0) => join.strategy(ExecStrategy::Auto),
@@ -213,40 +210,23 @@ enum Detail {
     Paged(PagedScan),
 }
 
-/// Resolve an MD-join node's detail plan to its source and the θ to evaluate
-/// over it. When `detail` is a catalog table under detail-side σs, their
-/// predicate `p` folds into `p ∧ θ`: over the table's page store whenever the
-/// engine has a buffer pool attached, and over the shared resident table
-/// when `fold` is set. Any other detail plan executes as written.
-fn detail_source(
-    detail: &Plan,
-    theta: &Expr,
-    fold: bool,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<(Detail, Expr)> {
-    if let Some((name, pred)) = selected_table(detail) {
-        let folded = match pred {
-            Some(p) => mdj_expr::builder::and(p, theta.clone()),
-            None => theta.clone(),
-        };
+/// Resolve an MD-join node's detail plan to its source: a catalog table
+/// streams from its page store whenever the engine has a buffer pool
+/// attached, and is otherwise the catalog's shared `Arc`; any other detail
+/// plan executes as written.
+fn detail_source(detail: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Detail> {
+    if let Plan::Table(name) = detail {
         if let Some((paged, pool)) = catalog.paged(name).zip(ctx.buffer_pool()) {
-            return Ok((Detail::Paged(PagedScan::new(paged, pool)), folded));
-        }
-        if fold {
-            return Ok((Detail::Resident(catalog.get(name)?), folded));
+            return Ok(Detail::Paged(PagedScan::new(paged, pool)));
         }
     }
-    Ok((
-        Detail::Resident(execute(detail, catalog, ctx)?),
-        theta.clone(),
-    ))
+    Ok(Detail::Resident(execute(detail, catalog, ctx)?))
 }
 
 /// `(T, p)` when `plan` is catalog table `T` under zero or more detail-side
 /// σs, `p` the conjunction of their predicates, innermost first (`None`
-/// without a σ). Base-side predicates (Observation 4.1 base inputs) do not
-/// fold.
+/// without a σ). A base-side predicate (an Observation 4.1 base input) does
+/// not qualify.
 fn selected_table(plan: &Plan) -> Option<(&str, Option<Expr>)> {
     match plan {
         Plan::Table(name) => Some((name, None)),
@@ -452,6 +432,7 @@ mod tests {
 
     #[test]
     fn gen_md_join_node() {
+        use mdj_storage::ScanStats;
         let blocks = vec![
             crate::plan::PlanBlock::new(
                 vec![AggSpec::on_column("sum", "sale").with_alias("s1")],
@@ -473,10 +454,25 @@ mod tests {
             detail: Box::new(Plan::table("Sales")),
             blocks,
         };
-        let out = execute(&plan, &catalog(), &ExecContext::new()).unwrap();
+        let run = |plan: &Plan| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new().with_stats(stats.clone());
+            (execute(plan, &catalog(), &ctx).unwrap(), stats)
+        };
+        // A bare generalized node is the scalar serial reference, as a bare
+        // single-block node is: no decision, no batches.
+        let (out, stats) = run(&plan);
+        assert_eq!((stats.auto_decisions(), stats.batches()), (0, 0));
+        assert_eq!(stats.scans(), 1, "all blocks share one scan");
         let c1 = out.rows().iter().find(|r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(c1[1], Value::Float(10.0));
         assert_eq!(c1[2], Value::Float(20.0));
+        // Under `Parallel` it runs `Auto`, which batches this covered shape.
+        let (par, stats) = run(&plan.parallel(0));
+        assert_eq!(stats.auto_decisions(), 1);
+        assert!(stats.batches() > 0);
+        assert_eq!(stats.scans(), 1);
+        assert_eq!(out.rows(), par.rows());
     }
 
     #[test]
@@ -683,17 +679,24 @@ mod tests {
         cat.attach_paged("Sales", table.clone()).unwrap();
         let engine = EngineConfig::new().build();
         engine.attach_buffer_pool(BufferPool::new(64 * 1024));
+        // `month >= 2` in θ, where the optimizer folds a WHERE.
         let plan = Plan::table("Sales").group_by_base(&["cust"]).md_join(
-            Plan::table("Sales").select(ge(col_r("month"), lit(2i64))),
+            Plan::table("Sales"),
             vec![AggSpec::on_column("sum", "sale")],
-            eq(col_b("cust"), col_r("cust")),
+            and(
+                ge(col_r("month"), lit(2i64)),
+                eq(col_b("cust"), col_r("cust")),
+            ),
         );
-        let stats = Arc::new(ScanStats::new());
-        let ctx = mdj_core::ExecContext::from_parts(
-            engine.clone(),
-            QueryCtx::new().with_stats(stats.clone()),
-        );
-        let paged_out = execute(&plan, &cat, &ctx).unwrap();
+        let run = |plan: &Plan, engine: &Arc<EngineConfig>| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = mdj_core::ExecContext::from_parts(
+                engine.clone(),
+                QueryCtx::new().with_stats(stats.clone()),
+            );
+            (execute(plan, &cat, &ctx).unwrap(), stats)
+        };
+        let (paged_out, stats) = run(&plan, &engine);
         assert!(stats.pages_read() > 0, "detail must stream from disk");
         // The σ on the clustered key pruned at least one page: fewer pages
         // than the table holds were ever read.
@@ -705,12 +708,54 @@ mod tests {
         );
         // Identical rows to the pure in-memory path (no buffer pool → the
         // paged fast path never engages).
-        let plain =
-            mdj_core::ExecContext::from_parts(EngineConfig::new().build(), QueryCtx::default());
-        let mem_out = execute(&plan, &cat, &plain).unwrap();
+        let plain = EngineConfig::new().build();
+        let (mem_out, mem_stats) = run(&plan, &plain);
+        assert_eq!(mem_stats.pages_read(), 0);
         assert_eq!(mem_out.rows(), paged_out.rows());
+        // A bare σ on the detail executes as written, from the resident
+        // table: only the optimizer folds it.
+        let Plan::MdJoin {
+            base, aggs, theta, ..
+        } = &plan
+        else {
+            unreachable!()
+        };
+        let sigma = Plan::MdJoin {
+            base: base.clone(),
+            detail: Box::new(Plan::table("Sales").select(ge(col_r("month"), lit(2i64)))),
+            aggs: aggs.clone(),
+            theta: theta.clone(),
+        };
+        engine.buffer_pool().unwrap().clear();
+        let (sigma_out, sigma_stats) = run(&sigma, &engine);
+        assert_eq!(sigma_stats.pages_read(), 0);
+        assert_eq!(sigma_out.rows(), paged_out.rows());
+        // A generalized node streams the same pages, bare or under
+        // `Parallel`, and answers as its resident run does.
+        let generalized = Plan::GenMdJoin {
+            base: base.clone(),
+            detail: Box::new(Plan::table("Sales")),
+            blocks: vec![
+                crate::plan::PlanBlock::new(aggs.clone(), theta.clone()),
+                crate::plan::PlanBlock::new(
+                    vec![AggSpec::count_star()],
+                    and(
+                        le(col_r("month"), lit(6i64)),
+                        eq(col_b("cust"), col_r("cust")),
+                    ),
+                ),
+            ],
+        };
+        let (mem_gen, _) = run(&generalized, &plain);
+        for plan in [generalized.clone(), generalized.parallel(0)] {
+            engine.buffer_pool().unwrap().clear();
+            let (gen_out, gen_stats) = run(&plan, &engine);
+            assert!(gen_stats.pages_read() > 0, "generalized detail must stream");
+            assert_eq!(gen_out.rows(), mem_gen.rows());
+        }
         // Materialized pruning is sound for strategies that delegate.
         let scan = PagedScan::new(table, engine.buffer_pool().unwrap());
+        let ctx = mdj_core::ExecContext::from_parts(engine.clone(), QueryCtx::default());
         assert_eq!(scan.materialize(&ctx).unwrap().len(), rel.len());
         let _ = std::fs::remove_dir_all(&dir);
     }

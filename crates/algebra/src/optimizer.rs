@@ -1,75 +1,33 @@
-//! The rewrite driver: apply the paper's transformations, keep what the cost
-//! model likes.
+//! The rewrite driver: the paper's equivalences, applied wherever they match.
 
-use crate::cost::estimate_cost;
 use crate::error::Result;
 use crate::plan::Plan;
-use crate::rules::{coalesce_chains, push_base_ranges_to_detail, pushdown_detail_selection};
+use crate::rules::{coalesce_chains, fold_detail_selections, push_base_ranges_to_detail};
 use mdj_agg::Registry;
 use mdj_storage::Catalog;
 
-/// Cost-based optimizer over the paper's rule set.
+/// Optimize a plan with the paper's rewrites. Each is an equivalence, so it
+/// applies wherever its precondition holds; no plan is priced, and `catalog`
+/// and `registry` go unused. Never errors.
 ///
-/// Pipeline (each of steps 1–3 keeps its output only if the cost model does
-/// not regress, so a pathological estimate cannot produce a worse plan than
-/// the input):
-///
-/// 1. Theorem 4.2 pushdown (detail-only conjuncts → σ on `R`).
-/// 2. Observation 4.1 (base range predicates copied to `R`).
-/// 3. Theorem 4.3 coalescing (chains → generalized MD-joins).
-/// 4. Every single-block MD-join is wrapped in a [`Plan::Parallel`] node: it
-///    runs under `ExecStrategy::Auto` with all cores as its thread cap, and
-///    `Auto` picks the evaluator and the driver from the input at run time.
-///    The plan — and its `EXPLAIN` — is therefore the same on every host.
-#[derive(Debug, Default)]
-pub struct Optimizer {
-    /// Skip the coalescing phase (ablation knob for benches).
-    pub disable_coalesce: bool,
-}
-
-impl Optimizer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Optimize a plan. Never errors on rule preconditions (rules are
-    /// applied where they match); only cost estimation can fail.
-    pub fn optimize(&self, plan: Plan, catalog: &Catalog, registry: &Registry) -> Result<Plan> {
-        let mut best = plan;
-        let mut best_cost = estimate_cost(&best, catalog, registry)?;
-        let consider = |candidate: Plan, best: &mut Plan, best_cost: &mut f64| -> Result<()> {
-            let cost = estimate_cost(&candidate, catalog, registry)?;
-            if cost < *best_cost {
-                *best = candidate;
-                *best_cost = cost;
-            }
-            Ok(())
-        };
-        let pushed = pushdown_detail_selection(best.clone());
-        consider(pushed, &mut best, &mut best_cost)?;
-        let ranged = push_base_ranges_to_detail(best.clone());
-        consider(ranged, &mut best, &mut best_cost)?;
-        if !self.disable_coalesce {
-            let coalesced = coalesce_chains(best.clone());
-            consider(coalesced, &mut best, &mut best_cost)?;
-        }
-        Ok(parallelize(best))
-    }
-}
-
-/// Wrap every MD-join node in a [`Plan::Parallel`] node with all cores as
-/// its cap, so it runs under `Auto`. Generalized MD-joins stay serial (their
-/// single-scan evaluation is already the coalescing win).
-fn parallelize(plan: Plan) -> Plan {
-    plan.transform_up(&|p| match p {
-        Plan::MdJoin { .. } => p.parallel(0),
+/// 1. Theorem 4.2 read right to left: every detail-side σ on an MD-join's
+///    detail folds into θ ([`fold_detail_selections`]), where the executor
+///    runs it as a prefilter and as page pruning.
+/// 2. Observation 4.1: a base range predicate is copied into θ.
+/// 3. Theorem 4.3: chains coalesce into generalized MD-joins — stages whose
+///    details differ only by a σ share one scan, since step 1 folded it.
+/// 4. Every MD-join, single or generalized, is wrapped in a
+///    [`Plan::Parallel`] node: it runs under `ExecStrategy::Auto` with all
+///    cores as its thread cap, and `Auto` picks the evaluator and the driver
+///    from the input at run time. The plan — and its `EXPLAIN` — is
+///    therefore the same on every host.
+pub fn optimize(plan: Plan, _catalog: &Catalog, _registry: &Registry) -> Result<Plan> {
+    let folded = fold_detail_selections(plan);
+    let coalesced = coalesce_chains(push_base_ranges_to_detail(folded));
+    Ok(coalesced.transform_up(&|p| match p {
+        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => p.parallel(0),
         other => other,
-    })
-}
-
-/// One-shot convenience: default optimizer.
-pub fn optimize(plan: Plan, catalog: &Catalog, registry: &Registry) -> Result<Plan> {
-    Optimizer::new().optimize(plan, catalog, registry)
+    }))
 }
 
 #[cfg(test)]
@@ -133,9 +91,13 @@ mod tests {
         let reg = Registry::standard();
         let plan = tri_state_chain();
         let optimized = optimize(plan.clone(), &cat, &reg).unwrap();
-        // One scan, and the per-state selections live on the θs or σs, not in
-        // three separate scans.
+        // One scan: the per-state selections live on the θs of one
+        // generalized MD-join, which runs under `Parallel` too.
         assert_eq!(detail_scan_count(&optimized), 1);
+        assert!(
+            matches!(&optimized, Plan::Parallel { input, .. } if matches!(**input, Plan::GenMdJoin { .. })),
+            "{optimized:?}"
+        );
         // Equivalence.
         let ctx = ExecContext::new();
         let a = execute(&plan, &cat, &ctx).unwrap();
@@ -145,32 +107,6 @@ mod tests {
             .project(&cols)
             .unwrap()
             .same_multiset(&b.project(&cols).unwrap()));
-    }
-
-    #[test]
-    fn optimizer_never_regresses_cost() {
-        let cat = catalog();
-        let reg = Registry::standard();
-        let plan = tri_state_chain();
-        let before = estimate_cost(&plan, &cat, &reg).unwrap();
-        let optimized = optimize(plan, &cat, &reg).unwrap();
-        let after = estimate_cost(&optimized, &cat, &reg).unwrap();
-        assert!(after <= before);
-    }
-
-    #[test]
-    fn ablation_knobs() {
-        let cat = catalog();
-        let reg = Registry::standard();
-        let plan = tri_state_chain();
-        let no_coalesce = Optimizer {
-            disable_coalesce: true,
-        }
-        .optimize(plan.clone(), &cat, &reg)
-        .unwrap();
-        assert_eq!(detail_scan_count(&no_coalesce), 3);
-        let full = Optimizer::new().optimize(plan, &cat, &reg).unwrap();
-        assert_eq!(detail_scan_count(&full), 1);
     }
 
     #[test]
@@ -221,8 +157,8 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register("Big", rel);
         let reg = Registry::standard();
-        // Every single-block MD-join is wrapped, nested ones too, with all
-        // cores as the cap — the same plan on any host.
+        // Every MD-join is wrapped, nested ones too, with all cores as the
+        // cap — the same plan on any host.
         let plan = Plan::table("Big").group_by_base(&["cust"]).md_join(
             Plan::table("Big"),
             vec![AggSpec::on_column("sum", "sale")],

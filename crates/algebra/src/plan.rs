@@ -95,8 +95,8 @@ pub enum Plan {
     /// Execute the wrapped MD-join under `ExecStrategy::Auto` with at most
     /// `threads` workers (`0` = all available cores): `Auto` chooses the
     /// evaluator, and whether a parallel (Theorem 4.1) driver pays, from the
-    /// input at run time. Only meaningful around `MdJoin`; the optimizer
-    /// wraps every single-block MD-join in one.
+    /// input at run time. Only meaningful around `MdJoin` or `GenMdJoin`;
+    /// the optimizer wraps every MD-join in one.
     Parallel { input: Box<Plan>, threads: usize },
 }
 

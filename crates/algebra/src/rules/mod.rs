@@ -9,5 +9,5 @@ pub mod split;
 pub use coalesce::coalesce_chains;
 pub use commute::commute_md_joins;
 pub use partition::{partition_by_ranges, partition_inline};
-pub use pushdown::{push_base_ranges_to_detail, pushdown_detail_selection};
+pub use pushdown::{fold_detail_selections, push_base_ranges_to_detail};
 pub use split::split_into_join;

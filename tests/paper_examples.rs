@@ -7,7 +7,6 @@ use mdj_algebra::{execute, rules::split_into_join, Plan};
 use mdj_core::basevalues::{cube, cube_match_theta};
 use mdj_core::prelude::*;
 use mdj_datagen::{payments, sales, PaymentsConfig, SalesConfig};
-use mdj_expr::builder::and_all;
 use mdj_sql::SqlEngine;
 use mdj_storage::Catalog;
 
@@ -287,8 +286,9 @@ fn example_3_3_sales_and_payments() {
     }
 }
 
-/// Example 4.1: 1994–96 vs 1999 totals — Theorem 4.2 lets both MD-joins scan
-/// only their year slice; results must match the unpushed plan.
+/// Example 4.1: 1994–96 vs 1999 totals, each period a σ on `Sales` — by
+/// Theorem 4.2 the σs fold into θ, where they prefilter the scan; results
+/// must match the σ plan.
 #[test]
 fn example_4_1_period_comparison() {
     let r = sales_rel(4_000);
@@ -298,26 +298,24 @@ fn example_4_1_period_comparison() {
     let chain = Plan::table("Sales")
         .group_by_base(&["prod"])
         .md_join(
-            Plan::table("Sales"),
+            Plan::table("Sales")
+                .select(ge(col_r("year"), lit(1996i64)))
+                .select(le(col_r("year"), lit(1997i64))),
             vec![AggSpec::on_column("sum", "sale").with_alias("sum_94_96")],
-            and_all([
-                eq(col_r("prod"), col_b("prod")),
-                ge(col_r("year"), lit(1996i64)),
-                le(col_r("year"), lit(1997i64)),
-            ]),
+            eq(col_r("prod"), col_b("prod")),
         )
         .md_join(
-            Plan::table("Sales"),
+            Plan::table("Sales").select(eq(col_r("year"), lit(1999i64))),
             vec![AggSpec::on_column("sum", "sale").with_alias("sum_99")],
-            and(
-                eq(col_r("prod"), col_b("prod")),
-                eq(col_r("year"), lit(1999i64)),
-            ),
+            eq(col_r("prod"), col_b("prod")),
         );
     let direct = execute(&chain, &catalog, &ctx).unwrap();
-    let pushed = mdj_algebra::rules::pushdown_detail_selection(chain);
-    let via_pushdown = execute(&pushed, &catalog, &ctx).unwrap();
-    assert!(direct.same_multiset(&via_pushdown));
+    let folded = mdj_algebra::rules::fold_detail_selections(chain);
+    let mut selects = 0;
+    folded.visit(&mut |p| selects += matches!(p, Plan::Select { .. }) as usize);
+    assert_eq!(selects, 0, "every period σ folds into its θ");
+    let via_fold = execute(&folded, &catalog, &ctx).unwrap();
+    assert_eq!(direct.rows(), via_fold.rows());
     // And the optimizer coalesces the two period aggregates into one scan.
     let optimized = mdj_algebra::rules::coalesce_chains(via_chain(&r));
     assert_eq!(
