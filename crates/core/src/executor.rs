@@ -5,10 +5,11 @@
 //! implemented:
 //!
 //! * a **detail source** ([`DetailSource`] → [`Grid`]) hands out `R` as
-//!   ordered row slices on a chunk grid fixed by `(source, morsel size)` —
+//!   ordered [`Slice`]s on a chunk grid fixed by `(source, morsel size)` —
 //!   never by the thread count: `morsel`-row ranges of a resident relation,
 //!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
-//!   pages Theorem 4.2 rules out are never read);
+//!   pages Theorem 4.2 rules out are never read). A page is read as its
+//!   buffer-pool frame's columns; only a scalar path asks it for rows;
 //! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
 //!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
 //!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
@@ -45,7 +46,8 @@ use crate::paged::PagedScan;
 use crate::probe::ProbePlan;
 use crate::vectorized::{apply_batch, BatchProbe, ColStates, Scoreboard, MAX_BATCH};
 use crossbeam::deque::{Steal, Stealer, Worker};
-use mdj_storage::{ColumnarChunk, Counter, Relation, Row, Schema, Value, WorkerStats};
+use mdj_storage::{ColumnarChunk, Counter, PinnedPage, Relation, Row, Schema, Value, WorkerStats};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -116,6 +118,42 @@ pub(crate) fn split_even(n: usize, m: usize) -> Vec<Range<usize>> {
             start - len..start
         })
         .collect()
+}
+
+/// One piece of a chunk as a scan reads it: a range of resident rows, or one
+/// pinned page.
+#[derive(Clone, Copy)]
+pub(crate) enum Slice<'s> {
+    Rows(&'s [Row]),
+    Page(&'s PinnedPage),
+}
+
+impl<'s> Slice<'s> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Slice::Rows(rows) => rows.len(),
+            Slice::Page(pin) => pin.page().len(),
+        }
+    }
+
+    /// The slice's rows. A page builds them from its columns on the first
+    /// request of its residency, counted as `page_rows_built`: only scalar
+    /// paths ask.
+    pub(crate) fn rows(&self, ctx: &ExecContext) -> &'s [Row] {
+        match self {
+            Slice::Rows(rows) => rows,
+            Slice::Page(pin) => pin.page().rows_recorded(ctx.stats().map(|s| s.as_ref())),
+        }
+    }
+
+    /// The slice in columnar form: a page's own chunk, every column decoded
+    /// once per residency; resident rows transposed, `needed` columns only.
+    pub(crate) fn chunk(&self, needed: &[bool]) -> Cow<'s, ColumnarChunk> {
+        match self {
+            Slice::Rows(rows) => Cow::Owned(ColumnarChunk::from_rows(rows, 0, rows.len(), needed)),
+            Slice::Page(pin) => Cow::Borrowed(pin.page().chunk()),
+        }
+    }
 }
 
 /// One scan's chunk grid over a [`DetailSource`].
@@ -194,21 +232,21 @@ impl<'a> Grid<'a> {
         }
     }
 
-    /// Hand chunk `idx`'s row slices to `f`, in order: the one range of a
+    /// Hand chunk `idx`'s slices to `f`, in order: the one range of a
     /// resident chunk, or each page of a run — pinned only while `f` reads it.
     fn scan_chunk(
         &self,
         idx: usize,
         ctx: &ExecContext,
-        f: &mut dyn FnMut(&[Row]) -> Result<()>,
+        f: &mut dyn FnMut(Slice) -> Result<()>,
     ) -> Result<()> {
         match &self.chunks {
-            Chunks::Resident { rows, morsel } => {
-                f(&rows[idx * morsel..((idx + 1) * morsel).min(rows.len())])
-            }
+            Chunks::Resident { rows, morsel } => f(Slice::Rows(
+                &rows[idx * morsel..((idx + 1) * morsel).min(rows.len())],
+            )),
             Chunks::Paged { scan, runs } => {
                 for &pno in &runs[idx] {
-                    f(&scan.fetch(pno, ctx)?)?;
+                    f(Slice::Page(&scan.fetch(pno, ctx)?))?;
                 }
                 Ok(())
             }
@@ -346,24 +384,24 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Evaluate one detail slice into `states`; returns the aggregate updates
     /// it implies.
-    fn scan(&mut self, rows: &[Row], ctx: &ExecContext, states: &mut States) -> Result<u64> {
+    fn scan(&mut self, slice: Slice, ctx: &ExecContext, states: &mut States) -> Result<u64> {
         ctx.check_interrupt()?;
-        if rows.is_empty() {
+        if slice.len() == 0 {
             return Ok(0);
         }
-        // One transposition per slice, shared by all k blocks.
-        let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &self.needed);
+        // One columnar form per slice, shared by all k blocks.
+        let chunk = slice.chunk(&self.needed);
         let b = self.b;
-        self.update(&chunk, rows, b, None, ctx, states)
+        self.update(&chunk, slice, b, None, ctx, states)
     }
 
-    /// Probe every block with the slice `rows` (`chunk` its columnar form)
-    /// over `b` and apply the matches to `states`. `groups`, when given, is
-    /// each row's own group of a `B` this scan is building.
+    /// Probe every block with `slice` (`chunk` its columnar form) over `b`
+    /// and apply the matches to `states`. `groups`, when given, is each
+    /// row's own group of a `B` this scan is building.
     fn update(
         &mut self,
         chunk: &ColumnarChunk,
-        rows: &[Row],
+        slice: Slice,
         b: &Relation,
         groups: Option<&[usize]>,
         ctx: &ExecContext,
@@ -373,7 +411,7 @@ impl<'a> BatchEvaluator<'a> {
         let mut updates = 0usize;
         for (k, (blk, probe)) in self.blocks.iter().zip(&self.probes).enumerate() {
             pairs.clear();
-            let fell_back = probe.matches_batch(chunk, rows, b, groups, ctx, &mut pairs)?;
+            let fell_back = probe.matches_batch(chunk, slice, b, groups, ctx, &mut pairs)?;
             ctx.count(Counter::batches, 1);
             if fell_back {
                 ctx.count(Counter::batch_fallbacks, 1);
@@ -383,7 +421,7 @@ impl<'a> BatchEvaluator<'a> {
                 continue;
             }
             updates += pairs.len() * blk.aggs.len();
-            states.batch(k, blk, chunk, rows, &pairs)?;
+            states.batch(k, blk, chunk, slice, &pairs)?;
         }
         Ok(updates as u64)
     }
@@ -504,13 +542,13 @@ impl<'a> States<'a> {
     }
 
     /// The batch loop's sink: block `k`'s `(slice-local tuple, base row)`
-    /// pairs, in tuple order, over `chunk` (the columnar form of `rows`).
+    /// pairs, in tuple order, over `chunk` (the columnar form of `slice`).
     fn batch(
         &mut self,
         k: usize,
         blk: &BoundBlock,
         chunk: &ColumnarChunk,
-        rows: &[Row],
+        slice: Slice,
         pairs: &[(u32, usize)],
     ) -> Result<()> {
         let groups = self.board.group(pairs);
@@ -520,7 +558,7 @@ impl<'a> States<'a> {
                 ba,
                 groups,
                 chunk,
-                rows,
+                slice,
                 0,
                 self.metered[k][j],
                 &mut self.meter,
@@ -665,11 +703,13 @@ pub(crate) fn run(
         Driver::Serial { batch: true } => {
             let kernel_inputs = states.kernel_inputs(&bound, grid.schema.len());
             let mut batch = BatchEvaluator::new(b, &bound, kernel_inputs);
-            scan_in_order(grid, ctx, |rows| batch.scan(rows, ctx, &mut states))?;
+            scan_in_order(grid, ctx, |slice| batch.scan(slice, ctx, &mut states))?;
             batch.count_sets(ctx);
         }
         // `Serial { batch: false }`; `Base` returned above.
-        _ => scan_in_order(grid, ctx, |rows| eval.scan(rows, ctx, &mut states))?,
+        _ => scan_in_order(grid, ctx, |slice| {
+            eval.scan(slice.rows(ctx), ctx, &mut states)
+        })?,
     }
     Ok(states.finalize(b, schema))
 }
@@ -717,20 +757,20 @@ pub(crate) fn run_grouped(
     let mut states = Some(fresh);
     table.collect_needed(&mut batch.needed);
     let mut ids = Vec::new();
-    scan_in_order(grid, ctx, |rows| {
+    scan_in_order(grid, ctx, |slice| {
         ctx.check_interrupt()?;
-        if rows.is_empty() {
+        if slice.len() == 0 {
             return Ok(0);
         }
-        let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &batch.needed);
-        table.assign(&chunk, rows, &mut ids)?;
+        let chunk = slice.chunk(&batch.needed);
+        table.assign(&chunk, slice, ctx, &mut ids)?;
         let Some(st) = states.as_mut() else {
             return Ok(0);
         };
         let answered = match table.exact() {
             true => st
                 .grow(&bound, table.base())
-                .and_then(|()| batch.update(&chunk, rows, table.base(), Some(&ids), ctx, st))
+                .and_then(|()| batch.update(&chunk, slice, table.base(), Some(&ids), ctx, st))
                 .map(Some),
             false => Ok(None),
         };
@@ -763,12 +803,12 @@ pub(crate) fn run_grouped(
 pub(crate) fn scan_in_order(
     grid: &Grid,
     ctx: &ExecContext,
-    mut scan: impl FnMut(&[Row]) -> Result<u64>,
+    mut scan: impl FnMut(Slice) -> Result<u64>,
 ) -> Result<()> {
     for idx in 0..grid.len() {
         let mut updates = 0;
-        grid.scan_chunk(idx, ctx, &mut |rows| {
-            updates += scan(rows)?;
+        grid.scan_chunk(idx, ctx, &mut |slice| {
+            updates += scan(slice)?;
             Ok(())
         })?;
         ctx.count(Counter::updates, updates);
@@ -897,9 +937,9 @@ fn detail_parallel<'a>(
                 ctx.fault_on_morsel(idx);
                 let mut delta = Delta(eval.blocks.iter().map(|_| BlockDelta::default()).collect());
                 let (mut tuples, mut updates) = (0u64, 0u64);
-                grid.scan_chunk(idx, ctx, &mut |rows| {
-                    tuples += rows.len() as u64;
-                    updates += eval.scan(rows, ctx, &mut delta)?;
+                grid.scan_chunk(idx, ctx, &mut |slice| {
+                    tuples += slice.len() as u64;
+                    updates += eval.scan(slice.rows(ctx), ctx, &mut delta)?;
                     Ok(())
                 })?;
                 Ok((delta, tuples, updates))

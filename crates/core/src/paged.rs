@@ -15,7 +15,10 @@
 //! * **Chunks are pinned page runs** — consecutive admitted pages totalling
 //!   `ctx.morsel_size` rows; one page is pinned at a time, so memory is one
 //!   page per worker plus aggregate state, never the table. Under the batch
-//!   evaluator the page is the batch.
+//!   evaluator the page is the batch, and its columns are the buffer-pool
+//!   frame's own chunk: a page is decoded once per residency, straight into
+//!   columns, and builds rows only when a scalar path asks
+//!   (`page_rows_built`).
 //!
 //! All paths record `pages_read` / `bytes_read` / `pool_evictions` through
 //! [`ScanStats`](mdj_storage::ScanStats), so `EXPLAIN ANALYZE` shows the
@@ -175,9 +178,10 @@ impl PagedScan {
         let mut rows = 0u64;
         for &pno in &pages {
             ctx.check_interrupt()?;
-            let page = self.fetch(pno, ctx)?;
+            let pin = self.fetch(pno, ctx)?;
+            let page = pin.page().rows_recorded(ctx.stats().map(|s| s.as_ref()));
             rows += page.len() as u64;
-            for row in page.iter() {
+            for row in page {
                 rel.push_unchecked(row.clone());
             }
         }
@@ -432,6 +436,32 @@ mod tests {
         .unwrap();
         assert_eq!(auto.rows(), serial.rows());
         assert_eq!(stats.auto_decisions(), 1);
+    }
+
+    #[test]
+    fn only_scalar_paths_build_page_rows_and_once_per_residency() {
+        let rel = sales(600);
+        let (_dir, scan) = store_with(&rel, 256);
+        let b = rel.distinct_on(&["cust"]).unwrap();
+        let theta = eq(col_b("cust"), col_r("cust"));
+        let l = [AggSpec::on_column("sum", "sale")];
+        let run = |strategy: ExecStrategy| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new().with_stats(stats.clone());
+            let out = paged_md_join(&b, &scan, &l, &theta, strategy, 1, &ctx).unwrap();
+            (out, stats.pages_read(), stats.page_rows_built())
+        };
+        scan.pool().clear();
+        let (batch, read, built) = run(ExecStrategy::Vectorized);
+        assert!(read > 0);
+        assert_eq!(built, 0, "the batch evaluator reads the frames' columns");
+        // Every page is resident now: the scalar scan reads none, and builds
+        // each page's rows once; a second scalar scan builds none.
+        let (serial, read, built) = run(ExecStrategy::Serial);
+        assert_eq!(read, 0);
+        assert_eq!(built as usize, scan.admitted_pages().len());
+        assert_eq!(run(ExecStrategy::Serial).2, 0);
+        assert_eq!(batch.rows(), serial.rows());
     }
 
     #[test]

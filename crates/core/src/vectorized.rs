@@ -5,8 +5,10 @@
 //! `Box<dyn AggState>` with a `Value` in between. This module processes `R`
 //! in columnar batches instead:
 //!
-//! 1. each batch of `ctx.morsel_size` tuples is transposed into a
-//!    [`ColumnarChunk`] (only the columns θ and `l` actually read);
+//! 1. each batch of `ctx.morsel_size` resident tuples is transposed into a
+//!    [`ColumnarChunk`] (only the columns θ and `l` actually read); a page
+//!    of a page store is its buffer-pool frame's chunk, decoded once per
+//!    residency, and builds rows only for a scalar fallback;
 //! 2. the Theorem 4.2 prefilter evaluates over the whole batch into a
 //!    selection vector ([`mdj_expr::vectorized::eval_batch`]);
 //! 3. hash-probe keys are computed for the whole batch in one typed loop per
@@ -28,6 +30,7 @@
 
 use crate::context::ExecContext;
 use crate::error::Result;
+use crate::executor::Slice;
 use crate::governor::GrowthMeter;
 use crate::mdjoin::BoundAgg;
 use crate::probe::{canon_key, ProbePlan};
@@ -38,7 +41,7 @@ use mdj_expr::vectorized::{
 };
 use mdj_expr::{Expr, Side};
 use mdj_storage::{
-    Column, ColumnarChunk, Counter, HashIndex, KeyBuildHasher, Relation, Row, Schema, Value,
+    Column, ColumnarChunk, Counter, HashIndex, KeyBuildHasher, Relation, Schema, Value,
 };
 use std::collections::HashMap;
 
@@ -175,7 +178,7 @@ impl<'a> BatchProbe<'a> {
     pub(crate) fn matches_batch(
         &self,
         chunk: &ColumnarChunk,
-        rows: &[Row],
+        slice: Slice,
         b: &Relation,
         groups: Option<&[usize]>,
         ctx: &ExecContext,
@@ -233,7 +236,7 @@ impl<'a> BatchProbe<'a> {
                     }
                     if sel.is_none() {
                         if let Some(p) = prefilter {
-                            if !p.eval_bool(&[], rows[start + i].values())? {
+                            if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
                                 continue;
                             }
                         }
@@ -248,7 +251,7 @@ impl<'a> BatchProbe<'a> {
                 }
                 match residual {
                     None => pairs.extend_from_slice(&cands),
-                    Some(res) => self.filter_residual(res, b, chunk, rows, &cands, pairs)?,
+                    Some(res) => self.filter_residual(res, b, chunk, slice, ctx, &cands, pairs)?,
                 }
                 return Ok(fell_back);
             }
@@ -270,7 +273,7 @@ impl<'a> BatchProbe<'a> {
                 }
                 if sel.is_none() {
                     if let Some(p) = prefilter {
-                        if !p.eval_bool(&[], rows[start + i].values())? {
+                        if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
                             continue;
                         }
                     }
@@ -332,6 +335,7 @@ impl<'a> BatchProbe<'a> {
         // skip the call entirely — `matches` would record nothing for them.)
         let mut matches: Vec<usize> = Vec::new();
         let mut key_scratch: Vec<Value> = Vec::new();
+        let rows = slice.rows(ctx);
         for i in 0..n {
             if !selected(i) {
                 continue;
@@ -381,12 +385,14 @@ impl<'a> BatchProbe<'a> {
     /// accounting are identical either way (vectorizable residuals are total,
     /// so no error path diverges), which is why this mode never reports a
     /// batch fallback.
+    #[allow(clippy::too_many_arguments)]
     fn filter_residual(
         &self,
         res: &BoundExpr,
         b: &Relation,
         chunk: &ColumnarChunk,
-        rows: &[Row],
+        slice: Slice,
+        ctx: &ExecContext,
         cands: &[(u32, usize)],
         pairs: &mut Vec<(u32, usize)>,
     ) -> Result<()> {
@@ -413,7 +419,10 @@ impl<'a> BatchProbe<'a> {
         for &(i, bi) in cands {
             let keep = match verdicts.get(&bi) {
                 Some(v) => v[i as usize],
-                None => res.eval_bool(b.rows()[bi].values(), rows[start + i as usize].values())?,
+                None => res.eval_bool(
+                    b.rows()[bi].values(),
+                    slice.rows(ctx)[start + i as usize].values(),
+                )?,
             };
             if keep {
                 pairs.push((i, bi));
@@ -755,7 +764,7 @@ pub(crate) fn apply_batch(
     ba: &BoundAgg,
     groups: &[(usize, Vec<u32>)],
     chunk: &ColumnarChunk,
-    rows: &[Row],
+    slice: Slice,
     start: usize,
     metered: bool,
     meter: &mut GrowthMeter,
@@ -783,6 +792,7 @@ pub(crate) fn apply_batch(
                 // the exact scalar update protocol value by value.
                 _ => {
                     ctx.count(Counter::fallback_agg, 1);
+                    let rows = slice.rows(ctx);
                     for (bi, idxs) in groups {
                         for &i in idxs {
                             states[*bi].update_value(&rows[start + i as usize][c])?;
@@ -794,6 +804,7 @@ pub(crate) fn apply_batch(
         ColStates::Boxed(states) => {
             // Kernel-less (e.g. holistic) aggregates never batch.
             ctx.count(Counter::fallback_agg, 1);
+            let rows = slice.rows(ctx);
             for (bi, idxs) in groups {
                 for &i in idxs {
                     let v = match ba.input_col {
@@ -915,7 +926,7 @@ mod tests {
     use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
     use mdj_expr::builder::*;
-    use mdj_storage::{DataType, ScanStats, Schema};
+    use mdj_storage::{DataType, Row, ScanStats, Schema};
     use std::sync::Arc;
 
     /// The serial driver with the batch evaluator, `k = 1`.
@@ -1465,7 +1476,7 @@ mod tests {
                     let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &needed);
                     let mut pairs = Vec::new();
                     let fell_back = probe
-                        .matches_batch(&chunk, rows, &b, None, &bctx, &mut pairs)
+                        .matches_batch(&chunk, Slice::Rows(rows), &b, None, &bctx, &mut pairs)
                         .unwrap();
                     assert!(!fell_back, "θ = {theta}, morsel {morsel}");
                     let mut want = Vec::new();

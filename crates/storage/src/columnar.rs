@@ -4,7 +4,9 @@
 //! into fixed-size batches and transposes each batch into a [`ColumnarChunk`]:
 //! per-column typed arrays (`i64`, `f64`, dictionary-coded strings) plus a
 //! null bitmap. Predicates and probe-key expressions then run as tight loops
-//! over native slices instead of per-row [`Value`] tree walks.
+//! over native slices instead of per-row [`Value`] tree walks. A page of the
+//! page store is decoded straight into the same form, by the same
+//! `ColumnBuilder`, with no rows in between (`pager::Page`).
 //!
 //! Column typing is *data-driven per batch*, not declared: a column whose
 //! values in the range are all `Int`-or-NULL becomes an [`Column::Int`], and
@@ -21,6 +23,7 @@
 //! probes every row by its `u32` code without materializing or re-hashing a
 //! single string value.
 
+use crate::hash::KeyBuildHasher;
 use crate::row::Row;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -80,6 +83,15 @@ impl ColumnarChunk {
         }
     }
 
+    /// A chunk of `len` rows starting at row 0 from already built columns.
+    pub(crate) fn from_columns(len: usize, columns: Vec<Column>) -> Self {
+        ColumnarChunk {
+            start: 0,
+            len,
+            columns,
+        }
+    }
+
     /// Index of this chunk's first row within the source relation.
     pub fn start(&self) -> usize {
         self.start
@@ -96,81 +108,271 @@ impl ColumnarChunk {
     pub fn column(&self, c: usize) -> &Column {
         &self.columns[c]
     }
+
+    /// Number of columns, materialized or not.
+    pub fn width(&self) -> usize {
+        self.columns.len()
+    }
+}
+
+impl Column {
+    /// Row `i`'s value of a typed column; `None` for an absent or fallback
+    /// column, which hold no values.
+    pub fn value(&self, i: usize) -> Option<Value> {
+        Some(match self {
+            Column::Int { nulls, .. } | Column::Float { nulls, .. } | Column::Str { nulls, .. }
+                if nulls[i] =>
+            {
+                Value::Null
+            }
+            Column::Int { vals, .. } => Value::Int(vals[i]),
+            Column::Float { vals, .. } => Value::Float(vals[i]),
+            Column::Str { codes, dict, .. } => Value::Str(dict[codes[i] as usize].clone()),
+            Column::Absent | Column::Fallback => return None,
+        })
+    }
 }
 
 fn build_column(range: &[Row], c: usize) -> Column {
     // Single-pass speculative transposition: the first non-NULL value picks
-    // the typed representation, the fill then runs straight through the range
-    // and abandons to `Fallback` on the first conflicting value. (The old
-    // code made a full type-sniffing pass before a second fill pass; the
-    // common all-one-type batch now walks the row-major data exactly once.)
-    let first = range.iter().find_map(|row| match &row[c] {
-        Value::Null => None,
-        other => Some(other),
-    });
-    match first {
-        // All-NULL ranges get a typed (but fully null) Int column so numeric
-        // kernels still apply; NULL semantics are carried by the bitmap.
-        None => Column::Int {
-            vals: vec![0; range.len()],
-            nulls: vec![true; range.len()],
-        },
-        Some(Value::Int(_)) => fill_ints(range, c),
-        Some(Value::Float(_)) => fill_floats(range, c),
-        Some(Value::Str(_)) => fill_strs(range, c),
-        // Booleans and `ALL` have no faithful typed representation.
-        Some(_) => Column::Fallback,
-    }
-}
-
-fn fill_ints(range: &[Row], c: usize) -> Column {
-    let n = range.len();
-    let mut vals = vec![0i64; n];
-    let mut nulls = vec![false; n];
-    for (i, row) in range.iter().enumerate() {
-        match &row[c] {
-            Value::Int(v) => vals[i] = *v,
-            Value::Null => nulls[i] = true,
-            _ => return Column::Fallback,
+    // the typed representation, and the first conflicting value abandons the
+    // column to `Fallback`.
+    let mut col = ColumnBuilder::new(range.len(), false);
+    for row in range {
+        col.push_value(&row[c]);
+        if col.fell_back() {
+            return Column::Fallback;
         }
     }
-    Column::Int { vals, nulls }
+    col.finish().0
 }
 
-fn fill_floats(range: &[Row], c: usize) -> Column {
-    let n = range.len();
-    let mut vals = vec![0f64; n];
-    let mut nulls = vec![false; n];
-    for (i, row) in range.iter().enumerate() {
-        match &row[c] {
-            Value::Float(v) => vals[i] = *v,
-            Value::Null => nulls[i] = true,
-            _ => return Column::Fallback,
+/// Builds one [`Column`] value by value under the data-driven typing rule of
+/// [`ColumnarChunk::from_rows`]: the first non-NULL value picks the type, a
+/// range of only NULLs is a fully null `Int` column, and a value of another
+/// type — or a boolean or `ALL` — makes the column `Fallback`. Both the
+/// transposition of resident rows and the page decoder
+/// (`PagedTable::read_columns`) build their columns here, so a page's chunk
+/// equals the transposition of its rows.
+///
+/// A `Str` column is coded by a dictionary keyed by the borrowed string, so
+/// a value already seen costs one hash and no reference-count traffic; only
+/// a new entry is cloned (or, from a page's bytes, allocated).
+pub(crate) struct ColumnBuilder<'a> {
+    state: Build<'a>,
+    /// Rows the column will hold (the typed vectors' capacity).
+    capacity: usize,
+    /// Keep the values of a column that falls back: a page rebuilds its rows
+    /// from its columns.
+    keep: bool,
+}
+
+enum Build<'a> {
+    /// Only NULLs so far: this many.
+    Nulls(usize),
+    Int {
+        vals: Vec<i64>,
+        nulls: Vec<bool>,
+    },
+    Float {
+        vals: Vec<f64>,
+        nulls: Vec<bool>,
+    },
+    Str {
+        codes: Vec<u32>,
+        nulls: Vec<bool>,
+        dict: Vec<Arc<str>>,
+        lookup: HashMap<&'a str, u32, KeyBuildHasher>,
+    },
+    /// No typed form; its values, kept.
+    Untyped(Vec<Value>),
+    /// No typed form; values dropped.
+    Fallback,
+}
+
+impl<'a> ColumnBuilder<'a> {
+    pub(crate) fn new(capacity: usize, keep: bool) -> Self {
+        ColumnBuilder {
+            state: Build::Nulls(0),
+            capacity,
+            keep,
         }
     }
-    Column::Float { vals, nulls }
-}
 
-fn fill_strs(range: &[Row], c: usize) -> Column {
-    let n = range.len();
-    let mut codes = vec![0u32; n];
-    let mut nulls = vec![false; n];
-    let mut dict: Vec<Arc<str>> = Vec::new();
-    let mut lookup: HashMap<Arc<str>, u32> = HashMap::new();
-    for (i, row) in range.iter().enumerate() {
-        match &row[c] {
-            Value::Str(s) => {
-                let code = *lookup.entry(s.clone()).or_insert_with(|| {
-                    dict.push(s.clone());
+    /// Whether the column fell back with its values dropped.
+    pub(crate) fn fell_back(&self) -> bool {
+        matches!(self.state, Build::Fallback)
+    }
+
+    /// `k` leading NULLs of a typed column (value slots zeroed).
+    fn leading_nulls<T: Clone>(&self, k: usize, zero: T) -> (Vec<T>, Vec<bool>) {
+        let mut vals = Vec::with_capacity(self.capacity);
+        vals.resize(k, zero);
+        let mut nulls = Vec::with_capacity(self.capacity);
+        nulls.resize(k, true);
+        (vals, nulls)
+    }
+
+    #[inline]
+    pub(crate) fn push_value(&mut self, v: &'a Value) {
+        match v {
+            Value::Null => self.push_null(),
+            Value::Int(i) => self.push_int(*i),
+            Value::Float(x) => self.push_float(*x),
+            Value::Str(s) => self.push_str(s, Some(s)),
+            Value::Bool(_) | Value::All => self.push_untyped(v.clone()),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push_null(&mut self) {
+        match &mut self.state {
+            Build::Nulls(k) => *k += 1,
+            Build::Int { vals, nulls } => {
+                vals.push(0);
+                nulls.push(true);
+            }
+            Build::Float { vals, nulls } => {
+                vals.push(0.0);
+                nulls.push(true);
+            }
+            Build::Str { codes, nulls, .. } => {
+                codes.push(0);
+                nulls.push(true);
+            }
+            Build::Untyped(values) => values.push(Value::Null),
+            Build::Fallback => {}
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push_int(&mut self, v: i64) {
+        match &mut self.state {
+            Build::Int { vals, nulls } => {
+                vals.push(v);
+                nulls.push(false);
+            }
+            &mut Build::Nulls(k) => {
+                let (mut vals, mut nulls) = self.leading_nulls(k, 0);
+                vals.push(v);
+                nulls.push(false);
+                self.state = Build::Int { vals, nulls };
+            }
+            _ => self.push_untyped(Value::Int(v)),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push_float(&mut self, v: f64) {
+        match &mut self.state {
+            Build::Float { vals, nulls } => {
+                vals.push(v);
+                nulls.push(false);
+            }
+            &mut Build::Nulls(k) => {
+                let (mut vals, mut nulls) = self.leading_nulls(k, 0.0);
+                vals.push(v);
+                nulls.push(false);
+                self.state = Build::Float { vals, nulls };
+            }
+            _ => self.push_untyped(Value::Float(v)),
+        }
+    }
+
+    /// Push a string; `shared` is an `Arc` of it to reuse for a new
+    /// dictionary entry (one is allocated otherwise).
+    #[inline]
+    pub(crate) fn push_str(&mut self, s: &'a str, shared: Option<&Arc<str>>) {
+        if let Build::Nulls(k) = self.state {
+            let (codes, nulls) = self.leading_nulls(k, 0u32);
+            self.state = Build::Str {
+                codes,
+                nulls,
+                dict: Vec::new(),
+                lookup: HashMap::default(),
+            };
+        }
+        let new_arc = || shared.cloned().unwrap_or_else(|| Arc::from(s));
+        match &mut self.state {
+            Build::Str {
+                codes,
+                nulls,
+                dict,
+                lookup,
+            } => {
+                let code = *lookup.entry(s).or_insert_with(|| {
+                    dict.push(new_arc());
                     (dict.len() - 1) as u32
                 });
-                codes[i] = code;
+                codes.push(code);
+                nulls.push(false);
             }
-            Value::Null => nulls[i] = true,
-            _ => return Column::Fallback,
+            _ => self.push_untyped(Value::Str(new_arc())),
         }
     }
-    Column::Str { codes, dict, nulls }
+
+    /// Push a value with no typed form here (a boolean, `ALL`, or one whose
+    /// type conflicts with the column's): the column falls back.
+    pub(crate) fn push_untyped(&mut self, v: Value) {
+        if !self.keep {
+            self.state = Build::Fallback;
+            return;
+        }
+        if !matches!(self.state, Build::Untyped(_)) {
+            let mut values = Vec::with_capacity(self.capacity);
+            match std::mem::replace(&mut self.state, Build::Fallback) {
+                Build::Nulls(k) => values.resize(k, Value::Null),
+                Build::Int { vals, nulls } => {
+                    values.extend(vals.into_iter().zip(nulls).map(|(v, null)| match null {
+                        true => Value::Null,
+                        false => Value::Int(v),
+                    }))
+                }
+                Build::Float { vals, nulls } => {
+                    values.extend(vals.into_iter().zip(nulls).map(|(v, null)| match null {
+                        true => Value::Null,
+                        false => Value::Float(v),
+                    }))
+                }
+                Build::Str {
+                    codes, nulls, dict, ..
+                } => values.extend(codes.into_iter().zip(nulls).map(|(c, null)| match null {
+                    true => Value::Null,
+                    false => Value::Str(dict[c as usize].clone()),
+                })),
+                Build::Untyped(_) | Build::Fallback => {
+                    unreachable!("a kept column has no dropped state")
+                }
+            }
+            self.state = Build::Untyped(values);
+        }
+        if let Build::Untyped(values) = &mut self.state {
+            values.push(v);
+        }
+    }
+
+    /// The column, and the values of one with no typed form when kept.
+    pub(crate) fn finish(self) -> (Column, Option<Vec<Value>>) {
+        match self.state {
+            // All-NULL ranges get a typed (but fully null) Int column so
+            // numeric kernels still apply; NULL semantics are carried by the
+            // bitmap.
+            Build::Nulls(k) => (
+                Column::Int {
+                    vals: vec![0; k],
+                    nulls: vec![true; k],
+                },
+                None,
+            ),
+            Build::Int { vals, nulls } => (Column::Int { vals, nulls }, None),
+            Build::Float { vals, nulls } => (Column::Float { vals, nulls }, None),
+            Build::Str {
+                codes, nulls, dict, ..
+            } => (Column::Str { codes, dict, nulls }, None),
+            Build::Untyped(values) => (Column::Fallback, Some(values)),
+            Build::Fallback => (Column::Fallback, None),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +462,48 @@ mod tests {
         let chunk = ColumnarChunk::from_rows(&rows, 0, 2, &[true, true]);
         assert!(matches!(chunk.column(0), Column::Fallback)); // Int + Float mix
         assert!(matches!(chunk.column(1), Column::Fallback)); // ALL
+    }
+
+    #[test]
+    fn a_kept_column_that_falls_back_keeps_every_value() {
+        let values = [
+            Value::Null,
+            Value::str("x"),
+            Value::Null,
+            Value::str("x"),
+            Value::Int(4),
+            Value::Bool(true),
+        ];
+        let mut kept = ColumnBuilder::new(values.len(), true);
+        let mut dropped = ColumnBuilder::new(values.len(), false);
+        for v in &values {
+            kept.push_value(v);
+            dropped.push_value(v);
+        }
+        assert!(dropped.fell_back());
+        assert!(matches!(dropped.finish(), (Column::Fallback, None)));
+        match kept.finish() {
+            (Column::Fallback, Some(back)) => assert_eq!(back, values),
+            other => panic!("expected kept fallback values, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn leading_nulls_then_strings_code_in_first_seen_order() {
+        let mut col = ColumnBuilder::new(5, true);
+        col.push_null();
+        col.push_null();
+        for s in ["b", "a", "b"] {
+            col.push_str(s, None);
+        }
+        match col.finish() {
+            (Column::Str { codes, dict, nulls }, None) => {
+                assert_eq!(codes, [0, 0, 0, 1, 0]);
+                assert_eq!(dict, [Arc::from("b"), Arc::from("a")]);
+                assert_eq!(nulls, [true, true, false, false, false]);
+            }
+            other => panic!("expected Str column, got {other:?}"),
+        }
     }
 
     #[test]

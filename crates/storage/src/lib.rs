@@ -34,7 +34,7 @@ pub use error::{Result, StorageError};
 pub use hash::{KeyBuildHasher, KeyHasher};
 pub use index::{HashIndex, SortedIndex};
 pub use pager::{
-    BufferPool, KeyBounds, NoFaults, PageMeta, PagedStore, PagedTable, PagerBootReport,
+    BufferPool, KeyBounds, NoFaults, Page, PageMeta, PagedStore, PagedTable, PagerBootReport,
     PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable, TempTableWriter,
 };
 pub use relation::{DistinctKeys, Relation};

@@ -8,16 +8,19 @@
 //! set of sealed pages crash-consistent, and a byte-budgeted buffer pool
 //! with pin counts mediates every read.
 //!
-//! ## Page format (version 1)
+//! ## Page format (version 2)
 //!
 //! ```text
 //! magic    b"MDJP"
-//! version  u32 LE (= 1)
+//! version  u32 LE (= 2)
 //! page_no  u64 LE
 //! rows     u32 LE
 //! payload  per row, per value: tag u8 + payload (`codec::encode_value`)
-//! trailer  checksum u64 LE (FNV-1a64 over all prior bytes)
+//! trailer  checksum u64 LE (`codec::checksum` over all prior bytes)
 //! ```
+//!
+//! Version 2 changed only the checksum: version 1 summed byte by byte with
+//! FNV-1a, version 2 word by word.
 //!
 //! Pages target a fixed byte size but are sealed on row boundaries, so a
 //! single row larger than the target makes one oversized page rather than
@@ -59,6 +62,9 @@
 //!
 //! ## Buffer pool invariants
 //!
+//! * a frame holds its page decoded once, straight into columns
+//!   ([`Page`]), and builds its rows only when a scalar path asks; it is
+//!   charged the page's on-disk bytes;
 //! * a pinned frame is never evicted;
 //! * eviction is strict LRU over unpinned frames (last-use tick order);
 //! * residency never exceeds the byte budget, and each resident frame may
@@ -69,6 +75,7 @@
 //!   truncation.
 
 use crate::codec::{self, Cursor};
+use crate::columnar::{ColumnBuilder, ColumnarChunk};
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::row::Row;
@@ -81,17 +88,18 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{Seek, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Page magic: "MD-Join Page".
 const PAGE_MAGIC: [u8; 4] = *b"MDJP";
 /// Manifest magic: "MD-Join Manifest".
 const MANIFEST_MAGIC: [u8; 4] = *b"MDJM";
 /// Current page/manifest format version.
-pub const PAGER_FORMAT_VERSION: u32 = 1;
+pub const PAGER_FORMAT_VERSION: u32 = 2;
 
 /// Manifest file names inside a data directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -341,19 +349,20 @@ fn encode_page(page_no: u64, rows: &[Row]) -> Vec<u8> {
             codec::encode_value(&mut buf, v);
         }
     }
-    let sum = codec::fnv1a(codec::FNV_OFFSET, &buf);
+    let sum = codec::checksum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
 
-/// Decode and fully validate one page read back from `path`.
-fn decode_page(
-    data: &[u8],
-    path: &Path,
+/// Validate one page read back from `path` — length, checksum, magic,
+/// version, page number and row count — and return a cursor at its first
+/// row with the row count.
+fn open_page<'a>(
+    data: &'a [u8],
+    path: &'a Path,
     meta: &PageMeta,
     page_no: u64,
-    arity: usize,
-) -> Result<Vec<Row>> {
+) -> Result<(Cursor<'a>, u32)> {
     if data.len() < PAGE_HEADER_BYTES + PAGE_TRAILER_BYTES {
         return Err(corrupt(
             path,
@@ -361,8 +370,8 @@ fn decode_page(
         ));
     }
     let (payload, trailer) = data.split_at(data.len() - PAGE_TRAILER_BYTES);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let actual = codec::fnv1a(codec::FNV_OFFSET, payload);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    let actual = codec::checksum(payload);
     if stored != actual {
         return Err(corrupt(
             path,
@@ -396,6 +405,29 @@ fn decode_page(
             format!("page {page_no}: {n_rows} rows, manifest says {}", meta.rows),
         ));
     }
+    Ok((c, n_rows))
+}
+
+/// The rows of a page end exactly where its payload does.
+fn close_page(c: &Cursor, path: &Path, page_no: u64) -> Result<()> {
+    if c.remaining() != 0 {
+        return Err(corrupt(
+            path,
+            format!("page {page_no}: trailing garbage inside sealed payload"),
+        ));
+    }
+    Ok(())
+}
+
+/// Decode and fully validate one page read back from `path` into rows.
+fn decode_page(
+    data: &[u8],
+    path: &Path,
+    meta: &PageMeta,
+    page_no: u64,
+    arity: usize,
+) -> Result<Vec<Row>> {
+    let (mut c, n_rows) = open_page(data, path, meta, page_no)?;
     // Every row encodes at least one byte a value, so the payload bounds
     // what the row count may reserve.
     let mut rows = Vec::with_capacity((n_rows as usize).min(c.remaining()));
@@ -406,13 +438,102 @@ fn decode_page(
         }
         rows.push(Row::new(vals));
     }
-    if c.pos != payload.len() {
-        return Err(corrupt(
-            path,
-            format!("page {page_no}: trailing garbage inside sealed payload"),
-        ));
-    }
+    close_page(&c, path, page_no)?;
     Ok(rows)
+}
+
+/// Decode and fully validate one page straight into its columns: one
+/// [`ColumnBuilder`] per schema column, fed from the validated bytes with no
+/// row in between, strings coded by a page-local dictionary.
+fn decode_page_columns(
+    data: &[u8],
+    path: &Path,
+    meta: &PageMeta,
+    page_no: u64,
+    arity: usize,
+) -> Result<Page> {
+    let (mut c, n_rows) = open_page(data, path, meta, page_no)?;
+    let n = (n_rows as usize).min(c.remaining());
+    let mut cols: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new(n, true)).collect();
+    for _ in 0..n_rows {
+        for col in cols.iter_mut() {
+            match c.u8()? {
+                0 => col.push_null(),
+                1 => col.push_untyped(Value::All),
+                2 => col.push_int(c.i64()?),
+                3 => col.push_float(f64::from_bits(c.u64()?)),
+                4 => col.push_str(c.str()?, None),
+                5 => col.push_untyped(Value::Bool(c.u8()? != 0)),
+                t => return Err(c.corrupt(format!("bad value tag {t}"))),
+            }
+        }
+    }
+    close_page(&c, path, page_no)?;
+    let (columns, untyped) = cols.into_iter().map(ColumnBuilder::finish).unzip();
+    Ok(Page {
+        chunk: ColumnarChunk::from_columns(n_rows as usize, columns),
+        untyped,
+        rows: OnceLock::new(),
+    })
+}
+
+/// A page as a buffer-pool frame holds it: its columns, decoded once from
+/// the validated bytes, and its rows, built from them only when a scalar
+/// path first asks — at most once per residency.
+#[derive(Debug)]
+pub struct Page {
+    chunk: ColumnarChunk,
+    /// Per column, the values of a [`Column::Fallback`](crate::Column)
+    /// column (which has no typed form); `None` for a typed one.
+    untyped: Vec<Option<Vec<Value>>>,
+    rows: OnceLock<Vec<Row>>,
+}
+
+impl Page {
+    /// Every column of the page, typed as [`ColumnarChunk::from_rows`] types
+    /// them.
+    pub fn chunk(&self) -> &ColumnarChunk {
+        &self.chunk
+    }
+
+    pub fn len(&self) -> usize {
+        self.chunk.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.chunk.is_empty()
+    }
+
+    /// The page's rows, built on the first call; `stats` counts the build as
+    /// `page_rows_built`.
+    pub fn rows_recorded(&self, stats: Option<&ScanStats>) -> &[Row] {
+        let mut built = false;
+        let rows = self.rows.get_or_init(|| {
+            built = true;
+            self.build_rows()
+        });
+        if let (true, Some(s)) = (built, stats) {
+            s.count(Counter::page_rows_built, 1);
+        }
+        rows
+    }
+
+    fn build_rows(&self) -> Vec<Row> {
+        (0..self.len())
+            .map(|i| {
+                (0..self.chunk.width())
+                    .map(|c| match &self.untyped[c] {
+                        Some(values) => values[i].clone(),
+                        None => self
+                            .chunk
+                            .column(c)
+                            .value(i)
+                            .expect("a page materializes every column"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Encoded bytes of `row`'s values (its share of a page payload).
@@ -505,7 +626,7 @@ fn encode_manifest(generation: u64, tables: &[TableMeta]) -> Vec<u8> {
             codec::encode_value(&mut buf, &p.max_key);
         }
     }
-    let sum = codec::fnv1a(codec::FNV_OFFSET, &buf);
+    let sum = codec::checksum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -519,7 +640,7 @@ fn decode_manifest(data: &[u8], path: &Path) -> Result<(u64, Vec<TableMeta>)> {
     }
     let (payload, trailer) = data.split_at(data.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let actual = codec::fnv1a(codec::FNV_OFFSET, payload);
+    let actual = codec::checksum(payload);
     if stored != actual {
         return Err(corrupt(
             path,
@@ -605,7 +726,7 @@ fn decode_manifest(data: &[u8], path: &Path) -> Result<(u64, Vec<TableMeta>)> {
             pages,
         });
     }
-    if c.pos != payload.len() {
+    if c.remaining() != 0 {
         return Err(corrupt(path, "trailing garbage after manifest tables"));
     }
     Ok((generation, tables))
@@ -632,6 +753,9 @@ pub struct PagedTable {
     key_col: usize,
     page_bytes: u64,
     path: PathBuf,
+    /// Read handle, opened on the first read and kept: every page read is
+    /// one positioned read (`pread`) on it.
+    file: OnceLock<fs::File>,
     state: RwLock<TableState>,
 }
 
@@ -641,6 +765,7 @@ impl PagedTable {
         PagedTable {
             table_id: TABLE_ID.fetch_add(1, AtomicOrder::Relaxed),
             path,
+            file: OnceLock::new(),
             name: meta.name,
             schema: meta.schema,
             key_col: meta.key_col,
@@ -734,22 +859,47 @@ impl PagedTable {
             .collect()
     }
 
+    /// The held read handle, opened on first use.
+    fn file(&self) -> Result<&fs::File> {
+        if let Some(file) = self.file.get() {
+            return Ok(file);
+        }
+        let file = fs::File::open(&self.path).map_err(|e| io_err(&self.path, e))?;
+        // A racing first read may have set it already; either handle works.
+        Ok(self.file.get_or_init(|| file))
+    }
+
+    /// One page's metadata and on-disk bytes, read with one positioned read.
+    fn read_bytes(&self, page_no: usize) -> Result<(PageMeta, Vec<u8>)> {
+        let meta = self.page_meta(page_no)?;
+        let mut data = vec![0u8; meta.len as usize];
+        self.file()?
+            .read_exact_at(&mut data, meta.offset)
+            .map_err(|e| {
+                corrupt(
+                    &self.path,
+                    format!("page {page_no}: short read ({e}) — torn or truncated file"),
+                )
+            })?;
+        Ok((meta, data))
+    }
+
     /// Read and fully validate one page from disk, bypassing any pool.
     /// Returns the decoded rows and the page's on-disk byte length.
     pub fn read_page(&self, page_no: usize) -> Result<(Vec<Row>, u64)> {
-        let meta = self.page_meta(page_no)?;
-        let mut file = fs::File::open(&self.path).map_err(|e| io_err(&self.path, e))?;
-        file.seek(SeekFrom::Start(meta.offset))
-            .map_err(|e| io_err(&self.path, e))?;
-        let mut data = vec![0u8; meta.len as usize];
-        file.read_exact(&mut data).map_err(|e| {
-            corrupt(
-                &self.path,
-                format!("page {page_no}: short read ({e}) — torn or truncated file"),
-            )
-        })?;
+        let (meta, data) = self.read_bytes(page_no)?;
         let rows = decode_page(&data, &self.path, &meta, page_no as u64, self.schema.len())?;
         Ok((rows, meta.len as u64))
+    }
+
+    /// Read and fully validate one page from disk straight into its columns
+    /// (a buffer-pool frame), bypassing any pool. Returns the page and its
+    /// on-disk byte length.
+    pub fn read_columns(&self, page_no: usize) -> Result<(Page, u64)> {
+        let (meta, data) = self.read_bytes(page_no)?;
+        let page =
+            decode_page_columns(&data, &self.path, &meta, page_no as u64, self.schema.len())?;
+        Ok((page, meta.len as u64))
     }
 
     /// Sequentially read the whole table back into a validated in-memory
@@ -1235,7 +1385,8 @@ type FrameKey = (u64, usize);
 
 #[derive(Debug)]
 struct Frame {
-    rows: Arc<Vec<Row>>,
+    page: Arc<Page>,
+    /// On-disk bytes of the page: what residency is charged.
     bytes: u64,
     pins: u32,
     /// Last-use tick; smallest unpinned tick is the LRU eviction victim.
@@ -1249,6 +1400,9 @@ struct Frame {
 #[derive(Debug)]
 struct PoolInner {
     frames: HashMap<FrameKey, Frame>,
+    /// The unpinned frames by last-use tick (ticks are unique): the first
+    /// entry is the strict-LRU victim.
+    lru: BTreeMap<u64, FrameKey>,
     resident: u64,
     tick: u64,
 }
@@ -1282,6 +1436,7 @@ impl BufferPool {
             charge,
             inner: Mutex::new(PoolInner {
                 frames: HashMap::new(),
+                lru: BTreeMap::new(),
                 resident: 0,
                 tick: 0,
             }),
@@ -1349,14 +1504,9 @@ impl BufferPool {
     /// Drop every unpinned frame (releasing their charge grants).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
-        let victims: Vec<FrameKey> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pins == 0)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in victims {
-            if let Some(f) = inner.frames.remove(&k) {
+        let inner = &mut *inner;
+        for key in std::mem::take(&mut inner.lru).into_values() {
+            if let Some(f) = inner.frames.remove(&key) {
                 inner.resident -= f.bytes;
             }
         }
@@ -1364,9 +1514,9 @@ impl BufferPool {
 
     /// Fetch a page through the pool, pinning it for the lifetime of the
     /// returned guard. A hit bumps recency; a miss reads from disk
-    /// (checksum-verified), evicting LRU unpinned frames as needed. Records
-    /// `pages_read`/`bytes_read` on misses and `pool_evictions` on
-    /// evictions into `stats`.
+    /// (checksum-verified) and decodes the page into its columns, evicting
+    /// LRU unpinned frames as needed. Records `pages_read`/`bytes_read` on
+    /// misses and `pool_evictions` on evictions into `stats`.
     pub fn fetch(
         self: &Arc<Self>,
         table: &PagedTable,
@@ -1374,32 +1524,31 @@ impl BufferPool {
         stats: Option<&ScanStats>,
     ) -> Result<PinnedPage> {
         let key: FrameKey = (table.table_id, page_no);
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(frame) = inner.frames.get_mut(&key) {
+            if frame.pins == 0 {
+                inner.lru.remove(&frame.tick);
+            }
             frame.pins += 1;
             frame.tick = tick;
             self.hits.fetch_add(1, AtomicOrder::Relaxed);
-            let rows = Arc::clone(&frame.rows);
             return Ok(PinnedPage {
                 pool: Arc::clone(self),
                 key,
-                rows,
+                page: Arc::clone(&frame.page),
             });
         }
 
         let need = table.page_meta(page_no)?.len as u64;
         // Evict strict-LRU unpinned frames until the page fits the budget.
         while inner.resident + need > self.budget {
-            let victim = inner
-                .frames
-                .iter()
-                .filter(|(_, f)| f.pins == 0)
-                .min_by_key(|(_, f)| f.tick)
-                .map(|(k, _)| *k);
-            let Some(vkey) = victim else { break };
-            let frame = inner.frames.remove(&vkey).expect("victim frame vanished");
+            let Some((_, vkey)) = inner.lru.pop_first() else {
+                break;
+            };
+            let frame = inner.frames.remove(&vkey).expect("LRU frame is resident");
             inner.resident -= frame.bytes;
             self.evictions.fetch_add(1, AtomicOrder::Relaxed);
             if let Some(s) = stats {
@@ -1427,7 +1576,7 @@ impl BufferPool {
         };
         // Disk read happens under the pool lock: serial-simple, and it
         // guarantees a page is decoded exactly once per residency.
-        let (rows, bytes) = table.read_page(page_no)?;
+        let (page, bytes) = table.read_columns(page_no)?;
         debug_assert_eq!(bytes, need);
         self.misses.fetch_add(1, AtomicOrder::Relaxed);
         self.bytes_read.fetch_add(bytes, AtomicOrder::Relaxed);
@@ -1435,11 +1584,11 @@ impl BufferPool {
             s.count(Counter::pages_read, 1);
             s.count(Counter::bytes_read, bytes);
         }
-        let rows = Arc::new(rows);
+        let page = Arc::new(page);
         inner.frames.insert(
             key,
             Frame {
-                rows: Arc::clone(&rows),
+                page: Arc::clone(&page),
                 bytes: need,
                 pins: 1,
                 tick,
@@ -1450,23 +1599,30 @@ impl BufferPool {
         Ok(PinnedPage {
             pool: Arc::clone(self),
             key,
-            rows,
+            page,
         })
     }
 }
 
-/// RAII pin on a resident page: dereferences to the decoded rows and
-/// unpins on drop. While any pin is held the frame cannot be evicted.
+/// RAII pin on a resident page: hands out its columns, dereferences to its
+/// rows (built on first use), and unpins on drop. While any pin is held the
+/// frame cannot be evicted.
 #[derive(Debug)]
 pub struct PinnedPage {
     pool: Arc<BufferPool>,
     key: FrameKey,
-    rows: Arc<Vec<Row>>,
+    page: Arc<Page>,
 }
 
 impl PinnedPage {
+    /// The resident page: its columns, and its rows on demand.
+    pub fn page(&self) -> &Page {
+        &self.page
+    }
+
+    /// The page's rows, built from its columns on first use.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.page.rows_recorded(None)
     }
 
     /// `(table_id, page_no)` of the pinned frame.
@@ -1479,15 +1635,25 @@ impl std::ops::Deref for PinnedPage {
     type Target = [Row];
 
     fn deref(&self) -> &[Row] {
-        &self.rows
+        self.rows()
     }
 }
 
 impl Drop for PinnedPage {
     fn drop(&mut self) {
-        let mut inner = self.pool.inner.lock().unwrap();
+        // Unpinning leaves the pool consistent whatever a panicking holder
+        // was doing, and a drop must not panic.
+        let mut guard = self
+            .pool
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let inner = &mut *guard;
         if let Some(frame) = inner.frames.get_mut(&self.key) {
             frame.pins = frame.pins.saturating_sub(1);
+            if frame.pins == 0 {
+                inner.lru.insert(frame.tick, self.key);
+            }
         }
     }
 }
@@ -1964,12 +2130,137 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Decode `bytes` as page 0 with both decoders: they must fail alike or
+    /// agree, the column decoder's rows equal to the row decoder's.
+    fn same_decoding(bytes: &[u8], meta: &PageMeta, arity: usize) -> Result<Vec<Row>> {
+        let path = Path::new("decoders");
+        let rows = decode_page(bytes, path, meta, 0, arity);
+        let page = decode_page_columns(bytes, path, meta, 0, arity);
+        match (rows, page) {
+            (Ok(rows), Ok(page)) => {
+                assert_eq!(page.len(), rows.len());
+                assert_eq!(page.rows_recorded(None), &rows[..]);
+                Ok(rows)
+            }
+            (Err(a), Err(b)) => {
+                assert!(
+                    matches!(
+                        (&a, &b),
+                        (
+                            StorageError::PageCorrupt { .. },
+                            StorageError::PageCorrupt { .. }
+                        )
+                    ),
+                    "{a:?} / {b:?}"
+                );
+                Err(a)
+            }
+            (a, b) => panic!("decoders disagree: {a:?} / {:?}", b.map(|p| p.len())),
+        }
+    }
+
+    #[test]
+    fn every_flipped_byte_of_a_sealed_page_or_manifest_is_page_corrupt() {
+        let dir = tmp_dir("flips");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(12), "k", 1 << 20).unwrap();
+        let meta = t.page_meta(0).unwrap();
+        let page = fs::read(dir.join("t.pages")).unwrap();
+        let manifest = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!(same_decoding(&page, &meta, 3).unwrap().len(), 12);
+        for i in 0..page.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = page.clone();
+                bad[i] ^= mask;
+                let err = same_decoding(&bad, &meta, 3).unwrap_err();
+                assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
+            }
+        }
+        for i in 0..manifest.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = manifest.clone();
+                bad[i] ^= mask;
+                let err = decode_manifest(&bad, Path::new("flips")).unwrap_err();
+                assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn arb_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            2 => Just(Value::Null),
+            1 => Just(Value::All),
+            3 => any::<i64>().prop_map(Value::Int),
+            3 => any::<u64>().prop_map(|b| Value::Float(f64::from_bits(b))),
+            3 => "[a-c é東]{0,4}".prop_map(Value::str),
+            1 => any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes behind a valid header and a recomputed checksum
+        /// reach the value decoding of both decoders.
+        #[test]
+        fn column_decoder_survives_arbitrary_payloads(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            rows in 0u32..6,
+            arity in 0usize..4,
+        ) {
+            let mut page = encode_page(0, &[]);
+            page.truncate(PAGE_HEADER_BYTES);
+            page[PAGE_HEADER_BYTES - 4..].copy_from_slice(&rows.to_le_bytes());
+            page.extend_from_slice(&body);
+            page.extend_from_slice(&[0; PAGE_TRAILER_BYTES]);
+            let page = resealed(&page);
+            let meta = PageMeta {
+                offset: 0,
+                len: page.len() as u32,
+                rows,
+                min_key: Value::Null,
+                max_key: Value::Null,
+            };
+            let _ = same_decoding(&page, &meta, arity);
+        }
+
+        /// Valid pages of mixed values, then a few bytes overwritten and the
+        /// checksum recomputed: the decoders fail alike or agree.
+        #[test]
+        fn column_decoder_survives_edited_pages(
+            values in proptest::collection::vec(arb_value(), 0..24),
+            arity in 1usize..4,
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<u16>(), proptest::prelude::any::<u8>()), 0..4),
+        ) {
+            let rows: Vec<Row> = values.chunks_exact(arity).map(|r| Row::new(r.to_vec())).collect();
+            let mut page = encode_page(0, &rows);
+            let meta = PageMeta {
+                offset: 0,
+                len: page.len() as u32,
+                rows: rows.len() as u32,
+                min_key: Value::Null,
+                max_key: Value::Null,
+            };
+            if edits.is_empty() {
+                proptest::prop_assert_eq!(same_decoding(&page, &meta, arity).unwrap(), rows);
+            }
+            let payload = page.len() - PAGE_TRAILER_BYTES;
+            for (at, byte) in edits {
+                page[at as usize % payload] = byte;
+            }
+            let _ = same_decoding(&resealed(&page), &meta, arity);
+        }
+    }
+
     /// `bytes` with its trailing checksum recomputed over the rest, so a
     /// mutation reaches the parser instead of stopping at the checksum.
     fn resealed(bytes: &[u8]) -> Vec<u8> {
         let payload = &bytes[..bytes.len().saturating_sub(PAGE_TRAILER_BYTES)];
         let mut out = payload.to_vec();
-        out.extend_from_slice(&codec::fnv1a(codec::FNV_OFFSET, payload).to_le_bytes());
+        out.extend_from_slice(&codec::checksum(payload).to_le_bytes());
         out
     }
 
@@ -1984,7 +2275,7 @@ mod tests {
         let path = Path::new("sweep");
         let decode = |is_page: bool, bytes: &[u8]| {
             let r = if is_page {
-                decode_page(bytes, path, &meta, 0, t.schema().len()).map(drop)
+                same_decoding(bytes, &meta, t.schema().len()).map(drop)
             } else {
                 decode_manifest(bytes, path).map(drop)
             };
@@ -2038,6 +2329,8 @@ mod tests {
         let err = decode_manifest(&manifest, path).unwrap_err();
         assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
         let err = decode_page(&page, path, &meta, 0, 1).unwrap_err();
+        assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
+        let err = decode_page_columns(&page, path, &meta, 0, 1).unwrap_err();
         assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
     }
 }

@@ -270,6 +270,10 @@ counter_table! {
         bytes_read "bytes_read" Sum check wire;
         /// Frames evicted from the buffer pool to admit new pages.
         pool_evictions "pool_evictions" Sum check wire;
+        /// Resident pages whose rows a scalar path had built from their
+        /// columns (at most once per residency; the batch paths read the
+        /// columns).
+        page_rows_built "rows_built" Sum - -;
     }
 }
 

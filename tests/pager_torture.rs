@@ -8,9 +8,12 @@
 //! end through `read_all`, so a checksum or pagination bug cannot hide
 //! behind the pool.
 
+use mdj_core::EngineConfig;
+use mdj_datagen::SalesConfig;
+use mdj_server::{ExecOptions, QueryService, ServiceConfig};
 use mdj_storage::{
-    BufferPool, DataType, PagedStore, PagedTable, PinnedPage, Relation, Row, Schema, StorageError,
-    Value,
+    BufferPool, Column, ColumnarChunk, DataType, PagedStore, PagedTable, PinnedPage, Relation, Row,
+    ScanStats, Schema, StorageError, Value,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -338,4 +341,198 @@ fn corrupted_page_is_rejected_not_served() {
     // Undamaged pages on the same table still verify and serve.
     let ok = pool.fetch(&table, 0, None).unwrap();
     assert!(!ok.is_empty());
+}
+
+/// Floats compare by bits, dictionaries by their strings in code order.
+fn same_column(a: &Column, b: &Column) -> bool {
+    match (a, b) {
+        (
+            Column::Int { vals, nulls },
+            Column::Int {
+                vals: v2,
+                nulls: n2,
+            },
+        ) => vals == v2 && nulls == n2,
+        (
+            Column::Float { vals, nulls },
+            Column::Float {
+                vals: v2,
+                nulls: n2,
+            },
+        ) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            bits(vals) == bits(v2) && nulls == n2
+        }
+        (
+            Column::Str { codes, dict, nulls },
+            Column::Str {
+                codes: c2,
+                dict: d2,
+                nulls: n2,
+            },
+        ) => codes == c2 && dict == d2 && nulls == n2,
+        (Column::Fallback, Column::Fallback) => true,
+        _ => false,
+    }
+}
+
+/// Every shape the typing rule distinguishes: NULLs, leading NULLs, an
+/// all-NULL column, mixed `Int`/`Float`, `Bool` and `ALL`, special floats,
+/// and empty and non-ASCII strings.
+fn mixed_relation(n: i64) -> Relation {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("mix", DataType::Any),
+        ("b", DataType::Any),
+        ("s", DataType::Str),
+        ("late", DataType::Str),
+        ("none", DataType::Any),
+    ]);
+    let floats = [0.5, -0.0, f64::NAN, f64::INFINITY, 1e-300, -7.25];
+    let strs = ["", "naïve", "東京", "NY", "a\u{0}b", "ü"];
+    let rows = (0..n)
+        .map(|r| {
+            let null_every = |m: i64, v: Value| if r % m == 0 { Value::Null } else { v };
+            Row::new(vec![
+                null_every(11, Value::Int(r % 23)),
+                null_every(3, Value::Int(r * 7 - 50)),
+                null_every(5, Value::Float(floats[r as usize % floats.len()])),
+                match r % 4 {
+                    0 => Value::Float(r as f64 + 0.5),
+                    _ => Value::Int(r),
+                },
+                match r % 5 {
+                    0 => Value::All,
+                    1 => Value::Null,
+                    _ => Value::Bool(r % 2 == 0),
+                },
+                null_every(7, Value::str(strs[r as usize % strs.len()])),
+                match r % 40 < 30 {
+                    true => Value::Null,
+                    false => Value::str(format!("late{}", r % 3)),
+                },
+                Value::Null,
+            ])
+        })
+        .collect();
+    Relation::from_rows(schema, rows)
+}
+
+/// A pool frame's chunk is the transposition of the page's rows —
+/// first-seen dictionary codes, null bitmaps, float bits — and its rows,
+/// built on demand, are the row decoder's.
+#[test]
+fn every_page_chunk_equals_the_transposition_of_its_rows() {
+    let rel = mixed_relation(300);
+    for page_bytes in [256u64, 512, 1024, 4096] {
+        let dir = CaseDir::new("chunks");
+        let (store, _) = PagedStore::open(dir.path()).unwrap();
+        let table = store.create_table("T", &rel, "k", page_bytes).unwrap();
+        let all = vec![true; table.schema().len()];
+        let pool = BufferPool::new(u64::MAX);
+        let mut kinds = std::collections::BTreeSet::new();
+        for page_no in 0..table.page_count() {
+            let (rows, bytes) = table.read_page(page_no).unwrap();
+            let want = ColumnarChunk::from_rows(&rows, 0, rows.len(), &all);
+            let pin = pool.fetch(&table, page_no, None).unwrap();
+            let (direct, direct_bytes) = table.read_columns(page_no).unwrap();
+            assert_eq!(direct_bytes, bytes);
+            for chunk in [pin.page().chunk(), direct.chunk()] {
+                assert_eq!(chunk.len(), rows.len());
+                assert_eq!(chunk.width(), all.len());
+                for c in 0..all.len() {
+                    assert!(
+                        same_column(chunk.column(c), want.column(c)),
+                        "{page_bytes} B page {page_no} column {c}: {:?} vs {:?}",
+                        chunk.column(c),
+                        want.column(c)
+                    );
+                    kinds.insert(format!("{c}:{:?}", std::mem::discriminant(chunk.column(c))));
+                }
+            }
+            let stats = ScanStats::new();
+            assert_eq!(pin.page().rows_recorded(Some(&stats)), &rows[..]);
+            assert_eq!(pin.page().rows_recorded(Some(&stats)), &rows[..]);
+            assert_eq!(&*pin, &rows[..]);
+            assert_eq!(stats.page_rows_built(), 1, "rows built once per residency");
+        }
+        // The data reached every typed form and the fallback.
+        let variants: std::collections::BTreeSet<_> =
+            kinds.iter().map(|k| k.split(':').nth(1).unwrap()).collect();
+        assert!(variants.len() >= 4, "{page_bytes} B: {kinds:?}");
+    }
+}
+
+/// A service over a page store of `rows` datagen sales rows read through a
+/// `pool_bytes` buffer pool, and one over the same rows resident.
+fn paged_and_resident(dir: &Path, rows: usize, pool_bytes: u64) -> [QueryService; 2] {
+    let sales = mdj_datagen::sales(&SalesConfig::default().with_rows(rows).with_seed(7));
+    let (store, _) = PagedStore::open(dir).unwrap();
+    let table = store.create_table("Sales", &sales, "month", 4096).unwrap();
+    let clustered = table.read_all(None).unwrap();
+    let engine = EngineConfig::new()
+        .register_table("Sales", clustered.clone())
+        .build();
+    engine.catalog().attach_paged("Sales", table).unwrap();
+    let paged = QueryService::new(engine, ServiceConfig::default());
+    paged
+        .engine()
+        .attach_buffer_pool(BufferPool::new(pool_bytes));
+    paged.attach_paged_store(store);
+    let resident = EngineConfig::new()
+        .register_table("Sales", clustered)
+        .build();
+    [paged, QueryService::new(resident, ServiceConfig::default())]
+}
+
+/// The statements a page-store workload serves — point, range and full
+/// group-bys, one on a non-key column, and a cube — read every page through
+/// its columns: no page builds rows, with the pool cold or warm, and every
+/// answer equals the resident one bit for bit.
+#[test]
+fn served_paged_statements_build_no_rows() {
+    let dir = CaseDir::new("served");
+    // The pool holds about an eighth of the table: most fetches miss.
+    let [paged, resident] = paged_and_resident(dir.path(), 6_000, 48 * 1024);
+    let statements: [(&str, Vec<Value>); 5] = [
+        (
+            "select cust, sum(sale), count(*) from Sales where month = ? group by cust",
+            vec![Value::Int(3)],
+        ),
+        (
+            "select cust, sum(sale), count(*) from Sales where month between ? and ? group by cust",
+            vec![Value::Int(2), Value::Int(5)],
+        ),
+        (
+            "select cust, sum(sale), count(*) from Sales group by cust",
+            vec![],
+        ),
+        (
+            "select cust, sum(sale), count(*) from Sales where state = ? group by cust",
+            vec![Value::str("NY")],
+        ),
+        (
+            "select prod, month, sum(sale) from Sales analyze by cube(prod, month)",
+            vec![],
+        ),
+    ];
+    let run = |svc: &QueryService, sql: &str, params: &[Value]| {
+        let sid = svc.open_session();
+        let (stmt, _) = svc.prepare(sid, sql).unwrap();
+        svc.execute(sid, stmt, params, ExecOptions::default())
+            .unwrap()
+            .relation
+    };
+    for round in 0..2 {
+        for (sql, params) in &statements {
+            let got = run(&paged, sql, params);
+            assert_eq!(got.rows(), run(&resident, sql, params).rows(), "{sql}");
+        }
+        let totals = paged.totals();
+        assert!(totals.pages_read > 0, "round {round}: {totals}");
+        assert_eq!(totals.page_rows_built, 0, "round {round}: {totals}");
+    }
+    paged.engine().buffer_pool().unwrap().clear();
 }
