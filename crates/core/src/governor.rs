@@ -251,8 +251,14 @@ impl MemoryPool {
     fn release(&self, bytes: u64) {
         let mut state = self.lock();
         state.reserved = state.reserved.saturating_sub(bytes);
+        // A waiter counts itself under this lock before it waits, so none
+        // can be missed; skipping the notify spares the wake syscall on the
+        // common release that nobody waits for.
+        let waiting = state.waiters > 0;
         drop(state);
-        self.freed.notify_all();
+        if waiting {
+            self.freed.notify_all();
+        }
     }
 }
 
@@ -592,8 +598,11 @@ mod tests {
             p2.reserve_timeout(60, Duration::from_secs(30), 4)
                 .map(|g| g.bytes())
         });
-        // Give the waiter time to queue, then free the pool.
-        std::thread::sleep(Duration::from_millis(30));
+        // Free the pool only once the waiter is queued, so the release
+        // must wake it.
+        while pool.waiters() == 0 {
+            std::thread::yield_now();
+        }
         drop(g);
         assert_eq!(waiter.join().unwrap().unwrap(), 60);
         // The waiter's grant was dropped when its thread returned the size.

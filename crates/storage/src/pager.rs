@@ -72,7 +72,22 @@
 //!   `MemoryPool`) whose grant is released on eviction or pool drop;
 //! * when neither eviction nor the hook can make room the fetch fails with
 //!   [`StorageError::PoolExhausted`] — never a panic, never silent
-//!   truncation.
+//!   truncation;
+//! * the pool lock covers bookkeeping only. Under it a miss evicts, takes
+//!   the hook's grant and inserts a pinned *loading* frame, charged its
+//!   on-disk bytes like any other; it then reads, validates and decodes
+//!   the page with the lock released and publishes the page into the frame,
+//!   so concurrent misses on different pages overlap;
+//! * single flight: a fetch that finds a page loading pins the frame and
+//!   waits on its one-shot slot instead of reading the page again, so a
+//!   page is read and decoded once per residency and counted as one miss;
+//! * frames are freed outside the lock: evicted and cleared frames — their
+//!   columns and their grants, whose release takes the hook's own lock —
+//!   drop after the pool lock is released;
+//! * a failed load (read or validation error, or a decode that unwinds)
+//!   removes its loading frame, with every waiter's pin in it, returns its
+//!   bytes and grant, and wakes every waiter with the same typed error;
+//!   an unpin only ever touches its own residency of a page.
 
 use crate::codec::{self, Cursor};
 use crate::columnar::{ColumnBuilder, ColumnarChunk};
@@ -92,7 +107,7 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 /// Page magic: "MD-Join Page".
 const PAGE_MAGIC: [u8; 4] = *b"MDJP";
@@ -1383,9 +1398,47 @@ impl Drop for TempTable {
 
 type FrameKey = (u64, usize);
 
+/// What a frame holds: the page, or the promise of it.
+#[derive(Debug)]
+enum FrameState {
+    /// Reserved by a miss that reads and decodes the page outside the pool
+    /// lock. A fetch that finds the frame here pins it and waits on the
+    /// slot, creating it if it is the first to wait, so a load nobody
+    /// waits for publishes nothing but the frame.
+    Loading(Option<Arc<LoadSlot>>),
+    Ready(Arc<Page>),
+}
+
+/// A loading frame's one-shot slot: its loader publishes the page, or the
+/// error that stopped the read, exactly once.
+#[derive(Debug, Default)]
+struct LoadSlot {
+    result: Mutex<Option<Result<Arc<Page>>>>,
+    published: Condvar,
+}
+
+impl LoadSlot {
+    fn publish(&self, result: Result<Arc<Page>>) {
+        // One whole write: a poisoned lock still guards a valid value.
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.published.notify_all();
+    }
+
+    fn wait(&self) -> Result<Arc<Page>> {
+        let result = self.result.lock().unwrap_or_else(PoisonError::into_inner);
+        let result = self
+            .published
+            .wait_while(result, |r| r.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        result
+            .clone()
+            .expect("the wait ends once a result is published")
+    }
+}
+
 #[derive(Debug)]
 struct Frame {
-    page: Arc<Page>,
+    state: FrameState,
     /// On-disk bytes of the page: what residency is charged.
     bytes: u64,
     pins: u32,
@@ -1420,6 +1473,108 @@ pub struct BufferPool {
     evictions: AtomicU64,
 }
 
+/// What a fetch decided under the pool lock.
+enum Admission<'a> {
+    /// The page is resident, and now pinned.
+    Ready(Arc<Page>),
+    /// Another fetch is loading the page; its frame is now pinned, and the
+    /// page arrives through the slot.
+    Loading(Arc<LoadSlot>),
+    /// A pinned loading frame was reserved for this fetch to read into.
+    Reserved(Load<'a>),
+}
+
+/// A reserved loading frame, owned by the fetch that must read its page.
+/// Dropped unpublished (the read unwound), it abandons the frame, so no
+/// waiter hangs and no bytes or pins leak.
+struct Load<'a> {
+    pool: &'a Arc<BufferPool>,
+    table: &'a PagedTable,
+    key: FrameKey,
+    published: bool,
+}
+
+impl Load<'_> {
+    /// Read, validate and decode the page with the pool unlocked, then
+    /// publish it to the frame and to every waiter.
+    fn read(mut self, stats: Option<&ScanStats>) -> Result<PinnedPage> {
+        let (page, bytes) = match self.table.read_columns(self.key.1) {
+            Ok(read) => read,
+            Err(e) => {
+                self.abandon(e.clone());
+                return Err(e);
+            }
+        };
+        self.pool.misses.fetch_add(1, AtomicOrder::Relaxed);
+        self.pool.bytes_read.fetch_add(bytes, AtomicOrder::Relaxed);
+        if let Some(s) = stats {
+            s.count(Counter::pages_read, 1);
+            s.count(Counter::bytes_read, bytes);
+        }
+        let page = Arc::new(page);
+        let loading = std::mem::replace(
+            &mut self
+                .pool
+                .lock()
+                .frames
+                .get_mut(&self.key)
+                .expect("only its loader removes a loading frame")
+                .state,
+            FrameState::Ready(Arc::clone(&page)),
+        );
+        self.published = true;
+        if let FrameState::Loading(Some(slot)) = loading {
+            slot.publish(Ok(Arc::clone(&page)));
+        }
+        Ok(PinnedPage {
+            pool: Arc::clone(self.pool),
+            key: self.key,
+            page,
+        })
+    }
+
+    /// Remove the loading frame with every waiter's pin in it, return its
+    /// bytes and charge grant, then wake the waiters with `err`.
+    fn abandon(&mut self, err: StorageError) {
+        self.published = true;
+        let frame = {
+            // Also runs while unwinding, where a panic would abort.
+            let mut inner = self
+                .pool
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let frame = inner.frames.remove(&self.key);
+            if let Some(f) = &frame {
+                inner.resident -= f.bytes;
+            }
+            frame
+        };
+        if let Some(Frame {
+            state: FrameState::Loading(Some(slot)),
+            grant,
+            ..
+        }) = frame
+        {
+            // Waiters wake to a pool that has its bytes back.
+            drop(grant);
+            slot.publish(Err(err));
+        }
+    }
+}
+
+impl Drop for Load<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            let err = io_err(
+                &self.table.path,
+                format!("page {}: the read unwound before it finished", self.key.1),
+            );
+            self.abandon(err);
+        }
+    }
+}
+
 impl BufferPool {
     pub fn new(budget: u64) -> Arc<BufferPool> {
         Self::with_charge_hook(budget, None)
@@ -1447,47 +1602,49 @@ impl BufferPool {
         })
     }
 
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner
+            .lock()
+            .expect("a buffer-pool lock holder panicked")
+    }
+
     pub fn budget(&self) -> u64 {
         self.budget
     }
 
-    /// Bytes currently resident (pinned + cached).
+    /// Bytes currently resident (pinned + cached + loading).
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().resident
+        self.lock().resident
     }
 
     pub fn resident_frames(&self) -> usize {
-        self.inner.lock().unwrap().frames.len()
+        self.lock().frames.len()
     }
 
     /// Total pin count across all frames; zero means fully drained.
     pub fn pinned_total(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        inner.frames.values().map(|f| f.pins as u64).sum()
+        self.lock().frames.values().map(|f| f.pins as u64).sum()
     }
 
     pub fn is_resident(&self, table: &PagedTable, page_no: usize) -> bool {
-        self.inner
-            .lock()
-            .unwrap()
-            .frames
-            .contains_key(&(table.table_id, page_no))
+        self.lock().frames.contains_key(&(table.table_id, page_no))
     }
 
     /// Pin count of one page, if resident.
     pub fn pin_count(&self, table: &PagedTable, page_no: usize) -> Option<u32> {
-        self.inner
-            .lock()
-            .unwrap()
+        self.lock()
             .frames
             .get(&(table.table_id, page_no))
             .map(|f| f.pins)
     }
 
+    /// Fetches served without a read of their own: resident pages, and
+    /// pages another fetch was loading.
     pub fn hits(&self) -> u64 {
         self.hits.load(AtomicOrder::Relaxed)
     }
 
+    /// Pages read and decoded, each once per residency.
     pub fn misses(&self) -> u64 {
         self.misses.load(AtomicOrder::Relaxed)
     }
@@ -1503,11 +1660,15 @@ impl BufferPool {
 
     /// Drop every unpinned frame (releasing their charge grants).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
+        // Declared before the guard, so the frames are freed after the
+        // lock is released.
+        let mut freed = Vec::new();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         for key in std::mem::take(&mut inner.lru).into_values() {
             if let Some(f) = inner.frames.remove(&key) {
                 inner.resident -= f.bytes;
+                freed.push(f);
             }
         }
     }
@@ -1515,7 +1676,8 @@ impl BufferPool {
     /// Fetch a page through the pool, pinning it for the lifetime of the
     /// returned guard. A hit bumps recency; a miss reads from disk
     /// (checksum-verified) and decodes the page into its columns, evicting
-    /// LRU unpinned frames as needed. Records `pages_read`/`bytes_read` on
+    /// LRU unpinned frames as needed, and a fetch of a page another fetch
+    /// is loading waits for that load. Records `pages_read`/`bytes_read` on
     /// misses and `pool_evictions` on evictions into `stats`.
     pub fn fetch(
         self: &Arc<Self>,
@@ -1523,8 +1685,33 @@ impl BufferPool {
         page_no: usize,
         stats: Option<&ScanStats>,
     ) -> Result<PinnedPage> {
+        let page = match self.admit(table, page_no, stats)? {
+            Admission::Ready(page) => page,
+            Admission::Loading(slot) => slot.wait()?,
+            Admission::Reserved(load) => return load.read(stats),
+        };
+        self.hits.fetch_add(1, AtomicOrder::Relaxed);
+        Ok(PinnedPage {
+            pool: Arc::clone(self),
+            key: (table.table_id, page_no),
+            page,
+        })
+    }
+
+    /// The part of a fetch done under the pool lock: pin the page's frame,
+    /// resident or loading, or evict to fit and reserve a loading frame for
+    /// the miss.
+    fn admit<'a>(
+        self: &'a Arc<Self>,
+        table: &'a PagedTable,
+        page_no: usize,
+        stats: Option<&ScanStats>,
+    ) -> Result<Admission<'a>> {
         let key: FrameKey = (table.table_id, page_no);
-        let mut guard = self.inner.lock().unwrap();
+        // Declared before the guard, so evicted frames (their columns and
+        // charge grants) are freed after the lock is released.
+        let mut evicted = Vec::new();
+        let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
@@ -1534,11 +1721,11 @@ impl BufferPool {
             }
             frame.pins += 1;
             frame.tick = tick;
-            self.hits.fetch_add(1, AtomicOrder::Relaxed);
-            return Ok(PinnedPage {
-                pool: Arc::clone(self),
-                key,
-                page: Arc::clone(&frame.page),
+            return Ok(match &mut frame.state {
+                FrameState::Ready(page) => Admission::Ready(Arc::clone(page)),
+                FrameState::Loading(slot) => {
+                    Admission::Loading(Arc::clone(slot.get_or_insert_with(Default::default)))
+                }
             });
         }
 
@@ -1554,7 +1741,7 @@ impl BufferPool {
             if let Some(s) = stats {
                 s.count(Counter::pool_evictions, 1);
             }
-            // Dropping `frame` here releases its charge grant.
+            evicted.push(frame);
         }
         if inner.resident + need > self.budget {
             return Err(StorageError::PoolExhausted {
@@ -1574,21 +1761,10 @@ impl BufferPool {
             ),
             None => None,
         };
-        // Disk read happens under the pool lock: serial-simple, and it
-        // guarantees a page is decoded exactly once per residency.
-        let (page, bytes) = table.read_columns(page_no)?;
-        debug_assert_eq!(bytes, need);
-        self.misses.fetch_add(1, AtomicOrder::Relaxed);
-        self.bytes_read.fetch_add(bytes, AtomicOrder::Relaxed);
-        if let Some(s) = stats {
-            s.count(Counter::pages_read, 1);
-            s.count(Counter::bytes_read, bytes);
-        }
-        let page = Arc::new(page);
         inner.frames.insert(
             key,
             Frame {
-                page: Arc::clone(&page),
+                state: FrameState::Loading(None),
                 bytes: need,
                 pins: 1,
                 tick,
@@ -1596,11 +1772,12 @@ impl BufferPool {
             },
         );
         inner.resident += need;
-        Ok(PinnedPage {
-            pool: Arc::clone(self),
+        Ok(Admission::Reserved(Load {
+            pool: self,
+            table,
             key,
-            page,
-        })
+            published: false,
+        }))
     }
 }
 
@@ -1650,6 +1827,11 @@ impl Drop for PinnedPage {
             .unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
         if let Some(frame) = inner.frames.get_mut(&self.key) {
+            // This pin's residency only: a later load of the key holds
+            // another page.
+            if !matches!(&frame.state, FrameState::Ready(page) if Arc::ptr_eq(page, &self.page)) {
+                return;
+            }
             frame.pins = frame.pins.saturating_sub(1);
             if frame.pins == 0 {
                 inner.lru.insert(frame.tick, self.key);
@@ -1964,27 +2146,27 @@ mod tests {
         }
     }
 
+    #[derive(Debug)]
+    struct ArcHook(Arc<CountingHook>);
+    impl PoolChargeHook for ArcHook {
+        fn reserve(
+            &self,
+            bytes: u64,
+        ) -> std::result::Result<Box<dyn Any + Send>, PoolChargeFailed> {
+            if self.0.refuse.load(AtomicOrder::Relaxed) {
+                return Err(PoolChargeFailed {
+                    needed: bytes,
+                    available: 0,
+                    capacity: 0,
+                });
+            }
+            self.0.reserved.fetch_add(bytes, AtomicOrder::Relaxed);
+            Ok(Box::new(HookGrant(Arc::clone(&self.0), bytes)))
+        }
+    }
+
     #[test]
     fn charge_hook_grants_are_released_on_eviction_and_drop() {
-        #[derive(Debug)]
-        struct ArcHook(Arc<CountingHook>);
-        impl PoolChargeHook for ArcHook {
-            fn reserve(
-                &self,
-                bytes: u64,
-            ) -> std::result::Result<Box<dyn Any + Send>, PoolChargeFailed> {
-                if self.0.refuse.load(AtomicOrder::Relaxed) {
-                    return Err(PoolChargeFailed {
-                        needed: bytes,
-                        available: 0,
-                        capacity: 0,
-                    });
-                }
-                self.0.reserved.fetch_add(bytes, AtomicOrder::Relaxed);
-                Ok(Box::new(HookGrant(Arc::clone(&self.0), bytes)))
-            }
-        }
-
         let dir = tmp_dir("charge");
         let (store, _) = open(&dir);
         let t = store.create_table("t", &sales(120), "k", 256).unwrap();
@@ -2005,6 +2187,162 @@ mod tests {
         counting.refuse.store(true, AtomicOrder::Relaxed);
         let err = pool.fetch(&t, 2, None).unwrap_err();
         assert!(matches!(err, StorageError::PoolExhausted { .. }), "{err:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    impl CountingHook {
+        /// Bytes charged and not yet released.
+        fn outstanding(&self) -> u64 {
+            self.reserved.load(AtomicOrder::Relaxed) - self.released.load(AtomicOrder::Relaxed)
+        }
+    }
+
+    /// Reserve `page_no`'s loading frame as a cold miss would, then let
+    /// `waiters` threads fetch the page and return once every one of them
+    /// has pinned the loading frame, so each must wait on the load.
+    fn reserve_with_waiters<'s, 'a: 's>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        pool: &'a Arc<BufferPool>,
+        table: &'a PagedTable,
+        page_no: usize,
+        waiters: u32,
+        stats: &'a ScanStats,
+    ) -> (
+        Load<'a>,
+        Vec<std::thread::ScopedJoinHandle<'s, Result<PinnedPage>>>,
+    ) {
+        let Admission::Reserved(load) = pool.admit(table, page_no, Some(stats)).unwrap() else {
+            panic!("page {page_no} must be a cold miss");
+        };
+        let handles = (0..waiters)
+            .map(|_| scope.spawn(move || pool.fetch(table, page_no, Some(stats))))
+            .collect();
+        while pool.pin_count(table, page_no) != Some(waiters + 1) {
+            std::thread::yield_now();
+        }
+        (load, handles)
+    }
+
+    #[test]
+    fn threads_share_one_read_of_a_loading_page() {
+        let dir = tmp_dir("single-flight");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(120), "k", 256).unwrap();
+        let pool = BufferPool::new(1 << 20);
+        let stats = ScanStats::new();
+        let pins = std::thread::scope(|s| {
+            let (load, waiters) = reserve_with_waiters(s, &pool, &t, 0, 4, &stats);
+            let mut pins = vec![load.read(Some(&stats)).unwrap()];
+            pins.extend(waiters.into_iter().map(|w| w.join().unwrap().unwrap()));
+            pins
+        });
+        assert_eq!((pool.misses(), pool.hits()), (1, 4));
+        assert_eq!(stats.pages_read(), 1);
+        assert_eq!(pool.bytes_read(), t.page_meta(0).unwrap().len as u64);
+        assert!(pins.iter().all(|p| Arc::ptr_eq(&p.page, &pins[0].page)));
+        assert_eq!(&*pins[0], &t.read_page(0).unwrap().0[..]);
+        assert_eq!(pool.pinned_total(), 5);
+        drop(pins);
+        assert_eq!(pool.pinned_total(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_waiting_on_a_failed_load_all_get_its_error() {
+        let dir = tmp_dir("fan-out");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(120), "k", 256).unwrap();
+        let meta = t.page_meta(1).unwrap();
+        let data = dir.join("t.pages");
+        let mut bytes = fs::read(&data).unwrap();
+        bytes[meta.offset as usize + meta.len as usize / 2] ^= 0x01;
+        fs::write(&data, &bytes).unwrap();
+        let counting = Arc::new(CountingHook::default());
+        let pool =
+            BufferPool::with_charge_hook(1 << 20, Some(Arc::new(ArcHook(Arc::clone(&counting)))));
+        drop(pool.fetch(&t, 0, None).unwrap());
+        let (resident, charged) = (pool.resident_bytes(), counting.outstanding());
+        let stats = ScanStats::new();
+        let (err, errs) = std::thread::scope(|s| {
+            let (load, waiters) = reserve_with_waiters(s, &pool, &t, 1, 3, &stats);
+            assert_eq!(pool.resident_bytes(), resident + meta.len as u64);
+            assert_eq!(counting.outstanding(), charged + meta.len as u64);
+            let err = load.read(Some(&stats)).unwrap_err();
+            let errs: Vec<_> = waiters
+                .into_iter()
+                .map(|w| w.join().unwrap().unwrap_err())
+                .collect();
+            (err, errs)
+        });
+        assert!(matches!(err, StorageError::PageCorrupt { .. }), "{err:?}");
+        assert!(errs.iter().all(|e| *e == err), "{errs:?}");
+        assert!(!pool.is_resident(&t, 1));
+        assert_eq!(pool.resident_bytes(), resident);
+        assert_eq!(counting.outstanding(), charged);
+        assert_eq!(pool.pinned_total(), 0);
+        assert_eq!((pool.misses(), stats.pages_read()), (1, 0));
+        // Nothing of the failed load is cached: the next fetch reads the
+        // page again and fails the same way.
+        assert_eq!(pool.fetch(&t, 1, None).unwrap_err(), err);
+        assert_eq!(pool.resident_bytes(), resident);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_waiting_on_an_unwinding_load_get_a_typed_error() {
+        let dir = tmp_dir("unwind");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(120), "k", 256).unwrap();
+        let pool = BufferPool::new(1 << 20);
+        let stats = ScanStats::new();
+        let errs = std::thread::scope(|s| {
+            let (load, waiters) = reserve_with_waiters(s, &pool, &t, 0, 3, &stats);
+            // A decode that panics drops its load while unwinding.
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _load = load;
+                std::panic::resume_unwind(Box::new("decode bug"));
+            }));
+            assert!(unwound.is_err());
+            waiters
+                .into_iter()
+                .map(|w| w.join().unwrap().unwrap_err())
+                .collect::<Vec<_>>()
+        });
+        assert!(
+            errs.iter()
+                .all(|e| matches!(e, StorageError::PagerIo { .. })),
+            "{errs:?}"
+        );
+        assert!(!pool.is_resident(&t, 0));
+        assert_eq!((pool.resident_bytes(), pool.pinned_total()), (0, 0));
+        assert_eq!(
+            &*pool.fetch(&t, 0, None).unwrap(),
+            &t.read_page(0).unwrap().0[..]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unpin_never_touches_a_later_residency() {
+        let dir = tmp_dir("residency");
+        let (store, _) = open(&dir);
+        let t = store.create_table("t", &sales(120), "k", 256).unwrap();
+        let pool = BufferPool::new(1 << 20);
+        let old = pool.fetch(&t, 0, None).unwrap();
+        // Retire the pinned frame behind its pin's back, then load the page
+        // again: the old pin's drop must leave the new residency alone.
+        {
+            let mut inner = pool.lock();
+            let frame = inner.frames.remove(&old.key()).unwrap();
+            inner.resident -= frame.bytes;
+        }
+        let new = pool.fetch(&t, 0, None).unwrap();
+        drop(old);
+        assert_eq!(pool.pin_count(&t, 0), Some(1));
+        drop(new);
+        assert_eq!(pool.pin_count(&t, 0), Some(0));
+        pool.clear();
+        assert_eq!(pool.resident_frames(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

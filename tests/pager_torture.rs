@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const PAGE_BYTES: u64 = 128;
 const POOL_BUDGET: u64 = 512;
@@ -27,6 +27,8 @@ const POOL_BUDGET: u64 = 512;
 /// exceed the budget (forcing `PoolExhausted`), low enough to keep most
 /// steps admissible.
 const MAX_HELD: usize = 6;
+/// Threads in the concurrent tests.
+const THREADS: usize = 4;
 
 struct CaseDir(PathBuf);
 
@@ -320,7 +322,9 @@ proptest! {
 }
 
 /// A flipped byte anywhere in a page makes its checksum fail: the pool must
-/// surface `PageCorrupt` (never wrong rows) and must not admit the frame.
+/// surface `PageCorrupt` (never wrong rows) and must not admit the frame —
+/// to every one of several threads that fetch the page at once, and again
+/// to a later fetch.
 #[test]
 fn corrupted_page_is_rejected_not_served() {
     let (dir, _store, table, _shadow) = fresh_store();
@@ -331,16 +335,133 @@ fn corrupted_page_is_rejected_not_served() {
     bytes[victim] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
     let pool = BufferPool::new(POOL_BUDGET);
-    let err = pool.fetch(&table, 1, None);
-    assert!(
-        matches!(err, Err(StorageError::PageCorrupt { .. })),
-        "expected PageCorrupt, got {err:?}"
-    );
+    let start = Barrier::new(THREADS);
+    let errs: Vec<_> = std::thread::scope(|s| {
+        let fetches: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    pool.fetch(&table, 1, None).map(|_| ())
+                })
+            })
+            .collect();
+        fetches.into_iter().map(|f| f.join().unwrap()).collect()
+    });
+    for err in errs
+        .iter()
+        .chain([&pool.fetch(&table, 1, None).map(|_| ())])
+    {
+        assert!(
+            matches!(err, Err(StorageError::PageCorrupt { .. })),
+            "expected PageCorrupt, got {err:?}"
+        );
+    }
     assert!(!pool.is_resident(&table, 1), "corrupt frame admitted");
     assert_eq!(pool.resident_bytes(), 0);
+    assert_eq!(pool.pinned_total(), 0);
     // Undamaged pages on the same table still verify and serve.
     let ok = pool.fetch(&table, 0, None).unwrap();
     assert!(!ok.is_empty());
+}
+
+/// Threads that fetch one cold page at once share one read of it: one
+/// miss, one page read, one decoded page behind every pin.
+#[test]
+fn threads_fetching_one_cold_page_read_it_once() {
+    let (_dir, _store, table, shadow) = fresh_store();
+    let pool = BufferPool::new(POOL_BUDGET);
+    let stats = ScanStats::new();
+    let start = Barrier::new(THREADS);
+    let pins: Vec<PinnedPage> = std::thread::scope(|s| {
+        let fetches: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    pool.fetch(&table, 2, Some(&stats)).unwrap()
+                })
+            })
+            .collect();
+        fetches.into_iter().map(|f| f.join().unwrap()).collect()
+    });
+    assert_eq!(pool.misses(), 1);
+    assert_eq!(pool.hits(), THREADS as u64 - 1);
+    assert_eq!(stats.pages_read(), 1);
+    for pin in &pins {
+        assert!(std::ptr::eq(pin.page(), pins[0].page()));
+        assert_eq!(&**pin, expected_page_rows(&table, &shadow, 2));
+    }
+    drop(pins);
+    assert_eq!(pool.pinned_total(), 0);
+}
+
+/// Threads pin and unpin at random over a pool of four frames: residency
+/// never exceeds the budget, every pinned page's chunk and rows equal
+/// `read_page`'s, `PoolExhausted` is the only error, and at quiescence
+/// every miss is either evicted or still resident.
+#[test]
+fn threads_pin_and_unpin_at_random_over_four_frames() {
+    let (_dir, _store, table, _shadow) = fresh_store();
+    let max_page = table
+        .page_metas()
+        .iter()
+        .map(|m| m.len as u64)
+        .max()
+        .unwrap();
+    let budget = 4 * max_page;
+    let pool = BufferPool::new(budget);
+    let all = vec![true; table.schema().len()];
+    let expected: Vec<(Vec<Row>, ColumnarChunk)> = (0..table.page_count())
+        .map(|p| {
+            let rows = table.read_page(p).unwrap().0;
+            let chunk = ColumnarChunk::from_rows(&rows, 0, rows.len(), &all);
+            (rows, chunk)
+        })
+        .collect();
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for seed in 0..THREADS as u64 {
+            let (pool, table, expected, start) = (&pool, &table, &expected, &start);
+            s.spawn(move || {
+                // xorshift64: a fixed schedule per thread.
+                let mut state = 0x9E37_79B9_7F4A_7C15 ^ (seed + 1);
+                let mut next = move |n: usize| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % n as u64) as usize
+                };
+                let mut held: Vec<(usize, PinnedPage)> = Vec::new();
+                start.wait();
+                for _ in 0..400 {
+                    if held.is_empty() || (held.len() < 2 && next(3) > 0) {
+                        let page_no = next(table.page_count());
+                        match pool.fetch(table, page_no, None) {
+                            Ok(pin) => held.push((page_no, pin)),
+                            Err(StorageError::PoolExhausted { .. }) => {}
+                            Err(e) => panic!("only PoolExhausted is admissible, got {e}"),
+                        }
+                    } else {
+                        let (page_no, pin) = held.swap_remove(next(held.len()));
+                        let (rows, chunk) = &expected[page_no];
+                        assert_eq!(&*pin, &rows[..], "page {page_no}");
+                        for c in 0..chunk.width() {
+                            assert!(
+                                same_column(pin.page().chunk().column(c), chunk.column(c)),
+                                "page {page_no} column {c}"
+                            );
+                        }
+                    }
+                    assert!(pool.resident_bytes() <= budget, "residency above budget");
+                }
+            });
+        }
+    });
+    assert_eq!(pool.pinned_total(), 0);
+    assert!(pool.evictions() > 0, "four frames must thrash");
+    assert_eq!(
+        pool.misses(),
+        pool.evictions() + pool.resident_frames() as u64
+    );
 }
 
 /// Floats compare by bits, dictionaries by their strings in code order.
