@@ -14,8 +14,8 @@ use std::sync::Arc;
 /// MD-join nodes, single or generalized (all blocks in one scan), run
 /// Algorithm 3.1 serially with the context's probe strategy over their base
 /// and detail plans as written — the scalar reference `query_unoptimized`
-/// answers with — and a [`Plan::Parallel`] node runs its MD-join under
-/// [`ExecStrategy::Auto`] with the node's thread cap (see [`md_join`]).
+/// answers with — and a [`Plan::Parallel`] node serves its MD-join on the
+/// batch evaluator (see [`md_join`]).
 ///
 /// Relations travel as `Arc<Relation>` (DESIGN §3.3): table and inline nodes
 /// lend the `Arc` the catalog or the plan already holds, a cache hit lends
@@ -66,8 +66,8 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
             }
             acc
         }
-        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => return md_join(plan, None, catalog, ctx),
-        Plan::Parallel { input, threads } => return md_join(input, Some(*threads), catalog, ctx),
+        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => return md_join(plan, false, catalog, ctx),
+        Plan::Parallel { input } => return md_join(input, true, catalog, ctx),
         Plan::Join {
             left,
             right,
@@ -116,9 +116,8 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
 }
 
 /// The one place an MD-join node — single or generalized, k ≥ 1 (θ, l)
-/// blocks — is evaluated: a bare node (`parallel` is `None`) runs the scalar
-/// `Serial` reference, a `Plan::Parallel` node runs `Auto` with its thread
-/// cap (`Some(0)` = all cores).
+/// blocks — is evaluated: a bare node runs the scalar `Serial` reference, a
+/// `served` one (under `Plan::Parallel`) the `Vectorized` batch evaluator.
 ///
 /// 1. With one block, the cuboid cache answers the canonical group-by shape
 ///    `MD(γ_dims(T), T, l, θ_dims)` — exact repeats from the cached result,
@@ -139,7 +138,7 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
 /// runs shares neither the fold nor the base builds.
 fn md_join(
     node: &Plan,
-    parallel: Option<usize>,
+    served: bool,
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Arc<Relation>> {
@@ -185,7 +184,7 @@ fn md_join(
         Detail::Paged(scan) => DetailSource::Paged(scan),
     };
     let b;
-    let join = match parallel.and(own_group_by(base, detail)) {
+    let join = match own_group_by(base, detail).filter(|_| served) {
         Some((dims, pred)) => {
             enter_node(ctx)?;
             let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
@@ -193,7 +192,7 @@ fn md_join(
         }
         None => {
             b = match base.as_ref() {
-                Plan::Base { input, shape } if parallel.is_some() => match selected_table(input) {
+                Plan::Base { input, shape } if served => match selected_table(input) {
                     Some((name, Some(pred))) => {
                         enter_node(ctx)?;
                         Arc::new(base_values(&*catalog.get(name)?, Some(&pred), shape, ctx)?)
@@ -208,12 +207,12 @@ fn md_join(
             }
         }
     }
-    .blocks(blocks);
-    let join = match parallel {
-        None => join.strategy(ExecStrategy::Serial),
-        Some(0) => join.strategy(ExecStrategy::Auto),
-        Some(cap) => join.strategy(ExecStrategy::Auto).threads(cap),
-    };
+    .blocks(blocks)
+    .strategy(if served {
+        ExecStrategy::Vectorized
+    } else {
+        ExecStrategy::Serial
+    });
     let out = Arc::new(join.run(ctx)?);
     if let (Some((req, detail_rel)), Some(cache)) = (miss, ctx.cuboid_cache()) {
         cache.insert(&req, &detail_rel, out.clone());
@@ -496,19 +495,18 @@ mod tests {
             (execute(plan, &catalog(), &ctx).unwrap(), stats)
         };
         // A bare generalized node is the scalar serial reference, as a bare
-        // single-block node is: no decision, no batches.
+        // single-block node is: no batches.
         let (out, stats) = run(&plan);
-        assert_eq!((stats.auto_decisions(), stats.batches()), (0, 0));
+        assert_eq!(stats.batches(), 0);
         assert_eq!(stats.scans(), 1, "all blocks share one scan");
         assert_eq!((stats.base_passes(), stats.base_fused()), (1, 0));
         let c1 = out.rows().iter().find(|r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(c1[1], Value::Float(10.0));
         assert_eq!(c1[2], Value::Float(20.0));
-        // Under `Parallel` it runs `Auto`, which batches this covered shape
-        // and builds the group-by base inside that one scan.
-        let (par, stats) = run(&plan.parallel(0));
-        assert_eq!(stats.auto_decisions(), 1);
-        assert!(stats.batches() > 0);
+        // Under `Parallel` it runs the batch evaluator, with no workers, and
+        // builds the group-by base inside that one scan.
+        let (par, stats) = run(&plan.parallel());
+        assert!(stats.batches() > 0 && stats.workers().is_empty());
         assert_eq!(stats.scans(), 1);
         assert_eq!((stats.base_passes(), stats.base_fused()), (0, 1));
         assert_eq!(out.rows(), par.rows());
@@ -542,47 +540,6 @@ mod tests {
     fn unknown_table_errors() {
         let plan = Plan::table("Nope");
         assert!(execute(&plan, &catalog(), &ExecContext::new()).is_err());
-    }
-
-    #[test]
-    fn parallel_node_runs_morsel_executor() {
-        use mdj_storage::ScanStats;
-        let md = |agg: AggSpec| {
-            Plan::table("Sales").group_by_base(&["cust"]).md_join(
-                Plan::table("Sales"),
-                vec![agg],
-                eq(col_b("cust"), col_r("cust")),
-            )
-        };
-        // One-row morsels: every input here spans several.
-        let run = |plan: &Plan| {
-            let stats = Arc::new(ScanStats::new());
-            let ctx = ExecContext::new()
-                .with_morsel_size(1)
-                .with_stats(stats.clone());
-            (execute(plan, &catalog(), &ctx).unwrap(), stats)
-        };
-        // A bare MD-join node is the scalar serial reference: no decision,
-        // no batches, no workers.
-        let covered = md(AggSpec::on_column("sum", "sale"));
-        let (serial, stats) = run(&covered);
-        assert_eq!((stats.auto_decisions(), stats.batches()), (0, 0));
-        assert!(stats.workers().is_empty());
-        // Under `Parallel`, `Auto` decides: a batch-covered join runs once,
-        // on the batch evaluator, with no workers...
-        let (par, stats) = run(&covered.parallel(2));
-        assert_eq!(serial.rows(), par.rows());
-        assert_eq!(stats.auto_decisions(), 1);
-        assert!(stats.batches() > 0);
-        assert!(stats.workers().is_empty());
-        // ...while a scalar-majority join spanning more than one morsel
-        // still runs the morsel executor on the node's thread cap.
-        let holistic = md(AggSpec::on_column("median", "sale"));
-        let (serial, _) = run(&holistic);
-        let (par, stats) = run(&holistic.parallel(2));
-        assert_eq!(serial.rows(), par.rows());
-        assert_eq!(stats.batches(), 0);
-        assert_eq!(stats.workers().len(), 2);
     }
 
     #[test]
@@ -668,15 +625,15 @@ mod tests {
             eq(col_b("cust"), col_r("cust")),
         );
         let serial = execute(&md, &cat, &ExecContext::new()).unwrap();
-        let cold = execute(&md.clone().parallel(2), &cat, &ctx).unwrap();
+        let cold = execute(&md.clone().parallel(), &cat, &ctx).unwrap();
         assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 0));
-        // The miss ran the join the plan asked for: `Auto`, which takes the
-        // batch evaluator for this covered shape, on no workers, and builds
-        // the group-by base inside its scan of the resident table.
+        // The miss ran the join the plan asked for: the batch evaluator, on
+        // no workers, building the group-by base inside its scan of the
+        // resident table.
         assert!(stats.batches() > 0);
         assert!(stats.workers().is_empty());
         assert_eq!((stats.base_fused(), stats.base_passes()), (1, 0));
-        let warm = execute(&md.parallel(2), &cat, &ctx).unwrap();
+        let warm = execute(&md.parallel(), &cat, &ctx).unwrap();
         assert_eq!((stats.cache_misses(), stats.cache_hits()), (1, 1));
         assert_eq!(stats.scans(), 1, "the hit never touched the detail table");
         assert_eq!(serial.rows(), cold.rows());
@@ -788,7 +745,7 @@ mod tests {
             ],
         };
         let (mem_gen, _) = run(&generalized, &plain);
-        for plan in [generalized.clone(), generalized.parallel(0)] {
+        for plan in [generalized.clone(), generalized.parallel()] {
             engine.buffer_pool().unwrap().clear();
             let (gen_out, gen_stats) = run(&plan, &engine);
             assert!(gen_stats.pages_read() > 0, "generalized detail must stream");
@@ -798,7 +755,7 @@ mod tests {
         // scan, never from the resident copy. With no σ under the base every
         // customer is a group, so no page may be pruned.
         engine.buffer_pool().unwrap().clear();
-        let (fused_out, fused_stats) = run(&plan.clone().parallel(0), &engine);
+        let (fused_out, fused_stats) = run(&plan.clone().parallel(), &engine);
         assert_eq!(
             (fused_stats.base_fused(), fused_stats.base_passes()),
             (1, 0)
@@ -821,7 +778,7 @@ mod tests {
         };
         let (mem_where, _) = run(&where_month, &plain);
         engine.buffer_pool().unwrap().clear();
-        let (fused_where, where_stats) = run(&where_month.parallel(0), &engine);
+        let (fused_where, where_stats) = run(&where_month.parallel(), &engine);
         assert_eq!(
             (where_stats.base_fused(), where_stats.base_passes()),
             (1, 0)
@@ -837,7 +794,7 @@ mod tests {
 
     #[test]
     fn parallel_over_non_md_join_is_rejected() {
-        let plan = Plan::table("Sales").parallel(4);
+        let plan = Plan::table("Sales").parallel();
         let err = execute(&plan, &catalog(), &ExecContext::new());
         assert!(matches!(err, Err(AlgebraError::InvalidPlan(_))));
     }

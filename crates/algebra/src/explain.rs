@@ -87,12 +87,8 @@ fn walk(plan: &Plan, depth: usize, out: &mut String) {
             walk(base, depth + 1, out);
             walk(detail, depth + 1, out);
         }
-        Plan::Parallel { input, threads } => {
-            if *threads == 0 {
-                let _ = writeln!(out, "Parallel [auto, cap: all cores]");
-            } else {
-                let _ = writeln!(out, "Parallel [auto, cap: {threads} threads]");
-            }
+        Plan::Parallel { input } => {
+            let _ = writeln!(out, "Parallel [batch evaluator, one scan]");
             walk(input, depth + 1, out);
         }
         Plan::Join {
@@ -145,14 +141,11 @@ mod tests {
                 vec![AggSpec::on_column("sum", "sale")],
                 eq(col_b("cust"), col_r("cust")),
             )
-            .parallel(4);
-        // The node names what runs — `Auto` under a thread cap — not a
-        // driver the run time may not pick.
+            .parallel();
+        // The node names what runs: the batch evaluator, in one scan.
         let s = explain(&plan);
-        assert!(s.contains("Parallel [auto, cap: 4 threads]"));
+        assert!(s.contains("Parallel [batch evaluator, one scan]"));
         assert!(!s.contains("morsel"));
-        let all = explain(&Plan::table("Sales").parallel(0));
-        assert!(all.contains("Parallel [auto, cap: all cores]"));
     }
 
     #[test]
@@ -213,24 +206,7 @@ mod tests {
         let sr = explain_with_stats(&plan, &attributed);
         assert!(sr.contains("-- fallback reasons: theta=0 prefilter=2 key=0 agg=5"));
         assert!(sr.contains("-- generalized: sets=3 scalar_sets=1"));
-        // The Auto coverage decision is silent until one is recorded...
-        assert!(!s2.contains("auto:"));
-        let auto = StatsSnapshot {
-            auto_decisions: 1,
-            auto_coverage_permille: 666,
-            auto_batched: 1,
-            ..snap.clone()
-        };
-        let s3 = explain_with_stats(&plan, &auto);
-        assert!(s3.contains("-- auto: batch coverage=666‰ plan=vectorized"));
-        let auto_scalar = StatsSnapshot {
-            auto_decisions: 1,
-            auto_coverage_permille: 500,
-            auto_batched: 0,
-            ..snap.clone()
-        };
-        assert!(explain_with_stats(&plan, &auto_scalar).contains("plan=scalar"));
-        // ...and rendered when any of them is non-zero.
+        // Governor counters are rendered when any of them is non-zero.
         let governed = StatsSnapshot {
             cancel_polls: 12,
             bytes_charged: 4096,

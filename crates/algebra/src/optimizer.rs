@@ -17,15 +17,13 @@ use mdj_storage::Catalog;
 /// 3. Theorem 4.3: chains coalesce into generalized MD-joins — stages whose
 ///    details differ only by a σ share one scan, since step 1 folded it.
 /// 4. Every MD-join, single or generalized, is wrapped in a
-///    [`Plan::Parallel`] node: it runs under `ExecStrategy::Auto` with all
-///    cores as its thread cap, and `Auto` picks the evaluator and the driver
-///    from the input at run time. The plan — and its `EXPLAIN` — is
-///    therefore the same on every host.
+///    [`Plan::Parallel`] node: it is served by the batch evaluator in one
+///    scan. The plan — and its `EXPLAIN` — is the same on every host.
 pub fn optimize(plan: Plan, _catalog: &Catalog, _registry: &Registry) -> Result<Plan> {
     let folded = fold_detail_selections(plan);
     let coalesced = coalesce_chains(push_base_ranges_to_detail(folded));
     Ok(coalesced.transform_up(&|p| match p {
-        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => p.parallel(0),
+        Plan::MdJoin { .. } | Plan::GenMdJoin { .. } => p.parallel(),
         other => other,
     }))
 }
@@ -119,9 +117,8 @@ mod tests {
 
     #[test]
     fn small_md_joins_stay_serial() {
-        // Even a 4-row join is wrapped: the plan no longer prices
-        // parallelism. It stays serial at run time, where `Auto` sees the
-        // input is smaller than one morsel.
+        // Even a 4-row join is wrapped: the plan prices nothing. It runs on
+        // the batch evaluator, serially, as every served join does.
         use mdj_storage::ScanStats;
         use std::sync::Arc;
         let cat = catalog();
@@ -133,7 +130,7 @@ mod tests {
         );
         let optimized = optimize(plan.clone(), &cat, &reg).unwrap();
         assert!(
-            matches!(optimized, Plan::Parallel { threads: 0, .. }),
+            matches!(optimized, Plan::Parallel { .. }),
             "expected Parallel wrapping, got {optimized:?}"
         );
         let stats = Arc::new(ScanStats::new());
@@ -141,8 +138,7 @@ mod tests {
         let a = execute(&plan, &cat, &ExecContext::new()).unwrap();
         let b = execute(&optimized, &cat, &ctx).unwrap();
         assert_eq!(a.rows(), b.rows());
-        assert_eq!(stats.auto_decisions(), 1);
-        assert!(stats.workers().is_empty());
+        assert!(stats.batches() > 0 && stats.workers().is_empty());
     }
 
     #[test]
@@ -157,8 +153,8 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register("Big", rel);
         let reg = Registry::standard();
-        // Every MD-join is wrapped, nested ones too, with all cores as the
-        // cap — the same plan on any host.
+        // Every MD-join is wrapped, nested ones too — the same plan on any
+        // host.
         let plan = Plan::table("Big").group_by_base(&["cust"]).md_join(
             Plan::table("Big"),
             vec![AggSpec::on_column("sum", "sale")],
@@ -166,14 +162,14 @@ mod tests {
         );
         let optimized = optimize(plan.clone(), &cat, &reg).unwrap();
         assert!(
-            matches!(optimized, Plan::Parallel { threads: 0, .. }),
+            matches!(optimized, Plan::Parallel { .. }),
             "expected Parallel wrapping, got {optimized:?}"
         );
         let mut wrapped = 0;
         let union = Plan::Union(vec![plan.clone(), plan.clone()]);
         optimize(union, &cat, &reg).unwrap().visit(&mut |p| {
-            if let Plan::Parallel { input, threads } = p {
-                assert!(matches!(**input, Plan::MdJoin { .. }) && *threads == 0);
+            if let Plan::Parallel { input } = p {
+                assert!(matches!(**input, Plan::MdJoin { .. }));
                 wrapped += 1;
             }
         });

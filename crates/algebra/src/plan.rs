@@ -92,12 +92,11 @@ pub enum Plan {
         /// Right columns to append (by name); defaults to all non-key columns.
         keep_right: Vec<String>,
     },
-    /// Execute the wrapped MD-join under `ExecStrategy::Auto` with at most
-    /// `threads` workers (`0` = all available cores): `Auto` chooses the
-    /// evaluator, and whether a parallel (Theorem 4.1) driver pays, from the
-    /// input at run time. Only meaningful around `MdJoin` or `GenMdJoin`;
-    /// the optimizer wraps every MD-join in one.
-    Parallel { input: Box<Plan>, threads: usize },
+    /// Serve the wrapped MD-join: the batch evaluator in one scan of `R`
+    /// on the serial driver, degrading under a budget by Theorem 4.1. Only
+    /// meaningful around `MdJoin` or `GenMdJoin`; the optimizer wraps every
+    /// MD-join in one.
+    Parallel { input: Box<Plan> },
 }
 
 impl Plan {
@@ -152,12 +151,10 @@ impl Plan {
         }
     }
 
-    /// Wrap in a [`Plan::Parallel`] node: `Auto` with a cap of `threads`
-    /// workers (`0` → all cores).
-    pub fn parallel(self, threads: usize) -> Plan {
+    /// Wrap in a [`Plan::Parallel`] node, the served plan.
+    pub fn parallel(self) -> Plan {
         Plan::Parallel {
             input: Box::new(self),
-            threads,
         }
     }
 
@@ -289,9 +286,8 @@ impl Plan {
                 right_keys,
                 keep_right,
             },
-            Plan::Parallel { input, threads } => Plan::Parallel {
+            Plan::Parallel { input } => Plan::Parallel {
                 input: Box::new(input.transform_up(f)),
-                threads,
             },
             leaf => leaf,
         };

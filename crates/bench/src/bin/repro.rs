@@ -1449,16 +1449,18 @@ fn e11(scale: usize) {
         println!("| {label} | {:.2} | {:.2} |", cells[0], cells[1]);
     }
     e11d(scale);
+    e11e(scale);
 }
 
-/// E11d — the executor decision behind `Auto`: the batch evaluator on one
-/// thread against the scalar plan on two, in wall time and in process CPU
-/// time (the resource two connections on two cores share). Print-only: no
-/// `--check` entry, so the gated baseline keeps its names.
+/// E11d — one batch thread against two scalar ones: the batch evaluator on
+/// one thread against the scalar plan on two, in wall time and in process
+/// CPU time (the resource two connections on two cores share). Print-only:
+/// no `--check` entry, so the gated baseline keeps its names.
 fn e11d(scale: usize) {
     header(
-        "E11d — scalar serial vs batch (1 thread) vs scalar morsel (2 threads): \
-         ms per query, wall / process CPU (sum, avg, count(*) per group)",
+        "E11d — one batch thread vs two scalar threads: scalar serial vs batch \
+         (1 thread) vs scalar morsel (2 threads), ms per query, wall / process \
+         CPU (sum, avg, count(*) per group)",
         &[
             "rows of R",
             "key",
@@ -1475,8 +1477,7 @@ fn e11d(scale: usize) {
         AggSpec::on_column("avg", "sale"),
         AggSpec::count_star(),
     ];
-    // Each cell repeats its query for at least this long, well above the
-    // 10 ms resolution of the CPU clock.
+    // Each cell repeats its query for at least this long.
     let window = Duration::from_millis(100 * scale as u64);
     for rows in [50_000, 400_000, 800_000].map(|n| n * scale / 4) {
         let r = bench_sales(rows, 1_000);
@@ -1499,21 +1500,148 @@ fn e11d(scale: usize) {
                 (ExecStrategy::Morsel, 2),
             ] {
                 assert_eq!(serial.rows(), run(strategy, threads).rows(), "E11d");
-                let (cpu0, t0, mut reps) = (process_cpu_ms(), Instant::now(), 0u32);
-                while reps < 3 || t0.elapsed() < window {
-                    std::hint::black_box(run(strategy, threads));
-                    reps += 1;
-                }
-                let wall = t0.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-                cells.push(format!("{wall:.2}"));
-                cells.push(match (cpu0, process_cpu_ms()) {
-                    (Some(a), Some(z)) => format!("{:.2}", (z - a) / f64::from(reps)),
-                    _ => "n/a".into(),
-                });
+                cells.extend(wall_and_cpu_ms(window, || run(strategy, threads)));
             }
             println!("| {rows} | {label} | {} |", cells.join(" | "));
         }
     }
+}
+
+/// E11e — the shapes the removed `Auto` planner sent to the scalar
+/// evaluator (holistic aggregates dominating the work, an unbound θ), plus
+/// the `Div`/`Mod` prefilters its coverage model marked uncovered, under
+/// the one served plan (`Vectorized`) and under what `Auto` picked for them
+/// (`Morsel` on two threads). Every answer is `to_bits`-equal to `Serial`.
+/// Print-only, like E11d.
+fn e11e(scale: usize) {
+    header(
+        "E11e — shapes the scalar gate used to take: serial vs batch (1 thread) \
+         vs scalar morsel (2 threads), ms per query, wall / process CPU",
+        &[
+            "rows of R",
+            "shape",
+            "serial wall",
+            "serial CPU",
+            "vectorized wall",
+            "vectorized CPU",
+            "morsel t2 wall",
+            "morsel t2 CPU",
+        ],
+    );
+    let by_cust = eq(col_b("cust"), col_r("cust"));
+    let agg = |spec: &str| AggSpec::parse(spec).unwrap();
+    let kernels = || vec![agg("sum(sale)"), agg("count(*)")];
+    let window = Duration::from_millis(100 * scale as u64);
+    for (size, rows) in [50_000, 400_000]
+        .map(|n| n * scale / 4)
+        .into_iter()
+        .enumerate()
+    {
+        let r = bench_sales(rows, 1_000);
+        let (b_cust, b_month) = (
+            r.distinct_on(&["cust"]).unwrap(),
+            r.distinct_on(&["month"]).unwrap(),
+        );
+        let mut shapes: Vec<(&str, &Relation, Expr, Vec<AggSpec>)> = vec![
+            (
+                "median",
+                &b_cust,
+                by_cust.clone(),
+                vec![agg("median(sale)")],
+            ),
+            ("mode", &b_cust, by_cust.clone(), vec![agg("mode(sale)")]),
+            (
+                "count_distinct",
+                &b_cust,
+                by_cust.clone(),
+                vec![agg("count_distinct(sale)")],
+            ),
+            (
+                "median + sum",
+                &b_cust,
+                by_cust.clone(),
+                vec![agg("median(sale)"), agg("sum(sale)")],
+            ),
+            (
+                "Div prefilter",
+                &b_cust,
+                and(
+                    by_cust.clone(),
+                    gt(div(col_r("sale"), lit(2i64)), lit(100i64)),
+                ),
+                kernels(),
+            ),
+            (
+                "Mod prefilter",
+                &b_cust,
+                and(
+                    by_cust.clone(),
+                    eq(modulo(col_r("month"), lit(2i64)), lit(0i64)),
+                ),
+                kernels(),
+            ),
+            (
+                "unbound θ (R.month <= B.month)",
+                &b_month,
+                le(col_r("month"), col_b("month")),
+                kernels(),
+            ),
+        ];
+        // A base of 1 000 groups, which each chunk meets in blocks of base
+        // rows. Its scalar plans test θ 1 000 times per tuple, so it is
+        // timed at the smaller size only.
+        if size == 0 {
+            shapes.push((
+                "unbound θ (R.cust <= B.cust)",
+                &b_cust,
+                le(col_r("cust"), col_b("cust")),
+                kernels(),
+            ));
+        }
+        for (label, b, theta, l) in shapes {
+            let run = |strategy: ExecStrategy, threads: usize| {
+                MdJoin::new(b, &r)
+                    .aggs(&l)
+                    .theta(theta.clone())
+                    .strategy(strategy)
+                    .threads(threads)
+                    .run(&ExecContext::new())
+                    .unwrap()
+            };
+            let serial = run(ExecStrategy::Serial, 1);
+            let mut cells = Vec::new();
+            for (strategy, threads) in [
+                (ExecStrategy::Serial, 1),
+                (ExecStrategy::Vectorized, 1),
+                (ExecStrategy::Morsel, 2),
+            ] {
+                assert_same_bits(
+                    &serial,
+                    &run(strategy, threads),
+                    &format!("E11e {label} {strategy:?}"),
+                );
+                cells.extend(wall_and_cpu_ms(window, || run(strategy, threads)));
+            }
+            println!("| {rows} | {label} | {} |", cells.join(" | "));
+        }
+    }
+}
+
+/// Repeat `query` for at least `window` (and three times), then format its
+/// mean wall time and mean process CPU time per run, in ms. The window sits
+/// well above the 10 ms resolution of the CPU clock.
+fn wall_and_cpu_ms<T>(window: Duration, mut query: impl FnMut() -> T) -> [String; 2] {
+    let (cpu0, t0, mut reps) = (process_cpu_ms(), Instant::now(), 0u32);
+    while reps < 3 || t0.elapsed() < window {
+        std::hint::black_box(query());
+        reps += 1;
+    }
+    let wall = t0.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
+    let cpu = match (cpu0, process_cpu_ms()) {
+        (Some(a), Some(z)) => format!("{:.2}", (z - a) / f64::from(reps)),
+        _ => "n/a".into(),
+    };
+    [format!("{wall:.2}"), cpu]
 }
 
 /// User + system CPU of this process in ms, every thread included (exited
@@ -1527,6 +1655,16 @@ fn process_cpu_ms() -> Option<f64> {
     let utime: u64 = fields.next()?.parse().ok()?;
     let stime: u64 = fields.next()?.parse().ok()?;
     Some((utime + stime) as f64 * 10.0)
+}
+
+/// Assert `got` has `want`'s rows in order, floats compared by `to_bits`.
+fn assert_same_bits(want: &Relation, got: &Relation, label: &str) {
+    assert_eq!(want.len(), got.len(), "{label}: row count");
+    for (w, g) in want.rows().iter().zip(got.rows()) {
+        for (a, b) in w.values().iter().zip(g.values()) {
+            assert!(same_bits(a, b), "{label}: {a:?} vs {b:?}");
+        }
+    }
 }
 
 /// Equal values, floats compared by `f64::to_bits`.
@@ -1879,12 +2017,7 @@ fn e14(scale: usize) {
         if let Some(expected) = expect_rows {
             // Every driver applies updates in scan order, so even the
             // parallel run's float sums match the reference bit for bit.
-            assert_eq!(expected.len(), out.len(), "E14 {label}: row count");
-            for (want, got) in expected.rows().iter().zip(out.rows()) {
-                for (a, b) in want.values().iter().zip(got.values()) {
-                    assert!(same_bits(a, b), "E14 {label}: {a:?} vs {b:?}");
-                }
-            }
+            assert_same_bits(expected, &out, &format!("E14 {label}"));
         }
         println!(
             "| {label} | {} | {} | {} | {} | {} | {} |",
@@ -1981,16 +2114,7 @@ fn e14(scale: usize) {
             .run(&ctx)
             .unwrap();
         let t = t0.elapsed();
-        assert_eq!(
-            reference.len(),
-            out.len(),
-            "E14 concurrent scans: row count"
-        );
-        for (want, got) in reference.rows().iter().zip(out.rows()) {
-            for (a, b) in want.values().iter().zip(got.values()) {
-                assert!(same_bits(a, b), "E14 concurrent scans: {a:?} vs {b:?}");
-            }
-        }
+        assert_same_bits(&reference, &out, "E14 concurrent scans");
         assert_eq!(stats.pages_read() as usize, table.page_count());
         t
     };

@@ -35,11 +35,10 @@ use crate::executor::{
     self, default_threads, split, split_even, DetailSource, Driver, Grid, Grouped,
 };
 use crate::generalized::Block;
-use crate::governor::{self, CancelToken, MemoryTracker};
+use crate::governor::{CancelToken, MemoryTracker};
 use crate::grouped::GroupBy;
 use crate::paged::PagedScan;
 use crate::spill_exec::{md_join_spilled, partition_key_width};
-use crate::vectorized::batch_coverage;
 use mdj_agg::AggSpec;
 use mdj_expr::Expr;
 use mdj_storage::{Counter, Relation, Schema};
@@ -52,14 +51,6 @@ use std::time::Duration;
 /// [`ExecStrategy::Serial`], at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
-    /// Pick from the input: the batch evaluator on the serial driver when it
-    /// covers a majority of the per-tuple work. Otherwise the scalar
-    /// evaluator, serial for small inputs, one thread, a budget the parallel
-    /// footprint would breach, or a multi-block join — else on a parallel
-    /// driver with the side chosen by [`choose_side`]. `threads` caps the
-    /// workers; it never makes a batch-covered join parallel.
-    #[default]
-    Auto,
     /// Single-threaded Algorithm 3.1, scalar evaluator. Under a memory
     /// budget a breach degrades into Theorem 4.1 partitioned evaluation.
     Serial,
@@ -76,13 +67,15 @@ pub enum ExecStrategy {
     /// Detail-parallel plan: workers compute per-morsel deltas over `R`,
     /// applied to one state set in morsel order (one logical scan).
     MorselDetail,
-    /// The batch evaluator (see [`crate::vectorized`]) on the serial driver:
-    /// `R` is processed in columnar chunks with selection-vector prefilters,
-    /// batched key probing and typed aggregate kernels. Shapes without a
-    /// vectorized form fall back per batch to the scalar interpreter. It
-    /// never runs on a parallel driver, whose per-chunk deltas would carry
-    /// row-form values through scalar updates; `threads` is ignored. Under a
-    /// budget it degrades like [`ExecStrategy::Serial`].
+    /// The batch evaluator (see [`crate::vectorized`]) on the serial driver,
+    /// the default and the plan every served MD-join runs: `R` is processed
+    /// in columnar chunks with selection-vector prefilters, batched key
+    /// probing and typed aggregate kernels. Shapes without a vectorized form
+    /// (holistic aggregates, `Div`/`Mod`) fall back per batch to the scalar
+    /// interpreter. It never runs on a parallel driver, whose per-chunk
+    /// deltas would carry row-form values through scalar updates; `threads`
+    /// is ignored. Under a budget it degrades like [`ExecStrategy::Serial`].
+    #[default]
     Vectorized,
 }
 
@@ -210,15 +203,15 @@ impl<'a> MdJoin<'a> {
         self
     }
 
-    /// Choose the evaluation plan (default: [`ExecStrategy::Auto`]).
+    /// Choose the evaluation plan (default: [`ExecStrategy::Vectorized`]).
     pub fn strategy(mut self, strategy: ExecStrategy) -> Self {
         self.strategy = strategy;
         self
     }
 
-    /// Worker count for the parallel strategies, and `Auto`'s cap. Defaults
-    /// to the machine's available parallelism; ignored by `Serial`,
-    /// `Partitioned` and `Vectorized`.
+    /// Worker count for the parallel strategies (`Morsel*`). Defaults to the
+    /// machine's available parallelism; ignored by `Serial`, `Partitioned`
+    /// and `Vectorized`.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -239,10 +232,10 @@ impl<'a> MdJoin<'a> {
         self
     }
 
-    /// Bound the estimated memory footprint of this run. Serial, partitioned,
-    /// and `Auto` plans answer a breach by re-planning into Theorem 4.1
-    /// partitioned evaluation (raising `m` until each `Bᵢ` fits); explicitly
-    /// requested parallel plans surface [`CoreError::BudgetExceeded`].
+    /// Bound the estimated memory footprint of this run. Serial, partitioned
+    /// and vectorized plans answer a breach by re-planning into Theorem 4.1
+    /// partitioned evaluation (raising `m` until each `Bᵢ` fits); the
+    /// parallel plans surface [`CoreError::BudgetExceeded`].
     pub fn budget_bytes(mut self, bytes: usize) -> Self {
         self.budget = Some(bytes);
         self
@@ -322,11 +315,7 @@ impl<'a> MdJoin<'a> {
         if let ExecStrategy::Partitioned { partitions: 0 } = self.strategy {
             return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
         }
-        let batch = match self.strategy {
-            ExecStrategy::Vectorized => true,
-            ExecStrategy::Auto => auto_batch(&*self.base_schema()?, &blocks, ctx),
-            _ => false,
-        };
+        let batch = self.strategy == ExecStrategy::Vectorized;
         let built;
         let b = match &self.b {
             Base::Rows(b) => *b,
@@ -358,9 +347,6 @@ impl<'a> MdJoin<'a> {
         let grid = Grid::new(self.r, &blocks, ctx.morsel_size());
         let threads = self.threads.unwrap_or_else(default_threads);
         let (b_rows, r_rows) = (b.len(), grid.rows() as usize);
-        // A parallel run only pays off once the split side spans several
-        // morsels; below that, scheduling overhead dominates.
-        let small = threads <= 1 || b_rows.max(r_rows) <= ctx.morsel_size();
         let parallel = |side: MorselSide| match side {
             MorselSide::Base => Driver::Base {
                 fragments: split(b_rows, ctx.morsel_size()),
@@ -368,60 +354,20 @@ impl<'a> MdJoin<'a> {
             },
             MorselSide::Detail => Driver::Detail { threads },
         };
-        let sized = |serial: bool| (!serial).then(|| parallel(choose_side(b_rows, r_rows)));
         // `None` = the serial driver with Theorem 4.1 budget degradation, the
         // only driver the batch evaluator runs on.
         let (driver, m) = match self.strategy {
             ExecStrategy::Serial | ExecStrategy::Vectorized => (None, 1),
             ExecStrategy::Partitioned { partitions } => (None, partitions),
-            ExecStrategy::Morsel => (sized(false), 1),
+            ExecStrategy::Morsel => (Some(parallel(choose_side(b_rows, r_rows))), 1),
             ExecStrategy::MorselBase => (Some(parallel(MorselSide::Base)), 1),
             ExecStrategy::MorselDetail => (Some(parallel(MorselSide::Detail)), 1),
-            ExecStrategy::Auto => {
-                // Memory-first planning: a parallel plan cannot degrade, so
-                // when a budget is set and the state plus probe index would
-                // breach it, take the degradable serial path (Theorem 4.1).
-                let n_aggs: usize = blocks.iter().map(|blk| blk.aggs.len()).sum();
-                let footprint = governor::state_bytes(b_rows, n_aggs)
-                    .saturating_add(governor::index_bytes(b_rows));
-                let tight = ctx.memory().is_some_and(|t| footprint as u64 > t.budget());
-                // The batch evaluator runs once, serially: on a shared host
-                // its one thread beats the scalar plan's two (E11d). A
-                // generalized join under Auto picks only its evaluator.
-                let serial = batch || small || tight || blocks.len() > 1;
-                (sized(serial), 1)
-            }
         };
         match driver {
             Some(driver) => executor::run(b, &grid, &blocks, &driver, ctx),
             None => run_degradable(b, self.r, &grid, &blocks, ctx, m, batch),
         }
     }
-}
-
-/// `Auto`'s evaluator: the batch evaluator when its coverage cost model
-/// estimates that the typed paths keep a strict majority of the per-tuple
-/// work (probe, prefilter, residual, aggregates), summed over the blocks —
-/// they share one chunk transposition per batch. Only `B`'s schema matters,
-/// so the decision precedes building a group-by base. It is recorded so
-/// explain output can show it.
-fn auto_batch(b_schema: &Schema, blocks: &[Block], ctx: &ExecContext) -> bool {
-    let mut cov = crate::vectorized::BatchCoverage {
-        covered: 0,
-        total: 0,
-        hash: false,
-    };
-    for blk in blocks {
-        let c = batch_coverage(b_schema, &blk.theta, &blk.aggs, ctx);
-        cov.covered += c.covered;
-        cov.total += c.total;
-        cov.hash |= c.hash;
-    }
-    let batch = cov.choose_vectorized();
-    ctx.count(Counter::auto_decisions, 1);
-    ctx.count(Counter::auto_coverage_permille, cov.permille());
-    ctx.count(Counter::auto_batched, batch as u64);
-    batch
 }
 
 /// Serial/partitioned evaluation with Theorem 4.1 budget degradation.
@@ -506,6 +452,7 @@ fn run_degradable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor;
     use mdj_expr::builder::*;
     use mdj_storage::{DataType, Row, Schema, Value};
 
@@ -572,7 +519,6 @@ mod tests {
             // the thread count and however many morsels the input spans.
             (ExecStrategy::Vectorized, 32, 1, 0, true),
             (ExecStrategy::Vectorized, 4096, 1, 0, true),
-            (ExecStrategy::Auto, 32, 1, 0, true), // batch-covered → serial
         ] {
             let stats = Arc::new(ScanStats::new());
             let ctx = ExecContext::new()
@@ -690,16 +636,14 @@ mod tests {
                 .unwrap()
         };
         let serial = run(ExecStrategy::Serial, Arc::new(ScanStats::new()));
-        for strategy in [ExecStrategy::Vectorized, ExecStrategy::Auto] {
-            let stats = Arc::new(ScanStats::new());
-            let out = run(strategy, stats.clone());
-            assert_eq!(serial.rows(), out.rows(), "{strategy:?}");
-            // Both route to the fused executor: per-set counters move and
-            // no set fell back for this fully covered pivot.
-            assert_eq!(stats.gen_sets(), 2, "{strategy:?}");
-            assert_eq!(stats.gen_set_fallbacks(), 0, "{strategy:?}");
-            assert_eq!(stats.scans(), 1, "{strategy:?}");
-        }
+        let stats = Arc::new(ScanStats::new());
+        let out = run(ExecStrategy::default(), stats.clone());
+        assert_eq!(serial.rows(), out.rows());
+        // The default routes to the fused executor: per-set counters move
+        // and no set fell back for this fully covered pivot.
+        assert_eq!(stats.gen_sets(), 2);
+        assert_eq!(stats.gen_set_fallbacks(), 0);
+        assert_eq!(stats.scans(), 1);
     }
 
     #[test]
@@ -734,7 +678,6 @@ mod tests {
         let s = sales(100);
         let b = s.distinct_on(&["cust"]).unwrap();
         for strategy in [
-            ExecStrategy::Auto,
             ExecStrategy::Serial,
             ExecStrategy::Partitioned { partitions: 2 },
             ExecStrategy::Morsel,
@@ -906,7 +849,7 @@ mod tests {
         // Fixed footprint of two blocks at m = 1: 4×(32 + 2×64) state +
         // 2×(4×48 index + 4×24 keys) = 1216 bytes — fits 2500; the ~4 KiB of
         // reservoir growth does not, so the serial plans degrade.
-        for strategy in [ExecStrategy::Serial, ExecStrategy::Auto] {
+        for strategy in [ExecStrategy::Serial, ExecStrategy::Vectorized] {
             let stats = Arc::new(ScanStats::new());
             let out = two_blocks()
                 .strategy(strategy)
@@ -939,49 +882,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn auto_vectorizes_on_majority_batch_coverage() {
-        use mdj_storage::ScanStats;
-        use std::sync::Arc;
-        let s = sales(300);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let theta = eq(col_b("cust"), col_r("cust"));
-        let run = |specs: &[&str]| {
-            let stats = Arc::new(ScanStats::new());
-            let mut j = MdJoin::new(&b, &s).theta(theta.clone());
-            for spec in specs {
-                j = j.agg(spec).unwrap();
-            }
-            j.threads(1)
-                .run(
-                    &ExecContext::new()
-                        .with_morsel_size(64)
-                        .with_stats(stats.clone()),
-                )
-                .unwrap();
-            stats
-        };
-        // Fully kernel-covered: Auto takes the batched path.
-        let stats = run(&["sum(sale)"]);
-        assert!(stats.batches() > 0);
-        assert_eq!(stats.auto_decisions(), 1);
-        assert_eq!(stats.auto_batched(), 1);
-        assert_eq!(stats.auto_coverage_permille(), 1000);
-        // Holistic aggregate alone: probe covered, aggregate not — exactly
-        // half, below the strict-majority cut, so Auto stays scalar.
-        let stats = run(&["median(sale)"]);
-        assert_eq!(stats.batches(), 0);
-        assert_eq!(stats.auto_decisions(), 1);
-        assert_eq!(stats.auto_batched(), 0);
-        assert_eq!(stats.auto_coverage_permille(), 500);
-        // One holistic among kernel aggregates: 2/3 covered — Auto batches
-        // now (the old all-or-nothing gate kept this scalar).
-        let stats = run(&["sum(sale)", "median(sale)"]);
-        assert!(stats.batches() > 0);
-        assert_eq!(stats.auto_batched(), 1);
-        assert_eq!(stats.auto_coverage_permille(), 666);
     }
 
     #[test]
@@ -1026,40 +926,47 @@ mod tests {
     }
 
     #[test]
-    fn auto_uses_serial_for_tiny_inputs_and_parallel_for_large() {
+    fn default_runs_the_batch_evaluator_serially_on_every_shape() {
         use mdj_storage::ScanStats;
-        use std::sync::Arc;
-        let theta = eq(col_b("cust"), col_r("cust"));
-        let run = |rows: i64, agg: &str| {
-            let s = sales(rows);
-            let b = s.distinct_on(&["cust"]).unwrap();
+        // Holistic aggregates alone and an unbound θ, at many morsels and
+        // four threads: one batched serial scan, bit-identical to `Serial`.
+        let s = sales(2000);
+        let b = s.distinct_on(&["cust"]).unwrap();
+        let bound = eq(col_b("cust"), col_r("cust"));
+        for (theta, agg) in [
+            (bound.clone(), "median(sale)"),
+            (bound, "count_distinct(sale)"),
+            (le(col_r("cust"), col_b("cust")), "sum(sale)"),
+        ] {
+            let run = |strategy: ExecStrategy, stats: Arc<ScanStats>| {
+                let ctx = ExecContext::new().with_morsel_size(128).with_stats(stats);
+                MdJoin::new(&b, &s)
+                    .theta(theta.clone())
+                    .agg(agg)
+                    .unwrap()
+                    .strategy(strategy)
+                    .threads(4)
+                    .run(&ctx)
+                    .unwrap()
+            };
+            let serial = run(ExecStrategy::Serial, Arc::new(ScanStats::new()));
             let stats = Arc::new(ScanStats::new());
-            MdJoin::new(&b, &s)
-                .theta(theta.clone())
-                .agg(agg)
-                .unwrap()
-                .threads(4)
-                .run(
-                    &ExecContext::new()
-                        .with_morsel_size(128)
-                        .with_stats(stats.clone()),
-                )
-                .unwrap();
-            stats
-        };
-        // Tiny, scalar-majority: no worker stats recorded (serial path).
-        let stats = run(20, "median(sale)");
-        assert!(stats.workers().is_empty());
-        assert_eq!((stats.batches(), stats.auto_batched()), (0, 0));
-        // Large, scalar-majority: the morsel executor reports its workers.
-        let stats = run(2000, "median(sale)");
-        assert_eq!(stats.workers().len(), 4);
-        assert_eq!(stats.batches(), 0);
-        // Large but batch-covered: the batch evaluator runs once, serially,
-        // however many threads the cap allows.
-        let stats = run(2000, "count(*)");
-        assert!(stats.workers().is_empty());
-        assert_eq!(stats.batches(), 2000u64.div_ceil(128));
-        assert_eq!(stats.auto_batched(), 1);
+            let out = run(ExecStrategy::default(), stats.clone());
+            assert!(stats.batches() > 0, "{agg}");
+            assert!(stats.workers().is_empty(), "{agg}");
+            let bits = |r: &Relation| -> Vec<Vec<Option<u64>>> {
+                r.rows()
+                    .iter()
+                    .map(|row| {
+                        row.values()
+                            .iter()
+                            .map(|v| v.as_float().map(f64::to_bits))
+                            .collect()
+                    })
+                    .collect()
+            };
+            assert_eq!(serial.rows(), out.rows(), "{agg}");
+            assert_eq!(bits(&serial), bits(&out), "{agg}");
+        }
     }
 }

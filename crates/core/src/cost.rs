@@ -55,9 +55,8 @@ pub const POOL_HIT_COST: u64 = 1;
 /// `pages` admitted by the Theorem 4.2 prefilter, of which `resident` are
 /// expected to be buffer-pool hits, plus one decode unit per row delivered.
 /// With `resident == pages` (fully cached) the page term collapses to pool
-/// hits and the paged scan prices close to an in-memory one — which is
-/// exactly how `Auto` stays coherent across in-memory, paged, and spill
-/// plans: all three are priced in the same touched-tuple currency.
+/// hits and the paged scan prices close to an in-memory one: in-memory,
+/// paged, and spill plans are all priced in the same touched-tuple currency.
 pub fn paged_scan_cost(pages: usize, rows: usize, resident: usize) -> u64 {
     let resident = resident.min(pages) as u64;
     let cold = (pages as u64) - resident;
@@ -81,13 +80,6 @@ pub enum DegradeMode {
     Rescan,
     /// Hash-partition `R` to disk once; each partition reads only its file.
     Spill,
-}
-
-/// A costed degradation decision: the partition count and the feed mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePlan {
-    pub mode: DegradeMode,
-    pub partitions: usize,
 }
 
 /// Touched-tuple cost of rescan degradation: `m` scans of `R`.
@@ -178,23 +170,6 @@ pub fn choose_mode(
     }
 }
 
-/// The full costed decision: partition count from the budget, mode from the
-/// policy and the priced I/O-vs-rescan comparison.
-pub fn choose_degradation(
-    b_rows: usize,
-    r_rows: usize,
-    n_aggs: usize,
-    key_width: Option<usize>,
-    budget: u64,
-    policy: SpillPolicy,
-) -> DegradePlan {
-    let partitions = cost_partitions(b_rows, n_aggs, key_width, budget);
-    DegradePlan {
-        mode: choose_mode(partitions, r_rows, key_width, policy),
-        partitions,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,25 +257,22 @@ mod tests {
 
     #[test]
     fn choose_degradation_combines_count_and_mode() {
+        // The builder's degradation step: the partition count from the
+        // budget, then the feed mode for that count.
+        let decide = |b_rows: usize, r_rows: usize, budget: u64| {
+            let m = cost_partitions(b_rows, 3, Some(1), budget);
+            (m, choose_mode(m, r_rows, Some(1), SpillPolicy::Auto))
+        };
         // The resource-governor scenario: 23 base rows, 3 aggs, r = 4000,
         // budget sized to ~5 rows of state+index. Pinned: m = 6, rescan.
         let per_row = (governor::BYTES_PER_BASE_ROW
             + 3 * governor::BYTES_PER_AGG_STATE
             + governor::BYTES_PER_INDEX_ROW) as u64;
-        let plan = choose_degradation(23, 4000, 3, Some(1), 5 * per_row, SpillPolicy::Auto);
-        assert_eq!(plan.partitions, 6);
-        assert_eq!(plan.mode, DegradeMode::Rescan);
+        assert_eq!(decide(23, 4000, 5 * per_row), (6, DegradeMode::Rescan));
         // Same shape at warehouse scale flips to spill.
-        let plan = choose_degradation(
-            10_000,
-            1_000_000,
-            3,
-            Some(1),
-            5 * per_row,
-            SpillPolicy::Auto,
-        );
-        assert!(plan.partitions >= 8);
-        assert_eq!(plan.mode, DegradeMode::Spill);
+        let (m, mode) = decide(10_000, 1_000_000, 5 * per_row);
+        assert!(m >= 8);
+        assert_eq!(mode, DegradeMode::Spill);
     }
 
     #[test]

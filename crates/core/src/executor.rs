@@ -53,8 +53,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// The machine's available parallelism: the builder's thread count (and
-/// `Auto`'s cap) when none is set.
+/// The machine's available parallelism: the builder's thread count when
+/// none is set.
 pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -367,7 +367,7 @@ impl<'a> BatchEvaluator<'a> {
     fn new(b: &'a Relation, blocks: &'a [BoundBlock], kernel_inputs: Vec<bool>) -> Self {
         let probes: Vec<BatchProbe> = blocks
             .iter()
-            .map(|blk| BatchProbe::new(&blk.plan, b))
+            .map(|blk| BatchProbe::new(&blk.plan))
             .collect();
         let mut needed = kernel_inputs;
         for probe in &probes {
@@ -410,18 +410,18 @@ impl<'a> BatchEvaluator<'a> {
         let mut pairs: Vec<(u32, usize)> = Vec::new();
         let mut updates = 0usize;
         for (k, (blk, probe)) in self.blocks.iter().zip(&self.probes).enumerate() {
-            pairs.clear();
-            let fell_back = probe.matches_batch(chunk, slice, b, groups, ctx, &mut pairs)?;
             ctx.count(Counter::batches, 1);
-            if fell_back {
+            let mut apply = |pairs: &[(u32, usize)]| {
+                if pairs.is_empty() || blk.aggs.is_empty() {
+                    return Ok(());
+                }
+                updates += pairs.len() * blk.aggs.len();
+                states.batch(k, blk, chunk, slice, pairs)
+            };
+            if probe.matches_batch(chunk, slice, b, groups, ctx, &mut pairs, &mut apply)? {
                 ctx.count(Counter::batch_fallbacks, 1);
                 self.fell_back[k] = true;
             }
-            if pairs.is_empty() || blk.aggs.is_empty() {
-                continue;
-            }
-            updates += pairs.len() * blk.aggs.len();
-            states.batch(k, blk, chunk, slice, &pairs)?;
         }
         Ok(updates as u64)
     }

@@ -604,7 +604,7 @@ mod tests {
                 let out = join
                     .theta(theta.clone())
                     .aggs(&l)
-                    .strategy(ExecStrategy::Auto)
+                    .strategy(ExecStrategy::Vectorized)
                     .budget_bytes(budget)
                     .run(&ctx)
                     .unwrap();
@@ -634,7 +634,7 @@ mod tests {
             let out = join
                 .theta(eq(col_b("cust"), col_r("cust")))
                 .aggs(&l)
-                .strategy(ExecStrategy::Auto)
+                .strategy(ExecStrategy::Vectorized)
                 .budget_bytes(3 * group)
                 .run(&ExecContext::new().with_stats(stats.clone()))
                 .unwrap();

@@ -26,7 +26,7 @@
 //! let out = MdJoin::new(&b, &sales)
 //!     .theta(eq(col_b("cust"), col_r("cust")))   // θ: which detail rows feed each base row
 //!     .agg("avg(sale)").unwrap()                  // l: the aggregate list
-//!     .strategy(ExecStrategy::Auto)               // serial / partitioned / morsel-parallel
+//!     .strategy(ExecStrategy::Vectorized)         // the default: batch evaluator, one scan
 //!     .run(&ExecContext::new())
 //!     .unwrap();
 //! assert_eq!(out.rows()[0][1], Value::Float(20.0));
@@ -37,7 +37,8 @@
 //! the Theorem 4.1 memory-bounded multi-scan plan;
 //! [`ExecStrategy::MorselBase`] / [`ExecStrategy::MorselDetail`] the two
 //! parallel plans ([`ExecStrategy::Morsel`] picks the side);
-//! [`ExecStrategy::Vectorized`] the batch evaluator. Multi-θ generalized
+//! [`ExecStrategy::Vectorized`] the batch evaluator, the default and the
+//! plan every served MD-join runs. Multi-θ generalized
 //! MD-joins (Section 4.3) are expressed by adding
 //! [`block`](builder::MdJoin::block)s, and a disk-resident detail table is
 //! read through [`MdJoin::paged`](builder::MdJoin::paged); both compose with

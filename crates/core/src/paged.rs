@@ -423,7 +423,7 @@ mod tests {
         let ctx = ExecContext::new()
             .with_morsel_size(64)
             .with_stats(stats.clone());
-        let auto = paged_md_join(&b, &scan, &l, &theta, ExecStrategy::Auto, 2, &ctx).unwrap();
+        let auto = paged_md_join(&b, &scan, &l, &theta, ExecStrategy::default(), 2, &ctx).unwrap();
         let serial = paged_md_join(
             &b,
             &scan,
@@ -435,7 +435,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(auto.rows(), serial.rows());
-        assert_eq!(stats.auto_decisions(), 1);
+        assert!(stats.batches() > 0 && stats.workers().is_empty());
     }
 
     #[test]

@@ -31,18 +31,15 @@
 use crate::context::ExecContext;
 use crate::error::Result;
 use crate::executor::Slice;
-use crate::governor::GrowthMeter;
+use crate::governor::{GrowthMeter, MemCharge};
 use crate::mdjoin::BoundAgg;
 use crate::probe::{canon_key, ProbePlan};
-use mdj_agg::{AggSpec, AggState, KernelState};
+use mdj_agg::{AggState, KernelState};
 use mdj_expr::eval::BoundExpr;
 use mdj_expr::vectorized::{
-    batchable_bound_shape, batchable_shape, bind_base, collect_detail_cols, eval_batch, BatchVals,
+    batchable_bound_shape, bind_base, collect_detail_cols, eval_batch, BatchVals,
 };
-use mdj_expr::{Expr, Side};
-use mdj_storage::{
-    Column, ColumnarChunk, Counter, HashIndex, KeyBuildHasher, Relation, Schema, Value,
-};
+use mdj_storage::{Column, ColumnarChunk, Counter, HashIndex, KeyBuildHasher, Relation, Value};
 use std::collections::HashMap;
 
 /// Largest batch the executor will form. Batches index tuples with `u32`
@@ -72,27 +69,38 @@ type IntMap<V> = HashMap<i64, V, KeyBuildHasher>;
 ///   evaluated batch-at-a-time over the chunk when that base row has enough
 ///   candidates to amortize the whole-chunk pass.
 ///
-/// Nested-loop plans whose θ shape batches are evaluated vectorized too: θ is
-/// bound to every base row up front ([`bind_base`]) and each bound form runs
-/// once per chunk. Batches whose key expressions have no vectorized form (and
-/// nested-loop θ shapes that don't batch) delegate per row to
-/// [`ProbePlan::matches`]. Probe accounting is identical to the scalar path
-/// in every mode: prefiltered-out and NULL-key tuples record zero probes,
-/// hash probes record the bucket length, nested-loop probes record `|B|`.
+/// Nested-loop plans whose θ shape batches are evaluated vectorized too: per
+/// chunk, θ is bound to each base row ([`bind_base`]) and the bound form runs
+/// over the whole chunk, a block of base rows at a time ([`NL_PAIRS`]).
+/// Batches whose key expressions have no vectorized form (and nested-loop θ
+/// shapes that don't batch) delegate per row to [`ProbePlan::matches`].
+/// Probe accounting is identical to the scalar path in every mode:
+/// prefiltered-out and NULL-key tuples record zero probes, hash probes record
+/// the bucket length, nested-loop probes record `|B|`.
 pub(crate) struct BatchProbe<'a> {
     plan: &'a ProbePlan,
     /// Single-`Int`-key buckets extracted from the plan's index. Sound
     /// because index keys are canonicalized (integral floats are already
     /// `Int`), so an `Int` probe key can only ever match an `Int` bucket.
     fast_int: Option<IntMap<Vec<usize>>>,
-    /// For nested-loop plans whose θ shape batches: θ bound to each base row
-    /// once, reused by every batch. `None` for hash plans and for θ shapes
-    /// with no batch form.
-    nl_bound: Option<Vec<BoundExpr>>,
+    /// A nested-loop plan whose θ shape batches.
+    nl_batch: bool,
 }
 
+/// Most `(tuple, base row)` pairs one block of a vectorized nested loop
+/// forms before they are applied: a chunk of `n` tuples meets `B` in blocks
+/// of `NL_PAIRS / n` base rows, so the pairs in flight (and the scoreboard's
+/// copy of them) stay near 1.3 MB however large `B` is.
+pub(crate) const NL_PAIRS: usize = 1 << 16;
+
+/// Where [`BatchProbe::matches_batch`] hands its `(tuple, base row)` pairs.
+pub(crate) type PairSink<'s> = dyn FnMut(&[(u32, usize)]) -> Result<()> + 's;
+
+/// Bytes one applied pair occupies: the pair itself and its scoreboard copy.
+const PAIR_BYTES: usize = std::mem::size_of::<(u32, usize)>() + std::mem::size_of::<u32>();
+
 impl<'a> BatchProbe<'a> {
-    pub(crate) fn new(plan: &'a ProbePlan, b: &'a Relation) -> Self {
+    pub(crate) fn new(plan: &'a ProbePlan) -> Self {
         let fast_int = match plan {
             ProbePlan::Hash {
                 index, key_exprs, ..
@@ -109,16 +117,12 @@ impl<'a> BatchProbe<'a> {
             }
             _ => None,
         };
-        let nl_bound = match plan {
-            ProbePlan::NestedLoop { theta, .. } if batchable_bound_shape(theta) => {
-                Some(b.iter().map(|row| bind_base(theta, row.values())).collect())
-            }
-            _ => None,
-        };
+        let nl_batch =
+            matches!(plan, ProbePlan::NestedLoop { theta, .. } if batchable_bound_shape(theta));
         BatchProbe {
             plan,
             fast_int,
-            nl_bound,
+            nl_batch,
         }
     }
 
@@ -138,7 +142,7 @@ impl<'a> BatchProbe<'a> {
                         collect_detail_cols(p, needed);
                     }
                 }
-                if self.nl_bound.is_some() {
+                if self.nl_batch {
                     collect_detail_cols(theta, needed);
                 }
             }
@@ -169,12 +173,15 @@ impl<'a> BatchProbe<'a> {
         }
     }
 
-    /// Compute `Rel(t)` over `b` for every tuple of `chunk`, appending
-    /// `(batch-local tuple index, base row id)` pairs in tuple order.
-    /// `groups`, when given, is each tuple's own group of a `B` built in this
-    /// scan ([`GroupTable::assign`](crate::grouped::GroupTable::assign)): a
-    /// hash plan then probes by it instead of by its index. Returns `true` if
-    /// any part of the batch fell back to the scalar interpreter.
+    /// Compute `Rel(t)` over `b` for every tuple of `chunk` and hand the
+    /// `(batch-local tuple index, base row id)` pairs to `emit`, each base
+    /// row's in tuple order: once per chunk, or once per block of base rows
+    /// for a vectorized nested loop. `pairs` is scratch. `groups`, when
+    /// given, is each tuple's own group of a `B` built in this scan
+    /// ([`GroupTable::assign`](crate::grouped::GroupTable::assign)): a hash
+    /// plan then probes by it instead of by its index. Returns `true` if any
+    /// part of the batch fell back to the scalar interpreter.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn matches_batch(
         &self,
         chunk: &ColumnarChunk,
@@ -183,7 +190,9 @@ impl<'a> BatchProbe<'a> {
         groups: Option<&[usize]>,
         ctx: &ExecContext,
         pairs: &mut Vec<(u32, usize)>,
+        emit: &mut PairSink<'_>,
     ) -> Result<bool> {
+        pairs.clear();
         let n = chunk.len();
         let start = chunk.start();
         let mut fell_back = false;
@@ -250,21 +259,25 @@ impl<'a> BatchProbe<'a> {
                     cands.extend(bucket.iter().map(|&bi| (i as u32, bi)));
                 }
                 match residual {
-                    None => pairs.extend_from_slice(&cands),
-                    Some(res) => self.filter_residual(res, b, chunk, slice, ctx, &cands, pairs)?,
+                    None => emit(&cands)?,
+                    Some(res) => {
+                        self.filter_residual(res, b, chunk, slice, ctx, &cands, pairs)?;
+                        emit(pairs)?;
+                    }
                 }
                 return Ok(fell_back);
             }
             ctx.count(Counter::fallback_key, 1);
             fell_back = true;
-        } else if let Some(bound) = &self.nl_bound {
-            // Vectorized nested loop: θ was bound to each base row up front,
-            // so one whole-chunk evaluation per base row replaces
-            // |chunk| × |B| interpreted tree walks. Verdicts land in a
-            // per-tuple bitset over B so pairs still come out tuple-major
-            // (each base row's group accumulates in tuple order) and in
-            // base-row order per tuple — row-identical to the scalar nested
-            // loop, including f64 accumulation order.
+        } else if let (true, ProbePlan::NestedLoop { theta, .. }) = (self.nl_batch, self.plan) {
+            // Vectorized nested loop: θ bound to one base row runs over the
+            // whole chunk, replacing |chunk| interpreted tree walks. Base
+            // rows are taken in blocks, each block's pairs applied before the
+            // next block's are formed, so the pairs in flight stay under
+            // NL_PAIRS and are charged to the budget while they exist. Each
+            // base row's pairs come in tuple order, so every group
+            // accumulates exactly as in the scalar nested loop, f64 order
+            // included.
             let mut survive = vec![false; n];
             let mut n_survive = 0u64;
             for (i, slot) in survive.iter_mut().enumerate() {
@@ -281,48 +294,51 @@ impl<'a> BatchProbe<'a> {
                 *slot = true;
                 n_survive += 1;
             }
-            let stride = b.len().div_ceil(64).max(1);
-            let mut bits = vec![0u64; n * stride];
-            let mut vectorized = true;
-            for (bi, be) in bound.iter().enumerate() {
-                let Some(bv) = eval_batch(be, chunk) else {
-                    // One base row's inlined literals broke the batch form
-                    // (e.g. a string bound into an arithmetic slot): the
-                    // whole batch delegates, keeping probe accounting and
-                    // pair order scalar-identical.
-                    vectorized = false;
-                    break;
-                };
-                let verdict = bv.to_selection(n);
-                let word = bi / 64;
-                let mask = 1u64 << (bi % 64);
-                for i in 0..n {
-                    bits[i * stride + word] |=
-                        mask & ((verdict[i] & survive[i]) as u64).wrapping_neg();
-                }
+            // Every surviving tuple examines all of B — exactly the scalar
+            // nested loop's accounting; prefiltered-out tuples record zero
+            // probes.
+            ctx.count(Counter::probes, n_survive * b.len() as u64);
+            if n_survive == 0 {
+                return Ok(fell_back);
             }
-            if vectorized {
-                // Every surviving tuple examines all of B — exactly the
-                // scalar nested loop's accounting; prefiltered-out tuples
-                // record zero probes.
-                ctx.count(Counter::probes, n_survive * b.len() as u64);
-                for i in 0..n {
-                    if !survive[i] {
-                        continue;
-                    }
-                    for (w, &word) in bits[i * stride..(i + 1) * stride].iter().enumerate() {
-                        let mut word = word;
-                        while word != 0 {
-                            let bit = word.trailing_zeros() as usize;
-                            pairs.push((i as u32, w * 64 + bit));
-                            word &= word - 1;
+            let mut theta_fell_back = false;
+            let block = (NL_PAIRS / n).max(1);
+            for (first, rows) in b.rows().chunks(block).enumerate() {
+                pairs.clear();
+                for (j, b_row) in rows.iter().enumerate() {
+                    let bi = first * block + j;
+                    match eval_batch(&bind_base(theta, b_row.values()), chunk) {
+                        Some(bv) => {
+                            let verdict = bv.to_selection(n);
+                            pairs.extend(
+                                (0..n)
+                                    .filter(|&i| survive[i] && verdict[i])
+                                    .map(|i| (i as u32, bi)),
+                            );
+                        }
+                        None => {
+                            // This base row's inlined literals broke the
+                            // batch form (e.g. a string bound into an
+                            // arithmetic slot): its pairs come from the
+                            // interpreter.
+                            theta_fell_back = true;
+                            let detail = slice.rows(ctx);
+                            for i in (0..n).filter(|&i| survive[i]) {
+                                if theta.eval_bool(b_row.values(), detail[start + i].values())? {
+                                    pairs.push((i as u32, bi));
+                                }
+                            }
                         }
                     }
                 }
-                return Ok(fell_back);
+                let _scratch = MemCharge::try_new(ctx, pairs.len() * PAIR_BYTES)?;
+                emit(pairs)?;
             }
-            ctx.count(Counter::fallback_theta, 1);
-            fell_back = true;
+            if theta_fell_back {
+                ctx.count(Counter::fallback_theta, 1);
+                fell_back = true;
+            }
+            return Ok(fell_back);
         } else {
             // Nested loop whose θ shape has no batch form: inherently scalar.
             ctx.count(Counter::fallback_theta, 1);
@@ -349,6 +365,7 @@ impl<'a> BatchProbe<'a> {
             )?;
             pairs.extend(matches.iter().map(|&bi| (i as u32, bi)));
         }
+        emit(pairs)?;
         Ok(fell_back)
     }
 
@@ -826,98 +843,6 @@ pub(crate) fn apply_batch(
     Ok(())
 }
 
-/// `Auto`'s batch-coverage cost model: how much of a query's per-tuple work
-/// the batch layer keeps on typed paths. Work units are the probe (1), the
-/// Theorem 4.2 prefilter (1, when θ has detail-only residual conjuncts), the
-/// mixed residual (1, when θ has base-referencing residual conjuncts), and one
-/// per aggregate. Each unit is covered when its expression shape vectorizes
-/// ([`batchable_shape`]) or its aggregate has a typed kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchCoverage {
-    /// Work units with a batched form.
-    pub covered: u32,
-    /// Total work units.
-    pub total: u32,
-    /// θ yields usable hash bindings under this context's probe strategy —
-    /// without hash probing the batch layer has nothing to vectorize the
-    /// match step with, so the vectorized evaluator is never chosen.
-    pub hash: bool,
-}
-
-impl BatchCoverage {
-    /// Covered fraction in per-mille; 0 when probing cannot hash at all.
-    pub fn permille(&self) -> u64 {
-        if !self.hash || self.total == 0 {
-            return 0;
-        }
-        (self.covered as u64 * 1000) / self.total as u64
-    }
-
-    /// Choose the batched evaluator when probing hashes and strictly more
-    /// than half the modeled work stays on typed paths — below that, the
-    /// per-batch chunk transposition and scalar delegation cost more than
-    /// the covered share wins back.
-    pub fn choose_vectorized(&self) -> bool {
-        self.hash && self.covered * 2 > self.total
-    }
-}
-
-/// Model the batch coverage of `MD(B, R, l, θ)` under `ctx` (see
-/// [`BatchCoverage`]). Replaces the old all-or-nothing eligibility gate: a
-/// query with one holistic aggregate among several kernel-covered ones — or a
-/// Div-bearing prefilter next to a vectorizable probe — now batches when the
-/// covered majority of its work still wins.
-pub(crate) fn batch_coverage(
-    b_schema: &Schema,
-    theta: &Expr,
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-) -> BatchCoverage {
-    let (bindings, residual) = mdj_expr::analysis::probe_bindings(theta);
-    let hash = ctx.strategy() != crate::context::ProbeStrategy::NestedLoop
-        && !bindings.is_empty()
-        && bindings.iter().all(|bi| b_schema.contains(&bi.base_col));
-    let mut total = 1u32;
-    let mut covered = 0u32;
-    if hash && bindings.iter().all(|bi| batchable_shape(&bi.detail_expr)) {
-        covered += 1;
-    }
-    // Residual conjuncts split the same way ProbePlan::build splits them:
-    // detail-only ones become the Theorem 4.2 prefilter, base-referencing
-    // ones the per-candidate residual.
-    let (prefilter, mixed): (Vec<&Expr>, Vec<&Expr>) = residual
-        .iter()
-        .partition(|c| !c.uses_side(Side::Base) && c.uses_side(Side::Detail));
-    if !prefilter.is_empty() {
-        total += 1;
-        if prefilter.iter().all(|c| batchable_shape(c)) {
-            covered += 1;
-        }
-    }
-    if !mixed.is_empty() {
-        total += 1;
-        if mixed.iter().all(|c| batchable_shape(c)) {
-            covered += 1;
-        }
-    }
-    for spec in aggs {
-        total += 1;
-        if ctx
-            .registry()
-            .get(&spec.function)
-            .map(|agg| agg.kernel().is_some())
-            .unwrap_or(false)
-        {
-            covered += 1;
-        }
-    }
-    BatchCoverage {
-        covered,
-        total,
-        hash,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,7 +850,9 @@ mod tests {
     use crate::executor::{self, DetailSource, Driver, Grid};
     use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
+    use mdj_agg::AggSpec;
     use mdj_expr::builder::*;
+    use mdj_expr::Expr;
     use mdj_storage::{DataType, Row, ScanStats, Schema};
     use std::sync::Arc;
 
@@ -1144,6 +1071,91 @@ mod tests {
     }
 
     #[test]
+    fn nested_loop_meets_a_large_base_in_charged_blocks() {
+        // |B| = 3000 at 64-row chunks: each chunk meets B in three blocks of
+        // NL_PAIRS / 64 base rows. Every pair is charged while its block is
+        // applied, so the tracker's peak is the states plus one block, and a
+        // budget one block breaches degrades (Theorem 4.1) to the same answer.
+        let b = Relation::from_rows(
+            Schema::from_pairs(&[("k", DataType::Int)]),
+            (0..3000)
+                .map(|k| Row::from_values(vec![Value::Int(k)]))
+                .collect(),
+        );
+        let r = Relation::from_rows(
+            Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
+            (0..500i64)
+                .map(|i| {
+                    Row::from_values(vec![Value::Int(i * 7 % 3000), Value::Float(i as f64 * 0.5)])
+                })
+                .collect(),
+        );
+        let theta = le(col_r("k"), col_b("k"));
+        let l = [AggSpec::on_column("sum", "v"), AggSpec::count_star()];
+        let serial = md_join_serial(&b, &r, &l, &theta, &ExecContext::new()).unwrap();
+        let pairs: u64 = serial
+            .rows()
+            .iter()
+            .map(|row| row[2].as_int().unwrap() as u64)
+            .sum();
+        let states = crate::governor::state_bytes(b.len(), l.len()) as u64;
+
+        let stats = Arc::new(ScanStats::new());
+        let ctx = ExecContext::new()
+            .with_morsel_size(64)
+            .with_budget_bytes(1 << 30)
+            .with_stats(stats.clone());
+        let vector = md_join_vectorized(&b, &r, &l, &theta, &ctx).unwrap();
+        assert_eq!(serial.rows(), vector.rows());
+        assert_eq!(stats.batch_fallbacks(), 0);
+        assert_eq!(stats.updates(), pairs * l.len() as u64);
+        assert_eq!(stats.bytes_charged(), states + pairs * PAIR_BYTES as u64);
+        let peak = ctx.memory().unwrap().peak();
+        assert!(
+            peak > states && peak <= states + (NL_PAIRS * PAIR_BYTES) as u64,
+            "{peak}"
+        );
+
+        // A base row whose inlined literal has no batch form (a Bool in
+        // arithmetic) takes its pairs from the interpreter, which reports the
+        // same error the scalar nested loop does.
+        let mixed = Relation::from_rows(
+            Schema::from_pairs(&[("k", DataType::Int)]),
+            [Value::Int(1), Value::Bool(true), Value::Int(2)]
+                .map(|v| Row::from_values(vec![v]))
+                .to_vec(),
+        );
+        let sum = le(add(col_b("k"), col_r("k")), lit(100i64));
+        let error = |res: Result<Relation>| res.unwrap_err().to_string();
+        assert_eq!(
+            error(md_join_serial(&mixed, &r, &l, &sum, &ExecContext::new())),
+            error(md_join_vectorized(&mixed, &r, &l, &sum, &ctx)),
+        );
+
+        let budget = states as usize + 10_000;
+        let tight = ExecContext::new()
+            .with_morsel_size(64)
+            .with_budget_bytes(budget);
+        assert!(matches!(
+            md_join_vectorized(&b, &r, &l, &theta, &tight),
+            Err(crate::CoreError::BudgetExceeded { .. })
+        ));
+        let stats = Arc::new(ScanStats::new());
+        let degraded = crate::MdJoin::new(&b, &r)
+            .aggs(&l)
+            .theta(theta.clone())
+            .budget_bytes(budget)
+            .run(
+                &ExecContext::new()
+                    .with_morsel_size(64)
+                    .with_stats(stats.clone()),
+            )
+            .unwrap();
+        assert!(stats.degradations() > 0);
+        assert_eq!(serial.rows(), degraded.rows());
+    }
+
+    #[test]
     fn fallback_reasons_attributed_per_site() {
         let s = sales(300);
         let b = s.distinct_on(&["cust"]).unwrap();
@@ -1206,86 +1218,6 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn coverage_cost_model() {
-        let s = sales(10);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let ctx = ExecContext::new();
-        let kernel_aggs = [AggSpec::on_column("sum", "sale"), AggSpec::count_star()];
-        // Equality θ + kernel aggregates: fully covered.
-        let c = batch_coverage(
-            b.schema(),
-            &eq(col_b("cust"), col_r("cust")),
-            &kernel_aggs,
-            &ctx,
-        );
-        assert_eq!((c.covered, c.total), (3, 3));
-        assert_eq!(c.permille(), 1000);
-        assert!(c.choose_vectorized());
-        // Non-equi θ yields no bindings: no hash probing, never vectorized.
-        let c = batch_coverage(
-            b.schema(),
-            &lt(col_b("cust"), col_r("cust")),
-            &kernel_aggs,
-            &ctx,
-        );
-        assert!(!c.hash);
-        assert_eq!(c.permille(), 0);
-        assert!(!c.choose_vectorized());
-        // A single holistic aggregate: exactly half covered → scalar.
-        let c = batch_coverage(
-            b.schema(),
-            &eq(col_b("cust"), col_r("cust")),
-            &[AggSpec::on_column("median", "sale")],
-            &ctx,
-        );
-        assert_eq!((c.covered, c.total), (1, 2));
-        assert!(!c.choose_vectorized());
-        // One holistic among kernel aggregates: majority covered → batch.
-        let c = batch_coverage(
-            b.schema(),
-            &eq(col_b("cust"), col_r("cust")),
-            &[
-                AggSpec::on_column("sum", "sale"),
-                AggSpec::on_column("median", "sale"),
-            ],
-            &ctx,
-        );
-        assert_eq!((c.covered, c.total), (2, 3));
-        assert!(c.choose_vectorized());
-        // A Div prefilter uncovers its unit but the rest still carries it.
-        let theta = and(
-            eq(col_b("cust"), col_r("cust")),
-            gt(div(col_r("sale"), lit(2i64)), lit(0i64)),
-        );
-        let c = batch_coverage(b.schema(), &theta, &kernel_aggs, &ctx);
-        assert_eq!((c.covered, c.total), (3, 4));
-        assert!(c.choose_vectorized());
-        // A Div probe-key expression uncovers the probe unit.
-        let theta = eq(col_b("cust"), div(col_r("cust"), lit(1i64)));
-        let c = batch_coverage(b.schema(), &theta, &[AggSpec::count_star()], &ctx);
-        assert_eq!((c.covered, c.total), (1, 2));
-        assert!(!c.choose_vectorized());
-        // A mixed residual counts as its own covered unit.
-        let theta = and(
-            eq(col_b("cust"), col_r("cust")),
-            ge(col_r("sale"), col_b("cust")),
-        );
-        let c = batch_coverage(b.schema(), &theta, &kernel_aggs, &ctx);
-        assert_eq!((c.covered, c.total), (4, 4));
-        assert!(c.choose_vectorized());
-        // Forced nested loop disables batched probing entirely.
-        let nl = ExecContext::new().with_strategy(ProbeStrategy::NestedLoop);
-        let c = batch_coverage(
-            b.schema(),
-            &eq(col_b("cust"), col_r("cust")),
-            &kernel_aggs,
-            &nl,
-        );
-        assert!(!c.hash);
-        assert!(!c.choose_vectorized());
-    }
-
     /// Satellite: the specialized single-`i64` map and the generic §4.5 index
     /// share one hasher; assert their bucket assignments are identical for
     /// every key (including adversarial shapes and absent keys).
@@ -1318,7 +1250,7 @@ mod tests {
         let b = Relation::from_rows(schema.clone(), rows);
         let theta = eq(col_b("k"), col_r("k"));
         let plan = ProbePlan::build(&b, &schema, &theta, ProbeStrategy::HashProbe).unwrap();
-        let probe = BatchProbe::new(&plan, &b);
+        let probe = BatchProbe::new(&plan);
         let map = probe.fast_int.as_ref().expect("single-Int-key fast map");
         let ProbePlan::Hash { index, .. } = probe.plan else {
             panic!("expected hash plan");
@@ -1464,7 +1396,7 @@ mod tests {
             for theta in &thetas {
                 let plan =
                     ProbePlan::build(&b, &r_schema, theta, ProbeStrategy::HashProbe).unwrap();
-                let probe = BatchProbe::new(&plan, &b);
+                let probe = BatchProbe::new(&plan);
                 let mut needed = vec![false; r_schema.len()];
                 probe.collect_needed(&mut needed);
                 let (batch_stats, scalar_stats) =
@@ -1476,7 +1408,18 @@ mod tests {
                     let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &needed);
                     let mut pairs = Vec::new();
                     let fell_back = probe
-                        .matches_batch(&chunk, Slice::Rows(rows), &b, None, &bctx, &mut pairs)
+                        .matches_batch(
+                            &chunk,
+                            Slice::Rows(rows),
+                            &b,
+                            None,
+                            &bctx,
+                            &mut Vec::new(),
+                            &mut |got| {
+                                pairs.extend_from_slice(got);
+                                Ok(())
+                            },
+                        )
                         .unwrap();
                     assert!(!fell_back, "θ = {theta}, morsel {morsel}");
                     let mut want = Vec::new();

@@ -29,7 +29,7 @@
 //! Theorem 4.2 prefilters (detail-only by construction) and hash-probe key
 //! expressions (detail-only by `split_equalities`).
 
-use crate::ast::{BinOp, Expr};
+use crate::ast::BinOp;
 use crate::eval::{arith, compare, BoundExpr};
 use mdj_storage::columnar::{Column, ColumnarChunk};
 use mdj_storage::{cmp_int_float, Value};
@@ -123,26 +123,13 @@ pub fn bind_base(expr: &BoundExpr, b_row: &[Value]) -> BoundExpr {
     }
 }
 
-/// Plan-time upper bound on whether an expression *shape* can vectorize:
-/// true iff it contains no `Div`/`Mod`, the only operators with no batch form
-/// at any type. Column typing (mixed-type or boolean columns) can still force
-/// a per-batch scalar fallback at runtime; `Auto`'s coverage cost model uses
-/// this as the best estimate available before data is seen.
-pub fn batchable_shape(expr: &Expr) -> bool {
-    match expr {
-        Expr::Col(_) | Expr::Lit(_) => true,
-        Expr::Binary { op, lhs, rhs } => {
-            !matches!(op, BinOp::Div | BinOp::Mod) && batchable_shape(lhs) && batchable_shape(rhs)
-        }
-        Expr::Not(e) => batchable_shape(e),
-    }
-}
-
-/// [`batchable_shape`] for already-bound expressions. Executors use this to
-/// decide which detail columns a chunk must materialize: an expression whose
-/// shape can never batch would only ever see those columns discarded, so its
-/// columns are not worth transposing. (Binding cannot change the operator
-/// shape, only replace columns with literals, so the two predicates agree.)
+/// Whether a bound expression's *shape* can vectorize: true iff it contains
+/// no `Div`/`Mod`, the only operators with no batch form at any type. Column
+/// typing (mixed-type or boolean columns) can still force a per-batch scalar
+/// fallback at runtime. Executors use this to decide which detail columns a
+/// chunk must materialize: an expression whose shape can never batch would
+/// only ever see those columns discarded, so its columns are not worth
+/// transposing.
 pub fn batchable_bound_shape(expr: &BoundExpr) -> bool {
     match expr {
         BoundExpr::BCol(_) | BoundExpr::RCol(_) | BoundExpr::Lit(_) => true,
@@ -520,6 +507,7 @@ fn arith_batch(op: BinOp, l: BatchVals, r: BatchVals, n: usize) -> Option<BatchV
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Expr;
     use crate::builder::*;
     use mdj_storage::{DataType, Row, Schema};
 
@@ -713,16 +701,15 @@ mod tests {
 
     #[test]
     fn batchable_shape_rejects_div_mod_only() {
-        assert!(batchable_shape(&eq(col_b("cust"), col_r("cust"))));
-        assert!(batchable_shape(&not(gt(
+        let schema = r_schema();
+        let shape = |e: Expr| batchable_bound_shape(&e.bind(Some(&schema), Some(&schema)).unwrap());
+        assert!(shape(eq(col_b("cust"), col_r("cust"))));
+        assert!(shape(not(gt(
             add(col_r("sale"), lit(1i64)),
             mul(col_r("cust"), lit(2i64))
         ))));
-        assert!(!batchable_shape(&eq(
-            div(col_r("sale"), lit(2i64)),
-            lit(5i64)
-        )));
-        assert!(!batchable_shape(&and(
+        assert!(!shape(eq(div(col_r("sale"), lit(2i64)), lit(5i64))));
+        assert!(!shape(and(
             lit(true),
             eq(modulo(col_r("cust"), lit(2i64)), lit(0i64))
         )));

@@ -527,7 +527,7 @@ impl QueryService {
         //     guard deregisters on every exit path, panic included.
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         self.lock_running().insert(query_id, token.clone());
-        let _running = RunningGuard {
+        let running = RunningGuard {
             service: self,
             query_id,
         };
@@ -550,7 +550,11 @@ impl QueryService {
         let engine = SqlEngine::with_context(self.engine.catalog().clone(), ctx);
         let result = body(&engine);
 
-        // 5. Unregister the tag no matter how execution ended.
+        // 5. Deregister, and unregister the tag, no matter how execution
+        //    ended. A query cancelled before it deregistered answers
+        //    `cancelled` instead of its rows: a drain counted it. One that
+        //    had already failed keeps its own error.
+        let cancelled = running.finish();
         if let Some(t) = &tag {
             if let Some(s) = self.lock_sessions().get_mut(&session) {
                 s.running.remove(t);
@@ -560,8 +564,12 @@ impl QueryService {
         // 6. A query that failed still did its I/O: count it before `?`.
         let snapshot = stats.snapshot();
         self.totals.absorb(&snapshot);
+        let relation = result?;
+        if cancelled {
+            return Err(ServerError::Core(CoreError::Cancelled));
+        }
         Ok(QueryOutcome {
-            relation: result?,
+            relation,
             stats: snapshot,
         })
     }
@@ -584,6 +592,17 @@ impl QueryService {
 struct RunningGuard<'a> {
     service: &'a QueryService,
     query_id: u64,
+}
+
+impl RunningGuard<'_> {
+    /// Deregister the query; true if its token was cancelled first. Read
+    /// under the registry lock [`QueryService::cancel_all_running`] holds, so
+    /// a drain's cancel either reached the query and is seen here, or finds
+    /// it gone.
+    fn finish(self) -> bool {
+        let token = self.service.lock_running().remove(&self.query_id);
+        token.is_some_and(|t| t.is_cancelled())
+    }
 }
 
 impl Drop for RunningGuard<'_> {
@@ -878,31 +897,55 @@ mod tests {
             ..ServiceConfig::default()
         }));
         let sid = svc.open_session();
+        let sql = "select cust, sum(sale) from Sales group by cust";
+        let opts = ExecOptions::default;
+        // Cancelled after its rows were built, before it deregistered: the
+        // cancel counted it, so it is cancelled.
+        let outcome = svc.run(sid, opts(), |engine| {
+            let rows = engine.query(sql);
+            assert_eq!(svc.cancel_all_running(), 1);
+            rows
+        });
+        assert_eq!(outcome.unwrap_err().code(), "cancelled");
+        // Failed before the cancel landed: the cancel counted it, but its
+        // own error stands.
+        let failed = |cancel: bool| {
+            let outcome = svc.run(sid, opts(), |engine| {
+                let rows = engine.query("select bogus from Sales group by cust");
+                if cancel {
+                    assert_eq!(svc.cancel_all_running(), 1);
+                }
+                rows
+            });
+            outcome.unwrap_err().code()
+        };
+        assert_ne!(failed(false), "cancelled");
+        assert_eq!(failed(true), failed(false));
+        // Deregistered first: no cancel reaches it, and its rows stand.
+        svc.run(sid, opts(), |engine| engine.query(sql)).unwrap();
+        assert_eq!(svc.cancel_all_running(), 0);
+        // A straggler still running past the drain's deadline is cancelled,
+        // counted, and answers `cancelled`.
+        let (started, in_flight) = std::sync::mpsc::channel();
         let bg = {
             let svc = svc.clone();
             std::thread::spawn(move || {
-                // A cube over the cross of three columns: long enough to
-                // still be running when the drain lands.
-                svc.query(
-                    sid,
-                    "select cust, month, sum(sale) from Sales analyze by cube(cust, month)",
-                    ExecOptions::default(),
-                )
+                svc.run(sid, opts(), |engine| {
+                    started.send(()).unwrap();
+                    loop {
+                        engine.query(sql)?;
+                    }
+                })
             })
         };
-        // Wait for the query to actually be in flight.
-        for _ in 0..500 {
-            if svc.running_query_count() > 0 || bg.is_finished() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let report = svc.drain(Duration::from_millis(0));
+        in_flight.recv().unwrap();
+        let report = svc.drain(Duration::ZERO);
         let outcome = bg.join().unwrap();
-        if report.in_flight_at_request > 0 && !report.drained_in_time {
-            assert!(report.cancelled >= 1, "{report:?}");
-            assert_eq!(outcome.unwrap_err().code(), "cancelled");
-        }
+        assert!(
+            !report.drained_in_time && report.cancelled == 1,
+            "{report:?}"
+        );
+        assert_eq!(outcome.unwrap_err().code(), "cancelled");
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(svc.running_query_count(), 0);
     }

@@ -42,7 +42,7 @@ pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use spill::{sweep_orphans, SweepReport};
 pub use stats::{
-    Agg, ColumnStats, Counter, CounterDef, Group, NdvSketch, ScanStats, StatsSnapshot, TableStats,
+    ColumnStats, Counter, CounterDef, Group, NdvSketch, ScanStats, StatsSnapshot, TableStats,
     WorkerStats, COUNTERS,
 };
 pub use value::cmp_int_float;

@@ -50,15 +50,6 @@ impl std::fmt::Display for WorkerStats {
     }
 }
 
-/// How repeated [`ScanStats::count`] calls on one counter combine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Agg {
-    /// Each call adds to the running total.
-    Sum,
-    /// Each call overwrites: the counter describes the most recent event.
-    Latest,
-}
-
 /// One row of the counter table.
 #[derive(Debug)]
 pub struct CounterDef {
@@ -70,7 +61,6 @@ pub struct CounterDef {
     pub group: Group,
     /// ...and its short label there.
     pub label: &'static str,
-    pub agg: Agg,
     /// Gated by `repro --check`: exact and machine-independent, and growth
     /// means the engine did more work on a shape it used to cover.
     pub gated: bool,
@@ -80,7 +70,7 @@ pub struct CounterDef {
 
 /// Expands the counter table into [`Counter`], [`Group`], [`COUNTERS`],
 /// [`StatsSnapshot`] and the named [`ScanStats`] getters. Row syntax:
-/// `name "label" Agg check|- wire|-;` inside `Group "line label" { .. }`.
+/// `name "label" check|- wire|-;` inside `Group "line label" { .. }`.
 /// Rows print in table order, so a group's rows read as its `EXPLAIN` line.
 macro_rules! counter_table {
     (@flag -) => {
@@ -91,7 +81,7 @@ macro_rules! counter_table {
     };
     ($(
         $group:ident $glabel:literal {
-            $( $(#[$doc:meta])* $name:ident $label:literal $agg:ident $gate:tt $wire:tt; )+
+            $( $(#[$doc:meta])* $name:ident $label:literal $gate:tt $wire:tt; )+
         }
     )+) => {
         /// A work counter: one row of the table, and the index of its cell
@@ -126,7 +116,6 @@ macro_rules! counter_table {
                 name: stringify!($name),
                 group: Group::$group,
                 label: $label,
-                agg: Agg::$agg,
                 gated: counter_table!(@flag $gate),
                 wire: counter_table!(@flag $wire),
             },)+)+
@@ -170,110 +159,100 @@ macro_rules! counter_table {
 counter_table! {
     Stats "stats" {
         /// Full or partial passes over a detail relation.
-        scans "scans" Sum check -;
+        scans "scans" check -;
         /// Detail tuples read.
-        tuples_scanned "tuples" Sum check wire;
+        tuples_scanned "tuples" check wire;
         /// Base-table rows examined by θ (inner-loop work of Algorithm 3.1).
-        probes "probes" Sum check -;
+        probes "probes" check -;
         /// Aggregate-state updates applied.
-        updates "updates" Sum check wire;
+        updates "updates" check wire;
     }
     Base "base" {
         /// Passes over a relation that build a base-values table `B` apart
         /// from the Algorithm 3.1 scan that answers, a scan that built its
         /// own `B` and then stopped answering included.
-        base_passes "passes" Sum - -;
+        base_passes "passes" - -;
         /// Algorithm 3.1 scans that answered over the group-by `B` they
         /// built themselves.
-        base_fused "fused" Sum - -;
+        base_fused "fused" - -;
     }
     Vectorized "vectorized" {
         /// Columnar batches processed by the vectorized evaluator.
-        batches "batches" Sum check -;
+        batches "batches" check -;
         /// Batches (or batch sub-steps) that fell back to the scalar
         /// interpreter: expression shape or column data had no typed kernel.
-        batch_fallbacks "fallbacks" Sum check -;
+        batch_fallbacks "fallbacks" check -;
     }
     FallbackReasons "fallback reasons" {
         /// Fallbacks because θ (or its bound-per-base-row form) has no
         /// batch evaluation. One batch can hit several causes, each counted
         /// once, independently of `batch_fallbacks`.
-        fallback_theta "theta" Sum check -;
+        fallback_theta "theta" check -;
         /// Fallbacks because the Theorem 4.2 prefilter has no batch form.
-        fallback_prefilter "prefilter" Sum check -;
+        fallback_prefilter "prefilter" check -;
         /// Fallbacks because a probe-key expression could not evaluate over
         /// the chunk's columns (untyped column, non-batchable shape).
-        fallback_key "key" Sum check -;
+        fallback_key "key" check -;
         /// Fallbacks because an aggregate input column had no typed kernel
         /// representation (mixed types, booleans, `ALL`).
-        fallback_agg "agg" Sum check -;
+        fallback_agg "agg" check -;
     }
     Generalized "generalized" {
         /// Condition/aggregate sets executed by the fused generalized
         /// (Theorem 4.3) batch executor.
-        gen_sets "sets" Sum check -;
+        gen_sets "sets" check -;
         /// Of those, sets delegated wholly to the scalar tuple-at-a-time
         /// path (the other sets in the same scan stay batched).
-        gen_set_fallbacks "scalar_sets" Sum check -;
-    }
-    Auto "auto" {
-        /// Modeled batch coverage behind the most recent `Auto` decision,
-        /// in per-mille of per-tuple work units.
-        auto_coverage_permille "batch coverage" Latest - -;
-        /// Whether the most recent `Auto` decision chose the vectorized
-        /// plan (0 or 1).
-        auto_batched "plan" Latest - -;
-        /// `Auto` batch-coverage decisions made (one per Auto-planned run).
-        auto_decisions "decisions" Sum - -;
+        gen_set_fallbacks "scalar_sets" check -;
     }
     Governor "governor" {
         /// Cooperative cancellation/deadline polls performed.
-        cancel_polls "cancel_polls" Sum - -;
+        cancel_polls "cancel_polls" - -;
         /// Morsels re-executed after a caught worker panic.
-        morsel_retries "retries" Sum - -;
+        morsel_retries "retries" - -;
         /// Bytes charged against the memory budget (cumulative, never
         /// released).
-        bytes_charged "bytes_charged" Sum - wire;
+        bytes_charged "bytes_charged" - wire;
         /// Budget breaches answered by re-planning into Theorem 4.1
         /// partitioned evaluation instead of aborting.
-        degradations "degradations" Sum - wire;
+        degradations "degradations" - wire;
     }
     Spill "spill" {
         /// Spill partitions (temporary page tables) written.
-        spill_partitions "partitions" Sum check -;
+        spill_partitions "partitions" check -;
         /// Bytes written to spill partitions' pages by spill-degradation.
-        bytes_spilled "bytes_spilled" Sum check -;
+        bytes_spilled "bytes_spilled" check -;
         /// Bytes of spill pages read back (also counted in `bytes_read`).
-        spill_read_bytes "read_bytes" Sum check -;
+        spill_read_bytes "read_bytes" check -;
     }
     Cache "cache" {
         /// Queries answered verbatim from a materialized cuboid-cache entry.
-        cache_hits "hits" Sum check -;
+        cache_hits "hits" check -;
         /// Queries answered by Theorem 4.5 roll-up from a *finer* cached
         /// cuboid.
-        cache_rollup_hits "rollup_hits" Sum check -;
+        cache_rollup_hits "rollup_hits" check -;
         /// Cacheable queries that found no usable entry and executed from
         /// scratch.
-        cache_misses "misses" Sum check -;
+        cache_misses "misses" check -;
         /// Cache entries dropped because an ingest batch could not maintain
         /// them incrementally (non-distributive aggregates, stale source).
-        cache_invalidations "invalidations" Sum check -;
+        cache_invalidations "invalidations" check -;
         /// Ingest batches folded into a table (and into live cache entries).
-        ingest_batches "ingest_batches" Sum check -;
+        ingest_batches "ingest_batches" check -;
     }
     Paged "paged" {
         /// Pages read from paged-table data files (one per buffer-pool
         /// miss; hits are free).
-        pages_read "pages_read" Sum check wire;
+        pages_read "pages_read" check wire;
         /// Bytes read from paged-table data files: the disk-resident
         /// complement of `bytes_spilled`.
-        bytes_read "bytes_read" Sum check wire;
+        bytes_read "bytes_read" check wire;
         /// Frames evicted from the buffer pool to admit new pages.
-        pool_evictions "pool_evictions" Sum check wire;
+        pool_evictions "pool_evictions" check wire;
         /// Resident pages whose rows a scalar path had built from their
         /// columns (at most once per residency; the batch paths read the
         /// columns).
-        page_rows_built "rows_built" Sum - -;
+        page_rows_built "rows_built" - -;
     }
 }
 
@@ -307,24 +286,17 @@ impl ScanStats {
         Self::default()
     }
 
-    /// Record `n` against `c`: added for a `Sum` counter, stored for a
-    /// `Latest` one.
+    /// Add `n` to `c`.
     #[inline]
     pub fn count(&self, c: Counter, n: u64) {
-        let cell = &self.cells[c as usize];
-        match c.def().agg {
-            Agg::Sum => {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-            Agg::Latest => cell.store(n, Ordering::Relaxed),
-        }
+        self.cells[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self, c: Counter) -> u64 {
         self.cells[c as usize].load(Ordering::Relaxed)
     }
 
-    /// Fold a finished run's counters in, each by its table aggregation.
+    /// Fold a finished run's counters in.
     /// Worker lists are per run and are not carried over.
     pub fn absorb(&self, snap: &StatsSnapshot) {
         for (def, v) in snap.iter() {
@@ -386,14 +358,7 @@ impl StatsSnapshot {
                 write!(out, "{prefix}{}:", def.group.label())?;
                 open = Some(def.group);
             }
-            match def.counter {
-                Counter::auto_coverage_permille => write!(out, " {}={v}‰", def.label)?,
-                Counter::auto_batched => {
-                    let plan = if v != 0 { "vectorized" } else { "scalar" };
-                    write!(out, " {}={plan}", def.label)?
-                }
-                _ => write!(out, " {}={v}", def.label)?,
-            }
+            write!(out, " {}={v}", def.label)?;
         }
         out.write_char('\n')?;
         for w in &self.workers {
@@ -739,25 +704,6 @@ mod tests {
         assert!(snap
             .to_string()
             .contains("generalized: sets=3 scalar_sets=1"));
-    }
-
-    #[test]
-    fn auto_decision_keeps_latest_and_displays() {
-        assert!(!ScanStats::new().snapshot().to_string().contains("auto:"));
-        let snap = counted(&[
-            (Counter::auto_decisions, 1),
-            (Counter::auto_coverage_permille, 500),
-            (Counter::auto_batched, 0),
-            (Counter::auto_decisions, 1),
-            (Counter::auto_coverage_permille, 857),
-            (Counter::auto_batched, 1),
-        ])
-        .snapshot();
-        assert_eq!(snap.auto_decisions, 2);
-        assert_eq!(snap.auto_coverage_permille, 857);
-        assert!(snap
-            .to_string()
-            .contains("auto: batch coverage=857‰ plan=vectorized decisions=2"));
     }
 
     #[test]

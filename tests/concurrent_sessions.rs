@@ -51,9 +51,8 @@ fn param_choices(stmt: usize) -> Vec<Vec<Value>> {
     }
 }
 
-/// Identical budget in the serial baseline and the concurrent run, so the
-/// coverage-costed planner makes the same choice and results stay
-/// bit-identical.
+/// Identical budget in the serial baseline and the concurrent run, so both
+/// degrade alike and results stay bit-identical.
 const QUERY_BUDGET: usize = 4 << 20;
 
 fn shared_engine(spill_dir: &Path) -> Arc<EngineConfig> {

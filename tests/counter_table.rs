@@ -13,7 +13,7 @@ use mdj_server::json::{parse, Json};
 use mdj_server::wire::{counter_fields, handle_line};
 use mdj_server::{QueryService, ServiceConfig};
 use mdj_storage::{
-    Agg, Counter, DataType, Relation, Row, ScanStats, Schema, StatsSnapshot, Value, WorkerStats,
+    Counter, DataType, Relation, Row, ScanStats, Schema, StatsSnapshot, Value, WorkerStats,
     COUNTERS,
 };
 use std::collections::BTreeSet;
@@ -84,11 +84,7 @@ fn every_counter_reaches_snapshot_and_explain_under_its_table_name() {
             .lines()
             .find(|l| l.starts_with(&head))
             .unwrap_or_else(|| panic!("{name}: no `{head}` line in\n{explained}"));
-        let shown = match def.counter {
-            Counter::auto_coverage_permille => format!(" {}={v}‰", def.label),
-            Counter::auto_batched => format!(" {}=vectorized", def.label),
-            _ => format!(" {}={v}", def.label),
-        };
+        let shown = format!(" {}={v}", def.label);
         assert!(
             format!("{line} ").contains(&format!("{shown} ")),
             "{name}: `{shown}` not in `{line}`"
@@ -110,21 +106,15 @@ fn sum_adds_latest_overwrites_reset_zeroes() {
     let once = stats.snapshot();
     for def in &COUNTERS {
         stats.count(def.counter, 7);
-        let want = match def.agg {
-            Agg::Sum => distinct(def.counter) + 7,
-            Agg::Latest => 7,
-        };
+        let want = distinct(def.counter) + 7;
         assert_eq!(stats.get(def.counter), want, "{}", def.name);
     }
-    // `absorb` applies the same aggregation per row, and carries no workers.
+    // `absorb` adds every row too, and carries no workers.
     let totals = ScanStats::new();
     totals.absorb(&once);
     totals.absorb(&once);
     for def in &COUNTERS {
-        let want = match def.agg {
-            Agg::Sum => 2 * distinct(def.counter),
-            Agg::Latest => distinct(def.counter),
-        };
+        let want = 2 * distinct(def.counter);
         assert_eq!(totals.get(def.counter), want, "{}", def.name);
     }
     assert!(totals.workers().is_empty());

@@ -1,5 +1,5 @@
 //! Differential fuzzing: every execution strategy — serial, vectorized,
-//! morsel-parallel, auto-planned, and budget-degraded runs on both the
+//! morsel-parallel, and budget-degraded runs on both the
 //! rescan and the spill path — is checked against an *independent*
 //! nested-loop reference executor written from Definition 3.1, with no code
 //! shared with `mdj-core`'s evaluators beyond the expression and aggregate
@@ -140,7 +140,8 @@ proptest! {
 
     /// Serial and vectorized runs are row-identical to the reference and to
     /// each other, with identical machine-independent work counters;
-    /// morsel-parallel and auto-planned runs produce the same multiset.
+    /// morsel-parallel and two-thread vectorized runs produce the same
+    /// multiset.
     #[test]
     fn all_strategies_match_the_reference(
         b in base_strategy(),
@@ -183,7 +184,7 @@ proptest! {
         // Nothing spilled without a budget.
         prop_assert_eq!(serial_stats.bytes_spilled(), 0);
 
-        for strategy in [ExecStrategy::Morsel, ExecStrategy::Auto] {
+        for strategy in [ExecStrategy::Morsel, ExecStrategy::Vectorized] {
             let stats = Arc::new(ScanStats::new());
             let out = run(strategy, &stats);
             prop_assert_eq!(out.len(), expected.len());
@@ -321,8 +322,7 @@ impl Drop for CaseDir {
 
 /// Every execution strategy: each one runs over the paged source unchanged
 /// (the source only decides how the chunk grid is cut).
-const PAGED_STRATEGIES: [ExecStrategy; 7] = [
-    ExecStrategy::Auto,
+const PAGED_STRATEGIES: [ExecStrategy; 6] = [
     ExecStrategy::Serial,
     ExecStrategy::Partitioned { partitions: 3 },
     ExecStrategy::Morsel,
@@ -708,23 +708,19 @@ proptest! {
             .strategy(ExecStrategy::Vectorized)
             .run(&ctx(&want_stats))
             .unwrap();
-        for strategy in [ExecStrategy::Vectorized, ExecStrategy::Auto] {
-            let stats = Arc::new(ScanStats::new());
-            let got = MdJoin::group_by(DetailSource::Resident(&r), dims, Some(pred.clone()))
-                .blocks(blocks[..k].iter().cloned())
-                .strategy(strategy)
-                .threads(1)
-                .run(&ctx(&stats))
-                .unwrap();
-            let label = format!("{strategy:?} dims={dims:?} k={k} where {pred} over {} rows", r.len());
-            prop_assert_eq!(want.rows(), got.rows(), "{}", label);
-            prop_assert_eq!(want_stats.probes(), stats.probes(), "{}", label);
-            prop_assert_eq!(want_stats.updates(), stats.updates(), "{}", label);
-            let batched = strategy == ExecStrategy::Vectorized || stats.auto_batched() == 1;
-            let fused = in_scan && batched;
-            prop_assert_eq!(stats.base_fused(), fused as u64, "{}", label);
-            prop_assert_eq!(stats.base_passes(), !fused as u64, "{}", label);
-            prop_assert_eq!(stats.scans(), 1, "{}", label);
-        }
+        let stats = Arc::new(ScanStats::new());
+        let got = MdJoin::group_by(DetailSource::Resident(&r), dims, Some(pred.clone()))
+            .blocks(blocks[..k].iter().cloned())
+            .strategy(ExecStrategy::Vectorized)
+            .threads(1)
+            .run(&ctx(&stats))
+            .unwrap();
+        let label = format!("dims={dims:?} k={k} where {pred} over {} rows", r.len());
+        prop_assert_eq!(want.rows(), got.rows(), "{}", label);
+        prop_assert_eq!(want_stats.probes(), stats.probes(), "{}", label);
+        prop_assert_eq!(want_stats.updates(), stats.updates(), "{}", label);
+        prop_assert_eq!(stats.base_fused(), in_scan as u64, "{}", label);
+        prop_assert_eq!(stats.base_passes(), !in_scan as u64, "{}", label);
+        prop_assert_eq!(stats.scans(), 1, "{}", label);
     }
 }

@@ -28,14 +28,13 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 const MORSELS: [usize; 3] = [1, 7, 4096];
 
 /// Every strategy name; the ones whose plan ignores `threads` run once.
-const STRATEGIES: [(ExecStrategy, bool); 7] = [
+const STRATEGIES: [(ExecStrategy, bool); 6] = [
     (ExecStrategy::Serial, false),
     (ExecStrategy::Partitioned { partitions: 3 }, false),
     (ExecStrategy::Vectorized, true),
     (ExecStrategy::Morsel, true),
     (ExecStrategy::MorselBase, true),
     (ExecStrategy::MorselDetail, true),
-    (ExecStrategy::Auto, true),
 ];
 
 fn detail_schema() -> Schema {
@@ -311,7 +310,6 @@ fn sweep(
                     ExecStrategy::Serial
                         | ExecStrategy::Partitioned { .. }
                         | ExecStrategy::Vectorized
-                        | ExecStrategy::Auto
                 );
                 let small = paged.is_none() && resident.len() <= 60;
                 if degradable && small && threads == 1 && morsel == 7 {
@@ -460,8 +458,8 @@ proptest! {
 }
 
 /// Deterministic shapes the random sweep only rarely draws: a base table
-/// dwarfing the detail side (so `Morsel` / `Vectorized` / `Auto` pick the
-/// base-partitioned driver, scalar and batch), enough detail rows that float
+/// dwarfing the detail side (so `Morsel` picks the base-partitioned
+/// driver), enough detail rows that float
 /// sums span many morsels, and empty or single-row inputs on either side.
 #[test]
 fn wide_base_long_detail_and_degenerate_inputs() {

@@ -10,7 +10,7 @@
 //!   warm means every batch was folded into the resident cuboid in place
 //!   (Algorithm 3.1) and the final answer is served from the maintained
 //!   entry, never recomputed;
-//! * the same holds across `Serial`/`Vectorized`/`Auto` execution through
+//! * the same holds across `Serial`/`Vectorized` execution through
 //!   the `MdJoin` builder (the kernels promise row-identical output);
 //! * a non-distributive aggregate (`avg`) makes the entry unmaintainable —
 //!   ingest must *drop* it (a stale serve is the failure mode), and the
@@ -201,7 +201,7 @@ proptest! {
         // from-scratch relations are interchangeable under every executor.
         let aggs = distributive_aggs();
         let theta = cuboid_theta(&dims);
-        for strategy in [ExecStrategy::Serial, ExecStrategy::Vectorized, ExecStrategy::Auto] {
+        for strategy in [ExecStrategy::Serial, ExecStrategy::Vectorized] {
             let plain = ExecContext::new();
             let run = |r: &Relation| {
                 let b = r.distinct_on(&dims).unwrap();

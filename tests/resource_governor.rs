@@ -49,7 +49,6 @@ fn theta() -> Expr {
 /// evaluators.
 fn all_strategies() -> Vec<ExecStrategy> {
     vec![
-        ExecStrategy::Auto,
         ExecStrategy::Serial,
         ExecStrategy::Partitioned { partitions: 3 },
         ExecStrategy::Morsel,
@@ -223,7 +222,7 @@ fn budget_degradation_works_from_auto_and_partitioned_plans() {
         .run(&ExecContext::new())
         .unwrap();
     for strategy in [
-        ExecStrategy::Auto,
+        ExecStrategy::Vectorized,
         ExecStrategy::Partitioned { partitions: 2 },
     ] {
         let stats = Arc::new(ScanStats::new());

@@ -239,13 +239,12 @@ fn optimizer_preserves_every_query_shape() {
 }
 
 /// The server's path through the engine: `SqlEngine::query` optimizes, the
-/// optimizer wraps each MD-join in `Plan::Parallel`, and that runs
-/// `Auto` — which, for these batch-covered statements, takes the batch
+/// optimizer wraps each MD-join in `Plan::Parallel`, and that runs the batch
 /// evaluator once, on no workers. A WHERE is never copied on that path: the
 /// optimizer folds its σ into θ, so every detail scan reads all of `R` and
 /// the batch prefilter drops what σ would have. The base is
 /// built in one filtered pass. `query_unoptimized` stays the literal scalar
-/// Algorithm 3.1 (no `Auto` decision, no batches, each σ materialized and
+/// Algorithm 3.1 (no batches, no workers, each σ materialized and
 /// scanned), so it remains an independent oracle, and the two answers agree
 /// to the bit, rows in the same order.
 #[test]
@@ -268,7 +267,7 @@ fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
     // keeps (every row where the statement has none), and whether its
     // group-by base is built inside the join's scan.
     type Kept<'a> = &'a dyn Fn(&Row) -> bool;
-    let statements: [(&str, Kept, bool); 8] = [
+    let statements: [(&str, Kept, bool); 9] = [
         // `olap-mem`'s gb1, and `paged-*`'s point, range and nonkey.
         (
             "select cust, sum(sale), count(*) from Sales where month = 3 group by cust",
@@ -314,11 +313,17 @@ fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
             &|t| month(t) == 3,
             true,
         ),
+        // A holistic aggregate has no typed kernel: the scalar loop updates
+        // it chunk by chunk inside the same batched, base-building scan.
+        (
+            "select cust, median(sale) from Sales group by cust",
+            &|_| true,
+            true,
+        ),
     ];
     for (sql, kept, fused) in statements {
         let served = Arc::new(ScanStats::new());
         let answer = engine(&served).query(sql).unwrap();
-        assert!(served.auto_decisions() >= 1, "{sql}");
         assert!(served.batches() > 0, "{sql}");
         assert!(served.workers().is_empty(), "{sql}");
         // σ ran as the batch prefilter over the whole table, every batch.
@@ -332,7 +337,7 @@ fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
         let oracle_stats = Arc::new(ScanStats::new());
         let oracle = engine(&oracle_stats).query_unoptimized(sql).unwrap();
         assert_eq!(oracle_stats.batches(), 0, "{sql}");
-        assert_eq!(oracle_stats.auto_decisions(), 0, "{sql}");
+        assert!(oracle_stats.workers().is_empty(), "{sql}");
         assert_eq!(oracle_stats.base_fused(), 0, "{sql}");
         assert_eq!(oracle_stats.base_passes(), 1, "{sql}");
         // The reference scans the σ it materialized.
@@ -344,6 +349,66 @@ fn server_path_runs_the_batch_evaluator_and_the_oracle_stays_scalar() {
         );
         assert_eq!(bits(&answer), bits(&oracle), "{sql}");
     }
+}
+
+/// A served θ with no hash binding runs the batch evaluator's nested loop.
+/// Over a base of ~2 000 groups each chunk meets `B` a block of base rows at
+/// a time, and each block's pairs are charged to the query's budget while
+/// they are applied: an ample budget sees one block's worth at its peak and
+/// never degrades, a budget one block breaches degrades into Theorem 4.1
+/// partitions, and both answers are bit-equal to the scalar oracle.
+#[test]
+fn served_unbound_theta_over_a_large_base_is_charged_and_degrades() {
+    use mdj_core::ExecContext;
+    use mdj_sql::SqlEngine;
+    use mdj_storage::{Catalog, ScanStats};
+    use std::sync::Arc;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "Sales",
+        mdj_datagen::sales(
+            &mdj_datagen::SalesConfig::default()
+                .with_rows(6_000)
+                .with_customers(2_000)
+                .with_seed(5),
+        ),
+    );
+    let sql = "select cust, sum(X.sale), count(X.*) from Sales group by cust ; \
+               X such that X.cust <= cust";
+    let oracle = SqlEngine::new(catalog.clone())
+        .query_unoptimized(sql)
+        .unwrap();
+    let pairs: u64 = oracle
+        .rows()
+        .iter()
+        .map(|row| row[2].as_int().unwrap() as u64)
+        .sum();
+    let served = |budget: usize| {
+        let stats = Arc::new(ScanStats::new());
+        let ctx = ExecContext::new()
+            .with_stats(stats.clone())
+            .with_budget_bytes(budget);
+        let tracker = ctx.memory().unwrap().clone();
+        let answer = SqlEngine::with_context(catalog.clone(), ctx)
+            .query(sql)
+            .unwrap();
+        assert_eq!(bits(&answer), bits(&oracle), "budget {budget}");
+        (stats, tracker.peak())
+    };
+    let (ample, peak) = served(64 << 20);
+    assert!(ample.batches() > 0);
+    assert!(ample.workers().is_empty());
+    assert_eq!(ample.degradations(), 0);
+    // Every pair was charged once, on top of the states and the base.
+    assert!(
+        ample.bytes_charged() > pairs * 20,
+        "{}",
+        ample.bytes_charged()
+    );
+    // ... but never more than a block's worth at a time: 65 536 pairs.
+    assert!(peak < (65_536 * 20) + (1 << 20), "peak {peak}");
+    let (tight, _) = served(peak as usize / 2);
+    assert!(tight.degradations() > 0);
 }
 
 #[test]
