@@ -2091,6 +2091,46 @@ fn e14(scale: usize) {
     );
     assert!(pruned.pages_read() > 0, "E14 three months of pages remain");
 
+    // One page miss split into its phases, over every page of the table,
+    // each read straight from the (warm) file. Print-only: wall time.
+    let pass = || {
+        (0..table.page_count())
+            .map(|p| table.read_profile(p).expect("E14c page read"))
+            .collect::<Vec<_>>()
+    };
+    pass();
+    let profiles = pass();
+    let median_us = |phase: fn(&mdj_storage::PageReadProfile) -> Duration| {
+        let mut us: Vec<f64> = profiles
+            .iter()
+            .map(|p| phase(p).as_secs_f64() * 1e6)
+            .collect();
+        us.sort_by(f64::total_cmp);
+        us[us.len() / 2]
+    };
+    let per_page = |total: u64| total as f64 / profiles.len() as f64;
+    header(
+        "E14c — one page miss of the E14 table, phase by phase (median over \
+         its pages; bytes and rows are means)",
+        &[
+            "pages",
+            "pread (µs)",
+            "checksum (µs)",
+            "decode (µs)",
+            "bytes",
+            "rows",
+        ],
+    );
+    println!(
+        "| {} | {:.2} | {:.2} | {:.2} | {:.0} | {:.1} |",
+        profiles.len(),
+        median_us(|p| p.pread),
+        median_us(|p| p.check),
+        median_us(|p| p.decode),
+        per_page(profiles.iter().map(|p| p.bytes).sum()),
+        per_page(profiles.iter().map(|p| p.rows as u64).sum()),
+    );
+
     // Two full scans at once over one pool of an eighth of the table. The
     // second scan reads a copy of the table, so the two never share a page
     // and each must read all of its own; a pool that reads under its lock

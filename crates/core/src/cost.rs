@@ -42,37 +42,6 @@ pub const SPILL_READ_COST: u64 = 2;
 /// cost more to open than to fill.
 pub const SPILL_FILE_OVERHEAD: u64 = 512;
 
-/// Cost of one cold page read from the paged table store (seek + checksum
-/// verification + row decode), in touched-tuple units. A page is priced like
-/// a small batch of spill reads: sequential, but through a syscall.
-pub const PAGE_READ_COST: u64 = 16;
-
-/// Cost of serving one page from the buffer pool (a hash lookup and a pin),
-/// in touched-tuple units.
-pub const POOL_HIT_COST: u64 = 1;
-
-/// Touched-tuple cost of one scan over a disk-resident detail table:
-/// `pages` admitted by the Theorem 4.2 prefilter, of which `resident` are
-/// expected to be buffer-pool hits, plus one decode unit per row delivered.
-/// With `resident == pages` (fully cached) the page term collapses to pool
-/// hits and the paged scan prices close to an in-memory one: in-memory,
-/// paged, and spill plans are all priced in the same touched-tuple currency.
-pub fn paged_scan_cost(pages: usize, rows: usize, resident: usize) -> u64 {
-    let resident = resident.min(pages) as u64;
-    let cold = (pages as u64) - resident;
-    cold.saturating_mul(PAGE_READ_COST)
-        .saturating_add(resident.saturating_mul(POOL_HIT_COST))
-        .saturating_add(rows as u64)
-}
-
-/// Touched-tuple cost of feeding a degraded `m`-partition plan from the
-/// paged store: `m` clustered range scans of the admitted pages (the paged
-/// analogue of [`rescan_cost`]). Compare against [`spill_cost`] to decide
-/// whether re-reading sealed pages beats spilling partitions.
-pub fn paged_rescan_cost(m: usize, pages: usize, rows: usize, resident: usize) -> u64 {
-    (m as u64).saturating_mul(paged_scan_cost(pages, rows, resident))
-}
-
 /// How a degraded (partitioned) plan feeds `R` to each partition of `B`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeMode {
@@ -280,26 +249,5 @@ mod tests {
         assert_eq!(rescan_cost(usize::MAX, usize::MAX), u64::MAX);
         assert!(spill_cost(usize::MAX, usize::MAX) == u64::MAX);
         let _ = cost_partitions(usize::MAX, usize::MAX, Some(usize::MAX), 1);
-        let _ = paged_rescan_cost(usize::MAX, usize::MAX, usize::MAX, 0);
-    }
-
-    #[test]
-    fn paged_scan_cost_is_pinned_and_coherent() {
-        // 8 pages, 1000 rows, all cold: 8×16 + 1000 = 1128.
-        assert_eq!(paged_scan_cost(8, 1000, 0), 1128);
-        // Fully resident: 8×1 + 1000 — within a whisker of in-memory.
-        assert_eq!(paged_scan_cost(8, 1000, 8), 1008);
-        // Resident is clamped to the page count.
-        assert_eq!(paged_scan_cost(8, 1000, 100), 1008);
-        // Theorem 4.2 pruning cuts the cost on both axes.
-        assert!(paged_scan_cost(2, 250, 0) < paged_scan_cost(8, 1000, 0));
-        // m scans cost m× one scan.
-        assert_eq!(paged_rescan_cost(3, 8, 1000, 0), 3 * 1128);
-        // Coherence with the spill model: re-reading a small sealed table
-        // a few times stays cheaper than spilling it...
-        assert!(paged_rescan_cost(2, 8, 1000, 0) < spill_cost(2, 1000));
-        // ...while a cold many-partition rescan of a big table loses to one
-        // spill pass, same as the in-memory rescan crossover.
-        assert!(paged_rescan_cost(64, 4096, 1_000_000, 0) > spill_cost(64, 1_000_000));
     }
 }

@@ -5,8 +5,9 @@
 //! per-column typed arrays (`i64`, `f64`, dictionary-coded strings) plus a
 //! null bitmap. Predicates and probe-key expressions then run as tight loops
 //! over native slices instead of per-row [`Value`] tree walks. A page of the
-//! page store is decoded straight into the same form, by the same
-//! `ColumnBuilder`, with no rows in between (`pager::Page`).
+//! page store is these columns serialized: the pager types a page's rows
+//! with the same `ColumnBuilder` when it writes them and decodes the page
+//! straight back into a chunk, with no rows in between (`pager::Page`).
 //!
 //! Column typing is *data-driven per batch*, not declared: a column whose
 //! values in the range are all `Int`-or-NULL becomes an [`Column::Int`], and
@@ -151,13 +152,12 @@ fn build_column(range: &[Row], c: usize) -> Column {
 /// [`ColumnarChunk::from_rows`]: the first non-NULL value picks the type, a
 /// range of only NULLs is a fully null `Int` column, and a value of another
 /// type — or a boolean or `ALL` — makes the column `Fallback`. Both the
-/// transposition of resident rows and the page decoder
-/// (`PagedTable::read_columns`) build their columns here, so a page's chunk
-/// equals the transposition of its rows.
+/// transposition of resident rows and the page encoder (`pager`) type their
+/// columns here, so a page's chunk equals the transposition of its rows.
 ///
 /// A `Str` column is coded by a dictionary keyed by the borrowed string, so
 /// a value already seen costs one hash and no reference-count traffic; only
-/// a new entry is cloned (or, from a page's bytes, allocated).
+/// a new entry is cloned.
 pub(crate) struct ColumnBuilder<'a> {
     state: Build<'a>,
     /// Rows the column will hold (the typed vectors' capacity).
@@ -219,13 +219,13 @@ impl<'a> ColumnBuilder<'a> {
             Value::Null => self.push_null(),
             Value::Int(i) => self.push_int(*i),
             Value::Float(x) => self.push_float(*x),
-            Value::Str(s) => self.push_str(s, Some(s)),
+            Value::Str(s) => self.push_str(s),
             Value::Bool(_) | Value::All => self.push_untyped(v.clone()),
         }
     }
 
     #[inline]
-    pub(crate) fn push_null(&mut self) {
+    fn push_null(&mut self) {
         match &mut self.state {
             Build::Nulls(k) => *k += 1,
             Build::Int { vals, nulls } => {
@@ -246,7 +246,7 @@ impl<'a> ColumnBuilder<'a> {
     }
 
     #[inline]
-    pub(crate) fn push_int(&mut self, v: i64) {
+    fn push_int(&mut self, v: i64) {
         match &mut self.state {
             Build::Int { vals, nulls } => {
                 vals.push(v);
@@ -263,7 +263,7 @@ impl<'a> ColumnBuilder<'a> {
     }
 
     #[inline]
-    pub(crate) fn push_float(&mut self, v: f64) {
+    fn push_float(&mut self, v: f64) {
         match &mut self.state {
             Build::Float { vals, nulls } => {
                 vals.push(v);
@@ -279,10 +279,8 @@ impl<'a> ColumnBuilder<'a> {
         }
     }
 
-    /// Push a string; `shared` is an `Arc` of it to reuse for a new
-    /// dictionary entry (one is allocated otherwise).
     #[inline]
-    pub(crate) fn push_str(&mut self, s: &'a str, shared: Option<&Arc<str>>) {
+    fn push_str(&mut self, s: &'a Arc<str>) {
         if let Build::Nulls(k) = self.state {
             let (codes, nulls) = self.leading_nulls(k, 0u32);
             self.state = Build::Str {
@@ -292,7 +290,6 @@ impl<'a> ColumnBuilder<'a> {
                 lookup: HashMap::default(),
             };
         }
-        let new_arc = || shared.cloned().unwrap_or_else(|| Arc::from(s));
         match &mut self.state {
             Build::Str {
                 codes,
@@ -301,19 +298,19 @@ impl<'a> ColumnBuilder<'a> {
                 lookup,
             } => {
                 let code = *lookup.entry(s).or_insert_with(|| {
-                    dict.push(new_arc());
+                    dict.push(Arc::clone(s));
                     (dict.len() - 1) as u32
                 });
                 codes.push(code);
                 nulls.push(false);
             }
-            _ => self.push_untyped(Value::Str(new_arc())),
+            _ => self.push_untyped(Value::Str(Arc::clone(s))),
         }
     }
 
     /// Push a value with no typed form here (a boolean, `ALL`, or one whose
     /// type conflicts with the column's): the column falls back.
-    pub(crate) fn push_untyped(&mut self, v: Value) {
+    fn push_untyped(&mut self, v: Value) {
         if !self.keep {
             self.state = Build::Fallback;
             return;
@@ -490,11 +487,16 @@ mod tests {
 
     #[test]
     fn leading_nulls_then_strings_code_in_first_seen_order() {
+        let values = [
+            Value::Null,
+            Value::Null,
+            Value::str("b"),
+            Value::str("a"),
+            Value::str("b"),
+        ];
         let mut col = ColumnBuilder::new(5, true);
-        col.push_null();
-        col.push_null();
-        for s in ["b", "a", "b"] {
-            col.push_str(s, None);
+        for v in &values {
+            col.push_value(v);
         }
         match col.finish() {
             (Column::Str { codes, dict, nulls }, None) => {

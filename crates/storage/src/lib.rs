@@ -34,8 +34,9 @@ pub use error::{Result, StorageError};
 pub use hash::{KeyBuildHasher, KeyHasher};
 pub use index::{HashIndex, SortedIndex};
 pub use pager::{
-    BufferPool, KeyBounds, NoFaults, Page, PageMeta, PagedStore, PagedTable, PagerBootReport,
-    PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable, TempTableWriter,
+    BufferPool, KeyBounds, NoFaults, Page, PageMeta, PageReadProfile, PagedStore, PagedTable,
+    PagerBootReport, PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable,
+    TempTableWriter,
 };
 pub use relation::{DistinctKeys, Relation};
 pub use row::Row;

@@ -543,7 +543,7 @@ fn mixed_relation(n: i64) -> Relation {
 
 /// A pool frame's chunk is the transposition of the page's rows —
 /// first-seen dictionary codes, null bitmaps, float bits — and its rows,
-/// built on demand, are the row decoder's.
+/// built on demand, are `read_page`'s.
 #[test]
 fn every_page_chunk_equals_the_transposition_of_its_rows() {
     let rel = mixed_relation(300);
