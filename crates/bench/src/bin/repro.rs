@@ -1224,7 +1224,7 @@ fn e11(scale: usize) {
             true,
         ),
     ];
-    for (label, bb, theta, covered) in shapes {
+    for (label, bb, theta, covered) in shapes.clone() {
         let run = |strategy: ExecStrategy, stats: Option<Arc<ScanStats>>| {
             let mut ctx = ExecContext::new();
             if let Some(s) = stats {
@@ -1278,6 +1278,7 @@ fn e11(scale: usize) {
         record_entry(&format!("e11/{slug}/serial"), t_s, Some(&s_stats));
         record_entry(&format!("e11/{slug}/vectorized"), t_v, Some(&v_stats));
     }
+    e11f(&r, &shapes, &l);
 
     // Fused generalized (Theorem 4.3) batch execution: k E8-style pivot
     // condition sets — per-month slices of an equality join — evaluated as
@@ -1450,6 +1451,59 @@ fn e11(scale: usize) {
     }
     e11d(scale);
     e11e(scale);
+}
+
+/// E11f — what a relation's column cache saves: per E11 θ shape, the first
+/// batch scan of a fresh relation, which transposes every column it reads
+/// into the cache (cold), against the second, which reads them from it
+/// (warm). Best of five fresh relations; print-only, like E11d.
+fn e11f(r: &Relation, shapes: &[(&str, &Relation, Expr, bool)], l: &[AggSpec]) {
+    header(
+        "E11f — column cache: first batch scan of a fresh relation (cold, \
+         transposes) vs the second (warm, reads the cache), ns per detail tuple",
+        &[
+            "θ shape",
+            "cold ns/tuple",
+            "warm ns/tuple",
+            "cold / warm",
+            "columns transposed (cold, warm)",
+        ],
+    );
+    for (label, bb, theta, _) in shapes {
+        let (mut cold, mut warm) = (Duration::MAX, Duration::MAX);
+        let mut transposed = (0, 0);
+        for _ in 0..5 {
+            // A copy of the rows, not a clone: a clone shares the cache.
+            let fresh = Relation::from_rows(r.schema().clone(), r.rows().to_vec());
+            let scan = || {
+                let stats = Arc::new(ScanStats::new());
+                let ctx = ExecContext::new().with_stats(stats.clone());
+                let t0 = Instant::now();
+                let out = MdJoin::new(bb, &fresh)
+                    .aggs(l)
+                    .theta(theta.clone())
+                    .strategy(ExecStrategy::Vectorized)
+                    .run(&ctx)
+                    .unwrap();
+                let dt = t0.elapsed();
+                std::hint::black_box(out);
+                (dt, stats.columns_transposed())
+            };
+            let (c, w) = (scan(), scan());
+            cold = cold.min(c.0);
+            warm = warm.min(w.0);
+            transposed = (c.1, w.1);
+        }
+        let ns = |d: Duration| d.as_secs_f64() * 1e9 / r.len() as f64;
+        println!(
+            "| {label} | {:.1} | {:.1} | {} | {}, {} |",
+            ns(cold),
+            ns(warm),
+            speedup(cold, warm),
+            transposed.0,
+            transposed.1
+        );
+    }
 }
 
 /// E11d — one batch thread against two scalar ones: the batch evaluator on

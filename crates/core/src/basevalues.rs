@@ -14,7 +14,7 @@ use crate::executor::split;
 use mdj_expr::builder::{and_all, col_b, col_r, eq, lit, or};
 use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols, eval_batch};
 use mdj_expr::Expr;
-use mdj_storage::{ColumnarChunk, DistinctKeys, Relation, Row, Value};
+use mdj_storage::{DistinctKeys, Relation, Row, Value};
 
 /// The grouping sets a base-values table holds over its dimension list.
 #[derive(Debug, Clone, Copy)]
@@ -85,9 +85,9 @@ pub fn build_filtered(
 
 /// The ids of the rows of `r` that pass the detail-side `pred`, in order. Per
 /// chunk of `ctx.morsel_size()` rows, `pred` evaluates into a selection
-/// vector where it has a batch form, and row by row through the scalar
-/// interpreter where it does not (`Div`/`Mod`, or a chunk whose column has
-/// no typed form).
+/// vector over the chunk's cached columns where it has a batch form, and row
+/// by row through the scalar interpreter where it does not (`Div`/`Mod`, or
+/// a chunk whose column has no typed form).
 fn select_rows(r: &Relation, pred: &Expr, ctx: &ExecContext) -> Result<Vec<usize>> {
     let bound = pred.bind(None, Some(r.schema()))?;
     let batchable = batchable_bound_shape(&bound);
@@ -95,11 +95,13 @@ fn select_rows(r: &Relation, pred: &Expr, ctx: &ExecContext) -> Result<Vec<usize
     if batchable {
         collect_detail_cols(&bound, &mut needed);
     }
+    let morsel = ctx.morsel_size().max(1);
+    let stats = ctx.stats().map(|s| s.as_ref());
     let mut kept = Vec::new();
-    for chunk in split(r.len(), ctx.morsel_size()) {
+    for (idx, chunk) in split(r.len(), morsel).into_iter().enumerate() {
         ctx.check_interrupt()?;
         let sel = batchable
-            .then(|| ColumnarChunk::from_rows(r.rows(), chunk.start, chunk.len(), &needed))
+            .then(|| r.chunk(idx, morsel, &needed, stats))
             .and_then(|columns| eval_batch(&bound, &columns))
             .map(|verdicts| verdicts.to_selection(chunk.len()));
         match sel {

@@ -969,4 +969,56 @@ mod tests {
             assert_eq!(bits(&serial), bits(&out), "{agg}");
         }
     }
+
+    #[test]
+    fn columns_transposed_counts_each_resident_column_once() {
+        use crate::context::DEFAULT_MORSEL_SIZE;
+        use mdj_storage::{Catalog, ScanStats};
+        // Four chunks at the default morsel; θ reads `cust`, the sum `sale`.
+        let mut catalog = Catalog::new();
+        catalog.register("Sales", sales(3 * DEFAULT_MORSEL_SIZE as i64 + 10));
+        let b = catalog
+            .get("Sales")
+            .unwrap()
+            .distinct_on(&["cust"])
+            .unwrap();
+        let transposed = |r: &Relation| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new().with_stats(stats.clone());
+            let out = MdJoin::new(&b, r)
+                .theta(eq(col_b("cust"), col_r("cust")))
+                .agg("sum(sale)")
+                .unwrap()
+                .run(&ctx)
+                .unwrap();
+            let serial = MdJoin::new(&b, r)
+                .theta(eq(col_b("cust"), col_r("cust")))
+                .agg("sum(sale)")
+                .unwrap()
+                .strategy(ExecStrategy::Serial)
+                .run(&ExecContext::new())
+                .unwrap();
+            assert_eq!(out.rows(), serial.rows());
+            stats.columns_transposed()
+        };
+        let held = catalog.get("Sales").unwrap();
+        assert_eq!(transposed(&held), 4 * 2);
+        assert_eq!(
+            transposed(&held),
+            0,
+            "an unchanged relation transposes nothing"
+        );
+        // Ingest under a reader copies the relation, sharing its columns:
+        // only the tail chunk's two columns are transposed again.
+        let row = |i| Row::from_values(vec![Value::Int(i), Value::str("CT"), Value::Int(i)]);
+        let grown = catalog.ingest("Sales", vec![row(3)]).unwrap().new;
+        assert_eq!(transposed(&grown), 2);
+        assert_eq!(transposed(&held), 0, "the held snapshot keeps its columns");
+        assert_eq!(transposed(&grown), 0);
+        // Ingest with no other reader appends in place, to the same effect.
+        drop((held, grown));
+        let grown = catalog.ingest("Sales", vec![row(4)]).unwrap().new;
+        assert_eq!(transposed(&grown), 2);
+        assert_eq!(transposed(&grown), 0);
+    }
 }

@@ -9,7 +9,8 @@
 //!   never by the thread count: `morsel`-row ranges of a resident relation,
 //!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
 //!   pages Theorem 4.2 rules out are never read). A page is read as its
-//!   buffer-pool frame's columns; only a scalar path asks it for rows;
+//!   buffer-pool frame's columns, a resident chunk as its relation's cached
+//!   columns; only a scalar path asks a page for rows;
 //! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
 //!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
 //!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
@@ -120,18 +121,35 @@ pub(crate) fn split_even(n: usize, m: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// One piece of a chunk as a scan reads it: a range of resident rows, or one
-/// pinned page.
+/// One piece of a chunk as a scan reads it: one chunk of a resident
+/// relation's grid, or one pinned page.
 #[derive(Clone, Copy)]
 pub(crate) enum Slice<'s> {
-    Rows(&'s [Row]),
+    /// Chunk `idx` of `rel`'s grid of `morsel`-row chunks, and its rows.
+    Resident {
+        rel: &'s Relation,
+        idx: usize,
+        morsel: usize,
+        rows: &'s [Row],
+    },
     Page(&'s PinnedPage),
 }
 
 impl<'s> Slice<'s> {
+    /// Chunk `idx` of `rel`'s grid of `morsel`-row chunks.
+    pub(crate) fn resident(rel: &'s Relation, idx: usize, morsel: usize) -> Self {
+        let rows = rel.rows();
+        Slice::Resident {
+            rel,
+            idx,
+            morsel,
+            rows: &rows[idx * morsel..((idx + 1) * morsel).min(rows.len())],
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
         match self {
-            Slice::Rows(rows) => rows.len(),
+            Slice::Resident { rows, .. } => rows.len(),
             Slice::Page(pin) => pin.page().len(),
         }
     }
@@ -141,16 +159,19 @@ impl<'s> Slice<'s> {
     /// paths ask.
     pub(crate) fn rows(&self, ctx: &ExecContext) -> &'s [Row] {
         match self {
-            Slice::Rows(rows) => rows,
+            Slice::Resident { rows, .. } => rows,
             Slice::Page(pin) => pin.page().rows_recorded(ctx.stats().map(|s| s.as_ref())),
         }
     }
 
     /// The slice in columnar form: a page's own chunk, every column decoded
-    /// once per residency; resident rows transposed, `needed` columns only.
-    pub(crate) fn chunk(&self, needed: &[bool]) -> Cow<'s, ColumnarChunk> {
-        match self {
-            Slice::Rows(rows) => Cow::Owned(ColumnarChunk::from_rows(rows, 0, rows.len(), needed)),
+    /// once per residency; a resident chunk's `needed` columns from its
+    /// relation's column cache, each transposed once per relation.
+    pub(crate) fn chunk(&self, needed: &[bool], ctx: &ExecContext) -> Cow<'s, ColumnarChunk> {
+        match *self {
+            Slice::Resident {
+                rel, idx, morsel, ..
+            } => Cow::Owned(rel.chunk(idx, morsel, needed, ctx.stats().map(|s| s.as_ref()))),
             Slice::Page(pin) => Cow::Borrowed(pin.page().chunk()),
         }
     }
@@ -165,7 +186,7 @@ pub(crate) struct Grid<'a> {
 
 enum Chunks<'a> {
     Resident {
-        rows: &'a [Row],
+        rel: &'a Relation,
         morsel: usize,
     },
     /// Runs of consecutive admitted pages totalling ≥ `morsel` rows each.
@@ -182,13 +203,7 @@ impl<'a> Grid<'a> {
     pub(crate) fn new(source: DetailSource<'a>, blocks: &[Block], morsel: usize) -> Self {
         let morsel = morsel.clamp(1, MAX_BATCH);
         let (rows, chunks) = match source {
-            DetailSource::Resident(r) => (
-                r.len() as u64,
-                Chunks::Resident {
-                    rows: r.rows(),
-                    morsel,
-                },
-            ),
+            DetailSource::Resident(r) => (r.len() as u64, Chunks::Resident { rel: r, morsel }),
             DetailSource::Paged(scan) => {
                 let mut pages: Vec<usize> = blocks
                     .iter()
@@ -227,7 +242,7 @@ impl<'a> Grid<'a> {
 
     fn len(&self) -> usize {
         match &self.chunks {
-            Chunks::Resident { rows, morsel } => rows.len().div_ceil(*morsel),
+            Chunks::Resident { rel, morsel } => rel.len().div_ceil(*morsel),
             Chunks::Paged { runs, .. } => runs.len(),
         }
     }
@@ -241,9 +256,7 @@ impl<'a> Grid<'a> {
         f: &mut dyn FnMut(Slice) -> Result<()>,
     ) -> Result<()> {
         match &self.chunks {
-            Chunks::Resident { rows, morsel } => f(Slice::Rows(
-                &rows[idx * morsel..((idx + 1) * morsel).min(rows.len())],
-            )),
+            Chunks::Resident { rel, morsel } => f(Slice::resident(rel, idx, *morsel)),
             Chunks::Paged { scan, runs } => {
                 for &pno in &runs[idx] {
                     f(Slice::Page(&scan.fetch(pno, ctx)?))?;
@@ -390,7 +403,7 @@ impl<'a> BatchEvaluator<'a> {
             return Ok(0);
         }
         // One columnar form per slice, shared by all k blocks.
-        let chunk = slice.chunk(&self.needed);
+        let chunk = slice.chunk(&self.needed, ctx);
         let b = self.b;
         self.update(&chunk, slice, b, None, ctx, states)
     }
@@ -762,7 +775,7 @@ pub(crate) fn run_grouped(
         if slice.len() == 0 {
             return Ok(0);
         }
-        let chunk = slice.chunk(&batch.needed);
+        let chunk = slice.chunk(&batch.needed, ctx);
         table.assign(&chunk, slice, ctx, &mut ids)?;
         let Some(st) = states.as_mut() else {
             return Ok(0);

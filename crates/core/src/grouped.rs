@@ -110,7 +110,7 @@ impl GroupBy {
         let mut ids = Vec::new();
         scan_in_order(&grid, ctx, |slice| {
             ctx.check_interrupt()?;
-            table.assign(&slice.chunk(&needed), slice, ctx, &mut ids)?;
+            table.assign(&slice.chunk(&needed, ctx), slice, ctx, &mut ids)?;
             Ok(0)
         })?;
         Ok(table.into_base())

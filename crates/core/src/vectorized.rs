@@ -5,8 +5,9 @@
 //! `Box<dyn AggState>` with a `Value` in between. This module processes `R`
 //! in columnar batches instead:
 //!
-//! 1. each batch of `ctx.morsel_size` resident tuples is transposed into a
-//!    [`ColumnarChunk`] (only the columns θ and `l` actually read); a page
+//! 1. each batch of `ctx.morsel_size` resident tuples is a [`ColumnarChunk`]
+//!    of the columns θ and `l` actually read, each transposed once per
+//!    relation and kept in its column cache (`Relation::chunk`); a page
 //!    of a page store is its buffer-pool frame's chunk, decoded once per
 //!    residency, and builds rows only for a scalar fallback;
 //! 2. the Theorem 4.2 prefilter evaluates over the whole batch into a
@@ -1404,13 +1405,15 @@ mod tests {
                 let bctx = ExecContext::new().with_stats(batch_stats.clone());
                 let sctx = ExecContext::new().with_stats(scalar_stats.clone());
                 let (mut out, mut scratch) = (Vec::new(), Vec::new());
-                for rows in r.rows().chunks(morsel) {
-                    let chunk = ColumnarChunk::from_rows(rows, 0, rows.len(), &needed);
+                for idx in 0..r.len().div_ceil(morsel) {
+                    let slice = Slice::resident(&r, idx, morsel);
+                    let chunk = slice.chunk(&needed, &bctx);
+                    let rows = slice.rows(&bctx);
                     let mut pairs = Vec::new();
                     let fell_back = probe
                         .matches_batch(
                             &chunk,
-                            Slice::Rows(rows),
+                            slice,
                             &b,
                             None,
                             &bctx,

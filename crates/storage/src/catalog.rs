@@ -12,6 +12,9 @@
 //! allocation is renewed; while a query's catalog snapshot or a lent answer
 //! still holds the old `Arc` the relation is copied once, so queries that
 //! already resolved a table keep scanning the snapshot they started with.
+//! Either way the grown relation keeps the cached columns of every chunk
+//! the old rows fill (`Relation::extend_rows`); a copy shares them with the
+//! snapshot it was copied from.
 
 use crate::error::{Result, StorageError};
 use crate::pager::PagedTable;
@@ -155,9 +158,7 @@ impl Catalog {
         // move the relation to a fresh allocation (a move of two `Vec`
         // headers, not of rows), so `new` never aliases `old`.
         let old = Arc::downgrade(&entry.rel);
-        Arc::make_mut(&mut entry.rel)
-            .rows_mut()
-            .extend(batch.iter().cloned());
+        Arc::make_mut(&mut entry.rel).extend_rows(batch.iter().cloned());
         entry.version += 1;
         Ok(IngestOutcome {
             table: name.to_string(),

@@ -4,7 +4,9 @@
 //! into fixed-size batches and transposes each batch into a [`ColumnarChunk`]:
 //! per-column typed arrays (`i64`, `f64`, dictionary-coded strings) plus a
 //! null bitmap. Predicates and probe-key expressions then run as tight loops
-//! over native slices instead of per-row [`Value`] tree walks. A page of the
+//! over native slices instead of per-row [`Value`] tree walks. A resident
+//! relation transposes each column of each chunk once and keeps it for every
+//! later scan (`Relation::chunk`, its column cache). A page of the
 //! page store is these columns serialized: the pager types a page's rows
 //! with the same `ColumnBuilder` when it writes them and decodes the page
 //! straight back into a chunk, with no rows in between (`pager::Page`).
@@ -51,14 +53,21 @@ pub enum Column {
     Fallback,
 }
 
+/// What [`ColumnarChunk::column`] lends for a column the chunk does not hold.
+static ABSENT: Column = Column::Absent;
+
 /// A contiguous range of detail tuples in columnar form.
+///
+/// Columns are shared, not owned: a resident relation's column cache hands
+/// the same `Arc<Column>` to every scan that reads it.
 #[derive(Debug, Clone)]
 pub struct ColumnarChunk {
     /// Index of the first row of this chunk within the source relation.
     start: usize,
     /// Rows in the chunk.
     len: usize,
-    columns: Vec<Column>,
+    /// Per column: its values, or `None` where [`Column::Absent`].
+    columns: Vec<Option<Arc<Column>>>,
 }
 
 impl ColumnarChunk {
@@ -69,13 +78,7 @@ impl ColumnarChunk {
         let columns = needed
             .iter()
             .enumerate()
-            .map(|(c, &want)| {
-                if want {
-                    build_column(range, c)
-                } else {
-                    Column::Absent
-                }
-            })
+            .map(|(c, &want)| want.then(|| Arc::new(build_column(range, c))))
             .collect();
         ColumnarChunk {
             start,
@@ -86,6 +89,15 @@ impl ColumnarChunk {
 
     /// A chunk of `len` rows starting at row 0 from already built columns.
     pub(crate) fn from_columns(len: usize, columns: Vec<Column>) -> Self {
+        Self::from_shared(
+            len,
+            columns.into_iter().map(|c| Some(Arc::new(c))).collect(),
+        )
+    }
+
+    /// A chunk of `len` rows starting at row 0 from shared columns (`None`
+    /// = absent).
+    pub(crate) fn from_shared(len: usize, columns: Vec<Option<Arc<Column>>>) -> Self {
         ColumnarChunk {
             start: 0,
             len,
@@ -107,7 +119,7 @@ impl ColumnarChunk {
     }
 
     pub fn column(&self, c: usize) -> &Column {
-        &self.columns[c]
+        self.columns[c].as_deref().unwrap_or(&ABSENT)
     }
 
     /// Number of columns, materialized or not.
@@ -134,7 +146,9 @@ impl Column {
     }
 }
 
-fn build_column(range: &[Row], c: usize) -> Column {
+/// Transpose column `c` of `range` under the typing rule of
+/// [`ColumnBuilder`].
+pub(crate) fn build_column(range: &[Row], c: usize) -> Column {
     // Single-pass speculative transposition: the first non-NULL value picks
     // the typed representation, and the first conflicting value abandons the
     // column to `Fallback`.

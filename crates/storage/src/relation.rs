@@ -1,15 +1,18 @@
 //! In-memory relations (multisets of rows with a schema).
 
+use crate::columnar::{build_column, Column, ColumnarChunk};
 use crate::error::{Result, StorageError};
 use crate::hash::KeyBuildHasher;
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::stats::{Counter, ScanStats};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An in-memory relation: a schema plus a multiset of rows.
 ///
@@ -18,24 +21,32 @@ use std::hash::{Hash, Hasher};
 /// are all `Relation`s, exactly as in the paper ("the base values table B as
 /// well as the relation R can be the result of a relational algebra
 /// expression").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A relation also keeps the columnar form of its rows, as the batch
+/// evaluator reads them ([`chunk`](Self::chunk)): each column of each chunk
+/// is transposed once, on the first scan that reads it, and shared by every
+/// later scan, clone included. Two relations are equal when their schemas
+/// and rows are; what either has cached does not count.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
     rows: Vec<Row>,
+    columns: ColumnCache,
 }
 
 impl Relation {
     /// Empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation {
-            schema,
-            rows: Vec::new(),
-        }
+        Self::from_rows(schema, Vec::new())
     }
 
     /// Build from parts without validation (rows are trusted).
     pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Self {
-        Relation { schema, rows }
+        Relation {
+            schema,
+            rows,
+            columns: ColumnCache::default(),
+        }
     }
 
     /// Build from parts, validating every row's arity and column types.
@@ -43,7 +54,7 @@ impl Relation {
         for row in &rows {
             Self::validate_row(&schema, row)?;
         }
-        Ok(Relation { schema, rows })
+        Ok(Self::from_rows(schema, rows))
     }
 
     fn validate_row(schema: &Schema, row: &Row) -> Result<()> {
@@ -69,13 +80,22 @@ impl Relation {
     /// Append a row, validating it against the schema.
     pub fn push(&mut self, row: Row) -> Result<()> {
         Self::validate_row(&self.schema, &row)?;
+        self.columns.clear();
         self.rows.push(row);
         Ok(())
     }
 
     /// Append a row without validation.
     pub fn push_unchecked(&mut self, row: Row) {
+        self.columns.clear();
         self.rows.push(row);
+    }
+
+    /// Append rows without validation, keeping the cached columns of every
+    /// chunk the old rows fill: only the tail chunk is transposed again.
+    pub fn extend_rows(&mut self, rows: impl IntoIterator<Item = Row>) {
+        self.columns.keep_full_chunks(self.rows.len());
+        self.rows.extend(rows);
     }
 
     pub fn schema(&self) -> &Schema {
@@ -86,7 +106,9 @@ impl Relation {
         &self.rows
     }
 
+    /// The rows, for any edit; drops the cached columns.
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
+        self.columns.clear();
         &mut self.rows
     }
 
@@ -106,6 +128,51 @@ impl Relation {
         self.rows.iter()
     }
 
+    /// Chunk `idx` of this relation's grid of `morsel`-row chunks in
+    /// columnar form, holding the `needed` columns only (the rest
+    /// [`Column::Absent`]), its first row at index 0: equal, column by
+    /// column, to [`ColumnarChunk::from_rows`] over the same rows.
+    ///
+    /// A column is transposed on the first request that needs it, counted
+    /// as `columns_transposed` on `stats`, and kept: later requests share
+    /// it. A request under another `morsel` replaces the whole cache.
+    ///
+    /// Columns are transposed under the relation's lock, so scans racing
+    /// over a cold relation build each column once rather than each a copy.
+    /// A slot is filled only with a finished column: a panic mid-way leaves
+    /// the slot empty, and the poisoned lock is recovered.
+    pub fn chunk(
+        &self,
+        idx: usize,
+        morsel: usize,
+        needed: &[bool],
+        stats: Option<&ScanStats>,
+    ) -> ColumnarChunk {
+        let morsel = morsel.max(1);
+        let start = idx * morsel;
+        let range = &self.rows[start..(start + morsel).min(self.rows.len())];
+        let mut grid = self.columns.lock();
+        let cached = grid.chunk(morsel, idx, needed.len());
+        let columns = needed
+            .iter()
+            .zip(cached.iter_mut())
+            .enumerate()
+            .map(|(c, (&want, slot))| {
+                want.then(|| {
+                    let col = slot.get_or_insert_with(|| {
+                        let col = Arc::new(build_column(range, c));
+                        if let Some(s) = stats {
+                            s.count(Counter::columns_transposed, 1);
+                        }
+                        col
+                    });
+                    Arc::clone(col)
+                })
+            })
+            .collect();
+        ColumnarChunk::from_shared(range.len(), columns)
+    }
+
     /// Column index lookup, delegated to the schema.
     pub fn col(&self, name: &str) -> Result<usize> {
         self.schema.index_of(name)
@@ -116,7 +183,7 @@ impl Relation {
         let idx = self.schema.indices_of(names)?;
         let schema = self.schema.project(&idx);
         let rows = self.rows.iter().map(|r| Row::new(r.key(&idx))).collect();
-        Ok(Relation { schema, rows })
+        Ok(Self::from_rows(schema, rows))
     }
 
     /// `SELECT DISTINCT` over the named columns — the paper's canonical way of
@@ -128,10 +195,10 @@ impl Relation {
         for r in &self.rows {
             distinct.offer(idx.iter().map(|&c| &r[c]));
         }
-        Ok(Relation {
-            schema: self.schema.project(&idx),
-            rows: distinct.into_rows(),
-        })
+        Ok(Self::from_rows(
+            self.schema.project(&idx),
+            distinct.into_rows(),
+        ))
     }
 
     /// Remove duplicate rows (full-row distinct).
@@ -143,18 +210,15 @@ impl Relation {
                 rows.push(r.clone());
             }
         }
-        Relation {
-            schema: self.schema.clone(),
-            rows,
-        }
+        Self::from_rows(self.schema.clone(), rows)
     }
 
     /// Filter by a row predicate.
     pub fn filter(&self, mut pred: impl FnMut(&Row) -> bool) -> Relation {
-        Relation {
-            schema: self.schema.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
+        Self::from_rows(
+            self.schema.clone(),
+            self.rows.iter().filter(|r| pred(r)).cloned().collect(),
+        )
     }
 
     /// Multiset union with an identically-shaped relation (Theorem 4.1 glue).
@@ -173,6 +237,7 @@ impl Relation {
                 got: other.schema.len(),
             });
         }
+        self.columns.clear();
         self.rows.extend(other.rows.iter().cloned());
         Ok(())
     }
@@ -180,16 +245,14 @@ impl Relation {
     /// In-place stable sort by the named columns (ascending, total order).
     pub fn sort_by(&mut self, names: &[&str]) -> Result<()> {
         let idx = self.schema.indices_of(names)?;
+        self.columns.clear();
         self.rows.sort_by_key(|row| row.key(&idx));
         Ok(())
     }
 
     /// Copy with a qualified schema (`alias.column` names).
     pub fn with_alias(&self, alias: &str) -> Relation {
-        Relation {
-            schema: self.schema.qualify(alias),
-            rows: self.rows.clone(),
-        }
+        Self::from_rows(self.schema.qualify(alias), self.rows.clone())
     }
 
     /// Replace the schema (must have the same arity). Used by renaming steps.
@@ -200,10 +263,7 @@ impl Relation {
                 got: schema.len(),
             });
         }
-        Ok(Relation {
-            schema,
-            rows: self.rows.clone(),
-        })
+        Ok(Self::from_rows(schema, self.rows.clone()))
     }
 
     /// Compare as unordered multisets (test helper: operator outputs are
@@ -244,6 +304,88 @@ impl Relation {
                         _ => u == w,
                     })
         })
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
+}
+
+/// A relation's columnar form: per chunk of a `morsel`-row grid, per column,
+/// the transposed column once some scan has read it. Its bytes belong to the
+/// table as its rows do, and are not charged to any query's memory budget.
+#[derive(Default)]
+struct ColumnCache(Mutex<CachedGrid>);
+
+#[derive(Clone, Default)]
+struct CachedGrid {
+    /// Rows per chunk of the cached grid.
+    morsel: usize,
+    /// Per chunk: per column, the column if transposed.
+    chunks: Vec<Vec<Option<Arc<Column>>>>,
+}
+
+impl CachedGrid {
+    /// The slots of chunk `idx` of the `morsel`-row grid, `width` columns
+    /// wide; a grid of another `morsel` is dropped first.
+    fn chunk(&mut self, morsel: usize, idx: usize, width: usize) -> &mut Vec<Option<Arc<Column>>> {
+        if self.morsel != morsel {
+            *self = CachedGrid {
+                morsel,
+                chunks: Vec::new(),
+            };
+        }
+        if self.chunks.len() <= idx {
+            self.chunks.resize_with(idx + 1, Vec::new);
+        }
+        let slots = &mut self.chunks[idx];
+        if slots.len() < width {
+            slots.resize(width, None);
+        }
+        slots
+    }
+}
+
+impl ColumnCache {
+    /// The grid. A lock poisoned by a panicking transposition still guards
+    /// only finished columns.
+    fn lock(&self) -> MutexGuard<'_, CachedGrid> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn grid(&mut self) -> &mut CachedGrid {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn clear(&mut self) {
+        self.grid().chunks.clear();
+    }
+
+    /// Keep only the chunks that the first `rows` rows fill completely.
+    fn keep_full_chunks(&mut self, rows: usize) {
+        let grid = self.grid();
+        if let Some(full) = rows.checked_div(grid.morsel) {
+            grid.chunks.truncate(full);
+        }
+    }
+}
+
+impl Clone for ColumnCache {
+    /// Shares every cached column: a copy-on-write append onto a cloned
+    /// relation keeps every chunk the old rows fill.
+    fn clone(&self) -> Self {
+        ColumnCache(Mutex::new(self.lock().clone()))
     }
 }
 

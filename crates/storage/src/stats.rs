@@ -182,6 +182,10 @@ counter_table! {
         /// Batches (or batch sub-steps) that fell back to the scalar
         /// interpreter: expression shape or column data had no typed kernel.
         batch_fallbacks "fallbacks" check -;
+        /// Columns of resident chunks transposed into a relation's column
+        /// cache (each at most once per chunk, column and relation; a scan
+        /// of cached columns counts none).
+        columns_transposed "transposed" - -;
     }
     FallbackReasons "fallback reasons" {
         /// Fallbacks because θ (or its bound-per-base-row form) has no

@@ -118,19 +118,24 @@ proptest! {
         } else {
             ExecStrategy::MorselBase
         };
-        match faulted_run(&b, &r, strategy, &ctx) {
-            Ok(out) => prop_assert_eq!(
-                expected.rows(), out.rows(),
-                "faulted run completed but differs from serial"
-            ),
-            Err(e @ CoreError::MorselPanicked { .. }) => {
-                prop_assert!(e.is_governor());
-                prop_assert!(
-                    fault.panics_injected() > 0,
-                    "MorselPanicked without an injected panic"
-                );
+        // The faulted query, then the same query again over the same
+        // relation, then twice on the batch evaluator: a cold scan that
+        // fills `r`'s column cache and a warm one that reads it.
+        for strategy in [strategy, strategy, ExecStrategy::Vectorized, ExecStrategy::Vectorized] {
+            match faulted_run(&b, &r, strategy, &ctx) {
+                Ok(out) => prop_assert_eq!(
+                    expected.rows(), out.rows(),
+                    "{:?} run completed but differs from serial", strategy
+                ),
+                Err(e @ CoreError::MorselPanicked { .. }) => {
+                    prop_assert!(e.is_governor());
+                    prop_assert!(
+                        fault.panics_injected() > 0,
+                        "MorselPanicked without an injected panic"
+                    );
+                }
+                Err(other) => prop_assert!(false, "unclean failure: {other:?}"),
             }
-            Err(other) => prop_assert!(false, "unclean failure: {other:?}"),
         }
     }
 
@@ -160,10 +165,16 @@ proptest! {
         } else {
             ExecStrategy::MorselBase
         };
-        let out = faulted_run(&b, &r, strategy, &ctx);
-        prop_assert!(out.is_ok(), "bounded faults must be absorbed: {:?}", out.err());
-        let out = out.unwrap();
-        prop_assert_eq!(expected.rows(), out.rows());
+        // The faulted query, then the same query again over the same
+        // relation, then twice on the batch evaluator: a cold scan that
+        // fills `r`'s column cache and a warm one that reads it. Every run
+        // answers, bit for bit.
+        for strategy in [strategy, strategy, ExecStrategy::Vectorized, ExecStrategy::Vectorized] {
+            let out = faulted_run(&b, &r, strategy, &ctx);
+            prop_assert!(out.is_ok(), "bounded faults must be absorbed: {:?}", out.err());
+            let out = out.unwrap();
+            prop_assert_eq!(expected.rows(), out.rows(), "{:?}", strategy);
+        }
         prop_assert_eq!(
             stats.morsel_retries(), fault.panics_injected(),
             "every injected panic is one recorded retry"

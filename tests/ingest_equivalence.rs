@@ -469,3 +469,49 @@ fn readers_pinning_snapshots_across_batches_see_the_version_they_read() {
         });
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A reader that holds the pre-ingest `Arc` while `Catalog::ingest`
+    /// copies the table under it keeps its answer: the batch evaluator over
+    /// the held snapshot, whose column cache the first scan filled and whose
+    /// full chunks the copy now shares, answers as before, bit for bit; the
+    /// new version holds the batch and answers as a table loaded whole.
+    #[test]
+    fn a_held_snapshot_answers_as_before_an_ingest_under_it(
+        rows in rows_strategy(),
+        cut in 0usize..1000,
+        morsel in 1usize..9,
+    ) {
+        let cut = cut % (rows.len() + 1);
+        let mut catalog = mdj_storage::Catalog::new();
+        catalog.register("Sales", Relation::from_rows(sales_schema(), rows[..cut].to_vec()));
+        let dims = ["cust", "month"];
+        let (aggs, theta) = (distributive_aggs(), cuboid_theta(&dims));
+        let ctx = ExecContext::new().with_morsel_size(morsel);
+        let run = |r: &Relation, b: &Relation| {
+            MdJoin::new(b, r)
+                .aggs(&aggs)
+                .theta(theta.clone())
+                .strategy(ExecStrategy::Vectorized)
+                .run(&ctx)
+                .unwrap()
+        };
+        let held = catalog.get("Sales").unwrap();
+        let b = held.distinct_on(&dims).unwrap();
+        let before = run(&held, &b);
+
+        let out = catalog.ingest("Sales", rows[cut..].to_vec()).unwrap();
+        prop_assert!(!Arc::ptr_eq(&held, &out.new));
+        prop_assert_eq!(held.rows(), &rows[..cut]);
+        prop_assert!(bit_identical(&run(&held, &b), &before));
+
+        let whole = Relation::from_rows(sales_schema(), rows.clone());
+        prop_assert_eq!(out.new.rows(), whole.rows());
+        let b = whole.distinct_on(&dims).unwrap();
+        prop_assert!(bit_identical(&run(&out.new, &b), &run(&whole, &b)));
+        // Read again, now that the new version's cache is warm.
+        prop_assert!(bit_identical(&run(&out.new, &b), &run(&whole, &b)));
+    }
+}
