@@ -28,7 +28,17 @@
 //! `B`, and the join is then evaluated over that `B` (degrading by Theorem 4.1
 //! after a breach) without another pass to build it.
 //!
-//! Cube, roll-up and grouping-sets bases keep their separate pass.
+//! A cube, roll-up or grouping-sets query runs one such scan per cuboid
+//! (`mdj_cube::common::cuboid`); the merged multi-set base tables of
+//! [`basevalues`] keep their separate pass.
+//!
+//! The table resolves a key through per-column codes, never by hashing the
+//! key as a row ([`GroupTable::assign`]). Each key column numbers its
+//! distinct values in a dictionary of its own; a chunk's per-chunk codes
+//! ([`KeyCodes`]) are translated to those codes once per distinct chunk
+//! code; and the codes of a key's columns chain through `u64`-keyed maps,
+//! one per further column, to one code per distinct key, which names its
+//! group. A lone `Int` key is its own code.
 
 use crate::basevalues::{self, Sets};
 use crate::context::{ExecContext, ProbeStrategy};
@@ -36,7 +46,7 @@ use crate::error::Result;
 use crate::executor::{scan_in_order, DetailSource, Grid, Slice};
 use crate::generalized::Block;
 use crate::probe::canon_key;
-use crate::vectorized::{tuple_ids, KeyCodes, NO_GROUP, NULL_CODE};
+use crate::vectorized::{pair_key, tuple_ids, KeyCodes, NO_GROUP, NULL_CODE};
 use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::builder::and_all;
 use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols};
@@ -81,12 +91,13 @@ impl GroupBy {
                 .as_ref()
                 .map(|p| p.bind(None, Some(r)))
                 .transpose()?,
-            index: HashMap::default(),
+            index: CodedIndex::new(key_cols.len()),
             ints: HashMap::default(),
             base: Relation::empty(r.project(&key_cols)),
             key_cols,
             exact: true,
             key: Vec::new(),
+            codes: Vec::new(),
         })
     }
 
@@ -132,9 +143,12 @@ impl GroupBy {
             r.index_of(d)
                 .is_ok_and(|c| matches!(r.field(c).dtype, DataType::Int | DataType::Str))
         };
+        // An empty key is one group, which the scan's first row inserts
+        // before any row updates it, so θ may take it from a nested loop —
+        // unless `pred` drops rows that precede that first row in its chunk.
         if ctx.strategy() == ProbeStrategy::NestedLoop
             || !ctx.prefilter()
-            || self.dims.is_empty()
+            || (self.dims.is_empty() && self.pred.is_some())
             || !self.dims.iter().all(typed)
         {
             return None;
@@ -176,8 +190,8 @@ pub(crate) struct GroupTable {
     /// `R`'s columns of `D`, in `D`'s order.
     key_cols: Vec<usize>,
     pred: Option<BoundExpr>,
-    /// Group key → row of `base`.
-    index: HashMap<Vec<Value>, usize, KeyBuildHasher>,
+    /// Group key → row of `base`, through per-column codes.
+    index: CodedIndex,
     /// A lone `Int` key's groups by value: one `i64` hash per row, however
     /// few rows a slice holds (a page of a page store may hold a few dozen,
     /// too few to code).
@@ -188,6 +202,68 @@ pub(crate) struct GroupTable {
     exact: bool,
     /// Reused key of the group being resolved.
     key: Vec<Value>,
+    /// Reused per-column codes of the group being resolved.
+    codes: Vec<u32>,
+}
+
+/// Group keys resolved through per-column codes, one path for any number
+/// of key columns. Each key column numbers its distinct components (a
+/// dictionary from value to `u32`, values compared as [`Value`]'s `Eq`
+/// does: `1` and `1.0` are two codes, as they are two groups). A key's
+/// first `j + 1` components then have one code of their own: the first
+/// column's code, and for each further column the code that
+/// `links[j - 1]` gives the pair (code of the first `j` components, code of
+/// column `j`), numbered densely in first-seen order. A full key's code so
+/// numbers the groups, and `groups` holds each one's row of `B`.
+struct CodedIndex {
+    /// Per key column: component value → code.
+    dicts: Vec<HashMap<Value, u32, KeyBuildHasher>>,
+    /// `links[j]`: (code of the first `j + 1` components, code of column
+    /// `j + 1`) packed as `u64` → code of the first `j + 2` components.
+    links: Vec<HashMap<u64, u32, KeyBuildHasher>>,
+    /// Row of `B` of each full key's code.
+    groups: Vec<usize>,
+}
+
+/// A chunk code whose column code is not looked up yet.
+const UNSEEN: u32 = u32::MAX;
+
+impl CodedIndex {
+    fn new(columns: usize) -> CodedIndex {
+        CodedIndex {
+            dicts: (0..columns).map(|_| HashMap::default()).collect(),
+            links: (1..columns).map(|_| HashMap::default()).collect(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Column `j`'s code for the component `v`, numbered on first sight.
+    fn code(&mut self, j: usize, v: &Value) -> u32 {
+        let dict = &mut self.dicts[j];
+        if let Some(&code) = dict.get(v) {
+            return code;
+        }
+        let code = dict.len() as u32;
+        dict.insert(v.clone(), code);
+        code
+    }
+
+    /// The group of the key whose column codes are `codes`; when the key is
+    /// new, `None`, and the key is now group `next`, which the caller
+    /// inserts.
+    fn find_or_number(&mut self, codes: &[u32], next: usize) -> Option<usize> {
+        let mut id = codes.first().copied().unwrap_or(0);
+        for (links, &code) in self.links.iter_mut().zip(codes.iter().skip(1)) {
+            let fresh = links.len() as u32;
+            id = *links.entry(pair_key(id, code)).or_insert(fresh);
+        }
+        if let Some(&group) = self.groups.get(id as usize) {
+            return Some(group);
+        }
+        debug_assert_eq!(id as usize, self.groups.len(), "full-key codes are dense");
+        self.groups.push(next);
+        None
+    }
 }
 
 impl GroupTable {
@@ -224,13 +300,17 @@ impl GroupTable {
     ///
     /// A lone `Int` key is looked up by value. Other ints and strings are
     /// coded per chunk ([`KeyCodes`]), so each distinct key of the chunk meets
-    /// the table once. Keys with a NULL, and chunks whose key columns have no
+    /// the table once, and then through the table's per-column codes: each
+    /// distinct chunk code of a column is translated to the column's code
+    /// once, and the key resolves through `u64`-keyed maps, never hashing a
+    /// row-form key. Keys with a NULL, and chunks whose key columns have no
     /// typed form, are read one by one (a typed column's value from the
-    /// chunk, anything else from the row). Against reading every key row by row
-    /// (`SqlEngine::query` over 50 k rows on a 2-vCPU host, min of 60), the
-    /// lone-`Int` path takes `cust` group-bys from 2.3–3.5 to 1.4 ms (one
-    /// block) and 3.5–4.0 to 2.8–2.9 ms (three), and coding takes a
-    /// `(prod, state)` group-by from 4.4–5.2 to 3.3–3.5 ms.
+    /// chunk, anything else from the row) into the same codes. Against
+    /// reading every key row by row (`SqlEngine::query` over 50 k rows on a
+    /// 2-vCPU host, min of 60), the lone-`Int` path takes `cust` group-bys
+    /// from 2.3–3.5 to 1.4 ms (one block) and 3.5–4.0 to 2.8–2.9 ms (three),
+    /// and chunk coding takes a `(prod, state)` group-by from 4.4–5.2 to
+    /// 3.3–3.5 ms.
     pub(crate) fn assign(
         &mut self,
         chunk: &ColumnarChunk,
@@ -292,6 +372,8 @@ impl GroupTable {
         };
         let (tuples, card) = tuple_ids(&cols, n);
         let mut slots = vec![NO_GROUP; card];
+        // Per key column, the table's code of each chunk code.
+        let mut translated: Vec<Vec<u32>> = cols.iter().map(|c| vec![UNSEEN; c.card()]).collect();
         for i in 0..n {
             if !kept(i) {
                 continue;
@@ -303,10 +385,23 @@ impl GroupTable {
             }
             let slot = &mut slots[id as usize];
             if *slot == NO_GROUP {
-                self.key.clear();
-                self.key
-                    .extend(cols.iter().map(|col| col.value(col.code(i))));
-                *slot = self.find_or_insert();
+                self.codes.clear();
+                for (j, (col, table)) in cols.iter().zip(&mut translated).enumerate() {
+                    let code = &mut table[col.code(i) as usize];
+                    if *code == UNSEEN {
+                        *code = self.index.code(j, &col.value(col.code(i)));
+                    }
+                    self.codes.push(*code);
+                }
+                *slot = match self.index.find_or_number(&self.codes, self.base.len()) {
+                    Some(group) => group,
+                    None => {
+                        self.key.clear();
+                        self.key
+                            .extend(cols.iter().map(|col| col.value(col.code(i))));
+                        self.insert()
+                    }
+                };
             }
             ids[i] = *slot;
         }
@@ -337,21 +432,33 @@ impl GroupTable {
         }
     }
 
-    /// The group of `self.key`, inserted as a new row of `B` when unseen.
+    /// The group of `self.key`, inserted as a new row of `B` when unseen: a
+    /// lone `Int` by value, any other key through the coded index. (A chunk
+    /// coded path never meets a lone `Int` column: its typed form is read by
+    /// value.)
     fn find_or_insert(&mut self) -> usize {
-        let found = match self.key[..] {
-            [Value::Int(v)] => self.ints.get(&v),
-            _ => self.index.get(self.key.as_slice()),
-        };
-        if let Some(&group) = found {
-            return group;
+        if let [Value::Int(v)] = self.key[..] {
+            if let Some(&group) = self.ints.get(&v) {
+                return group;
+            }
+            self.ints.insert(v, self.base.len());
+            return self.insert();
         }
+        self.codes.clear();
+        for (j, v) in self.key.iter().enumerate() {
+            let code = self.index.code(j, v);
+            self.codes.push(code);
+        }
+        match self.index.find_or_number(&self.codes, self.base.len()) {
+            Some(group) => group,
+            None => self.insert(),
+        }
+    }
+
+    /// Append `self.key` to `B` as a new group.
+    fn insert(&mut self) -> usize {
         let group = self.base.len();
         self.exact &= self.key.iter().all(|v| canon_key(v.clone()) == *v);
-        match self.key[..] {
-            [Value::Int(v)] => self.ints.insert(v, group),
-            _ => self.index.insert(self.key.clone(), group),
-        };
         self.base.push_unchecked(Row::new(self.key.clone()));
         group
     }
@@ -513,8 +620,13 @@ mod tests {
     fn a_float_key_in_an_int_column_stops_the_answering_scan() {
         // A trusted relation whose `Int` column holds `1.0` next to `1`: two
         // groups, and each probe key matches both. Only building `B` first
-        // gives every row to both.
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        // gives every row to both. A lone key is looked up by value, a wider
+        // one through the coded index.
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("v", DataType::Int),
+        ]);
         let rows = [
             Value::Int(1),
             Value::Int(2),
@@ -523,48 +635,51 @@ mod tests {
         ]
         .into_iter()
         .enumerate()
-        .map(|(i, k)| Row::from_values(vec![k, Value::Int(i as i64)]))
+        .map(|(i, k)| Row::from_values(vec![k, Value::str("a"), Value::Int(i as i64)]))
         .collect();
         let r = Relation::from_rows(schema, rows);
-        let theta = eq(col_b("k"), col_r("k"));
         let l = [AggSpec::on_column("sum", "v")];
-        let b = basevalues::build(&r, &["k"], Sets::GroupBy).unwrap();
-        let want = MdJoin::new(&b, &r)
-            .theta(theta.clone())
-            .aggs(&l)
-            .strategy(ExecStrategy::Serial)
-            .run(&ExecContext::new())
-            .unwrap();
-        // Group `1.0` sums rows 0, 2 and 3: its own and `1`'s.
-        assert_eq!(want.rows()[2][1], Value::Int(5));
-        // The scan answers until the slice that holds `1.0`, then only
-        // collects keys: its `B` is the two-pass plan's, and the join runs
-        // over it. The scan, and the probes and updates of the slice it
-        // answered (two rows at morsel 2), come on top of the two-pass
-        // plan's work.
-        for (morsel, answered) in [(4, 0), (2, 2)] {
-            let run = |fused: bool| {
-                let stats = Arc::new(ScanStats::new());
-                let ctx = ExecContext::new()
-                    .with_morsel_size(morsel)
-                    .with_stats(stats.clone());
-                let join = match fused {
-                    true => MdJoin::group_by(DetailSource::Resident(&r), &["k"], None),
-                    false => MdJoin::new(&b, &r),
+        for dims in [&["k"][..], &["k", "s"]] {
+            let theta = and_all(dims.iter().map(|d| eq(col_b(*d), col_r(*d))));
+            let b = basevalues::build(&r, dims, Sets::GroupBy).unwrap();
+            let want = MdJoin::new(&b, &r)
+                .theta(theta.clone())
+                .aggs(&l)
+                .strategy(ExecStrategy::Serial)
+                .run(&ExecContext::new())
+                .unwrap();
+            // Group `1.0` sums rows 0, 2 and 3: its own and `1`'s.
+            assert_eq!(want.rows()[2][dims.len()], Value::Int(5));
+            // The scan answers until the slice that holds `1.0`, then only
+            // collects keys: its `B` is the two-pass plan's, and the join
+            // runs over it. The scan, and the probes and updates of the
+            // slice it answered (two rows at morsel 2), come on top of the
+            // two-pass plan's work.
+            for (morsel, answered) in [(4, 0), (2, 2)] {
+                let run = |fused: bool| {
+                    let stats = Arc::new(ScanStats::new());
+                    let ctx = ExecContext::new()
+                        .with_morsel_size(morsel)
+                        .with_stats(stats.clone());
+                    let join = match fused {
+                        true => MdJoin::group_by(DetailSource::Resident(&r), dims, None),
+                        false => MdJoin::new(&b, &r),
+                    };
+                    let out = join
+                        .theta(theta.clone())
+                        .aggs(&l)
+                        .strategy(ExecStrategy::Vectorized)
+                        .run(&ctx)
+                        .unwrap();
+                    (out, stats)
                 };
-                let out = join
-                    .theta(theta.clone())
-                    .aggs(&l)
-                    .strategy(ExecStrategy::Vectorized)
-                    .run(&ctx)
-                    .unwrap();
-                (out, stats)
-            };
-            let ((out, stats), (_, two_pass)) = (run(true), run(false));
-            assert_eq!(out.rows(), want.rows(), "morsel {morsel}");
-            assert_eq!((stats.base_fused(), stats.base_passes()), (0, 1));
-            let expect = with_stopped_scan(&two_pass, r.len(), answered, answered);
-            assert_eq!(work(&stats), expect, "morsel {morsel}");
+                let ((out, stats), (_, two_pass)) = (run(true), run(false));
+                let label = format!("{dims:?} at morsel {morsel}");
+                assert_eq!(out.rows(), want.rows(), "{label}");
+                assert_eq!((stats.base_fused(), stats.base_passes()), (0, 1));
+                let expect = with_stopped_scan(&two_pass, r.len(), answered, answered);
+                assert_eq!(work(&stats), expect, "{label}");
+            }
         }
     }
 
@@ -656,5 +771,129 @@ mod tests {
             )
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(k Int, st Str, sale Float)` in chunks of four rows whose `st`
+    /// values come in a different order in each chunk, so each chunk's
+    /// string dictionary numbers them differently.
+    fn shuffled_dictionaries() -> Relation {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("st", DataType::Str),
+            ("sale", DataType::Float),
+        ]);
+        let names = ["NY", "NJ", "CT"];
+        Relation::from_rows(
+            schema,
+            (0..24i64)
+                .map(|i| {
+                    Row::from_values(vec![
+                        Value::Int(i % 2),
+                        Value::str(names[(i + i / 4) as usize % 3]),
+                        Value::Float(if i == 5 { -0.0 } else { i as f64 * 0.3 - 2.0 }),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    /// `c0`–`c4`, Int and Str by turns with NULLs in three of them, and a
+    /// `sale` Float.
+    fn five_key_columns(n: i64) -> Relation {
+        let schema = Schema::from_pairs(&[
+            ("c0", DataType::Int),
+            ("c1", DataType::Str),
+            ("c2", DataType::Int),
+            ("c3", DataType::Str),
+            ("c4", DataType::Int),
+            ("sale", DataType::Float),
+        ]);
+        let names = ["NY", "NJ", "CT", "CA"];
+        Relation::from_rows(
+            schema,
+            (0..n)
+                .map(|i| {
+                    Row::from_values(vec![
+                        Value::Int(i % 3),
+                        match i % 11 {
+                            0 => Value::Null,
+                            _ => Value::str(["x", "y"][i as usize % 2]),
+                        },
+                        Value::Int(i % 5 - 2),
+                        match i % 19 {
+                            0 => Value::Null,
+                            _ => Value::str(names[(i + i / 7) as usize % 4]),
+                        },
+                        match i % 13 {
+                            0 => Value::Null,
+                            _ => Value::Int(i % 2),
+                        },
+                        Value::Float(i as f64 * 0.1),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    /// The scan that builds `B` answers as the plan that builds it first
+    /// does: rows in first-seen order, float bits, probes and updates.
+    fn assert_agrees(r: &Relation, dims: &[&str], morsel: usize) {
+        let theta = and_all(dims.iter().map(|d| eq(col_b(*d), col_r(*d))));
+        let l = [AggSpec::on_column("sum", "sale"), AggSpec::count_star()];
+        let b = basevalues::build(r, dims, Sets::GroupBy).unwrap();
+        let run = |fused: bool| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new()
+                .with_morsel_size(morsel)
+                .with_stats(stats.clone());
+            let join = match fused {
+                true => MdJoin::group_by(DetailSource::Resident(r), dims, None),
+                false => MdJoin::new(&b, r),
+            };
+            let out = join
+                .theta(theta.clone())
+                .aggs(&l)
+                .strategy(ExecStrategy::Vectorized)
+                .run(&ctx)
+                .unwrap();
+            (out, stats)
+        };
+        let ((got, stats), (want, two_pass)) = (run(true), run(false));
+        let label = format!("{dims:?} over {} rows at morsel {morsel}", r.len());
+        assert_eq!(got.rows(), want.rows(), "{label}");
+        assert_eq!(
+            (stats.probes(), stats.updates()),
+            (two_pass.probes(), two_pass.updates()),
+            "{label}"
+        );
+        assert_eq!((stats.base_fused(), stats.base_passes()), (1, 0), "{label}");
+    }
+
+    #[test]
+    fn coded_keys_answer_as_building_the_base_first() {
+        // Chunk dictionaries that number the same strings differently.
+        let r = shuffled_dictionaries();
+        for dims in [&["st"][..], &["k", "st"], &["st", "k"]] {
+            for morsel in [1, 4, 7, 4096] {
+                assert_agrees(&r, dims, morsel);
+            }
+        }
+        // NULL key components, in the typed chunks and in the row path.
+        let r = sales();
+        for dims in [&["state"][..], &["cust", "state"], &["state", "cust"]] {
+            for morsel in [1, 7, 16, 4096] {
+                assert_agrees(&r, dims, morsel);
+            }
+        }
+        // Five key columns.
+        let r = five_key_columns(400);
+        for morsel in [7, 64, 4096] {
+            assert_agrees(&r, &["c0", "c1", "c2", "c3", "c4"], morsel);
+            assert_agrees(&r, &["c4", "c3", "c2", "c1", "c0"], morsel);
+        }
+        // Chunks where almost every key repeats one met before.
+        let r = five_key_columns(10_000);
+        assert_agrees(&r, &["c0", "c1"], 4096);
+        assert_agrees(&r, &["c0", "c2", "c4"], 4096);
     }
 }

@@ -240,25 +240,33 @@ impl<'a> BatchProbe<'a> {
             };
             if let Some(mut prober) = prober {
                 let mut cands: Vec<(u32, usize)> = Vec::new();
-                for i in 0..n {
-                    if !selected(i) {
-                        continue;
-                    }
-                    if sel.is_none() {
-                        if let Some(p) = prefilter {
-                            if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
-                                continue;
+                let probed = (|| -> Result<()> {
+                    for i in 0..n {
+                        if !selected(i) {
+                            continue;
+                        }
+                        if sel.is_none() {
+                            if let Some(p) = prefilter {
+                                if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
+                                    continue;
+                                }
                             }
                         }
+                        // NULL key component: SQL equality never matches —
+                        // the tuple records zero probes, exactly like the
+                        // scalar path.
+                        let Some(bucket) = prober.bucket(i) else {
+                            continue;
+                        };
+                        cands.extend(bucket.iter().map(|&bi| (i as u32, bi)));
                     }
-                    // NULL key component: SQL equality never matches — the
-                    // tuple records zero probes, exactly like the scalar path.
-                    let Some(bucket) = prober.bucket(i) else {
-                        continue;
-                    };
-                    ctx.count(Counter::probes, bucket.len() as u64);
-                    cands.extend(bucket.iter().map(|&bi| (i as u32, bi)));
-                }
+                    Ok(())
+                })();
+                // Each candidate is one probe of its tuple's bucket: counted
+                // once per batch, not with an atomic add per tuple, and also
+                // when the prefilter failed part-way.
+                ctx.count(Counter::probes, cands.len() as u64);
+                probed?;
                 match residual {
                     None => emit(&cands)?,
                     Some(res) => {
@@ -632,6 +640,11 @@ impl KeyCodes {
         }
     }
 
+    /// The size of the code space: every non-NULL code is below it.
+    pub(crate) fn card(&self) -> usize {
+        self.card
+    }
+
     /// The code of row `i`'s component.
     pub(crate) fn code(&self, i: usize) -> u32 {
         self.codes[i]
@@ -644,6 +657,17 @@ impl KeyCodes {
             Decode::Table(values) => values[code as usize].clone(),
         }
     }
+}
+
+/// The key of the pair (`prefix`, `code`) in a pair-chaining map: as
+/// injective as packing the two halves into a `u64`, but spread over all
+/// its bits. [`KeyBuildHasher`] multiplies, so a hash's low bits, which pick
+/// the bucket, see only the key's low bits; packed as `prefix << 32 | code`,
+/// every prefix would share its code's few buckets.
+pub(crate) fn pair_key(prefix: u32, code: u32) -> u64 {
+    (u64::from(prefix) << 32 | u64::from(code))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(32)
 }
 
 /// Combine the coded key columns of a chunk of `n` rows into one tuple id per
@@ -673,9 +697,7 @@ pub(crate) fn tuple_ids(cols: &[KeyCodes], n: usize) -> (Vec<u32>, usize) {
                     (NULL_CODE, _) | (_, NULL_CODE) => NULL_CODE,
                     (id, c) => {
                         let fresh = dense.len() as u32;
-                        *dense
-                            .entry(u64::from(id) << 32 | u64::from(c))
-                            .or_insert(fresh)
+                        *dense.entry(pair_key(id, c)).or_insert(fresh)
                     }
                 };
             }

@@ -1,9 +1,10 @@
-//! Shared cube machinery: the cube specification, cuboid padding, and sorted
-//! single-pass aggregation.
+//! Shared cube machinery: the cube specification, one-scan cuboids, cuboid
+//! padding, and sorted single-pass aggregation.
 
 use crate::lattice::{Lattice, Mask};
 use mdj_agg::{AggInput, AggSpec, AggState, Registry};
-use mdj_core::{ExecContext, ExecStrategy, MdJoin, Result};
+use mdj_core::basevalues::cuboid_theta;
+use mdj_core::{DetailSource, ExecContext, ExecStrategy, MdJoin, Result};
 use mdj_expr::Expr;
 use mdj_storage::{DataType, Field, Relation, Row, Schema, Value};
 
@@ -25,6 +26,28 @@ pub(crate) fn serial_md_join(
     MdJoin::new(b, r)
         .aggs(l)
         .theta(theta.clone())
+        .strategy(ExecStrategy::Vectorized)
+        .threads(1)
+        .run(ctx)
+}
+
+/// One cuboid, `MD(γ_kept(r), r, l, θ)` with θ the plain equality on the
+/// kept dimensions, in one scan of `r`: the MD-join builds its group-by base
+/// inside Algorithm 3.1's scan ([`MdJoin::group_by`]), single-threaded on the
+/// batch evaluator. The output equals building `γ_kept(r)` first and running
+/// [`serial_md_join`] over it, row for row and bit for bit: groups come in
+/// first-seen order and each group's updates in scan order. A cuboid whose
+/// scan cannot build its base (a kept dimension not declared `Int` or `Str`)
+/// builds it in a pass of its own first, as that plan does.
+pub(crate) fn cuboid(
+    r: &Relation,
+    kept: &[&str],
+    l: &[AggSpec],
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    MdJoin::group_by(DetailSource::Resident(r), kept, None)
+        .aggs(l)
+        .theta(cuboid_theta(kept))
         .strategy(ExecStrategy::Vectorized)
         .threads(1)
         .run(ctx)
@@ -87,14 +110,18 @@ impl CubeSpec {
 /// cuboid is copied more than once.
 pub fn pad_cuboid(cuboid: &Relation, spec: &CubeSpec, mask: Mask, out: &mut Relation) {
     let kept = spec.kept(mask);
+    // Each output dimension's column of the cuboid, or `None` for `ALL`.
+    let cols: Vec<Option<usize>> = spec
+        .dims
+        .iter()
+        .map(|d| kept.iter().position(|k| k == d))
+        .collect();
     for row in cuboid.iter() {
         let mut vals = Vec::with_capacity(out.schema().len());
-        for d in &spec.dims {
-            match kept.iter().position(|k| k == d) {
-                Some(i) => vals.push(row[i].clone()),
-                None => vals.push(Value::All),
-            }
-        }
+        vals.extend(cols.iter().map(|c| match c {
+            Some(i) => row[*i].clone(),
+            None => Value::All,
+        }));
         vals.extend(row.values()[kept.len()..].iter().cloned());
         out.push_unchecked(Row::new(vals));
     }

@@ -6,50 +6,52 @@
 //! — the coarser cuboid over dimensions `X` aggregates the *finer cuboid*
 //! over `X ∪ Y` instead of re-scanning the detail table, with `l'` the
 //! roll-up-adapted aggregate list (count→sum). Only the finest cuboid reads
-//! `R`; everything else reads a (much smaller) intermediate. The parent
+//! `R`; everything else reads a (much smaller) intermediate, and every
+//! cuboid is one scan of its input ([`crate::common::cuboid`]). The parent
 //! choice is greedy-by-size, which is how \[AAD+96\]-style planners pick
-//! roll-up edges when sizes are known.
+//! roll-up edges when sizes are known; among parents of equal size the one
+//! with the lowest mask wins, so a float aggregate's bits never depend on
+//! which of two equal candidates a run happened to pick.
 
-use crate::common::{pad_cuboid, serial_md_join, CubeSpec};
+use crate::common::{cuboid, pad_cuboid, serial_md_join, CubeSpec};
 use crate::lattice::Mask;
 use mdj_agg::rollup::rollup_specs;
 use mdj_core::basevalues::{cuboid_theta, group_by};
 use mdj_core::{CoreError, ExecContext, Result};
 use mdj_storage::Relation;
-use std::collections::HashMap;
 
 /// Compute the full cube via roll-up chains. Requires every aggregate in
 /// `spec.aggs` to be distributive (Theorem 4.5's precondition); errors with
 /// [`mdj_agg::AggError::NotRollupable`] otherwise.
+///
+/// The finest cuboid is one scan of `r`; each coarser one is one scan of its
+/// parent: the computed strict superset with the fewest rows, ties broken by
+/// the lowest mask.
 pub fn cube_rollup_chain(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result<Relation> {
     let lattice = spec.lattice();
     let schema = spec.output_schema(r, ctx.registry())?;
     let rolled = rollup_specs(&spec.aggs, ctx.registry())?;
 
-    // Unpadded cuboid relations, keyed by mask.
-    let mut computed: HashMap<Mask, Relation> = HashMap::new();
+    // Unpadded cuboid relations, in the order they were computed.
+    let mut computed: Vec<(Mask, Relation)> = Vec::new();
     let mut out = Relation::empty(schema);
 
     for mask in lattice.masks_fine_to_coarse() {
         let kept = spec.kept(mask);
-        let cuboid = if mask == lattice.full() {
+        let rel = if mask == lattice.full() {
             // Finest cuboid: from the detail table with the original l.
-            let b = group_by(r, &kept)?;
-            serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?
+            cuboid(r, &kept, &spec.aggs, ctx)?
         } else {
             // Coarser cuboid: from the smallest computed strict superset.
-            let parent_mask = computed
-                .keys()
-                .copied()
-                .filter(|&p| lattice.rolls_up_from(mask, p))
-                .min_by_key(|p| computed[p].len())
+            let (_, parent) = computed
+                .iter()
+                .filter(|(p, _)| lattice.rolls_up_from(mask, *p))
+                .min_by_key(|(p, rel)| (rel.len(), *p))
                 .ok_or_else(|| CoreError::BadConfig("no computed parent".into()))?;
-            let parent = &computed[&parent_mask];
-            let b = group_by(parent, &kept)?;
-            serial_md_join(&b, parent, &rolled, &cuboid_theta(&kept), ctx)?
+            cuboid(parent, &kept, &rolled, ctx)?
         };
-        pad_cuboid(&cuboid, spec, mask, &mut out);
-        computed.insert(mask, cuboid);
+        pad_cuboid(&rel, spec, mask, &mut out);
+        computed.push((mask, rel));
     }
     Ok(out)
 }
@@ -204,5 +206,50 @@ mod tests {
         // First scan reads R (6 tuples); the rest read intermediates whose
         // sizes are the cuboid row counts.
         assert!(snapshots.tuples_scanned < 8 * 6);
+    }
+
+    #[test]
+    fn equal_sized_parents_break_the_tie_on_the_lowest_mask() {
+        use crate::lattice::Lattice;
+        // Two 10-value dims: the apex has two parents of 10 rows each, (a)
+        // and (b), whose float sums round differently.
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("sale", DataType::Float),
+        ]);
+        let rows = (0..100i64)
+            .map(|i| {
+                let sale = 10f64.powi((i * 37 % 9 - 4) as i32) * (1.0 + i as f64 / 7.0);
+                Row::from_values(vec![
+                    Value::Int(i % 10),
+                    Value::Int(i / 10),
+                    Value::Float(sale),
+                ])
+            })
+            .collect();
+        let r = Relation::from_rows(schema, rows);
+        let sp = CubeSpec::new(&["a", "b"], vec![AggSpec::on_column("sum", "sale")]);
+        let ctx = ExecContext::new();
+        let rolled = rollup_specs(&sp.aggs, ctx.registry()).unwrap();
+        let two_pass = |rel: &Relation, mask: Mask, l: &[AggSpec]| {
+            let kept = sp.kept(mask);
+            let b = group_by(rel, &kept).unwrap();
+            serial_md_join(&b, rel, l, &cuboid_theta(&kept), &ctx).unwrap()
+        };
+        let full = Lattice::new(2).full();
+        let finest = two_pass(&r, full, &sp.aggs);
+        let apex_via = |parent: Mask| {
+            let parent = two_pass(&finest, parent, &rolled);
+            assert_eq!(parent.len(), 10);
+            two_pass(&parent, 0, &rolled).rows()[0][0].clone()
+        };
+        let (via_a, via_b) = (apex_via(0b01), apex_via(0b10));
+        assert_ne!(via_a, via_b, "the tie must decide the bits");
+        for _ in 0..32 {
+            let out = cube_rollup_chain(&r, &sp, &ctx).unwrap();
+            let apex = out.iter().find(|row| row[0].is_all() && row[1].is_all());
+            assert_eq!(apex.unwrap()[2], via_a);
+        }
     }
 }

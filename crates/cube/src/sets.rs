@@ -6,11 +6,11 @@
 //! MD-joins; the same expansion evaluates any *subset* of the lattice (the
 //! "materializing an optimal set of subcubes" use case of the conclusions).
 //! Each listed cuboid gets a hash-probed MD-join with a plain conjunctive θ,
-//! so the wildcard `ALL`-θ (and its nested-loop probing) never runs.
+//! so the wildcard `ALL`-θ (and its nested-loop probing) never runs, and
+//! each is one scan of the detail table ([`crate::common::cuboid`]).
 
-use crate::common::{pad_cuboid, serial_md_join, CubeSpec};
+use crate::common::{cuboid, pad_cuboid, CubeSpec};
 use crate::lattice::Mask;
-use mdj_core::basevalues::{cuboid_theta, group_by};
 use mdj_core::{CoreError, ExecContext, Result};
 use mdj_storage::Relation;
 
@@ -43,9 +43,10 @@ pub fn shape_masks(n: usize, shape: &SetShape) -> Vec<Mask> {
 }
 
 /// Evaluate the aggregates over every listed cuboid: one hash-probed MD-join
-/// per cuboid, outputs padded with `ALL` and unioned. Duplicate masks are
-/// evaluated once. Works for *any* aggregate mix (holistic included) —
-/// this is the generic Theorem 4.1 expansion, not the Theorem 4.5 roll-up.
+/// per cuboid, each one scan of `r`, outputs padded with `ALL` and unioned.
+/// Duplicate masks are evaluated once. Works for *any* aggregate mix
+/// (holistic included) — this is the generic Theorem 4.1 expansion, not the
+/// Theorem 4.5 roll-up.
 pub fn sets_agg(
     r: &Relation,
     spec: &CubeSpec,
@@ -67,10 +68,8 @@ pub fn sets_agg(
             continue;
         }
         done.push(mask);
-        let kept = spec.kept(mask);
-        let b = group_by(r, &kept)?;
-        let cuboid = serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?;
-        pad_cuboid(&cuboid, spec, mask, &mut out);
+        let rel = cuboid(r, &spec.kept(mask), &spec.aggs, ctx)?;
+        pad_cuboid(&rel, spec, mask, &mut out);
     }
     Ok(out)
 }

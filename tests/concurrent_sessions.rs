@@ -334,9 +334,13 @@ fn mid_flight_cancel_yields_typed_outcome_and_drains_pool() {
     let sid = svc.open_session();
     std::thread::scope(|scope| {
         let svc = &svc;
+        // Retry until the cancel finds the query running (bounded), however
+        // quickly it starts or runs.
         let canceller = scope.spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
-            svc.cancel(sid, "slow").unwrap()
+            (0..2_000).any(|_| {
+                std::thread::sleep(Duration::from_millis(1));
+                svc.cancel(sid, "slow").unwrap()
+            })
         });
         let err = svc
             .query(
