@@ -14,7 +14,7 @@ use crate::executor::split;
 use mdj_expr::builder::{and_all, col_b, col_r, eq, lit, or};
 use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols, eval_batch};
 use mdj_expr::Expr;
-use mdj_storage::{DistinctKeys, Relation, Row, Value};
+use mdj_storage::{KeyIndex, Relation, Row, Value};
 
 /// The grouping sets a base-values table holds over its dimension list.
 #[derive(Debug, Clone, Copy)]
@@ -119,40 +119,36 @@ fn select_rows(r: &Relation, pred: &Expr, ctx: &ExecContext) -> Result<Vec<usize
 }
 
 /// For each set in turn, the distinct values of its kept dimensions over
-/// `rows()`, with `ALL` in the rolled-up ones, in first-seen order.
+/// `rows()`, with `ALL` in the rolled-up ones, in first-seen order: keys are
+/// numbered through a [`KeyIndex`], and a row is cloned only for a new key.
 fn distinct_sets<'r, I: Iterator<Item = &'r Row>>(
     r: &Relation,
     rows: impl Fn() -> I,
     dims: &[&str],
     sets: Sets,
 ) -> Result<Relation> {
-    let masks = sets.keep_masks(dims)?;
     let idx = r.schema().indices_of(dims)?;
-    let mut distinct = DistinctKeys::default();
-    match masks {
-        None => {
-            for row in rows() {
-                distinct.offer(idx.iter().map(|&col| &row[col]));
-            }
-        }
-        Some(masks) => {
-            for mask in masks {
-                for row in rows() {
-                    distinct.offer(idx.iter().enumerate().map(|(d, &col)| {
-                        if mask & (1 << d) != 0 {
-                            &row[col]
-                        } else {
-                            &Value::All
-                        }
-                    }));
-                }
+    // `None` keeps every dimension.
+    let masks: Vec<Option<u32>> = match sets.keep_masks(dims)? {
+        None => vec![None],
+        Some(masks) => masks.into_iter().map(Some).collect(),
+    };
+    let mut keys = KeyIndex::new(idx.len());
+    let mut out = Vec::new();
+    for mask in masks {
+        let key = |row: &'r Row| {
+            idx.iter().enumerate().map(move |(d, &col)| match mask {
+                Some(mask) if mask & (1 << d) == 0 => &Value::All,
+                _ => &row[col],
+            })
+        };
+        for row in rows() {
+            if keys.insert(key(row)).1 {
+                out.push(Row::new(key(row).cloned().collect()));
             }
         }
     }
-    Ok(Relation::from_rows(
-        r.schema().project(&idx),
-        distinct.into_rows(),
-    ))
+    Ok(Relation::from_rows(r.schema().project(&idx), out))
 }
 
 /// Group-by base table: `select distinct attrs from r` (Example 3.1's `B`).

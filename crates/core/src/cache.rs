@@ -22,7 +22,8 @@
 //! serial scan's order — while entries with any other aggregate (e.g. `avg`,
 //! whose finalized value is not a sufficient retained state) are dropped.
 //! A fold costs the batch's groups, not the cuboid: the entry keeps a
-//! group-key → row index, and the touched cells are written through
+//! group-key → row index (a [`KeyIndex`], exact on the key values), and the
+//! touched cells are written through
 //! `Arc::make_mut`, which copies the cuboid only while a reader still holds
 //! the lent result (that reader keeps its pre-ingest rows).
 //!
@@ -36,10 +37,8 @@ use crate::error::Result;
 use crate::governor::{MemoryPool, PoolGrant};
 use mdj_agg::{AggInput, AggSpec, AggState, Registry};
 use mdj_expr::Expr;
-use mdj_storage::{IngestOutcome, Relation, Row, Value};
-use std::collections::hash_map::RandomState;
+use mdj_storage::{IngestOutcome, KeyBuildHasher, KeyIndex, Relation, Row, Value};
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
@@ -148,10 +147,10 @@ struct CacheEntry {
     /// forward to). Pointer identity is the validity test.
     detail: Weak<Relation>,
     result: Arc<Relation>,
-    /// Group key (the result's dim prefix) → row index in `result`. Built by
-    /// the first ingest fold and kept current by every later one; its bytes
-    /// are part of `bytes` and of the grant.
-    groups: Option<GroupIndex>,
+    /// Group key (the result's dim prefix) → row index in `result`: a key's
+    /// number is its row. Built by the first ingest fold and kept current by
+    /// every later one; its bytes are part of `bytes` and of the grant.
+    groups: Option<KeyIndex>,
     bytes: u64,
     last_used: u64,
     /// Reservation against the attached [`MemoryPool`], if any.
@@ -448,53 +447,20 @@ fn str_bytes(v: &Value) -> u64 {
     }
 }
 
-/// The row index a maintained cuboid keeps: hash of a group's dim prefix →
-/// its row in the result. Keys are not stored a second time — a hit is
-/// checked against the row it names, and two groups that share a hash make
-/// the cuboid unindexable (the fold is refused and the entry dropped), so
-/// a collision can cost a recompute but never a wrong cell.
-#[derive(Debug)]
-struct GroupIndex {
-    hasher: RandomState,
-    rows: HashMap<u64, usize>,
-}
-
-/// Estimated bytes one group costs a [`GroupIndex`]: its bucket at the
-/// table's average load.
+/// Bytes one group is charged for a maintained cuboid's group index. The
+/// figure predates the [`KeyIndex`], which also holds each column's distinct
+/// values; it is kept so that cache eviction does not move (ROADMAP item 10
+/// reconciles such estimates with the allocator).
 const GROUP_INDEX_BYTES: u64 = 2 * std::mem::size_of::<(u64, usize)>() as u64;
 
-impl GroupIndex {
-    /// Index `result`'s rows by their first `ndims` columns; `None` if two
-    /// rows collide.
-    fn build(result: &Relation, ndims: usize) -> Option<Self> {
-        let mut index = GroupIndex {
-            hasher: RandomState::new(),
-            rows: HashMap::with_capacity(result.len()),
-        };
-        for (i, row) in result.iter().enumerate() {
-            index.insert(&row.values()[..ndims], i)?;
-        }
-        Some(index)
+/// Index `result`'s rows by their first `ndims` columns, a key's number
+/// being its row; `None` if two rows share a key, which no group-by yields.
+fn index_groups(result: &Relation, ndims: usize) -> Option<KeyIndex> {
+    let mut index = KeyIndex::new(ndims);
+    for row in result.iter() {
+        index.insert(&row.values()[..ndims]).1.then_some(())?;
     }
-
-    fn hash(&self, key: &[Value]) -> u64 {
-        self.hasher.hash_one(key)
-    }
-
-    /// The row holding group `key`: `Some(None)` for a group new to the
-    /// cuboid, `None` if the hash names a row of another group.
-    fn find(&self, key: &[Value], result: &Relation) -> Option<Option<usize>> {
-        match self.rows.get(&self.hash(key)) {
-            None => Some(None),
-            Some(&i) => (result.rows()[i].values()[..key.len()] == *key).then_some(Some(i)),
-        }
-    }
-
-    /// Record that group `key` lives in row `i`; `None` if its hash already
-    /// named a row (it names `i` from now on).
-    fn insert(&mut self, key: &[Value], i: usize) -> Option<()> {
-        self.rows.insert(self.hash(key), i).is_none().then_some(())
-    }
+    Some(index)
 }
 
 /// Can `req` be answered by rolling up the cached `entry` cuboid?
@@ -577,6 +543,7 @@ struct GroupFold {
     /// Row of the resident cuboid this group extends; `None` for a group new
     /// to the base.
     target: Option<usize>,
+    /// A new group's key (empty for a retained one).
     key: Vec<Value>,
     slots: Vec<Slot>,
 }
@@ -624,21 +591,28 @@ fn maintain_entry(
     // columns, in request order): indexed once, on the first fold.
     let result = &entry.result;
     if entry.groups.is_none() {
-        entry.groups = Some(GroupIndex::build(result, ndims)?);
+        entry.groups = Some(index_groups(result, ndims)?);
         bytes += result.len() as u64 * GROUP_INDEX_BYTES;
     }
     let groups = entry.groups.as_mut()?;
     // Fold the batch in arrival order. `folds` keeps first-touch order: a
     // serial recompute appends the groups new to the base in exactly that
-    // order.
+    // order, and the index numbers them in it too, so a new group's number
+    // is the row it is appended as. (A refused fold drops the entry, and the
+    // keys the index took with it.)
     let mut folds: Vec<GroupFold> = Vec::new();
-    let mut touched: HashMap<Vec<Value>, usize> = HashMap::new();
+    // Group number → its fold.
+    let mut touched: HashMap<u32, usize, KeyBuildHasher> = HashMap::default();
     for row in &outcome.appended {
-        let key: Vec<Value> = dim_idx.iter().map(|&i| row[i].clone()).collect();
-        let at = match touched.get(&key) {
+        let (group, new) = groups.insert(dim_idx.iter().map(|&i| &row[i]));
+        let at = match touched.get(&group) {
             Some(&at) => at,
             None => {
-                let target = groups.find(&key, result)?;
+                let target = (!new).then_some(group as usize);
+                let key = match new {
+                    true => dim_idx.iter().map(|&i| row[i].clone()).collect(),
+                    false => Vec::new(),
+                };
                 let mut slots = Vec::with_capacity(kinds.len());
                 for (j, kind) in kinds.iter().enumerate() {
                     slots.push(match kind {
@@ -661,7 +635,7 @@ fn maintain_entry(
                         }
                     });
                 }
-                touched.insert(key.clone(), folds.len());
+                touched.insert(group, folds.len());
                 folds.push(GroupFold { target, key, slots });
                 folds.len() - 1
             }
@@ -724,14 +698,10 @@ fn maintain_entry(
                     *cell = v;
                 }
             }
-            None => {
-                // Two new groups sharing a hash: the second owns the slot
-                // and the first is refused by `find` on its next batch.
-                let _ = groups.insert(&vals[..ndims], rows.len());
-                rows.push(Row::new(vals));
-            }
+            None => rows.push(Row::new(vals)),
         }
     }
+    debug_assert_eq!(rows.len(), groups.len(), "a group's number is its row");
     entry.bytes = bytes;
     entry.detail = Arc::downgrade(&outcome.new);
     Some(())
@@ -1108,21 +1078,13 @@ mod tests {
         assert_eq!((report.maintained, report.invalidated), (0, 1));
         assert_eq!((cache.len(), cache.bytes(), pool.reserved()), (0, 0, 0));
 
-        // Hash collision: the index names another group's row for cust 0.
+        // A cuboid whose rows repeat a group key cannot be indexed by row.
         let detail = catalog.get("Sales").unwrap();
-        cache.insert(&r, &detail, Arc::new(cuboid(&detail, &["cust"], &aggs)));
+        let mut twice = cuboid(&detail, &["cust"], &aggs);
+        let first = twice.rows()[0].clone();
+        twice.push_unchecked(first);
+        cache.insert(&r, &detail, Arc::new(twice));
         drop(detail);
-        let outcome = catalog.ingest("Sales", batch()).unwrap();
-        let report = cache.on_ingest(&outcome, &Registry::standard());
-        assert_eq!((report.maintained, report.invalidated), (1, 0));
-        {
-            let mut inner = cache.lock();
-            let index = inner.entries[0].groups.as_mut().unwrap();
-            let (zero, one) = ([Value::Int(0)], [Value::Int(1)]);
-            let row_of_one = index.rows[&index.hash(&one)];
-            let slot = index.hash(&zero);
-            index.rows.insert(slot, row_of_one);
-        }
         let outcome = catalog.ingest("Sales", batch()).unwrap();
         let report = cache.on_ingest(&outcome, &Registry::standard());
         assert_eq!((report.maintained, report.invalidated), (0, 1));

@@ -337,25 +337,31 @@ struct Evaluator<'a> {
 impl Evaluator<'_> {
     /// Evaluate one detail slice into `sink`; returns the aggregate updates
     /// it implies (recorded by the driver, outside any retry boundary).
+    /// The slice's probes are counted once, also when a tuple errors.
     fn scan(&self, rows: &[Row], ctx: &ExecContext, sink: &mut impl Sink) -> Result<u64> {
         let mut updates = 0usize;
+        let mut probes = 0u64;
         let mut matches: Vec<usize> = Vec::new();
-        let mut key_scratch: Vec<Value> = Vec::new();
-        for (ti, t) in rows.iter().enumerate() {
-            if ti % CANCEL_CHECK_INTERVAL == 0 {
-                ctx.check_interrupt()?;
-            }
-            for (k, blk) in self.blocks.iter().enumerate() {
-                blk.plan
-                    .matches(self.b, t.values(), ctx, &mut matches, &mut key_scratch)?;
-                if matches.is_empty() || blk.aggs.is_empty() {
-                    continue;
+        let mut codes: Vec<u32> = Vec::new();
+        let scanned = (|| -> Result<()> {
+            for (ti, t) in rows.iter().enumerate() {
+                if ti % CANCEL_CHECK_INTERVAL == 0 {
+                    ctx.check_interrupt()?;
                 }
-                updates += matches.len() * blk.aggs.len();
-                sink.tuple(k, blk, t, &matches)?;
+                for (k, blk) in self.blocks.iter().enumerate() {
+                    blk.plan
+                        .matches(self.b, t.values(), &mut matches, &mut codes, &mut probes)?;
+                    if matches.is_empty() || blk.aggs.is_empty() {
+                        continue;
+                    }
+                    updates += matches.len() * blk.aggs.len();
+                    sink.tuple(k, blk, t, &matches)?;
+                }
             }
-        }
-        Ok(updates as u64)
+            Ok(())
+        })();
+        ctx.count(Counter::probes, probes);
+        scanned.map(|()| updates as u64)
     }
 }
 

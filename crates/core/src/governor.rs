@@ -54,14 +54,19 @@ pub fn index_bytes(b_rows: usize) -> usize {
     b_rows.saturating_mul(BYTES_PER_INDEX_ROW)
 }
 
-/// Estimated bytes per canonicalized key value copied into a hash probe
-/// index (`Value` + `Vec` bookkeeping amortized per slot).
+/// Estimated bytes per key component per base row of a probe index
+/// ([`index_key_bytes`]).
 pub const BYTES_PER_INDEX_KEY: usize = 24;
 
-/// Estimated footprint of the canonicalized key copies a hash probe index
-/// holds: one `Vec<Value>` of `key_cols` values per base row. This is the
-/// part of the index cost that scales with the key width, charged separately
-/// from the bucket structure ([`index_bytes`]).
+/// Estimated footprint of the key part of a probe index or group table: the
+/// part of the index cost that scales with the key width, charged
+/// separately from the bucket structure ([`index_bytes`]). The formula
+/// predates the [`KeyIndex`](mdj_storage::KeyIndex), which stores each
+/// column's *distinct* components once instead of a key per base row. For
+/// the usual key, whose components repeat across rows, it is now an upper
+/// bound (a key of three or more columns whose every component is distinct
+/// can exceed it). It is kept unchanged so that no degradation decision
+/// moves; ROADMAP item 10 reconciles it with the allocator.
 pub fn index_key_bytes(b_rows: usize, key_cols: usize) -> usize {
     b_rows.saturating_mul(key_cols.saturating_mul(BYTES_PER_INDEX_KEY))
 }

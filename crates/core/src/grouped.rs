@@ -32,13 +32,13 @@
 //! (`mdj_cube::common::cuboid`); the merged multi-set base tables of
 //! [`basevalues`] keep their separate pass.
 //!
-//! The table resolves a key through per-column codes, never by hashing the
-//! key as a row ([`GroupTable::assign`]). Each key column numbers its
-//! distinct values in a dictionary of its own; a chunk's per-chunk codes
-//! ([`KeyCodes`]) are translated to those codes once per distinct chunk
-//! code; and the codes of a key's columns chain through `u64`-keyed maps,
-//! one per further column, to one code per distinct key, which names its
-//! group. A lone `Int` key is its own code.
+//! The table is a [`KeyIndex`], the same index a two-pass plan probes: it
+//! resolves a key through per-column codes, never by hashing the key as a
+//! row ([`GroupTable::assign`]). A chunk's per-chunk codes ([`KeyCodes`])
+//! are translated into the index's column codes once per distinct chunk
+//! code ([`Translation`], shared with the batch prober), and the key's
+//! number is its group: keys and groups are both numbered in first-seen
+//! order. A lone `Int` key is looked up by value.
 
 use crate::basevalues::{self, Sets};
 use crate::context::{ExecContext, ProbeStrategy};
@@ -46,15 +46,14 @@ use crate::error::Result;
 use crate::executor::{scan_in_order, DetailSource, Grid, Slice};
 use crate::generalized::Block;
 use crate::probe::canon_key;
-use crate::vectorized::{pair_key, tuple_ids, KeyCodes, NO_GROUP, NULL_CODE};
+use crate::vectorized::{tuple_ids, KeyCodes, Translation, NO_GROUP, NULL_CODE};
 use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::builder::and_all;
 use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols};
 use mdj_expr::{eval_batch, BatchVals, BoundExpr, ColRef, Expr, Side};
 use mdj_storage::{
-    Column, ColumnarChunk, Counter, DataType, KeyBuildHasher, Relation, Row, Schema, Value,
+    Column, ColumnarChunk, Counter, DataType, KeyIndex, Relation, Row, Schema, Value,
 };
-use std::collections::HashMap;
 
 /// `B = γ_dims(σ_pred(R))` over an MD-join's own detail relation `R`.
 #[derive(Debug, Clone)]
@@ -91,8 +90,7 @@ impl GroupBy {
                 .as_ref()
                 .map(|p| p.bind(None, Some(r)))
                 .transpose()?,
-            index: CodedIndex::new(key_cols.len()),
-            ints: HashMap::default(),
+            index: KeyIndex::new(key_cols.len()),
             base: Relation::empty(r.project(&key_cols)),
             key_cols,
             exact: true,
@@ -190,12 +188,8 @@ pub(crate) struct GroupTable {
     /// `R`'s columns of `D`, in `D`'s order.
     key_cols: Vec<usize>,
     pred: Option<BoundExpr>,
-    /// Group key → row of `base`, through per-column codes.
-    index: CodedIndex,
-    /// A lone `Int` key's groups by value: one `i64` hash per row, however
-    /// few rows a slice holds (a page of a page store may hold a few dozen,
-    /// too few to code).
-    ints: HashMap<i64, usize, KeyBuildHasher>,
+    /// Group key → row of `base`: a key's number is its group.
+    index: KeyIndex,
     /// The groups so far, in first-seen order.
     base: Relation,
     /// Every key so far is its own canonical probe key.
@@ -204,66 +198,6 @@ pub(crate) struct GroupTable {
     key: Vec<Value>,
     /// Reused per-column codes of the group being resolved.
     codes: Vec<u32>,
-}
-
-/// Group keys resolved through per-column codes, one path for any number
-/// of key columns. Each key column numbers its distinct components (a
-/// dictionary from value to `u32`, values compared as [`Value`]'s `Eq`
-/// does: `1` and `1.0` are two codes, as they are two groups). A key's
-/// first `j + 1` components then have one code of their own: the first
-/// column's code, and for each further column the code that
-/// `links[j - 1]` gives the pair (code of the first `j` components, code of
-/// column `j`), numbered densely in first-seen order. A full key's code so
-/// numbers the groups, and `groups` holds each one's row of `B`.
-struct CodedIndex {
-    /// Per key column: component value → code.
-    dicts: Vec<HashMap<Value, u32, KeyBuildHasher>>,
-    /// `links[j]`: (code of the first `j + 1` components, code of column
-    /// `j + 1`) packed as `u64` → code of the first `j + 2` components.
-    links: Vec<HashMap<u64, u32, KeyBuildHasher>>,
-    /// Row of `B` of each full key's code.
-    groups: Vec<usize>,
-}
-
-/// A chunk code whose column code is not looked up yet.
-const UNSEEN: u32 = u32::MAX;
-
-impl CodedIndex {
-    fn new(columns: usize) -> CodedIndex {
-        CodedIndex {
-            dicts: (0..columns).map(|_| HashMap::default()).collect(),
-            links: (1..columns).map(|_| HashMap::default()).collect(),
-            groups: Vec::new(),
-        }
-    }
-
-    /// Column `j`'s code for the component `v`, numbered on first sight.
-    fn code(&mut self, j: usize, v: &Value) -> u32 {
-        let dict = &mut self.dicts[j];
-        if let Some(&code) = dict.get(v) {
-            return code;
-        }
-        let code = dict.len() as u32;
-        dict.insert(v.clone(), code);
-        code
-    }
-
-    /// The group of the key whose column codes are `codes`; when the key is
-    /// new, `None`, and the key is now group `next`, which the caller
-    /// inserts.
-    fn find_or_number(&mut self, codes: &[u32], next: usize) -> Option<usize> {
-        let mut id = codes.first().copied().unwrap_or(0);
-        for (links, &code) in self.links.iter_mut().zip(codes.iter().skip(1)) {
-            let fresh = links.len() as u32;
-            id = *links.entry(pair_key(id, code)).or_insert(fresh);
-        }
-        if let Some(&group) = self.groups.get(id as usize) {
-            return Some(group);
-        }
-        debug_assert_eq!(id as usize, self.groups.len(), "full-key codes are dense");
-        self.groups.push(next);
-        None
-    }
 }
 
 impl GroupTable {
@@ -300,10 +234,10 @@ impl GroupTable {
     ///
     /// A lone `Int` key is looked up by value. Other ints and strings are
     /// coded per chunk ([`KeyCodes`]), so each distinct key of the chunk meets
-    /// the table once, and then through the table's per-column codes: each
+    /// the table once, and then through the index's per-column codes: each
     /// distinct chunk code of a column is translated to the column's code
-    /// once, and the key resolves through `u64`-keyed maps, never hashing a
-    /// row-form key. Keys with a NULL, and chunks whose key columns have no
+    /// once ([`Translation`]), and the key resolves through `u64`-keyed
+    /// maps, never hashing a row-form key. Keys with a NULL, and chunks whose key columns have no
     /// typed form, are read one by one (a typed column's value from the
     /// chunk, anything else from the row) into the same codes. Against
     /// reading every key row by row (`SqlEngine::query` over 50 k rows on a
@@ -339,9 +273,9 @@ impl GroupTable {
                     if !kept(i) {
                         continue;
                     }
-                    ids[i] = match (nulls[i], self.ints.get(&vals[i])) {
+                    ids[i] = match (nulls[i], self.index.int_code(0, vals[i])) {
                         (true, _) => self.offer_row(chunk, slice, ctx, i),
-                        (false, Some(&group)) => group,
+                        (false, Some(group)) => group as usize,
                         (false, None) => {
                             self.key.clear();
                             self.key.push(Value::Int(vals[i]));
@@ -372,8 +306,7 @@ impl GroupTable {
         };
         let (tuples, card) = tuple_ids(&cols, n);
         let mut slots = vec![NO_GROUP; card];
-        // Per key column, the table's code of each chunk code.
-        let mut translated: Vec<Vec<u32>> = cols.iter().map(|c| vec![UNSEEN; c.card()]).collect();
+        let mut translation = Translation::new(&cols);
         for i in 0..n {
             if !kept(i) {
                 continue;
@@ -385,17 +318,13 @@ impl GroupTable {
             }
             let slot = &mut slots[id as usize];
             if *slot == NO_GROUP {
-                self.codes.clear();
-                for (j, (col, table)) in cols.iter().zip(&mut translated).enumerate() {
-                    let code = &mut table[col.code(i) as usize];
-                    if *code == UNSEEN {
-                        *code = self.index.code(j, &col.value(col.code(i)));
-                    }
-                    self.codes.push(*code);
-                }
-                *slot = match self.index.find_or_number(&self.codes, self.base.len()) {
-                    Some(group) => group,
-                    None => {
+                let index = &mut self.index;
+                translation.codes(&cols, i, &mut self.codes, |j, v| {
+                    Some(index.code_or_insert(j, v))
+                });
+                *slot = match self.index.find_or_insert(&self.codes) {
+                    (group, false) => group as usize,
+                    (_, true) => {
                         self.key.clear();
                         self.key
                             .extend(cols.iter().map(|col| col.value(col.code(i))));
@@ -432,32 +361,18 @@ impl GroupTable {
         }
     }
 
-    /// The group of `self.key`, inserted as a new row of `B` when unseen: a
-    /// lone `Int` by value, any other key through the coded index. (A chunk
-    /// coded path never meets a lone `Int` column: its typed form is read by
-    /// value.)
+    /// The group of `self.key`, inserted as a new row of `B` when unseen.
     fn find_or_insert(&mut self) -> usize {
-        if let [Value::Int(v)] = self.key[..] {
-            if let Some(&group) = self.ints.get(&v) {
-                return group;
-            }
-            self.ints.insert(v, self.base.len());
-            return self.insert();
-        }
-        self.codes.clear();
-        for (j, v) in self.key.iter().enumerate() {
-            let code = self.index.code(j, v);
-            self.codes.push(code);
-        }
-        match self.index.find_or_number(&self.codes, self.base.len()) {
-            Some(group) => group,
-            None => self.insert(),
+        match self.index.insert(&self.key) {
+            (group, false) => group as usize,
+            (_, true) => self.insert(),
         }
     }
 
-    /// Append `self.key` to `B` as a new group.
+    /// Append `self.key` to `B` as the group the index just numbered.
     fn insert(&mut self) -> usize {
         let group = self.base.len();
+        debug_assert_eq!(group + 1, self.index.len(), "a key's number is its group");
         self.exact &= self.key.iter().all(|v| canon_key(v.clone()) == *v);
         self.base.push_unchecked(Row::new(self.key.clone()));
         group

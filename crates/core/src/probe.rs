@@ -6,15 +6,14 @@
 //!
 //! * **Nested loop** — every row of `B` is examined (the literal algorithm).
 //! * **Hash probe** — θ is decomposed into *probe bindings*
-//!   `B.col = f(R-row)` (see [`mdj_expr::analysis::probe_bindings`]); a hash
-//!   index over `B`'s bound columns is built once, each detail tuple computes
-//!   its probe key, and only the matching bucket is examined. Residual
-//!   conjuncts (e.g. `R.sale > B.avg_sale` in Example 3.2's θ₂) are
-//!   re-checked per candidate. The index hashes with
-//!   [`mdj_storage::KeyBuildHasher`] — the *same* multiplicative hasher the
-//!   vectorized executor uses for its typed fast-int probe map, so both
-//!   probing layers agree on bucket assignment by construction (they used to
-//!   carry independent copies of the mixing function).
+//!   `B.col = f(R-row)` (see [`mdj_expr::analysis::probe_bindings`]); a
+//!   [`KeyIndex`] over `B`'s bound columns is built once, each detail tuple
+//!   computes its probe key, and only the matching bucket is examined.
+//!   Residual conjuncts (e.g. `R.sale > B.avg_sale` in Example 3.2's θ₂) are
+//!   re-checked per candidate. The index holds `B`'s keys canonicalized as
+//!   probe keys are ([`canon_key`]), so `1` finds `1.0`. The batch evaluator
+//!   probes the same index, resolving each chunk's key codes through its
+//!   column dictionaries ([`crate::vectorized::BatchProbe`]).
 //!
 //! Both variants apply Theorem 4.2 *inside* the operator: conjuncts of θ that
 //! reference only the detail side become a per-tuple **prefilter**, evaluated
@@ -29,7 +28,7 @@ use crate::governor::{self, MemCharge};
 use mdj_expr::analysis::probe_bindings;
 use mdj_expr::builder::and_all;
 use mdj_expr::{BoundExpr, Expr, Side};
-use mdj_storage::{Counter, HashIndex, Relation, Schema, Value};
+use mdj_storage::{KeyIndex, Relation, Schema, Value};
 
 /// Normalize a key value for structural hashing: integral floats become
 /// ints so `B.month = R.month + 1` matches even when one side computed a
@@ -69,7 +68,8 @@ pub enum ProbePlan {
     },
     /// Hash-probe on equality bindings, then check the residual condition.
     Hash {
-        index: HashIndex,
+        /// `B`'s canonicalized keys; bucket `k` lists the rows of key `k`.
+        index: KeyIndex,
         /// Detail-only expressions producing the probe key, aligned with the
         /// index's key columns.
         key_exprs: Vec<BoundExpr>,
@@ -185,15 +185,12 @@ impl ProbePlan {
             None => MemCharge::default(),
         };
         // Index keys are canonicalized the same way probe keys are — but only
-        // the key columns are copied, not a shadow of the whole relation.
-        let index = HashIndex::from_keys(
-            key_cols.clone(),
-            b.iter().map(|row| {
-                key_cols
-                    .iter()
-                    .map(|&c| canon_key(row[c].clone()))
-                    .collect()
-            }),
+        // the key columns are read, not a shadow of the whole relation.
+        let cols = &key_cols;
+        let index = KeyIndex::from_keys(
+            cols.len(),
+            b.iter()
+                .map(|row| cols.iter().map(move |&c| canon_key(row[c].clone()))),
         );
         let key_exprs: Vec<BoundExpr> = bindings
             .iter()
@@ -229,16 +226,17 @@ impl ProbePlan {
     }
 
     /// Collect into `out` the ids of `B` rows matched by detail tuple `t`
-    /// (this *is* `Rel(t)`), recording probe counts in `ctx`. `key_scratch`
-    /// is a caller-provided buffer reused across tuples to avoid per-probe
-    /// allocation.
+    /// (this *is* `Rel(t)`), adding the base rows it examined to `probes`
+    /// before anything can fail, so a caller counts a slice's probes once,
+    /// also when a later tuple errors. `codes` is scratch reused across
+    /// tuples.
     pub fn matches(
         &self,
         b: &Relation,
         t: &[Value],
-        ctx: &ExecContext,
         out: &mut Vec<usize>,
-        key_scratch: &mut Vec<Value>,
+        codes: &mut Vec<u32>,
+        probes: &mut u64,
     ) -> Result<()> {
         out.clear();
         match self {
@@ -248,7 +246,7 @@ impl ProbePlan {
                         return Ok(());
                     }
                 }
-                ctx.count(Counter::probes, b.len() as u64);
+                *probes += b.len() as u64;
                 for (i, row) in b.iter().enumerate() {
                     if theta.eval_bool(row.values(), t)? {
                         out.push(i);
@@ -266,17 +264,24 @@ impl ProbePlan {
                         return Ok(());
                     }
                 }
-                key_scratch.clear();
-                for e in key_exprs {
+                codes.clear();
+                let mut known = true;
+                for (j, e) in key_exprs.iter().enumerate() {
                     let v = canon_key(e.eval_detail(t)?);
                     if v.is_null() {
                         // SQL equality with NULL never matches.
                         return Ok(());
                     }
-                    key_scratch.push(v);
+                    // A component no key of `B` holds is a miss; the
+                    // remaining components are still evaluated.
+                    match index.code(j, &v) {
+                        Some(code) => codes.push(code),
+                        None => known = false,
+                    }
                 }
-                let bucket = index.get(key_scratch);
-                ctx.count(Counter::probes, bucket.len() as u64);
+                let key = if known { index.find(codes) } else { None };
+                let bucket = key.map_or(&[][..], |k| index.rows(k));
+                *probes += bucket.len() as u64;
                 match residual {
                     None => out.extend_from_slice(bucket),
                     Some(res) => {
@@ -324,9 +329,10 @@ mod tests {
     }
 
     fn run(plan: &ProbePlan, b: &Relation, tup: &[Value], ctx: &ExecContext) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        plan.matches(b, tup, ctx, &mut out, &mut scratch).unwrap();
+        let (mut out, mut codes, mut probes) = (Vec::new(), Vec::new(), 0);
+        plan.matches(b, tup, &mut out, &mut codes, &mut probes)
+            .unwrap();
+        ctx.count(mdj_storage::Counter::probes, probes);
         out.sort_unstable();
         out
     }

@@ -1,18 +1,17 @@
-//! The shared probe-key hasher.
+//! The shared key hasher.
 //!
-//! Section 4.5's probe structures hash the same key population — `B`'s
-//! canonicalized key columns — from two call sites: the generic
-//! [`HashIndex`](crate::HashIndex) over `Vec<Value>` keys, and the vectorized
-//! executor's specialized single-column maps derived from it
-//! (`mdj_core::vectorized::BatchProbe`). Both use this one multiplicative
-//! (Fibonacci-style) mix so the implementations cannot drift apart: any probe
-//! the fast path answers must land in the same bucket *contents* as the
-//! generic index, and keeping a single hasher makes that property testable
-//! (see `fast_int_map_matches_index_buckets_exactly` in `mdj_core`).
+//! Every map that resolves an equality key hashes with this one
+//! multiplicative (Fibonacci-style) mix: the per-column dictionaries and
+//! [`pair_key`](crate::pair_key)-chained links of [`KeyIndex`](crate::KeyIndex),
+//! the per-chunk key coding of the batch evaluator, and the reference
+//! implementation's [`HashIndex`](crate::HashIndex). The default SipHash
+//! costs more per lookup than the bucket scan it guards.
 //!
-//! The default SipHash costs more per lookup than the bucket scan it guards.
-//! Key distribution here is adversary-free — maps are rebuilt per plan from
-//! `B`'s own keys — so a fast non-cryptographic mix is safe.
+//! The mix is unkeyed and fixed, so it is not adversary-free. Keys come from
+//! the indexed relations, and a client chooses those through `ingest`: keys
+//! crafted to collide in a column dictionary would make a base build or an
+//! index build quadratic in the colliding keys. Folding a per-process seed
+//! into `mix` is ROADMAP item 7.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -31,32 +30,39 @@ fn mix(state: u64, v: u64) -> u64 {
 pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 = mix(self.0, byte as u64);
         }
     }
 
+    #[inline]
     fn write_u8(&mut self, v: u8) {
         self.0 = mix(self.0, v as u64);
     }
 
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.0 = mix(self.0, v as u64);
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0 = mix(self.0, v);
     }
 
+    #[inline]
     fn write_usize(&mut self, v: usize) {
         self.0 = mix(self.0, v as u64);
     }
 
+    #[inline]
     fn write_i64(&mut self, v: i64) {
         self.0 = mix(self.0, v as u64);
     }
@@ -107,7 +113,7 @@ mod tests {
 
     #[test]
     fn value_keys_hash_consistently() {
-        // The generic index hashes Vec<Value>; equal keys must agree and the
+        // Dictionaries hash whole values; equal keys must agree and the
         // discriminant must separate same-payload values of different types.
         let a = vec![Value::Int(7), Value::str("NY")];
         let b = vec![Value::Int(7), Value::str("NY")];

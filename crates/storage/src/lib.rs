@@ -32,13 +32,13 @@ pub use catalog::{Catalog, IngestOutcome};
 pub use columnar::{Column, ColumnarChunk};
 pub use error::{Result, StorageError};
 pub use hash::{KeyBuildHasher, KeyHasher};
-pub use index::{HashIndex, SortedIndex};
+pub use index::{pair_key, HashIndex, KeyIndex, SortedIndex};
 pub use pager::{
     BufferPool, KeyBounds, NoFaults, Page, PageMeta, PageReadProfile, PagedStore, PagedTable,
     PagerBootReport, PagerFaults, PinnedPage, PoolChargeFailed, PoolChargeHook, TempTable,
     TempTableWriter,
 };
-pub use relation::{DistinctKeys, Relation};
+pub use relation::Relation;
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use spill::{sweep_orphans, SweepReport};

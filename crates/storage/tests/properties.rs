@@ -1,6 +1,8 @@
 //! Property-based tests for the storage substrate.
 
-use mdj_storage::{csv, partition, DataType, HashIndex, Relation, Row, Schema, SortedIndex, Value};
+use mdj_storage::{
+    csv, partition, DataType, HashIndex, KeyIndex, Relation, Row, Schema, SortedIndex, Value,
+};
 use proptest::prelude::*;
 use std::ops::Bound;
 
@@ -102,8 +104,90 @@ fn pair_relation_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// The number of `key` in `ix`, looked up as a probe does: each component's
+/// column code, then the chain of codes.
+fn lookup(ix: &KeyIndex, key: &[Value]) -> Option<u32> {
+    let codes: Option<Vec<u32>> = key.iter().enumerate().map(|(j, v)| ix.code(j, v)).collect();
+    ix.find(&codes?)
+}
+
+/// Six key columns over small domains, each with `NULL` and `ALL`: `Int`,
+/// `Str`, an untyped column mixing `1` with `1.0` and `0.0` with `-0.0`,
+/// `Str`, `Int`, `Bool`; plus a payload column.
+fn wide_relation_strategy() -> impl Strategy<Value = Relation> {
+    let schema = Schema::from_pairs(&[
+        ("c0", DataType::Int),
+        ("c1", DataType::Str),
+        ("c2", DataType::Any),
+        ("c3", DataType::Str),
+        ("c4", DataType::Int),
+        ("c5", DataType::Bool),
+        ("v", DataType::Int),
+    ]);
+    let component = |col: usize, n: u8| match (col, n) {
+        (_, 0) => Value::Null,
+        (_, 1) => Value::All,
+        (1 | 3, n) => Value::str(["NY", "NJ"][usize::from(n % 2)]),
+        (2, n) => [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+        ][usize::from(n % 4)]
+        .clone(),
+        (5, n) => Value::Bool(n % 2 == 0),
+        (_, n) => Value::Int(i64::from(n % 3)),
+    };
+    let picks = || proptest::collection::vec(0u8..4, 6);
+    proptest::collection::vec((picks(), any::<i64>()), 0..60).prop_map(move |rows| {
+        Relation::from_rows(
+            schema.clone(),
+            rows.into_iter()
+                .map(|(picks, v)| {
+                    let mut vals: Vec<Value> = picks
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &n)| component(c, n))
+                        .collect();
+                    vals.push(Value::Int(v));
+                    Row::new(vals)
+                })
+                .collect(),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `KeyIndex` over the first `w` columns (0–6) numbers the distinct
+    /// keys in first-seen order, exactly as `Value`'s `Eq` tells them apart,
+    /// and each bucket lists every row of its key in order — whether the
+    /// index is built from the rows at once or grown one key at a time.
+    #[test]
+    fn key_index_equals_a_linear_scan(rel in wide_relation_strategy(), w in 0usize..7) {
+        let key = |row: &Row| row.values()[..w].to_vec();
+        let built = KeyIndex::from_keys(w, rel.iter().map(|row| &row.values()[..w]));
+        let mut grown = KeyIndex::new(w);
+        let mut distinct: Vec<Vec<Value>> = Vec::new();
+        for row in rel.iter() {
+            let k = key(row);
+            let want = distinct.iter().position(|d| *d == k).unwrap_or(distinct.len());
+            let fresh = want == distinct.len();
+            if fresh {
+                distinct.push(k.clone());
+            }
+            prop_assert_eq!(grown.insert(&k), (want as u32, fresh));
+        }
+        prop_assert_eq!((built.len(), grown.len()), (distinct.len(), distinct.len()));
+        for (n, k) in distinct.iter().enumerate() {
+            prop_assert_eq!(lookup(&built, k), Some(n as u32));
+            prop_assert_eq!(lookup(&grown, k), Some(n as u32));
+            prop_assert_eq!(grown.rows(n as u32), &[n][..]);
+            let rows: Vec<usize> = (0..rel.len()).filter(|&i| key(&rel.rows()[i]) == *k).collect();
+            prop_assert_eq!(built.rows(n as u32), &rows[..]);
+        }
+    }
 
     /// CSV write → read is the identity on typed relations, including ALL,
     /// NULL, and strings needing quoting.
@@ -200,11 +284,16 @@ proptest! {
         }
     }
 
-    /// distinct_on yields unique keys that all exist in the input — one- and
-    /// two-column keys, `NULL` and `ALL` included — and exactly the rows, in
-    /// exactly the first-seen order, of a quadratic `Vec` dedupe.
+    /// distinct_on yields unique keys that all exist in the input — one- to
+    /// six-column keys, `NULL`, `ALL`, `1` beside `1.0` and `0.0` beside
+    /// `-0.0` included — and exactly the rows, in exactly the first-seen
+    /// order, of a quadratic `Vec` dedupe.
     #[test]
-    fn distinct_on_is_sound(rel in keyed_relation_strategy(), pairs in pair_relation_strategy()) {
+    fn distinct_on_is_sound(
+        rel in keyed_relation_strategy(),
+        pairs in pair_relation_strategy(),
+        wide in wide_relation_strategy(),
+    ) {
         let d = rel.distinct_on(&["k"]).unwrap();
         let mut seen = std::collections::HashSet::new();
         for row in d.iter() {
@@ -214,7 +303,14 @@ proptest! {
         // Cardinality equals the number of distinct keys in the input.
         let expect: std::collections::HashSet<_> = rel.iter().map(|r| r[0].clone()).collect();
         prop_assert_eq!(d.len(), expect.len());
-        for (src, names) in [(&rel, vec!["k"]), (&pairs, vec!["a", "b"]), (&pairs, vec!["b", "a"])] {
+        for (src, names) in [
+            (&rel, vec!["k"]),
+            (&pairs, vec!["a", "b"]),
+            (&pairs, vec!["b", "a"]),
+            (&wide, vec!["c0", "c1", "c2", "c3", "c4"]),
+            (&wide, vec!["c5", "c4", "c3", "c2", "c1", "c0"]),
+            (&wide, vec!["c2", "v"]),
+        ] {
             let idx = src.schema().indices_of(&names).unwrap();
             let mut reference: Vec<Row> = Vec::new();
             for r in src.iter() {

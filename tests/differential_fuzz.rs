@@ -724,3 +724,240 @@ proptest! {
         prop_assert_eq!(stats.scans(), 1, "{}", label);
     }
 }
+
+/// What one key column holds on the detail side: its `B` column is untyped
+/// where the detail's is numeric, and mixes `Int` and `Float` there.
+#[derive(Debug, Clone, Copy)]
+enum KeyKind {
+    Int,
+    Float,
+    Str,
+}
+
+impl KeyKind {
+    fn of(pick: u8) -> KeyKind {
+        [KeyKind::Int, KeyKind::Float, KeyKind::Str][pick as usize % 3]
+    }
+
+    fn dtype(self) -> DataType {
+        match self {
+            KeyKind::Int => DataType::Int,
+            KeyKind::Float => DataType::Float,
+            KeyKind::Str => DataType::Str,
+        }
+    }
+
+    /// A `B` component: `1` next to `1.0`, `-0.0`, a fraction and a value no
+    /// detail row holds, NULL; strings the detail side partly lacks.
+    fn base_value(self, pick: u8) -> Value {
+        match (self, pick % 8) {
+            (_, 7) => Value::Null,
+            (KeyKind::Str, p) => Value::str(["a", "b", "c", "x", "y", "a", "b"][p as usize]),
+            (_, p) => [
+                Value::Int(0),
+                Value::Int(1),
+                Value::Float(1.0),
+                Value::Float(-0.0),
+                Value::Int(2),
+                Value::Float(2.5),
+                Value::Int(9),
+            ][p as usize]
+                .clone(),
+        }
+    }
+
+    /// A detail component of this column's type: fresh, or `B`'s `from`.
+    /// A float zero is always `-0.0`: θ's `=` holds for `0 = -0.0` and
+    /// `0 = 0.0` but not for `0.0 = -0.0` (`Value::sql_cmp` orders floats
+    /// by `total_cmp`), while a probe key, canonicalized, meets all three —
+    /// so `B`'s float zero, `-0.0`, must not meet a detail `0.0`.
+    fn detail_value(self, pick: u8, from: Option<&Value>) -> Value {
+        let float = |f: f64| Value::Float(if f == 0.0 { -0.0 } else { f });
+        match (self, from) {
+            (_, Some(Value::Null)) => Value::Null,
+            (KeyKind::Int, Some(v)) => Value::Int(v.as_float().unwrap() as i64),
+            (KeyKind::Float, Some(v)) => float(v.as_float().unwrap()),
+            (KeyKind::Str, Some(v)) => v.clone(),
+            (_, None) if pick % 6 == 5 => Value::Null,
+            (KeyKind::Int, None) => Value::Int(i64::from(pick % 6) - 1),
+            (KeyKind::Float, None) => float([0.0, 1.0, 1.5, 2.0, 3.0][pick as usize % 6]),
+            (KeyKind::Str, None) => Value::str(["a", "b", "c", "d", "z"][pick as usize % 6]),
+        }
+    }
+}
+
+/// An equi-join MD-join over 1–6 key columns `c0..`: `B`, `R` (clustered on
+/// `id`, its row order) and θ.
+#[derive(Debug)]
+struct KeyedCase {
+    b: Relation,
+    r: Relation,
+    theta: Expr,
+}
+
+fn keyed_case_strategy() -> impl Strategy<Value = KeyedCase> {
+    let picks = || proptest::collection::vec(any::<u8>(), 6);
+    (
+        1usize..7,
+        picks(),
+        proptest::collection::vec(picks(), 0..16),
+        proptest::collection::vec((picks(), any::<u8>(), -4i64..8), 0..60),
+        any::<u8>(),
+    )
+        .prop_map(|(w, kinds, b_picks, r_picks, flags)| {
+            let (computed, filtered, twice) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let kinds: Vec<KeyKind> = kinds[..w].iter().map(|&k| KeyKind::of(k)).collect();
+            let name = |j: usize| format!("c{j}");
+            let b_fields: Vec<(String, DataType)> = kinds
+                .iter()
+                .enumerate()
+                .map(|(j, k)| match k {
+                    KeyKind::Str => (name(j), DataType::Str),
+                    _ => (name(j), DataType::Any),
+                })
+                .collect();
+            let mut b_rows: Vec<Row> = b_picks
+                .iter()
+                .map(|picks| {
+                    Row::new(
+                        kinds
+                            .iter()
+                            .zip(picks)
+                            .map(|(k, &p)| k.base_value(p))
+                            .collect(),
+                    )
+                })
+                .collect();
+            // A key `B` repeats, besides those the picks repeat.
+            if let (true, Some(first)) = (twice, b_rows.first().cloned()) {
+                b_rows.push(first);
+            }
+            let mut r_fields = vec![("id".to_string(), DataType::Int)];
+            r_fields.extend(kinds.iter().enumerate().map(|(j, k)| (name(j), k.dtype())));
+            r_fields.push(("v".to_string(), DataType::Float));
+            let r_rows =
+                r_picks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (picks, from, v))| {
+                        // Half the rows copy a key of `B`, so wide keys meet too.
+                        let from = (from % 2 == 0 && !b_rows.is_empty())
+                            .then(|| &b_rows[*from as usize % b_rows.len()]);
+                        let mut vals = vec![Value::Int(i as i64)];
+                        vals.extend(kinds.iter().enumerate().map(|(j, k)| {
+                            k.detail_value(picks[j], from.map(|row| &row.values()[j]))
+                        }));
+                        vals.push(match v {
+                            -4 => Value::Null,
+                            v => Value::Float(*v as f64 * 0.3),
+                        });
+                        Row::new(vals)
+                    })
+                    .collect();
+            let schema = |fields: &[(String, DataType)]| {
+                let pairs: Vec<(&str, DataType)> =
+                    fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+                Schema::from_pairs(&pairs)
+            };
+            let mut conjuncts: Vec<Expr> = kinds
+                .iter()
+                .enumerate()
+                .map(|(j, k)| match (j, k, computed) {
+                    (0, KeyKind::Int | KeyKind::Float, true) => {
+                        eq(col_b(name(0)), add(col_r(name(0)), lit(1i64)))
+                    }
+                    _ => eq(col_b(name(j)), col_r(name(j))),
+                })
+                .collect();
+            if filtered {
+                conjuncts.push(gt(col_r("v"), lit(0.0)));
+            }
+            KeyedCase {
+                b: Relation::from_rows(schema(&b_fields), b_rows),
+                r: Relation::from_rows(schema(&r_fields), r_rows),
+                theta: mdj_expr::builder::and_all(conjuncts),
+            }
+        })
+}
+
+/// Rows equal value for value, floats by their bits.
+fn assert_bits_equal(
+    want: &Relation,
+    got: &Relation,
+    label: &str,
+) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(want.schema(), got.schema(), "{}", label);
+    prop_assert_eq!(want.len(), got.len(), "{}", label);
+    for (w, g) in want.rows().iter().zip(got.rows()) {
+        for (x, y) in w.values().iter().zip(g.values()) {
+            match (x, y) {
+                (Value::Float(f), Value::Float(g)) => {
+                    prop_assert_eq!(f.to_bits(), g.to_bits(), "{}", label)
+                }
+                _ => prop_assert_eq!(x, y, "{}", label),
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Served equi-join MD-joins, whose keys resolve through the plan's
+    /// `KeyIndex` — row by row on the scalar evaluator, through translated
+    /// chunk codes on the batch evaluator — equal the Definition 3.1
+    /// reference, which resolves no key through it: bit for bit, over a
+    /// resident and a paged `R`, at morsel sizes 1, 7 and 4096. The keys
+    /// have 1–6 columns, `Int` and `Float` components that meet `B`'s `1`,
+    /// `1.0` and `-0.0`, NULLs on both sides, repeated `B` keys, components
+    /// `B` lacks, and a computed `B.c0 = R.c0 + 1`. θ is equalities and a
+    /// detail-only filter, so each tuple's bucket is exactly its matches:
+    /// probes equal the (b, t) pairs θ holds for, and updates those pairs
+    /// times the aggregates.
+    #[test]
+    fn coded_key_probes_equal_the_reference(case in keyed_case_strategy()) {
+        let KeyedCase { b, r, theta } = case;
+        let specs = [
+            AggSpec::count_star(),
+            AggSpec::on_column("sum", "v"),
+            AggSpec::on_column("max", "v"),
+        ];
+        let expected = reference_md_join(&b, &r, &specs, &theta, &Registry::standard());
+        let bound = theta.bind(Some(b.schema()), Some(r.schema())).unwrap();
+        let mut pairs = 0u64;
+        for t in r.iter() {
+            for row in b.iter() {
+                pairs += u64::from(bound.eval_bool(row.values(), t.values()).unwrap());
+            }
+        }
+        let dir = CaseDir::new("keys");
+        let (store, _) = PagedStore::open(dir.path()).unwrap();
+        let table = store.create_table("R", &r, "id", 512).unwrap();
+        let scan = PagedScan::new(table, BufferPool::new(4 * 512));
+        let clustered = scan.materialize(&ExecContext::new()).unwrap();
+        prop_assert_eq!(clustered.rows(), r.rows(), "clustering on `id` keeps the row order");
+        for paged in [false, true] {
+            for strategy in [ExecStrategy::Serial, ExecStrategy::Vectorized] {
+                for morsel in [1, 7, 4096] {
+                    let stats = Arc::new(ScanStats::new());
+                    let join = match paged {
+                        false => MdJoin::new(&b, &r),
+                        true => MdJoin::paged(&b, &scan),
+                    };
+                    let out = join
+                        .aggs(&specs)
+                        .theta(theta.clone())
+                        .strategy(strategy)
+                        .threads(1)
+                        .run(&ExecContext::new().with_morsel_size(morsel).with_stats(stats.clone()))
+                        .unwrap();
+                    let label = format!("{strategy:?}, paged {paged}, morsel {morsel}, θ = {theta}");
+                    assert_bits_equal(&expected, &out, &label)?;
+                    prop_assert_eq!(stats.probes(), pairs, "{}", label);
+                    prop_assert_eq!(stats.updates(), pairs * specs.len() as u64, "{}", label);
+                }
+            }
+        }
+    }
+}
