@@ -18,8 +18,9 @@
 //!    `Int` dictionary, every other key by coding each key column of the
 //!    chunk, translating each distinct chunk code into the index's column
 //!    code once per chunk ([`Translation`]) and resolving each distinct key
-//!    tuple once per chunk; mixed hash residuals are bound per candidate base
-//!    row and evaluated batch-at-a-time when dense enough;
+//!    tuple once per chunk; θ's cross-side residual runs once over the
+//!    chunk's candidate pairs, each side's columns gathered at the pairs
+//!    ([`PairResidual`]);
 //! 4. matched tuples are grouped per base row and aggregate updates applied
 //!    through typed [`KernelState`] kernels — one dispatch per (base row,
 //!    batch) run over native slices, not one per value.
@@ -40,7 +41,7 @@ use crate::probe::{canon_key, ProbePlan};
 use mdj_agg::{AggState, KernelState};
 use mdj_expr::eval::BoundExpr;
 use mdj_expr::vectorized::{
-    batchable_bound_shape, bind_base, collect_detail_cols, eval_batch, BatchVals,
+    batchable_bound_shape, bind_base, collect_detail_cols, eval_batch, eval_columns, BatchVals,
 };
 use mdj_storage::{
     pair_key, Column, ColumnarChunk, Counter, KeyBuildHasher, KeyIndex, Relation, Value,
@@ -66,9 +67,8 @@ pub(crate) const MAX_BATCH: usize = u32::MAX as usize;
 ///   index's column code once, and each distinct key tuple meets the index
 ///   once per chunk, each row probing by table lookup (one probe's worth of
 ///   accounting per row, no row-form key ever built);
-/// * mixed hash residuals, bound per candidate base row ([`bind_base`]) and
-///   evaluated batch-at-a-time over the chunk when that base row has enough
-///   candidates to amortize the whole-chunk pass.
+/// * θ's cross-side residual, evaluated once per chunk over its candidate
+///   pairs ([`PairResidual`]).
 ///
 /// Nested-loop plans whose θ shape batches are evaluated vectorized too: per
 /// chunk, θ is bound to each base row ([`bind_base`]) and the bound form runs
@@ -82,6 +82,8 @@ pub(crate) struct BatchProbe<'a> {
     plan: &'a ProbePlan,
     /// A nested-loop plan whose θ shape batches.
     nl_batch: bool,
+    /// A hash plan's cross-side residual.
+    residual: Option<PairResidual<'a>>,
 }
 
 /// Most `(tuple, base row)` pairs one block of a vectorized nested loop
@@ -100,7 +102,18 @@ impl<'a> BatchProbe<'a> {
     pub(crate) fn new(plan: &'a ProbePlan) -> Self {
         let nl_batch =
             matches!(plan, ProbePlan::NestedLoop { theta, .. } if batchable_bound_shape(theta));
-        BatchProbe { plan, nl_batch }
+        let residual = match plan {
+            ProbePlan::Hash {
+                residual: Some(res),
+                ..
+            } => Some(PairResidual::new(res)),
+            _ => None,
+        };
+        BatchProbe {
+            plan,
+            nl_batch,
+            residual,
+        }
     }
 
     /// Mark the detail columns batches must materialize for this plan: the
@@ -200,10 +213,7 @@ impl<'a> BatchProbe<'a> {
         // scalar delegate below; everything else probes without ever
         // materializing a row-form key per tuple.
         if let ProbePlan::Hash {
-            index,
-            key_exprs,
-            residual,
-            ..
+            index, key_exprs, ..
         } = self.plan
         {
             let prober = match groups {
@@ -243,10 +253,10 @@ impl<'a> BatchProbe<'a> {
                 // when the prefilter failed part-way.
                 ctx.count(Counter::probes, cands.len() as u64);
                 probed?;
-                match residual {
+                match &self.residual {
                     None => emit(&cands)?,
                     Some(res) => {
-                        self.filter_residual(res, b, chunk, slice, ctx, &cands, pairs)?;
+                        res.filter(b, chunk, slice, ctx, &cands, pairs)?;
                         emit(pairs)?;
                     }
                 }
@@ -351,19 +361,44 @@ impl<'a> BatchProbe<'a> {
         emit(pairs)?;
         Ok(fell_back)
     }
+}
 
-    /// Apply the mixed residual `θres(b, t)` to pre-residual candidate pairs,
-    /// preserving tuple order. Base rows with enough candidates in this batch
-    /// get the residual bound to their row ([`bind_base`]) and evaluated once
-    /// over the whole chunk; sparse base rows — and bound forms with no
-    /// vectorized shape — take the scalar per-pair check. Results and work
-    /// accounting are identical either way (vectorizable residuals are total,
-    /// so no error path diverges), which is why this mode never reports a
-    /// batch fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn filter_residual(
+/// θ's cross-side residual `θres(b, t)`, checked over the candidate pairs of
+/// one chunk at a time: each detail column it reads is gathered at the
+/// pairs' tuples ([`Column::gather`]), each `B` column is read at the pairs'
+/// base rows and typed as a chunk column is ([`Column::from_values`]), and
+/// one [`eval_columns`] over those columns keeps or drops each pair, in
+/// pair order. Pairs come in blocks of at most [`NL_PAIRS`], so the gathered
+/// columns stay small however many candidates a chunk has or however large
+/// `B` is, and a `B` the scan is building needs no special case.
+///
+/// A residual with no batch form (`Div`/`Mod`), or a block whose columns
+/// have no typed form (mixed `Int`/`Float`, a boolean, `ALL`), is
+/// interpreted pair by pair. Either way the verdicts are the interpreter's
+/// (a batchable residual is total, so no error path diverges), which is why
+/// a residual never reports a batch fallback.
+pub(crate) struct PairResidual<'a> {
+    expr: &'a BoundExpr,
+    /// The shape has a batch form.
+    batches: bool,
+}
+
+impl<'a> PairResidual<'a> {
+    fn new(expr: &'a BoundExpr) -> Self {
+        PairResidual {
+            expr,
+            batches: batchable_bound_shape(expr),
+        }
+    }
+
+    /// Fill `pairs` with the candidates `cands` of `chunk` (`slice`'s
+    /// columnar form) over `b` for which the residual holds, in order.
+    /// Kept out of line: it runs once per chunk, and inlined it grew
+    /// [`BatchProbe::matches_batch`], the probe loop every statement runs,
+    /// which measured slower on the statements that have no residual.
+    #[inline(never)]
+    fn filter(
         &self,
-        res: &BoundExpr,
         b: &Relation,
         chunk: &ColumnarChunk,
         slice: Slice,
@@ -371,39 +406,56 @@ impl<'a> BatchProbe<'a> {
         cands: &[(u32, usize)],
         pairs: &mut Vec<(u32, usize)>,
     ) -> Result<()> {
-        let n = chunk.len();
-        let start = chunk.start();
-        let mut counts: HashMap<usize, usize, KeyBuildHasher> = HashMap::default();
-        for &(_, bi) in cands {
-            *counts.entry(bi).or_insert(0) += 1;
-        }
-        // One whole-chunk pass evaluates the bound residual at all `n` rows
-        // but is consulted only at this base row's candidates, so it pays off
-        // only when candidates are dense: at least 4, covering ≥ 1/8 of the
-        // chunk (a vectorized op costs roughly an eighth of an interpreted
-        // one).
-        let mut verdicts: HashMap<usize, Vec<bool>, KeyBuildHasher> = HashMap::default();
-        for (&bi, &count) in &counts {
-            if count >= 4 && count * 8 >= n {
-                let bound = bind_base(res, b.rows()[bi].values());
-                if let Some(bv) = eval_batch(&bound, chunk) {
-                    verdicts.insert(bi, bv.to_selection(n));
+        pairs.clear();
+        for block in cands.chunks(NL_PAIRS) {
+            match self
+                .batches
+                .then(|| self.verdicts(b, chunk, block))
+                .flatten()
+            {
+                Some(keep) => pairs.extend(
+                    block
+                        .iter()
+                        .zip(keep)
+                        .filter_map(|(&pair, keep)| keep.then_some(pair)),
+                ),
+                None => {
+                    let detail = &slice.rows(ctx)[chunk.start()..];
+                    for &(i, bi) in block {
+                        if self
+                            .expr
+                            .eval_bool(b.rows()[bi].values(), detail[i as usize].values())?
+                        {
+                            pairs.push((i, bi));
+                        }
+                    }
                 }
             }
         }
-        for &(i, bi) in cands {
-            let keep = match verdicts.get(&bi) {
-                Some(v) => v[i as usize],
-                None => res.eval_bool(
-                    b.rows()[bi].values(),
-                    slice.rows(ctx)[start + i as usize].values(),
-                )?,
-            };
-            if keep {
-                pairs.push((i, bi));
-            }
-        }
         Ok(())
+    }
+
+    /// The residual's verdict on each pair of `block`, or `None` when a
+    /// column it reads has no typed form there.
+    fn verdicts(
+        &self,
+        b: &Relation,
+        chunk: &ColumnarChunk,
+        block: &[(u32, usize)],
+    ) -> Option<Vec<bool>> {
+        let n = block.len();
+        let verdict = eval_columns(self.expr, n, &mut |leaf| {
+            BatchVals::from_column(match *leaf {
+                BoundExpr::RCol(c) => chunk
+                    .column(c)
+                    .gather(block.iter().map(|&(i, _)| i as usize)),
+                BoundExpr::BCol(j) => {
+                    Column::from_values(block.iter().map(|&(_, bi)| &b.rows()[bi][j]), n)
+                }
+                _ => return None,
+            })
+        })?;
+        Some(verdict.to_selection(n))
     }
 }
 
@@ -1285,9 +1337,8 @@ mod tests {
         assert_vectorized_covered(&b, &s, &specs(), &theta);
     }
 
-    /// Tentpole: a dense mixed residual takes the batch-evaluation path (7
-    /// base rows over 64-row chunks ⇒ every base row clears the density
-    /// cutoff) and stays identical to serial, still with zero fallbacks.
+    /// A mixed residual, checked over each chunk's candidate pairs, stays
+    /// identical to serial with zero fallbacks.
     #[test]
     fn batch_residual_matches_serial_without_fallback() {
         let s = sales(400);

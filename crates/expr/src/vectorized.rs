@@ -15,7 +15,10 @@
 //!   incomparable non-null literal yield `false`/`true`.
 //! * String comparisons against a string literal via the dictionary: the
 //!   ordering of each distinct dictionary entry against the literal is
-//!   computed once, then applied per row.
+//!   computed once, then applied per row. Two string columns compare their
+//!   rows' dictionary entries.
+//! * Floats compare by [`cmp_float`], as `sql_cmp` does: `0.0 = -0.0`, and a
+//!   NaN keeps `total_cmp`'s place.
 //! * `AND`/`OR`/`NOT` over boolean results. Eager evaluation is equivalent to
 //!   the interpreter's short-circuit here because vectorizable subexpressions
 //!   are total — `Div`/`Mod` (the only fallible scalar operators) never
@@ -24,15 +27,17 @@
 //!   `arith`: `Int × Int` wraps in `i64`, anything else computes in `f64`,
 //!   NULL propagates.
 //!
-//! Base-side column references never vectorize (a batch carries only detail
-//! tuples), which is exactly right for the two places batches are used:
-//! Theorem 4.2 prefilters (detail-only by construction) and hash-probe key
-//! expressions (detail-only by `split_equalities`).
+//! Base-side column references never vectorize in [`eval_batch`] (a chunk
+//! carries only detail tuples), which is exactly right for Theorem 4.2
+//! prefilters (detail-only by construction) and hash-probe key expressions
+//! (detail-only by `split_equalities`). An expression over both sides
+//! batches through [`eval_columns`] once both sides' columns are at hand:
+//! the executor gathers them at θ's candidate pairs.
 
 use crate::ast::BinOp;
 use crate::eval::{arith, compare, BoundExpr};
 use mdj_storage::columnar::{Column, ColumnarChunk};
-use mdj_storage::{cmp_int_float, Value};
+use mdj_storage::{cmp_float, cmp_int_float, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -60,12 +65,22 @@ pub enum BatchVals {
 }
 
 impl BatchVals {
+    /// A typed column's values; `None` for an absent or untyped column.
+    pub fn from_column(col: Column) -> Option<BatchVals> {
+        match col {
+            Column::Int { vals, nulls } => Some(BatchVals::Ints { vals, nulls }),
+            Column::Float { vals, nulls } => Some(BatchVals::Floats { vals, nulls }),
+            Column::Str { codes, dict, nulls } => Some(BatchVals::Strs { codes, dict, nulls }),
+            Column::Absent | Column::Fallback => None,
+        }
+    }
+
     /// Materialize as a per-row predicate (`eval_bool` semantics: only
     /// `Bool(true)` passes). Total for every variant, so a vectorized
     /// predicate never needs the scalar path.
-    pub fn to_selection(&self, len: usize) -> Vec<bool> {
+    pub fn to_selection(self, len: usize) -> Vec<bool> {
         match self {
-            BatchVals::Bools(b) => b.clone(),
+            BatchVals::Bools(b) => b,
             BatchVals::Const(v) => vec![matches!(v, Value::Bool(true)); len],
             // Non-boolean batch results are falsy per row, like eval_bool.
             _ => vec![false; len],
@@ -104,10 +119,10 @@ pub fn uses_base(expr: &BoundExpr) -> bool {
 }
 
 /// Substitute one base row's values for every `BCol` reference, producing a
-/// detail-only expression. For a fixed base row `b`, a mixed residual
-/// `θres(b, t)` becomes a function of `t` alone, which [`eval_batch`] can then
+/// detail-only expression. For a fixed base row `b`, a nested loop's
+/// `θ(b, t)` becomes a function of `t` alone, which [`eval_batch`] can then
 /// evaluate over a whole chunk in one pass instead of replaying every
-/// candidate pair through the interpreter. Scalar evaluation of the bound
+/// tuple through the interpreter. Scalar evaluation of the bound
 /// expression is identical to evaluating the original against `b` (a `BCol`
 /// lookup returns exactly the value we inline as a literal).
 pub fn bind_base(expr: &BoundExpr, b_row: &[Value]) -> BoundExpr {
@@ -147,27 +162,27 @@ pub fn batchable_bound_shape(expr: &BoundExpr) -> bool {
 /// is exactly equivalent to the scalar interpreter; the caller then falls
 /// back to per-row evaluation.
 pub fn eval_batch(expr: &BoundExpr, chunk: &ColumnarChunk) -> Option<BatchVals> {
-    let n = chunk.len();
+    eval_columns(expr, chunk.len(), &mut |leaf| match leaf {
+        BoundExpr::RCol(i) => BatchVals::from_column(chunk.column(*i).clone()),
+        _ => None,
+    })
+}
+
+/// Evaluate `expr` over `n` rows whose columns `column` supplies: it is
+/// handed each `BCol`/`RCol` leaf and returns that column's `n` values, or
+/// `None` when it has no typed form (the whole evaluation is then `None`,
+/// as in [`eval_batch`]). A mixed expression batches this way once both
+/// sides of its rows are at hand — the executor's candidate pairs, each
+/// side gathered at the pairs' rows.
+pub fn eval_columns(
+    expr: &BoundExpr,
+    n: usize,
+    column: &mut impl FnMut(&BoundExpr) -> Option<BatchVals>,
+) -> Option<BatchVals> {
     match expr {
-        BoundExpr::BCol(_) => None,
-        BoundExpr::RCol(i) => match chunk.column(*i) {
-            Column::Int { vals, nulls } => Some(BatchVals::Ints {
-                vals: vals.clone(),
-                nulls: nulls.clone(),
-            }),
-            Column::Float { vals, nulls } => Some(BatchVals::Floats {
-                vals: vals.clone(),
-                nulls: nulls.clone(),
-            }),
-            Column::Str { codes, dict, nulls } => Some(BatchVals::Strs {
-                codes: codes.clone(),
-                dict: dict.clone(),
-                nulls: nulls.clone(),
-            }),
-            Column::Absent | Column::Fallback => None,
-        },
+        BoundExpr::BCol(_) | BoundExpr::RCol(_) => column(expr),
         BoundExpr::Lit(v) => Some(BatchVals::Const(v.clone())),
-        BoundExpr::Not(e) => match eval_batch(e, chunk)? {
+        BoundExpr::Not(e) => match eval_columns(e, n, column)? {
             BatchVals::Bools(mut b) => {
                 for v in &mut b {
                     *v = !*v;
@@ -182,8 +197,8 @@ pub fn eval_batch(expr: &BoundExpr, chunk: &ColumnarChunk) -> Option<BatchVals> 
         },
         BoundExpr::Binary { op, lhs, rhs } => match op {
             BinOp::And | BinOp::Or => {
-                let l = eval_batch(lhs, chunk)?;
-                let r = eval_batch(rhs, chunk)?;
+                let l = eval_columns(lhs, n, column)?;
+                let r = eval_columns(rhs, n, column)?;
                 let and = *op == BinOp::And;
                 match (l, r) {
                     (BatchVals::Const(a), BatchVals::Const(b)) => {
@@ -215,13 +230,13 @@ pub fn eval_batch(expr: &BoundExpr, chunk: &ColumnarChunk) -> Option<BatchVals> 
                 }
             }
             op if op.is_comparison() => {
-                let l = eval_batch(lhs, chunk)?;
-                let r = eval_batch(rhs, chunk)?;
+                let l = eval_columns(lhs, n, column)?;
+                let r = eval_columns(rhs, n, column)?;
                 compare_batch(*op, l, r, n)
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                let l = eval_batch(lhs, chunk)?;
-                let r = eval_batch(rhs, chunk)?;
+                let l = eval_columns(lhs, n, column)?;
+                let r = eval_columns(rhs, n, column)?;
                 arith_batch(*op, l, r, n)
             }
             // Div/Mod can raise DivideByZero (and Mod type errors): keep
@@ -340,7 +355,7 @@ fn compare_batch(op: BinOp, l: BatchVals, r: BatchVals, n: usize) -> Option<Batc
             Value::Float(f) => vals
                 .iter()
                 .zip(&nulls)
-                .map(|(v, &null)| !null & t(v.total_cmp(f)))
+                .map(|(v, &null)| !null & t(cmp_float(*v, *f)))
                 .collect(),
             Value::Null => vec![false; n],
             _ if op == BinOp::Ne => nulls.iter().map(|&null| !null).collect(),
@@ -373,7 +388,7 @@ fn compare_batch(op: BinOp, l: BatchVals, r: BatchVals, n: usize) -> Option<Batc
             a.iter()
                 .zip(&b)
                 .zip(an.iter().zip(&bn))
-                .map(|((x, y), (&xn, &yn))| !xn & !yn & t(x.total_cmp(y)))
+                .map(|((x, y), (&xn, &yn))| !xn & !yn & t(cmp_float(*x, *y)))
                 .collect(),
         )),
         (Ints { vals: a, nulls: an }, Floats { vals: b, nulls: bn }) => Some(Bools(
@@ -390,7 +405,40 @@ fn compare_batch(op: BinOp, l: BatchVals, r: BatchVals, n: usize) -> Option<Batc
                 .map(|((x, y), (&xn, &yn))| !xn & !yn & t(cmp_int_float(*y, *x).reverse()))
                 .collect(),
         )),
-        // Str×Str (two detail columns), Bool batches, etc.: scalar fallback.
+        (
+            Strs {
+                codes: a,
+                dict: ad,
+                nulls: an,
+            },
+            Strs {
+                codes: b,
+                dict: bd,
+                nulls: bn,
+            },
+        ) => Some(Bools(
+            a.iter()
+                .zip(&b)
+                .zip(an.iter().zip(&bn))
+                .map(|((&x, &y), (&xn, &yn))| {
+                    !xn & !yn && t(ad[x as usize].as_ref().cmp(bd[y as usize].as_ref()))
+                })
+                .collect(),
+        )),
+        // A string against a number is incomparable: only `<>` holds, and
+        // only where neither side is NULL. (A column of NULLs alone is typed
+        // `Int`, so a string column meets one whenever its partner's rows
+        // are all NULL.)
+        (Strs { nulls: an, .. }, Ints { nulls: bn, .. } | Floats { nulls: bn, .. })
+        | (Ints { nulls: an, .. } | Floats { nulls: an, .. }, Strs { nulls: bn, .. }) => {
+            Some(Bools(
+                an.iter()
+                    .zip(&bn)
+                    .map(|(&xn, &yn)| !xn & !yn & (op == BinOp::Ne))
+                    .collect(),
+            ))
+        }
+        // Bool batches etc.: scalar fallback.
         _ => None,
     })
 }
@@ -584,6 +632,133 @@ mod tests {
         // Incomparable literal: Eq false, Ne true on non-null rows.
         assert_matches_scalar(&eq(col_r("state"), lit(3i64)));
         assert_matches_scalar(&ne(col_r("state"), lit(3i64)));
+    }
+
+    /// Two string columns compare entry by entry across their own
+    /// dictionaries, as `sql_cmp` compares the strings: every operator, with
+    /// NULLs on either side and both, checked row by row.
+    #[test]
+    fn string_column_against_string_column() {
+        let s = |v: Option<&str>| v.map_or(Value::Null, Value::str);
+        let pairs = [
+            (Some("NY"), Some("NY")),
+            (Some("NY"), Some("CA")),
+            (Some("CA"), Some("NY")),
+            (None, Some("NY")),
+            (Some("TX"), None),
+            (None, None),
+            (Some(""), Some("A")),
+            (Some("NJ"), Some("NJ")),
+        ];
+        let rows: Vec<Row> = pairs
+            .iter()
+            .map(|&(a, b)| Row::new(vec![s(a), s(b)]))
+            .collect();
+        let schema = Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Str)]);
+        let chunk = ColumnarChunk::from_rows(&rows, 0, rows.len(), &[true, true]);
+        for cmp in [eq, ne, lt, le, gt, ge] {
+            let bound = cmp(col_r("a"), col_r("b"))
+                .bind(None, Some(&schema))
+                .unwrap();
+            let sel = eval_batch(&bound, &chunk)
+                .expect("two string columns batch")
+                .to_selection(rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    sel[i],
+                    bound.eval_bool(&[], row.values()).unwrap(),
+                    "row {i} diverged for {bound:?}"
+                );
+            }
+        }
+    }
+
+    /// A string column against a numeric one — an `Int` column of NULLs
+    /// alone among them — batches as the interpreter compares the pair: only
+    /// `<>` holds, and only where neither side is NULL.
+    #[test]
+    fn string_column_against_numeric_column() {
+        let rows: Vec<Row> = [
+            (Value::str("NY"), Value::Int(1), Value::Null),
+            (Value::str("CA"), Value::Float(2.5), Value::Null),
+            (Value::Null, Value::Int(3), Value::Null),
+            (Value::str("NJ"), Value::Null, Value::Null),
+        ]
+        .into_iter()
+        .map(|(s, x, z)| Row::new(vec![s, x, z]))
+        .collect();
+        let schema = Schema::from_pairs(&[
+            ("s", DataType::Str),
+            ("x", DataType::Any),
+            ("z", DataType::Int),
+        ]);
+        let all = [true, true, true];
+        let chunks = [
+            ColumnarChunk::from_rows(&rows, 0, rows.len(), &all),
+            // The first two rows alone: `x` mixes `Int` and `Float` over all
+            // four (no typed form), but not here.
+            ColumnarChunk::from_rows(&rows, 0, 1, &all),
+            ColumnarChunk::from_rows(&rows, 1, 1, &all),
+        ];
+        for chunk in &chunks {
+            for cmp in [eq, ne, lt, le, gt, ge] {
+                for (l, r) in [("s", "z"), ("z", "s"), ("s", "x"), ("x", "s")] {
+                    let bound = cmp(col_r(l), col_r(r)).bind(None, Some(&schema)).unwrap();
+                    let Some(sel) = eval_batch(&bound, chunk) else {
+                        assert!(matches!(chunk.column(1), Column::Fallback));
+                        continue;
+                    };
+                    let sel = sel.to_selection(chunk.len());
+                    for (i, row) in rows[chunk.start()..][..chunk.len()].iter().enumerate() {
+                        assert_eq!(
+                            sel[i],
+                            bound.eval_bool(&[], row.values()).unwrap(),
+                            "row {i} diverged for {bound:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `0.0` and `-0.0` compare equal, float column against float column and
+    /// against a float literal, as the interpreter compares them; NaN keeps
+    /// its place above every number.
+    #[test]
+    fn float_zeros_compare_equal_in_batches() {
+        let f = Value::Float;
+        let pairs = [
+            (f(0.0), f(-0.0)),
+            (f(-0.0), f(0.0)),
+            (f(-0.0), f(-0.0)),
+            (f(f64::NAN), f(1.0)),
+            (f(-1e-300), f(-0.0)),
+            (Value::Null, f(0.0)),
+        ];
+        let rows: Vec<Row> = pairs
+            .iter()
+            .map(|(a, b)| Row::new(vec![a.clone(), b.clone()]))
+            .collect();
+        let schema = Schema::from_pairs(&[("x", DataType::Float), ("y", DataType::Float)]);
+        let chunk = ColumnarChunk::from_rows(&rows, 0, rows.len(), &[true, true]);
+        for cmp in [eq, ne, lt, le, gt, ge] {
+            for expr in [cmp(col_r("x"), col_r("y")), cmp(col_r("x"), lit(-0.0))] {
+                let bound = expr.bind(None, Some(&schema)).unwrap();
+                let sel = eval_batch(&bound, &chunk).unwrap().to_selection(rows.len());
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        sel[i],
+                        bound.eval_bool(&[], row.values()).unwrap(),
+                        "row {i}: {bound:?}"
+                    );
+                }
+            }
+        }
+        let zeros = eq(col_r("x"), col_r("y"))
+            .bind(None, Some(&schema))
+            .unwrap();
+        let sel = eval_batch(&zeros, &chunk).unwrap().to_selection(rows.len());
+        assert_eq!(sel, [true, true, true, false, false, false]);
     }
 
     #[test]

@@ -144,22 +144,70 @@ impl Column {
             Column::Absent | Column::Fallback => return None,
         })
     }
+
+    /// `values`, `len` of them, as one column typed by the rule of
+    /// [`ColumnBuilder`].
+    #[inline]
+    pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>, len: usize) -> Column {
+        // Single-pass speculative transposition: the first non-NULL value
+        // picks the typed representation, and the first conflicting value
+        // abandons the column to `Fallback`.
+        let mut col = ColumnBuilder::new(len, false);
+        for v in values {
+            col.push_value(v);
+            if col.fell_back() {
+                return Column::Fallback;
+            }
+        }
+        col.finish().0
+    }
+
+    /// This column's rows `at`, in that order. A `Str` column's dictionary
+    /// keeps only the entries those rows use, so a gather costs what `at`
+    /// does however large the dictionary is.
+    pub fn gather(&self, at: impl ExactSizeIterator<Item = usize> + Clone) -> Column {
+        let nulls = |nulls: &[bool]| at.clone().map(|i| nulls[i]).collect();
+        match self {
+            Column::Int { vals, nulls: n } => Column::Int {
+                vals: at.clone().map(|i| vals[i]).collect(),
+                nulls: nulls(n),
+            },
+            Column::Float { vals, nulls: n } => Column::Float {
+                vals: at.clone().map(|i| vals[i]).collect(),
+                nulls: nulls(n),
+            },
+            Column::Str {
+                codes,
+                dict,
+                nulls: n,
+            } => {
+                let mut recode: HashMap<u32, u32, KeyBuildHasher> = HashMap::default();
+                let mut used = Vec::new();
+                let codes = at
+                    .clone()
+                    .map(|i| {
+                        *recode.entry(codes[i]).or_insert_with(|| {
+                            used.push(Arc::clone(&dict[codes[i] as usize]));
+                            used.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                Column::Str {
+                    codes,
+                    dict: used,
+                    nulls: nulls(n),
+                }
+            }
+            Column::Absent => Column::Absent,
+            Column::Fallback => Column::Fallback,
+        }
+    }
 }
 
 /// Transpose column `c` of `range` under the typing rule of
 /// [`ColumnBuilder`].
 pub(crate) fn build_column(range: &[Row], c: usize) -> Column {
-    // Single-pass speculative transposition: the first non-NULL value picks
-    // the typed representation, and the first conflicting value abandons the
-    // column to `Fallback`.
-    let mut col = ColumnBuilder::new(range.len(), false);
-    for row in range {
-        col.push_value(&row[c]);
-        if col.fell_back() {
-            return Column::Fallback;
-        }
-    }
-    col.finish().0
+    Column::from_values(range.iter().map(|row| &row[c]), range.len())
 }
 
 /// Builds one [`Column`] value by value under the data-driven typing rule of
@@ -530,5 +578,36 @@ mod tests {
             Column::Int { nulls, .. } => assert_eq!(nulls, &[true, true]),
             other => panic!("expected Int column, got {other:?}"),
         }
+    }
+
+    /// A gather holds the rows asked for, in that order and repeated as
+    /// asked, and a `Str` column's dictionary only the strings they use.
+    #[test]
+    fn gather_keeps_the_rows_asked_for_and_only_their_strings() {
+        let values = [
+            Value::str("NY"),
+            Value::Null,
+            Value::str("CA"),
+            Value::str("TX"),
+            Value::str("NY"),
+        ];
+        let col = Column::from_values(&values, values.len());
+        let at = [4, 1, 4, 2];
+        let got = col.gather(at.iter().copied());
+        for (k, &i) in at.iter().enumerate() {
+            assert_eq!(got.value(k), col.value(i), "row {k}");
+        }
+        match got {
+            Column::Str { dict, .. } => assert_eq!(dict, [Arc::from("NY"), Arc::from("CA")]),
+            other => panic!("expected Str column, got {other:?}"),
+        }
+        let ints = Column::from_values(&[Value::Int(7), Value::Null, Value::Int(-1)], 3);
+        let got = ints.gather([2, 0, 1].into_iter());
+        let want = [Value::Int(-1), Value::Int(7), Value::Null];
+        for (k, v) in want.iter().enumerate() {
+            assert_eq!(got.value(k).as_ref(), Some(v), "row {k}");
+        }
+        let mixed = Column::from_values(&[Value::Int(1), Value::Float(1.0)], 2);
+        assert!(matches!(mixed.gather([0].into_iter()), Column::Fallback));
     }
 }

@@ -46,5 +46,5 @@ pub use stats::{
     ColumnStats, Counter, CounterDef, Group, NdvSketch, ScanStats, StatsSnapshot, TableStats,
     WorkerStats, COUNTERS,
 };
-pub use value::cmp_int_float;
 pub use value::Value;
+pub use value::{cmp_float, cmp_int_float};

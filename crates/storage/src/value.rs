@@ -56,6 +56,19 @@ pub fn cmp_int_float(a: i64, b: f64) -> Ordering {
     }
 }
 
+/// θ's order of two floats: `total_cmp` once `-0.0` is mapped to `0.0`.
+///
+/// The two zeros compare `Equal`, as they do to an `Int(0)`
+/// ([`cmp_int_float`]) and as a hash probe's canonical key meets them; every
+/// other pair keeps `total_cmp`'s order, so a NaN still sorts above (or,
+/// negative, below) every number and equals only a NaN of its own bits. The
+/// scalar interpreter ([`Value::sql_cmp`]) and the batch kernels both compare
+/// floats here, so the two cannot diverge.
+pub fn cmp_float(a: f64, b: f64) -> Ordering {
+    let unsigned_zero = |x: f64| if x == 0.0 { 0.0 } else { x };
+    unsigned_zero(a).total_cmp(&unsigned_zero(b))
+}
+
 /// A dynamically typed value stored in a [`crate::Relation`].
 ///
 /// Floats are wrapped so that `Value` can implement `Eq`/`Hash`/`Ord` (required
@@ -128,7 +141,7 @@ impl Value {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
+            (Value::Float(a), Value::Float(b)) => Some(cmp_float(*a, *b)),
             (Value::Int(a), Value::Float(b)) => Some(cmp_int_float(*a, *b)),
             (Value::Float(a), Value::Int(b)) => Some(cmp_int_float(*b, *a).reverse()),
             (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
@@ -331,6 +344,18 @@ mod tests {
         assert_eq!(cmp_int_float(5, f64::NAN), Ordering::Less);
         assert_eq!(cmp_int_float(5, -f64::NAN), Ordering::Greater);
         assert!(!Value::Int(5).sql_eq(&Value::Float(f64::NAN)));
+    }
+
+    #[test]
+    fn float_zeros_compare_equal_and_nan_keeps_its_place() {
+        assert_eq!(cmp_float(0.0, -0.0), Ordering::Equal);
+        assert!(Value::Float(-0.0).sql_eq(&Value::Float(0.0)));
+        assert_eq!(cmp_float(-0.0, 1e-300), Ordering::Less);
+        assert_eq!(cmp_float(-1e-300, 0.0), Ordering::Less);
+        assert_eq!(cmp_float(f64::NAN, f64::INFINITY), Ordering::Greater);
+        assert_eq!(cmp_float(-f64::NAN, f64::NEG_INFINITY), Ordering::Less);
+        assert_eq!(cmp_float(f64::NAN, f64::NAN), Ordering::Equal);
+        assert!(!Value::Float(f64::NAN).sql_eq(&Value::Float(0.0)));
     }
 
     #[test]

@@ -767,20 +767,16 @@ impl KeyKind {
     }
 
     /// A detail component of this column's type: fresh, or `B`'s `from`.
-    /// A float zero is always `-0.0`: θ's `=` holds for `0 = -0.0` and
-    /// `0 = 0.0` but not for `0.0 = -0.0` (`Value::sql_cmp` orders floats
-    /// by `total_cmp`), while a probe key, canonicalized, meets all three —
-    /// so `B`'s float zero, `-0.0`, must not meet a detail `0.0`.
+    /// A fresh float zero is `0.0`, so it meets `B`'s `-0.0` and `0`.
     fn detail_value(self, pick: u8, from: Option<&Value>) -> Value {
-        let float = |f: f64| Value::Float(if f == 0.0 { -0.0 } else { f });
         match (self, from) {
             (_, Some(Value::Null)) => Value::Null,
             (KeyKind::Int, Some(v)) => Value::Int(v.as_float().unwrap() as i64),
-            (KeyKind::Float, Some(v)) => float(v.as_float().unwrap()),
+            (KeyKind::Float, Some(v)) => Value::Float(v.as_float().unwrap()),
             (KeyKind::Str, Some(v)) => v.clone(),
             (_, None) if pick % 6 == 5 => Value::Null,
             (KeyKind::Int, None) => Value::Int(i64::from(pick % 6) - 1),
-            (KeyKind::Float, None) => float([0.0, 1.0, 1.5, 2.0, 3.0][pick as usize % 6]),
+            (KeyKind::Float, None) => Value::Float([0.0, 1.0, 1.5, 2.0, 3.0][pick as usize % 6]),
             (KeyKind::Str, None) => Value::str(["a", "b", "c", "d", "z"][pick as usize % 6]),
         }
     }
@@ -910,11 +906,11 @@ proptest! {
     /// reference, which resolves no key through it: bit for bit, over a
     /// resident and a paged `R`, at morsel sizes 1, 7 and 4096. The keys
     /// have 1–6 columns, `Int` and `Float` components that meet `B`'s `1`,
-    /// `1.0` and `-0.0`, NULLs on both sides, repeated `B` keys, components
-    /// `B` lacks, and a computed `B.c0 = R.c0 + 1`. θ is equalities and a
-    /// detail-only filter, so each tuple's bucket is exactly its matches:
-    /// probes equal the (b, t) pairs θ holds for, and updates those pairs
-    /// times the aggregates.
+    /// `1.0` and `-0.0` (a detail `0.0` too), NULLs on both sides, repeated
+    /// `B` keys, components `B` lacks, and a computed `B.c0 = R.c0 + 1`. θ
+    /// is equalities and a detail-only filter, so each tuple's bucket is
+    /// exactly its matches: probes equal the (b, t) pairs θ holds for, and
+    /// updates those pairs times the aggregates.
     #[test]
     fn coded_key_probes_equal_the_reference(case in keyed_case_strategy()) {
         let KeyedCase { b, r, theta } = case;
@@ -958,6 +954,293 @@ proptest! {
                     prop_assert_eq!(stats.updates(), pairs * specs.len() as u64, "{}", label);
                 }
             }
+        }
+    }
+}
+
+/// θ = `B.k = R.k and <residual>`: a key probe, then a residual over both
+/// sides, checked over the candidate pairs.
+#[derive(Debug)]
+struct ResidualCase {
+    b: Relation,
+    r: Relation,
+    theta: Expr,
+    /// The residual has a batch form and reads only typed columns: the
+    /// batch evaluator must check it over a paged `R` without building a
+    /// page's rows.
+    batchable: bool,
+}
+
+/// 2⁵³: `P53 + 1` is the least positive `i64` no `f64` holds.
+const P53: i64 = 1 << 53;
+
+/// `B`'s numeric column `x`: all `Int`, all `Float`, or both (an untyped
+/// column: a block of pairs whose base rows mix the two is interpreted).
+fn residual_x(kind: u8, pick: u8) -> Value {
+    let ints = [
+        Value::Int(0),
+        Value::Int(3),
+        Value::Int(P53 + 1),
+        Value::Int(-7),
+        Value::Null,
+    ];
+    let floats = [
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(2.5),
+        Value::Float(P53 as f64),
+        Value::Float(f64::NAN),
+        Value::Null,
+    ];
+    match kind % 3 {
+        0 => ints[pick as usize % ints.len()].clone(),
+        1 => floats[pick as usize % floats.len()].clone(),
+        _ if pick.is_multiple_of(2) => ints[pick as usize / 2 % ints.len()].clone(),
+        _ => floats[pick as usize / 2 % floats.len()].clone(),
+    }
+}
+
+fn residual_case_strategy() -> impl Strategy<Value = ResidualCase> {
+    let states = ["NY", "NJ", "CA"];
+    (
+        proptest::collection::vec((0i64..6, any::<u8>(), 0u8..4), 0..12),
+        proptest::collection::vec((0i64..1000, any::<u8>(), any::<u8>(), 0u8..4), 0..90),
+        0u8..3,
+        0usize..7,
+    )
+        .prop_map(move |(b_picks, r_picks, x_kind, shape)| {
+            let str_or_null = |p: u8| match p {
+                3 => Value::Null,
+                p => Value::str(states[p as usize]),
+            };
+            let b_schema = Schema::from_pairs(&[
+                ("k", DataType::Int),
+                ("x", DataType::Any),
+                ("s", DataType::Str),
+            ]);
+            let b_rows = b_picks
+                .iter()
+                .map(|&(k, x, s)| {
+                    Row::new(vec![
+                        if k == 5 { Value::Null } else { Value::Int(k) },
+                        residual_x(x_kind, x),
+                        str_or_null(s),
+                    ])
+                })
+                .collect();
+            let r_schema = Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("k", DataType::Int),
+                ("v", DataType::Float),
+                ("w", DataType::Int),
+                ("s", DataType::Str),
+            ]);
+            // Half the tuples share key 0, so one base row meets a dense run
+            // of its chunk.
+            let r_rows = r_picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v, w, s))| {
+                    Row::new(vec![
+                        Value::Int(i as i64),
+                        match u {
+                            0..500 => Value::Int(0),
+                            990.. => Value::Null,
+                            u => Value::Int(u % 6),
+                        },
+                        match v % 9 {
+                            0 => Value::Null,
+                            1 => Value::Float(0.0),
+                            2 => Value::Float(-0.0),
+                            3 => Value::Float(f64::NAN),
+                            4 => Value::Float(P53 as f64),
+                            p => Value::Float(f64::from(p) * 0.7 - 2.0),
+                        },
+                        match w % 5 {
+                            0 => Value::Null,
+                            1 => Value::Int(P53 + 1),
+                            p => Value::Int(i64::from(p) - 3),
+                        },
+                        str_or_null(s),
+                    ])
+                })
+                .collect();
+            let residual = [
+                gt(col_r("v"), col_b("x")),
+                // `=` between the sides would join the probe key.
+                not(ne(col_b("x"), col_r("v"))),
+                lt(col_r("w"), col_b("x")),
+                ne(col_b("s"), col_r("s")),
+                ge(col_r("v"), div(col_b("x"), lit(2i64))),
+                or(
+                    not(le(col_r("v"), col_b("x"))),
+                    and(
+                        eq(col_r("s"), col_b("s")),
+                        ge(add(col_r("w"), col_b("k")), lit(0i64)),
+                    ),
+                ),
+                le(col_b("s"), col_r("s")),
+            ][shape]
+                .clone();
+            // Shapes 3 and 6 read no `x`; shape 4 divides.
+            let batchable = shape != 4 && (x_kind < 2 || matches!(shape, 3 | 6));
+            ResidualCase {
+                b: Relation::from_rows(b_schema, b_rows),
+                r: Relation::from_rows(r_schema, r_rows),
+                theta: and(eq(col_b("k"), col_r("k")), residual),
+                batchable,
+            }
+        })
+}
+
+/// The (b, t) pairs whose keys meet (each one probe), and those for which
+/// all of θ holds (each one update per aggregate), by the interpreter.
+fn key_and_theta_pairs(b: &Relation, r: &Relation, theta: &Expr) -> (u64, u64) {
+    let key = eq(col_b("k"), col_r("k"))
+        .bind(Some(b.schema()), Some(r.schema()))
+        .unwrap();
+    let theta = theta.bind(Some(b.schema()), Some(r.schema())).unwrap();
+    let (mut keyed, mut held) = (0u64, 0u64);
+    for t in r.iter() {
+        for row in b.iter() {
+            keyed += u64::from(key.eval_bool(row.values(), t.values()).unwrap());
+            held += u64::from(theta.eval_bool(row.values(), t.values()).unwrap());
+        }
+    }
+    (keyed, held)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// θ's cross-side residual, checked over each chunk's candidate pairs,
+    /// equals the Definition 3.1 reference bit for bit, with one probe per
+    /// key-matching pair and one update per aggregate per pair θ holds for:
+    /// over a resident and a paged `R`, at morsel sizes 1, 7 and 4096, on
+    /// one thread and two. The residuals meet NULLs on either side, NaN and
+    /// both float zeros, `Int`/`Float` pairs beyond 2⁵³, strings, a
+    /// division (no batch form), an untyped `B` column, and a base row with
+    /// a dense run of candidates. A batchable residual over typed columns
+    /// builds no page's rows on the batch evaluator.
+    #[test]
+    fn residual_pairs_equal_the_reference(case in residual_case_strategy()) {
+        let ResidualCase { b, r, theta, batchable } = case;
+        let specs = [
+            AggSpec::count_star(),
+            AggSpec::on_column("sum", "v"),
+            AggSpec::on_column("max", "w"),
+        ];
+        let expected = reference_md_join(&b, &r, &specs, &theta, &Registry::standard());
+        let (keyed, held) = key_and_theta_pairs(&b, &r, &theta);
+        let dir = CaseDir::new("residual");
+        let (store, _) = PagedStore::open(dir.path()).unwrap();
+        let table = store.create_table("R", &r, "id", 512).unwrap();
+        let scan = PagedScan::new(table, BufferPool::new(4 * 512));
+        let clustered = scan.materialize(&ExecContext::new()).unwrap();
+        prop_assert_eq!(clustered.rows(), r.rows(), "clustering on `id` keeps the row order");
+        for paged in [false, true] {
+            for strategy in [ExecStrategy::Serial, ExecStrategy::Vectorized, ExecStrategy::Morsel] {
+                for threads in [1, 2] {
+                    for morsel in [1, 7, 4096] {
+                        let stats = Arc::new(ScanStats::new());
+                        let join = match paged {
+                            false => MdJoin::new(&b, &r),
+                            true => MdJoin::paged(&b, &scan),
+                        };
+                        let out = join
+                            .aggs(&specs)
+                            .theta(theta.clone())
+                            .strategy(strategy)
+                            .threads(threads)
+                            .run(&ExecContext::new().with_morsel_size(morsel).with_stats(stats.clone()))
+                            .unwrap();
+                        let label = format!(
+                            "{strategy:?} × {threads}, paged {paged}, morsel {morsel}, θ = {theta}"
+                        );
+                        assert_bits_equal(&expected, &out, &label)?;
+                        prop_assert_eq!(stats.probes(), keyed, "{}", label);
+                        prop_assert_eq!(stats.updates(), held * specs.len() as u64, "{}", label);
+                        if paged && batchable && strategy == ExecStrategy::Vectorized {
+                            prop_assert_eq!(stats.page_rows_built(), 0, "{}", label);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A group-by built inside its own scan whose residual reads the `B`
+    /// that scan is growing (`Z.k = k and Z.w > k`, `Z.v <= k`): each chunk
+    /// checks its pairs against the groups found so far, and the answer
+    /// equals the reference over the base built first.
+    #[test]
+    fn residual_over_a_base_the_scan_builds(
+        case in residual_case_strategy(),
+        morsel_pick in 0usize..3,
+        shape in 0usize..2,
+    ) {
+        let r = case.r;
+        let residual = [gt(col_r("w"), col_b("k")), le(col_r("v"), col_b("k"))][shape].clone();
+        let theta = and(eq(col_b("k"), col_r("k")), residual);
+        let specs = [AggSpec::count_star(), AggSpec::on_column("sum", "v")];
+        let b = basevalues::build(&r, &["k"], basevalues::Sets::GroupBy).unwrap();
+        let expected = reference_md_join(&b, &r, &specs, &theta, &Registry::standard());
+        let (keyed, held) = key_and_theta_pairs(&b, &r, &theta);
+        let morsel = [1, 7, 4096][morsel_pick];
+        let stats = Arc::new(ScanStats::new());
+        let out = MdJoin::group_by(DetailSource::Resident(&r), &["k"], None)
+            .aggs(&specs)
+            .theta(theta.clone())
+            .strategy(ExecStrategy::Vectorized)
+            .threads(1)
+            .run(&ExecContext::new().with_morsel_size(morsel).with_stats(stats.clone()))
+            .unwrap();
+        let label = format!("morsel {morsel}, θ = {theta}");
+        assert_bits_equal(&expected, &out, &label)?;
+        prop_assert_eq!(stats.base_fused(), 1, "{}", label);
+        prop_assert_eq!(stats.probes(), keyed, "{}", label);
+        prop_assert_eq!(stats.updates(), held * specs.len() as u64, "{}", label);
+    }
+}
+
+/// `0.0` and `-0.0` meet under θ's `=`, in a probe key and in a residual,
+/// as the reference compares them: `B.c0 = -0.0` against `R.c0 = 0.0`
+/// (the pair a probe index once matched and θ did not), and the same two
+/// zeros in a residual column.
+#[test]
+fn float_zeros_of_either_sign_meet() {
+    let b = Relation::from_rows(
+        Schema::from_pairs(&[("c0", DataType::Any), ("k", DataType::Int)]),
+        vec![Row::new(vec![Value::Float(-0.0), Value::Int(1)])],
+    );
+    let r = Relation::from_rows(
+        Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("c0", DataType::Float),
+            ("k", DataType::Int),
+        ]),
+        vec![
+            Row::new(vec![Value::Int(0), Value::Float(0.0), Value::Int(1)]),
+            Row::new(vec![Value::Int(1), Value::Float(-0.0), Value::Int(1)]),
+            Row::new(vec![Value::Int(2), Value::Float(1.0), Value::Int(1)]),
+        ],
+    );
+    let specs = [AggSpec::count_star()];
+    let thetas = [
+        eq(col_b("c0"), col_r("c0")),
+        and(eq(col_b("k"), col_r("k")), eq(col_b("c0"), col_r("c0"))),
+    ];
+    for theta in &thetas {
+        let expected = reference_md_join(&b, &r, &specs, theta, &Registry::standard());
+        assert_eq!(expected.rows()[0][2], Value::Int(2), "θ = {theta}");
+        for strategy in PAGED_STRATEGIES {
+            let out = MdJoin::new(&b, &r)
+                .aggs(&specs)
+                .theta(theta.clone())
+                .strategy(strategy)
+                .run(&ExecContext::new())
+                .unwrap();
+            assert_eq!(out.rows(), expected.rows(), "{strategy:?}, θ = {theta}");
         }
     }
 }
