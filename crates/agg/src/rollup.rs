@@ -10,7 +10,7 @@
 
 use crate::error::{AggError, Result};
 use crate::registry::Registry;
-use crate::spec::{AggInput, AggSpec};
+use crate::spec::AggSpec;
 
 /// Whether every aggregate in `l` has a roll-up form (Theorem 4.5
 /// precondition).
@@ -41,18 +41,10 @@ pub fn rollup_specs(specs: &[AggSpec], registry: &Registry) -> Result<Vec<AggSpe
         .collect()
 }
 
-/// Sanity check used by tests and the optimizer: a rolled-up spec list always
-/// reads the columns the original list writes.
-pub fn rollup_reads_match_writes(original: &[AggSpec], rolled: &[AggSpec]) -> bool {
-    original.len() == rolled.len()
-        && original.iter().zip(rolled).all(|(o, r)| {
-            r.input == AggInput::Column(o.output_name()) && r.output_name() == o.output_name()
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::AggInput;
 
     #[test]
     fn count_becomes_sum() {
@@ -64,7 +56,12 @@ mod tests {
         assert_eq!(l2[0].output_name(), "count_star");
         assert_eq!(l2[1].function, "sum");
         assert_eq!(l2[1].input, AggInput::Column("sum_sale".into()));
-        assert!(rollup_reads_match_writes(&l, &l2));
+        // The rolled-up list reads the columns the original list writes.
+        assert_eq!(l.len(), l2.len());
+        for (o, r) in l.iter().zip(&l2) {
+            assert_eq!(r.input, AggInput::Column(o.output_name()));
+            assert_eq!(r.output_name(), o.output_name());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
 //!   pages Theorem 4.2 rules out are never read). A page is read as its
 //!   buffer-pool frame's columns, a resident chunk as its relation's cached
-//!   columns; only a scalar path asks a page for rows;
+//!   columns; only the scalar [`Evaluator`] asks a slice for rows;
 //! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
 //!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
 //!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
@@ -155,8 +155,8 @@ impl<'s> Slice<'s> {
     }
 
     /// The slice's rows. A page builds them from its columns on the first
-    /// request of its residency, counted as `page_rows_built`: only scalar
-    /// paths ask.
+    /// request of its residency, counted as `page_rows_built`: only the
+    /// scalar [`Evaluator`] asks.
     pub(crate) fn rows(&self, ctx: &ExecContext) -> &'s [Row] {
         match self {
             Slice::Resident { rows, .. } => rows,
@@ -374,21 +374,27 @@ struct BatchEvaluator<'a> {
     b: &'a Relation,
     blocks: &'a [BoundBlock],
     probes: Vec<BatchProbe<'a>>,
-    /// The detail columns each slice transposes: the probes' and the kernels'.
+    /// The detail columns each slice transposes: the probes' and the
+    /// aggregates'.
     needed: Vec<bool>,
     /// Per block: did any batch fall back to the scalar interpreter?
     fell_back: Vec<bool>,
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// `kernel_inputs` marks the aggregate input columns the typed kernels
-    /// read from each chunk.
-    fn new(b: &'a Relation, blocks: &'a [BoundBlock], kernel_inputs: Vec<bool>) -> Self {
+    /// The evaluator of `blocks` over `B = b` and detail chunks `width`
+    /// columns wide.
+    fn new(b: &'a Relation, blocks: &'a [BoundBlock], width: usize) -> Self {
         let probes: Vec<BatchProbe> = blocks
             .iter()
             .map(|blk| BatchProbe::new(&blk.plan))
             .collect();
-        let mut needed = kernel_inputs;
+        // Every aggregate input column: the typed kernels' and the replayed
+        // ones' alike.
+        let mut needed = vec![false; width];
+        for &c in blocks.iter().flat_map(|blk| &blk.inputs) {
+            needed[c] = true;
+        }
         for probe in &probes {
             probe.collect_needed(&mut needed);
         }
@@ -411,16 +417,15 @@ impl<'a> BatchEvaluator<'a> {
         // One columnar form per slice, shared by all k blocks.
         let chunk = slice.chunk(&self.needed, ctx);
         let b = self.b;
-        self.update(&chunk, slice, b, None, ctx, states)
+        self.update(&chunk, b, None, ctx, states)
     }
 
-    /// Probe every block with `slice` (`chunk` its columnar form) over `b`
-    /// and apply the matches to `states`. `groups`, when given, is each
-    /// row's own group of a `B` this scan is building.
+    /// Probe every block with `chunk` over `b` and apply the matches to
+    /// `states`. `groups`, when given, is each row's own group of a `B` this
+    /// scan is building.
     fn update(
         &mut self,
         chunk: &ColumnarChunk,
-        slice: Slice,
         b: &Relation,
         groups: Option<&[usize]>,
         ctx: &ExecContext,
@@ -435,9 +440,9 @@ impl<'a> BatchEvaluator<'a> {
                     return Ok(());
                 }
                 updates += pairs.len() * blk.aggs.len();
-                states.batch(k, blk, chunk, slice, pairs)
+                states.batch(k, blk, chunk, pairs)
             };
-            if probe.matches_batch(chunk, slice, b, groups, ctx, &mut pairs, &mut apply)? {
+            if probe.matches_batch(chunk, b, groups, ctx, &mut pairs, &mut apply)? {
                 ctx.count(Counter::batch_fallbacks, 1);
                 self.fell_back[k] = true;
             }
@@ -530,19 +535,6 @@ impl<'a> States<'a> {
         Ok(())
     }
 
-    /// Detail columns the typed kernels read from a batch's chunk.
-    fn kernel_inputs(&self, blocks: &[BoundBlock], width: usize) -> Vec<bool> {
-        let mut needed = vec![false; width];
-        for (blk, cols) in blocks.iter().zip(&self.cols) {
-            for (ba, col) in blk.aggs.iter().zip(cols) {
-                if let (ColStates::Kernel(_), Some(c)) = (col, ba.input_col) {
-                    needed[c] = true;
-                }
-            }
-        }
-        needed
-    }
-
     /// Apply one chunk's delta, replaying exactly the updates the serial
     /// scan of that chunk performs.
     fn apply(&mut self, blocks: &[BoundBlock], delta: &Delta) -> Result<()> {
@@ -560,14 +552,13 @@ impl<'a> States<'a> {
         Ok(())
     }
 
-    /// The batch loop's sink: block `k`'s `(slice-local tuple, base row)`
-    /// pairs, in tuple order, over `chunk` (the columnar form of `slice`).
+    /// The batch loop's sink: block `k`'s `(chunk-local tuple, base row)`
+    /// pairs, in tuple order, over `chunk`.
     fn batch(
         &mut self,
         k: usize,
         blk: &BoundBlock,
         chunk: &ColumnarChunk,
-        slice: Slice,
         pairs: &[(u32, usize)],
     ) -> Result<()> {
         let groups = self.board.group(pairs);
@@ -577,8 +568,6 @@ impl<'a> States<'a> {
                 ba,
                 groups,
                 chunk,
-                slice,
-                0,
                 self.metered[k][j],
                 &mut self.meter,
                 self.ctx,
@@ -720,8 +709,7 @@ pub(crate) fn run(
             states = detail_parallel(&eval, grid, states, *threads, ctx)?;
         }
         Driver::Serial { batch: true } => {
-            let kernel_inputs = states.kernel_inputs(&bound, grid.schema.len());
-            let mut batch = BatchEvaluator::new(b, &bound, kernel_inputs);
+            let mut batch = BatchEvaluator::new(b, &bound, grid.schema.len());
             scan_in_order(grid, ctx, |slice| batch.scan(slice, ctx, &mut states))?;
             batch.count_sets(ctx);
         }
@@ -768,11 +756,7 @@ pub(crate) fn run_grouped(
     let fresh = States::new(&bound, 0, ctx)?;
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, grid.rows());
-    let mut batch = BatchEvaluator::new(
-        &empty,
-        &bound,
-        fresh.kernel_inputs(&bound, grid.schema.len()),
-    );
+    let mut batch = BatchEvaluator::new(&empty, &bound, grid.schema.len());
     let mut states = Some(fresh);
     table.collect_needed(&mut batch.needed);
     let mut ids = Vec::new();
@@ -782,14 +766,14 @@ pub(crate) fn run_grouped(
             return Ok(0);
         }
         let chunk = slice.chunk(&batch.needed, ctx);
-        table.assign(&chunk, slice, ctx, &mut ids)?;
+        table.assign(&chunk, &mut ids)?;
         let Some(st) = states.as_mut() else {
             return Ok(0);
         };
         let answered = match table.exact() {
             true => st
                 .grow(&bound, table.base())
-                .and_then(|()| batch.update(&chunk, slice, table.base(), Some(&ids), ctx, st))
+                .and_then(|()| batch.update(&chunk, table.base(), Some(&ids), ctx, st))
                 .map(Some),
             false => Ok(None),
         };

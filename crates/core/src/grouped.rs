@@ -43,13 +43,13 @@
 use crate::basevalues::{self, Sets};
 use crate::context::{ExecContext, ProbeStrategy};
 use crate::error::Result;
-use crate::executor::{scan_in_order, DetailSource, Grid, Slice};
+use crate::executor::{scan_in_order, DetailSource, Grid};
 use crate::generalized::Block;
 use crate::probe::canon_key;
-use crate::vectorized::{tuple_ids, KeyCodes, Translation, NO_GROUP, NULL_CODE};
+use crate::vectorized::{tuple_ids, KeyCodes, RowBuf, Translation, NO_GROUP, NULL_CODE};
 use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::builder::and_all;
-use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols};
+use mdj_expr::vectorized::collect_detail_cols;
 use mdj_expr::{eval_batch, BatchVals, BoundExpr, ColRef, Expr, Side};
 use mdj_storage::{
     Column, ColumnarChunk, Counter, DataType, KeyIndex, Relation, Row, Schema, Value,
@@ -119,7 +119,7 @@ impl GroupBy {
         let mut ids = Vec::new();
         scan_in_order(&grid, ctx, |slice| {
             ctx.check_interrupt()?;
-            table.assign(&slice.chunk(&needed, ctx), slice, ctx, &mut ids)?;
+            table.assign(&slice.chunk(&needed, ctx), &mut ids)?;
             Ok(0)
         })?;
         Ok(table.into_base())
@@ -217,53 +217,45 @@ impl GroupTable {
         self.exact
     }
 
-    /// Mark the detail columns [`assign`](Self::assign) reads from a chunk.
+    /// Mark the detail columns [`assign`](Self::assign) reads from a chunk:
+    /// the key's and `p`'s, batched or interpreted.
     pub(crate) fn collect_needed(&self, needed: &mut [bool]) {
         for &c in &self.key_cols {
             needed[c] = true;
         }
-        if let Some(p) = self.pred.as_ref().filter(|p| batchable_bound_shape(p)) {
+        if let Some(p) = &self.pred {
             collect_detail_cols(p, needed);
         }
     }
 
-    /// Offer the rows of one slice (`chunk` is its columnar form), inserting
-    /// each new key as a group in row order. `ids[i]` becomes row `i`'s group,
-    /// or [`NO_GROUP`] when the row fails `p` or its key has a NULL component
-    /// (its group exists, but SQL equality never matches it).
+    /// Offer the rows of one chunk, inserting each new key as a group in row
+    /// order. `ids[i]` becomes row `i`'s group, or [`NO_GROUP`] when the row
+    /// fails `p` or its key has a NULL component (its group exists, but SQL
+    /// equality never matches it).
     ///
     /// A lone `Int` key is looked up by value. Other ints and strings are
     /// coded per chunk ([`KeyCodes`]), so each distinct key of the chunk meets
     /// the table once, and then through the index's per-column codes: each
     /// distinct chunk code of a column is translated to the column's code
     /// once ([`Translation`]), and the key resolves through `u64`-keyed
-    /// maps, never hashing a row-form key. Keys with a NULL, and chunks whose key columns have no
-    /// typed form, are read one by one (a typed column's value from the
-    /// chunk, anything else from the row) into the same codes. Against
+    /// maps, never hashing a row-form key. Keys with a NULL, and chunks whose
+    /// key columns have no typed form, are read one by one from the chunk's
+    /// values into the same codes; a `p` with no batch form is interpreted
+    /// from them too ([`ColumnarChunk::row_into`]). Against
     /// reading every key row by row (`SqlEngine::query` over 50 k rows on a
     /// 2-vCPU host, min of 60), the lone-`Int` path takes `cust` group-bys
     /// from 2.3–3.5 to 1.4 ms (one block) and 3.5–4.0 to 2.8–2.9 ms (three),
     /// and chunk coding takes a `(prod, state)` group-by from 4.4–5.2 to
     /// 3.3–3.5 ms.
-    pub(crate) fn assign(
-        &mut self,
-        chunk: &ColumnarChunk,
-        slice: Slice,
-        ctx: &ExecContext,
-        ids: &mut Vec<usize>,
-    ) -> Result<()> {
-        let n = slice.len();
+    pub(crate) fn assign(&mut self, chunk: &ColumnarChunk, ids: &mut Vec<usize>) -> Result<()> {
+        let n = chunk.len();
         ids.clear();
         ids.resize(n, NO_GROUP);
         let sel = match &self.pred {
             None => None,
             Some(p) => Some(match eval_batch(p, chunk) {
                 Some(verdicts) => verdicts.to_selection(n),
-                None => slice
-                    .rows(ctx)
-                    .iter()
-                    .map(|t| p.eval_bool(&[], t.values()))
-                    .collect::<std::result::Result<_, _>>()?,
+                None => interpret(p, chunk)?,
             }),
         };
         let kept = |i: usize| sel.as_ref().is_none_or(|s: &Vec<bool>| s[i]);
@@ -274,7 +266,7 @@ impl GroupTable {
                         continue;
                     }
                     ids[i] = match (nulls[i], self.index.int_code(0, vals[i])) {
-                        (true, _) => self.offer_row(chunk, slice, ctx, i),
+                        (true, _) => self.offer_row(chunk, i),
                         (false, Some(group)) => group as usize,
                         (false, None) => {
                             self.key.clear();
@@ -299,7 +291,7 @@ impl GroupTable {
         let Some(cols) = coded else {
             for (i, id) in ids.iter_mut().enumerate() {
                 if kept(i) {
-                    *id = self.offer_row(chunk, slice, ctx, i);
+                    *id = self.offer_row(chunk, i);
                 }
             }
             return Ok(());
@@ -313,7 +305,7 @@ impl GroupTable {
             }
             let id = tuples[i];
             if id == NULL_CODE {
-                self.offer_row(chunk, slice, ctx, i);
+                self.offer_row(chunk, i);
                 continue;
             }
             let slot = &mut slots[id as usize];
@@ -337,23 +329,12 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Row `i`'s group, read from its values — from `chunk` where a key
-    /// column is typed, from its row otherwise: the group id, or
+    /// Row `i`'s group, read from `chunk`'s values: the group id, or
     /// [`NO_GROUP`] when a key component is NULL.
-    fn offer_row(
-        &mut self,
-        chunk: &ColumnarChunk,
-        slice: Slice,
-        ctx: &ExecContext,
-        i: usize,
-    ) -> usize {
+    fn offer_row(&mut self, chunk: &ColumnarChunk, i: usize) -> usize {
         self.key.clear();
-        self.key.extend(self.key_cols.iter().map(|&c| {
-            chunk
-                .column(c)
-                .value(i)
-                .unwrap_or_else(|| slice.rows(ctx)[i][c].clone())
-        }));
+        self.key
+            .extend(self.key_cols.iter().map(|&c| chunk.value(c, i)));
         let group = self.find_or_insert();
         match self.key.iter().any(Value::is_null) {
             true => NO_GROUP,
@@ -377,6 +358,16 @@ impl GroupTable {
         self.base.push_unchecked(Row::new(self.key.clone()));
         group
     }
+}
+
+/// The verdict of the detail-only `pred` on each row of `chunk`,
+/// interpreted from the chunk's values in row order.
+#[inline(never)]
+fn interpret(pred: &BoundExpr, chunk: &ColumnarChunk) -> Result<Vec<bool>> {
+    let mut row = RowBuf::new([pred], chunk.width());
+    (0..chunk.len())
+        .map(|i| Ok(pred.eval_bool(&[], row.read(chunk, i))?))
+        .collect()
 }
 
 #[cfg(test)]

@@ -438,30 +438,100 @@ mod tests {
         assert!(stats.batches() > 0 && stats.workers().is_empty());
     }
 
+    /// `sales(n)` and two more columns: `m` (`Any`) mixes `Int` and `Float`
+    /// on every page, so its chunks are untyped, and `st` is a `Str`.
+    fn with_untyped(n: i64) -> Relation {
+        let mut fields = sales(0).schema().fields().to_vec();
+        fields.push(mdj_storage::Field::new("m", DataType::Any));
+        fields.push(mdj_storage::Field::new("st", DataType::Str));
+        let rows = sales(n)
+            .rows()
+            .iter()
+            .zip(0..)
+            .map(|(row, i)| {
+                let mut vals = row.values().to_vec();
+                vals.push(match i % 3 {
+                    0 => Value::Int(i % 5),
+                    1 => Value::Float((i % 5) as f64 + 0.5),
+                    _ => Value::Null,
+                });
+                vals.push(Value::str(["NY", "NJ", "CT"][(i % 3) as usize]));
+                Row::from_values(vals)
+            })
+            .collect();
+        Relation::from_rows(mdj_storage::Schema::new(fields), rows)
+    }
+
+    /// The batch evaluator reads a page's columns only, however much of a
+    /// query has no batch form: a `Div` key, a `Div` or `Mod` prefilter, a
+    /// nested-loop θ with no batch form, a residual over an untyped column,
+    /// and the aggregates it replays value by value (`median`, `min` over
+    /// strings) interpret the chunk's values, never the page's rows. Over
+    /// 256 B and 4 KiB pages at morsel sizes 1, 7 and 4096 each answers as
+    /// the scalar scan does, rows, probes and updates, and the scalar scan
+    /// builds each page's rows once per residency.
     #[test]
     fn only_scalar_paths_build_page_rows_and_once_per_residency() {
-        let rel = sales(600);
-        let (_dir, scan) = store_with(&rel, 256);
+        let rel = with_untyped(600);
         let b = rel.distinct_on(&["cust"]).unwrap();
-        let theta = eq(col_b("cust"), col_r("cust"));
-        let l = [AggSpec::on_column("sum", "sale")];
-        let run = |strategy: ExecStrategy| {
-            let stats = Arc::new(ScanStats::new());
-            let ctx = ExecContext::new().with_stats(stats.clone());
-            let out = paged_md_join(&b, &scan, &l, &theta, strategy, 1, &ctx).unwrap();
-            (out, stats.pages_read(), stats.page_rows_built())
-        };
-        scan.pool().clear();
-        let (batch, read, built) = run(ExecStrategy::Vectorized);
-        assert!(read > 0);
-        assert_eq!(built, 0, "the batch evaluator reads the frames' columns");
-        // Every page is resident now: the scalar scan reads none, and builds
-        // each page's rows once; a second scalar scan builds none.
-        let (serial, read, built) = run(ExecStrategy::Serial);
-        assert_eq!(read, 0);
-        assert_eq!(built as usize, scan.admitted_pages().len());
-        assert_eq!(run(ExecStrategy::Serial).2, 0);
-        assert_eq!(batch.rows(), serial.rows());
+        let by_cust = || eq(col_b("cust"), col_r("cust"));
+        let kernels = || vec![AggSpec::on_column("sum", "sale")];
+        let cases = [
+            (by_cust(), kernels()),
+            (eq(col_b("cust"), div(col_r("cust"), lit(1i64))), kernels()),
+            (
+                and(by_cust(), gt(div(col_r("sale"), lit(2i64)), lit(40i64))),
+                kernels(),
+            ),
+            (
+                and(by_cust(), eq(modulo(col_r("cust"), lit(2i64)), lit(0i64))),
+                kernels(),
+            ),
+            (le(col_b("cust"), div(col_r("cust"), lit(2i64))), kernels()),
+            (and(by_cust(), gt(col_r("m"), col_b("cust"))), kernels()),
+            (
+                by_cust(),
+                vec![
+                    AggSpec::on_column("median", "sale"),
+                    AggSpec::on_column("min", "st"),
+                    AggSpec::on_column("count", "m"),
+                ],
+            ),
+        ];
+        for page_bytes in [256, 4096] {
+            let (_dir, scan) = store_with(&rel, page_bytes);
+            for (theta, l) in &cases {
+                let run = |strategy: ExecStrategy, morsel: usize| {
+                    let stats = Arc::new(ScanStats::new());
+                    let ctx = ExecContext::new()
+                        .with_morsel_size(morsel)
+                        .with_stats(stats.clone());
+                    let out = paged_md_join(&b, &scan, l, theta, strategy, 1, &ctx).unwrap();
+                    let work = (stats.probes(), stats.updates());
+                    (out, work, stats.pages_read(), stats.page_rows_built())
+                };
+                let label = format!("θ = {theta} over {page_bytes} B pages");
+                scan.pool().clear();
+                let mut batches = Vec::new();
+                for morsel in [1, 7, 4096] {
+                    let (out, work, read, built) = run(ExecStrategy::Vectorized, morsel);
+                    assert!(morsel != 1 || read > 0, "{label}");
+                    assert_eq!(built, 0, "{label} at morsel {morsel}: columns only");
+                    batches.push((out, work));
+                }
+                // Every page is resident now: the scalar scan reads none, and
+                // builds each page's rows once; a second scalar scan builds
+                // none.
+                let (serial, work, read, built) = run(ExecStrategy::Serial, 4096);
+                assert_eq!(read, 0, "{label}");
+                assert_eq!(built as usize, scan.admitted_pages().len(), "{label}");
+                assert_eq!(run(ExecStrategy::Serial, 4096).3, 0, "{label}");
+                for (batch, batch_work) in &batches {
+                    assert_eq!(batch.rows(), serial.rows(), "{label}");
+                    assert_eq!(*batch_work, work, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    of the columns θ and `l` actually read, each transposed once per
 //!    relation and kept in its column cache (`Relation::chunk`); a page
 //!    of a page store is its buffer-pool frame's chunk, decoded once per
-//!    residency, and builds rows only for a scalar fallback;
+//!    residency. A column with no typed form keeps its values
+//!    ([`Column::Untyped`]), so the chunk is the only form of the batch;
 //! 2. the Theorem 4.2 prefilter evaluates over the whole batch into a
 //!    selection vector ([`mdj_expr::vectorized::eval_batch`]);
 //! 3. hash-probe keys are computed for the whole batch in one typed loop per
@@ -26,7 +27,10 @@
 //!    batch) run over native slices, not one per value.
 //!
 //! Every step falls back to the scalar interpreter for shapes it cannot
-//! prove equivalent (counted in `ScanStats::batch_fallbacks`), and all work
+//! prove equivalent (counted in `ScanStats::batch_fallbacks`), which reads
+//! the chunk's values one row at a time through one reused buffer
+//! ([`ColumnarChunk::row_into`]) and only for the rows the batch still
+//! holds, in row order — no batch step reads a row of `R`. All work
 //! accounting (scans, probes, updates) is identical to [`md_join_serial`] by
 //! construction, so the two paths are interchangeable in experiments. The
 //! output is row-identical to the serial evaluator — including `f64`
@@ -34,7 +38,6 @@
 
 use crate::context::ExecContext;
 use crate::error::Result;
-use crate::executor::Slice;
 use crate::governor::{GrowthMeter, MemCharge};
 use crate::mdjoin::BoundAgg;
 use crate::probe::{canon_key, ProbePlan};
@@ -116,50 +119,29 @@ impl<'a> BatchProbe<'a> {
         }
     }
 
-    /// Mark the detail columns batches must materialize for this plan: the
-    /// prefilter's, the probe-key expressions', the hash residual's (batch
-    /// residual evaluation reads the residual's detail columns from the
-    /// chunk), and — when the nested-loop θ shape batches — θ's own detail
-    /// columns. An expression whose *shape* can never batch
-    /// ([`batchable_bound_shape`]) marks nothing: its evaluation is bound for
-    /// the scalar interpreter over row storage, so transposing its columns
-    /// would be pure dead weight discarded every batch.
+    /// Mark the detail columns batches must materialize for this plan: those
+    /// of the prefilter, the probe-key expressions, the hash residual and a
+    /// nested loop's θ. An expression with no batch form is interpreted from
+    /// the chunk's values ([`ColumnarChunk::row_into`]), so its columns are
+    /// marked too.
     pub(crate) fn collect_needed(&self, needed: &mut [bool]) {
+        for e in self.exprs() {
+            collect_detail_cols(e, needed);
+        }
+    }
+
+    /// Every expression of the plan that reads a detail tuple.
+    fn exprs(&self) -> Vec<&'a BoundExpr> {
         match self.plan {
             ProbePlan::NestedLoop { prefilter, theta } => {
-                if let Some(p) = prefilter {
-                    if batchable_bound_shape(p) {
-                        collect_detail_cols(p, needed);
-                    }
-                }
-                if self.nl_batch {
-                    collect_detail_cols(theta, needed);
-                }
+                prefilter.iter().chain(std::iter::once(theta)).collect()
             }
             ProbePlan::Hash {
                 key_exprs,
                 prefilter,
                 residual,
                 ..
-            } => {
-                // One unbatchable key sends every batch to the scalar
-                // delegate, so the other keys' columns would go unread too.
-                if key_exprs.iter().all(batchable_bound_shape) {
-                    for e in key_exprs {
-                        collect_detail_cols(e, needed);
-                    }
-                }
-                if let Some(p) = prefilter {
-                    if batchable_bound_shape(p) {
-                        collect_detail_cols(p, needed);
-                    }
-                }
-                if let Some(res) = residual {
-                    if batchable_bound_shape(res) {
-                        collect_detail_cols(res, needed);
-                    }
-                }
-            }
+            } => key_exprs.iter().chain(prefilter).chain(residual).collect(),
         }
     }
 
@@ -170,12 +152,11 @@ impl<'a> BatchProbe<'a> {
     /// given, is each tuple's own group of a `B` built in this scan
     /// ([`GroupTable::assign`](crate::grouped::GroupTable::assign)): a hash
     /// plan then probes by it instead of by its index. Returns `true` if any
-    /// part of the batch fell back to the scalar interpreter.
-    #[allow(clippy::too_many_arguments)]
+    /// part of the batch fell back to the scalar interpreter, which reads the
+    /// chunk's values, never a row.
     pub(crate) fn matches_batch(
         &self,
         chunk: &ColumnarChunk,
-        slice: Slice,
         b: &Relation,
         groups: Option<&[usize]>,
         ctx: &ExecContext,
@@ -184,7 +165,6 @@ impl<'a> BatchProbe<'a> {
     ) -> Result<bool> {
         pairs.clear();
         let n = chunk.len();
-        let start = chunk.start();
         let mut fell_back = false;
 
         let prefilter = match self.plan {
@@ -192,9 +172,8 @@ impl<'a> BatchProbe<'a> {
             ProbePlan::Hash { prefilter, .. } => prefilter.as_ref(),
         };
         // A vectorized prefilter yields the batch's selection vector. When it
-        // doesn't vectorize, `sel` stays `None` and the scalar paths below
-        // apply the prefilter per row themselves (ProbePlan::matches does it
-        // internally).
+        // doesn't vectorize, `sel` stays `None` and the paths below interpret
+        // it per row (`interpreted`; ProbePlan::matches does it internally).
         let sel: Option<Vec<bool>> = match prefilter {
             Some(p) => match eval_batch(p, chunk) {
                 Some(bv) => Some(bv.to_selection(n)),
@@ -207,6 +186,9 @@ impl<'a> BatchProbe<'a> {
             None => None,
         };
         let selected = |i: usize| sel.as_ref().is_none_or(|s| s[i]);
+        let mut interpreted = prefilter
+            .filter(|_| sel.is_none())
+            .map(|p| (p, RowBuf::new([p], chunk.width())));
 
         // Batched probing: vectorize every key column of a hash plan. A key
         // expression with no vectorized form sends the whole batch to the
@@ -231,11 +213,9 @@ impl<'a> BatchProbe<'a> {
                         if !selected(i) {
                             continue;
                         }
-                        if sel.is_none() {
-                            if let Some(p) = prefilter {
-                                if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
-                                    continue;
-                                }
+                        if let Some((p, row)) = &mut interpreted {
+                            if !holds(p, row, chunk, i)? {
+                                continue;
                             }
                         }
                         // NULL key component: SQL equality never matches —
@@ -256,7 +236,7 @@ impl<'a> BatchProbe<'a> {
                 match &self.residual {
                     None => emit(&cands)?,
                     Some(res) => {
-                        res.filter(b, chunk, slice, ctx, &cands, pairs)?;
+                        res.filter(b, chunk, &cands, pairs)?;
                         emit(pairs)?;
                     }
                 }
@@ -279,11 +259,9 @@ impl<'a> BatchProbe<'a> {
                 if !selected(i) {
                     continue;
                 }
-                if sel.is_none() {
-                    if let Some(p) = prefilter {
-                        if !p.eval_bool(&[], slice.rows(ctx)[start + i].values())? {
-                            continue;
-                        }
+                if let Some((p, row)) = &mut interpreted {
+                    if !holds(p, row, chunk, i)? {
+                        continue;
                     }
                 }
                 *slot = true;
@@ -317,12 +295,8 @@ impl<'a> BatchProbe<'a> {
                             // arithmetic slot): its pairs come from the
                             // interpreter.
                             theta_fell_back = true;
-                            let detail = slice.rows(ctx);
-                            for i in (0..n).filter(|&i| survive[i]) {
-                                if theta.eval_bool(b_row.values(), detail[start + i].values())? {
-                                    pairs.push((i as u32, bi));
-                                }
-                            }
+                            let cands = (0..n).filter(|&i| survive[i]).map(|i| (i as u32, bi));
+                            interpret_pairs(theta, b, chunk, cands, pairs)?;
                         }
                     }
                 }
@@ -339,17 +313,31 @@ impl<'a> BatchProbe<'a> {
             ctx.count(Counter::fallback_theta, 1);
             fell_back = true;
         }
+        self.delegate(chunk, b, sel.as_deref(), ctx, pairs)?;
+        emit(pairs)?;
+        Ok(fell_back)
+    }
 
-        // Scalar path: delegate each surviving tuple to the interpreter's
-        // `matches`, which applies prefilter/keys/θ with identical probe
-        // accounting, counted once per batch. (For tuples a vectorized
-        // prefilter already rejected we skip the call entirely — `matches`
-        // would record nothing for them.)
+    /// The scalar path: hand each tuple of `chunk` that `sel` keeps (every
+    /// tuple without one) to the interpreter's `matches`, which applies
+    /// prefilter/keys/θ with identical probe accounting, counted once per
+    /// batch, and collect its pairs. (For tuples a vectorized prefilter
+    /// already rejected we skip the call entirely — `matches` would record
+    /// nothing for them.)
+    #[inline(never)]
+    fn delegate(
+        &self,
+        chunk: &ColumnarChunk,
+        b: &Relation,
+        sel: Option<&[bool]>,
+        ctx: &ExecContext,
+        pairs: &mut Vec<(u32, usize)>,
+    ) -> Result<()> {
         let (mut matches, mut codes, mut probes) = (Vec::new(), Vec::new(), 0u64);
-        let rows = slice.rows(ctx);
+        let mut row = RowBuf::new(self.exprs(), chunk.width());
         let delegated = (|| -> Result<()> {
-            for i in (0..n).filter(|&i| selected(i)) {
-                let t = rows[start + i].values();
+            for i in (0..chunk.len()).filter(|&i| sel.is_none_or(|s| s[i])) {
+                let t = row.read(chunk, i);
                 self.plan
                     .matches(b, t, &mut matches, &mut codes, &mut probes)?;
                 pairs.extend(matches.iter().map(|&bi| (i as u32, bi)));
@@ -357,10 +345,67 @@ impl<'a> BatchProbe<'a> {
             Ok(())
         })();
         ctx.count(Counter::probes, probes);
-        delegated?;
-        emit(pairs)?;
-        Ok(fell_back)
+        delegated
     }
+}
+
+/// A chunk row as the scalar interpreter reads it: the values of the detail
+/// columns some expressions read ([`ColumnarChunk::row_into`]), NULL in the
+/// other slots, in one buffer reused for every row.
+pub(crate) struct RowBuf {
+    cols: Vec<usize>,
+    row: Vec<Value>,
+}
+
+impl RowBuf {
+    /// The buffer for rows of `width` columns of which `exprs` read some.
+    pub(crate) fn new<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>, width: usize) -> RowBuf {
+        let mut read = vec![false; width];
+        for e in exprs {
+            collect_detail_cols(e, &mut read);
+        }
+        RowBuf {
+            cols: (0..width).filter(|&c| read[c]).collect(),
+            row: vec![Value::Null; width],
+        }
+    }
+
+    /// Row `i` of `chunk`.
+    pub(crate) fn read(&mut self, chunk: &ColumnarChunk, i: usize) -> &[Value] {
+        chunk.row_into(i, &self.cols, &mut self.row);
+        &self.row
+    }
+}
+
+/// Whether the detail-only `expr` holds on row `i` of `chunk`, read through
+/// `row`.
+#[inline(never)]
+fn holds(expr: &BoundExpr, row: &mut RowBuf, chunk: &ColumnarChunk, i: usize) -> Result<bool> {
+    Ok(expr.eval_bool(&[], row.read(chunk, i))?)
+}
+
+/// Append to `pairs` each `(tuple, base row)` pair of `cands` on which
+/// `expr` holds, in order, interpreted from `chunk`'s values and `b`'s
+/// rows. A tuple's values are read once for a run of its pairs.
+#[inline(never)]
+fn interpret_pairs(
+    expr: &BoundExpr,
+    b: &Relation,
+    chunk: &ColumnarChunk,
+    cands: impl IntoIterator<Item = (u32, usize)>,
+    pairs: &mut Vec<(u32, usize)>,
+) -> Result<()> {
+    let (mut row, mut at) = (RowBuf::new([expr], chunk.width()), None);
+    for (i, bi) in cands {
+        if at != Some(i) {
+            row.read(chunk, i as usize);
+            at = Some(i);
+        }
+        if expr.eval_bool(b.rows()[bi].values(), &row.row)? {
+            pairs.push((i, bi));
+        }
+    }
+    Ok(())
 }
 
 /// θ's cross-side residual `θres(b, t)`, checked over the candidate pairs of
@@ -374,9 +419,10 @@ impl<'a> BatchProbe<'a> {
 ///
 /// A residual with no batch form (`Div`/`Mod`), or a block whose columns
 /// have no typed form (mixed `Int`/`Float`, a boolean, `ALL`), is
-/// interpreted pair by pair. Either way the verdicts are the interpreter's
-/// (a batchable residual is total, so no error path diverges), which is why
-/// a residual never reports a batch fallback.
+/// interpreted pair by pair from the chunk's values. Either way the
+/// verdicts are the interpreter's (a batchable residual is total, so no
+/// error path diverges), which is why a residual never reports a batch
+/// fallback.
 pub(crate) struct PairResidual<'a> {
     expr: &'a BoundExpr,
     /// The shape has a batch form.
@@ -391,18 +437,16 @@ impl<'a> PairResidual<'a> {
         }
     }
 
-    /// Fill `pairs` with the candidates `cands` of `chunk` (`slice`'s
-    /// columnar form) over `b` for which the residual holds, in order.
-    /// Kept out of line: it runs once per chunk, and inlined it grew
-    /// [`BatchProbe::matches_batch`], the probe loop every statement runs,
-    /// which measured slower on the statements that have no residual.
+    /// Fill `pairs` with the candidates `cands` of `chunk` over `b` for
+    /// which the residual holds, in order. Kept out of line: it runs once
+    /// per chunk, and inlined it grew [`BatchProbe::matches_batch`], the
+    /// probe loop every statement runs, which measured slower on the
+    /// statements that have no residual.
     #[inline(never)]
     fn filter(
         &self,
         b: &Relation,
         chunk: &ColumnarChunk,
-        slice: Slice,
-        ctx: &ExecContext,
         cands: &[(u32, usize)],
         pairs: &mut Vec<(u32, usize)>,
     ) -> Result<()> {
@@ -419,17 +463,7 @@ impl<'a> PairResidual<'a> {
                         .zip(keep)
                         .filter_map(|(&pair, keep)| keep.then_some(pair)),
                 ),
-                None => {
-                    let detail = &slice.rows(ctx)[chunk.start()..];
-                    for &(i, bi) in block {
-                        if self
-                            .expr
-                            .eval_bool(b.rows()[bi].values(), detail[i as usize].values())?
-                        {
-                            pairs.push((i, bi));
-                        }
-                    }
-                }
+                None => interpret_pairs(self.expr, b, chunk, block.iter().copied(), pairs)?,
             }
         }
         Ok(())
@@ -857,16 +891,14 @@ impl Scoreboard {
 
 /// Apply one batch's matched tuples to one aggregate column. Kernel columns
 /// consume typed slices with one dispatch per (base row, batch); boxed
-/// columns replay the scalar per-value protocol (including growth metering
-/// for holistic states under a budget).
-#[allow(clippy::too_many_arguments)]
+/// columns, and a kernel over a string or untyped column, replay the scalar
+/// per-value protocol from the chunk's values (including growth metering for
+/// holistic states under a budget).
 pub(crate) fn apply_batch(
     col: &mut ColStates,
     ba: &BoundAgg,
     groups: &[(usize, Vec<u32>)],
     chunk: &ColumnarChunk,
-    slice: Slice,
-    start: usize,
     metered: bool,
     meter: &mut GrowthMeter,
     ctx: &ExecContext,
@@ -889,39 +921,48 @@ pub(crate) fn apply_batch(
                         states[*bi].update_floats(vals, nulls, idxs)?;
                     }
                 }
-                // Strings, mixed-typed, or unmaterialized columns: replay
-                // the exact scalar update protocol value by value.
+                // Strings and untyped columns.
                 _ => {
                     ctx.count(Counter::fallback_agg, 1);
-                    let rows = slice.rows(ctx);
-                    for (bi, idxs) in groups {
-                        for &i in idxs {
-                            states[*bi].update_value(&rows[start + i as usize][c])?;
-                        }
-                    }
+                    replay(groups, Some(chunk.column(c)), &mut |bi, v| {
+                        Ok(states[bi].update_value(v)?)
+                    })?;
                 }
             },
         },
         ColStates::Boxed(states) => {
             // Kernel-less (e.g. holistic) aggregates never batch.
             ctx.count(Counter::fallback_agg, 1);
-            let rows = slice.rows(ctx);
-            for (bi, idxs) in groups {
-                for &i in idxs {
-                    let v = match ba.input_col {
-                        Some(c) => &rows[start + i as usize][c],
-                        None => &Value::Null,
-                    };
-                    if metered {
-                        let st = &mut states[*bi];
-                        let before = st.heap_bytes();
-                        st.update(v)?;
-                        meter.charge(st.heap_bytes().saturating_sub(before))?;
-                    } else {
-                        states[*bi].update(v)?;
-                    }
+            let input = ba.input_col.map(|c| chunk.column(c));
+            replay(groups, input, &mut |bi, v| {
+                let st = &mut states[bi];
+                if metered {
+                    let before = st.heap_bytes();
+                    st.update(v)?;
+                    meter.charge(st.heap_bytes().saturating_sub(before))?;
+                } else {
+                    st.update(v)?;
                 }
-            }
+                Ok(())
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Hand `update` each matched tuple's value of the chunk's input column
+/// (NULL for a star input) with its base row, group by group in tuple
+/// order: the scalar update protocol, read from the column's values.
+#[inline(never)]
+fn replay(
+    groups: &[(usize, Vec<u32>)],
+    input: Option<&Column>,
+    update: &mut dyn FnMut(usize, &Value) -> Result<()>,
+) -> Result<()> {
+    for (bi, idxs) in groups {
+        for &i in idxs {
+            let v = input.and_then(|col| col.value(i as usize));
+            update(*bi, v.as_ref().unwrap_or(&Value::Null))?;
         }
     }
     Ok(())
@@ -931,7 +972,7 @@ pub(crate) fn apply_batch(
 mod tests {
     use super::*;
     use crate::context::ProbeStrategy;
-    use crate::executor::{self, DetailSource, Driver, Grid};
+    use crate::executor::{self, DetailSource, Driver, Grid, Slice};
     use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
     use mdj_agg::AggSpec;
@@ -1450,18 +1491,10 @@ mod tests {
                     let rows = slice.rows(&bctx);
                     let mut pairs = Vec::new();
                     let fell_back = probe
-                        .matches_batch(
-                            &chunk,
-                            slice,
-                            &b,
-                            None,
-                            &bctx,
-                            &mut Vec::new(),
-                            &mut |got| {
-                                pairs.extend_from_slice(got);
-                                Ok(())
-                            },
-                        )
+                        .matches_batch(&chunk, &b, None, &bctx, &mut Vec::new(), &mut |got| {
+                            pairs.extend_from_slice(got);
+                            Ok(())
+                        })
                         .unwrap();
                     assert!(!fell_back, "θ = {theta}, morsel {morsel}");
                     let mut want = Vec::new();

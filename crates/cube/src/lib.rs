@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod common;
-pub mod holistic_cube;
 pub mod lattice;
 pub mod naive;
 pub mod partitioned;

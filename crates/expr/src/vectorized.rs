@@ -71,7 +71,7 @@ impl BatchVals {
             Column::Int { vals, nulls } => Some(BatchVals::Ints { vals, nulls }),
             Column::Float { vals, nulls } => Some(BatchVals::Floats { vals, nulls }),
             Column::Str { codes, dict, nulls } => Some(BatchVals::Strs { codes, dict, nulls }),
-            Column::Absent | Column::Fallback => None,
+            Column::Absent | Column::Untyped(_) => None,
         }
     }
 
@@ -141,10 +141,8 @@ pub fn bind_base(expr: &BoundExpr, b_row: &[Value]) -> BoundExpr {
 /// Whether a bound expression's *shape* can vectorize: true iff it contains
 /// no `Div`/`Mod`, the only operators with no batch form at any type. Column
 /// typing (mixed-type or boolean columns) can still force a per-batch scalar
-/// fallback at runtime. Executors use this to decide which detail columns a
-/// chunk must materialize: an expression whose shape can never batch would
-/// only ever see those columns discarded, so its columns are not worth
-/// transposing.
+/// fallback at runtime. Executors use this to skip the batch attempt for a
+/// shape that can never batch, and interpret it row by row instead.
 pub fn batchable_bound_shape(expr: &BoundExpr) -> bool {
     match expr {
         BoundExpr::BCol(_) | BoundExpr::RCol(_) | BoundExpr::Lit(_) => true,
@@ -163,7 +161,10 @@ pub fn batchable_bound_shape(expr: &BoundExpr) -> bool {
 /// back to per-row evaluation.
 pub fn eval_batch(expr: &BoundExpr, chunk: &ColumnarChunk) -> Option<BatchVals> {
     eval_columns(expr, chunk.len(), &mut |leaf| match leaf {
-        BoundExpr::RCol(i) => BatchVals::from_column(chunk.column(*i).clone()),
+        BoundExpr::RCol(i) => match chunk.column(*i) {
+            Column::Untyped(_) => None,
+            col => BatchVals::from_column(col.clone()),
+        },
         _ => None,
     })
 }
@@ -705,7 +706,7 @@ mod tests {
                 for (l, r) in [("s", "z"), ("z", "s"), ("s", "x"), ("x", "s")] {
                     let bound = cmp(col_r(l), col_r(r)).bind(None, Some(&schema)).unwrap();
                     let Some(sel) = eval_batch(&bound, chunk) else {
-                        assert!(matches!(chunk.column(1), Column::Fallback));
+                        assert!(matches!(chunk.column(1), Column::Untyped(_)));
                         continue;
                     };
                     let sel = sel.to_selection(chunk.len());

@@ -16,9 +16,11 @@
 //! so on. Anything without a faithful typed representation — booleans, the
 //! cube `ALL` pseudo-value, or mixed `Int`/`Float` data (where an eager
 //! float conversion would change `sum`/comparison semantics) — becomes
-//! [`Column::Fallback`], telling the evaluator to use the scalar interpreter
-//! for expressions touching it. Only the columns a query actually reads are
-//! materialized; the rest stay [`Column::Absent`].
+//! [`Column::Untyped`], which keeps its values: the batch kernels skip it,
+//! and the evaluator interprets the expressions touching it from those
+//! values ([`ColumnarChunk::row_into`]), never from a row. Only the columns
+//! a query actually reads are materialized; the rest stay
+//! [`Column::Absent`].
 //!
 //! A [`Column::Str`]'s dictionary codes double as probe keys: each chunk's
 //! dictionary is small, so the vectorized prober translates code → index
@@ -49,8 +51,9 @@ pub enum Column {
         nulls: Vec<bool>,
     },
     /// The range holds values with no faithful typed representation
-    /// (booleans, `ALL`, mixed numeric types): scalar fallback required.
-    Fallback,
+    /// (booleans, `ALL`, mixed numeric types): its values, for the scalar
+    /// interpreter.
+    Untyped(Vec<Value>),
 }
 
 /// What [`ColumnarChunk::column`] lends for a column the chunk does not hold.
@@ -126,11 +129,26 @@ impl ColumnarChunk {
     pub fn width(&self) -> usize {
         self.columns.len()
     }
+
+    /// Row `i`'s value of column `c` as the scalar interpreter reads it:
+    /// NULL where the column is absent.
+    pub fn value(&self, c: usize, i: usize) -> Value {
+        self.column(c).value(i).unwrap_or(Value::Null)
+    }
+
+    /// Row `i`'s values of the columns `cols` into their slots of `row`,
+    /// as the scalar interpreter reads them ([`value`](Self::value)); the
+    /// other slots keep what they hold. One reused buffer serves every row a
+    /// fallback interprets, and a row costs what its expression reads.
+    pub fn row_into(&self, i: usize, cols: &[usize], row: &mut [Value]) {
+        for &c in cols {
+            row[c] = self.value(c, i);
+        }
+    }
 }
 
 impl Column {
-    /// Row `i`'s value of a typed column; `None` for an absent or fallback
-    /// column, which hold no values.
+    /// Row `i`'s value; `None` only for an absent column.
     pub fn value(&self, i: usize) -> Option<Value> {
         Some(match self {
             Column::Int { nulls, .. } | Column::Float { nulls, .. } | Column::Str { nulls, .. }
@@ -141,7 +159,8 @@ impl Column {
             Column::Int { vals, .. } => Value::Int(vals[i]),
             Column::Float { vals, .. } => Value::Float(vals[i]),
             Column::Str { codes, dict, .. } => Value::Str(dict[codes[i] as usize].clone()),
-            Column::Absent | Column::Fallback => return None,
+            Column::Untyped(values) => values[i].clone(),
+            Column::Absent => return None,
         })
     }
 
@@ -149,17 +168,11 @@ impl Column {
     /// [`ColumnBuilder`].
     #[inline]
     pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>, len: usize) -> Column {
-        // Single-pass speculative transposition: the first non-NULL value
-        // picks the typed representation, and the first conflicting value
-        // abandons the column to `Fallback`.
-        let mut col = ColumnBuilder::new(len, false);
+        let mut col = ColumnBuilder::new(len);
         for v in values {
             col.push_value(v);
-            if col.fell_back() {
-                return Column::Fallback;
-            }
         }
-        col.finish().0
+        col.finish()
     }
 
     /// This column's rows `at`, in that order. A `Str` column's dictionary
@@ -198,8 +211,8 @@ impl Column {
                     nulls: nulls(n),
                 }
             }
+            Column::Untyped(values) => Column::Untyped(at.map(|i| values[i].clone()).collect()),
             Column::Absent => Column::Absent,
-            Column::Fallback => Column::Fallback,
         }
     }
 }
@@ -213,7 +226,7 @@ pub(crate) fn build_column(range: &[Row], c: usize) -> Column {
 /// Builds one [`Column`] value by value under the data-driven typing rule of
 /// [`ColumnarChunk::from_rows`]: the first non-NULL value picks the type, a
 /// range of only NULLs is a fully null `Int` column, and a value of another
-/// type — or a boolean or `ALL` — makes the column `Fallback`. Both the
+/// type — or a boolean or `ALL` — makes the column `Untyped`. Both the
 /// transposition of resident rows and the page encoder (`pager`) type their
 /// columns here, so a page's chunk equals the transposition of its rows.
 ///
@@ -224,9 +237,6 @@ pub(crate) struct ColumnBuilder<'a> {
     state: Build<'a>,
     /// Rows the column will hold (the typed vectors' capacity).
     capacity: usize,
-    /// Keep the values of a column that falls back: a page rebuilds its rows
-    /// from its columns.
-    keep: bool,
 }
 
 enum Build<'a> {
@@ -246,24 +256,16 @@ enum Build<'a> {
         dict: Vec<Arc<str>>,
         lookup: HashMap<&'a str, u32, KeyBuildHasher>,
     },
-    /// No typed form; its values, kept.
+    /// No typed form; its values.
     Untyped(Vec<Value>),
-    /// No typed form; values dropped.
-    Fallback,
 }
 
 impl<'a> ColumnBuilder<'a> {
-    pub(crate) fn new(capacity: usize, keep: bool) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ColumnBuilder {
             state: Build::Nulls(0),
             capacity,
-            keep,
         }
-    }
-
-    /// Whether the column fell back with its values dropped.
-    pub(crate) fn fell_back(&self) -> bool {
-        matches!(self.state, Build::Fallback)
     }
 
     /// `k` leading NULLs of a typed column (value slots zeroed).
@@ -303,7 +305,6 @@ impl<'a> ColumnBuilder<'a> {
                 nulls.push(true);
             }
             Build::Untyped(values) => values.push(Value::Null),
-            Build::Fallback => {}
         }
     }
 
@@ -371,65 +372,44 @@ impl<'a> ColumnBuilder<'a> {
     }
 
     /// Push a value with no typed form here (a boolean, `ALL`, or one whose
-    /// type conflicts with the column's): the column falls back.
+    /// type conflicts with the column's): the column becomes untyped.
     fn push_untyped(&mut self, v: Value) {
-        if !self.keep {
-            self.state = Build::Fallback;
-            return;
-        }
-        if !matches!(self.state, Build::Untyped(_)) {
-            let mut values = Vec::with_capacity(self.capacity);
-            match std::mem::replace(&mut self.state, Build::Fallback) {
-                Build::Nulls(k) => values.resize(k, Value::Null),
-                Build::Int { vals, nulls } => {
-                    values.extend(vals.into_iter().zip(nulls).map(|(v, null)| match null {
-                        true => Value::Null,
-                        false => Value::Int(v),
-                    }))
-                }
-                Build::Float { vals, nulls } => {
-                    values.extend(vals.into_iter().zip(nulls).map(|(v, null)| match null {
-                        true => Value::Null,
-                        false => Value::Float(v),
-                    }))
-                }
-                Build::Str {
-                    codes, nulls, dict, ..
-                } => values.extend(codes.into_iter().zip(nulls).map(|(c, null)| match null {
-                    true => Value::Null,
-                    false => Value::Str(dict[c as usize].clone()),
-                })),
-                Build::Untyped(_) | Build::Fallback => {
-                    unreachable!("a kept column has no dropped state")
-                }
-            }
-            self.state = Build::Untyped(values);
-        }
-        if let Build::Untyped(values) = &mut self.state {
-            values.push(v);
-        }
+        let value = |null: bool, v: Value| if null { Value::Null } else { v };
+        let mut values: Vec<Value> = match std::mem::replace(&mut self.state, Build::Nulls(0)) {
+            Build::Untyped(values) => values,
+            Build::Nulls(k) => vec![Value::Null; k],
+            Build::Int { vals, nulls } => (vals.into_iter().zip(nulls))
+                .map(|(v, null)| value(null, Value::Int(v)))
+                .collect(),
+            Build::Float { vals, nulls } => (vals.into_iter().zip(nulls))
+                .map(|(v, null)| value(null, Value::Float(v)))
+                .collect(),
+            Build::Str {
+                codes, nulls, dict, ..
+            } => (codes.into_iter().zip(nulls))
+                .map(|(c, null)| value(null, Value::Str(dict[c as usize].clone())))
+                .collect(),
+        };
+        values.reserve(self.capacity.saturating_sub(values.len()));
+        values.push(v);
+        self.state = Build::Untyped(values);
     }
 
-    /// The column, and the values of one with no typed form when kept.
-    pub(crate) fn finish(self) -> (Column, Option<Vec<Value>>) {
+    pub(crate) fn finish(self) -> Column {
         match self.state {
             // All-NULL ranges get a typed (but fully null) Int column so
             // numeric kernels still apply; NULL semantics are carried by the
             // bitmap.
-            Build::Nulls(k) => (
-                Column::Int {
-                    vals: vec![0; k],
-                    nulls: vec![true; k],
-                },
-                None,
-            ),
-            Build::Int { vals, nulls } => (Column::Int { vals, nulls }, None),
-            Build::Float { vals, nulls } => (Column::Float { vals, nulls }, None),
+            Build::Nulls(k) => Column::Int {
+                vals: vec![0; k],
+                nulls: vec![true; k],
+            },
+            Build::Int { vals, nulls } => Column::Int { vals, nulls },
+            Build::Float { vals, nulls } => Column::Float { vals, nulls },
             Build::Str {
                 codes, nulls, dict, ..
-            } => (Column::Str { codes, dict, nulls }, None),
-            Build::Untyped(values) => (Column::Fallback, Some(values)),
-            Build::Fallback => (Column::Fallback, None),
+            } => Column::Str { codes, dict, nulls },
+            Build::Untyped(values) => Column::Untyped(values),
         }
     }
 }
@@ -491,8 +471,14 @@ mod tests {
             }
             other => panic!("expected Str column, got {other:?}"),
         }
-        // Booleans have no typed representation.
-        assert!(matches!(chunk.column(3), Column::Fallback));
+        // Booleans have no typed representation: the column keeps them.
+        match chunk.column(3) {
+            Column::Untyped(values) => assert_eq!(
+                values,
+                &[Value::Bool(true), Value::Bool(false), Value::Bool(true)]
+            ),
+            other => panic!("expected Untyped column, got {other:?}"),
+        }
     }
 
     #[test]
@@ -519,8 +505,21 @@ mod tests {
             Row::new(vec![Value::Float(2.0), Value::Int(2)]),
         ];
         let chunk = ColumnarChunk::from_rows(&rows, 0, 2, &[true, true]);
-        assert!(matches!(chunk.column(0), Column::Fallback)); // Int + Float mix
-        assert!(matches!(chunk.column(1), Column::Fallback)); // ALL
+        // Int + Float mix; ALL.
+        let columns = [
+            [Value::Int(1), Value::Float(2.0)],
+            [Value::All, Value::Int(2)],
+        ];
+        for (c, want) in columns.iter().enumerate() {
+            match chunk.column(c) {
+                Column::Untyped(values) => assert_eq!(values, want),
+                other => panic!("expected Untyped column, got {other:?}"),
+            }
+        }
+        // Every materialized column answers for its rows.
+        let mut row = vec![Value::Null; 2];
+        chunk.row_into(1, &[0, 1], &mut row);
+        assert_eq!(row, rows[1].values());
     }
 
     #[test]
@@ -533,17 +532,9 @@ mod tests {
             Value::Int(4),
             Value::Bool(true),
         ];
-        let mut kept = ColumnBuilder::new(values.len(), true);
-        let mut dropped = ColumnBuilder::new(values.len(), false);
-        for v in &values {
-            kept.push_value(v);
-            dropped.push_value(v);
-        }
-        assert!(dropped.fell_back());
-        assert!(matches!(dropped.finish(), (Column::Fallback, None)));
-        match kept.finish() {
-            (Column::Fallback, Some(back)) => assert_eq!(back, values),
-            other => panic!("expected kept fallback values, got {other:?}"),
+        match Column::from_values(&values, values.len()) {
+            Column::Untyped(back) => assert_eq!(back, values),
+            other => panic!("expected Untyped values, got {other:?}"),
         }
     }
 
@@ -556,12 +547,12 @@ mod tests {
             Value::str("a"),
             Value::str("b"),
         ];
-        let mut col = ColumnBuilder::new(5, true);
+        let mut col = ColumnBuilder::new(5);
         for v in &values {
             col.push_value(v);
         }
         match col.finish() {
-            (Column::Str { codes, dict, nulls }, None) => {
+            Column::Str { codes, dict, nulls } => {
                 assert_eq!(codes, [0, 0, 0, 1, 0]);
                 assert_eq!(dict, [Arc::from("b"), Arc::from("a")]);
                 assert_eq!(nulls, [true, true, false, false, false]);
@@ -608,6 +599,9 @@ mod tests {
             assert_eq!(got.value(k).as_ref(), Some(v), "row {k}");
         }
         let mixed = Column::from_values(&[Value::Int(1), Value::Float(1.0)], 2);
-        assert!(matches!(mixed.gather([0].into_iter()), Column::Fallback));
+        match mixed.gather([1, 1].into_iter()) {
+            Column::Untyped(values) => assert_eq!(values, [Value::Float(1.0), Value::Float(1.0)]),
+            other => panic!("expected Untyped column, got {other:?}"),
+        }
     }
 }

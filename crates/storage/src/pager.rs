@@ -115,7 +115,7 @@
 //!   an unpin only ever touches its own residency of a page.
 
 use crate::codec::{self, Cursor};
-use crate::columnar::{Column, ColumnBuilder, ColumnarChunk};
+use crate::columnar::{build_column, Column, ColumnarChunk};
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::row::Row;
@@ -385,7 +385,7 @@ const BLOCK_STR: u8 = 3;
 const BLOCK_TAGGED: u8 = 4;
 
 /// Encode one sealed page of `arity` columns: its rows typed column by
-/// column by the [`ColumnBuilder`] that transposes resident rows, then one
+/// column as resident rows are transposed ([`build_column`]), then one
 /// block per column.
 fn encode_page(page_no: u64, arity: usize, rows: &[Row]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(PAGE_FRAME_BYTES + arity * (1 + 9 * rows.len()));
@@ -394,11 +394,7 @@ fn encode_page(page_no: u64, arity: usize, rows: &[Row]) -> Vec<u8> {
     buf.extend_from_slice(&page_no.to_le_bytes());
     buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for c in 0..arity {
-        let mut col = ColumnBuilder::new(rows.len(), true);
-        for row in rows {
-            col.push_value(&row.values()[c]);
-        }
-        encode_block(&mut buf, col.finish());
+        encode_block(&mut buf, build_column(rows, c));
     }
     let sum = codec::checksum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
@@ -407,23 +403,23 @@ fn encode_page(page_no: u64, arity: usize, rows: &[Row]) -> Vec<u8> {
 
 /// Append one column's block: its kind, then its typed form, or its values
 /// tagged when it has none.
-fn encode_block(buf: &mut Vec<u8>, column: (Column, Option<Vec<Value>>)) {
+fn encode_block(buf: &mut Vec<u8>, column: Column) {
     match column {
-        (Column::Int { vals, nulls }, _) => {
+        Column::Int { vals, nulls } => {
             buf.push(BLOCK_INT);
             put_bitmap(buf, &nulls);
             for v in vals {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        (Column::Float { vals, nulls }, _) => {
+        Column::Float { vals, nulls } => {
             buf.push(BLOCK_FLOAT);
             put_bitmap(buf, &nulls);
             for v in vals {
                 buf.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
-        (Column::Str { codes, dict, nulls }, _) => {
+        Column::Str { codes, dict, nulls } => {
             buf.push(BLOCK_STR);
             put_bitmap(buf, &nulls);
             buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
@@ -435,13 +431,13 @@ fn encode_block(buf: &mut Vec<u8>, column: (Column, Option<Vec<Value>>)) {
                 buf.extend_from_slice(&c.to_le_bytes());
             }
         }
-        (_, Some(values)) => {
+        Column::Untyped(values) => {
             buf.push(BLOCK_TAGGED);
             for v in &values {
                 codec::encode_value(buf, v);
             }
         }
-        (_, None) => unreachable!("a page's column keeps the values it cannot type"),
+        Column::Absent => unreachable!("a page materializes every column"),
     }
 }
 
@@ -611,20 +607,19 @@ fn decode_blocks(c: &mut Cursor, n: usize, arity: usize) -> Result<Page> {
         return Err(c.corrupt(format!("{n} rows in {} bytes", c.remaining())));
     }
     let mut columns = Vec::with_capacity(arity);
-    let mut untyped = Vec::with_capacity(arity);
     for _ in 0..arity {
-        let (column, values) = match c.u8()? {
+        let column = match c.u8()? {
             BLOCK_INT => {
                 let nulls = take_bitmap(c, n)?;
                 let vals = take_words::<8>(c, n)?.map(i64::from_le_bytes).collect();
-                (Column::Int { vals, nulls }, None)
+                Column::Int { vals, nulls }
             }
             BLOCK_FLOAT => {
                 let nulls = take_bitmap(c, n)?;
                 let vals = take_words::<8>(c, n)?
                     .map(|w| f64::from_bits(u64::from_le_bytes(w)))
                     .collect();
-                (Column::Float { vals, nulls }, None)
+                Column::Float { vals, nulls }
             }
             BLOCK_STR => {
                 let nulls = take_bitmap(c, n)?;
@@ -646,24 +641,18 @@ fn decode_blocks(c: &mut Cursor, n: usize, arity: usize) -> Result<Page> {
                         "dictionary code {code} past a dictionary of {entries}"
                     )));
                 }
-                (Column::Str { codes, dict, nulls }, None)
+                Column::Str { codes, dict, nulls }
             }
             BLOCK_TAGGED => {
                 let values = (0..n).map(|_| c.value()).collect::<Result<Vec<_>>>()?;
-                let mut col = ColumnBuilder::new(n, true);
-                for v in &values {
-                    col.push_value(v);
-                }
-                col.finish()
+                Column::from_values(&values, n)
             }
             kind => return Err(c.corrupt(format!("unknown block kind {kind}"))),
         };
         columns.push(column);
-        untyped.push(values);
     }
     Ok(Page {
         chunk: ColumnarChunk::from_columns(n, columns),
-        untyped,
         rows: OnceLock::new(),
     })
 }
@@ -689,9 +678,6 @@ fn decode_page_columns(
 #[derive(Debug)]
 pub struct Page {
     chunk: ColumnarChunk,
-    /// Per column, the values of a [`Column::Fallback`](crate::Column)
-    /// column (which has no typed form); `None` for a typed one.
-    untyped: Vec<Option<Vec<Value>>>,
     rows: OnceLock<Vec<Row>>,
 }
 
@@ -728,14 +714,7 @@ impl Page {
         (0..self.len())
             .map(|i| {
                 (0..self.chunk.width())
-                    .map(|c| match &self.untyped[c] {
-                        Some(values) => values[i].clone(),
-                        None => self
-                            .chunk
-                            .column(c)
-                            .value(i)
-                            .expect("a page materializes every column"),
-                    })
+                    .map(|c| self.chunk.value(c, i))
                     .collect()
             })
             .collect()
@@ -2702,7 +2681,7 @@ mod tests {
                     nulls: n,
                 },
             ) => codes == c && dict == d && nulls == n,
-            (Column::Fallback, Column::Fallback) => true,
+            (Column::Untyped(a), Column::Untyped(b)) => a == b,
             _ => false,
         }
     }

@@ -22,7 +22,7 @@ fn schema() -> Schema {
 
 /// Values of the `Float` column: NaNs with payloads, signed zeros, NULLs
 /// and, rarely, an `Int` (which the schema admits), so a chunk holding one
-/// is `Fallback`.
+/// is `Untyped`.
 fn float_value() -> BoxedStrategy<Value> {
     prop_oneof![
         4 => (-1000i64..1000).prop_map(|k| Value::Float(k as f64 / 8.0)),
@@ -65,7 +65,8 @@ fn rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
 /// by value.
 fn same_column(a: &Column, b: &Column) -> bool {
     match (a, b) {
-        (Column::Absent, Column::Absent) | (Column::Fallback, Column::Fallback) => true,
+        (Column::Absent, Column::Absent) => true,
+        (Column::Untyped(v), Column::Untyped(w)) => v == w,
         (Column::Int { vals: v, nulls: n }, Column::Int { vals: w, nulls: m }) => v == w && n == m,
         (Column::Float { vals: v, nulls: n }, Column::Float { vals: w, nulls: m }) => {
             n == m

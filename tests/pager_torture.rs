@@ -492,7 +492,7 @@ fn same_column(a: &Column, b: &Column) -> bool {
                 nulls: n2,
             },
         ) => codes == c2 && dict == d2 && nulls == n2,
-        (Column::Fallback, Column::Fallback) => true,
+        (Column::Untyped(a), Column::Untyped(b)) => a == b,
         _ => false,
     }
 }
