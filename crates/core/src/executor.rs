@@ -4,13 +4,15 @@
 //! orthogonal axes, and this module is the only place any of them is
 //! implemented:
 //!
-//! * a **detail source** ([`DetailSource`] → [`Grid`]) hands out `R` as
-//!   ordered [`Slice`]s on a chunk grid fixed by `(source, morsel size)` —
-//!   never by the thread count: `morsel`-row ranges of a resident relation,
-//!   or runs of pinned pages of a [`PagedScan`] (one page pinned at a time;
-//!   pages Theorem 4.2 rules out are never read). A page is read as its
-//!   buffer-pool frame's columns, a resident chunk as its relation's cached
-//!   columns; only the scalar [`Evaluator`] asks a slice for rows;
+//! * a **detail source** ([`DetailSource`] → [`Grid`]) hands out `R` on a
+//!   chunk grid fixed by `(source, morsel size)` — never by the thread
+//!   count: `morsel`-row ranges of a resident relation, or runs of pinned
+//!   pages of a [`PagedScan`] (one page pinned at a time; pages Theorem 4.2
+//!   rules out are never read). The batch consumers read each chunk as one
+//!   columnar chunk ([`Grid::scan_columns`]): a resident chunk as its
+//!   relation's cached columns, a page run as its pages' columns appended
+//!   into one. Only the scalar [`Evaluator`] reads rows, a [`Slice`] at a
+//!   time;
 //! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
 //!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
 //!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
@@ -47,8 +49,9 @@ use crate::paged::PagedScan;
 use crate::probe::ProbePlan;
 use crate::vectorized::{apply_batch, BatchProbe, ColStates, Scoreboard, MAX_BATCH};
 use crossbeam::deque::{Steal, Stealer, Worker};
-use mdj_storage::{ColumnarChunk, Counter, PinnedPage, Relation, Row, Schema, Value, WorkerStats};
-use std::borrow::Cow;
+use mdj_storage::{
+    ChunkConcat, ColumnarChunk, Counter, PinnedPage, Relation, Row, Schema, Value, WorkerStats,
+};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,58 +124,28 @@ pub(crate) fn split_even(n: usize, m: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// One piece of a chunk as a scan reads it: one chunk of a resident
-/// relation's grid, or one pinned page.
+/// One piece of a chunk as the scalar [`Evaluator`] reads it: the rows of
+/// one chunk of a resident relation, or one pinned page.
 #[derive(Clone, Copy)]
 pub(crate) enum Slice<'s> {
-    /// Chunk `idx` of `rel`'s grid of `morsel`-row chunks, and its rows.
-    Resident {
-        rel: &'s Relation,
-        idx: usize,
-        morsel: usize,
-        rows: &'s [Row],
-    },
+    Rows(&'s [Row]),
     Page(&'s PinnedPage),
 }
 
 impl<'s> Slice<'s> {
-    /// Chunk `idx` of `rel`'s grid of `morsel`-row chunks.
-    pub(crate) fn resident(rel: &'s Relation, idx: usize, morsel: usize) -> Self {
-        let rows = rel.rows();
-        Slice::Resident {
-            rel,
-            idx,
-            morsel,
-            rows: &rows[idx * morsel..((idx + 1) * morsel).min(rows.len())],
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         match self {
-            Slice::Resident { rows, .. } => rows.len(),
+            Slice::Rows(rows) => rows.len(),
             Slice::Page(pin) => pin.page().len(),
         }
     }
 
     /// The slice's rows. A page builds them from its columns on the first
-    /// request of its residency, counted as `page_rows_built`: only the
-    /// scalar [`Evaluator`] asks.
+    /// request of its residency, counted as `page_rows_built`.
     pub(crate) fn rows(&self, ctx: &ExecContext) -> &'s [Row] {
         match self {
-            Slice::Resident { rows, .. } => rows,
+            Slice::Rows(rows) => rows,
             Slice::Page(pin) => pin.page().rows_recorded(ctx.stats().map(|s| s.as_ref())),
-        }
-    }
-
-    /// The slice in columnar form: a page's own chunk, every column decoded
-    /// once per residency; a resident chunk's `needed` columns from its
-    /// relation's column cache, each transposed once per relation.
-    pub(crate) fn chunk(&self, needed: &[bool], ctx: &ExecContext) -> Cow<'s, ColumnarChunk> {
-        match *self {
-            Slice::Resident {
-                rel, idx, morsel, ..
-            } => Cow::Owned(rel.chunk(idx, morsel, needed, ctx.stats().map(|s| s.as_ref()))),
-            Slice::Page(pin) => Cow::Borrowed(pin.page().chunk()),
         }
     }
 }
@@ -192,8 +165,15 @@ enum Chunks<'a> {
     /// Runs of consecutive admitted pages totalling ≥ `morsel` rows each.
     Paged {
         scan: &'a PagedScan,
-        runs: Vec<Vec<usize>>,
+        runs: Vec<Run>,
     },
+}
+
+/// One chunk of a paged grid: its pages, in clustered order, and their rows.
+#[derive(Default)]
+struct Run {
+    pages: Vec<usize>,
+    rows: usize,
 }
 
 impl<'a> Grid<'a> {
@@ -211,18 +191,17 @@ impl<'a> Grid<'a> {
                     .collect();
                 pages.sort_unstable();
                 pages.dedup();
-                let (mut runs, mut cur, mut in_run, mut total) = (Vec::new(), Vec::new(), 0, 0u64);
+                let (mut runs, mut cur, mut total) = (Vec::new(), Run::default(), 0u64);
                 for pno in pages {
                     let page_rows = scan.table().page_meta(pno).map_or(0, |m| m.rows as usize);
-                    cur.push(pno);
-                    in_run += page_rows;
+                    cur.pages.push(pno);
+                    cur.rows += page_rows;
                     total += page_rows as u64;
-                    if in_run >= morsel {
+                    if cur.rows >= morsel {
                         runs.push(std::mem::take(&mut cur));
-                        in_run = 0;
                     }
                 }
-                if !cur.is_empty() {
+                if !cur.pages.is_empty() {
                     runs.push(cur);
                 }
                 (total, Chunks::Paged { scan, runs })
@@ -247,8 +226,8 @@ impl<'a> Grid<'a> {
         }
     }
 
-    /// Hand chunk `idx`'s slices to `f`, in order: the one range of a
-    /// resident chunk, or each page of a run — pinned only while `f` reads it.
+    /// Hand chunk `idx`'s slices to `f`, in order: the rows of a resident
+    /// chunk, or each page of a run — pinned only while `f` reads it.
     fn scan_chunk(
         &self,
         idx: usize,
@@ -256,14 +235,68 @@ impl<'a> Grid<'a> {
         f: &mut dyn FnMut(Slice) -> Result<()>,
     ) -> Result<()> {
         match &self.chunks {
-            Chunks::Resident { rel, morsel } => f(Slice::resident(rel, idx, *morsel)),
+            Chunks::Resident { rel, morsel } => {
+                let rows = rel.rows();
+                f(Slice::Rows(
+                    &rows[idx * morsel..((idx + 1) * morsel).min(rows.len())],
+                ))
+            }
             Chunks::Paged { scan, runs } => {
-                for &pno in &runs[idx] {
+                for &pno in &runs[idx].pages {
                     f(Slice::Page(&scan.fetch(pno, ctx)?))?;
                 }
                 Ok(())
             }
         }
+    }
+
+    /// Hand chunk `idx` to `f` as one columnar chunk holding at least its
+    /// `needed` columns: a resident chunk's from its relation's column
+    /// cache, each column transposed once per relation; a one-page run's
+    /// as its buffer-pool frame's own chunk, every column decoded once per
+    /// residency; a longer run's as the concatenation of its pages'
+    /// `needed` columns ([`ChunkConcat`]). A run pins its pages one at a
+    /// time, in order, each only while its columns are appended, so the
+    /// pool sees the fetches the scalar scan makes.
+    fn columns<T>(
+        &self,
+        idx: usize,
+        needed: &[bool],
+        ctx: &ExecContext,
+        f: impl FnOnce(&ColumnarChunk) -> Result<T>,
+    ) -> Result<T> {
+        match &self.chunks {
+            Chunks::Resident { rel, morsel } => {
+                f(&rel.chunk(idx, *morsel, needed, ctx.stats().map(|s| s.as_ref())))
+            }
+            Chunks::Paged { scan, runs } => match runs[idx].pages.as_slice() {
+                &[pno] => f(scan.fetch(pno, ctx)?.page().chunk()),
+                pages => {
+                    let mut run = ChunkConcat::new(needed, runs[idx].rows);
+                    for &pno in pages {
+                        run.push(scan.fetch(pno, ctx)?.page().chunk());
+                    }
+                    f(&run.finish())
+                }
+            },
+        }
+    }
+
+    /// The batch consumers' loop: every chunk in order through `scan` as
+    /// columns ([`columns`](Self::columns)), counting the updates each
+    /// implies.
+    pub(crate) fn scan_columns(
+        &self,
+        ctx: &ExecContext,
+        needed: &[bool],
+        mut scan: impl FnMut(&ColumnarChunk) -> Result<u64>,
+    ) -> Result<()> {
+        for idx in 0..self.len() {
+            ctx.check_interrupt()?;
+            let updates = self.columns(idx, needed, ctx, &mut scan)?;
+            ctx.count(Counter::updates, updates);
+        }
+        Ok(())
     }
 }
 
@@ -371,58 +404,43 @@ impl Evaluator<'_> {
 /// values back through one scalar update each, discarding the kernels
 /// (DESIGN §3.1, E11d).
 struct BatchEvaluator<'a> {
-    b: &'a Relation,
     blocks: &'a [BoundBlock],
     probes: Vec<BatchProbe<'a>>,
-    /// The detail columns each slice transposes: the probes' and the
-    /// aggregates'.
-    needed: Vec<bool>,
     /// Per block: did any batch fall back to the scalar interpreter?
     fell_back: Vec<bool>,
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// The evaluator of `blocks` over `B = b` and detail chunks `width`
-    /// columns wide.
-    fn new(b: &'a Relation, blocks: &'a [BoundBlock], width: usize) -> Self {
-        let probes: Vec<BatchProbe> = blocks
-            .iter()
-            .map(|blk| BatchProbe::new(&blk.plan))
-            .collect();
-        // Every aggregate input column: the typed kernels' and the replayed
-        // ones' alike.
-        let mut needed = vec![false; width];
-        for &c in blocks.iter().flat_map(|blk| &blk.inputs) {
-            needed[c] = true;
-        }
-        for probe in &probes {
-            probe.collect_needed(&mut needed);
-        }
+    /// The evaluator of `blocks`.
+    fn new(blocks: &'a [BoundBlock]) -> Self {
         BatchEvaluator {
-            b,
             blocks,
-            probes,
-            needed,
+            probes: blocks
+                .iter()
+                .map(|blk| BatchProbe::new(&blk.plan))
+                .collect(),
             fell_back: vec![false; blocks.len()],
         }
     }
 
-    /// Evaluate one detail slice into `states`; returns the aggregate updates
-    /// it implies.
-    fn scan(&mut self, slice: Slice, ctx: &ExecContext, states: &mut States) -> Result<u64> {
-        ctx.check_interrupt()?;
-        if slice.len() == 0 {
-            return Ok(0);
+    /// The detail columns, of `width`, each chunk must hold: the probes'
+    /// and every aggregate input's, the typed kernels' and the replayed
+    /// ones' alike.
+    fn needed(&self, width: usize) -> Vec<bool> {
+        let mut needed = vec![false; width];
+        for &c in self.blocks.iter().flat_map(|blk| &blk.inputs) {
+            needed[c] = true;
         }
-        // One columnar form per slice, shared by all k blocks.
-        let chunk = slice.chunk(&self.needed, ctx);
-        let b = self.b;
-        self.update(&chunk, b, None, ctx, states)
+        for probe in &self.probes {
+            probe.collect_needed(&mut needed);
+        }
+        needed
     }
 
     /// Probe every block with `chunk` over `b` and apply the matches to
-    /// `states`. `groups`, when given, is each row's own group of a `B` this
-    /// scan is building.
+    /// `states`; returns the aggregate updates it implies. One chunk serves
+    /// all k blocks. `groups`, when given, is each row's own group of a `B`
+    /// this scan is building.
     fn update(
         &mut self,
         chunk: &ColumnarChunk,
@@ -431,6 +449,9 @@ impl<'a> BatchEvaluator<'a> {
         ctx: &ExecContext,
         states: &mut States,
     ) -> Result<u64> {
+        if chunk.is_empty() {
+            return Ok(0);
+        }
         let mut pairs: Vec<(u32, usize)> = Vec::new();
         let mut updates = 0usize;
         for (k, (blk, probe)) in self.blocks.iter().zip(&self.probes).enumerate() {
@@ -709,8 +730,11 @@ pub(crate) fn run(
             states = detail_parallel(&eval, grid, states, *threads, ctx)?;
         }
         Driver::Serial { batch: true } => {
-            let mut batch = BatchEvaluator::new(b, &bound, grid.schema.len());
-            scan_in_order(grid, ctx, |slice| batch.scan(slice, ctx, &mut states))?;
+            let mut batch = BatchEvaluator::new(&bound);
+            let needed = batch.needed(grid.schema.len());
+            grid.scan_columns(ctx, &needed, |chunk| {
+                batch.update(chunk, b, None, ctx, &mut states)
+            })?;
             batch.count_sets(ctx);
         }
         // `Serial { batch: false }`; `Base` returned above.
@@ -732,7 +756,7 @@ pub(crate) enum Grouped {
 
 /// Evaluate `MD(γ_D(σ_p(R)), R, (l₁..l_k), (θ₁..θ_k))` in one scan of `grid`
 /// on the batch evaluator, `table` finding each group of `B` as the scan
-/// first meets it (see [`crate::grouped`]): each slice first finds or inserts
+/// first meets it (see [`crate::grouped`]): each chunk first finds or inserts
 /// its rows' groups, the state set grows to the new groups, and the blocks
 /// probe by group id.
 ///
@@ -756,38 +780,39 @@ pub(crate) fn run_grouped(
     let fresh = States::new(&bound, 0, ctx)?;
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, grid.rows());
-    let mut batch = BatchEvaluator::new(&empty, &bound, grid.schema.len());
+    let mut batch = BatchEvaluator::new(&bound);
+    let mut needed = batch.needed(grid.schema.len());
+    table.collect_needed(&mut needed);
     let mut states = Some(fresh);
-    table.collect_needed(&mut batch.needed);
     let mut ids = Vec::new();
-    scan_in_order(grid, ctx, |slice| {
+    for idx in 0..grid.len() {
         ctx.check_interrupt()?;
-        if slice.len() == 0 {
-            return Ok(0);
-        }
-        let chunk = slice.chunk(&batch.needed, ctx);
-        table.assign(&chunk, &mut ids)?;
-        let Some(st) = states.as_mut() else {
-            return Ok(0);
-        };
-        let answered = match table.exact() {
-            true => st
-                .grow(&bound, table.base())
-                .and_then(|()| batch.update(&chunk, table.base(), Some(&ids), ctx, st))
-                .map(Some),
-            false => Ok(None),
-        };
-        match answered {
-            Ok(Some(updates)) => Ok(updates),
-            Ok(None) | Err(CoreError::BudgetExceeded { .. }) => {
-                states = None;
-                batch.needed.fill(false);
-                table.collect_needed(&mut batch.needed);
-                Ok(0)
+        let answered = grid.columns(idx, &needed, ctx, |chunk| {
+            table.assign(chunk, &mut ids)?;
+            let Some(st) = states.as_mut() else {
+                return Ok(Some(0));
+            };
+            let answered = match table.exact() {
+                true => st
+                    .grow(&bound, table.base())
+                    .and_then(|()| batch.update(chunk, table.base(), Some(&ids), ctx, st))
+                    .map(Some),
+                false => Ok(None),
+            };
+            match answered {
+                Err(CoreError::BudgetExceeded { .. }) => Ok(None),
+                answered => answered,
             }
-            Err(e) => Err(e),
+        })?;
+        match answered {
+            Some(updates) => ctx.count(Counter::updates, updates),
+            None => {
+                states = None;
+                needed.fill(false);
+                table.collect_needed(&mut needed);
+            }
         }
-    })?;
+    }
     match states {
         Some(states) => {
             ctx.count(Counter::base_fused, 1);

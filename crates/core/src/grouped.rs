@@ -43,7 +43,7 @@
 use crate::basevalues::{self, Sets};
 use crate::context::{ExecContext, ProbeStrategy};
 use crate::error::Result;
-use crate::executor::{scan_in_order, DetailSource, Grid};
+use crate::executor::{DetailSource, Grid};
 use crate::generalized::Block;
 use crate::probe::canon_key;
 use crate::vectorized::{tuple_ids, KeyCodes, RowBuf, Translation, NO_GROUP, NULL_CODE};
@@ -117,9 +117,8 @@ impl GroupBy {
         let mut needed = vec![false; source.schema().len()];
         table.collect_needed(&mut needed);
         let mut ids = Vec::new();
-        scan_in_order(&grid, ctx, |slice| {
-            ctx.check_interrupt()?;
-            table.assign(&slice.chunk(&needed, ctx), &mut ids)?;
+        grid.scan_columns(ctx, &needed, |chunk| {
+            table.assign(chunk, &mut ids)?;
             Ok(0)
         })?;
         Ok(table.into_base())

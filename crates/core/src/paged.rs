@@ -15,10 +15,12 @@
 //! * **Chunks are pinned page runs** — consecutive admitted pages totalling
 //!   `ctx.morsel_size` rows; one page is pinned at a time, so memory is one
 //!   page per worker plus aggregate state, never the table. Under the batch
-//!   evaluator the page is the batch, and its columns are the buffer-pool
-//!   frame's own chunk: a page is decoded once per residency, straight into
-//!   columns, and builds rows only when a scalar path asks
-//!   (`page_rows_built`).
+//!   evaluator the run is the batch: its pages' columns are appended into
+//!   one chunk as each page is read and unpinned
+//!   ([`ChunkConcat`](mdj_storage::ChunkConcat)), and a one-page run lends
+//!   the buffer-pool frame's own chunk. A page is decoded once per
+//!   residency, straight into columns, and builds rows only when a scalar
+//!   path asks (`page_rows_built`).
 //!
 //! All paths record `pages_read` / `bytes_read` / `pool_evictions` through
 //! [`ScanStats`](mdj_storage::ScanStats), so `EXPLAIN ANALYZE` shows the
@@ -532,6 +534,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A run of dozens of pages is one batch, read through a pool that holds
+    /// two pages: the run pins one page at a time while it appends its
+    /// columns, so it answers as the scalar scan does, with the same probes,
+    /// updates, pages read and evictions, and leaves nothing pinned.
+    #[test]
+    fn a_run_longer_than_the_pool_pins_one_page_at_a_time() {
+        let rel = with_untyped(3000);
+        let dir = tempdir::Dir::new("mdj-core-paged-two-frames");
+        let (store, _) = PagedStore::open(dir.path()).unwrap();
+        let table = store.create_table("sales", &rel, "k", 256).unwrap();
+        let largest = table.page_metas().iter().map(|m| m.len).max().unwrap();
+        let scan = PagedScan::new(table, BufferPool::new(2 * largest as u64));
+        let b = rel.distinct_on(&["cust"]).unwrap();
+        let theta = and(eq(col_b("cust"), col_r("cust")), ne(col_r("st"), lit("CT")));
+        let l = [
+            AggSpec::on_column("sum", "sale"),
+            AggSpec::on_column("min", "st"),
+            AggSpec::on_column("count", "m"),
+        ];
+        let run = |strategy: ExecStrategy| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new()
+                .with_morsel_size(4096)
+                .with_stats(stats.clone());
+            scan.pool().clear();
+            let out = paged_md_join(&b, &scan, &l, &theta, strategy, 1, &ctx).unwrap();
+            assert_eq!(scan.pool().pinned_total(), 0, "{strategy:?}");
+            let io = (stats.pages_read(), stats.pool_evictions());
+            (out, (stats.probes(), stats.updates()), io, stats.batches())
+        };
+        let (batch, work, io, batches) = run(ExecStrategy::Vectorized);
+        let (serial, serial_work, serial_io, _) = run(ExecStrategy::Serial);
+        assert!(scan.admitted_pages().len() > 24, "the run spans dozens");
+        assert_eq!(batches, 1, "one run, one batch");
+        assert!(io.1 > 0, "the pool evicts");
+        assert_eq!(batch.rows(), serial.rows());
+        assert_eq!(work, serial_work);
+        assert_eq!(io, serial_io);
     }
 
     #[test]

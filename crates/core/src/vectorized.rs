@@ -7,10 +7,11 @@
 //!
 //! 1. each batch of `ctx.morsel_size` resident tuples is a [`ColumnarChunk`]
 //!    of the columns θ and `l` actually read, each transposed once per
-//!    relation and kept in its column cache (`Relation::chunk`); a page
-//!    of a page store is its buffer-pool frame's chunk, decoded once per
-//!    residency. A column with no typed form keeps its values
-//!    ([`Column::Untyped`]), so the chunk is the only form of the batch;
+//!    relation and kept in its column cache (`Relation::chunk`); a run of
+//!    pages of a page store, about as many tuples, is its pages' columns
+//!    appended into one chunk, each page decoded once per residency. A
+//!    column with no typed form keeps its values ([`Column::Untyped`]), so
+//!    the chunk is the only form of the batch;
 //! 2. the Theorem 4.2 prefilter evaluates over the whole batch into a
 //!    selection vector ([`mdj_expr::vectorized::eval_batch`]);
 //! 3. hash-probe keys are computed for the whole batch in one typed loop per
@@ -413,9 +414,12 @@ fn interpret_pairs(
 /// pairs' tuples ([`Column::gather`]), each `B` column is read at the pairs'
 /// base rows and typed as a chunk column is ([`Column::from_values`]), and
 /// one [`eval_columns`] over those columns keeps or drops each pair, in
-/// pair order. Pairs come in blocks of at most [`NL_PAIRS`], so the gathered
-/// columns stay small however many candidates a chunk has or however large
-/// `B` is, and a `B` the scan is building needs no special case.
+/// pair order. A column is gathered once per block however many leaves of
+/// the residual read it (`Z.sale > avg(X.sale) and Z.sale < avg(Y.sale)`
+/// gathers `Z.sale` once). Pairs come in blocks of at most [`NL_PAIRS`], so
+/// the gathered columns stay small however many candidates a chunk has or
+/// however large `B` is, and a `B` the scan is building needs no special
+/// case.
 ///
 /// A residual with no batch form (`Div`/`Mod`), or a block whose columns
 /// have no typed form (mixed `Int`/`Float`, a boolean, `ALL`), is
@@ -427,13 +431,36 @@ pub(crate) struct PairResidual<'a> {
     expr: &'a BoundExpr,
     /// The shape has a batch form.
     batches: bool,
+    /// Each distinct column leaf of `expr`, and how many leaves read it.
+    leaves: Vec<(&'a BoundExpr, usize)>,
+}
+
+/// Count each distinct column leaf of `expr` into `leaves`.
+fn count_leaves<'e>(expr: &'e BoundExpr, leaves: &mut Vec<(&'e BoundExpr, usize)>) {
+    match expr {
+        BoundExpr::BCol(_) | BoundExpr::RCol(_) => {
+            match leaves.iter_mut().find(|(leaf, _)| *leaf == expr) {
+                Some((_, uses)) => *uses += 1,
+                None => leaves.push((expr, 1)),
+            }
+        }
+        BoundExpr::Lit(_) => {}
+        BoundExpr::Binary { lhs, rhs, .. } => {
+            count_leaves(lhs, leaves);
+            count_leaves(rhs, leaves);
+        }
+        BoundExpr::Not(e) => count_leaves(e, leaves),
+    }
 }
 
 impl<'a> PairResidual<'a> {
     fn new(expr: &'a BoundExpr) -> Self {
+        let mut leaves = Vec::new();
+        count_leaves(expr, &mut leaves);
         PairResidual {
             expr,
             batches: batchable_bound_shape(expr),
+            leaves,
         }
     }
 
@@ -470,7 +497,9 @@ impl<'a> PairResidual<'a> {
     }
 
     /// The residual's verdict on each pair of `block`, or `None` when a
-    /// column it reads has no typed form there.
+    /// column it reads has no typed form there. Each column is gathered at
+    /// its first leaf, copied for every later leaf but the last, which
+    /// takes it.
     fn verdicts(
         &self,
         b: &Relation,
@@ -478,16 +507,26 @@ impl<'a> PairResidual<'a> {
         block: &[(u32, usize)],
     ) -> Option<Vec<bool>> {
         let n = block.len();
+        let mut gathered: Vec<(Option<Column>, usize)> =
+            self.leaves.iter().map(|&(_, uses)| (None, uses)).collect();
         let verdict = eval_columns(self.expr, n, &mut |leaf| {
-            BatchVals::from_column(match *leaf {
-                BoundExpr::RCol(c) => chunk
+            let at = self.leaves.iter().position(|&(l, _)| l == leaf)?;
+            let (slot, left) = &mut gathered[at];
+            let col = match (slot.take(), leaf) {
+                (Some(col), _) => col,
+                (None, &BoundExpr::RCol(c)) => chunk
                     .column(c)
                     .gather(block.iter().map(|&(i, _)| i as usize)),
-                BoundExpr::BCol(j) => {
+                (None, &BoundExpr::BCol(j)) => {
                     Column::from_values(block.iter().map(|&(_, bi)| &b.rows()[bi][j]), n)
                 }
-                _ => return None,
-            })
+                (None, _) => return None,
+            };
+            *left -= 1;
+            if *left > 0 {
+                *slot = Some(col.clone());
+            }
+            BatchVals::from_column(col)
         })?;
         Some(verdict.to_selection(n))
     }
@@ -972,7 +1011,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::context::ProbeStrategy;
-    use crate::executor::{self, DetailSource, Driver, Grid, Slice};
+    use crate::executor::{self, DetailSource, Driver, Grid};
     use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
     use mdj_agg::AggSpec;
@@ -1379,16 +1418,39 @@ mod tests {
     }
 
     /// A mixed residual, checked over each chunk's candidate pairs, stays
-    /// identical to serial with zero fallbacks.
+    /// identical to serial with zero fallbacks — also one whose leaves read
+    /// the same columns twice, which each block gathers once.
     #[test]
     fn batch_residual_matches_serial_without_fallback() {
         let s = sales(400);
-        let b = s.distinct_on(&["cust"]).unwrap();
-        let theta = and(
-            eq(col_b("cust"), col_r("cust")),
-            gt(col_r("sale"), col_b("cust")),
-        );
-        assert_vectorized_covered(&b, &s, &specs(), &theta);
+        let b = s.distinct_on(&["cust", "state"]).unwrap();
+        let key = || eq(col_b("cust"), col_r("cust"));
+        let thetas = [
+            and(key(), gt(col_r("sale"), col_b("cust"))),
+            and(
+                key(),
+                and(
+                    gt(col_r("sale"), col_b("cust")),
+                    or(
+                        lt(col_r("sale"), add(col_b("cust"), lit(60.0))),
+                        eq(col_r("state"), col_b("state")),
+                    ),
+                ),
+            ),
+            and(
+                key(),
+                or(
+                    eq(col_r("state"), col_b("state")),
+                    and(
+                        ne(col_r("state"), col_b("state")),
+                        gt(col_r("sale"), lit(50.0)),
+                    ),
+                ),
+            ),
+        ];
+        for theta in &thetas {
+            assert_vectorized_covered(&b, &s, &specs(), theta);
+        }
     }
 
     /// The batch probers against [`ProbePlan::matches`], tuple by tuple, at
@@ -1486,9 +1548,8 @@ mod tests {
                 let bctx = ExecContext::new().with_stats(batch_stats.clone());
                 let (mut out, mut codes, mut probes) = (Vec::new(), Vec::new(), 0);
                 for idx in 0..r.len().div_ceil(morsel) {
-                    let slice = Slice::resident(&r, idx, morsel);
-                    let chunk = slice.chunk(&needed, &bctx);
-                    let rows = slice.rows(&bctx);
+                    let chunk = r.chunk(idx, morsel, &needed, None);
+                    let rows = &r.rows()[idx * morsel..((idx + 1) * morsel).min(r.len())];
                     let mut pairs = Vec::new();
                     let fell_back = probe
                         .matches_batch(&chunk, &b, None, &bctx, &mut Vec::new(), &mut |got| {

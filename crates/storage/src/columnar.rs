@@ -223,6 +223,173 @@ pub(crate) fn build_column(range: &[Row], c: usize) -> Column {
     Column::from_values(range.iter().map(|row| &row[c]), range.len())
 }
 
+/// Appends consecutive chunks into one: the rows of a run of pages, read as
+/// one batch. Only the columns `needed` marks are appended, each page's
+/// columns as soon as it is read, so the parts need not outlive their
+/// [`push`](Self::push).
+///
+/// The result equals [`ColumnarChunk::from_rows`] over the parts' rows:
+/// parts of one typed kind append their vectors, and a `Str` part's
+/// dictionary is translated into the run's, in first-seen order, one lookup
+/// per dictionary entry of the part (a string the run already holds costs
+/// one hash and no reference-count traffic). Any other mix — an all-NULL
+/// `Int` part next to a `Str` one, `Int` next to `Float`, an `Untyped`
+/// part — keeps the values and types them with [`Column::from_values`].
+pub struct ChunkConcat {
+    len: usize,
+    /// Rows the run will hold (the vectors' capacity).
+    capacity: usize,
+    /// Per column: its rows so far, or `None` where not needed.
+    columns: Vec<Option<Concat>>,
+}
+
+/// One column of a [`ChunkConcat`].
+enum Concat {
+    /// No part yet.
+    Empty,
+    Int {
+        vals: Vec<i64>,
+        nulls: Vec<bool>,
+    },
+    Float {
+        vals: Vec<f64>,
+        nulls: Vec<bool>,
+    },
+    Str {
+        codes: Vec<u32>,
+        nulls: Vec<bool>,
+        dict: Vec<Arc<str>>,
+        lookup: HashMap<Arc<str>, u32, KeyBuildHasher>,
+        /// The last part's code → run code.
+        recode: Vec<u32>,
+    },
+    /// Parts of different kinds, or one with no typed form: their values.
+    Values(Vec<Value>),
+}
+
+impl ChunkConcat {
+    /// An empty run of the columns `needed` marks, for about `capacity`
+    /// rows.
+    pub fn new(needed: &[bool], capacity: usize) -> Self {
+        ChunkConcat {
+            len: 0,
+            capacity,
+            columns: needed.iter().map(|&c| c.then_some(Concat::Empty)).collect(),
+        }
+    }
+
+    /// Append `part`'s rows.
+    pub fn push(&mut self, part: &ColumnarChunk) {
+        for (c, col) in self.columns.iter_mut().enumerate() {
+            if let Some(col) = col {
+                col.push(part.column(c), part.len(), self.len, self.capacity);
+            }
+        }
+        self.len += part.len();
+    }
+
+    /// The run as one chunk starting at row 0.
+    pub fn finish(self) -> ColumnarChunk {
+        let len = self.len;
+        let columns = self.columns.into_iter();
+        ColumnarChunk::from_shared(
+            len,
+            columns
+                .map(|c| c.map(|c| Arc::new(c.finish(len))))
+                .collect(),
+        )
+    }
+}
+
+impl Concat {
+    /// Append `part`, `n` rows, to this column of `len` rows.
+    fn push(&mut self, part: &Column, n: usize, len: usize, capacity: usize) {
+        if let Concat::Empty = self {
+            *self = match part {
+                Column::Int { .. } => Concat::Int {
+                    vals: Vec::with_capacity(capacity),
+                    nulls: Vec::with_capacity(capacity),
+                },
+                Column::Float { .. } => Concat::Float {
+                    vals: Vec::with_capacity(capacity),
+                    nulls: Vec::with_capacity(capacity),
+                },
+                Column::Str { .. } => Concat::Str {
+                    codes: Vec::with_capacity(capacity),
+                    nulls: Vec::with_capacity(capacity),
+                    dict: Vec::new(),
+                    lookup: HashMap::default(),
+                    recode: Vec::new(),
+                },
+                Column::Absent | Column::Untyped(_) => Concat::Values(Vec::with_capacity(capacity)),
+            };
+        }
+        match (&mut *self, part) {
+            (Concat::Int { vals, nulls }, Column::Int { vals: v, nulls: m }) => {
+                vals.extend_from_slice(v);
+                nulls.extend_from_slice(m);
+            }
+            (Concat::Float { vals, nulls }, Column::Float { vals: v, nulls: m }) => {
+                vals.extend_from_slice(v);
+                nulls.extend_from_slice(m);
+            }
+            (
+                Concat::Str {
+                    codes,
+                    nulls,
+                    dict,
+                    lookup,
+                    recode,
+                },
+                Column::Str {
+                    codes: c,
+                    dict: d,
+                    nulls: m,
+                },
+            ) => {
+                recode.clear();
+                recode.extend(d.iter().map(|s| match lookup.get(&**s) {
+                    Some(&code) => code,
+                    None => {
+                        let code = dict.len() as u32;
+                        dict.push(Arc::clone(s));
+                        lookup.insert(Arc::clone(s), code);
+                        code
+                    }
+                }));
+                // A NULL's code is 0, as `ColumnBuilder` writes it; masked,
+                // not branched on.
+                codes.extend(c.iter().zip(m).map(|(&c, &null)| {
+                    recode.get(c as usize).copied().unwrap_or(0) * u32::from(!null)
+                }));
+                nulls.extend_from_slice(m);
+            }
+            (Concat::Values(values), part) => {
+                values.extend((0..n).map(|i| part.value(i).unwrap_or(Value::Null)));
+            }
+            (typed, part) => {
+                let col = std::mem::replace(typed, Concat::Empty).finish(len);
+                let mut values = Vec::with_capacity(capacity.max(len + n));
+                values.extend((0..len).map(|i| col.value(i).unwrap_or(Value::Null)));
+                *typed = Concat::Values(values);
+                typed.push(part, n, len, capacity);
+            }
+        }
+    }
+
+    fn finish(self, len: usize) -> Column {
+        match self {
+            Concat::Empty => Column::from_values(std::iter::empty(), 0),
+            Concat::Int { vals, nulls } => Column::Int { vals, nulls },
+            Concat::Float { vals, nulls } => Column::Float { vals, nulls },
+            Concat::Str {
+                codes, nulls, dict, ..
+            } => Column::Str { codes, dict, nulls },
+            Concat::Values(values) => Column::from_values(&values, len),
+        }
+    }
+}
+
 /// Builds one [`Column`] value by value under the data-driven typing rule of
 /// [`ColumnarChunk::from_rows`]: the first non-NULL value picks the type, a
 /// range of only NULLs is a fully null `Int` column, and a value of another

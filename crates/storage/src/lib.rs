@@ -29,7 +29,7 @@ pub mod stats;
 pub mod value;
 
 pub use catalog::{Catalog, IngestOutcome};
-pub use columnar::{Column, ColumnarChunk};
+pub use columnar::{ChunkConcat, Column, ColumnarChunk};
 pub use error::{Result, StorageError};
 pub use hash::{KeyBuildHasher, KeyHasher};
 pub use index::{pair_key, HashIndex, KeyIndex, SortedIndex};

@@ -3,9 +3,10 @@
 //! `ColumnarChunk::from_rows` over the same rows, column by column and bit
 //! for bit — fresh, after every mutator, on a copy grown under a reader, and
 //! after the chunk length changes — and a panicking transposition must leave
-//! no partial column behind.
+//! no partial column behind. A run of pages read as one batch
+//! (`ChunkConcat`) must equal the same transposition over the run's rows.
 
-use mdj_storage::{Column, ColumnarChunk, DataType, Relation, Row, Schema, Value};
+use mdj_storage::{ChunkConcat, Column, ColumnarChunk, DataType, Relation, Row, Schema, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -181,6 +182,65 @@ proptest! {
         // Another chunk length replaces the cache; switching back rebuilds.
         warm_and_check(&rel, MORSELS[other], &needed)?;
         warm_and_check(&rel, morsel, &needed)?;
+    }
+}
+
+/// Rows whose columns change kind from page to page: `i` is all NULL on
+/// some pages and holds `ALL` on others, `f` mixes in `Int`s, and `s` is
+/// NULL-heavy with a few strings shared across pages.
+fn page_row() -> impl Strategy<Value = Row> {
+    let int = prop_oneof![
+        4 => (-50i64..50).prop_map(Value::Int),
+        4 => Just(Value::Null),
+        1 => Just(Value::All),
+    ];
+    let s = prop_oneof![
+        2 => (0usize..4).prop_map(|k| Value::str(["NY", "NJ", "CT", "é"][k])),
+        2 => Just(Value::Null),
+    ];
+    let boolean = prop_oneof![any::<bool>().prop_map(Value::Bool), Just(Value::Null)];
+    (int, float_value(), s, boolean).prop_map(|(i, f, s, b)| Row::new(vec![i, f, s, b]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Cut the rows into pages at random, transpose each page as the pager
+    /// types it, and concatenate the pages' chunks: the run equals the
+    /// transposition of all its rows, column by column — typed kinds,
+    /// NULL slots and their codes, `Str` dictionaries in first-seen order,
+    /// and the `Untyped` values of `ALL`, booleans and `Int`/`Float` mixes
+    /// — for the columns asked for, and leaves the others absent.
+    #[test]
+    fn concatenated_pages_equal_the_transposition_of_their_rows(
+        rows in proptest::collection::vec(page_row(), 0..60),
+        cuts in proptest::collection::vec(0usize..60, 0..12),
+        mask in 0u8..16,
+    ) {
+        let needed: Vec<bool> = (0..4).map(|c| mask & (1 << c) != 0).collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows.len())).collect();
+        cuts.push(0);
+        cuts.push(rows.len());
+        cuts.sort_unstable();
+        let mut run = ChunkConcat::new(&needed, rows.len());
+        for page in cuts.windows(2) {
+            let all = [true; 4];
+            run.push(&ColumnarChunk::from_rows(&rows, page[0], page[1] - page[0], &all));
+        }
+        let got = run.finish();
+        let want = ColumnarChunk::from_rows(&rows, 0, rows.len(), &needed);
+        prop_assert_eq!(got.len(), rows.len());
+        prop_assert_eq!(got.width(), 4);
+        for c in 0..4 {
+            prop_assert!(
+                same_column(got.column(c), want.column(c)),
+                "column {} over pages {:?}: {:?} != {:?}",
+                c,
+                cuts,
+                got.column(c),
+                want.column(c)
+            );
+        }
     }
 }
 

@@ -807,6 +807,116 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A page run is one batch: over a paged NULL-heavy table clustered on a
+    /// nullable key, at 256 B to 4 KiB pages and morsel sizes 7, 64 and
+    /// 4096 — so a run spans up to dozens of pages whose columns change kind
+    /// and dictionary from page to page — the batch evaluator answers as the
+    /// Definition 3.1 reference does, bit for bit and in its order, under
+    /// WHERE predicates conjoined with an `Int` key, a `Str` and `Int` key,
+    /// or a key and a residual. It makes the scalar scan's probes and
+    /// updates, reads and evicts exactly the pages the per-page paths do
+    /// (the scalar scan, and the batch evaluator at morsel 1, where every
+    /// run is one page) through a pool of four pages, and builds no page's
+    /// rows. A group-by of the paged table — built in the scan over `Int`
+    /// and `Str` keys, in a pass of its own over a `Float` key — answers as
+    /// over the resident rows with the same probes and updates, and reads
+    /// and evicts the same pages as at morsel 1.
+    #[test]
+    fn page_runs_are_one_batch_and_equal_the_reference(
+        size_pick in 0usize..3,
+        seed in any::<u64>(),
+        pred in where_strategy(),
+        shape_pick in 0usize..3,
+        page_pick in 0usize..5,
+        morsel_pick in 0usize..3,
+        dims_pick in 0usize..3,
+    ) {
+        let r = null_heavy([97, 700, 1500][size_pick], seed);
+        let page_bytes = [256u64, 512, 1024, 2048, 4096][page_pick];
+        let morsel = [7usize, 64, 4096][morsel_pick];
+        let dir = CaseDir::new("runs");
+        let (store, _) = PagedStore::open(dir.path()).unwrap();
+        let table = store.create_table("R", &r, "i", page_bytes).unwrap();
+        let pool = BufferPool::new(4 * page_bytes);
+        let scan = PagedScan::new(table, pool.clone());
+        let clustered = scan.materialize(&ExecContext::new()).unwrap();
+        let b = clustered.distinct_on(&["i", "s"]).unwrap();
+        let key = eq(col_b("i"), col_r("i"));
+        let theta = and(pred.clone(), match shape_pick {
+            0 => key,
+            1 => and(eq(col_b("s"), col_r("s")), key),
+            _ => and(key, lt(col_r("f"), add(col_b("i"), lit(2i64)))),
+        });
+        let specs = [
+            AggSpec::count_star(),
+            AggSpec::on_column("sum", "f"),
+            AggSpec::on_column("median", "f"),
+            AggSpec::on_column("min", "s"),
+            AggSpec::on_column("count", "m"),
+        ];
+        let want = reference_md_join(&b, &clustered, &specs, &theta, &Registry::standard());
+        let label = format!("θ = {theta} over {} rows, {page_bytes} B pages, morsel {morsel}", r.len());
+        let stats_at = |morsel: usize| {
+            pool.clear();
+            let stats = Arc::new(ScanStats::new());
+            (ExecContext::new().with_morsel_size(morsel).with_stats(stats.clone()), stats)
+        };
+        let run = |strategy: ExecStrategy, morsel: usize| {
+            let (ctx, stats) = stats_at(morsel);
+            let out = MdJoin::paged(&b, &scan)
+                .aggs(&specs)
+                .theta(theta.clone())
+                .strategy(strategy)
+                .threads(1)
+                .run(&ctx)
+                .unwrap();
+            assert_eq!(pool.pinned_total(), 0, "{strategy:?}: {label}");
+            (out, stats)
+        };
+        let work = |s: &ScanStats| (s.probes(), s.updates(), s.pages_read(), s.pool_evictions());
+        let (runs, run_stats) = run(ExecStrategy::Vectorized, morsel);
+        let (pages, page_stats) = run(ExecStrategy::Vectorized, 1);
+        let (serial, serial_stats) = run(ExecStrategy::Serial, morsel);
+        assert_bits_equal(&want, &runs, &label)?;
+        assert_bits_equal(&want, &pages, &format!("per page: {label}"))?;
+        assert_bits_equal(&want, &serial, &format!("serial: {label}"))?;
+        prop_assert_eq!(run_stats.page_rows_built(), 0, "{}", label);
+        prop_assert_eq!(page_stats.page_rows_built(), 0, "{}", label);
+        prop_assert_eq!(work(&run_stats), work(&serial_stats), "{}", label);
+        prop_assert_eq!(work(&run_stats), work(&page_stats), "{}", label);
+        prop_assert!(run_stats.batches() <= page_stats.batches(), "{}", label);
+
+        let dims: &[&str] = [&["i"][..], &["s"], &["f"]][dims_pick];
+        let block = Block::new(
+            and(pred.clone(), mdj_expr::builder::and_all(dims.iter().map(|d| eq(col_b(*d), col_r(*d))))),
+            specs.to_vec(),
+        );
+        let group = |source: DetailSource, morsel: usize| {
+            let (ctx, stats) = stats_at(morsel);
+            let out = MdJoin::group_by(source, dims, Some(pred.clone()))
+                .blocks([block.clone()])
+                .strategy(ExecStrategy::Vectorized)
+                .threads(1)
+                .run(&ctx)
+                .unwrap();
+            assert_eq!(pool.pinned_total(), 0, "dims={dims:?}: {label}");
+            (out, stats)
+        };
+        let (resident, resident_stats) = group(DetailSource::Resident(&clustered), morsel);
+        let (runs, run_stats) = group(DetailSource::Paged(&scan), morsel);
+        let (_, page_stats) = group(DetailSource::Paged(&scan), 1);
+        let label = format!("group by {dims:?}: {label}");
+        assert_bits_equal(&resident, &runs, &label)?;
+        prop_assert_eq!(run_stats.page_rows_built(), 0, "{}", label);
+        prop_assert_eq!(work(&run_stats).0, resident_stats.probes(), "{}", label);
+        prop_assert_eq!(work(&run_stats).1, resident_stats.updates(), "{}", label);
+        prop_assert_eq!(work(&run_stats), work(&page_stats), "{}", label);
+    }
+}
+
 /// What one key column holds on the detail side: its `B` column is untyped
 /// where the detail's is numeric, and mixes `Int` and `Float` there.
 #[derive(Debug, Clone, Copy)]
