@@ -50,7 +50,15 @@ pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Arc<
             rel.project(&names)?
         }
         Plan::Base { input, shape } => {
-            base_values(&*execute(input, catalog, ctx)?, None, shape, ctx)?
+            let rel = execute(input, catalog, ctx)?;
+            ctx.count(Counter::base_passes, 1);
+            with_sets(shape, |dims, sets| -> Result<Relation> {
+                Ok(mdj_naive::ops::base_values(
+                    &rel,
+                    dims,
+                    &sets.keep_masks(dims)?,
+                )?)
+            })?
         }
         Plan::Union(parts) => {
             let mut iter = parts.iter();
@@ -131,10 +139,12 @@ fn enter_node(ctx: &ExecContext) -> Result<()> {
 /// 3. Under `Parallel`, a group-by `γ_D(σ_p(T))` of the detail table `T`
 ///    itself is left to the operator ([`MdJoin::group_by`]), which builds it
 ///    inside its one scan of the source where θ allows; any other base
-///    `γ(σ_p(T))` is built in one filtered pass over `T`
-///    ([`basevalues::build_filtered`]).
+///    `γ(σ_p(T))`, of any shape and over any table, is built in one pass
+///    over `T`'s own source — its page store when a buffer pool is attached
+///    ([`basevalues::build`]).
 ///
-/// A bare node's σs execute as written, so the reference `query_unoptimized`
+/// A bare node's σs execute as written, and its base is built row by row
+/// (`mdj_naive::ops::base_values`), so the reference `query_unoptimized`
 /// runs shares neither the fold nor the base builds.
 fn md_join(
     node: &Plan,
@@ -179,10 +189,7 @@ fn md_join(
         Some((_, detail_rel)) => Detail::Resident(detail_rel.clone()),
         None => detail_source(detail, catalog, ctx)?,
     };
-    let src = match &source {
-        Detail::Resident(r) => DetailSource::Resident(r),
-        Detail::Paged(scan) => DetailSource::Paged(scan),
-    };
+    let src = source.source();
     let b;
     let join = match own_group_by(base, detail).filter(|_| served) {
         Some((dims, pred)) => {
@@ -192,13 +199,16 @@ fn md_join(
         }
         None => {
             b = match base.as_ref() {
-                Plan::Base { input, shape } if served => match selected_table(input) {
-                    Some((name, Some(pred))) => {
-                        enter_node(ctx)?;
-                        Arc::new(base_values(&*catalog.get(name)?, Some(&pred), shape, ctx)?)
-                    }
-                    _ => execute(base, catalog, ctx)?,
-                },
+                Plan::Base { input, shape } if served => {
+                    enter_node(ctx)?;
+                    let (table, pred) = match selected_table(input) {
+                        Some((table, pred)) => (detail_source(table, catalog, ctx)?, pred),
+                        None => (Detail::Resident(execute(input, catalog, ctx)?), None),
+                    };
+                    Arc::new(with_sets(shape, |dims, sets| {
+                        basevalues::build(table.source(), pred.as_ref(), dims, sets, ctx)
+                    })?)
+                }
                 _ => execute(base, catalog, ctx)?,
             };
             match src {
@@ -226,6 +236,15 @@ enum Detail {
     Paged(PagedScan),
 }
 
+impl Detail {
+    fn source(&self) -> DetailSource<'_> {
+        match self {
+            Detail::Resident(r) => DetailSource::Resident(r),
+            Detail::Paged(scan) => DetailSource::Paged(scan),
+        }
+    }
+}
+
 /// Resolve an MD-join node's detail plan to its source: a catalog table
 /// streams from its page store whenever the engine has a buffer pool
 /// attached, and is otherwise the catalog's shared `Arc`; any other detail
@@ -243,48 +262,38 @@ fn detail_source(detail: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<
 /// detail table `T` under zero or more detail-side σs (`p` their conjunction,
 /// `None` without one).
 fn own_group_by<'p>(base: &'p Plan, detail: &Plan) -> Option<(&'p [String], Option<Expr>)> {
-    let (
-        Plan::Base {
-            input,
-            shape: BaseShape::GroupBy(dims),
-        },
-        Plan::Table(table),
-    ) = (base, detail)
+    let Plan::Base {
+        input,
+        shape: BaseShape::GroupBy(dims),
+    } = base
     else {
         return None;
     };
-    let (name, pred) = selected_table(input)?;
-    (name == table).then_some((dims.as_slice(), pred))
+    let (table, pred) = selected_table(input)?;
+    (table == detail).then_some((dims.as_slice(), pred))
 }
 
-/// `(T, p)` when `plan` is catalog table `T` under zero or more detail-side
-/// σs, `p` the conjunction of their predicates, innermost first (`None`
-/// without a σ). A base-side predicate (an Observation 4.1 base input) does
-/// not qualify.
-fn selected_table(plan: &Plan) -> Option<(&str, Option<Expr>)> {
+/// `(T, p)` when `plan` is a catalog table node `T` under zero or more
+/// detail-side σs, `p` the conjunction of their predicates, innermost first
+/// (`None` without a σ). A base-side predicate (an Observation 4.1 base
+/// input) does not qualify.
+fn selected_table(plan: &Plan) -> Option<(&Plan, Option<Expr>)> {
     match plan {
-        Plan::Table(name) => Some((name, None)),
+        Plan::Table(_) => Some((plan, None)),
         Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => {
-            let (name, inner) = selected_table(input)?;
+            let (table, inner) = selected_table(input)?;
             let pred = match inner {
                 Some(inner) => mdj_expr::builder::and(inner, pred.clone()),
                 None => pred.clone(),
             };
-            Some((name, Some(pred)))
+            Some((table, Some(pred)))
         }
         _ => None,
     }
 }
 
-/// The base-values table of `shape` over `rel`, or over `σ_pred(rel)` in one
-/// filtered pass when a detail-side `pred` is given.
-fn base_values(
-    rel: &Relation,
-    pred: Option<&Expr>,
-    shape: &BaseShape,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    ctx.count(Counter::base_passes, 1);
+/// `f` applied to `shape`'s dimensions and grouping sets.
+fn with_sets<T>(shape: &BaseShape, f: impl FnOnce(&[&str], Sets) -> T) -> T {
     let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
     let listed: Vec<Vec<&str>>;
     let sets = match shape {
@@ -300,10 +309,7 @@ fn base_values(
         }
         BaseShape::Unpivot(_) => Sets::Unpivot,
     };
-    Ok(match pred {
-        Some(pred) => basevalues::build_filtered(rel, pred, &dims, sets, ctx)?,
-        None => basevalues::build(rel, &dims, sets)?,
-    })
+    f(&dims, sets)
 }
 
 /// What the cuboid cache says about an MD-join node.
@@ -789,6 +795,72 @@ mod tests {
         let scan = PagedScan::new(table, engine.buffer_pool().unwrap());
         let ctx = mdj_core::ExecContext::from_parts(engine.clone(), QueryCtx::default());
         assert_eq!(scan.materialize(&ctx).unwrap().len(), rel.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_cube_sigma_base_scans_the_page_store() {
+        use mdj_core::{EngineConfig, QueryCtx};
+        use mdj_storage::{BufferPool, PagedStore, ScanStats};
+        let dir = std::env::temp_dir().join(format!("mdj-algebra-sigma-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let schema = Schema::from_pairs(&[
+            ("cust", DataType::Int),
+            ("month", DataType::Int),
+            ("sale", DataType::Float),
+        ]);
+        let rel = Relation::from_rows(
+            schema,
+            (0..240)
+                .map(|i: i64| {
+                    Row::from_values(vec![
+                        Value::Int(i % 5),
+                        Value::Int(1 + i % 12),
+                        Value::Float(i as f64 * 0.5),
+                    ])
+                })
+                .collect(),
+        );
+        let (store, _) = PagedStore::open(&dir).unwrap();
+        let table = store.create_table("Sales", &rel, "month", 256).unwrap();
+        let mut cat = Catalog::new();
+        cat.register("Sales", table.read_all(None).unwrap());
+        cat.attach_paged("Sales", table.clone()).unwrap();
+        // The detail is another, resident-only table: every page read is
+        // the base's.
+        cat.register("Other", rel);
+        let engine = EngineConfig::new().build();
+        engine.attach_buffer_pool(BufferPool::new(64 * 1024));
+        let dims = ["cust", "month"];
+        let plan = Plan::table("Sales")
+            .select(ge(col_r("month"), lit(6i64)))
+            .cube_base(&dims)
+            .md_join(
+                Plan::table("Other"),
+                vec![AggSpec::on_column("sum", "sale"), AggSpec::count_star()],
+                mdj_core::basevalues::cube_match_theta(&dims),
+            );
+        let run = |plan: &Plan| {
+            let stats = Arc::new(ScanStats::new());
+            let ctx = mdj_core::ExecContext::from_parts(
+                engine.clone(),
+                QueryCtx::new().with_stats(stats.clone()),
+            );
+            (execute(plan, &cat, &ctx).unwrap(), stats)
+        };
+        let (bare, bare_stats) = run(&plan);
+        assert_eq!((bare_stats.pages_read(), bare_stats.base_passes()), (0, 1));
+        engine.buffer_pool().unwrap().clear();
+        let (served, stats) = run(&plan.parallel());
+        assert_eq!(served.rows(), bare.rows());
+        assert_eq!(stats.base_passes(), 1);
+        // One scan of the pages `month >= 6` admits, and no other.
+        assert!(
+            stats.pages_read() > 0,
+            "the σ-base must read the page store"
+        );
+        assert!((stats.pages_read() as usize) < table.page_count());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

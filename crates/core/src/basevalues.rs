@@ -7,14 +7,18 @@
 //! points" (Example 2.4 — just pass that relation straight in). These
 //! builders produce such tables; the aggregation that follows is always the
 //! same operator.
+//!
+//! Each shape is a union of group-bys over one input (Gray et al.), which
+//! Theorem 4.1 read right to left makes one pass: [`build`], the engine's
+//! only base builder, groups every set in one scan of resident rows or pages.
 
 use crate::context::ExecContext;
 use crate::error::Result;
-use crate::executor::split;
+use crate::executor::{DetailSource, Grid};
+use crate::grouped::{scan_block, GroupTable, Where};
 use mdj_expr::builder::{and_all, col_b, col_r, eq, lit, or};
-use mdj_expr::vectorized::{batchable_bound_shape, collect_detail_cols, eval_batch};
 use mdj_expr::Expr;
-use mdj_storage::{KeyIndex, Relation, Row, Value};
+use mdj_storage::{Counter, KeyIndex, Relation, Row, StorageError, Value};
 
 /// The grouping sets a base-values table holds over its dimension list.
 #[derive(Debug, Clone, Copy)]
@@ -32,154 +36,143 @@ pub enum Sets<'a> {
 }
 
 impl Sets<'_> {
-    /// One mask per set (bit `d` set = dimension `d` kept, clear = `ALL`),
-    /// or `None` for a group-by, which keeps every dimension.
-    fn keep_masks(&self, dims: &[&str]) -> Result<Option<Vec<u32>>> {
-        let n = dims.len();
-        Ok(Some(match self {
-            Sets::GroupBy => return Ok(None),
-            Sets::Cube => (0..(1u32 << n)).rev().collect(),
-            Sets::Rollup => (0..=n).rev().map(|k| ((1u64 << k) - 1) as u32).collect(),
-            Sets::GroupingSets(sets) => set_masks(dims, sets.iter().map(Vec::as_slice))?,
-            Sets::Unpivot => set_masks(dims, dims.chunks(1))?,
-        }))
+    /// One keep-mask per set, in set order: bit `d` set keeps `dims[d]`,
+    /// clear rolls it up to `ALL`.
+    pub fn keep_masks(&self, dims: &[&str]) -> Result<Vec<u32>> {
+        let Sets::GroupingSets(sets) = self else {
+            return Ok(self.masks(dims.len()).unwrap_or_default());
+        };
+        let position = |name: &&str| {
+            dims.iter()
+                .position(|d| d == name)
+                .ok_or_else(|| StorageError::UnknownColumn {
+                    name: name.to_string(),
+                    schema: format!("grouping dims {dims:?}"),
+                })
+        };
+        let masks = sets.iter().map(|set| {
+            set.iter()
+                .try_fold(0, |m, name| Ok(m | 1 << position(name)?))
+        });
+        Ok(masks.collect::<std::result::Result<_, StorageError>>()?)
+    }
+
+    /// The keep-masks of a shape over `n` dimensions, or `None` for
+    /// grouping sets, which name their dimensions: cube masks run from the
+    /// finest to the apex, roll-up prefixes from the longest, unpivot
+    /// marginals in dimension order.
+    pub fn masks(&self, n: usize) -> Option<Vec<u32>> {
+        let prefix = |k: usize| ((1u64 << k) - 1) as u32;
+        Some(match self {
+            Sets::GroupBy => vec![prefix(n)],
+            Sets::Cube => (0..=prefix(n)).rev().collect(),
+            Sets::Rollup => (0..=n).rev().map(prefix).collect(),
+            Sets::Unpivot => (0..n).map(|d| 1 << d).collect(),
+            Sets::GroupingSets(_) => return None,
+        })
     }
 }
 
-/// The keep-mask of each listed set; every member must be one of `dims`.
-fn set_masks<'s>(dims: &[&str], sets: impl Iterator<Item = &'s [&'s str]>) -> Result<Vec<u32>> {
-    let masks = sets.map(|set| {
-        set.iter().try_fold(0u32, |mask, name| {
-            let d = dims.iter().position(|x| x == name).ok_or_else(|| {
-                mdj_storage::StorageError::UnknownColumn {
-                    name: (*name).to_string(),
-                    schema: format!("grouping dims {dims:?}"),
-                }
-            })?;
-            Ok(mask | (1 << d))
-        })
-    });
-    Ok(masks.collect::<std::result::Result<_, mdj_storage::StorageError>>()?)
-}
-
-/// The base table of `sets` over every row of `r`.
-pub fn build(r: &Relation, dims: &[&str], sets: Sets) -> Result<Relation> {
-    distinct_sets(r, || r.iter(), dims, sets)
-}
-
-/// The base table of `sets` over `σ_pred(r)`, for a detail-side `pred`,
-/// built in one filtered pass over `r` instead of over a copy of the
-/// selection: `pred` is evaluated once per row and only the rows it passes
-/// offer their dimensions. Equal, row for row and in first-seen order, to
-/// [`build`] over `mdj_naive::ops::select(r, pred)`.
-pub fn build_filtered(
-    r: &Relation,
-    pred: &Expr,
+/// The base table of `sets` over `σ_pred(R)`, `R` read from `source` (`pred`
+/// a detail-side predicate; `None` keeps every row), in one scan: per chunk
+/// `pred` is evaluated once into a selection, and the rows it keeps are
+/// offered to one `GroupTable` per distinct set. Over a page store the scan
+/// reads the pages `pred`'s clustered-key bounds admit (Theorem 4.2).
+///
+/// The rows are the sets' groups in set order, each set's in first-seen
+/// order, with `ALL` in its rolled-up dimensions; a row an earlier set gave
+/// (a repeated set, or key data that holds `ALL`) is left out.
+pub fn build(
+    source: DetailSource,
+    pred: Option<&Expr>,
     dims: &[&str],
     sets: Sets,
     ctx: &ExecContext,
 ) -> Result<Relation> {
-    let kept = select_rows(r, pred, ctx)?;
-    distinct_sets(r, || kept.iter().map(|&i| &r.rows()[i]), dims, sets)
-}
-
-/// The ids of the rows of `r` that pass the detail-side `pred`, in order. Per
-/// chunk of `ctx.morsel_size()` rows, `pred` evaluates into a selection
-/// vector over the chunk's cached columns where it has a batch form, and row
-/// by row through the scalar interpreter where it does not (`Div`/`Mod`, or
-/// a chunk whose column has no typed form).
-fn select_rows(r: &Relation, pred: &Expr, ctx: &ExecContext) -> Result<Vec<usize>> {
-    let bound = pred.bind(None, Some(r.schema()))?;
-    let batchable = batchable_bound_shape(&bound);
-    let mut needed = vec![false; r.schema().len()];
-    if batchable {
-        collect_detail_cols(&bound, &mut needed);
-    }
-    let morsel = ctx.morsel_size().max(1);
-    let stats = ctx.stats().map(|s| s.as_ref());
-    let mut kept = Vec::new();
-    for (idx, chunk) in split(r.len(), morsel).into_iter().enumerate() {
-        ctx.check_interrupt()?;
-        let sel = batchable
-            .then(|| r.chunk(idx, morsel, &needed, stats))
-            .and_then(|columns| eval_batch(&bound, &columns))
-            .map(|verdicts| verdicts.to_selection(chunk.len()));
-        match sel {
-            Some(sel) => kept.extend(chunk.zip(sel).filter_map(|(i, pass)| pass.then_some(i))),
-            None => {
-                for i in chunk {
-                    if bound.eval_bool(&[], r.rows()[i].values())? {
-                        kept.push(i);
-                    }
-                }
-            }
+    ctx.count(Counter::base_passes, 1);
+    let schema = source.schema();
+    let idx = schema.indices_of(dims)?;
+    let filter = Where::bind(pred, schema)?;
+    let mut needed = vec![false; schema.len()];
+    filter.collect_needed(&mut needed);
+    let kept = |mask: u32| (0..idx.len()).filter(move |d| mask & (1 << d) != 0);
+    // One table per distinct set, in the order the sets first list them: a
+    // repeated set adds no row.
+    let mut tables: Vec<(u32, GroupTable)> = Vec::new();
+    for mask in sets.keep_masks(dims)? {
+        if tables.iter().all(|(m, _)| *m != mask) {
+            let table = GroupTable::new(schema, kept(mask).map(|d| idx[d]).collect());
+            table.collect_needed(&mut needed);
+            tables.push((mask, table));
         }
     }
-    Ok(kept)
-}
-
-/// For each set in turn, the distinct values of its kept dimensions over
-/// `rows()`, with `ALL` in the rolled-up ones, in first-seen order: keys are
-/// numbered through a [`KeyIndex`], and a row is cloned only for a new key.
-fn distinct_sets<'r, I: Iterator<Item = &'r Row>>(
-    r: &Relation,
-    rows: impl Fn() -> I,
-    dims: &[&str],
-    sets: Sets,
-) -> Result<Relation> {
-    let idx = r.schema().indices_of(dims)?;
-    // `None` keeps every dimension.
-    let masks: Vec<Option<u32>> = match sets.keep_masks(dims)? {
-        None => vec![None],
-        Some(masks) => masks.into_iter().map(Some).collect(),
-    };
+    let grid = Grid::new(source, &[scan_block(pred)], ctx.morsel_size());
+    let mut ids = Vec::new();
+    grid.scan_columns(ctx, &needed, |chunk| {
+        let sel = filter.select(chunk)?;
+        for (_, table) in &mut tables {
+            table.assign(chunk, sel.as_deref(), &mut ids);
+        }
+        Ok(0)
+    })?;
+    // A group-by's groups are its rows.
+    if tables.len() == 1 && kept(tables[0].0).count() == idx.len() {
+        return Ok(tables.remove(0).1.into_base());
+    }
     let mut keys = KeyIndex::new(idx.len());
-    let mut out = Vec::new();
-    for mask in masks {
-        let key = |row: &'r Row| {
-            idx.iter().enumerate().map(move |(d, &col)| match mask {
-                Some(mask) if mask & (1 << d) == 0 => &Value::All,
-                _ => &row[col],
-            })
-        };
-        for row in rows() {
-            if keys.insert(key(row)).1 {
-                out.push(Row::new(key(row).cloned().collect()));
+    let mut out = Relation::empty(schema.project(&idx));
+    for (mask, table) in tables {
+        for group in table.base().iter() {
+            let mut vals = group.values().iter().cloned();
+            let row: Vec<Value> = (0..idx.len())
+                .map(|d| match mask & (1 << d) {
+                    0 => Value::All,
+                    _ => vals.next().expect("a kept dimension"),
+                })
+                .collect();
+            if keys.insert(&row).1 {
+                out.push_unchecked(Row::new(row));
             }
         }
     }
-    Ok(Relation::from_rows(r.schema().project(&idx), out))
+    Ok(out)
+}
+
+/// [`build`] over every row of the resident `r`, on a default context.
+fn build_resident(r: &Relation, dims: &[&str], sets: Sets) -> Result<Relation> {
+    let ctx = ExecContext::new();
+    build(DetailSource::Resident(r), None, dims, sets, &ctx)
 }
 
 /// Group-by base table: `select distinct attrs from r` (Example 3.1's `B`).
 pub fn group_by(r: &Relation, attrs: &[&str]) -> Result<Relation> {
-    build(r, attrs, Sets::GroupBy)
+    build_resident(r, attrs, Sets::GroupBy)
 }
 
 /// The data-cube base table of Example 2.1: all `2^n` group-bys of `dims`
 /// merged into one relation using `ALL` (Gray et al.). Ordered coarse-to-fine
 /// free; rows are unique.
 pub fn cube(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    build(r, dims, Sets::Cube)
+    build_resident(r, dims, Sets::Cube)
 }
 
 /// SQL99 `ROLLUP(dims)`: the n+1 prefix group-bys
 /// `(d₁..d_n), (d₁..d_{n-1}), …, ()`.
 pub fn rollup(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    build(r, dims, Sets::Rollup)
+    build_resident(r, dims, Sets::Rollup)
 }
 
 /// SQL99 `GROUPING SETS`: a user-controlled collection of group-bys. Each set
 /// lists the dimensions *kept*; the rest become `ALL`. The paper's marginals
 /// example: `Grouping Sets ((prod), (month), (state))`.
 pub fn grouping_sets(r: &Relation, dims: &[&str], sets: &[Vec<&str>]) -> Result<Relation> {
-    build(r, dims, Sets::GroupingSets(sets))
+    build_resident(r, dims, Sets::GroupingSets(sets))
 }
 
 /// The unpivot base table of \[GFC98\] as discussed in Example 2.1: the
 /// one-dimensional marginals, i.e. `GROUPING SETS ((d₁), (d₂), …, (d_n))`.
 pub fn unpivot(r: &Relation, dims: &[&str]) -> Result<Relation> {
-    build(r, dims, Sets::Unpivot)
+    build_resident(r, dims, Sets::Unpivot)
 }
 
 /// θ matching a cube/rollup/grouping-sets base table against detail tuples:

@@ -36,7 +36,7 @@ use crate::executor::{
 };
 use crate::generalized::Block;
 use crate::governor::{CancelToken, MemoryTracker};
-use crate::grouped::GroupBy;
+use crate::grouped::{scan_block, GroupBy};
 use crate::paged::PagedScan;
 use crate::spill_exec::{md_join_spilled, partition_key_width};
 use mdj_agg::AggSpec;
@@ -326,9 +326,10 @@ impl<'a> MdJoin<'a> {
                 built = match fused {
                     None => g.build(self.r, ctx)?,
                     Some(fused) => {
-                        let grid = Grid::new(self.r, &[g.grid_block()], ctx.morsel_size());
-                        match executor::run_grouped(g.table(self.r.schema())?, &grid, &fused, ctx)?
-                        {
+                        let block = scan_block(g.pred.as_ref());
+                        let grid = Grid::new(self.r, &[block], ctx.morsel_size());
+                        let (table, filter) = g.table(self.r.schema())?;
+                        match executor::run_grouped(table, &filter, &grid, &fused, ctx)? {
                             Grouped::Answer(out) => return Ok(out),
                             // The scan stopped answering; a breach's high-water
                             // mark died with its states.

@@ -484,7 +484,8 @@ fn rollup_serves(req: &CuboidRequest, entry: &CuboidRequest, registry: &Registry
 
 /// Theorem 4.5: compute the coarser cuboid `req` from the finer cached
 /// result, by MD-joining the finer cuboid onto its own distinct `req.dims`
-/// with the adapted aggregate list `l'` reading the finer output columns.
+/// with the adapted aggregate list `l'` reading the finer output columns, in
+/// one scan that builds that base too.
 fn roll_up(
     req: &CuboidRequest,
     finer: &Arc<Relation>,
@@ -492,7 +493,6 @@ fn roll_up(
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let dims: Vec<&str> = req.dims.iter().map(String::as_str).collect();
-    let base = crate::basevalues::group_by(finer, &dims)?;
     let mut adapted = Vec::with_capacity(req.aggs.len());
     for q in &req.aggs {
         let e = finer_aggs
@@ -510,10 +510,9 @@ fn roll_up(
             .ok_or_else(|| mdj_agg::AggError::NotRollupable(q.function.clone()))?;
         adapted.push(AggSpec::on_column(rollup, e.output_name()).with_alias(q.output_name()));
     }
-    crate::builder::MdJoin::new(&base, finer)
+    crate::builder::MdJoin::group_by(crate::executor::DetailSource::Resident(finer), &dims, None)
         .aggs(&adapted)
         .theta(cuboid_theta(&req.dims))
-        .strategy(crate::builder::ExecStrategy::Serial)
         .run(ctx)
 }
 

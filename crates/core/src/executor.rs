@@ -43,7 +43,7 @@ use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
 use crate::error::{CoreError, Result};
 use crate::generalized::Block;
 use crate::governor::{self, panic_message, GrowthMeter, MemCharge};
-use crate::grouped::GroupTable;
+use crate::grouped::{GroupTable, Where};
 use crate::mdjoin::{bind_aggs, joined_schema, BoundAgg};
 use crate::paged::PagedScan;
 use crate::probe::ProbePlan;
@@ -755,10 +755,10 @@ pub(crate) enum Grouped {
 }
 
 /// Evaluate `MD(γ_D(σ_p(R)), R, (l₁..l_k), (θ₁..θ_k))` in one scan of `grid`
-/// on the batch evaluator, `table` finding each group of `B` as the scan
-/// first meets it (see [`crate::grouped`]): each chunk first finds or inserts
-/// its rows' groups, the state set grows to the new groups, and the blocks
-/// probe by group id.
+/// on the batch evaluator, `table` finding each group of `B` among the rows
+/// `filter` (`p`) keeps as the scan first meets it (see [`crate::grouped`]):
+/// each chunk first finds or inserts its rows' groups, the state set grows
+/// to the new groups, and the blocks probe by group id.
 ///
 /// A key that is not its own probe key, or a budget breach, stops the
 /// answering: the states are dropped and the rest of the scan only collects
@@ -769,6 +769,7 @@ pub(crate) enum Grouped {
 /// attempts' do.
 pub(crate) fn run_grouped(
     mut table: GroupTable,
+    filter: &Where,
     grid: &Grid,
     blocks: &[Block],
     ctx: &ExecContext,
@@ -783,12 +784,13 @@ pub(crate) fn run_grouped(
     let mut batch = BatchEvaluator::new(&bound);
     let mut needed = batch.needed(grid.schema.len());
     table.collect_needed(&mut needed);
+    filter.collect_needed(&mut needed);
     let mut states = Some(fresh);
     let mut ids = Vec::new();
     for idx in 0..grid.len() {
         ctx.check_interrupt()?;
         let answered = grid.columns(idx, &needed, ctx, |chunk| {
-            table.assign(chunk, &mut ids)?;
+            table.assign(chunk, filter.select(chunk)?.as_deref(), &mut ids);
             let Some(st) = states.as_mut() else {
                 return Ok(Some(0));
             };
@@ -810,6 +812,7 @@ pub(crate) fn run_grouped(
                 states = None;
                 needed.fill(false);
                 table.collect_needed(&mut needed);
+                filter.collect_needed(&mut needed);
             }
         }
     }

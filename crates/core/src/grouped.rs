@@ -29,8 +29,9 @@
 //! after a breach) without another pass to build it.
 //!
 //! A cube, roll-up or grouping-sets query runs one such scan per cuboid
-//! (`mdj_cube::common::cuboid`); the merged multi-set base tables of
-//! [`basevalues`] keep their separate pass.
+//! (`mdj_cube::common::cuboid`). A base built in a pass of its own, of any
+//! shape, is grouped by the same tables: [`basevalues::build`] offers each
+//! chunk of one scan to one table per grouping set.
 //!
 //! The table is a [`KeyIndex`], the same index a two-pass plan probes: it
 //! resolves a key through per-column codes, never by hashing the key as a
@@ -43,7 +44,7 @@
 use crate::basevalues::{self, Sets};
 use crate::context::{ExecContext, ProbeStrategy};
 use crate::error::Result;
-use crate::executor::{DetailSource, Grid};
+use crate::executor::DetailSource;
 use crate::generalized::Block;
 use crate::probe::canon_key;
 use crate::vectorized::{tuple_ids, KeyCodes, RowBuf, Translation, NO_GROUP, NULL_CODE};
@@ -51,9 +52,7 @@ use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::builder::and_all;
 use mdj_expr::vectorized::collect_detail_cols;
 use mdj_expr::{eval_batch, BatchVals, BoundExpr, ColRef, Expr, Side};
-use mdj_storage::{
-    Column, ColumnarChunk, Counter, DataType, KeyIndex, Relation, Row, Schema, Value,
-};
+use mdj_storage::{Column, ColumnarChunk, DataType, KeyIndex, Relation, Row, Schema, Value};
 
 /// `B = γ_dims(σ_pred(R))` over an MD-join's own detail relation `R`.
 #[derive(Debug, Clone)]
@@ -74,54 +73,17 @@ impl GroupBy {
         Ok(r.indices_of(&dims)?)
     }
 
-    /// The grid block for a scan that builds `B`: its pages are those `pred`
-    /// can keep (Theorem 4.2), every page without one.
-    pub(crate) fn grid_block(&self) -> Block {
-        let pred = self.pred.clone().unwrap_or_else(Expr::always_true);
-        Block::new(pred, Vec::new())
-    }
-
-    /// An empty group table over `R`'s schema.
-    pub(crate) fn table(&self, r: &Schema) -> Result<GroupTable> {
-        let key_cols = self.key_cols(r)?;
-        Ok(GroupTable {
-            pred: self
-                .pred
-                .as_ref()
-                .map(|p| p.bind(None, Some(r)))
-                .transpose()?,
-            index: KeyIndex::new(key_cols.len()),
-            base: Relation::empty(r.project(&key_cols)),
-            key_cols,
-            exact: true,
-            key: Vec::new(),
-            codes: Vec::new(),
-        })
+    /// An empty group table over `R`'s schema, and `pred` bound over it.
+    pub(crate) fn table(&self, r: &Schema) -> Result<(GroupTable, Where)> {
+        let table = GroupTable::new(r, self.key_cols(r)?);
+        Ok((table, Where::bind(self.pred.as_ref(), r)?))
     }
 
     /// `B` in a pass of its own over `source`: the distinct keys of
-    /// `σ_pred(R)` in first-seen order. Resident rows take the filtered base
-    /// build, which transposes only `pred`'s columns and hashes only the rows
-    /// it keeps; a page store is read page by page into a group table.
+    /// `σ_pred(R)` in first-seen order.
     pub(crate) fn build(&self, source: DetailSource, ctx: &ExecContext) -> Result<Relation> {
-        ctx.count(Counter::base_passes, 1);
-        if let DetailSource::Resident(r) = source {
-            let dims: Vec<&str> = self.dims.iter().map(String::as_str).collect();
-            return match &self.pred {
-                Some(p) => basevalues::build_filtered(r, p, &dims, Sets::GroupBy, ctx),
-                None => basevalues::group_by(r, &dims),
-            };
-        }
-        let grid = Grid::new(source, &[self.grid_block()], ctx.morsel_size());
-        let mut table = self.table(source.schema())?;
-        let mut needed = vec![false; source.schema().len()];
-        table.collect_needed(&mut needed);
-        let mut ids = Vec::new();
-        grid.scan_columns(ctx, &needed, |chunk| {
-            table.assign(chunk, &mut ids)?;
-            Ok(0)
-        })?;
-        Ok(table.into_base())
+        let dims: Vec<&str> = self.dims.iter().map(String::as_str).collect();
+        basevalues::build(source, self.pred.as_ref(), &dims, Sets::GroupBy, ctx)
     }
 
     /// The blocks to evaluate in one scan that builds `B`, or `None` when
@@ -181,12 +143,48 @@ impl GroupBy {
     }
 }
 
+/// The grid block for a scan that builds a base over `σ_pred(R)`: its pages
+/// are those `pred` can keep (Theorem 4.2), every page without one.
+pub(crate) fn scan_block(pred: Option<&Expr>) -> Block {
+    Block::new(pred.cloned().unwrap_or_else(Expr::always_true), Vec::new())
+}
+
+/// A detail-side `WHERE` bound over `R`'s schema; `None` keeps every row.
+pub(crate) struct Where(Option<BoundExpr>);
+
+impl Where {
+    pub(crate) fn bind(pred: Option<&Expr>, r: &Schema) -> Result<Where> {
+        Ok(Where(pred.map(|p| p.bind(None, Some(r))).transpose()?))
+    }
+
+    /// Mark the detail columns [`select`](Self::select) reads.
+    pub(crate) fn collect_needed(&self, needed: &mut [bool]) {
+        if let Some(p) = &self.0 {
+            collect_detail_cols(p, needed);
+        }
+    }
+
+    /// The verdict on each row of `chunk`, or `None` when every row is
+    /// kept: a selection vector where the predicate has a batch form, else
+    /// interpreted row by row from the chunk's values.
+    pub(crate) fn select(&self, chunk: &ColumnarChunk) -> Result<Option<Vec<bool>>> {
+        let Some(p) = &self.0 else {
+            return Ok(None);
+        };
+        if let Some(verdicts) = eval_batch(p, chunk) {
+            return Ok(Some(verdicts.to_selection(chunk.len())));
+        }
+        let mut row = RowBuf::new([p], chunk.width());
+        let verdicts = (0..chunk.len()).map(|i| Ok(p.eval_bool(&[], row.read(chunk, i))?));
+        verdicts.collect::<Result<_>>().map(Some)
+    }
+}
+
 /// `B = γ_D(σ_p(R))` while a scan builds it: one keyed table that is both
 /// `B`'s distinct-key set and the index its probes use.
 pub(crate) struct GroupTable {
     /// `R`'s columns of `D`, in `D`'s order.
     key_cols: Vec<usize>,
-    pred: Option<BoundExpr>,
     /// Group key → row of `base`: a key's number is its group.
     index: KeyIndex,
     /// The groups so far, in first-seen order.
@@ -200,6 +198,18 @@ pub(crate) struct GroupTable {
 }
 
 impl GroupTable {
+    /// An empty table keyed on `R`'s columns `key_cols`.
+    pub(crate) fn new(r: &Schema, key_cols: Vec<usize>) -> GroupTable {
+        GroupTable {
+            index: KeyIndex::new(key_cols.len()),
+            base: Relation::empty(r.project(&key_cols)),
+            key_cols,
+            exact: true,
+            key: Vec::new(),
+            codes: Vec::new(),
+        }
+    }
+
     /// The groups found so far, in first-seen order.
     pub(crate) fn base(&self) -> &Relation {
         &self.base
@@ -217,20 +227,18 @@ impl GroupTable {
     }
 
     /// Mark the detail columns [`assign`](Self::assign) reads from a chunk:
-    /// the key's and `p`'s, batched or interpreted.
+    /// the key's.
     pub(crate) fn collect_needed(&self, needed: &mut [bool]) {
         for &c in &self.key_cols {
             needed[c] = true;
         }
-        if let Some(p) = &self.pred {
-            collect_detail_cols(p, needed);
-        }
     }
 
-    /// Offer the rows of one chunk, inserting each new key as a group in row
-    /// order. `ids[i]` becomes row `i`'s group, or [`NO_GROUP`] when the row
-    /// fails `p` or its key has a NULL component (its group exists, but SQL
-    /// equality never matches it).
+    /// Offer the rows of one chunk that `sel` keeps (every row without
+    /// one), inserting each new key as a group in row order. `ids[i]`
+    /// becomes row `i`'s group, or [`NO_GROUP`] when `sel` drops the row or
+    /// its key has a NULL component (its group exists, but SQL equality
+    /// never matches it).
     ///
     /// A lone `Int` key is looked up by value. Other ints and strings are
     /// coded per chunk ([`KeyCodes`]), so each distinct key of the chunk meets
@@ -239,25 +247,22 @@ impl GroupTable {
     /// once ([`Translation`]), and the key resolves through `u64`-keyed
     /// maps, never hashing a row-form key. Keys with a NULL, and chunks whose
     /// key columns have no typed form, are read one by one from the chunk's
-    /// values into the same codes; a `p` with no batch form is interpreted
-    /// from them too ([`ColumnarChunk::row_into`]). Against
+    /// values into the same codes. Against
     /// reading every key row by row (`SqlEngine::query` over 50 k rows on a
     /// 2-vCPU host, min of 60), the lone-`Int` path takes `cust` group-bys
     /// from 2.3–3.5 to 1.4 ms (one block) and 3.5–4.0 to 2.8–2.9 ms (three),
     /// and chunk coding takes a `(prod, state)` group-by from 4.4–5.2 to
     /// 3.3–3.5 ms.
-    pub(crate) fn assign(&mut self, chunk: &ColumnarChunk, ids: &mut Vec<usize>) -> Result<()> {
+    pub(crate) fn assign(
+        &mut self,
+        chunk: &ColumnarChunk,
+        sel: Option<&[bool]>,
+        ids: &mut Vec<usize>,
+    ) {
         let n = chunk.len();
         ids.clear();
         ids.resize(n, NO_GROUP);
-        let sel = match &self.pred {
-            None => None,
-            Some(p) => Some(match eval_batch(p, chunk) {
-                Some(verdicts) => verdicts.to_selection(n),
-                None => interpret(p, chunk)?,
-            }),
-        };
-        let kept = |i: usize| sel.as_ref().is_none_or(|s: &Vec<bool>| s[i]);
+        let kept = |i: usize| sel.is_none_or(|s| s[i]);
         if let [c] = self.key_cols[..] {
             if let Column::Int { vals, nulls } = chunk.column(c) {
                 for i in 0..n {
@@ -274,7 +279,7 @@ impl GroupTable {
                         }
                     };
                 }
-                return Ok(());
+                return;
             }
         }
         let coded: Option<Vec<KeyCodes>> = self
@@ -293,7 +298,7 @@ impl GroupTable {
                     *id = self.offer_row(chunk, i);
                 }
             }
-            return Ok(());
+            return;
         };
         let (tuples, card) = tuple_ids(&cols, n);
         let mut slots = vec![NO_GROUP; card];
@@ -325,7 +330,6 @@ impl GroupTable {
             }
             ids[i] = *slot;
         }
-        Ok(())
     }
 
     /// Row `i`'s group, read from `chunk`'s values: the group id, or
@@ -357,16 +361,6 @@ impl GroupTable {
         self.base.push_unchecked(Row::new(self.key.clone()));
         group
     }
-}
-
-/// The verdict of the detail-only `pred` on each row of `chunk`,
-/// interpreted from the chunk's values in row order.
-#[inline(never)]
-fn interpret(pred: &BoundExpr, chunk: &ColumnarChunk) -> Result<Vec<bool>> {
-    let mut row = RowBuf::new([pred], chunk.width());
-    (0..chunk.len())
-        .map(|i| Ok(pred.eval_bool(&[], row.read(chunk, i))?))
-        .collect()
 }
 
 #[cfg(test)]
@@ -421,10 +415,8 @@ mod tests {
     /// The plan that builds `B` first, on the same evaluator.
     fn two_pass(r: &Relation, dims: &[&str], pred: Option<&Expr>, theta: &Expr) -> Relation {
         let ctx = ExecContext::new().with_morsel_size(16);
-        let b = match pred {
-            Some(p) => basevalues::build_filtered(r, p, dims, Sets::GroupBy, &ctx).unwrap(),
-            None => basevalues::build(r, dims, Sets::GroupBy).unwrap(),
-        };
+        let b =
+            basevalues::build(DetailSource::Resident(r), pred, dims, Sets::GroupBy, &ctx).unwrap();
         MdJoin::new(&b, r)
             .theta(theta.clone())
             .aggs(&aggs())
@@ -546,7 +538,7 @@ mod tests {
         let l = [AggSpec::on_column("sum", "v")];
         for dims in [&["k"][..], &["k", "s"]] {
             let theta = and_all(dims.iter().map(|d| eq(col_b(*d), col_r(*d))));
-            let b = basevalues::build(&r, dims, Sets::GroupBy).unwrap();
+            let b = basevalues::group_by(&r, dims).unwrap();
             let want = MdJoin::new(&b, &r)
                 .theta(theta.clone())
                 .aggs(&l)
@@ -611,7 +603,7 @@ mod tests {
             (skewed.clone(), l.to_vec(), 3 * group, [32, 64]),
         ] {
             let theta = eq(col_b("cust"), col_r("cust"));
-            let b = basevalues::build(&r, &["cust"], Sets::GroupBy).unwrap();
+            let b = basevalues::group_by(&r, &["cust"]).unwrap();
             let run = |fused: bool| {
                 let stats = Arc::new(ScanStats::new());
                 let ctx = ExecContext::new()
@@ -648,7 +640,7 @@ mod tests {
         let (store, _) = PagedStore::open(&dir).unwrap();
         let table = store.create_table("skewed", &skewed, "cust", 256).unwrap();
         let scan = PagedScan::new(table.clone(), BufferPool::new(256));
-        let b = basevalues::build(&skewed, &["cust"], Sets::GroupBy).unwrap();
+        let b = basevalues::group_by(&skewed, &["cust"]).unwrap();
         let run = |join: MdJoin| {
             let stats = Arc::new(ScanStats::new());
             let out = join
@@ -745,7 +737,7 @@ mod tests {
     fn assert_agrees(r: &Relation, dims: &[&str], morsel: usize) {
         let theta = and_all(dims.iter().map(|d| eq(col_b(*d), col_r(*d))));
         let l = [AggSpec::on_column("sum", "sale"), AggSpec::count_star()];
-        let b = basevalues::build(r, dims, Sets::GroupBy).unwrap();
+        let b = basevalues::group_by(r, dims).unwrap();
         let run = |fused: bool| {
             let stats = Arc::new(ScanStats::new());
             let ctx = ExecContext::new()

@@ -11,7 +11,7 @@
 //!   equality (hash-probe friendly). `2ⁿ` scans of the detail table.
 
 use crate::common::{pad_cuboid, serial_md_join, CubeSpec};
-use mdj_core::basevalues::{cube, cube_match_theta, cuboid_theta, group_by};
+use mdj_core::basevalues::{cube, cube_match_theta, cuboid_theta};
 use mdj_core::{ExecContext, Result};
 use mdj_storage::Relation;
 
@@ -28,14 +28,15 @@ pub fn cube_via_wildcard_theta(
 }
 
 /// Theorem 4.1 expansion: one hash-probed MD-join per cuboid, results padded
-/// with `ALL` and unioned.
+/// with `ALL` and unioned. Each cuboid's base is its `select distinct`
+/// ([`Relation::distinct_on`]), not the engine's group table.
 pub fn cube_per_cuboid(r: &Relation, spec: &CubeSpec, ctx: &ExecContext) -> Result<Relation> {
     let lattice = spec.lattice();
     let schema = spec.output_schema(r, ctx.registry())?;
     let mut out = Relation::empty(schema);
     for mask in lattice.masks_fine_to_coarse() {
         let kept = spec.kept(mask);
-        let b = group_by(r, &kept)?;
+        let b = r.distinct_on(&kept)?;
         let cuboid = serial_md_join(&b, r, &spec.aggs, &cuboid_theta(&kept), ctx)?;
         pad_cuboid(&cuboid, spec, mask, &mut out);
     }

@@ -11,6 +11,7 @@
 
 use crate::common::{cuboid, pad_cuboid, CubeSpec};
 use crate::lattice::Mask;
+use mdj_core::basevalues::Sets;
 use mdj_core::{CoreError, ExecContext, Result};
 use mdj_storage::Relation;
 
@@ -28,18 +29,16 @@ pub enum SetShape {
 }
 
 /// The masks a shape denotes over `n` dimensions. Masks use bit `i` for
-/// `dims[i]`, matching [`crate::lattice::Lattice`].
+/// `dims[i]`, matching [`crate::lattice::Lattice`]; the rule is the one every
+/// base-values table uses ([`Sets::masks`]).
 pub fn shape_masks(n: usize, shape: &SetShape) -> Vec<Mask> {
-    match shape {
-        SetShape::Cube => {
-            let mut v: Vec<Mask> = (0..(1u64 << n) as Mask).collect();
-            v.reverse(); // fine-to-coarse, matching the other cube drivers
-            v
-        }
-        SetShape::Rollup => (0..=n).rev().map(|k| ((1u64 << k) - 1) as Mask).collect(),
-        SetShape::Unpivot => (0..n).map(|i| 1 << i).collect(),
-        SetShape::Explicit(masks) => masks.clone(),
-    }
+    let sets = match shape {
+        SetShape::Cube => Sets::Cube,
+        SetShape::Rollup => Sets::Rollup,
+        SetShape::Unpivot => Sets::Unpivot,
+        SetShape::Explicit(masks) => return masks.clone(),
+    };
+    sets.masks(n).unwrap_or_default()
 }
 
 /// Evaluate the aggregates over every listed cuboid: one hash-probed MD-join

@@ -64,6 +64,41 @@ pub fn select(r: &Relation, pred: &Expr) -> Result<Relation> {
     Ok(out)
 }
 
+/// The base-values table of the grouping sets `masks` over `dims` (bit `d`
+/// of a mask keeps `dims[d]`, a clear bit makes it `ALL`), computed as
+/// written: per set `select distinct` its dimensions, padded with `ALL`,
+/// then one `select distinct` over the union of the sets. Rows come in set
+/// order, each set's in first-seen order.
+pub fn base_values(r: &Relation, dims: &[&str], masks: &[u32]) -> Result<Relation> {
+    let mut union = Relation::empty(r.schema().project(&r.schema().indices_of(dims)?));
+    for &mask in masks {
+        let kept = kept(dims, mask);
+        pad_into(&r.distinct_on(&kept)?, dims, &kept, &mut union);
+    }
+    Ok(union.distinct_on(dims)?)
+}
+
+/// The dimensions of `dims` that keep-`mask` keeps (bit `d` is `dims[d]`).
+pub(crate) fn kept<'d>(dims: &[&'d str], mask: u32) -> Vec<&'d str> {
+    let on = |d: &usize| mask & (1 << d) != 0;
+    (0..dims.len()).filter(on).map(|d| dims[d]).collect()
+}
+
+/// Append each row of `grouped` — its `kept` dimensions, then any other
+/// columns — to `out` as `(dims…, others…)`, with `ALL` in the dimensions
+/// it does not keep.
+pub(crate) fn pad_into(grouped: &Relation, dims: &[&str], kept: &[&str], out: &mut Relation) {
+    let at: Vec<Option<usize>> = dims
+        .iter()
+        .map(|d| kept.iter().position(|k| k == d))
+        .collect();
+    for row in grouped.iter() {
+        let padded = at.iter().map(|i| i.map_or(Value::All, |i| row[i].clone()));
+        let rest = row.values()[kept.len()..].iter().cloned();
+        out.push_unchecked(Row::new(padded.chain(rest).collect()));
+    }
+}
+
 /// π with computation — each output column is `(name, expr)` where `expr`
 /// references the input with [`Side::Detail`]. Output types are `Any` unless
 /// the expression is a bare column reference (whose type is preserved).

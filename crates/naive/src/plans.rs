@@ -5,7 +5,7 @@
 use crate::error::Result;
 use crate::groupby::group_by_agg;
 use crate::join::{hash_join, left_outer_join};
-use crate::ops::select;
+use crate::ops::{kept, pad_into, select};
 use mdj_agg::{AggSpec, Registry};
 use mdj_expr::builder::*;
 use mdj_storage::{Relation, Row, Schema, Value};
@@ -255,12 +255,7 @@ pub fn cube_by_groupbys(
     let n = dims.len();
     let mut out: Option<Relation> = None;
     for mask in (0..(1u32 << n)).rev() {
-        let kept: Vec<&str> = dims
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, d)| *d)
-            .collect();
+        let kept = kept(dims, mask);
         let grouped = group_by_agg(r, &kept, specs, registry)?;
         // Pad rolled-up dimensions with ALL, restoring dim order.
         let padded = pad_with_all(&grouped, dims, &kept, specs);
@@ -275,27 +270,12 @@ pub fn cube_by_groupbys(
 /// Reshape a cuboid's group-by output to the full `(dims…, aggs…)` schema,
 /// inserting `ALL` for rolled-up dimensions.
 fn pad_with_all(grouped: &Relation, dims: &[&str], kept: &[&str], specs: &[AggSpec]) -> Relation {
-    let mut fields = Vec::with_capacity(dims.len() + specs.len());
-    for d in dims {
-        fields.push(mdj_storage::Field::new(*d, mdj_storage::DataType::Any));
-    }
-    for (i, _) in specs.iter().enumerate() {
-        fields.push(grouped.schema().field(kept.len() + i).clone());
-    }
-    let mut out = Relation::empty(Schema::new(fields));
-    for row in grouped.iter() {
-        let mut vals = Vec::with_capacity(dims.len() + specs.len());
-        for d in dims {
-            match kept.iter().position(|k| k == d) {
-                Some(i) => vals.push(row[i].clone()),
-                None => vals.push(Value::All),
-            }
-        }
-        for i in 0..specs.len() {
-            vals.push(row[kept.len() + i].clone());
-        }
-        out.push_unchecked(Row::new(vals));
-    }
+    let fields = dims
+        .iter()
+        .map(|d| mdj_storage::Field::new(*d, mdj_storage::DataType::Any))
+        .chain((0..specs.len()).map(|i| grouped.schema().field(kept.len() + i).clone()));
+    let mut out = Relation::empty(Schema::new(fields.collect()));
+    pad_into(grouped, dims, kept, &mut out);
     out
 }
 
@@ -308,13 +288,9 @@ pub fn example_2_3(sales: &Relation, registry: &Registry) -> Result<Relation> {
     let dims = ["prod", "month", "state"];
     let n = dims.len();
     let mut out: Option<Relation> = None;
+    let cnt = [AggSpec::count_star().with_alias("cnt")];
     for mask in (0..(1u32 << n)).rev() {
-        let kept: Vec<&str> = dims
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, d)| *d)
-            .collect();
+        let kept = kept(&dims, mask);
         // Group-by #1: per-cell averages.
         let avgs = group_by_agg(sales, &kept, &[AggSpec::on_column("avg", "sale")], registry)?;
         // Join the cell averages back onto the fact table.
@@ -327,23 +303,13 @@ pub fn example_2_3(sales: &Relation, registry: &Registry) -> Result<Relation> {
         // Filter above-average tuples.
         let above = select(&joined, &gt(col_r("sale"), col_r("avg_sale")))?;
         // Group-by #2: count per cell.
-        let counts = group_by_agg(
-            &above,
-            &kept,
-            &[AggSpec::count_star().with_alias("cnt")],
-            registry,
-        )?;
+        let counts = group_by_agg(&above, &kept, &cnt, registry)?;
         // Keep zero-count cells via outer join onto the cell list.
         let cells = sales.distinct_on(&kept)?;
         let joined = left_outer_join(&cells, &counts, &kept, &kept)?;
         let keep: Vec<usize> = (0..kept.len()).chain([2 * kept.len()]).collect();
         let cuboid = coalesce_zero(&project_idx(&joined, &keep), kept.len());
-        let padded = pad_with_all(
-            &cuboid,
-            &dims,
-            &kept,
-            &[AggSpec::count_star().with_alias("cnt")],
-        );
+        let padded = pad_with_all(&cuboid, &dims, &kept, &cnt);
         out = Some(match out {
             None => padded,
             Some(acc) => acc.union(&padded)?,

@@ -640,33 +640,64 @@ fn where_strategy() -> impl Strategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The one-pass filtered base build equals the σ copy it replaces: for
-    /// every base shape, `basevalues::build_filtered` returns the rows of
-    /// `basevalues::build` over `mdj_naive::ops::select`, in the same
-    /// first-seen order — on NULL-heavy tables of every column type, for
-    /// batchable and scalar-only predicates, at the sizes around the
-    /// 4096-row chunk edge.
+    /// The one-scan base build equals the row-wise reference over the σ
+    /// copy: for every base shape — duplicate grouping sets included, and
+    /// over the `m` column, whose data holds `ALL` — `basevalues::build`
+    /// returns the rows of `mdj_naive::ops::base_values` over
+    /// `mdj_naive::ops::select`, in the same order, on NULL-heavy tables of
+    /// every column type, for batchable and scalar-only predicates, at the
+    /// sizes around the 4096-row chunk edge. It reads resident rows, and a
+    /// page store at 256 B and 4 KiB pages through a four-page pool: there
+    /// it reads, from a cold pool, each page the predicate admits exactly
+    /// once whatever the number of sets, and leaves no page pinned.
     #[test]
     fn filtered_base_build_equals_select_then_build(
         size_pick in 0usize..5,
         seed in any::<u64>(),
         pred in where_strategy(),
-        shape_pick in 0usize..5,
+        shape_pick in 0usize..6,
     ) {
         let r = null_heavy([0, 1, 4095, 4096, 4097][size_pick], seed);
         let listed = [vec!["i"], vec!["s", "m"], vec![]];
-        let (dims, sets): (&[&str], basevalues::Sets) = match shape_pick {
-            0 => (&["i", "s"], basevalues::Sets::GroupBy),
-            1 => (&["i", "s"], basevalues::Sets::Cube),
-            2 => (&["s", "m"], basevalues::Sets::Rollup),
-            3 => (&["i", "s", "m"], basevalues::Sets::GroupingSets(&listed)),
-            _ => (&["i", "m"], basevalues::Sets::Unpivot),
+        let repeated = [vec!["m"], vec!["i"], vec!["m"], vec!["s", "m"]];
+        // Each shape's sets as keep-masks (bit `d` keeps `dims[d]`), written
+        // out in the order the shape lists them.
+        let (dims, sets, masks): (&[&str], basevalues::Sets, &[u32]) = match shape_pick {
+            0 => (&["i", "s"], basevalues::Sets::GroupBy, &[0b11]),
+            1 => (&["i", "s"], basevalues::Sets::Cube, &[0b11, 0b10, 0b01, 0b00]),
+            2 => (&["s", "m"], basevalues::Sets::Rollup, &[0b11, 0b01, 0b00]),
+            3 => (&["i", "s", "m"], basevalues::Sets::GroupingSets(&listed), &[0b001, 0b110, 0b000]),
+            4 => (&["i", "m"], basevalues::Sets::Unpivot, &[0b01, 0b10]),
+            _ => (&["i", "s", "m"], basevalues::Sets::GroupingSets(&repeated), &[0b100, 0b001, 0b100, 0b110]),
         };
-        let selected = mdj_naive::ops::select(&r, &pred).unwrap();
-        let expected = basevalues::build(&selected, dims, sets).unwrap();
-        let got = basevalues::build_filtered(&r, &pred, dims, sets, &ExecContext::new()).unwrap();
+        let reference = |rows: &Relation| {
+            let selected = mdj_naive::ops::select(rows, &pred).unwrap();
+            mdj_naive::ops::base_values(&selected, dims, masks).unwrap()
+        };
+        let label = format!("{sets:?} where {pred} over {} rows", r.len());
+        let expected = reference(&r);
+        let got = basevalues::build(DetailSource::Resident(&r), Some(&pred), dims, sets, &ExecContext::new()).unwrap();
         prop_assert_eq!(expected.schema(), got.schema());
-        prop_assert_eq!(expected.rows(), got.rows(), "{} over {} rows", pred, r.len());
+        prop_assert_eq!(expected.rows(), got.rows(), "{}", label);
+        for page_bytes in [256u64, 4096] {
+            let dir = CaseDir::new("base");
+            let (store, _) = PagedStore::open(dir.path()).unwrap();
+            let table = store.create_table("R", &r, "i", page_bytes).unwrap();
+            let pool = BufferPool::new(4 * page_bytes);
+            let scan = PagedScan::new(table, pool.clone());
+            let clustered = scan.materialize(&ExecContext::new()).unwrap();
+            let one_scan = scan.clone().prefiltered(&pred).admitted_pages().len() as u64;
+            pool.clear();
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new().with_stats(stats.clone());
+            let got = basevalues::build(DetailSource::Paged(&scan), Some(&pred), dims, sets, &ctx).unwrap();
+            let label = format!("{label}, {page_bytes} B pages");
+            let expected = reference(&clustered);
+            prop_assert_eq!(expected.rows(), got.rows(), "{}", label);
+            prop_assert_eq!(pool.pinned_total(), 0, "{}", label);
+            prop_assert_eq!(stats.pages_read(), one_scan, "{}", label);
+            prop_assert_eq!(stats.base_passes(), 1, "{}", label);
+        }
     }
 
     /// A group-by of the detail relation itself (`MdJoin::group_by`) equals
@@ -701,7 +732,7 @@ proptest! {
             Block::new(and(and(pred.clone(), key), ne(col_r("s"), lit("CA"))), aggs(1)),
         ];
         let ctx = |stats: &Arc<ScanStats>| ExecContext::new().with_stats(stats.clone());
-        let b = basevalues::build_filtered(&r, &pred, dims, basevalues::Sets::GroupBy, &ExecContext::new()).unwrap();
+        let b = mdj_naive::ops::select(&r, &pred).unwrap().distinct_on(dims).unwrap();
         let want_stats = Arc::new(ScanStats::new());
         let want = MdJoin::new(&b, &r)
             .blocks(blocks[..k].iter().cloned())
@@ -1375,7 +1406,7 @@ proptest! {
         let residual = [gt(col_r("w"), col_b("k")), le(col_r("v"), col_b("k"))][shape].clone();
         let theta = and(eq(col_b("k"), col_r("k")), residual);
         let specs = [AggSpec::count_star(), AggSpec::on_column("sum", "v")];
-        let b = basevalues::build(&r, &["k"], basevalues::Sets::GroupBy).unwrap();
+        let b = r.distinct_on(&["k"]).unwrap();
         let expected = reference_md_join(&b, &r, &specs, &theta, &Registry::standard());
         let (keyed, held) = key_and_theta_pairs(&b, &r, &theta);
         let morsel = [1, 7, 4096][morsel_pick];

@@ -410,12 +410,11 @@ proptest! {
             (DetailSource::Paged(&store.scan), &clustered),
         ];
         for (source, rows) in sources {
-            let ctx = ExecContext::new();
-            let b = match &pred {
-                Some(p) => basevalues::build_filtered(rows, p, dims, basevalues::Sets::GroupBy, &ctx),
-                None => basevalues::group_by(rows, dims),
-            }
-            .unwrap();
+            let selected = match &pred {
+                Some(p) => mdj_naive::ops::select(rows, p).unwrap(),
+                None => rows.clone(),
+            };
+            let b = selected.distinct_on(dims).unwrap();
             for k in [1, 3] {
                 let expected = reference(&b, rows, &blocks[..k]);
                 for morsel in MORSELS {
