@@ -1767,15 +1767,19 @@ fn e12(scale: usize) {
     header(
         "E12 — degradation ablation under a budget for ~30% of B: in-memory vs \
          Theorem 4.1 rescan vs single-pass spill (identical rows; the cost \
-         model prices m·|R| re-scan work against 7·|R|+overhead spill I/O)",
+         model prices m·|R| re-scan work against 7·|R|+overhead spill I/O), \
+         each on the scalar evaluator (`Serial`) and on the served one \
+         (`Vectorized`, every pass batched)",
         &[
             "plan",
+            "evaluator",
             "time (ms)",
             "scans of R",
             "tuples scanned",
             "spill parts",
             "bytes spilled",
             "bytes read",
+            "batches",
         ],
     );
     let mut reference: Option<Relation> = None;
@@ -1799,31 +1803,62 @@ fn e12(scale: usize) {
             SpillPolicy::Always,
         ),
     ] {
-        let stats = Arc::new(ScanStats::new());
-        let mut ctx = ExecContext::new()
-            .with_stats(stats.clone())
-            .with_spill_policy(policy)
-            .with_spill_dir(&spill_dir);
-        if budgeted {
-            ctx = ctx.with_budget_bytes(budget);
+        let mut scalar: Option<mdj_storage::StatsSnapshot> = None;
+        for (evaluator, strategy, name) in [
+            ("scalar", ExecStrategy::Serial, format!("e12/{slug}")),
+            (
+                "batch",
+                ExecStrategy::Vectorized,
+                format!("e12/served/{slug}"),
+            ),
+        ] {
+            let stats = Arc::new(ScanStats::new());
+            let mut ctx = ExecContext::new()
+                .with_stats(stats.clone())
+                .with_spill_policy(policy)
+                .with_spill_dir(&spill_dir);
+            if budgeted {
+                ctx = ctx.with_budget_bytes(budget);
+            }
+            let join = MdJoin::new(&b, &r).aggs(&l).theta(theta.clone());
+            let (t, out) = time(|| join.clone().strategy(strategy).run(&ctx).unwrap());
+            match &reference {
+                None => reference = Some(out),
+                // Every plan on either evaluator is row-identical to the
+                // scalar in-memory one.
+                Some(expected) => assert_eq!(expected.rows(), out.rows(), "E12 {label}"),
+            }
+            let snap = stats.snapshot();
+            match &scalar {
+                None => scalar = Some(snap.clone()),
+                // The served plan makes the scalar plan's passes, over
+                // columns: every pass is batched and no page row is built.
+                Some(want) => {
+                    let work = |s: &mdj_storage::StatsSnapshot| {
+                        (
+                            (s.scans, s.tuples_scanned, s.degradations),
+                            (s.spill_partitions, s.bytes_spilled, s.spill_read_bytes),
+                            (s.probes, s.updates),
+                        )
+                    };
+                    assert_eq!(work(want), work(&snap), "E12 served {label}");
+                    assert!(snap.batches > 0, "E12 served {label}");
+                    assert_eq!(snap.page_rows_built, 0, "E12 served {label}");
+                }
+            }
+            // `time` runs the query three times; report per-run counters.
+            println!(
+                "| {label} | {evaluator} | {} | {} | {} | {} | {} | {} | {} |",
+                ms(t),
+                snap.scans / 3,
+                snap.tuples_scanned / 3,
+                snap.spill_partitions / 3,
+                snap.bytes_spilled / 3,
+                snap.spill_read_bytes / 3,
+                snap.batches / 3
+            );
+            record_entry(&name, t, Some(&stats));
         }
-        let (t, out) = time(|| md_join(&b, &r, &l, &theta, &ctx).unwrap());
-        match &reference {
-            None => reference = Some(out),
-            // Both degradation modes must be row-identical to in-memory.
-            Some(expected) => assert_eq!(expected.rows(), out.rows(), "E12 {label}"),
-        }
-        // `time` runs the query three times; report per-run counters.
-        println!(
-            "| {label} | {} | {} | {} | {} | {} | {} |",
-            ms(t),
-            stats.scans() / 3,
-            stats.tuples_scanned() / 3,
-            stats.spill_partitions() / 3,
-            stats.bytes_spilled() / 3,
-            stats.spill_read_bytes() / 3
-        );
-        record_entry(&format!("e12/{slug}"), t, Some(&stats));
     }
     if let Ok(entries) = std::fs::read_dir(&spill_dir) {
         assert_eq!(entries.count(), 0, "E12 leaked spill files");

@@ -32,7 +32,7 @@ use crate::context::ExecContext;
 use crate::cost::{self, DegradeMode};
 use crate::error::{CoreError, Result};
 use crate::executor::{
-    self, default_threads, split, split_even, DetailSource, Driver, Grid, Grouped,
+    self, default_threads, split, split_even, DetailSource, Driver, Eval, Grid, Grouped,
 };
 use crate::generalized::Block;
 use crate::governor::{CancelToken, MemoryTracker};
@@ -70,11 +70,11 @@ pub enum ExecStrategy {
     /// The batch evaluator (see [`crate::vectorized`]) on the serial driver,
     /// the default and the plan every served MD-join runs: `R` is processed
     /// in columnar chunks with selection-vector prefilters, batched key
-    /// probing and typed aggregate kernels. Shapes without a vectorized form
-    /// (holistic aggregates, `Div`/`Mod`) fall back per batch to the scalar
-    /// interpreter. It never runs on a parallel driver, whose per-chunk
-    /// deltas would carry row-form values through scalar updates; `threads`
-    /// is ignored. Under a budget it degrades like [`ExecStrategy::Serial`].
+    /// probing and typed aggregate kernels; an expression with no batch form
+    /// (`Div`/`Mod`) is interpreted per batch into a column of the chunk. It
+    /// never runs on a parallel driver, whose per-chunk deltas would carry
+    /// row-form values through scalar updates; `threads` is ignored. Under a
+    /// budget it degrades like [`ExecStrategy::Serial`], on batched passes.
     #[default]
     Vectorized,
 }
@@ -315,12 +315,11 @@ impl<'a> MdJoin<'a> {
         if let ExecStrategy::Partitioned { partitions: 0 } = self.strategy {
             return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
         }
-        let batch = self.strategy == ExecStrategy::Vectorized;
         let built;
         let b = match &self.b {
             Base::Rows(b) => *b,
             Base::GroupBy(g) => {
-                let fused = batch
+                let fused = (self.strategy == ExecStrategy::Vectorized)
                     .then(|| g.fused_blocks(self.r.schema(), &blocks, ctx))
                     .flatten();
                 built = match fused {
@@ -352,28 +351,24 @@ impl<'a> MdJoin<'a> {
             MorselSide::Base => Driver::Base {
                 fragments: split(b_rows, ctx.morsel_size()),
                 threads: Some(threads),
+                eval: Eval::Scalar,
             },
             MorselSide::Detail => Driver::Detail { threads },
         };
-        // `None` = the serial driver with Theorem 4.1 budget degradation, the
-        // only driver the batch evaluator runs on.
-        let (driver, m) = match self.strategy {
-            ExecStrategy::Serial | ExecStrategy::Vectorized => (None, 1),
-            ExecStrategy::Partitioned { partitions } => (None, partitions),
-            ExecStrategy::Morsel => (Some(parallel(choose_side(b_rows, r_rows))), 1),
-            ExecStrategy::MorselBase => (Some(parallel(MorselSide::Base)), 1),
-            ExecStrategy::MorselDetail => (Some(parallel(MorselSide::Detail)), 1),
+        let driver = match self.strategy {
+            ExecStrategy::Morsel => parallel(choose_side(b_rows, r_rows)),
+            ExecStrategy::MorselBase => parallel(MorselSide::Base),
+            ExecStrategy::MorselDetail => parallel(MorselSide::Detail),
+            // The serial driver with Theorem 4.1 budget degradation.
+            strategy => return run_degradable(b, self.r, &grid, &blocks, ctx, strategy),
         };
-        match driver {
-            Some(driver) => executor::run(b, &grid, &blocks, &driver, ctx),
-            None => run_degradable(b, self.r, &grid, &blocks, ctx, m, batch),
-        }
+        executor::run(b, &grid, &blocks, &driver, ctx)
     }
 }
 
 /// Serial/partitioned evaluation with Theorem 4.1 budget degradation.
 ///
-/// Starts at `m` partitions (`1` = plain serial). On
+/// Starts at `strategy`'s partition count (`1` = plain serial). On
 /// [`CoreError::BudgetExceeded`] the partition count is raised to the
 /// largest of three estimates — `⌈m · peak / budget⌉` from the tracker's
 /// high-water mark, the cost model's [`cost::cost_partitions`] static
@@ -391,30 +386,39 @@ impl<'a> MdJoin<'a> {
 /// [`CoreError::Storage`] errors — they are never silently retried on the
 /// rescan path, so fault-injection tests see exactly the failure they armed.
 ///
-/// With `batch`, the single-partition attempt runs the batch evaluator;
-/// degraded (`m > 1`) retries always use the scalar one — degradation means
-/// memory pressure, where batch scratch buffers are the wrong trade.
+/// The strategy picks the evaluator, the budget only the passes: every
+/// attempt, rescan fragment and spill pass of [`ExecStrategy::Vectorized`]
+/// is batched, and of the other strategies scalar. A degraded batch pass
+/// charges what the scalar pass charges ([`Eval::Batch`]).
 fn run_degradable(
     b: &Relation,
     source: DetailSource,
     grid: &Grid,
     blocks: &[Block],
     ctx: &ExecContext,
-    mut m: usize,
-    batch: bool,
+    strategy: ExecStrategy,
 ) -> Result<Relation> {
     let n_aggs: usize = blocks.iter().map(|blk| blk.aggs.len()).sum();
+    let mut m = match strategy {
+        ExecStrategy::Partitioned { partitions } => partitions,
+        _ => 1,
+    };
     let mut mode = DegradeMode::Rescan;
     loop {
+        let eval = match strategy {
+            ExecStrategy::Vectorized => Eval::Batch { degraded: m > 1 },
+            _ => Eval::Scalar,
+        };
         let attempt = match (source.resident(), blocks) {
-            _ if m <= 1 => executor::run(b, grid, blocks, &Driver::Serial { batch }, ctx),
+            _ if m <= 1 => executor::run(b, grid, blocks, &Driver::Serial(eval), ctx),
             (Some(r), [blk]) if mode == DegradeMode::Spill => {
-                md_join_spilled(b, r, &blk.aggs, &blk.theta, m, ctx)
+                md_join_spilled(b, r, &blk.aggs, &blk.theta, m, eval, ctx)
             }
             _ => {
                 let driver = Driver::Base {
                     fragments: split_even(b.len(), m),
                     threads: None,
+                    eval,
                 };
                 executor::run(b, grid, blocks, &driver, ctx)
             }
@@ -969,6 +973,132 @@ mod tests {
             assert_eq!(serial.rows(), out.rows(), "{agg}");
             assert_eq!(bits(&serial), bits(&out), "{agg}");
         }
+    }
+
+    /// Expressions with no batch form — a `Div` hash key, a `Mod` in a
+    /// nested-loop θ — are interpreted into the chunk on every served pass:
+    /// without a budget, and under one that forces Theorem 4.1 rescan or
+    /// spill degradation. Each run equals `Serial` in rows, probes, updates
+    /// and passes, and counts one fallback of its kind per batch.
+    #[test]
+    fn served_div_key_and_mod_theta_are_batched_on_every_pass() {
+        use crate::context::{ProbeStrategy, SpillPolicy};
+        use mdj_storage::{ScanStats, StatsSnapshot};
+        let s = sales(600);
+        let b = s.distinct_on(&["cust"]).unwrap(); // 11 rows
+        let l = [AggSpec::on_column("sum", "sale"), AggSpec::count_star()];
+        let per_row = governor::state_bytes(1, l.len())
+            + governor::index_bytes(1)
+            + governor::index_key_bytes(1, 1);
+        let dir = std::env::temp_dir().join(format!("mdj-builder-interp-{}", std::process::id()));
+        // A forced nested loop keeps θ's binding, so the spill plan can
+        // still route by it.
+        let cases = [
+            (
+                eq(col_b("cust"), div(col_r("cust"), lit(1i64))),
+                ProbeStrategy::Auto,
+                Counter::fallback_key,
+            ),
+            (
+                and(
+                    eq(col_b("cust"), col_r("cust")),
+                    lt(modulo(col_r("sale"), lit(7i64)), col_b("cust")),
+                ),
+                ProbeStrategy::NestedLoop,
+                Counter::fallback_theta,
+            ),
+        ];
+        for (theta, probe, fallback) in cases {
+            for (budget, policy) in [
+                (None, SpillPolicy::Auto),
+                (Some(2 * per_row), SpillPolicy::Never),
+                (Some(2 * per_row), SpillPolicy::Always),
+            ] {
+                let run = |strategy: ExecStrategy| {
+                    let stats = Arc::new(ScanStats::new());
+                    let mut ctx = ExecContext::new()
+                        .with_morsel_size(64)
+                        .with_strategy(probe)
+                        .with_spill_policy(policy)
+                        .with_spill_dir(&dir)
+                        .with_stats(stats.clone());
+                    if let Some(bytes) = budget {
+                        ctx = ctx.with_budget_bytes(bytes);
+                    }
+                    let out = MdJoin::new(&b, &s)
+                        .theta(theta.clone())
+                        .aggs(&l)
+                        .strategy(strategy)
+                        .run(&ctx)
+                        .unwrap();
+                    (out, stats.snapshot())
+                };
+                let (want, scalar) = run(ExecStrategy::Serial);
+                let (got, served) = run(ExecStrategy::Vectorized);
+                let label = format!("{theta} under {budget:?}, {policy:?}");
+                assert_eq!(want.rows(), got.rows(), "{label}");
+                let work = |s: &StatsSnapshot| {
+                    (
+                        (s.probes, s.updates, s.scans, s.tuples_scanned),
+                        (s.degradations, s.spill_partitions, s.bytes_spilled),
+                    )
+                };
+                assert_eq!(work(&scalar), work(&served), "{label}");
+                assert_eq!(served.degradations > 0, budget.is_some(), "{label}");
+                let spilled = budget.is_some() && policy == SpillPolicy::Always;
+                assert_eq!(served.spill_partitions > 0, spilled, "{label}");
+                assert_eq!((scalar.batches, scalar.get(fallback)), (0, 0), "{label}");
+                assert!(served.batches > 0, "{label}");
+                assert_eq!(served.get(fallback), served.batches, "{label}");
+                assert_eq!(served.page_rows_built, 0, "{label}");
+            }
+        }
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A degraded batch pass charges no nested-loop pair blocks, so a budget
+    /// the scalar plan answers under is answered by the served plan too:
+    /// here the states of `B` fill the budget, the served first attempt
+    /// breaches on its first pair block, and each one-row fragment applies
+    /// its 64 pairs uncharged, where charging them (1 280 bytes) would breach
+    /// at the finest split.
+    #[test]
+    fn degraded_nested_loop_blocks_are_not_charged() {
+        use mdj_storage::ScanStats;
+        let keys = |n: i64| {
+            Relation::from_rows(
+                Schema::from_pairs(&[("k", DataType::Int)]),
+                (0..n)
+                    .map(|k| Row::from_values(vec![Value::Int(k)]))
+                    .collect(),
+            )
+        };
+        let (b, r) = (keys(2), keys(64));
+        let l = [AggSpec::count_star(), AggSpec::on_column("sum", "k")];
+        let budget = governor::state_bytes(b.len(), l.len());
+        let run = |strategy: ExecStrategy| {
+            let stats = Arc::new(ScanStats::new());
+            let out = MdJoin::new(&b, &r)
+                .theta(le(col_b("k"), col_r("k")))
+                .aggs(&l)
+                .strategy(strategy)
+                .budget_bytes(budget)
+                .run(
+                    &ExecContext::new()
+                        .with_morsel_size(64)
+                        .with_stats(stats.clone()),
+                )
+                .unwrap();
+            (out, stats.snapshot())
+        };
+        let (want, scalar) = run(ExecStrategy::Serial);
+        let (got, served) = run(ExecStrategy::Vectorized);
+        assert_eq!(want.rows(), got.rows());
+        assert_eq!(scalar.degradations, 0);
+        assert_eq!((served.degradations, served.scans), (1, 3));
+        // The states of the first attempt and of each fragment, no pairs.
+        assert_eq!(served.bytes_charged, 2 * budget as u64);
+        assert_eq!(served.batches, 3);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   relation's cached columns, a page run as its pages' columns appended
 //!   into one. Only the scalar [`Evaluator`] reads rows, a [`Slice`] at a
 //!   time;
-//! * an **evaluator** bound once per query over `k ≥ 1` (θ, l) blocks — the
-//!   single-block join is the `k = 1` case of Theorem 4.3's generalized join:
-//!   the scalar [`Evaluator`], feeding a [`Sink`], or the [`BatchEvaluator`],
-//!   feeding the state set's typed kernels;
+//! * an **evaluator** ([`Eval`]) bound once per pass over `k ≥ 1` (θ, l)
+//!   blocks — the single-block join is the `k = 1` case of Theorem 4.3's
+//!   generalized join: the scalar [`Evaluator`], feeding a [`Sink`], or the
+//!   [`BatchEvaluator`], feeding the state set's typed kernels;
 //! * a **driver** ([`Driver`]): serial, base-partitioned per Theorem 4.1
-//!   (sequential or parallel), or detail-parallel. The batch evaluator pairs
-//!   with the serial driver only.
+//!   (sequential or parallel; each fragment a serial pass), or
+//!   detail-parallel, which runs the scalar evaluator only.
 //!
 //! ## The ordered-apply protocol
 //!
@@ -399,25 +399,25 @@ impl Evaluator<'_> {
 }
 
 /// The same probe side over columnar chunks: one [`BatchProbe`] per block,
-/// feeding the state set's typed kernels straight from the chunk. It runs on
-/// the serial driver only — a parallel driver's [`Delta`] would carry row-form
-/// values back through one scalar update each, discarding the kernels
-/// (DESIGN §3.1, E11d).
+/// feeding the state set's typed kernels straight from the chunk. It runs
+/// serial passes only (a Theorem 4.1 fragment or spill partition is one),
+/// never the detail-parallel driver, whose [`Delta`] would carry row-form
+/// values back through one scalar update each (DESIGN §3.1, E11d).
 struct BatchEvaluator<'a> {
     blocks: &'a [BoundBlock],
     probes: Vec<BatchProbe<'a>>,
-    /// Per block: did any batch fall back to the scalar interpreter?
+    /// Per block: did any batch interpret an expression?
     fell_back: Vec<bool>,
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// The evaluator of `blocks`.
-    fn new(blocks: &'a [BoundBlock]) -> Self {
+    /// The evaluator of `blocks` on a pass [`Eval::Batch`] says `degraded`.
+    fn new(blocks: &'a [BoundBlock], degraded: bool) -> Self {
         BatchEvaluator {
             blocks,
             probes: blocks
                 .iter()
-                .map(|blk| BatchProbe::new(&blk.plan))
+                .map(|blk| BatchProbe::new(&blk.plan, degraded))
                 .collect(),
             fell_back: vec![false; blocks.len()],
         }
@@ -671,18 +671,28 @@ impl Sink for Delta {
 
 // ------------------------------------------------------------------ drivers
 
+/// The evaluator of a serial pass: the strategy's, on every pass.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Eval {
+    Scalar,
+    /// `degraded`: a pass after a budget breach ([`BatchProbe`]'s blocks).
+    Batch {
+        degraded: bool,
+    },
+}
+
 /// How the scan / probe / update loop is driven.
 #[derive(Debug, Clone)]
 pub(crate) enum Driver {
-    /// One thread, one state set, chunks in order; the only driver the batch
-    /// evaluator ([`BatchEvaluator`]) runs on, selected by `batch`.
-    Serial { batch: bool },
-    /// Theorem 4.1: each `B` fragment is an independent serial evaluation
-    /// against the whole source (one scan of `R` per fragment); the output is
-    /// the ordered union. `threads = None` runs the fragments in sequence.
+    /// One thread, one state set, chunks in order.
+    Serial(Eval),
+    /// Theorem 4.1: each `B` fragment is an independent serial pass with
+    /// `eval` over the whole source (one scan of `R` per fragment); the output
+    /// is the ordered union. `threads = None` runs the fragments in sequence.
     Base {
         fragments: Vec<Range<usize>>,
         threads: Option<usize>,
+        eval: Eval,
     },
     /// Workers compute chunk deltas in parallel; one state set receives them
     /// in chunk order (see the module docs).
@@ -716,8 +726,13 @@ pub(crate) fn run(
             "MD-join needs at least one (θ, l) block".into(),
         ));
     }
-    if let Driver::Base { fragments, threads } = driver {
-        return base_partitioned(b, grid, blocks, fragments, *threads, ctx);
+    if let Driver::Base {
+        fragments,
+        threads,
+        eval,
+    } = driver
+    {
+        return base_partitioned(b, grid, blocks, fragments, *threads, *eval, ctx);
     }
     let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
     let bound = bind_blocks(b, grid.schema, blocks, ctx)?;
@@ -729,15 +744,15 @@ pub(crate) fn run(
         Driver::Detail { threads } => {
             states = detail_parallel(&eval, grid, states, *threads, ctx)?;
         }
-        Driver::Serial { batch: true } => {
-            let mut batch = BatchEvaluator::new(&bound);
+        Driver::Serial(Eval::Batch { degraded }) => {
+            let mut batch = BatchEvaluator::new(&bound, *degraded);
             let needed = batch.needed(grid.schema.len());
             grid.scan_columns(ctx, &needed, |chunk| {
                 batch.update(chunk, b, None, ctx, &mut states)
             })?;
             batch.count_sets(ctx);
         }
-        // `Serial { batch: false }`; `Base` returned above.
+        // `Serial(Eval::Scalar)`; `Base` returned above.
         _ => scan_in_order(grid, ctx, |slice| {
             eval.scan(slice.rows(ctx), ctx, &mut states)
         })?,
@@ -781,7 +796,7 @@ pub(crate) fn run_grouped(
     let fresh = States::new(&bound, 0, ctx)?;
     ctx.count(Counter::scans, 1);
     ctx.count(Counter::tuples_scanned, grid.rows());
-    let mut batch = BatchEvaluator::new(&bound);
+    let mut batch = BatchEvaluator::new(&bound, false);
     let mut needed = batch.needed(grid.schema.len());
     table.collect_needed(&mut needed);
     filter.collect_needed(&mut needed);
@@ -1058,6 +1073,7 @@ fn base_partitioned(
     blocks: &[Block],
     fragments: &[Range<usize>],
     threads: Option<usize>,
+    eval: Eval,
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let schema = output_schema(b.schema(), grid.schema, blocks, ctx)?;
@@ -1068,7 +1084,7 @@ fn base_partitioned(
         let frag = Relation::from_rows(b.schema().clone(), b.rows()[range].to_vec());
         let piece = run_isolated(ctx, slot, || {
             ctx.fault_on_morsel(slot);
-            run(&frag, grid, blocks, &Driver::Serial { batch: false }, ctx)
+            run(&frag, grid, blocks, &Driver::Serial(eval), ctx)
         })?;
         Ok(piece.into_rows())
     };

@@ -10,9 +10,9 @@
 //! every driver and both evaluators run over `k ≥ 1` blocks, and the
 //! single-block join is simply `k = 1`. Under the batch evaluator each
 //! columnar chunk is shared by all `k` condition sets (one transposition per
-//! batch, not per set); a set whose shapes don't batch delegates only itself
-//! to the scalar interpreter — per set, per batch — with per-set counters in
-//! `ScanStats` (`gen_sets` / `gen_set_fallbacks`, tallied for `k > 1`).
+//! batch, not per set); a set's expression with no batch form is interpreted
+//! into that set's columns only — per set, per batch — with per-set counters
+//! in `ScanStats` (`gen_sets` / `gen_set_fallbacks`, tallied for `k > 1`).
 
 use mdj_agg::AggSpec;
 use mdj_expr::Expr;

@@ -47,7 +47,7 @@ use crate::error::Result;
 use crate::executor::DetailSource;
 use crate::generalized::Block;
 use crate::probe::canon_key;
-use crate::vectorized::{tuple_ids, KeyCodes, RowBuf, Translation, NO_GROUP, NULL_CODE};
+use crate::vectorized::{self, tuple_ids, KeyCodes, Translation, NO_GROUP, NULL_CODE};
 use mdj_expr::analysis::{conjuncts, probe_bindings};
 use mdj_expr::builder::and_all;
 use mdj_expr::vectorized::collect_detail_cols;
@@ -164,19 +164,11 @@ impl Where {
         }
     }
 
-    /// The verdict on each row of `chunk`, or `None` when every row is
-    /// kept: a selection vector where the predicate has a batch form, else
-    /// interpreted row by row from the chunk's values.
+    /// The verdict on each row of `chunk` ([`vectorized::select`]), or
+    /// `None` when every row is kept.
     pub(crate) fn select(&self, chunk: &ColumnarChunk) -> Result<Option<Vec<bool>>> {
-        let Some(p) = &self.0 else {
-            return Ok(None);
-        };
-        if let Some(verdicts) = eval_batch(p, chunk) {
-            return Ok(Some(verdicts.to_selection(chunk.len())));
-        }
-        let mut row = RowBuf::new([p], chunk.width());
-        let verdicts = (0..chunk.len()).map(|i| Ok(p.eval_bool(&[], row.read(chunk, i))?));
-        verdicts.collect::<Result<_>>().map(Some)
+        let select = |p| vectorized::select(p, chunk, || {});
+        self.0.as_ref().map(select).transpose()
     }
 }
 

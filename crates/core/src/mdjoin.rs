@@ -1,13 +1,9 @@
-//! Algorithm 3.1 — aggregate binding, the output schema, and the serial
-//! entry point the degradation paths re-enter.
+//! Algorithm 3.1 — aggregate binding, the output schema, and the tests'
+//! scalar serial entry point.
 
-use crate::context::ExecContext;
 use crate::error::{CoreError, Result};
-use crate::executor::{self, DetailSource, Driver, Grid};
-use crate::generalized::Block;
 use mdj_agg::{AggInput, AggSpec, Registry};
-use mdj_expr::Expr;
-use mdj_storage::{DataType, Field, Relation, Schema};
+use mdj_storage::{DataType, Field, Schema};
 
 /// One aggregate of `l`, bound to its implementation and input column.
 pub(crate) struct BoundAgg {
@@ -85,24 +81,26 @@ pub fn output_schema(
 /// aggregate's empty value (SQL semantics: `count` → 0, others → NULL). This
 /// is the outer-join behaviour Definition 3.1 prescribes ("the row count of
 /// the result of the MD-join is the same as the row count of B").
+#[cfg(test)]
 pub(crate) fn md_join_serial(
-    b: &Relation,
-    r: &Relation,
+    b: &mdj_storage::Relation,
+    r: &mdj_storage::Relation,
     l: &[AggSpec],
-    theta: &Expr,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    let blocks = [Block::new(theta.clone(), l.to_vec())];
+    theta: &mdj_expr::Expr,
+    ctx: &crate::ExecContext,
+) -> Result<mdj_storage::Relation> {
+    use crate::executor::{self, DetailSource, Driver, Eval, Grid};
+    let blocks = [crate::generalized::Block::new(theta.clone(), l.to_vec())];
     let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
-    executor::run(b, &grid, &blocks, &Driver::Serial { batch: false }, ctx)
+    executor::run(b, &grid, &blocks, &Driver::Serial(Eval::Scalar), ctx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ProbeStrategy;
+    use crate::context::{ExecContext, ProbeStrategy};
     use mdj_expr::builder::*;
-    use mdj_storage::{Row, Value};
+    use mdj_storage::{Relation, Row, Value};
 
     /// Small Sales table used across the tests:
     /// (cust, month, state, sale)

@@ -17,11 +17,11 @@
 //! within θ's bounds on the tables' clustered key, so page pruning never
 //! skips a written page and every byte written is read back exactly once.
 //!
-//! Each pass is the serial driver over its table, read through a buffer
-//! pool one page large: the loop the in-memory serial plan runs, over the
-//! same rows in the same order, so the output is row- and bit-identical —
-//! each partition's rows are scattered back to their base rows' original
-//! positions — while a pass holds one page of `Rᵢ` at a time.
+//! Each pass is the serial driver with the query's evaluator (a served one
+//! batches, reading pages as columns) over its table through a pool one page
+//! large: the in-memory plan's loop over the same rows in the same order, so
+//! the output is row- and bit-identical — each partition's rows scattered
+//! back to their base rows' positions — while a pass pins one page at a time.
 //!
 //! Failure model: every partition file is RAII-owned ([`TempTableWriter`]
 //! until sealed, [`TempTable`] after), so any error path — a torn page
@@ -35,9 +35,8 @@
 
 use crate::context::{ExecContext, CANCEL_CHECK_INTERVAL};
 use crate::error::{CoreError, Result};
-use crate::executor::{self, DetailSource, Driver, Grid};
+use crate::executor::{self, DetailSource, Driver, Eval, Grid};
 use crate::generalized::Block;
-use crate::mdjoin::md_join_serial;
 use crate::paged::PagedScan;
 use crate::probe::{canon_key, split_prefilter};
 use mdj_agg::AggSpec;
@@ -85,21 +84,27 @@ fn bucket_of(key: &[Value], m: usize) -> usize {
 
 /// Evaluate `MD(B, R, l, θ)` with both sides hash-partitioned into `m`
 /// buckets on θ's equality bindings and each `Rᵢ` spilled to a temporary
-/// page table. Row-identical to [`md_join_serial`]. See the module docs.
+/// page table, every pass with `eval`. Row-identical to serial; see above.
 pub(crate) fn md_join_spilled(
     b: &Relation,
     r: &Relation,
     l: &[AggSpec],
     theta: &Expr,
     m: usize,
+    eval: Eval,
     ctx: &ExecContext,
 ) -> Result<Relation> {
     if m == 0 {
         return Err(CoreError::BadConfig("partition count must be ≥ 1".into()));
     }
+    let blocks = [Block::new(theta.clone(), l.to_vec())];
+    let resident = |bi: &Relation, r: &Relation| {
+        let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
+        executor::run(bi, &grid, &blocks, &Driver::Serial(eval), ctx)
+    };
     // A table needs a column to cluster on.
     if m <= 1 || b.is_empty() || r.schema().is_empty() {
-        return md_join_serial(b, r, l, theta, ctx);
+        return resident(b, r);
     }
     let (bindings, _) = probe_bindings(theta);
     if bindings.is_empty() || !bindings.iter().all(|bi| b.schema().contains(&bi.base_col)) {
@@ -192,7 +197,6 @@ pub(crate) fn md_join_spilled(
 
     // Evaluate each (Bᵢ, Rᵢ) and scatter its rows back to the base rows'
     // original positions, making the result row-identical to serial.
-    let blocks = [Block::new(theta.clone(), l.to_vec())];
     let mut out_rows: Vec<Option<Row>> = vec![None; b.len()];
     let mut out_schema: Option<Schema> = None;
     for (p, part) in b_parts.iter().enumerate() {
@@ -207,8 +211,8 @@ pub(crate) fn md_join_spilled(
         // A table drops at the end of its pass: its file is unlinked as
         // soon as it has been read, not at the end of the query.
         let piece = match tables[p].take() {
-            None => md_join_serial(&bi, &Relation::empty(r.schema().clone()), l, theta, ctx)?,
-            Some(table) => spilled_pass(&bi, &table, &blocks, ctx)?,
+            None => resident(&bi, &Relation::empty(r.schema().clone()))?,
+            Some(table) => spilled_pass(&bi, &table, &blocks, eval, ctx)?,
         };
         if out_schema.is_none() {
             out_schema = Some(piece.schema().clone());
@@ -234,13 +238,14 @@ fn spilled_pass(
     bi: &Relation,
     temp: &TempTable,
     blocks: &[Block],
+    eval: Eval,
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let table = temp.table();
     let page = table.page_metas().iter().map(|m| u64::from(m.len)).max();
     let scan = PagedScan::new(Arc::clone(table), BufferPool::new(page.unwrap_or(0)));
     let grid = Grid::new(DetailSource::Paged(&scan), blocks, ctx.morsel_size());
-    let out = executor::run(bi, &grid, blocks, &Driver::Serial { batch: false }, ctx);
+    let out = executor::run(bi, &grid, blocks, &Driver::Serial(eval), ctx);
     ctx.count(Counter::spill_read_bytes, scan.pool().bytes_read());
     out
 }
@@ -248,6 +253,7 @@ fn spilled_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdjoin::md_join_serial;
     use mdj_expr::builder::*;
     use mdj_storage::{DataType, ScanStats};
 
@@ -301,9 +307,31 @@ mod tests {
         let serial = md_join_serial(&b, &s, &l, &theta, &ExecContext::new()).unwrap();
         let dir = spill_dir("identical");
         for m in [2, 3, 7, 16, 64] {
-            let ctx = ExecContext::new().with_spill_dir(&dir);
-            let out = md_join_spilled(&b, &s, &l, &theta, m, &ctx).unwrap();
-            assert_eq!(serial.rows(), out.rows(), "m = {m}");
+            let work = |eval: Eval| {
+                let stats = Arc::new(ScanStats::new());
+                let ctx = ExecContext::new()
+                    .with_spill_dir(&dir)
+                    .with_stats(stats.clone());
+                let out = md_join_spilled(&b, &s, &l, &theta, m, eval, &ctx).unwrap();
+                assert_eq!(serial.rows(), out.rows(), "m = {m}, {eval:?}");
+                stats.snapshot()
+            };
+            let (scalar, batch) = (work(Eval::Scalar), work(Eval::Batch { degraded: true }));
+            assert_eq!(scalar.batches, 0);
+            // A batch pass reads its partition's pages as columns.
+            assert!(batch.batches > 0, "m = {m}");
+            assert_eq!(batch.page_rows_built, 0, "m = {m}");
+            assert!(scalar.page_rows_built > 0, "m = {m}");
+            let work = |s: &mdj_storage::StatsSnapshot| {
+                (
+                    s.scans,
+                    s.tuples_scanned,
+                    s.probes,
+                    s.updates,
+                    s.spill_read_bytes,
+                )
+            };
+            assert_eq!(work(&scalar), work(&batch), "m = {m}");
         }
         assert_clean(&dir);
     }
@@ -323,7 +351,7 @@ mod tests {
         let serial = md_join_serial(&b, &s, &l, &theta, &ExecContext::new()).unwrap();
         let dir = spill_dir("computed");
         let ctx = ExecContext::new().with_spill_dir(&dir);
-        let out = md_join_spilled(&b, &s, &l, &theta, 5, &ctx).unwrap();
+        let out = md_join_spilled(&b, &s, &l, &theta, 5, Eval::Scalar, &ctx).unwrap();
         assert_eq!(serial.rows(), out.rows());
         assert_clean(&dir);
     }
@@ -339,7 +367,7 @@ mod tests {
         let ctx = ExecContext::new()
             .with_stats(stats.clone())
             .with_spill_dir(&dir);
-        md_join_spilled(&b, &s, &l, &theta, 6, &ctx).unwrap();
+        md_join_spilled(&b, &s, &l, &theta, 6, Eval::Batch { degraded: true }, &ctx).unwrap();
         let snap = stats.snapshot();
         assert!(snap.spill_partitions >= 1 && snap.spill_partitions <= 6);
         assert!(snap.bytes_spilled > 0);
@@ -360,7 +388,8 @@ mod tests {
         let ctx = ExecContext::new().with_spill_dir(&dir);
         // Empty R: every base row still comes back (count 0).
         let empty = Relation::empty(s.schema().clone());
-        let out = md_join_spilled(&b, &empty, &l, &theta, 4, &ctx).unwrap();
+        let batch = Eval::Batch { degraded: true };
+        let out = md_join_spilled(&b, &empty, &l, &theta, 4, batch, &ctx).unwrap();
         assert_eq!(out.len(), b.len());
         assert!(out.rows().iter().all(|row| row[1] == Value::Int(0)));
         assert_clean(&dir);
@@ -377,6 +406,7 @@ mod tests {
             &[AggSpec::count_star()],
             &theta,
             4,
+            Eval::Scalar,
             &ExecContext::new(),
         );
         assert!(matches!(err, Err(CoreError::BadConfig(_))));
@@ -397,7 +427,8 @@ mod tests {
         let ctx = ExecContext::new()
             .with_spill_dir(&dir)
             .with_cancel_token(token);
-        let err = md_join_spilled(&b, &s, &[AggSpec::count_star()], &theta, 4, &ctx);
+        let count = [AggSpec::count_star()];
+        let err = md_join_spilled(&b, &s, &count, &theta, 4, Eval::Scalar, &ctx);
         assert!(matches!(err, Err(CoreError::Cancelled)));
         assert_clean(&dir);
     }

@@ -27,15 +27,16 @@
 //!    through typed [`KernelState`] kernels — one dispatch per (base row,
 //!    batch) run over native slices, not one per value.
 //!
-//! Every step falls back to the scalar interpreter for shapes it cannot
-//! prove equivalent (counted in `ScanStats::batch_fallbacks`), which reads
-//! the chunk's values one row at a time through one reused buffer
-//! ([`ColumnarChunk::row_into`]) and only for the rows the batch still
-//! holds, in row order — no batch step reads a row of `R`. All work
-//! accounting (scans, probes, updates) is identical to [`md_join_serial`] by
-//! construction, so the two paths are interchangeable in experiments. The
-//! output is row-identical to the serial evaluator — including `f64`
-//! accumulation order, which follows tuple order per base row in both.
+//! An expression with no batch form is interpreted into the column its batch
+//! form would write — a prefilter into the selection vector, a key into its
+//! codes, θ or a residual into the pairs — from the chunk's values, one row
+//! at a time through one reused buffer ([`ColumnarChunk::row_into`]), for
+//! the rows the batch still holds (counted in `ScanStats::batch_fallbacks`).
+//! No tuple reaches the scalar matcher, so every pass of a served query,
+//! degraded and spilled ones included, runs here. All work accounting
+//! (scans, probes, updates) is identical to the scalar evaluator's, and the
+//! output row-identical — including `f64` accumulation order, which follows
+//! tuple order per base row in both.
 
 use crate::context::ExecContext;
 use crate::error::Result;
@@ -74,20 +75,22 @@ pub(crate) const MAX_BATCH: usize = u32::MAX as usize;
 /// * θ's cross-side residual, evaluated once per chunk over its candidate
 ///   pairs ([`PairResidual`]).
 ///
-/// Nested-loop plans whose θ shape batches are evaluated vectorized too: per
-/// chunk, θ is bound to each base row ([`bind_base`]) and the bound form runs
-/// over the whole chunk, a block of base rows at a time ([`NL_PAIRS`]).
-/// Batches whose key expressions have no vectorized form (and nested-loop θ
-/// shapes that don't batch) delegate per row to [`ProbePlan::matches`].
-/// Probe accounting is identical to the scalar path in every mode:
-/// prefiltered-out and NULL-key tuples record zero probes, hash probes record
-/// the bucket length, nested-loop probes record `|B|`.
+/// Nested-loop plans run over the chunk too: per chunk, θ is bound to each
+/// base row ([`bind_base`]) and the bound form runs over the whole chunk, a
+/// block of base rows at a time ([`NL_PAIRS`]). An expression with no batch
+/// form is interpreted into the column its batch form writes (module docs),
+/// so no tuple reaches [`ProbePlan::matches`]. Probe accounting is identical
+/// to the scalar path in every mode: prefiltered-out and NULL-key tuples
+/// record zero probes, hash probes record the bucket length, nested-loop
+/// probes record `|B|`.
 pub(crate) struct BatchProbe<'a> {
     plan: &'a ProbePlan,
     /// A nested-loop plan whose θ shape batches.
     nl_batch: bool,
     /// A hash plan's cross-side residual.
     residual: Option<PairResidual<'a>>,
+    /// The pass runs after a budget breach ([`pair_block`](Self::pair_block)).
+    degraded: bool,
 }
 
 /// Most `(tuple, base row)` pairs one block of a vectorized nested loop
@@ -103,7 +106,7 @@ pub(crate) type PairSink<'s> = dyn FnMut(&[(u32, usize)]) -> Result<()> + 's;
 const PAIR_BYTES: usize = std::mem::size_of::<(u32, usize)>() + std::mem::size_of::<u32>();
 
 impl<'a> BatchProbe<'a> {
-    pub(crate) fn new(plan: &'a ProbePlan) -> Self {
+    pub(crate) fn new(plan: &'a ProbePlan, degraded: bool) -> Self {
         let nl_batch =
             matches!(plan, ProbePlan::NestedLoop { theta, .. } if batchable_bound_shape(theta));
         let residual = match plan {
@@ -117,6 +120,7 @@ impl<'a> BatchProbe<'a> {
             plan,
             nl_batch,
             residual,
+            degraded,
         }
     }
 
@@ -126,35 +130,29 @@ impl<'a> BatchProbe<'a> {
     /// the chunk's values ([`ColumnarChunk::row_into`]), so its columns are
     /// marked too.
     pub(crate) fn collect_needed(&self, needed: &mut [bool]) {
-        for e in self.exprs() {
-            collect_detail_cols(e, needed);
-        }
-    }
-
-    /// Every expression of the plan that reads a detail tuple.
-    fn exprs(&self) -> Vec<&'a BoundExpr> {
-        match self.plan {
-            ProbePlan::NestedLoop { prefilter, theta } => {
-                prefilter.iter().chain(std::iter::once(theta)).collect()
-            }
+        let exprs: Vec<&BoundExpr> = match self.plan {
+            ProbePlan::NestedLoop { prefilter, theta } => prefilter.iter().chain([theta]).collect(),
             ProbePlan::Hash {
                 key_exprs,
                 prefilter,
                 residual,
                 ..
             } => key_exprs.iter().chain(prefilter).chain(residual).collect(),
+        };
+        for e in exprs {
+            collect_detail_cols(e, needed);
         }
     }
 
     /// Compute `Rel(t)` over `b` for every tuple of `chunk` and hand the
     /// `(batch-local tuple index, base row id)` pairs to `emit`, each base
     /// row's in tuple order: once per chunk, or once per block of base rows
-    /// for a vectorized nested loop. `pairs` is scratch. `groups`, when
-    /// given, is each tuple's own group of a `B` built in this scan
+    /// for a nested loop. `pairs` is scratch. `groups`, when given, is each
+    /// tuple's own group of a `B` built in this scan
     /// ([`GroupTable::assign`](crate::grouped::GroupTable::assign)): a hash
     /// plan then probes by it instead of by its index. Returns `true` if any
-    /// part of the batch fell back to the scalar interpreter, which reads the
-    /// chunk's values, never a row.
+    /// expression of the batch was interpreted, which reads the chunk's
+    /// values, never a row.
     pub(crate) fn matches_batch(
         &self,
         chunk: &ColumnarChunk,
@@ -167,204 +165,151 @@ impl<'a> BatchProbe<'a> {
         pairs.clear();
         let n = chunk.len();
         let mut fell_back = false;
-
+        let mut fall_back = |reason| {
+            ctx.count(reason, 1);
+            fell_back = true;
+        };
         let prefilter = match self.plan {
-            ProbePlan::NestedLoop { prefilter, .. } => prefilter.as_ref(),
-            ProbePlan::Hash { prefilter, .. } => prefilter.as_ref(),
+            ProbePlan::NestedLoop { prefilter, .. } | ProbePlan::Hash { prefilter, .. } => {
+                prefilter
+            }
         };
-        // A vectorized prefilter yields the batch's selection vector. When it
-        // doesn't vectorize, `sel` stays `None` and the paths below interpret
-        // it per row (`interpreted`; ProbePlan::matches does it internally).
-        let sel: Option<Vec<bool>> = match prefilter {
-            Some(p) => match eval_batch(p, chunk) {
-                Some(bv) => Some(bv.to_selection(n)),
-                None => {
-                    ctx.count(Counter::fallback_prefilter, 1);
-                    fell_back = true;
-                    None
-                }
-            },
-            None => None,
-        };
+        // The prefilter's verdicts are the batch's selection vector.
+        let sel = prefilter
+            .as_ref()
+            .map(|p| select(p, chunk, || fall_back(Counter::fallback_prefilter)))
+            .transpose()?;
         let selected = |i: usize| sel.as_ref().is_none_or(|s| s[i]);
-        let mut interpreted = prefilter
-            .filter(|_| sel.is_none())
-            .map(|p| (p, RowBuf::new([p], chunk.width())));
-
-        // Batched probing: vectorize every key column of a hash plan. A key
-        // expression with no vectorized form sends the whole batch to the
-        // scalar delegate below; everything else probes without ever
-        // materializing a row-form key per tuple.
-        if let ProbePlan::Hash {
-            index, key_exprs, ..
-        } = self.plan
-        {
-            let prober = match groups {
-                Some(ids) => Some(Prober::Groups(ids)),
-                None => key_exprs
-                    .iter()
-                    .map(|e| eval_batch(e, chunk))
-                    .collect::<Option<Vec<BatchVals>>>()
-                    .map(|batches| Prober::new(index, batches, n)),
-            };
-            if let Some(mut prober) = prober {
+        match self.plan {
+            ProbePlan::Hash {
+                index, key_exprs, ..
+            } => {
+                let mut prober = match groups {
+                    Some(ids) => Prober::Groups(ids),
+                    None => Prober::new(index, key_exprs, chunk, &selected, || {
+                        fall_back(Counter::fallback_key)
+                    })?,
+                };
+                // NULL key component: SQL equality never matches — the tuple
+                // records zero probes, exactly like the scalar path.
                 let mut cands: Vec<(u32, usize)> = Vec::new();
-                let probed = (|| -> Result<()> {
-                    for i in 0..n {
-                        if !selected(i) {
-                            continue;
-                        }
-                        if let Some((p, row)) = &mut interpreted {
-                            if !holds(p, row, chunk, i)? {
-                                continue;
-                            }
-                        }
-                        // NULL key component: SQL equality never matches —
-                        // the tuple records zero probes, exactly like the
-                        // scalar path.
-                        let Some(bucket) = prober.bucket(i) else {
-                            continue;
-                        };
+                for i in (0..n).filter(|&i| selected(i)) {
+                    if let Some(bucket) = prober.bucket(i) {
                         cands.extend(bucket.iter().map(|&bi| (i as u32, bi)));
                     }
-                    Ok(())
-                })();
+                }
                 // Each candidate is one probe of its tuple's bucket: counted
-                // once per batch, not with an atomic add per tuple, and also
-                // when the prefilter failed part-way.
+                // once per batch, not with an atomic add per tuple.
                 ctx.count(Counter::probes, cands.len() as u64);
-                probed?;
                 match &self.residual {
                     None => emit(&cands)?,
                     Some(res) => {
-                        res.filter(b, chunk, &cands, pairs)?;
+                        res.filter(b, chunk, &cands, pairs, || {
+                            fall_back(Counter::fallback_theta)
+                        })?;
                         emit(pairs)?;
                     }
                 }
-                return Ok(fell_back);
             }
-            ctx.count(Counter::fallback_key, 1);
-            fell_back = true;
-        } else if let (true, ProbePlan::NestedLoop { theta, .. }) = (self.nl_batch, self.plan) {
-            // Vectorized nested loop: θ bound to one base row runs over the
-            // whole chunk, replacing |chunk| interpreted tree walks. Base
-            // rows are taken in blocks, each block's pairs applied before the
-            // next block's are formed, so the pairs in flight stay under
-            // NL_PAIRS and are charged to the budget while they exist. Each
-            // base row's pairs come in tuple order, so every group
-            // accumulates exactly as in the scalar nested loop, f64 order
-            // included.
-            let mut survive = vec![false; n];
-            let mut n_survive = 0u64;
-            for (i, slot) in survive.iter_mut().enumerate() {
-                if !selected(i) {
-                    continue;
+            ProbePlan::NestedLoop { theta, .. } => {
+                // θ meets the chunk a block of base rows at a time
+                // ([`pair_block`](Self::pair_block)), each block's pairs
+                // applied before the next block's are formed. Bound to one
+                // base row ([`bind_base`]), a θ with a batch form runs over
+                // the whole chunk; a θ without one, or a base row whose
+                // inlined literals break it (a string bound into an
+                // arithmetic slot), takes its pairs from the interpreter.
+                // Each base row's pairs come in tuple order, so every group
+                // accumulates exactly as in the scalar nested loop.
+                let survive: Vec<usize> = (0..n).filter(|&i| selected(i)).collect();
+                // Every surviving tuple examines all of B; prefiltered-out
+                // tuples record zero probes.
+                ctx.count(Counter::probes, (survive.len() * b.len()) as u64);
+                if survive.is_empty() {
+                    return Ok(fell_back);
                 }
-                if let Some((p, row)) = &mut interpreted {
-                    if !holds(p, row, chunk, i)? {
-                        continue;
-                    }
-                }
-                *slot = true;
-                n_survive += 1;
-            }
-            // Every surviving tuple examines all of B — exactly the scalar
-            // nested loop's accounting; prefiltered-out tuples record zero
-            // probes.
-            ctx.count(Counter::probes, n_survive * b.len() as u64);
-            if n_survive == 0 {
-                return Ok(fell_back);
-            }
-            let mut theta_fell_back = false;
-            let block = (NL_PAIRS / n).max(1);
-            for (first, rows) in b.rows().chunks(block).enumerate() {
-                pairs.clear();
-                for (j, b_row) in rows.iter().enumerate() {
-                    let bi = first * block + j;
-                    match eval_batch(&bind_base(theta, b_row.values()), chunk) {
-                        Some(bv) => {
-                            let verdict = bv.to_selection(n);
-                            pairs.extend(
-                                (0..n)
-                                    .filter(|&i| survive[i] && verdict[i])
-                                    .map(|i| (i as u32, bi)),
-                            );
-                        }
-                        None => {
-                            // This base row's inlined literals broke the
-                            // batch form (e.g. a string bound into an
-                            // arithmetic slot): its pairs come from the
-                            // interpreter.
-                            theta_fell_back = true;
-                            let cands = (0..n).filter(|&i| survive[i]).map(|i| (i as u32, bi));
-                            interpret_pairs(theta, b, chunk, cands, pairs)?;
+                let mut interpreted = false;
+                let block = self.pair_block(n, ctx);
+                for (first, rows) in b.rows().chunks(block).enumerate() {
+                    pairs.clear();
+                    for (bi, b_row) in (first * block..).zip(rows) {
+                        let batch = self
+                            .nl_batch
+                            .then(|| eval_batch(&bind_base(theta, b_row.values()), chunk));
+                        match batch.flatten() {
+                            Some(bv) => {
+                                let verdict = bv.to_selection(n);
+                                let kept = survive.iter().filter(|&&i| verdict[i]);
+                                pairs.extend(kept.map(|&i| (i as u32, bi)));
+                            }
+                            None => {
+                                interpreted = true;
+                                let cands = survive.iter().map(|&i| (i as u32, bi));
+                                interpret_pairs(theta, b, chunk, cands, pairs)?;
+                            }
                         }
                     }
+                    let _scratch = match self.degraded {
+                        true => MemCharge::default(),
+                        false => MemCharge::try_new(ctx, pairs.len() * PAIR_BYTES)?,
+                    };
+                    emit(pairs)?;
                 }
-                let _scratch = MemCharge::try_new(ctx, pairs.len() * PAIR_BYTES)?;
-                emit(pairs)?;
+                if interpreted {
+                    fall_back(Counter::fallback_theta);
+                }
             }
-            if theta_fell_back {
-                ctx.count(Counter::fallback_theta, 1);
-                fell_back = true;
-            }
-            return Ok(fell_back);
-        } else {
-            // Nested loop whose θ shape has no batch form: inherently scalar.
-            ctx.count(Counter::fallback_theta, 1);
-            fell_back = true;
         }
-        self.delegate(chunk, b, sel.as_deref(), ctx, pairs)?;
-        emit(pairs)?;
         Ok(fell_back)
     }
 
-    /// The scalar path: hand each tuple of `chunk` that `sel` keeps (every
-    /// tuple without one) to the interpreter's `matches`, which applies
-    /// prefilter/keys/θ with identical probe accounting, counted once per
-    /// batch, and collect its pairs. (For tuples a vectorized prefilter
-    /// already rejected we skip the call entirely — `matches` would record
-    /// nothing for them.)
-    #[inline(never)]
-    fn delegate(
-        &self,
-        chunk: &ColumnarChunk,
-        b: &Relation,
-        sel: Option<&[bool]>,
-        ctx: &ExecContext,
-        pairs: &mut Vec<(u32, usize)>,
-    ) -> Result<()> {
-        let (mut matches, mut codes, mut probes) = (Vec::new(), Vec::new(), 0u64);
-        let mut row = RowBuf::new(self.exprs(), chunk.width());
-        let delegated = (|| -> Result<()> {
-            for i in (0..chunk.len()).filter(|&i| sel.is_none_or(|s| s[i])) {
-                let t = row.read(chunk, i);
-                self.plan
-                    .matches(b, t, &mut matches, &mut codes, &mut probes)?;
-                pairs.extend(matches.iter().map(|&bi| (i as u32, bi)));
-            }
-            Ok(())
-        })();
-        ctx.count(Counter::probes, probes);
-        delegated
+    /// Base rows per block of the nested loop over a chunk of `n` tuples,
+    /// so that a block's pairs stay under [`NL_PAIRS`]. A first pass charges
+    /// each block to the budget while it is applied. A degraded pass does not
+    /// — a charge held while the block's updates meter holistic growth could
+    /// breach where the scalar pass, which holds its matches uncharged,
+    /// answers — and bounds its blocks by what the budget has left instead,
+    /// down to one base row.
+    fn pair_block(&self, n: usize, ctx: &ExecContext) -> usize {
+        let pairs = match ctx.memory().filter(|_| self.degraded) {
+            Some(t) => NL_PAIRS.min(t.budget().saturating_sub(t.charged()) as usize / PAIR_BYTES),
+            None => NL_PAIRS,
+        };
+        (pairs / n).max(1)
     }
 }
 
+/// The verdict of the detail-only `p` on each row of `chunk`: the selection
+/// vector of its batch form, or, where it has none, interpreted row by row
+/// from the chunk's values once `fallback` has been told.
+pub(crate) fn select(
+    p: &BoundExpr,
+    chunk: &ColumnarChunk,
+    fallback: impl FnOnce(),
+) -> Result<Vec<bool>> {
+    if let Some(verdicts) = eval_batch(p, chunk) {
+        return Ok(verdicts.to_selection(chunk.len()));
+    }
+    fallback();
+    let mut row = RowBuf::new(p, chunk.width());
+    (0..chunk.len())
+        .map(|i| Ok(p.eval_bool(&[], row.read(chunk, i))?))
+        .collect()
+}
+
 /// A chunk row as the scalar interpreter reads it: the values of the detail
-/// columns some expressions read ([`ColumnarChunk::row_into`]), NULL in the
+/// columns an expression reads ([`ColumnarChunk::row_into`]), NULL in the
 /// other slots, in one buffer reused for every row.
-pub(crate) struct RowBuf {
+struct RowBuf {
     cols: Vec<usize>,
     row: Vec<Value>,
 }
 
 impl RowBuf {
-    /// The buffer for rows of `width` columns of which `exprs` read some.
-    pub(crate) fn new<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>, width: usize) -> RowBuf {
+    /// The buffer for rows of `width` columns of which `expr` reads some.
+    fn new(expr: &BoundExpr, width: usize) -> RowBuf {
         let mut read = vec![false; width];
-        for e in exprs {
-            collect_detail_cols(e, &mut read);
-        }
+        collect_detail_cols(expr, &mut read);
         RowBuf {
             cols: (0..width).filter(|&c| read[c]).collect(),
             row: vec![Value::Null; width],
@@ -372,17 +317,10 @@ impl RowBuf {
     }
 
     /// Row `i` of `chunk`.
-    pub(crate) fn read(&mut self, chunk: &ColumnarChunk, i: usize) -> &[Value] {
+    fn read(&mut self, chunk: &ColumnarChunk, i: usize) -> &[Value] {
         chunk.row_into(i, &self.cols, &mut self.row);
         &self.row
     }
-}
-
-/// Whether the detail-only `expr` holds on row `i` of `chunk`, read through
-/// `row`.
-#[inline(never)]
-fn holds(expr: &BoundExpr, row: &mut RowBuf, chunk: &ColumnarChunk, i: usize) -> Result<bool> {
-    Ok(expr.eval_bool(&[], row.read(chunk, i))?)
 }
 
 /// Append to `pairs` each `(tuple, base row)` pair of `cands` on which
@@ -396,7 +334,7 @@ fn interpret_pairs(
     cands: impl IntoIterator<Item = (u32, usize)>,
     pairs: &mut Vec<(u32, usize)>,
 ) -> Result<()> {
-    let (mut row, mut at) = (RowBuf::new([expr], chunk.width()), None);
+    let (mut row, mut at) = (RowBuf::new(expr, chunk.width()), None);
     for (i, bi) in cands {
         if at != Some(i) {
             row.read(chunk, i as usize);
@@ -423,10 +361,10 @@ fn interpret_pairs(
 ///
 /// A residual with no batch form (`Div`/`Mod`), or a block whose columns
 /// have no typed form (mixed `Int`/`Float`, a boolean, `ALL`), is
-/// interpreted pair by pair from the chunk's values. Either way the
-/// verdicts are the interpreter's (a batchable residual is total, so no
-/// error path diverges), which is why a residual never reports a batch
-/// fallback.
+/// interpreted pair by pair from the chunk's values, and the batch counts
+/// one `fallback_theta` however many of its blocks were. Either way the
+/// verdicts are the interpreter's: a batchable residual is total, so no
+/// error path diverges.
 pub(crate) struct PairResidual<'a> {
     expr: &'a BoundExpr,
     /// The shape has a batch form.
@@ -465,7 +403,8 @@ impl<'a> PairResidual<'a> {
     }
 
     /// Fill `pairs` with the candidates `cands` of `chunk` over `b` for
-    /// which the residual holds, in order. Kept out of line: it runs once
+    /// which the residual holds, in order, telling `fallback` when any block
+    /// was interpreted. Kept out of line: it runs once
     /// per chunk, and inlined it grew [`BatchProbe::matches_batch`], the
     /// probe loop every statement runs, which measured slower on the
     /// statements that have no residual.
@@ -476,8 +415,10 @@ impl<'a> PairResidual<'a> {
         chunk: &ColumnarChunk,
         cands: &[(u32, usize)],
         pairs: &mut Vec<(u32, usize)>,
+        fallback: impl FnOnce(),
     ) -> Result<()> {
         pairs.clear();
+        let mut interpreted = false;
         for block in cands.chunks(NL_PAIRS) {
             match self
                 .batches
@@ -490,8 +431,14 @@ impl<'a> PairResidual<'a> {
                         .zip(keep)
                         .filter_map(|(&pair, keep)| keep.then_some(pair)),
                 ),
-                None => interpret_pairs(self.expr, b, chunk, block.iter().copied(), pairs)?,
+                None => {
+                    interpreted = true;
+                    interpret_pairs(self.expr, b, chunk, block.iter().copied(), pairs)?;
+                }
             }
+        }
+        if interpreted {
+            fallback();
         }
         Ok(())
     }
@@ -562,25 +509,48 @@ enum Prober<'p> {
 }
 
 impl<'p> Prober<'p> {
-    /// The prober for one batch of `n` rows whose key columns evaluated to
-    /// `batches`: a lone `i64` key is looked up by value; every other key is
-    /// coded per chunk ([`KeyCodes`]) so that each distinct key tuple is
-    /// looked up in the index once.
-    fn new(index: &'p KeyIndex, mut batches: Vec<BatchVals>, n: usize) -> Prober<'p> {
-        if let [BatchVals::Ints { vals, nulls }] = &mut batches[..] {
-            let (vals, nulls) = (std::mem::take(vals), std::mem::take(nulls));
-            return Prober::Int { vals, nulls, index };
+    /// The prober for one batch: a lone `i64` key is looked up by value;
+    /// every other key is coded per chunk ([`KeyCodes`]) so that each
+    /// distinct key tuple is looked up in the index once. A key column with
+    /// no batch form is interpreted into its codes where the scalar matcher
+    /// would evaluate it — on the rows `selected` keeps, up to the row's
+    /// first NULL component — and `fallback` is told.
+    fn new(
+        index: &'p KeyIndex,
+        key_exprs: &[BoundExpr],
+        chunk: &ColumnarChunk,
+        selected: &dyn Fn(usize) -> bool,
+        fallback: impl FnOnce(),
+    ) -> Result<Prober<'p>> {
+        let n = chunk.len();
+        let mut cols: Vec<KeyCodes> = Vec::with_capacity(key_exprs.len());
+        let mut interpreted = false;
+        for e in key_exprs {
+            let col = match eval_batch(e, chunk) {
+                Some(BatchVals::Ints { vals, nulls }) if key_exprs.len() == 1 => {
+                    return Ok(Prober::Int { vals, nulls, index });
+                }
+                Some(bv) => KeyCodes::new(bv, n),
+                None => {
+                    interpreted = true;
+                    let live = |i| selected(i) && cols.iter().all(|c| c.code(i) != NULL_CODE);
+                    KeyCodes::interpret(e, chunk, live)?
+                }
+            };
+            cols.push(col);
         }
-        let cols: Vec<KeyCodes> = batches.into_iter().map(|bv| KeyCodes::new(bv, n)).collect();
+        if interpreted {
+            fallback();
+        }
         let (ids, card) = tuple_ids(&cols, n);
-        Prober::Coded {
+        Ok(Prober::Coded {
             translation: Translation::new(&cols),
             cols,
             ids,
             slots: vec![None; card],
             index,
             codes: Vec::new(),
-        }
+        })
     }
 
     /// The index bucket for row `i`, or `None` when any key component is
@@ -763,6 +733,30 @@ impl KeyCodes {
                 },
             },
         }
+    }
+
+    /// The detail-only `e` interpreted from `chunk`'s values on the rows
+    /// `live` admits, each value canonical ([`canon_key`]); NULL, and every
+    /// other row, is `NULL_CODE`. The values are typed as a chunk column is,
+    /// so integers (a `Div` key's canonical form) are coded by value.
+    fn interpret(
+        e: &BoundExpr,
+        chunk: &ColumnarChunk,
+        live: impl Fn(usize) -> bool,
+    ) -> Result<KeyCodes> {
+        let (n, mut row) = (chunk.len(), RowBuf::new(e, chunk.width()));
+        let vals = (0..n)
+            .map(|i| match live(i) {
+                true => Ok(canon_key(e.eval_detail(row.read(chunk, i))?)),
+                false => Ok(Value::Null),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(
+            match BatchVals::from_column(Column::from_values(&vals, n)) {
+                Some(bv) => Self::new(bv, n),
+                None => Self::dense(vals.into_iter().map(|v| (!v.is_null()).then_some(v))),
+            },
+        )
     }
 
     /// Number the distinct canonical values of a column in first-seen order.
@@ -1011,7 +1005,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::context::ProbeStrategy;
-    use crate::executor::{self, DetailSource, Driver, Grid};
+    use crate::executor::{self, DetailSource, Driver, Eval, Grid};
     use crate::generalized::Block;
     use crate::mdjoin::md_join_serial;
     use mdj_agg::AggSpec;
@@ -1030,7 +1024,13 @@ mod tests {
     ) -> Result<Relation> {
         let blocks = [Block::new(theta.clone(), l.to_vec())];
         let grid = Grid::new(DetailSource::Resident(r), &blocks, ctx.morsel_size());
-        executor::run(b, &grid, &blocks, &Driver::Serial { batch: true }, ctx)
+        executor::run(
+            b,
+            &grid,
+            &blocks,
+            &Driver::Serial(Eval::Batch { degraded: false }),
+            ctx,
+        )
     }
 
     fn sales(n: i64) -> Relation {
@@ -1361,6 +1361,49 @@ mod tests {
         assert_eq!(stats.batch_fallbacks(), 0);
     }
 
+    /// A cross-side residual the interpreter answers counts one
+    /// `fallback_theta` per batch, however many of its pair blocks it
+    /// interpreted: one with no batch form (`Div`), and one whose pair block
+    /// has no typed form (a `B` column mixing `Int` and `Float`).
+    #[test]
+    fn interpreted_residual_blocks_count_as_theta_fallbacks() {
+        let s = sales(300);
+        let custs = s.distinct_on(&["cust"]).unwrap();
+        let b = Relation::from_rows(
+            Schema::from_pairs(&[("cust", DataType::Int), ("w", DataType::Float)]),
+            custs
+                .iter()
+                .map(|row| {
+                    let k = row[0].as_int().unwrap();
+                    let w = match k % 2 {
+                        0 => Value::Int(k * 4),
+                        _ => Value::Float(k as f64 * 4.5),
+                    };
+                    Row::from_values(vec![row[0].clone(), w])
+                })
+                .collect(),
+        );
+        let batches = 300u64.div_ceil(64);
+        let key = eq(col_b("cust"), col_r("cust"));
+        for residual in [
+            gt(col_r("sale"), div(col_b("w"), lit(2i64))),
+            gt(col_r("sale"), col_b("w")),
+        ] {
+            let theta = and(key.clone(), residual);
+            let serial = md_join_serial(&b, &s, &specs(), &theta, &ExecContext::new()).unwrap();
+            let stats = Arc::new(ScanStats::new());
+            let ctx = ExecContext::new()
+                .with_morsel_size(64)
+                .with_stats(stats.clone());
+            let vector = md_join_vectorized(&b, &s, &specs(), &theta, &ctx).unwrap();
+            assert_eq!(serial.rows(), vector.rows(), "θ = {theta}");
+            assert_eq!(stats.batches(), batches, "θ = {theta}");
+            assert_eq!(stats.fallback_theta(), batches, "θ = {theta}");
+            assert_eq!(stats.batch_fallbacks(), batches, "θ = {theta}");
+            assert_eq!(stats.fallback_key(), 0, "θ = {theta}");
+        }
+    }
+
     #[test]
     fn empty_inputs_and_empty_rel_t() {
         let s = sales(50);
@@ -1541,7 +1584,7 @@ mod tests {
             for theta in &thetas {
                 let plan =
                     ProbePlan::build(&b, &r_schema, theta, ProbeStrategy::HashProbe).unwrap();
-                let probe = BatchProbe::new(&plan);
+                let probe = BatchProbe::new(&plan, false);
                 let mut needed = vec![false; r_schema.len()];
                 probe.collect_needed(&mut needed);
                 let batch_stats = Arc::new(ScanStats::new());

@@ -15,6 +15,7 @@
 use mdj_agg::Registry;
 use mdj_core::prelude::*;
 use mdj_core::DetailSource;
+use mdj_expr::analysis::probe_bindings;
 use mdj_expr::builder::{add, div, modulo};
 use mdj_storage::{BufferPool, PagedStore};
 use proptest::prelude::*;
@@ -270,6 +271,59 @@ proptest! {
                 let leaked: Vec<_> = entries.flatten().map(|e| e.path()).collect();
                 prop_assert!(leaked.is_empty(), "leaked run files: {:?}", leaked);
             }
+            // The default strategy degrades on the batch evaluator: it
+            // answers wherever the scalar arm did, with the same bits,
+            // batches every pass that reads a tuple and builds no page rows.
+            let served_stats = Arc::new(ScanStats::new());
+            let served_ctx = ExecContext::new()
+                .with_budget_bytes(4096)
+                .with_spill_policy(policy)
+                .with_spill_dir(&spill_dir)
+                .with_stats(served_stats.clone());
+            let served = MdJoin::new(&b, &r)
+                .aggs(&specs)
+                .theta(theta.clone())
+                .run(&served_ctx)
+                .map_err(|e| {
+                    proptest::test_runner::TestCaseError::Fail(format!(
+                        "served, policy {policy:?}: {e}"
+                    ))
+                })?;
+            let bits = |rel: &Relation| -> Vec<Vec<Option<u64>>> {
+                rel.rows()
+                    .iter()
+                    .map(|row| row.iter().map(|v| v.as_float().map(f64::to_bits)).collect())
+                    .collect()
+            };
+            prop_assert_eq!(out.rows(), served.rows(), "served, policy {:?}", policy);
+            prop_assert_eq!(bits(&out), bits(&served), "served, policy {:?}", policy);
+            // A breach in the middle of a scan abandons an attempt whose
+            // probes were counted as they were made: by the scalar arm up to
+            // the breaching tuple, by the batch arm a chunk at a time. The
+            // batch arm's first attempt also charges its nested-loop pair
+            // blocks, which the scalar arm does not, so it may breach alone,
+            // with another peak and so another partition count. Updates count
+            // per finished chunk: where both arms made the same passes they
+            // made the same updates. A hash θ with distributive aggregates
+            // charges only while it plans a pass, before any probe, and a run
+            // that never breached abandons nothing: there the probes are
+            // equal too.
+            let passes = |s: &ScanStats| (s.scans(), s.tuples_scanned(), s.degradations());
+            if passes(&stats) == passes(&served_stats) {
+                prop_assert_eq!(stats.updates(), served_stats.updates(), "policy {:?}", policy);
+            }
+            let planned = !probe_bindings(&theta).0.is_empty()
+                && specs.iter().all(|s| s.function != "median");
+            if planned || stats.degradations() + served_stats.degradations() == 0 {
+                prop_assert_eq!(passes(&stats), passes(&served_stats), "policy {:?}", policy);
+                prop_assert_eq!(stats.probes(), served_stats.probes(), "policy {:?}", policy);
+            }
+            prop_assert_eq!(served_stats.page_rows_built(), 0, "policy {:?}", policy);
+            let rescanned = policy == SpillPolicy::Never && !r.is_empty();
+            if served_stats.degradations() > 0 && (rescanned || served_stats.bytes_spilled() > 0) {
+                prop_assert!(served_stats.batches() > 0, "policy {:?}", policy);
+            }
+            prop_assert_eq!(served_ctx.memory().unwrap().charged(), 0);
         }
         let _ = std::fs::remove_dir(&spill_dir);
     }
